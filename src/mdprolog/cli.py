@@ -7,8 +7,7 @@ import sys
 
 from .corpus import run_all
 from .engine import Engine
-from .errors import BudgetExceeded, ConsultError, Halt, PrologThrow, TransformError
-from .reader import ReaderError
+from .errors import Halt, MdpError, PrologThrow
 from .render import render
 
 
@@ -52,7 +51,7 @@ def run_goal(engine, text):
         if not first:
             sys.stdout.write(".\n")
         return halt.code
-    except (ReaderError, PrologThrow, BudgetExceeded) as exc:
+    except (PrologThrow, MdpError) as exc:
         _error(_describe(engine, exc))
         return 2
 
@@ -117,8 +116,7 @@ def repl(engine, stdin=None, stdout=None, stderr=None):
                     stdout.write("false.\n")
         except Halt as halt:
             return halt.code
-        except (ReaderError, PrologThrow, BudgetExceeded,
-                ConsultError, TransformError) as exc:
+        except (PrologThrow, MdpError) as exc:
             stderr.write("error: %s\n" % _describe(engine, exc))
 
 
@@ -145,7 +143,7 @@ def main(argv=None):
                         trace_dispatch=args.trace_dispatch)
         for path in args.files:
             engine.consult_file(path)
-    except (OSError, ReaderError, ConsultError, TransformError) as exc:
+    except (OSError, PrologThrow, MdpError) as exc:
         _error(str(exc))
         return 2
 

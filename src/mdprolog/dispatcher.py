@@ -14,6 +14,7 @@ from .terms import (
     Atom,
     Struct,
     Var,
+    conj,
     functor_of,
     is_callable_term,
     make_list,
@@ -115,27 +116,17 @@ def score_signature(solver, store, sig, ctx, ctx_keys):
     if not unify(ctx_var, ctx, store, solver.occurs_check):
         store.undo_to(mark)
         return None, "context did not unify"
-
-    from .solver import Frame, conj
-
-    goal = conj(rules)
-    it = solver.solve(goal, store, Frame())
-    satisfied = False
-    score = None
-    for _ in it:
-        satisfied = True
-        score = len([d for d in sig.required_dims if d != PREDICATE_DIM])
-        for v in score_vars:
-            value = store.deref(v)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                store.undo_to(mark)
-                raise type_error("number", resolve(v, store))
-            score += value
-        it.close()
-        break
-    store.undo_to(mark)
-    if not satisfied:
+    if not solver.solve_once(conj(rules), store):
+        store.undo_to(mark)
         return None, "context rules failed"
+    score = len([d for d in sig.required_dims if d != PREDICATE_DIM])
+    for v in score_vars:
+        value = store.deref(v)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            store.undo_to(mark)
+            raise type_error("number", resolve(v, store))
+        score += value
+    store.undo_to(mark)
     return score, None
 
 
@@ -143,52 +134,41 @@ def candidates_for(kb, name, arity):
     return list(kb.signatures_for(name, arity)) + list(kb.anonymous_signatures)
 
 
-def explain(solver, store, implicit, given, goal):
-    """Scoring report: (context, [(signature, score_or_None, reason)])."""
+def score_candidates(solver, store, implicit, given, goal):
+    """Build the updated context and score every candidate of the goal.
+
+    Returns (name, args, context, [(signature, score_or_None, reason)])
+    with the candidates in definition order.
+    """
     goal_d = store.deref(goal)
     if isinstance(goal_d, Var):
         raise instantiation_error()
     if not is_callable_term(goal_d):
         raise type_error("callable", resolve(goal_d, store))
     name, args = functor_of(goal_d)
+    sigs = candidates_for(solver.kb, name, len(args))
+    if not sigs:
+        raise existence_error(
+            "mdp_predicate", Struct("/", (Atom(name), len(args))))
     ctx = updated_context(store, implicit, given, goal_d)
     ctx_keys = {n for n, _ in _context_entries(ctx, store)}
-    sigs = candidates_for(solver.kb, name, len(args))
-    report = []
-    for sig in sigs:
-        score, reason = score_signature(solver, store, sig, ctx, ctx_keys)
-        report.append((sig, score, reason))
-    return ctx, report
+    report = [(sig,) + score_signature(solver, store, sig, ctx, ctx_keys)
+              for sig in sigs]
+    return name, args, ctx, report
 
 
 def dispatch(solver, store, implicit, given, goal):
-    goal_d = store.deref(goal)
-    if isinstance(goal_d, Var):
-        raise instantiation_error()
-    if not is_callable_term(goal_d):
-        raise type_error("callable", resolve(goal_d, store))
-    name, args = functor_of(goal_d)
+    name, args, ctx, report = score_candidates(
+        solver, store, implicit, given, goal)
     arity = len(args)
-
-    sigs = candidates_for(solver.kb, name, arity)
-    if not sigs:
-        raise existence_error(
-            "mdp_predicate", Struct("/", (Atom(name), arity)))
-
-    ctx = updated_context(store, implicit, given, goal_d)
-    ctx_keys = {n for n, _ in _context_entries(ctx, store)}
-
-    scored = []
-    for sig in sigs:
-        score, reason = score_signature(solver, store, sig, ctx, ctx_keys)
-        if solver.trace_dispatch:
+    if solver.trace_dispatch:
+        for sig, score, reason in report:
             label = "%s -> %s" % (
                 sig.label(),
                 ("score %s" % score) if score is not None else reason)
             solver.err.write("dispatch %s/%d: %s\n" % (name, arity, label))
-        if score is not None:
-            scored.append((sig, score))
 
+    scored = [(sig, score) for sig, score, _ in report if score is not None]
     if not scored:
         return
 

@@ -5,22 +5,13 @@ from __future__ import annotations
 import sys
 from importlib import resources
 
-from .dispatcher import explain as dispatch_explain
-from .errors import ConsultError, Halt, PrologThrow, TransformError
+from .dispatcher import score_candidates
+from .errors import ConsultError, PrologThrow
 from .kb import KnowledgeBase
-from .reader import ReaderError, parse_program, parse_term
+from .reader import parse_program, parse_term
 from .render import render
 from .solver import BOOTSTRAP, Frame, Solver
-from .terms import (
-    Atom,
-    BindingStore,
-    NIL,
-    Struct,
-    Var,
-    rename_term,
-    resolve,
-    unify,
-)
+from .terms import Atom, BindingStore, NIL, Struct, Var, resolve
 from .transformer import expand_source_item, phase1_rewrite
 
 _MIN_RECURSION_LIMIT = 100_000
@@ -118,14 +109,13 @@ class Engine:
         try:
             for item in parse_program(text, self.kb.optable, filename):
                 self._consult_item(item)
-        except (ReaderError, ConsultError, TransformError):
-            raise
         except PrologThrow as exc:
             raise ConsultError(
                 "%s: uncaught exception: %s"
                 % (filename, self._render(exc.ball))) from exc
 
     def _consult_item(self, item):
+        self.solver.reset_run()
         where = "%s:%s" % (item.filename, item.line)
         if item.is_directive:
             goal = item.term.args[0]
@@ -178,6 +168,7 @@ class Engine:
     # -- queries -------------------------------------------------------------
 
     def _prepare(self, text):
+        self.solver.reset_run()
         term, varmap = parse_term(text, self.kb.optable)
         store = BindingStore()
         ctx_var = Var("_QueryCtx")
@@ -188,7 +179,6 @@ class Engine:
     def solutions(self, text):
         """Lazily enumerate solutions of a query given as text."""
         goal, store, varmap = self._prepare(text)
-        self.solver.reset_run()
         for _ in self.solver.solve(goal, store, Frame()):
             bindings = {name: resolve(var, store)
                         for name, var in varmap.items()}
@@ -206,7 +196,6 @@ class Engine:
     def run(self, text):
         """True when the query has at least one solution."""
         goal, store, _ = self._prepare(text)
-        self.solver.reset_run()
         return self.solver.solve_once(goal, store)
 
     def explain(self, text):
@@ -214,9 +203,8 @@ class Engine:
         goal, store, _ = self._prepare(text)
         if not (isinstance(goal, Struct) and goal.functor == "$dispatch"):
             raise ValueError("explain() needs a dispatch query (Given ? Goal)")
-        self.solver.reset_run()
-        implicit, given, inner = goal.args
-        return dispatch_explain(self.solver, store, implicit, given, inner)
+        _, _, ctx, report = score_candidates(self.solver, store, *goal.args)
+        return ctx, report
 
     # -- introspection ---------------------------------------------------------
 

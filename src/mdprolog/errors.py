@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .render import render
 from .terms import Atom, MdpError, Struct
 
 
@@ -33,7 +34,6 @@ class PrologThrow(Exception):
         super().__init__(ball)
 
     def __str__(self):
-        from .render import render
         return render(self.ball, quoted=True)
 
 
@@ -52,6 +52,11 @@ def type_error(expected, culprit):
 
 def existence_error(kind, culprit):
     return PrologThrow(error_term("existence_error", Atom(kind), culprit))
+
+
+def permission_error(action, kind, culprit):
+    return PrologThrow(error_term("permission_error", Atom(action), Atom(kind),
+                                  culprit))
 
 
 def evaluation_error(what):

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ops import default_table
-from .terms import Struct, Var
+from .terms import Var, indicator
 
 ANONYMOUS = "$anonymous_rule"
 
@@ -65,8 +65,6 @@ class KnowledgeBase:
     # -- clauses ---------------------------------------------------------
 
     def add_clause(self, head, body, filename=None, line=None):
-        from .terms import indicator
-
         key = indicator(head)
         clause = Clause(head, body, filename, line, next(self._order))
         self.clauses.setdefault(key, []).append(clause)
@@ -77,9 +75,6 @@ class KnowledgeBase:
 
     def has_predicate(self, key):
         return key in self.clauses or key in self.dynamic
-
-    def is_dynamic(self, key):
-        return key in self.dynamic
 
     def set_dynamic(self, key):
         self.dynamic.add(key)

@@ -58,12 +58,6 @@ class OperatorTable:
                 best = max(best, entry[0])
         return best
 
-    def copy(self):
-        other = OperatorTable()
-        other.prefix = dict(self.prefix)
-        other.infix = dict(self.infix)
-        return other
-
 
 _DEFAULT_OPS = [
     (1200, "xfx", ":-"),

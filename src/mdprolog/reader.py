@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ops import OperatorTable
 from .terms import Atom, MdpError, Struct, Var, make_list
 
 SYMBOL_CHARS = set("#$&*+-./:<=>?@^~\\")
@@ -379,10 +378,6 @@ class SourceItem:
     filename: str
     line: int
     varmap: dict = field(default_factory=dict)
-
-    @property
-    def goal(self):
-        return self.term.args[0] if self.is_directive else None
 
 
 def parse_term(text, optable, filename="<text>"):

@@ -10,10 +10,10 @@ from __future__ import annotations
 import re
 
 from .ops import default_table
+from .reader import SYMBOL_CHARS
 from .terms import Atom, BindingStore, Struct, Var, is_number, MdpError
 
 _UNQUOTED_ALPHA = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
-_SYMBOL_CHARS = set("#$&*+-./:<=>?@^~\\")
 _SOLO_ATOMS = {"!", ";", "[]", "{}"}
 
 RENDER_DEPTH_LIMIT = 10_000
@@ -28,7 +28,7 @@ def atom_needs_quotes(name):
         return False
     if name in _SOLO_ATOMS:
         return False
-    if all(c in _SYMBOL_CHARS for c in name):
+    if all(c in SYMBOL_CHARS for c in name):
         return False
     return True
 
@@ -43,11 +43,6 @@ def quote_atom(name):
     return "'%s'" % escaped
 
 
-def _fmt_float(value):
-    text = repr(value)
-    return text
-
-
 def _join(pieces):
     """Concatenate token pieces, inserting spaces where tokens would merge."""
     out = []
@@ -57,7 +52,7 @@ def _join(pieces):
             continue
         if out:
             a, b = last[-1], piece[0]
-            if (a in _SYMBOL_CHARS and b in _SYMBOL_CHARS) or (
+            if (a in SYMBOL_CHARS and b in SYMBOL_CHARS) or (
                 (a.isalnum() or a == "_") and (b.isalnum() or b == "_")
             ):
                 out.append(" ")
@@ -88,7 +83,7 @@ class _Renderer:
         if isinstance(t, int):
             return str(t)
         if isinstance(t, float):
-            return _fmt_float(t)
+            return repr(t)
         if isinstance(t, Atom):
             text = self.atom_text(t.name)
             # a bare operator atom needs parens inside operator expressions

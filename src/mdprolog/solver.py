@@ -9,9 +9,11 @@ to it.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
+from .dispatcher import dispatch
 from .errors import (
     BudgetExceeded,
     Halt,
@@ -19,12 +21,12 @@ from .errors import (
     evaluation_error,
     existence_error,
     instantiation_error,
+    permission_error,
     type_error,
 )
 from .render import render
 from .terms import (
     Atom,
-    BindingStore,
     Struct,
     Var,
     compare_terms,
@@ -53,23 +55,6 @@ class Frame:
 
     def __init__(self):
         self.cut = False
-
-
-def conj(goals):
-    """Right-nested conjunction of a goal list (true for an empty list)."""
-    goals = [g for g in goals if g is not Atom("true")]
-    if not goals:
-        return Atom("true")
-    result = goals[-1]
-    for g in reversed(goals[:-1]):
-        result = Struct(",", (g, result))
-    return result
-
-
-def flatten_conj(term):
-    if isinstance(term, Struct) and term.functor == "," and len(term.args) == 2:
-        return flatten_conj(term.args[0]) + flatten_conj(term.args[1])
-    return [term]
 
 
 class Solver:
@@ -108,10 +93,6 @@ class Solver:
             raise type_error("callable", resolve(goal, store))
         name, args = functor_of(goal)
         key = (name, len(args))
-        control = _CONTROL.get(key)
-        if control is not None:
-            yield from control(self, store, frame, *args)
-            return
         builtin = _BUILTINS.get(key)
         if builtin is not None:
             yield from builtin(self, store, frame, *args)
@@ -164,13 +145,13 @@ class Solver:
             if n == 1:
                 a = self.eval_arith(t.args[0], store)
                 if f == "-":
-                    return self._int_result(-a) if isinstance(a, int) else -a
+                    return self._check_int(-a) if isinstance(a, int) else -a
                 if f == "+":
                     return a
                 if f == "abs":
-                    return self._int_result(abs(a)) if isinstance(a, int) else abs(a)
+                    return self._check_int(abs(a)) if isinstance(a, int) else abs(a)
                 if f == "floor":
-                    return self._int_result(math.floor(a))
+                    return self._check_int(math.floor(a))
                 if f == "sqrt":
                     if a < 0:
                         raise evaluation_error("undefined")
@@ -189,7 +170,7 @@ class Solver:
                         raise evaluation_error("zero_divisor")
                     if isinstance(a, int) and isinstance(b, int):
                         if a % b == 0:
-                            return self._int_result(a // b)
+                            return self._check_int(a // b)
                         return a / b
                     return a / b
                 if f == "mod":
@@ -197,7 +178,7 @@ class Solver:
                         raise type_error("integer", a if not isinstance(a, int) else b)
                     if b == 0:
                         raise evaluation_error("zero_divisor")
-                    return self._int_result(a % b)
+                    return self._check_int(a % b)
                 if f == "min":
                     return min(a, b)
                 if f == "max":
@@ -210,9 +191,6 @@ class Solver:
         if not INT_MIN <= value <= INT_MAX:
             raise evaluation_error("int_overflow")
         return value
-
-    def _int_result(self, value):
-        return self._check_int(value)
 
     def _num_result(self, value):
         if isinstance(value, int):
@@ -431,8 +409,6 @@ def _b_functor(solver, store, frame, t, name, arity):
         return
     if isinstance(td, Struct):
         pair = Struct(",", (Atom(td.functor), len(td.args)))
-    elif isinstance(td, Atom):
-        pair = Struct(",", (td, 0))
     else:
         pair = Struct(",", (td, 0))
     yield from _unify_yield(solver, store, Struct(",", (name, arity)), pair)
@@ -517,8 +493,6 @@ def _b_msort(solver, store, frame, lst, out):
     items = proper_list(lst, store)
     if items is None:
         raise type_error("list", resolve(lst, store))
-    import functools
-
     ordered = sorted(items, key=functools.cmp_to_key(
         lambda a, b: compare_terms(a, b, store)))
     yield from _unify_yield(solver, store, out, make_list(ordered))
@@ -534,8 +508,6 @@ def _b_keysort(solver, store, frame, lst, out):
         if not (isinstance(d, Struct) and d.functor == "-" and len(d.args) == 2):
             raise type_error("pair", resolve(item, store))
         pairs.append(d)
-    import functools
-
     ordered = sorted(pairs, key=functools.cmp_to_key(
         lambda a, b: compare_terms(a.args[0], b.args[0], store)))
     yield from _unify_yield(solver, store, out, make_list(ordered))
@@ -604,11 +576,8 @@ def _b_assertz(solver, store, frame, clause):
     body_copy = rename_term(body, store, mapping)
     key = indicator(head_copy)
     if solver.kb.has_mdp_predicate(*key):
-        raise PrologThrow(Struct("error", (
-            Struct("permission_error",
-                   (Atom("modify"), Atom("mdp_predicate"),
-                    Struct("/", (Atom(key[0]), key[1])))),
-            Atom("mdprolog"))))
+        raise permission_error("modify", "mdp_predicate",
+                               Struct("/", (Atom(key[0]), key[1])))
     solver.kb.set_dynamic(key)
     solver.kb.add_clause(head_copy, body_copy)
     yield
@@ -652,11 +621,8 @@ def _each_indicator(solver, store, spec):
 def _b_dynamic(solver, store, frame, spec):
     for key in _each_indicator(solver, store, spec):
         if solver.kb.has_mdp_predicate(*key):
-            raise PrologThrow(Struct("error", (
-                Struct("permission_error",
-                       (Atom("modify"), Atom("mdp_predicate"),
-                        Struct("/", (Atom(key[0]), key[1])))),
-                Atom("mdprolog"))))
+            raise permission_error("modify", "mdp_predicate",
+                                   Struct("/", (Atom(key[0]), key[1])))
         solver.kb.set_dynamic(key)
     yield
 
@@ -720,12 +686,10 @@ def _b_ctx_member(solver, store, frame, ctx, dim, coord):
 
 
 def _b_dispatch(solver, store, frame, implicit, given, goal):
-    from .dispatcher import dispatch
-
     yield from dispatch(solver, store, implicit, given, goal)
 
 
-_CONTROL = {
+_BUILTINS = {
     ("true", 0): _c_true,
     ("fail", 0): _c_fail,
     ("false", 0): _c_fail,
@@ -737,11 +701,6 @@ _CONTROL = {
     ("catch", 3): _c_catch,
     ("findall", 3): _c_findall,
     ("forall", 2): _c_forall,
-}
-for _n in range(1, 9):
-    _CONTROL[("call", _n)] = _c_call
-
-_BUILTINS = {
     ("=", 2): _b_unify,
     ("\\=", 2): _b_not_unify,
     ("==", 2): _b_struct_eq,
@@ -780,6 +739,8 @@ _BUILTINS = {
     ("ctx_member", 3): _b_ctx_member,
     ("$dispatch", 3): _b_dispatch,
 }
+for _n in range(1, 9):
+    _BUILTINS[("call", _n)] = _c_call
 
 BOOTSTRAP = """
 member(X, [X|_]).

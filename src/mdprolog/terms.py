@@ -94,8 +94,6 @@ class Struct:
 NIL = Atom("[]")
 TRUE = Atom("true")
 
-Term = object  # informal alias used in signatures
-
 
 def is_number(t):
     return isinstance(t, (int, float)) and not isinstance(t, bool)
@@ -117,6 +115,24 @@ def functor_of(t):
 def indicator(t):
     name, args = functor_of(t)
     return name, len(args)
+
+
+def conj(goals):
+    """Right-nested conjunction of a goal list (true for an empty list)."""
+    goals = [g for g in goals if g is not TRUE]
+    if not goals:
+        return TRUE
+    result = goals[-1]
+    for g in reversed(goals[:-1]):
+        result = Struct(",", (g, result))
+    return result
+
+
+def flatten_conj(term):
+    """Goal list of a right- or left-nested conjunction."""
+    if isinstance(term, Struct) and term.functor == "," and len(term.args) == 2:
+        return flatten_conj(term.args[0]) + flatten_conj(term.args[1])
+    return [term]
 
 
 class BindingStore:

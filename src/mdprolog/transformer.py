@@ -21,6 +21,8 @@ from .terms import (
     NIL,
     Struct,
     Var,
+    conj,
+    flatten_conj,
     functor_of,
     is_callable_term,
     is_number,
@@ -66,12 +68,6 @@ def _is_list_term(t):
     return t is NIL or (isinstance(t, Struct) and t.functor == "." and len(t.args) == 2)
 
 
-def _flatten_conj(t):
-    if isinstance(t, Struct) and t.functor == "," and len(t.args) == 2:
-        return _flatten_conj(t.args[0]) + _flatten_conj(t.args[1])
-    return [t]
-
-
 def translate_entry(engine, entry, parts, depth, where):
     if depth > MAX_REWRITE_DEPTH:
         raise TransformError(
@@ -105,7 +101,7 @@ def translate_entry(engine, entry, parts, depth, where):
     # plain precondition: offer it to the context-rule hook first
     replacement = engine.apply_spec_hook(parts.ctx_var, entry)
     if replacement is not None:
-        for conjunct in _flatten_conj(replacement):
+        for conjunct in flatten_conj(replacement):
             translate_entry(engine, conjunct, parts, depth + 1, where)
         return
     rewritten = phase1_rewrite(engine, entry, parts.ctx_var, 0)
@@ -212,8 +208,6 @@ def expand_source_item(engine, term, filename=None, line=None):
 
     parts = translate_spec(engine, spec_term, where)
     rewritten_body = phase1_rewrite(engine, body, parts.ctx_var, 0, where)
-
-    from .solver import conj
 
     impl_name = engine.kb.next_impl_name(name, len(head_args))
     impl_head = Struct(impl_name, (parts.ctx_var,) + tuple(head_args))

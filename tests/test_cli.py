@@ -50,6 +50,12 @@ class TestGoalMode:
         proc = run_cli(str(bad), "-g", "true")
         assert proc.returncode == 2
 
+    def test_transform_error_in_goal_exits_two(self):
+        proc = run_cli("-g", "X ? (Y ? p)")
+        assert proc.returncode == 2
+        assert "open-ended given context" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestRepl:
     def test_session_transcript(self, graph_file):
@@ -68,6 +74,11 @@ class TestRepl:
 
 
 class TestFlags:
+    def test_small_budget_leaves_room_for_start_up(self):
+        proc = run_cli("--budget", "20", "-g", "true")
+        assert proc.returncode == 0
+        assert proc.stdout == "true.\n"
+
     def test_trace_dispatch_logs_to_stderr(self, graph_file):
         proc = run_cli("--trace-dispatch", graph_file, "-g", "? path(a, b)")
         assert proc.returncode == 0

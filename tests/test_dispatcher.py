@@ -1,4 +1,5 @@
 import io
+from importlib import resources
 
 import pytest
 
@@ -156,6 +157,63 @@ class TestScoring:
         """)
         engine.query("[log: hello] ? p(X)")
         assert engine.out.getvalue() == "hello\n"
+
+    def test_explain_of_unknown_mdp_predicate_is_the_same_error(self):
+        engine = Engine(prelude=False)
+        with pytest.raises(PrologThrow) as dispatched:
+            engine.query("[mode: x] ? nothing(1)")
+        with pytest.raises(PrologThrow) as explained:
+            engine.explain("[mode: x] ? nothing(1)")
+        assert str(explained.value) == str(dispatched.value)
+
+    def test_explain_winners_are_the_dispatch_winners(self, engine):
+        assert explain_winners(engine, "[mode: a] ? p(X)") == \
+            traced_winners(engine, "[mode: a] ? p(X)", "p/1")
+        assert explain_winners(engine, "[mode: a, level: b] ? p(X)") == \
+            traced_winners(engine, "[mode: a, level: b] ? p(X)", "p/1")
+
+    def test_explain_winners_are_the_dispatch_winners_on_shapes(self):
+        engine = Engine(out=io.StringIO())
+        engine.consult_text(resources.files("mdprolog").joinpath(
+            "corpus", "programs", "shapes.mdp").read_text())
+        engine.run("new_oid(S), S ! write(type, special_rectangle), "
+                   "S ! write(width, 2), S ! write(height, 3)")
+        query = "[rcvr: oid(1)] ? representation(_)"
+        special = engine.kb.signatures_for("representation", 1)[2]
+        assert explain_winners(engine, query) == [special.label()]
+        assert traced_winners(engine, query, "representation/1") == \
+            [special.label()]
+
+    def test_preconditions_run_when_scored_and_again_in_the_body(self):
+        # the residue is relied on: memo_generic.mdp replays cached
+        # solutions through it
+        engine = Engine(prelude=False, out=io.StringIO())
+        engine.consult_text("[writeln(checked), mode: M] # f(M).")
+        sols = engine.query("[mode: x] ? f(X), [mode: y] ? f(Y)")
+        assert [(s.render("X"), s.render("Y")) for s in sols] == [("x", "y")]
+        assert engine.out.getvalue() == "checked\n" * 4
+
+
+def explain_winners(engine, query):
+    """Labels of the top-scoring candidates in explain, definition order."""
+    _, report = engine.explain(query)
+    best = max(score for _, score, _ in report if score is not None)
+    return [sig.label() for sig, score, _ in report if score == best]
+
+
+def traced_winners(engine, query, indicator):
+    """Labels on the `running` line --trace-dispatch writes for a query."""
+    engine.err = io.StringIO()
+    engine.trace_dispatch = True
+    try:
+        engine.query(query)
+    finally:
+        engine.trace_dispatch = False
+    prefix = "dispatch %s: running " % indicator
+    lines = [line[len(prefix):] for line in engine.err.getvalue().splitlines()
+             if line.startswith(prefix)]
+    assert len(lines) == 1
+    return lines[0].split(", ")
 
 
 def self_scores(engine):

@@ -136,6 +136,21 @@ class TestExceptions:
             engine.run("catch(loop, _, true)")
 
 
+class TestBudget:
+    def test_budget_counts_each_query_afresh(self):
+        engine = Engine(budget=10_000)
+        assert len(engine.query("between(1, 500, X), X >= 500")) == 1
+        engine.budget = 50
+        assert len(engine.query("true")) == 1
+
+    def test_consulting_does_not_spend_the_query_budget(self):
+        engine = Engine(budget=20)
+        assert engine.run("true")
+        engine.consult_text("loop :- loop.")
+        with pytest.raises(BudgetExceeded):
+            engine.run("loop")
+
+
 class TestDatabase:
     def test_assert_retract_cycle(self, engine):
         engine.consult_text(":- dynamic fact/1.")
