@@ -47,7 +47,8 @@ def updated_context(store, implicit, given, goal):
 
     Removals (-name) are applied first, then each name: coord entry
     upserts in order, and finally the goal itself is recorded under the
-    predicate dimension.
+    predicate dimension.  Returns the context list and the set of its
+    dimension names.
     """
     base = _context_entries(implicit, store)
     given_items = proper_list(given, store)
@@ -94,18 +95,23 @@ def updated_context(store, implicit, given, goal):
         upsert(name, coord)
     upsert(PREDICATE_DIM, store.deref(goal))
 
-    return make_list([Struct(":", (Atom(n), c)) for n, c in entries])
+    ctx = make_list([Struct(":", (Atom(n), c)) for n, c in entries])
+    return ctx, {n for n, _ in entries}
 
 
 def score_signature(solver, store, sig, ctx, ctx_keys):
     """Score one candidate against a context.
 
     Returns (score, None) when eligible, else (None, reason).  All
-    bindings made while checking are undone before returning.
+    bindings made while checking are undone before returning.  A
+    dimension-only signature is scored from ``ctx_keys`` alone.
     """
     missing = [d for d in sig.required_dims if d not in ctx_keys]
     if missing:
         return None, "missing dimension %s" % ", ".join(missing)
+    score = len([d for d in sig.required_dims if d != PREDICATE_DIM])
+    if sig.dimension_only:
+        return score, None
 
     mapping = {}
     ctx_var = rename_term(sig.ctx_var, store, mapping)
@@ -119,7 +125,6 @@ def score_signature(solver, store, sig, ctx, ctx_keys):
     if not solver.solve_once(conj(rules), store):
         store.undo_to(mark)
         return None, "context rules failed"
-    score = len([d for d in sig.required_dims if d != PREDICATE_DIM])
     for v in score_vars:
         value = store.deref(v)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -150,8 +155,7 @@ def score_candidates(solver, store, implicit, given, goal):
     if not sigs:
         raise existence_error(
             "mdp_predicate", Struct("/", (Atom(name), len(args))))
-    ctx = updated_context(store, implicit, given, goal_d)
-    ctx_keys = {n for n, _ in _context_entries(ctx, store)}
+    ctx, ctx_keys = updated_context(store, implicit, given, goal_d)
     report = [(sig,) + score_signature(solver, store, sig, ctx, ctx_keys)
               for sig in sigs]
     return name, args, ctx, report

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .ops import default_table
-from .terms import Var, indicator
+from .terms import Atom, Struct, Var, indicator
 
 ANONYMOUS = "$anonymous_rule"
 
@@ -39,6 +40,9 @@ class Signature:
     order: int = 0
     filename: str = None
     line: int = None
+    # every rule is ctx_member(ctx_var, name, V) with a V of its own: the
+    # context's key set alone decides eligibility and score
+    dimension_only: bool = False
 
     @property
     def anonymous(self):
@@ -50,11 +54,80 @@ class Signature:
         return "%s/%d(#%d)" % (self.name, self.arity, self.order)
 
 
+def first_arg_key(t):
+    """Index key of a dereferenced first argument.
+
+    Numbers carry their type, since 1 and 1.0 do not unify, and compounds
+    are keyed by name and arity, apart from the atom of the same name.
+    A variable, or None for no argument, has no key.
+    """
+    if isinstance(t, Atom):
+        return t
+    if isinstance(t, Struct):
+        return t.functor, len(t.args)
+    if isinstance(t, (int, float)):
+        return type(t), t
+    return None
+
+
+_by_order = attrgetter("order")
+
+
+class FirstArgIndex:
+    """Snapshot of one predicate's clauses, bucketed on demand.
+
+    A bucket holds, in definition order, the clauses whose first argument
+    has the bucket's key together with those whose first argument is a
+    variable.  A call iterates over a tuple that later writes never touch,
+    which is the logical update view.  The clauses are grouped on the
+    first call with a bound first argument, so a predicate that is only
+    written or scanned between writes never pays for the grouping.
+    """
+
+    __slots__ = ("clauses", "keyed", "unkeyed", "buckets")
+
+    def __init__(self, clauses):
+        self.clauses = tuple(clauses)
+        self.keyed = None      # key -> [Clause], once grouped
+        self.unkeyed = ()      # clauses with a variable first argument
+        self.buckets = {}      # key -> tuple, built on first use
+
+    def _group(self):
+        # reached only for a bound first argument, so every head is compound
+        keyed = {}
+        for clause in self.clauses:
+            key = first_arg_key(clause.head.args[0])
+            group = keyed.get(key)
+            if group is None:
+                keyed[key] = [clause]
+            else:
+                group.append(clause)
+        self.unkeyed = tuple(keyed.pop(None, ()))
+        self.keyed = keyed
+
+    def bucket(self, first):
+        key = first_arg_key(first)
+        if key is None:
+            return self.clauses
+        found = self.buckets.get(key)
+        if found is None:
+            if self.keyed is None:
+                self._group()
+            own = self.keyed.get(key)
+            if own is None:
+                return self.unkeyed
+            if self.unkeyed:   # two ordered runs: the sort merges them
+                own = sorted((*own, *self.unkeyed), key=_by_order)
+            found = self.buckets[key] = tuple(own)
+        return found
+
+
 class KnowledgeBase:
     """Indexed clauses, signatures, operator table and hook/dynamic registries."""
 
     def __init__(self):
         self.clauses = {}          # (name, arity) -> [Clause]
+        self._index = {}           # (name, arity) -> FirstArgIndex
         self.signatures = {}       # (name, arity) -> [Signature]
         self.anonymous_signatures = []
         self.dynamic = set()       # (name, arity)
@@ -68,10 +141,23 @@ class KnowledgeBase:
         key = indicator(head)
         clause = Clause(head, body, filename, line, next(self._order))
         self.clauses.setdefault(key, []).append(clause)
+        self._index.pop(key, None)
         return clause
 
-    def clauses_for(self, key):
-        return tuple(self.clauses.get(key, ()))
+    def replace_clauses(self, key, clauses):
+        self.clauses[key] = clauses
+        self._index.pop(key, None)
+
+    def clauses_for(self, key, first=None):
+        """The clauses of a predicate, in definition order, as a tuple.
+
+        Given the dereferenced first argument of a call, only the clauses
+        whose first argument could unify with it.
+        """
+        index = self._index.get(key)
+        if index is None:
+            index = self._index[key] = FirstArgIndex(self.clauses.get(key, ()))
+        return index.bucket(first)
 
     def has_predicate(self, key):
         return key in self.clauses or key in self.dynamic
@@ -79,6 +165,7 @@ class KnowledgeBase:
     def set_dynamic(self, key):
         self.dynamic.add(key)
         self.clauses.setdefault(key, [])
+        self._index.pop(key, None)
 
     # -- signatures --------------------------------------------------------
 
@@ -108,6 +195,7 @@ class KnowledgeBase:
 
     def forget_file(self, filename):
         """Drop clauses and signatures previously consulted from this file."""
+        self._index.clear()
         doomed_impls = set()
         for key in list(self.signatures):
             kept = []

@@ -105,7 +105,8 @@ class Solver:
             culprit = Struct("/", (Atom(key[0]), key[1]))
             raise existence_error("procedure", culprit)
         frame = Frame()
-        for clause in kb.clauses_for(key):
+        first = store.deref(goal.args[0]) if key[1] else None
+        for clause in kb.clauses_for(key, first):
             self.tick()
             mark = store.mark()
             mapping = {}
@@ -599,7 +600,7 @@ def _b_retractall(solver, store, frame, pattern):
         store.undo_to(mark)
         if not matched:
             survivors.append(clause)
-    solver.kb.clauses[key] = survivors
+    solver.kb.replace_clauses(key, survivors)
     yield
 
 

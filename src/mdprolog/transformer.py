@@ -58,10 +58,23 @@ class SpecParts:
         self.rules = []     # context-rule goals (scored residue)
         self.score_vars = []
         self.residue = []   # goals prefixed to the implementation body
+        self.coords = []    # coordinates of the name: coord entries
 
     def add_dim(self, name):
         if name not in self.dims:
             self.dims.append(name)
+
+    def dimension_only(self):
+        """True when every rule is a name: V entry with a V of its own.
+
+        Then no guard or precondition was added, and no coordinate can
+        fail to unify, so the context's key set alone decides scoring.
+        """
+        coords = self.coords
+        return (len(self.rules) == len(coords)
+                and all(isinstance(c, Var) and c is not self.ctx_var
+                        for c in coords)
+                and len(set(coords)) == len(coords))
 
 
 def _is_list_term(t):
@@ -85,6 +98,7 @@ def translate_entry(engine, entry, parts, depth, where):
             raise TransformError(
                 "dimension name must be an atom in %s" % where)
         parts.add_dim(name.name)
+        parts.coords.append(coord)
         goal = Struct("ctx_member", (parts.ctx_var, name, coord))
         parts.rules.append(goal)
         parts.residue.append(goal)
@@ -223,5 +237,6 @@ def expand_source_item(engine, term, filename=None, line=None):
         score_vars=tuple(parts.score_vars),
         filename=filename,
         line=line,
+        dimension_only=parts.dimension_only(),
     )
     return [(impl_head, impl_body)], sig

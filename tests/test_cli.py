@@ -57,6 +57,13 @@ class TestGoalMode:
         assert "Traceback" not in proc.stderr
 
 
+    def test_runs_as_python_dash_m_mdprolog(self):
+        proc = subprocess.run([sys.executable, "-m", "mdprolog", "-g", "true"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout == "true.\n"
+
+
 class TestRepl:
     def test_session_transcript(self, graph_file):
         proc = run_cli(graph_file, stdin="?- ? path(a, X).\n;\nhalt.\n")

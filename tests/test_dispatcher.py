@@ -2,6 +2,7 @@ import io
 from importlib import resources
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mdprolog import Engine, PrologThrow
 from mdprolog.dispatcher import updated_context
@@ -24,14 +25,14 @@ class TestUpdatedContext:
     def test_goal_is_recorded_under_predicate(self):
         store = BindingStore()
         goal = Struct("p", (Atom("x"),))
-        ctx = updated_context(store, make_list([]), make_list([]), goal)
+        ctx, _ = updated_context(store, make_list([]), make_list([]), goal)
         assert entries_of(ctx, store) == [("predicate", goal)]
 
     def test_upsert_replaces_in_place_and_appends_new(self):
         store = BindingStore()
         implicit = make_list([entry("a", Atom("1")), entry("b", Atom("2"))])
         given = make_list([entry("a", Atom("9")), entry("c", Atom("3"))])
-        ctx = updated_context(store, implicit, given, Atom("g"))
+        ctx, _ = updated_context(store, implicit, given, Atom("g"))
         assert [n for n, _ in entries_of(ctx, store)] == \
             ["a", "b", "c", "predicate"]
         assert dict(entries_of(ctx, store))["a"] == Atom("9")
@@ -40,19 +41,19 @@ class TestUpdatedContext:
         store = BindingStore()
         implicit = make_list([entry("a", Atom("1"))])
         given = make_list([Struct("-", (Atom("a"),)), entry("a", Atom("2"))])
-        ctx = updated_context(store, implicit, given, Atom("g"))
+        ctx, _ = updated_context(store, implicit, given, Atom("g"))
         assert dict(entries_of(ctx, store))["a"] == Atom("2")
 
     def test_removal_of_absent_dimension_is_harmless(self):
         store = BindingStore()
-        ctx = updated_context(store, make_list([]),
+        ctx, _ = updated_context(store, make_list([]),
                               make_list([Struct("-", (Atom("zz"),))]), Atom("g"))
         assert [n for n, _ in entries_of(ctx, store)] == ["predicate"]
 
     def test_call_site_predicate_entry_loses_to_live_goal(self):
         store = BindingStore()
         given = make_list([entry("predicate", Atom("fake"))])
-        ctx = updated_context(store, make_list([]), given, Atom("real"))
+        ctx, _ = updated_context(store, make_list([]), given, Atom("real"))
         assert dict(entries_of(ctx, store))["predicate"] == Atom("real")
 
 
@@ -192,6 +193,68 @@ class TestScoring:
         sols = engine.query("[mode: x] ? f(X), [mode: y] ? f(Y)")
         assert [(s.render("X"), s.render("Y")) for s in sols] == [("x", "y")]
         assert engine.out.getvalue() == "checked\n" * 4
+
+
+class TestDimensionOnly:
+    """Specifications the context's key set alone can score."""
+
+    @pytest.mark.parametrize("spec, dimension_only", [
+        ("[]", True),
+        ("[d: X]", True),
+        ("[predicate: P, d: X]", True),
+        ("[d: X, e: X]", False),
+        ("[d: foo]", False),
+        ("[d: f(X)]", False),
+        ("[g@1]", False),
+        ("[ready]", False),
+    ])
+    def test_classification(self, spec, dimension_only):
+        engine = Engine(prelude=False)
+        engine.consult_text("%s # p." % spec)
+        [sig] = engine.kb.signatures_for("p", 0)
+        assert sig.dimension_only is dimension_only
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["d0", "d1", "d2", "e", "-d0", "-d1"]),
+        st.sampled_from(["a", "1", "f(x)", "_"])), max_size=6))
+    def test_scores_equal_those_of_the_goal_bearing_twin(self, given_ctx):
+        engine = Engine(prelude=False)
+        engine.consult_text(TWINS)
+        assert [s.dimension_only for s in engine.kb.signatures_for("p", 1)] \
+            == [True] * 4
+        assert [s.dimension_only for s in engine.kb.signatures_for("q", 1)] \
+            == [False] * 4
+        entries = ", ".join(name if name.startswith("-")
+                            else "%s: %s" % (name, coord)
+                            for name, coord in given_ctx)
+        fast = engine.explain("[%s] ? p(_)" % entries)[1]
+        slow = engine.explain("[%s] ? q(_)" % entries)[1]
+        assert [(score, reason) for _, score, reason in fast] == \
+            [(score, reason) for _, score, reason in slow]
+
+    def test_a_dispatched_step_spends_no_inference_on_scoring(self):
+        engine = Engine(prelude=False)
+        engine.consult_text("""
+            [] # dsum(0, A, A).
+            [] # dsum(N, A, S) :- N > 0, A1 is A + N, N1 is N - 1,
+                [] ? dsum(N1, A1, S).
+        """)
+        assert [s.render("S") for s in engine.query("[] ? dsum(100, 0, S)")] \
+            == ["5050"]
+        # 1,108 when each empty specification was solved while scoring
+        assert engine.solver.inferences == 906
+
+
+TWINS = """
+[d0: X, d1: Y] # p(a).
+[d0: X] # p(b).
+[] # p(c).
+[predicate: P, d2: Z] # p(d).
+[d0: X, d1: Y, true] # q(a).
+[d0: X, true] # q(b).
+[true] # q(c).
+[predicate: P, d2: Z, true] # q(d).
+"""
 
 
 def explain_winners(engine, query):

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdprolog import BudgetExceeded, Engine, PrologThrow
-from mdprolog.terms import compare_terms
+from mdprolog.terms import BindingStore, compare_terms, proper_list, unify
+
+
+# first arguments of a mixed fact table: numbers of both types, atoms,
+# compounds sharing a name with an atom, lists and variables
+FIRST_ARGS = ["0", "1", "1.0", "2.5", "a", "b", "[]", "a(1)", "a(b)",
+              "a(_)", "a(1, 2)", "[1]", "[_|_]", "_"]
 
 
 @pytest.fixture
@@ -163,6 +169,100 @@ class TestDatabase:
         engine.consult_text(":- dynamic fact/1.")
         engine.run("X = 7, assertz(fact(X))")
         assert answers(engine, "fact(Y)", "Y") == ["7"]
+
+
+class TestClauseSelection:
+    """What first-argument indexing must keep of plain clause resolution."""
+
+    def test_assertz_during_a_call_is_not_seen_by_it(self, engine):
+        engine.consult_text(":- dynamic p/1, q/2.\np(1). p(2).\nq(a, 1). q(a, 2).")
+        assert answers(engine, "findall(X, (p(X), assertz(p(3))), L)", "L") \
+            == ["[1, 2]"]
+        assert answers(engine, "p(X)", "X") == ["1", "2", "3", "3"]
+        assert answers(engine, "findall(V, (q(a, V), assertz(q(a, 9))), L)",
+                       "L") == ["[1, 2]"]
+        assert answers(engine, "q(a, V)", "V") == ["1", "2", "9", "9"]
+
+    def test_retractall_during_a_call_does_not_cut_it_short(self, engine):
+        engine.consult_text(":- dynamic p/1, q/2.\np(1). p(2). p(3).\n"
+                            "q(a, 1). q(a, 2). q(b, 3).")
+        assert answers(engine, "findall(X, (p(X), retractall(p(_))), L)",
+                       "L") == ["[1, 2, 3]"]
+        assert answers(engine, "p(X)", "X") == []
+        assert answers(engine, "findall(V, (q(a, V), retractall(q(_, _))), L)",
+                       "L") == ["[1, 2]"]
+        assert answers(engine, "q(K, V)", "V") == []
+
+    def test_integer_and_float_keys_stay_apart(self, engine):
+        engine.consult_text("f(1, int). f(1.0, float).")
+        assert answers(engine, "f(1, T)", "T") == ["int"]
+        assert answers(engine, "f(1.0, T)", "T") == ["float"]
+
+    def test_atom_and_compound_of_one_name_stay_apart(self, engine):
+        engine.consult_text("g(a, atom). g(a(1), compound). g(a(_), open).")
+        assert answers(engine, "g(a, T)", "T") == ["atom"]
+        assert answers(engine, "g(a(1), T)", "T") == ["compound", "open"]
+        assert answers(engine, "g(a(2), T)", "T") == ["open"]
+        assert answers(engine, "g(a(1, 2), T)", "T") == []
+
+    def test_variable_first_arguments_keep_definition_order(self, engine):
+        engine.consult_text("h(a, 1). h(_, 2). h(b, 3). h(a, 4). h(_, 5).")
+        assert answers(engine, "h(a, V)", "V") == ["1", "2", "4", "5"]
+        assert answers(engine, "h(b, V)", "V") == ["2", "3", "5"]
+        assert answers(engine, "h(c, V)", "V") == ["2", "5"]
+        assert answers(engine, "K = a, h(K, V)", "V") == ["1", "2", "4", "5"]
+        assert answers(engine, "h(_, V)", "V") == ["1", "2", "3", "4", "5"]
+
+    def test_empty_dynamic_predicate_fails_quietly(self, engine):
+        engine.consult_text(":- dynamic e/2.")
+        assert answers(engine, "e(a, X)", "X") == []
+        engine.run("assertz(e(a, 1)), retractall(e(_, _))")
+        assert answers(engine, "e(a, X)", "X") == []
+        assert answers(engine, "e(X, Y)", "X") == []
+
+    def test_clauses_consulted_after_a_call_are_seen_by_later_calls(
+            self, engine):
+        engine.consult_text("p(1).\n:- p(_).\np(2).")
+        assert answers(engine, "p(X)", "X") == ["1", "2"]
+        assert len(engine.query("p(2)")) == 1
+
+    def test_reconsulting_a_file_drops_its_clauses_from_later_calls(
+            self, engine):
+        engine.consult_text("p(1, a).", filename="one.pl")
+        engine.consult_text("p(1, b).", filename="two.pl")
+        assert answers(engine, "p(1, V)", "V") == ["a", "b"]
+        engine.consult_text("", filename="one.pl")
+        assert answers(engine, "p(1, V)", "V") == ["b"]
+        assert answers(engine, "p(K, V)", "V") == ["b"]
+
+    def test_buckets_keep_number_types_and_arities_apart(self, engine):
+        engine.consult_text("f(1, int). f(1.0, float). "
+                            "g(a(1), one). g(a(1, 2), two).")
+        # the call, the one clause of its bucket and that clause's body
+        assert answers(engine, "f(1, T)", "T") == ["int"]
+        assert engine.solver.inferences == 3
+        assert answers(engine, "g(a(1, 2), T)", "T") == ["two"]
+        assert engine.solver.inferences == 3
+
+    def test_a_bound_lookup_tries_only_its_bucket(self, engine):
+        engine.consult_text("".join(
+            "fact(%d, v%d).\n" % (k, k) for k in range(5000)))
+        assert answers(engine, "fact(4999, V)", "V") == ["v4999"]
+        # the call, the one clause tried and its body (5,002 when every
+        # clause was tried)
+        assert engine.solver.inferences == 3
+
+    @given(st.lists(st.sampled_from(FIRST_ARGS), max_size=12),
+           st.sampled_from(FIRST_ARGS))
+    def test_a_call_sees_the_clauses_its_first_argument_unifies_with(
+            self, table, probe):
+        engine = Engine(prelude=False)
+        engine.consult_text(":- dynamic p/2.\n" + "".join(
+            "p(%s, %d).\n" % (key, i) for i, key in enumerate(table)))
+        sol = engine.query("findall(A-B, p(A, B), L), K = %s" % probe)[0]
+        expected = [str(item.args[1]) for item in proper_list(sol["L"])
+                    if unify(item.args[0], sol["K"], BindingStore())]
+        assert answers(engine, "p(%s, V)" % probe, "V") == expected
 
 
 class TestTermInspection:
