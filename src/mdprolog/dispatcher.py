@@ -14,14 +14,12 @@ from .terms import (
     Atom,
     Struct,
     Var,
-    conj,
+    build,
     functor_of,
     is_callable_term,
     make_list,
     proper_list,
-    rename_term,
     resolve,
-    unify,
 )
 
 PREDICATE_DIM = "predicate"
@@ -113,16 +111,14 @@ def score_signature(solver, store, sig, ctx, ctx_keys):
     if sig.dimension_only:
         return score, None
 
-    mapping = {}
-    ctx_var = rename_term(sig.ctx_var, store, mapping)
-    rules = [rename_term(r, store, mapping) for r in sig.rules]
-    score_vars = [rename_term(v, store, mapping) for v in sig.score_vars]
+    rules_template, score_templates, size = sig.compiled or sig.compile()
+    frame = [None] * size
+    frame[0] = ctx                 # the slot of the context variable
+    rules = build(rules_template, frame)
+    score_vars = [build(v, frame) for v in score_templates]
 
     mark = store.mark()
-    if not unify(ctx_var, ctx, store, solver.occurs_check):
-        store.undo_to(mark)
-        return None, "context did not unify"
-    if not solver.solve_once(conj(rules), store):
+    if not solver.solve_once(rules, store):
         store.undo_to(mark)
         return None, "context rules failed"
     for v in score_vars:

@@ -3,31 +3,39 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .ops import default_table
-from .terms import Atom, Struct, Var, indicator
+from .terms import Atom, Struct, Var, compile_terms, conj, indicator
 
 ANONYMOUS = "$anonymous_rule"
 
 
-@dataclass
+@dataclass(slots=True)
 class Clause:
     head: object
     body: object
     filename: str = None
     line: int = None
     order: int = 0
+    # (head argument templates, body template, slot count) once tried
+    compiled: tuple = field(default=None, repr=False, compare=False)
+
+    def compile(self):
+        """Compile the clause into templates on its first try."""
+        (head, body), size = compile_terms((self.head, self.body))
+        self.compiled = getattr(head, "args", ()), body, size
+        return self.compiled
 
 
-@dataclass
+@dataclass(slots=True)
 class Signature:
     """Compiled metadata for one mdp rule.
 
-    ``name`` is None for anonymous rules.  ``ctx_var``, ``rules`` and
-    ``score_vars`` share variables; the whole record is renamed apart
-    before scoring.
+    ``name`` is ANONYMOUS for anonymous rules.  ``ctx_var``, ``rules`` and
+    ``score_vars`` share variables; scoring builds fresh copies of them
+    from one template.
     """
 
     name: str            # predicate name, or ANONYMOUS
@@ -43,6 +51,16 @@ class Signature:
     # every rule is ctx_member(ctx_var, name, V) with a V of its own: the
     # context's key set alone decides eligibility and score
     dimension_only: bool = False
+    # (context-rule goal template, score templates, slot count) once scored;
+    # the context variable is slot 0
+    compiled: tuple = field(default=None, repr=False, compare=False)
+
+    def compile(self):
+        """Compile the context rules and score variables on first scoring."""
+        templates, size = compile_terms(
+            (self.ctx_var, conj(self.rules)) + self.score_vars)
+        self.compiled = templates[1], templates[2:], size
+        return self.compiled
 
     @property
     def anonymous(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .terms import Atom, MdpError, Struct, Var, make_list
@@ -22,7 +23,7 @@ class ReaderError(MdpError):
         super().__init__("%s: %s" % (where, message))
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str        # atom, qatom, var, int, float, punct, end, eof
     value: object
@@ -32,153 +33,112 @@ class Token:
     func: bool = False  # immediately followed by '(' (compound notation)
 
 
+_SPACE = re.compile(r"[ \t\r\n]+")
+_NAME = re.compile(r"\w+")    # \w is str.isalnum() or "_"
+_NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_SYMBOLS = re.compile("[%s]+" % re.escape("".join(sorted(SYMBOL_CHARS))))
+_QUOTED_RUN = re.compile(r"[^'\\]*")
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
+
+
 def tokenize(text, filename="<text>"):
+    """Token list of a source text, ending with an eof token.
+
+    Each step skips a whole run (layout, a comment, a name, a number, a
+    symbol run or a quoted atom) by index.  Only layout, comments and
+    quoted atoms can hold a newline; the line is advanced by the newlines
+    in such a run, and a column is the distance from the start of the
+    current line.
+    """
     tokens = []
+    append = tokens.append
     i, n = 0, len(text)
-    line, col = 1, 1
+    line, line_start = 1, 0    # line number at offset i, and where it starts
     spaced = True
 
-    def err(msg, l=None, c=None):
-        raise ReaderError(msg, filename, l or line, c or col)
-
-    def advance(k=1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
+    def err(msg, at):
+        raise ReaderError(msg, filename, line + text.count("\n", i, at),
+                          at - text.rfind("\n", 0, at))
 
     while i < n:
         ch = text[i]
+        col = i - line_start + 1
+        layout = False         # whitespace, a comment or an end token
         if ch in " \t\r\n":
-            advance()
-            spaced = True
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                advance()
-            spaced = True
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
-                advance()
-            if i >= n:
-                err("unterminated block comment", start_line, start_col)
-            advance(2)
-            spaced = True
-            continue
-
-        start_line, start_col = line, col
-
-        if ch in PUNCT_CHARS:
-            tokens.append(Token("punct", ch, start_line, start_col, spaced))
-            advance()
-            spaced = False
-            continue
-        if ch in SOLO_CHARS:
-            tokens.append(Token("atom", ch, start_line, start_col, spaced))
-            advance()
-            spaced = False
-            continue
-        if ch == "'":
-            advance()
+            j = _SPACE.match(text, i).end()
+            layout = True
+        elif ch == "%":
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+            layout = True
+        elif ch == "/" and text.startswith("*", i + 1):
+            j = text.find("*/", i + 2)
+            if j < 0:
+                err("unterminated block comment", i)
+            j += 2
+            layout = True
+        elif ch in PUNCT_CHARS:
+            if ch == "(" and not spaced and tokens \
+                    and tokens[-1].kind in ("atom", "qatom", "var"):
+                tokens[-1].func = True
+            append(Token("punct", ch, line, col, spaced))
+            j = i + 1
+        elif ch in SOLO_CHARS:
+            append(Token("atom", ch, line, col, spaced))
+            j = i + 1
+        elif ch == "'":
             buf = []
+            j = i + 1
             while True:
-                if i >= n:
-                    err("unterminated quoted atom", start_line, start_col)
-                c = text[i]
-                if c == "'":
-                    if i + 1 < n and text[i + 1] == "'":
+                k = _QUOTED_RUN.match(text, j).end()
+                buf.append(text[j:k])
+                j = k
+                if j >= n:
+                    err("unterminated quoted atom", i)
+                if text[j] == "'":
+                    if text.startswith("'", j + 1):
                         buf.append("'")
-                        advance(2)
+                        j += 2
                         continue
-                    advance()
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        err("unterminated quoted atom", start_line, start_col)
-                    esc = text[i + 1]
-                    mapped = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}.get(esc)
-                    if mapped is None:
-                        err("unknown escape \\%s in quoted atom" % esc)
-                    buf.append(mapped)
-                    advance(2)
-                    continue
-                buf.append(c)
-                advance()
-            tokens.append(Token("qatom", "".join(buf), start_line, start_col, spaced))
-            spaced = False
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and text[j].isdigit():
                     j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
+                    break
+                if j + 1 >= n:
+                    err("unterminated quoted atom", i)
+                mapped = _ESCAPES.get(text[j + 1])
+                if mapped is None:
+                    err("unknown escape \\%s in quoted atom" % text[j + 1], j)
+                buf.append(mapped)
+                j += 2
+            append(Token("qatom", "".join(buf), line, col, spaced))
+        elif ch.isdecimal():
+            j = _NUMBER.match(text, i).end()
             lexeme = text[i:j]
-            advance(j - i)
-            if is_float:
-                tokens.append(Token("float", float(lexeme), start_line, start_col, spaced))
+            if lexeme.isdecimal():
+                append(Token("int", int(lexeme), line, col, spaced))
             else:
-                tokens.append(Token("int", int(lexeme), start_line, start_col, spaced))
-            spaced = False
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            lexeme = text[i:j]
-            advance(j - i)
-            kind = "var" if (lexeme[0] == "_" or lexeme[0].isupper()) else "atom"
-            tokens.append(Token(kind, lexeme, start_line, start_col, spaced))
-            spaced = False
-            continue
-        if ch in SYMBOL_CHARS:
-            nxt = text[i + 1] if i + 1 < n else None
-            if ch == "." and (nxt is None or nxt in " \t\r\n%"):
-                tokens.append(Token("end", ".", start_line, start_col, spaced))
-                advance()
-                spaced = True
-                continue
-            j = i
-            while j < n and text[j] in SYMBOL_CHARS:
-                j += 1
-            lexeme = text[i:j]
-            advance(j - i)
-            tokens.append(Token("atom", lexeme, start_line, start_col, spaced))
-            spaced = False
-            continue
-        err("unexpected character %r" % ch)
+                append(Token("float", float(lexeme), line, col, spaced))
+        elif ch.isalpha() or ch == "_":
+            j = _NAME.match(text, i).end()
+            kind = "var" if (ch == "_" or ch.isupper()) else "atom"
+            append(Token(kind, text[i:j], line, col, spaced))
+        elif ch == "." and (i + 1 == n or text[i + 1] in " \t\r\n%"):
+            append(Token("end", ".", line, col, spaced))
+            j = i + 1
+            layout = True
+        elif ch in SYMBOL_CHARS:
+            j = _SYMBOLS.match(text, i).end()
+            append(Token("atom", text[i:j], line, col, spaced))
+        else:
+            err("unexpected character %r" % ch, i)
+        if layout or ch == "'":
+            newlines = text.count("\n", i, j)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", i, j) + 1
+        i = j
+        spaced = layout
 
-    tokens.append(Token("eof", None, line, col, True))
-    # mark atoms directly followed by '(' as compound functors
-    for idx in range(len(tokens) - 1):
-        nxt = tokens[idx + 1]
-        if (
-            tokens[idx].kind in ("atom", "qatom", "var")
-            and nxt.kind == "punct"
-            and nxt.value == "("
-            and not nxt.spaced
-        ):
-            tokens[idx].func = True
+    append(Token("eof", None, line, n - line_start + 1, True))
     return tokens
 
 

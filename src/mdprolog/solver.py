@@ -5,6 +5,13 @@ restores the binding store to its entry state when it is exhausted; while a
 solution is yielded the bindings are in place.  Cut is a flag on the frame
 of the enclosing clause body; call/N, \\+, findall and forall are opaque
 to it.
+
+A clause is tried through its template (``Clause.compile``, compiled on
+its first try): the goal's arguments are matched against the head in
+place (``terms.match_args``), and the body is built from the filled slots
+(``terms.build``) only when the head matched.  Nothing of the clause is
+renamed; ``rename_term`` copies runtime terms only (findall, copy_term,
+throw/catch and assertz).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .terms import (
     Atom,
     Struct,
     Var,
+    build,
     compare_terms,
     functor_of,
     indicator,
@@ -36,6 +44,7 @@ from .terms import (
     is_number,
     list_parts,
     make_list,
+    match_args,
     proper_list,
     rename_term,
     resolve,
@@ -105,15 +114,16 @@ class Solver:
             culprit = Struct("/", (Atom(key[0]), key[1]))
             raise existence_error("procedure", culprit)
         frame = Frame()
-        first = store.deref(goal.args[0]) if key[1] else None
+        args = goal.args if key[1] else ()
+        first = store.deref(args[0]) if args else None
+        occurs_check = self.occurs_check
         for clause in kb.clauses_for(key, first):
             self.tick()
             mark = store.mark()
-            mapping = {}
-            head = rename_term(clause.head, store, mapping)
-            if self.unify(goal, head, store):
-                body = rename_term(clause.body, store, mapping)
-                yield from self.solve(body, store, frame)
+            heads, body, size = clause.compiled or clause.compile()
+            slots = [None] * size
+            if match_args(heads, args, slots, store, occurs_check):
+                yield from self.solve(build(body, slots), store, frame)
             store.undo_to(mark)
             if frame.cut:
                 return
@@ -591,12 +601,14 @@ def _b_retractall(solver, store, frame, pattern):
     if not is_callable_term(head):
         raise type_error("callable", resolve(head, store))
     key = indicator(head)
+    args = head.args if key[1] else ()
     solver.kb.set_dynamic(key)
     survivors = []
     for clause in solver.kb.clauses_for(key):
+        heads, _, size = clause.compiled or clause.compile()
+        slots = [None] * size
         mark = store.mark()
-        renamed = rename_term(clause.head, store)
-        matched = solver.unify(head, renamed, store)
+        matched = match_args(heads, args, slots, store, solver.occurs_check)
         store.undo_to(mark)
         if not matched:
             survivors.append(clause)

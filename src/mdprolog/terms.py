@@ -9,6 +9,10 @@ Terms are immutable values:
 * compounds    -- ``Struct`` (functor + non-empty arg tuple)
 
 Lists are compounds of ``'.'/2`` terminated by the atom ``[]``.
+
+Stored clauses and signatures are used through templates
+(``compile_terms``): ``match`` unifies a template with a runtime term in
+place and ``build`` makes the runtime copy of a template.
 """
 
 from __future__ import annotations
@@ -290,7 +294,11 @@ def resolve(term, store, depth=0):
 
 
 def rename_term(term, store, mapping=None):
-    """Copy with fresh variables (after resolving current bindings)."""
+    """Copy with fresh variables (after resolving current bindings).
+
+    For runtime terms only; clauses and signatures are copied from their
+    templates (``compile_terms``, ``match``, ``build``).
+    """
     if mapping is None:
         mapping = {}
 
@@ -309,6 +317,141 @@ def rename_term(term, store, mapping=None):
         return t
 
     return walk(term, 0)
+
+
+class Slot:
+    """A clause variable in a template: its index in the frame."""
+
+    __slots__ = ("index", "name")
+
+    def __init__(self, index, name):
+        self.index = index
+        self.name = name
+
+    def __repr__(self):
+        return "Slot(%d, %s)" % (self.index, self.name)
+
+
+class Skeleton:
+    """A compound of a template that holds at least one slot."""
+
+    __slots__ = ("functor", "args")
+
+    def __init__(self, functor, args):
+        self.functor = functor
+        self.args = args
+
+    def __repr__(self):
+        return "Skeleton(%s/%d)" % (self.functor, len(self.args))
+
+
+def compile_terms(terms):
+    """Templates of terms that share variables, and their slot count.
+
+    Each distinct variable becomes a ``Slot`` numbered in order of first
+    occurrence.  A compound without variables is its own template, so
+    ground parts of a clause stay shared with every copy built from it.
+    The terms must hold no bound variables, as stored clauses do not.
+    """
+    slots = {}
+
+    def walk(t, depth):
+        if depth > RESOLVE_DEPTH_LIMIT:
+            raise MdpError("term too deep while copying")
+        if isinstance(t, Var):
+            slot = slots.get(t)
+            if slot is None:
+                slot = slots[t] = Slot(len(slots), t.name)
+            return slot
+        if isinstance(t, Struct):
+            args = tuple([walk(a, depth + 1) for a in t.args])
+            for a, b in zip(args, t.args):
+                if a is not b:
+                    return Skeleton(t.functor, args)
+        return t
+
+    return tuple([walk(t, 0) for t in terms]), len(slots)
+
+
+def match(template, term, frame, store, occurs_check=False):
+    """Unify a template with a term, filling the template's slots in frame.
+
+    ``frame`` holds one entry per slot, None until the slot is first met.
+    A slot met for the first time takes the term itself, with no new
+    variable and no trail entry; a slot met again is unified with its
+    value.  A compound met by an unbound variable is built and bound to
+    it, so structure is only made where the term has none.  On failure
+    the bindings made so far stay for the caller to undo.
+    """
+    cls = type(template)
+    if cls is Slot:
+        value = frame[template.index]
+        if value is None:
+            frame[template.index] = term
+            return True
+        return unify(value, term, store, occurs_check)
+    if type(term) is Var:
+        term = store.deref(term)
+    if cls is Skeleton:
+        if type(term) is Var:
+            built = build(template, frame)
+            if occurs_check and occurs_in(term, built, store):
+                return False
+            store.bind(term, built)
+            return True
+        return (type(term) is Struct and term.functor == template.functor
+                and len(term.args) == len(template.args)
+                and match_args(template.args, term.args, frame, store,
+                               occurs_check))
+    # a ground template: an atom, a number or a compound without variables,
+    # which no occurrence check can fail against
+    if template is term:
+        return True
+    if type(term) is Var:
+        store.bind(term, template)
+        return True
+    if cls is Struct:
+        return unify(template, term, store)
+    return type(term) is cls and term == template
+
+
+def match_args(templates, terms, frame, store, occurs_check=False):
+    """``match`` over paired argument templates and terms."""
+    for sub, arg in zip(templates, terms):
+        if type(sub) is Slot and frame[sub.index] is None:
+            frame[sub.index] = arg      # the common case, without a call
+        elif not match(sub, arg, frame, store, occurs_check):
+            return False
+    return True
+
+
+def build(template, frame):
+    """The term a template stands for, given the slot values in frame.
+
+    A slot with no value yet gets a fresh variable named after the clause
+    variable, which later occurrences share.
+    """
+    cls = type(template)
+    if cls is Slot:
+        value = frame[template.index]
+        if value is None:
+            value = frame[template.index] = Var(template.name)
+        return value
+    if cls is not Skeleton:
+        return template
+    args = []
+    for sub in template.args:   # slots and ground arguments without a call
+        cls = type(sub)
+        if cls is Slot:
+            value = frame[sub.index]
+            if value is None:
+                value = frame[sub.index] = Var(sub.name)
+            args.append(value)
+        elif cls is Skeleton:
+            args.append(build(sub, frame))
+        else:
+            args.append(sub)
+    return Struct(template.functor, args)
 
 
 def variant_of(t1, t2, store=_EMPTY_STORE):

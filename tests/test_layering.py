@@ -5,6 +5,8 @@ forbidding them keeps the package's import graph acyclic.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import mdprolog
@@ -30,3 +32,24 @@ def test_no_module_imports_inside_a_function():
     assert len(modules) > 10
     sites = sorted({site for m in modules for site in function_local_imports(m)})
     assert sites == []
+
+
+def load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    tracer = load_tracer()
+    missing = []
+    for owner_path, attr in tracer.TIMED + tracer.COUNTED + tracer.RESUMED:
+        module_name = ".".join(owner_path.split(".")[:2])
+        owner = importlib.import_module(module_name)
+        for part in owner_path.split(".")[2:]:
+            owner = getattr(owner, part)
+        if attr not in owner.__dict__:
+            missing.append("%s.%s" % (owner_path, attr))
+    assert missing == []

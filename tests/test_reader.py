@@ -42,6 +42,90 @@ class TestTokenizer:
         assert len(items) == 2
 
 
+POSITIONS_TEXT = (
+    "% header comment\n"
+    "p(X, 'don''t\\n') :- /* a block\n"
+    "   over lines */ q(X, 1.5e3),\n"
+    "\t'two\nlines' = Y, % tail\n"
+    "  foo:-bar, [H|T] =.. 0.\n"
+    "end.")
+
+# (kind, value, line, col, spaced, func) of every token of POSITIONS_TEXT
+POSITIONS = [
+    ("atom", "p", 2, 1, True, True), ("punct", "(", 2, 2, False, False),
+    ("var", "X", 2, 3, False, False), ("punct", ",", 2, 4, False, False),
+    ("qatom", "don't\n", 2, 6, True, False),
+    ("punct", ")", 2, 16, False, False), ("atom", ":-", 2, 18, True, False),
+    ("atom", "q", 3, 18, True, True), ("punct", "(", 3, 19, False, False),
+    ("var", "X", 3, 20, False, False), ("punct", ",", 3, 21, False, False),
+    ("float", 1500.0, 3, 23, True, False),
+    ("punct", ")", 3, 28, False, False), ("punct", ",", 3, 29, False, False),
+    ("qatom", "two\nlines", 4, 2, True, False),
+    ("atom", "=", 5, 8, True, False), ("var", "Y", 5, 10, True, False),
+    ("punct", ",", 5, 11, False, False), ("atom", "foo", 6, 3, True, False),
+    ("atom", ":-", 6, 6, False, False), ("atom", "bar", 6, 8, False, False),
+    ("punct", ",", 6, 11, False, False), ("punct", "[", 6, 13, True, False),
+    ("var", "H", 6, 14, False, False), ("punct", "|", 6, 15, False, False),
+    ("var", "T", 6, 16, False, False), ("punct", "]", 6, 17, False, False),
+    ("atom", "=..", 6, 19, True, False), ("int", 0, 6, 23, True, False),
+    ("end", ".", 6, 24, False, False), ("atom", "end", 7, 1, True, False),
+    ("end", ".", 7, 4, False, False), ("eof", None, 7, 5, True, False),
+]
+
+
+class TestPositions:
+    def test_token_lines_and_columns(self):
+        assert [(t.kind, t.value, t.line, t.col, t.spaced, t.func)
+                for t in tokenize(POSITIONS_TEXT, "<t>")] == POSITIONS
+
+    def test_trailing_comment_and_empty_block_comment(self):
+        assert [(t.kind, t.line, t.col) for t in tokenize("% only", "<t>")] \
+            == [("eof", 1, 7)]
+        assert [(t.value, t.line, t.col)
+                for t in tokenize("a. %c\n/**/b.\n\n  ]", "<t>")] == [
+            ("a", 1, 1), (".", 1, 2), ("b", 2, 5), (".", 2, 6),
+            ("]", 4, 3), (None, 4, 4)]
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["foo", "X_1", "42", "3.25", "1.0e-3", "'a''b'",
+                         "'l1\nl2'", "=..", ";", "(", "]"]),
+        # a symbol run would swallow a comment's opening "/*"
+        st.sampled_from([" ", "\n", "\t\n  ", " % note\n", " /* x\n y */",
+                         " /**/ "])), max_size=12))
+    def test_positions_follow_the_text(self, pieces):
+        text, starts = "", []
+        for lexeme, layout in pieces:
+            starts.append(len(text))
+            text += lexeme + layout
+        expected = []
+        for at in starts:
+            last_nl = text.rfind("\n", 0, at)
+            expected.append((text.count("\n", 0, at) + 1, at - last_nl))
+        tokens = tokenize(text, "<t>")
+        assert [(t.line, t.col) for t in tokens[:-1]] == expected
+        assert (tokens[-1].line, tokens[-1].col) \
+            == (text.count("\n") + 1, len(text) - text.rfind("\n"))
+
+    def test_a_non_decimal_digit_is_a_reader_error(self):
+        with pytest.raises(ReaderError, match="unexpected character"):
+            tokenize("x = 2².", "<t>")
+
+    @pytest.mark.parametrize("text, line, col, message", [
+        ("/* one\n two */ ok.\n  \"x\".", 3, 3, "unexpected character '\"'"),
+        ("a.\n/* never\n closed", 2, 1, "unterminated block comment"),
+        ("a.\n  'open\n quote", 2, 3, "unterminated quoted atom"),
+        ("a.\n 'bad\\q'.", 2, 6, "unknown escape \\q in quoted atom"),
+        ("'a\nb\\q'.", 2, 2, "unknown escape \\q in quoted atom"),
+        ("x :- \n /* c\n */ f(a ] .", 3, 9,
+         "expected ',' or ')' in argument list"),
+    ])
+    def test_error_lines_and_columns(self, text, line, col, message):
+        with pytest.raises(ReaderError) as e:
+            list(parse_program(text, OPTABLE, "<t>"))
+        assert (e.value.line, e.value.col) == (line, col)
+        assert str(e.value) == "<t>:%d: %s" % (line, message)
+
+
 class TestParser:
     def test_operator_priorities(self):
         t = parse("1 + 2 * 3")

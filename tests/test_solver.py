@@ -3,8 +3,9 @@ import functools
 import pytest
 from hypothesis import given, strategies as st
 
-from mdprolog import BudgetExceeded, Engine, PrologThrow
-from mdprolog.terms import BindingStore, compare_terms, proper_list, unify
+from mdprolog import BudgetExceeded, Engine, PrologThrow, terms
+from mdprolog.terms import (BindingStore, MdpError, Var, compare_terms,
+                            proper_list, unify)
 
 
 # first arguments of a mixed fact table: numbers of both types, atoms,
@@ -263,6 +264,85 @@ class TestClauseSelection:
         expected = [str(item.args[1]) for item in proper_list(sol["L"])
                     if unify(item.args[0], sol["K"], BindingStore())]
         assert answers(engine, "p(%s, V)" % probe, "V") == expected
+
+
+NREV = """
+app([], L, L).
+app([H|T], L, [H|R]) :- app(T, L, R).
+nrev([], []).
+nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).
+"""
+
+
+class TestHeadUnification:
+    """What matching a goal against a clause head must keep."""
+
+    def test_occurs_check_applies_to_head_arguments(self):
+        engine = Engine(prelude=False, occurs_check=True)
+        engine.consult_text("p(X, f(X)).\nq(f(X), X).")
+        assert engine.query("p(Y, Y)") == []
+        assert engine.query("q(Y, Y)") == []
+        assert len(engine.query("p(a, f(a))")) == 1
+
+    def test_a_repeated_head_variable_unifies_its_arguments(self, engine):
+        engine.consult_text("eq(X, X).")
+        assert engine.query("eq(a, b)") == []
+        assert engine.run("eq(A, B), A == B")
+        assert answers(engine, "eq(f(A), f(B)), B = 1", "A") == ["1"]
+
+    def test_shared_goal_variables_stay_identical_in_the_body(self, engine):
+        engine.consult_text("q(A, B) :- A == B.")
+        assert engine.run("q(Z, Z)")
+        assert not engine.run("q(Z, _)")
+
+    def test_a_ground_list_in_a_clause_is_returned_unchanged(self, engine):
+        engine.consult_text("big([1, [2, 3], f(a, 'b c'), 4.5]).")
+        stored = engine.kb.clauses[("big", 1)][0].head.args[0]
+        sol = engine.query("big(L)")[0]
+        assert sol["L"] == stored
+        assert sol.render("L") == "[1, [2, 3], f(a, b c), 4.5]"
+
+    def test_assertz_stores_bindings_and_fresh_variables(self, engine):
+        engine.consult_text(":- dynamic r/2.")
+        assert engine.run("X = 1, assertz(r(X, Y))")
+        (clause,) = engine.kb.clauses[("r", 2)]
+        assert clause.head.args[0] == 1
+        assert isinstance(clause.head.args[1], Var)
+        assert engine.run("r(1, A), r(1, B), A \\== B, var(A)")
+
+    def test_retractall_matches_repeated_variables(self, engine):
+        engine.consult_text(":- dynamic p/2.\np(a, a). p(a, b). p(b, b).")
+        engine.run("retractall(p(X, X))")
+        assert answers(engine, "findall(X-Y, p(X, Y), L)", "L") == ["[a-b]"]
+
+    def test_unbound_arguments_render_as_before(self, engine):
+        engine.consult_text(NREV)
+        assert [s.text() for s in engine.solutions("app([], Y, Z)")] \
+            == ["Y = Y,\nZ = Y"]
+        assert [s.text() for s in engine.solutions("app([a], Y, Z)")] \
+            == ["Y = Y,\nZ = [a|Y]"]
+        assert answers(engine, "app(X, [], [a])", "X") == ["[a]"]
+
+    def test_naive_reverse_of_30_counts_the_same_inferences(self, engine):
+        engine.consult_text(NREV)
+        items = ", ".join(str(i) for i in range(30))
+        sol = engine.query("nrev([%s], R)" % items)[0]
+        assert sol.render("R") == "[%s]" % ", ".join(
+            str(i) for i in reversed(range(30)))
+        assert engine.solver.inferences == 1053
+
+    def test_a_clause_deeper_than_the_limit_is_an_error(
+            self, engine, monkeypatch):
+        monkeypatch.setattr(terms, "RESOLVE_DEPTH_LIMIT", 50)
+        engine.consult_text("deep(%s)." % make_list_text(range(60)))
+        with pytest.raises(MdpError, match="term too deep while copying"):
+            engine.query("deep(X)")
+        engine.consult_text("ok(%s)." % make_list_text(range(40)))
+        assert len(engine.query("ok(X)")) == 1
+
+
+def make_list_text(items):
+    return "[%s]" % ", ".join(str(i) for i in items)
 
 
 class TestTermInspection:

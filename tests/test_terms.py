@@ -7,8 +7,11 @@ from mdprolog.terms import (
     NIL,
     Struct,
     Var,
+    build,
     compare_terms,
+    compile_terms,
     make_list,
+    match,
     proper_list,
     rename_term,
     resolve,
@@ -159,3 +162,89 @@ class TestLists:
     def test_improper_list_is_not_proper(self):
         assert proper_list(Struct(".", (Atom("a"), Atom("b")))) is None
         assert proper_list(make_list([Atom("a")], tail=Var())) is None
+
+
+def shapes(depth=3):
+    """Term shapes whose ("var", i) leaves stand for the i-th variable."""
+    base = st.one_of(
+        st.sampled_from([Atom("a"), Atom("b"), NIL, 1, 1.0, 2]),
+        st.integers(0, 3).map(lambda i: ("var", i)),
+    )
+
+    def extend(children):
+        return st.tuples(st.sampled_from(["f", "g", "."]),
+                         st.lists(children, min_size=1, max_size=3))
+    return st.recursive(base, extend, max_leaves=8)
+
+
+def instantiate(shape, pool, prefix):
+    if isinstance(shape, tuple) and shape[0] == "var":
+        i = shape[1]
+        if i not in pool:
+            pool[i] = Var("%s%d" % (prefix, i))
+        return pool[i]
+    if isinstance(shape, tuple):
+        return Struct(shape[0], [instantiate(s, pool, prefix) for s in shape[1]])
+    return shape
+
+
+def same_answer(a, b, goal_vars, fresh):
+    """Equal terms, where goal variables must be identical and the other
+    variables correspond one to one and carry the same names."""
+    if isinstance(a, Var) or isinstance(b, Var):
+        if a in goal_vars or b in goal_vars:
+            return a is b
+        if not (isinstance(a, Var) and isinstance(b, Var)) or a.name != b.name:
+            return False
+        return fresh.setdefault(a, b) is b
+    if isinstance(a, Struct) and isinstance(b, Struct):
+        return (a.functor == b.functor and len(a.args) == len(b.args)
+                and all(same_answer(x, y, goal_vars, fresh)
+                        for x, y in zip(a.args, b.args)))
+    return type(a) is type(b) and a == b
+
+
+class TestTemplates:
+    def test_ground_compounds_stay_shared(self):
+        x = Var("X")
+        ground = make_list([Atom("a"), Struct("f", (1,))])
+        (template,), size = compile_terms((Struct("p", (ground, x, x)),))
+        assert size == 1
+        assert template.args[0] is ground
+        assert template.args[1] is template.args[2]
+        assert compile_terms((ground,)) == ((ground,), 0)
+
+    def test_a_body_variable_is_built_fresh_once(self):
+        x, y = Var("X"), Var("Y")
+        (head, body), size = compile_terms(
+            (Struct("p", (x,)), Struct("q", (x, y, y))))
+        frame = [None] * size
+        assert match(head, Struct("p", (Atom("a"),)), frame, BindingStore())
+        built = build(body, frame)
+        assert built.args[0] is Atom("a")
+        assert built.args[1] is built.args[2]
+        assert built.args[1] is not y and built.args[1].name == "Y"
+
+    @given(shapes(), shapes(), shapes(), st.booleans())
+    def test_match_then_build_agrees_with_rename_then_unify(
+            self, head_shape, goal_shape, body_shape, occurs_check):
+        clause_vars, goal_pool = {}, {}
+        head = instantiate(head_shape, clause_vars, "H")
+        body = instantiate(body_shape, clause_vars, "H")
+        goal = instantiate(goal_shape, goal_pool, "G")
+
+        old = BindingStore()
+        mapping = {}
+        renamed = rename_term(head, old, mapping)
+        old_ok = unify(goal, renamed, old, occurs_check)
+
+        (head_t, body_t), size = compile_terms((head, body))
+        frame = [None] * size
+        new = BindingStore()
+        new_ok = match(head_t, goal, frame, new, occurs_check)
+        assert new_ok == old_ok
+        if not (old_ok and occurs_check):
+            return   # without the check the answer may be a cyclic term
+        old_answer = resolve(Struct("r", (goal, rename_term(body, old, mapping))), old)
+        new_answer = resolve(Struct("r", (goal, build(body_t, frame))), new)
+        assert same_answer(old_answer, new_answer, set(goal_pool.values()), {})
