@@ -1,0 +1,486 @@
+"""The builtin predicates that the resolution machine calls.
+
+Deterministic builtins take the solver, the binding store and the goal's
+arguments and return True on success, False on failure; errors are
+raised as ``PrologThrow``.  The nondeterministic ones are generators
+that yield True once per solution, with its bindings in place, and undo
+them before the next.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+from .errors import (
+    Halt,
+    PrologThrow,
+    evaluation_error,
+    instantiation_error,
+    permission_error,
+    type_error,
+)
+from .terms import (
+    NIL,
+    Atom,
+    Struct,
+    Var,
+    compare_terms,
+    indicator,
+    is_callable_term,
+    is_number,
+    list_parts,
+    make_list,
+    match_args,
+    proper_list,
+    rename_term,
+    resolve,
+)
+
+INT_MIN = -(2**63)
+INT_MAX = 2**63 - 1
+
+
+# ---------------------------------------------------------------------------
+# arithmetic
+
+
+def eval_arith(term, store):
+    t = store.deref(term)
+    if isinstance(t, Var):
+        raise instantiation_error()
+    if isinstance(t, bool):
+        raise type_error("evaluable", t)
+    if isinstance(t, int):
+        _check_int(t)
+        return t
+    if isinstance(t, float):
+        return t
+    if isinstance(t, Atom):
+        raise type_error("evaluable", Struct("/", (t, 0)))
+    if isinstance(t, Struct):
+        f, n = t.functor, len(t.args)
+        if n == 1:
+            a = eval_arith(t.args[0], store)
+            if f == "-":
+                return _check_int(-a) if isinstance(a, int) else -a
+            if f == "+":
+                return a
+            if f == "abs":
+                return _check_int(abs(a)) if isinstance(a, int) else abs(a)
+            if f == "floor":
+                return _check_int(math.floor(a))
+            if f == "sqrt":
+                if a < 0:
+                    raise evaluation_error("undefined")
+                return math.sqrt(a)
+        elif n == 2:
+            a = eval_arith(t.args[0], store)
+            b = eval_arith(t.args[1], store)
+            if f == "+":
+                return _num_result(a + b)
+            if f == "-":
+                return _num_result(a - b)
+            if f == "*":
+                return _num_result(a * b)
+            if f == "/":
+                if b == 0:
+                    raise evaluation_error("zero_divisor")
+                if isinstance(a, int) and isinstance(b, int):
+                    if a % b == 0:
+                        return _check_int(a // b)
+                    return a / b
+                return a / b
+            if f == "mod":
+                if not (isinstance(a, int) and isinstance(b, int)):
+                    raise type_error("integer", a if not isinstance(a, int) else b)
+                if b == 0:
+                    raise evaluation_error("zero_divisor")
+                return _check_int(a % b)
+            if f == "min":
+                return min(a, b)
+            if f == "max":
+                return max(a, b)
+        raise type_error("evaluable", Struct("/", (Atom(f), n)))
+    raise type_error("evaluable", t)
+
+
+def _check_int(value):
+    if not INT_MIN <= value <= INT_MAX:
+        raise evaluation_error("int_overflow")
+    return value
+
+
+def _num_result(value):
+    if isinstance(value, int):
+        return _check_int(value)
+    return value
+
+
+# ---------------------------------------------------------------------------
+# builtins
+
+
+def _b_unify(solver, store, a, b):
+    return solver.unify(a, b, store)
+
+
+def _b_not_unify(solver, store, a, b):
+    mark = store.mark()
+    ok = solver.unify(a, b, store)
+    store.undo_to(mark)
+    return not ok
+
+
+def _b_struct_eq(solver, store, a, b):
+    return compare_terms(a, b, store) == 0
+
+
+def _b_struct_neq(solver, store, a, b):
+    return compare_terms(a, b, store) != 0
+
+
+def _b_is(solver, store, out, expr):
+    return solver.unify(out, eval_arith(expr, store), store)
+
+
+def _arith_cmp(op):
+    def builtin(solver, store, a, b):
+        return op(eval_arith(a, store), eval_arith(b, store))
+    return builtin
+
+
+def _b_var(solver, store, t):
+    return isinstance(store.deref(t), Var)
+
+
+def _b_nonvar(solver, store, t):
+    return not isinstance(store.deref(t), Var)
+
+
+def _b_atom(solver, store, t):
+    return isinstance(store.deref(t), Atom)
+
+
+def _b_number(solver, store, t):
+    return is_number(store.deref(t))
+
+
+def _b_functor(solver, store, t, name, arity):
+    td = store.deref(t)
+    if isinstance(td, Var):
+        n = store.deref(name)
+        a = store.deref(arity)
+        if isinstance(n, Var) or isinstance(a, Var):
+            raise instantiation_error()
+        if not isinstance(a, int):
+            raise type_error("integer", a)
+        if a == 0:
+            return solver.unify(t, n, store)
+        if not isinstance(n, Atom):
+            raise type_error("atom", n)
+        return solver.unify(t, Struct(n.name, tuple(Var() for _ in range(a))), store)
+    if isinstance(td, Struct):
+        pair = Struct(",", (Atom(td.functor), len(td.args)))
+    else:
+        pair = Struct(",", (td, 0))
+    return solver.unify(Struct(",", (name, arity)), pair, store)
+
+
+def _b_univ(solver, store, t, lst):
+    td = store.deref(t)
+    if isinstance(td, Var):
+        items = proper_list(lst, store)
+        if items is None:
+            raise instantiation_error()
+        if not items:
+            raise type_error("list", resolve(lst, store))
+        head = store.deref(items[0])
+        if len(items) == 1:
+            if isinstance(head, Var):
+                raise instantiation_error()
+            return solver.unify(t, head, store)
+        if not isinstance(head, Atom):
+            raise type_error("atom", head)
+        return solver.unify(t, Struct(head.name, tuple(items[1:])), store)
+    if isinstance(td, Struct):
+        out = make_list([Atom(td.functor), *td.args])
+    else:
+        out = make_list([td])
+    return solver.unify(lst, out, store)
+
+
+def _b_copy_term(solver, store, t, out):
+    return solver.unify(out, rename_term(t, store), store)
+
+
+def _b_between(solver, store, low, high, x):
+    lo = store.deref(low)
+    hi = store.deref(high)
+    if isinstance(lo, Var) or isinstance(hi, Var):
+        raise instantiation_error()
+    if not isinstance(lo, int):
+        raise type_error("integer", lo)
+    if not isinstance(hi, int):
+        raise type_error("integer", hi)
+    xd = store.deref(x)
+    if isinstance(xd, int):
+        if lo <= xd <= hi:
+            yield True
+        return
+    if not isinstance(xd, Var):
+        raise type_error("integer", xd)
+    for i in range(lo, hi + 1):
+        mark = store.mark()
+        store.bind(xd, i)
+        yield True
+        store.undo_to(mark)
+
+
+def _b_length(solver, store, lst, n):
+    items, tail = list_parts(lst, store)
+    if tail is NIL:
+        return solver.unify(n, len(items), store)
+    nd = store.deref(n)
+    if isinstance(tail, Var) and isinstance(nd, int):
+        if nd < len(items):
+            return False
+        extension = make_list([Var() for _ in range(nd - len(items))])
+        return solver.unify(tail, extension, store)
+    raise instantiation_error()
+
+
+def _b_msort(solver, store, lst, out):
+    items = proper_list(lst, store)
+    if items is None:
+        raise type_error("list", resolve(lst, store))
+    ordered = sorted(items, key=functools.cmp_to_key(
+        lambda a, b: compare_terms(a, b, store)))
+    return solver.unify(out, make_list(ordered), store)
+
+
+def _b_keysort(solver, store, lst, out):
+    items = proper_list(lst, store)
+    if items is None:
+        raise type_error("list", resolve(lst, store))
+    pairs = []
+    for item in items:
+        d = store.deref(item)
+        if not (isinstance(d, Struct) and d.functor == "-" and len(d.args) == 2):
+            raise type_error("pair", resolve(item, store))
+        pairs.append(d)
+    ordered = sorted(pairs, key=functools.cmp_to_key(
+        lambda a, b: compare_terms(a.args[0], b.args[0], store)))
+    return solver.unify(out, make_list(ordered), store)
+
+
+def _numeric_list(solver, store, term):
+    items = proper_list(term, store)
+    if items is None:
+        raise type_error("list", resolve(term, store))
+    values = []
+    for item in items:
+        d = store.deref(item)
+        if not is_number(d):
+            raise type_error("number", resolve(item, store))
+        values.append(d)
+    return values
+
+
+def _b_max_list(solver, store, lst, out):
+    values = _numeric_list(solver, store, lst)
+    return bool(values) and solver.unify(out, max(values), store)
+
+
+def _b_sum_list(solver, store, lst, out):
+    values = _numeric_list(solver, store, lst)
+    return solver.unify(out, sum(values) if values else 0, store)
+
+
+def _b_intersection(solver, store, a, b, out):
+    items_a = proper_list(a, store)
+    items_b = proper_list(b, store)
+    if items_a is None or items_b is None:
+        raise type_error("list", resolve(a if items_a is None else b, store))
+    kept = []
+    for item in items_a:
+        for other in items_b:
+            mark = store.mark()
+            ok = solver.unify(item, other, store)
+            store.undo_to(mark)
+            if ok:
+                kept.append(item)
+                break
+    return solver.unify(out, make_list(kept), store)
+
+
+def _split_clause(solver, store, term):
+    t = store.deref(term)
+    if isinstance(t, Var):
+        raise instantiation_error()
+    if isinstance(t, Struct) and t.functor == ":-" and len(t.args) == 2:
+        head, body = t.args
+    else:
+        head, body = t, Atom("true")
+    head = store.deref(head)
+    if not is_callable_term(head):
+        raise type_error("callable", resolve(head, store))
+    return head, body
+
+
+def _b_assertz(solver, store, clause):
+    head, body = _split_clause(solver, store, clause)
+    mapping = {}
+    head_copy = rename_term(head, store, mapping)
+    body_copy = rename_term(body, store, mapping)
+    key = indicator(head_copy)
+    if solver.kb.has_mdp_predicate(*key):
+        raise permission_error("modify", "mdp_predicate",
+                               Struct("/", (Atom(key[0]), key[1])))
+    solver.kb.set_dynamic(key)
+    solver.kb.add_clause(head_copy, body_copy)
+    return True
+
+
+def _b_retractall(solver, store, pattern):
+    head = store.deref(pattern)
+    if isinstance(head, Var):
+        raise instantiation_error()
+    if not is_callable_term(head):
+        raise type_error("callable", resolve(head, store))
+    key = indicator(head)
+    args = head.args if key[1] else ()
+    solver.kb.set_dynamic(key)
+    survivors = []
+    for clause in solver.kb.clauses_for(key):
+        heads, _, size = clause.compiled or clause.compile()
+        slots = [None] * size
+        mark = store.mark()
+        matched = match_args(heads, args, slots, store, solver.occurs_check)
+        store.undo_to(mark)
+        if not matched:
+            survivors.append(clause)
+    solver.kb.replace_clauses(key, survivors)
+    return True
+
+
+def _each_indicator(solver, store, spec):
+    s = store.deref(spec)
+    if isinstance(s, Struct) and s.functor == "," and len(s.args) == 2:
+        yield from _each_indicator(solver, store, s.args[0])
+        yield from _each_indicator(solver, store, s.args[1])
+        return
+    if isinstance(s, Struct) and s.functor == "/" and len(s.args) == 2:
+        name = store.deref(s.args[0])
+        arity = store.deref(s.args[1])
+        if isinstance(name, Atom) and isinstance(arity, int):
+            yield (name.name, arity)
+            return
+    raise type_error("predicate_indicator", resolve(spec, store))
+
+
+def _b_dynamic(solver, store, spec):
+    for key in _each_indicator(solver, store, spec):
+        if solver.kb.has_mdp_predicate(*key):
+            raise permission_error("modify", "mdp_predicate",
+                                   Struct("/", (Atom(key[0]), key[1])))
+        solver.kb.set_dynamic(key)
+    return True
+
+
+def _b_op(solver, store, priority, fixity, name):
+    p = store.deref(priority)
+    f = store.deref(fixity)
+    n = store.deref(name)
+    if isinstance(p, Var) or isinstance(f, Var) or isinstance(n, Var):
+        raise instantiation_error()
+    if not isinstance(p, int):
+        raise type_error("integer", p)
+    if not isinstance(f, Atom) or not isinstance(n, Atom):
+        raise type_error("atom", f if not isinstance(f, Atom) else n)
+    solver.kb.optable.add(p, f.name, n.name)
+    return True
+
+
+def _b_writeln(solver, store, term):
+    text = solver.render(resolve(term, store), None, quoted=False)
+    solver.out.write(text + "\n")
+    return True
+
+
+def _b_halt0(solver, store):
+    raise Halt(0)
+
+
+def _b_halt1(solver, store, code):
+    c = store.deref(code)
+    raise Halt(c if isinstance(c, int) else 0)
+
+
+def _b_throw(solver, store, ball):
+    b = store.deref(ball)
+    if isinstance(b, Var):
+        raise instantiation_error()
+    raise PrologThrow(rename_term(ball, store))
+
+
+def _b_new_oid(solver, store, out):
+    solver.oid_counter += 1
+    return solver.unify(out, Struct("oid", (solver.oid_counter,)), store)
+
+
+def _b_ctx_member(solver, store, ctx, dim, coord):
+    entries = proper_list(ctx, store)
+    if entries is None:
+        raise type_error("list", resolve(ctx, store))
+    for entry in entries:
+        e = store.deref(entry)
+        if not (isinstance(e, Struct) and e.functor == ":" and len(e.args) == 2):
+            continue
+        mark = store.mark()
+        if solver.unify(dim, e.args[0], store) and solver.unify(coord, e.args[1], store):
+            yield True
+        store.undo_to(mark)
+
+
+# nondeterministic builtins: generators that yield True once per solution
+NONDETERMINISTIC = {
+    ("between", 3): _b_between,
+    ("ctx_member", 3): _b_ctx_member,
+}
+
+DETERMINISTIC = {
+    ("=", 2): _b_unify,
+    ("\\=", 2): _b_not_unify,
+    ("==", 2): _b_struct_eq,
+    ("\\==", 2): _b_struct_neq,
+    ("is", 2): _b_is,
+    ("<", 2): _arith_cmp(lambda a, b: a < b),
+    (">", 2): _arith_cmp(lambda a, b: a > b),
+    ("=<", 2): _arith_cmp(lambda a, b: a <= b),
+    (">=", 2): _arith_cmp(lambda a, b: a >= b),
+    ("=:=", 2): _arith_cmp(lambda a, b: a == b),
+    ("=\\=", 2): _arith_cmp(lambda a, b: a != b),
+    ("var", 1): _b_var,
+    ("nonvar", 1): _b_nonvar,
+    ("atom", 1): _b_atom,
+    ("number", 1): _b_number,
+    ("functor", 3): _b_functor,
+    ("=..", 2): _b_univ,
+    ("copy_term", 2): _b_copy_term,
+    ("length", 2): _b_length,
+    ("msort", 2): _b_msort,
+    ("keysort", 2): _b_keysort,
+    ("max_list", 2): _b_max_list,
+    ("sum_list", 2): _b_sum_list,
+    ("intersection", 3): _b_intersection,
+    ("assertz", 1): _b_assertz,
+    ("retractall", 1): _b_retractall,
+    ("dynamic", 1): _b_dynamic,
+    ("op", 3): _b_op,
+    ("writeln", 1): _b_writeln,
+    ("halt", 0): _b_halt0,
+    ("halt", 1): _b_halt1,
+    ("throw", 1): _b_throw,
+    ("new_oid", 1): _b_new_oid,
+}

@@ -11,53 +11,56 @@ from __future__ import annotations
 
 from .errors import existence_error, instantiation_error, type_error
 from .terms import (
+    NIL,
     Atom,
     Struct,
     Var,
     build,
     functor_of,
     is_callable_term,
-    make_list,
     proper_list,
     resolve,
 )
 
 PREDICATE_DIM = "predicate"
+PREDICATE = Atom(PREDICATE_DIM)
 
 
 def _context_entries(ctx, store):
-    """(name, coord) pairs of an engine-built context list."""
-    items = proper_list(ctx, store)
-    if items is None:
-        raise type_error("list", resolve(ctx, store))
-    entries = []
-    for item in items:
-        e = store.deref(item)
-        if (isinstance(e, Struct) and e.functor == ":" and len(e.args) == 2):
-            name = store.deref(e.args[0])
-            if isinstance(name, Atom):
-                entries.append((name.name, e.args[1]))
-    return entries
+    """Dimension names and entries of an engine-built context list.
 
-
-def updated_context(store, implicit, given, goal):
-    """Merge the call-site context into the implicit one.
-
-    Removals (-name) are applied first, then each name: coord entry
-    upserts in order, and finally the goal itself is recorded under the
-    predicate dimension.  Returns the context list and the set of its
-    dimension names.
+    An entry is the ``name: Coord`` compound itself, so an updated
+    context reuses the entries it does not change.
     """
-    base = _context_entries(implicit, store)
-    given_items = proper_list(given, store)
+    deref = store.deref
+    names = []
+    entries = []
+    t = deref(ctx)
+    while type(t) is Struct and t.functor == "." and len(t.args) == 2:
+        e = deref(t.args[0])
+        if type(e) is Struct and e.functor == ":" and len(e.args) == 2:
+            name = deref(e.args[0])
+            if type(name) is Atom:
+                names.append(name.name)
+                entries.append(e)
+        t = deref(t.args[1])
+    if t is not NIL:
+        raise type_error("list", resolve(ctx, store))
+    return names, entries
+
+
+def _given_entries(given, store):
+    """Removed names and (name, entry) upserts of a call-site context."""
+    removals = set()
+    upserts = []
+    g = store.deref(given)
+    if g is NIL:
+        return removals, upserts
+    given_items = proper_list(g, store)
     if given_items is None:
-        g = store.deref(given)
         if isinstance(g, Var):
             raise instantiation_error()
         raise type_error("list", resolve(given, store))
-
-    removals = set()
-    upserts = []
     for item in given_items:
         e = store.deref(item)
         if isinstance(e, Var):
@@ -76,25 +79,39 @@ def updated_context(store, implicit, given, goal):
                 raise instantiation_error()
             if not isinstance(name, Atom):
                 raise type_error("atom", resolve(name, store))
-            upserts.append((name.name, e.args[1]))
+            if name is not e.args[0]:    # a bound variable names it
+                e = Struct(":", (name, e.args[1]))
+            upserts.append((name.name, e))
             continue
         raise type_error("context_entry", resolve(item, store))
+    return removals, upserts
 
-    entries = [(n, c) for (n, c) in base if n not in removals]
 
-    def upsert(name, coord):
-        for i, (n, _) in enumerate(entries):
-            if n == name:
-                entries[i] = (name, coord)
-                return
-        entries.append((name, coord))
+def updated_context(store, implicit, given, goal):
+    """Merge the call-site context into the implicit one.
 
-    for name, coord in upserts:
-        upsert(name, coord)
-    upsert(PREDICATE_DIM, store.deref(goal))
-
-    ctx = make_list([Struct(":", (Atom(n), c)) for n, c in entries])
-    return ctx, {n for n, _ in entries}
+    Removals (-name) are applied first, then each name: coord entry
+    upserts in order, and finally the goal itself is recorded under the
+    predicate dimension.  Returns the context list and the set of its
+    dimension names.
+    """
+    names, entries = _context_entries(implicit, store)
+    removals, upserts = _given_entries(given, store)
+    upserts.append((PREDICATE_DIM, Struct(":", (PREDICATE, store.deref(goal)))))
+    if removals:
+        kept = [i for i, n in enumerate(names) if n not in removals]
+        names = [names[i] for i in kept]
+        entries = [entries[i] for i in kept]
+    for name, entry in upserts:
+        if name in names:
+            entries[names.index(name)] = entry
+        else:
+            names.append(name)
+            entries.append(entry)
+    ctx = NIL
+    for entry in reversed(entries):
+        ctx = Struct(".", (entry, ctx))
+    return ctx, set(names)
 
 
 def score_signature(solver, store, sig, ctx, ctx_keys):
@@ -104,10 +121,12 @@ def score_signature(solver, store, sig, ctx, ctx_keys):
     bindings made while checking are undone before returning.  A
     dimension-only signature is scored from ``ctx_keys`` alone.
     """
-    missing = [d for d in sig.required_dims if d not in ctx_keys]
-    if missing:
-        return None, "missing dimension %s" % ", ".join(missing)
-    score = len([d for d in sig.required_dims if d != PREDICATE_DIM])
+    dims = sig.required_dims
+    for d in dims:
+        if d not in ctx_keys:
+            return None, "missing dimension %s" % ", ".join(
+                d for d in dims if d not in ctx_keys)
+    score = len(dims) - dims.count(PREDICATE_DIM)
     if sig.dimension_only:
         return score, None
 
@@ -132,7 +151,8 @@ def score_signature(solver, store, sig, ctx, ctx_keys):
 
 
 def candidates_for(kb, name, arity):
-    return list(kb.signatures_for(name, arity)) + list(kb.anonymous_signatures)
+    """The signatures a dispatch of name/arity scores: a cached tuple."""
+    return kb.candidates(name, arity)
 
 
 def score_candidates(solver, store, implicit, given, goal):
@@ -158,6 +178,11 @@ def score_candidates(solver, store, implicit, given, goal):
 
 
 def dispatch(solver, store, implicit, given, goal):
+    """The calls that run the winners of a dispatch, in definition order.
+
+    Each call is a ``(goal, key)`` pair: the winner's implementation
+    predicate applied to the updated context and the goal's arguments.
+    """
     name, args, ctx, report = score_candidates(
         solver, store, implicit, given, goal)
     arity = len(args)
@@ -168,21 +193,26 @@ def dispatch(solver, store, implicit, given, goal):
                 ("score %s" % score) if score is not None else reason)
             solver.err.write("dispatch %s/%d: %s\n" % (name, arity, label))
 
-    scored = [(sig, score) for sig, score, _ in report if score is not None]
-    if not scored:
-        return
-
-    best = max(s for _, s in scored)
-    winners = [sig for sig, s in scored if s == best]
-    if solver.trace_dispatch:
+    best = None
+    winners = []
+    for sig, score, _ in report:
+        if score is None:
+            continue
+        if best is None or score > best:
+            best = score
+            winners = [sig]
+        elif score == best:
+            winners.append(sig)
+    if winners and solver.trace_dispatch:
         solver.err.write(
             "dispatch %s/%d: running %s\n"
             % (name, arity, ", ".join(sig.label() for sig in winners)))
 
+    calls = []
     for sig in winners:
         if sig.anonymous:
             call = Struct(sig.impl_name, (ctx,))
         else:
-            call = Struct(sig.impl_name, (ctx,) + tuple(args))
-        key = (sig.impl_name, len(call.args))
-        yield from solver.call_predicate(call, key, store)
+            call = Struct(sig.impl_name, (ctx,) + args)
+        calls.append((call, (sig.impl_name, len(call.args))))
+    return calls

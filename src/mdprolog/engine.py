@@ -10,7 +10,7 @@ from .errors import ConsultError, PrologThrow
 from .kb import KnowledgeBase
 from .reader import parse_program, parse_term
 from .render import render
-from .solver import BOOTSTRAP, Frame, Solver
+from .solver import BOOTSTRAP, Solver
 from .terms import Atom, BindingStore, NIL, Struct, Var, resolve
 from .transformer import expand_source_item, phase1_rewrite
 
@@ -152,11 +152,8 @@ class Engine:
         store = BindingStore()
         out_var = Var("_HookOut")
         goal = Struct(hook_name, (ctx_var, term, out_var))
-        it = self.solver.call_predicate(goal, key, store)
-        for _ in it:
-            result = resolve(out_var, store)
-            it.close()
-            return result
+        if self.solver.solve_once(goal, store, key):
+            return resolve(out_var, store)
         return None
 
     def apply_term_hook(self, ctx_var, term):
@@ -179,7 +176,7 @@ class Engine:
     def solutions(self, text):
         """Lazily enumerate solutions of a query given as text."""
         goal, store, varmap = self._prepare(text)
-        for _ in self.solver.solve(goal, store, Frame()):
+        for _ in self.solver.solve(goal, store):
             bindings = {name: resolve(var, store)
                         for name, var in varmap.items()}
             yield Solution(bindings, self.kb.optable)

@@ -148,6 +148,7 @@ class KnowledgeBase:
         self._index = {}           # (name, arity) -> FirstArgIndex
         self.signatures = {}       # (name, arity) -> [Signature]
         self.anonymous_signatures = []
+        self._candidates = {}      # (name, arity) -> tuple, until a change
         self.dynamic = set()       # (name, arity)
         self.optable = default_table()
         self._order = itertools.count(1)
@@ -193,6 +194,7 @@ class KnowledgeBase:
         return "$impl$%s/%d#%d" % (name, arity, n)
 
     def add_signature(self, sig):
+        self._candidates.clear()
         sig.order = next(self._order)
         if sig.anonymous:
             self.anonymous_signatures.append(sig)
@@ -201,6 +203,15 @@ class KnowledgeBase:
 
     def signatures_for(self, name, arity):
         return tuple(self.signatures.get((name, arity), ()))
+
+    def candidates(self, name, arity):
+        """The signatures of name/arity, then every anonymous one."""
+        key = (name, arity)
+        found = self._candidates.get(key)
+        if found is None:
+            found = self._candidates[key] = (
+                self.signatures_for(name, arity) + tuple(self.anonymous_signatures))
+        return found
 
     def all_signatures(self):
         named = [s for group in self.signatures.values() for s in group]
@@ -214,6 +225,7 @@ class KnowledgeBase:
     def forget_file(self, filename):
         """Drop clauses and signatures previously consulted from this file."""
         self._index.clear()
+        self._candidates.clear()
         doomed_impls = set()
         for key in list(self.signatures):
             kept = []

@@ -283,14 +283,34 @@ def compare_terms(t1, t2, store=_EMPTY_STORE):
 RESOLVE_DEPTH_LIMIT = 100_000
 
 
-def resolve(term, store, depth=0):
-    """Deep-substitute bindings; unbound variables stay as-is."""
-    if depth > RESOLVE_DEPTH_LIMIT:
-        raise MdpError("term too deep while resolving (cyclic binding?)")
+def resolve(term, store):
+    """Deep-substitute bindings; unbound variables stay as-is.
+
+    Iterative, so a long list costs no Python stack; a term nested more
+    than ``RESOLVE_DEPTH_LIMIT`` deep, such as a cyclic binding, is an
+    error.
+    """
     t = store.deref(term)
-    if isinstance(t, Struct):
-        return Struct(t.functor, tuple(resolve(a, store, depth + 1) for a in t.args))
-    return t
+    if type(t) is not Struct:
+        return t
+    deref = store.deref
+    stack = [(t, [])]   # a compound being rebuilt and its arguments so far
+    while True:
+        node, done = stack[-1]
+        if len(done) < len(node.args):
+            a = deref(node.args[len(done)])
+            if type(a) is Struct:
+                if len(stack) > RESOLVE_DEPTH_LIMIT:
+                    raise MdpError("term too deep while resolving (cyclic binding?)")
+                stack.append((a, []))
+            else:
+                done.append(a)
+            continue
+        stack.pop()
+        built = Struct(node.functor, done)
+        if not stack:
+            return built
+        stack[-1][1].append(built)
 
 
 def rename_term(term, store, mapping=None):

@@ -117,3 +117,12 @@ class TestTestSubcommand:
     def test_missing_directory_fails(self):
         proc = run_cli("test", "/no/such/corpus")
         assert proc.returncode != 0
+
+
+class TestDepth:
+    def test_a_runaway_loop_under_a_budget_exits_two(self, tmp_path):
+        loop = tmp_path / "loop.mdp"
+        loop.write_text("loop(X) :- loop(X).\n")
+        proc = run_cli(str(loop), "--budget", "100000", "-g", "loop(a)")
+        assert proc.returncode == 2
+        assert "budget" in proc.stderr

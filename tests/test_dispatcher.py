@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from mdprolog import Engine, PrologThrow
 from mdprolog.dispatcher import updated_context
-from mdprolog.terms import Atom, BindingStore, Struct, make_list, proper_list
+from mdprolog.terms import Atom, BindingStore, Struct, Var, make_list, proper_list
 
 
 def entry(name, coord):
@@ -55,6 +55,46 @@ class TestUpdatedContext:
         given = make_list([entry("predicate", Atom("fake"))])
         ctx, _ = updated_context(store, make_list([]), given, Atom("real"))
         assert dict(entries_of(ctx, store))["predicate"] == Atom("real")
+
+    def test_unchanged_entries_are_reused(self):
+        store = BindingStore()
+        kept = entry("a", Atom("1"))
+        given = entry("b", Atom("2"))
+        implicit = make_list([kept, entry("predicate", Atom("old"))])
+        ctx, keys = updated_context(store, implicit, make_list([given]), Atom("g"))
+        items = proper_list(ctx)
+        assert items[0] is kept and items[2] is given
+        assert dict(entries_of(ctx, store))["predicate"] == Atom("g")
+        assert keys == {"a", "predicate", "b"}
+
+    def test_a_given_name_bound_through_a_variable_is_an_atom(self):
+        store = BindingStore()
+        name = Var("N")
+        store.bind(name, Atom("mode"))
+        given = make_list([Struct(":", (name, Atom("fast")))])
+        ctx, keys = updated_context(store, make_list([]), given, Atom("g"))
+        assert proper_list(ctx)[0] == entry("mode", Atom("fast"))
+        assert keys == {"mode", "predicate"}
+
+
+class TestCandidates:
+    """The cached candidate tuple follows every change of the signatures."""
+
+    def test_signatures_consulted_after_a_dispatch_join_the_next(self):
+        engine = Engine(prelude=False)
+        engine.consult_text("[] # p(a).", filename="one")
+        assert [s.render("X") for s in engine.query("[] ? p(X)")] == ["a"]
+        engine.consult_text("[] # p(b).\n[] :- true.", filename="two")
+        # the anonymous rule wins too, and binds nothing
+        assert [s.render("X") for s in engine.query("[] ? p(X)")] == ["a", "b", "X"]
+
+    def test_reconsulting_drops_the_old_signatures(self):
+        engine = Engine(prelude=False)
+        engine.consult_text("[] # p(a).", filename="one")
+        engine.consult_text("[] # p(b).", filename="two")
+        assert [s.render("X") for s in engine.query("[] ? p(X)")] == ["a", "b"]
+        engine.consult_text("[] # p(c).", filename="one")
+        assert [s.render("X") for s in engine.query("[] ? p(X)")] == ["b", "c"]
 
 
 class TestScoring:

@@ -1,9 +1,12 @@
 import functools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mdprolog import BudgetExceeded, Engine, PrologThrow, terms
+from mdprolog.reader import parse_term
 from mdprolog.terms import (BindingStore, MdpError, Var, compare_terms,
                             proper_list, unify)
 
@@ -372,3 +375,143 @@ class TestSorting:
         rendered = engine.query("X = [%s]" % ", ".join(
             "%d-%d" % p for p in expected))[0]["X"]
         assert compare_terms(got, rendered) == 0
+
+
+K_PROGRAM = """
+k(X) :- (X > 1 -> Y = a ; Y = b), \\+ X = 0,
+    findall(Z, member(Z, [X, Y]), L), catch(length(L, 2), _, fail),
+    forall(member(W, L), W \\== c).
+"""
+
+
+class TestControlSemantics:
+    """Cut, if-then-else, catch and dispatch as the resolution core runs them."""
+
+    def test_a_cut_in_the_recovery_cuts_the_clause(self, engine):
+        engine.consult_text("q(X) :- member(X, [1,2,3]), catch(throw(e), _, !).")
+        assert answers(engine, "q(X)", "X") == ["1"]
+
+    def test_a_cut_in_the_then_branch_cuts_the_clause(self, engine):
+        engine.consult_text("r(X) :- member(X, [1,2,3]), (X > 1 -> ! ; true).")
+        assert answers(engine, "r(X)", "X") == ["1", "2"]
+
+    def test_a_cut_in_a_disjunct_cuts_the_clause(self, engine):
+        engine.consult_text("s(X) :- (member(X, [1,2,3]), ! ; X = 9).")
+        assert answers(engine, "s(X)", "X") == ["1"]
+
+    def test_a_throw_after_catch_exits_is_not_caught_by_it(self, engine):
+        engine.consult_text("""
+            c(X) :- catch(member(X, [1,2]), _, true), X > 1, throw(late).
+            w(X) :- catch(c(X), late, X = caught).
+        """)
+        assert answers(engine, "findall(X, w(X), L)", "L") == ["[caught]"]
+
+    def test_a_redo_into_the_catch_goal_is_caught_outside(self, engine):
+        engine.consult_text("""
+            u(X) :- catch(member(X, [1,2,3]), _, true),
+                (X =:= 2 -> throw(two) ; true).
+        """)
+        assert answers(engine, "catch(u(X), two, X = got)", "X") == ["1", "got"]
+
+    def test_a_cut_in_one_winner_does_not_stop_the_next(self, engine):
+        engine.consult_text("[] # f(1) :- !.\n[] # f(2).")
+        assert answers(engine, "[] ? f(X)", "X") == ["1", "2"]
+
+    def test_a_cut_in_a_condition_is_local_to_it(self, engine):
+        engine.consult_text("t(X) :- member(X, [1,2,3]), ((!, X > 5) -> true ; true).")
+        assert answers(engine, "t(X)", "X") == ["1", "2", "3"]
+
+    def test_a_cut_in_findall_negation_or_forall_is_local_to_it(self, engine):
+        engine.consult_text("""
+            f(X, L) :- member(X, [a, b]), findall(Y, (member(Y, [1, 2]), !), L).
+            n(X) :- member(X, [a, b]), \\+ (member(_, [1, 2]), !, fail).
+            a(X) :- member(X, [a, b]), forall((member(Y, [1, 2]), !), Y > 0).
+        """)
+        assert [(s.render("X"), s.render("L")) for s in engine.solutions("f(X, L)")] \
+            == [("a", "[1]"), ("b", "[1]")]
+        assert answers(engine, "n(X)", "X") == ["a", "b"]
+        assert answers(engine, "a(X)", "X") == ["a", "b"]
+
+    def test_control_constructs_count_one_inference_each(self, engine):
+        engine.consult_text(K_PROGRAM)
+        assert engine.run("k(1)")
+        assert engine.solver.inferences == 39
+        assert answers(engine, "findall(N, (between(1, 5, N), k(N)), L)", "L") \
+            == ["[1, 2, 3, 4, 5]"]
+        assert engine.solver.inferences == 198
+
+
+DEPTH_SCRIPT = """
+import sys
+from mdprolog import Engine
+engine = Engine(prelude=False)
+engine.consult_text('''
+psum(0, A, A).
+psum(N, A, S) :- N > 0, A1 is A + N, N1 is N - 1, psum(N1, A1, S).
+[] # dsum(0, A, A).
+[] # dsum(N, A, S) :- N > 0, A1 is A + N, N1 is N - 1, [] ? dsum(N1, A1, S).
+upto(0, []).
+upto(N, [N|T]) :- N > 0, N1 is N - 1, upto(N1, T).
+p(X, f(X)).
+''')
+print(engine.query(sys.argv[1])[0].render(sys.argv[2]))
+"""
+
+
+def first_answer_run(engine, text):
+    goal, _ = parse_term(text, engine.kb.optable)
+    run = engine.solver.solve(goal, BindingStore())
+    assert run.step()
+    return run
+
+
+class TestDeterminism:
+    """A goal with no alternative left leaves no choicepoint behind."""
+
+    @pytest.mark.parametrize("text", [
+        "app([1, 2, 3], [4], L)",
+        "catch(app([1, 2], [3], L), _, true)",
+        "(app(X, Y, [1]) -> true ; fail)",
+        "\\+ app([1], [2], [])",
+        "findall(X, member(X, [1, 2]), L)",
+        "forall(member(X, [1, 2]), X > 0)",
+        "call(app, [1], [2], L)",
+        "member(X, [1, 2]), !",
+    ])
+    def test_the_first_answer_leaves_no_choicepoint(self, engine, text):
+        engine.consult_text(NREV)
+        assert first_answer_run(engine, text).cps == []
+
+
+def run_depth(query, var):
+    return subprocess.run([sys.executable, "-c", DEPTH_SCRIPT, query, var],
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestDepth:
+    """Deep goals end in an answer or an error, never a crashed process."""
+
+    def test_plain_recursion_30000_deep_answers(self):
+        proc = run_depth("psum(30000, 0, S)", "S")
+        assert (proc.returncode, proc.stdout) == (0, "450015000\n"), proc.stderr
+
+    def test_dispatched_recursion_10000_deep_answers(self):
+        proc = run_depth("[] ? dsum(10000, 0, S)", "S")
+        assert (proc.returncode, proc.stdout) == (0, "50005000\n"), proc.stderr
+
+    def test_a_30000_element_answer_comes_back(self):
+        proc = run_depth("upto(30000, L), length(L, N)", "N")
+        assert (proc.returncode, proc.stdout) == (0, "30000\n"), proc.stderr
+
+    def test_cprofile_runs_at_dispatch_depth(self):
+        script = DEPTH_SCRIPT.replace(
+            "print(", "import cProfile\ncProfile.run('engine.query(sys.argv[1])')\nprint(")
+        proc = subprocess.run([sys.executable, "-c", script, "[] ? dsum(3000, 0, S)", "S"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("4501500\n")
+
+    def test_a_cyclic_answer_is_an_error(self):
+        proc = run_depth("p(Y, Y)", "Y")
+        assert proc.returncode == 1
+        assert "term too deep while resolving" in proc.stderr
