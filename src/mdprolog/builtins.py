@@ -36,6 +36,7 @@ from .terms import (
     rename_term,
     resolve,
 )
+from .terms import Skeleton, Slot
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -115,6 +116,73 @@ def _num_result(value):
     if isinstance(value, int):
         return _check_int(value)
     return value
+
+
+# Compiled arithmetic: is/2 and the comparisons of a clause body, over
+# slots, integer constants and + - *, become one Python function of the
+# frame.  It returns None wherever eval_arith could differ (an operand
+# that is not a 64-bit integer, a result out of range), and the caller
+# then runs the builtin on the built goal, which gives the same answer
+# or error.
+
+COMPARISONS = {"<": "<", ">": ">", "=<": "<=", ">=": ">=", "=:=": "==",
+               "=\\=": "!="}
+_OPERATORS = ("+", "-", "*")
+_MAX_OPERATIONS = 16
+_IN_RANGE = "    if not %d <= %%s <= %d: return None" % (INT_MIN, INT_MAX)
+_EVALUATORS = {}     # source text -> function, shared by every engine
+
+
+def arith_evaluator(exprs, seen, comparison=None):
+    """A function (frame, deref) -> value or None, or None if none applies.
+
+    exprs are expression templates of a body goal, read with the clause's
+    slots in ``seen`` already set; with a comparison operator (a key of
+    COMPARISONS) the function compares the two values, else it returns the
+    value of the one expression.
+    """
+    lines = []
+
+    def value(t):
+        cls = type(t)
+        if cls is int:
+            return repr(t) if INT_MIN <= t <= INT_MAX else None
+        name = "v%d" % len(lines)
+        if cls is Slot:
+            if t.index not in seen:
+                return None
+            lines.append("    %s = frame[%d]\n"
+                         "    if type(%s) is not int:\n"
+                         "        %s = deref(%s)\n"
+                         "        if type(%s) is not int: return None"
+                         % ((name, t.index) + (name,) * 4))
+        elif ((cls is Skeleton or cls is Struct) and t.functor in _OPERATORS
+              and len(t.args) == 2 and len(lines) < _MAX_OPERATIONS):
+            a, b = value(t.args[0]), value(t.args[1])
+            if a is None or b is None:
+                return None
+            name = "v%d" % len(lines)
+            lines.append("    %s = %s %s %s" % (name, a, t.functor, b))
+        else:
+            return None
+        lines.append(_IN_RANGE % name)
+        return name
+
+    results = [value(t) for t in exprs]
+    if None in results:
+        return None
+    if comparison is None:
+        lines.append("    return %s" % results[0])
+    else:
+        lines.append("    return %s %s %s"
+                     % (results[0], COMPARISONS[comparison], results[1]))
+    source = "def evaluate(frame, deref):\n%s\n" % "\n".join(lines)
+    found = _EVALUATORS.get(source)
+    if found is None:
+        namespace = {}
+        exec(source, namespace)
+        found = _EVALUATORS[source] = namespace["evaluate"]
+    return found
 
 
 # ---------------------------------------------------------------------------

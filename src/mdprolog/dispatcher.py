@@ -12,12 +12,14 @@ from __future__ import annotations
 from .errors import existence_error, instantiation_error, type_error
 from .terms import (
     NIL,
+    _new_object,
+    _set_args,
+    _set_functor,
     Atom,
     Struct,
     Var,
     build,
-    functor_of,
-    is_callable_term,
+    new_struct,
     proper_list,
     resolve,
 )
@@ -26,41 +28,25 @@ PREDICATE_DIM = "predicate"
 PREDICATE = Atom(PREDICATE_DIM)
 
 
-def _context_entries(ctx, store):
-    """Dimension names and entries of an engine-built context list.
+_NOTHING_GIVEN = (frozenset(), ())
 
-    An entry is the ``name: Coord`` compound itself, so an updated
-    context reuses the entries it does not change.
+
+def parse_given(given, store):
+    """Removed names and (name, entry) upserts of a call-site context.
+
+    The parsed form of a ground context may be kept and passed to
+    ``updated_context`` in place of the term.
     """
-    deref = store.deref
-    names = []
-    entries = []
-    t = deref(ctx)
-    while type(t) is Struct and t.functor == "." and len(t.args) == 2:
-        e = deref(t.args[0])
-        if type(e) is Struct and e.functor == ":" and len(e.args) == 2:
-            name = deref(e.args[0])
-            if type(name) is Atom:
-                names.append(name.name)
-                entries.append(e)
-        t = deref(t.args[1])
-    if t is not NIL:
-        raise type_error("list", resolve(ctx, store))
-    return names, entries
-
-
-def _given_entries(given, store):
-    """Removed names and (name, entry) upserts of a call-site context."""
-    removals = set()
-    upserts = []
     g = store.deref(given)
     if g is NIL:
-        return removals, upserts
+        return _NOTHING_GIVEN
     given_items = proper_list(g, store)
     if given_items is None:
         if isinstance(g, Var):
             raise instantiation_error()
         raise type_error("list", resolve(given, store))
+    removals = set()
+    upserts = []
     for item in given_items:
         e = store.deref(item)
         if isinstance(e, Var):
@@ -80,11 +66,11 @@ def _given_entries(given, store):
             if not isinstance(name, Atom):
                 raise type_error("atom", resolve(name, store))
             if name is not e.args[0]:    # a bound variable names it
-                e = Struct(":", (name, e.args[1]))
+                e = new_struct(":", (name, e.args[1]))
             upserts.append((name.name, e))
             continue
         raise type_error("context_entry", resolve(item, store))
-    return removals, upserts
+    return frozenset(removals), tuple(upserts)
 
 
 def updated_context(store, implicit, given, goal):
@@ -92,25 +78,57 @@ def updated_context(store, implicit, given, goal):
 
     Removals (-name) are applied first, then each name: coord entry
     upserts in order, and finally the goal itself is recorded under the
-    predicate dimension.  Returns the context list and the set of its
-    dimension names.
+    predicate dimension.  ``given`` is the call-site context term or its
+    ``parse_given`` form, and ``goal`` is dereferenced.  Returns the
+    context list and the set of its dimension names.
     """
-    names, entries = _context_entries(implicit, store)
-    removals, upserts = _given_entries(given, store)
-    upserts.append((PREDICATE_DIM, Struct(":", (PREDICATE, store.deref(goal)))))
-    if removals:
-        kept = [i for i, n in enumerate(names) if n not in removals]
-        names = [names[i] for i in kept]
-        entries = [entries[i] for i in kept]
-    for name, entry in upserts:
-        if name in names:
-            entries[names.index(name)] = entry
-        else:
-            names.append(name)
-            entries.append(entry)
+    # The implicit context is engine-built: its entries are the
+    # ``name: Coord`` compounds themselves, which the update reuses.
+    names = []
+    entries = []
+    t = store.deref(implicit) if type(implicit) is Var else implicit
+    while type(t) is Struct and t.functor == "." and len(t.args) == 2:
+        e, t = t.args
+        if type(e) is Var:
+            e = store.deref(e)
+        if type(e) is Struct and e.functor == ":" and len(e.args) == 2:
+            name = e.args[0]
+            if type(name) is Var:
+                name = store.deref(name)
+            if type(name) is Atom:
+                names.append(name.name)
+                entries.append(e)
+        if type(t) is Var:
+            t = store.deref(t)
+    if t is not NIL:
+        raise type_error("list", resolve(implicit, store))
+    if given is not _NOTHING_GIVEN:
+        removals, upserts = (given if type(given) is tuple
+                             else parse_given(given, store))
+        if removals:
+            kept = [i for i, n in enumerate(names) if n not in removals]
+            names = [names[i] for i in kept]
+            entries = [entries[i] for i in kept]
+        for name, entry in upserts:
+            if name in names:
+                entries[names.index(name)] = entry
+            else:
+                names.append(name)
+                entries.append(entry)
+    entry = _new_object(Struct)     # new_struct, inline on this hot path
+    _set_functor(entry, ":")
+    _set_args(entry, (PREDICATE, goal))
+    if PREDICATE_DIM in names:
+        entries[names.index(PREDICATE_DIM)] = entry
+    else:
+        names.append(PREDICATE_DIM)
+        entries.append(entry)
     ctx = NIL
     for entry in reversed(entries):
-        ctx = Struct(".", (entry, ctx))
+        cell = _new_object(Struct)
+        _set_functor(cell, ".")
+        _set_args(cell, (entry, ctx))
+        ctx = cell
     return ctx, set(names)
 
 
@@ -126,7 +144,7 @@ def score_signature(solver, store, sig, ctx, ctx_keys):
         if d not in ctx_keys:
             return None, "missing dimension %s" % ", ".join(
                 d for d in dims if d not in ctx_keys)
-    score = len(dims) - dims.count(PREDICATE_DIM)
+    score = sig.base_score
     if sig.dimension_only:
         return score, None
 
@@ -158,44 +176,32 @@ def candidates_for(kb, name, arity):
 def score_candidates(solver, store, implicit, given, goal):
     """Build the updated context and score every candidate of the goal.
 
-    Returns (name, args, context, [(signature, score_or_None, reason)])
-    with the candidates in definition order.
+    Returns (name, args, context, report, winners): the report lists
+    (signature, score_or_None, reason) for the candidates in definition
+    order, and the winners are the eligible ones of the highest score.
     """
-    goal_d = store.deref(goal)
-    if isinstance(goal_d, Var):
+    if type(goal) is Var:
+        goal = store.deref(goal)
+    cls = type(goal)
+    if cls is Struct:
+        name, args = goal.functor, goal.args
+    elif cls is Atom:
+        name, args = goal.name, ()
+    elif cls is Var:
         raise instantiation_error()
-    if not is_callable_term(goal_d):
-        raise type_error("callable", resolve(goal_d, store))
-    name, args = functor_of(goal_d)
+    else:
+        raise type_error("callable", resolve(goal, store))
     sigs = candidates_for(solver.kb, name, len(args))
     if not sigs:
         raise existence_error(
             "mdp_predicate", Struct("/", (Atom(name), len(args))))
-    ctx, ctx_keys = updated_context(store, implicit, given, goal_d)
-    report = [(sig,) + score_signature(solver, store, sig, ctx, ctx_keys)
-              for sig in sigs]
-    return name, args, ctx, report
-
-
-def dispatch(solver, store, implicit, given, goal):
-    """The calls that run the winners of a dispatch, in definition order.
-
-    Each call is a ``(goal, key)`` pair: the winner's implementation
-    predicate applied to the updated context and the goal's arguments.
-    """
-    name, args, ctx, report = score_candidates(
-        solver, store, implicit, given, goal)
-    arity = len(args)
-    if solver.trace_dispatch:
-        for sig, score, reason in report:
-            label = "%s -> %s" % (
-                sig.label(),
-                ("score %s" % score) if score is not None else reason)
-            solver.err.write("dispatch %s/%d: %s\n" % (name, arity, label))
-
+    ctx, ctx_keys = updated_context(store, implicit, given, goal)
+    report = []
     best = None
     winners = []
-    for sig, score, _ in report:
+    for sig in sigs:
+        score, reason = score_signature(solver, store, sig, ctx, ctx_keys)
+        report.append((sig, score, reason))
         if score is None:
             continue
         if best is None or score > best:
@@ -203,16 +209,30 @@ def dispatch(solver, store, implicit, given, goal):
             winners = [sig]
         elif score == best:
             winners.append(sig)
-    if winners and solver.trace_dispatch:
-        solver.err.write(
-            "dispatch %s/%d: running %s\n"
-            % (name, arity, ", ".join(sig.label() for sig in winners)))
+    return name, args, ctx, report, winners
 
+
+def dispatch(solver, store, implicit, given, goal):
+    """The calls that run the winners of a dispatch, in definition order.
+
+    Each call is an ``(args, key)`` pair: the key of the winner's
+    implementation predicate and its arguments, the updated context and
+    the goal's arguments.
+    """
+    name, args, ctx, report, winners = score_candidates(
+        solver, store, implicit, given, goal)
+    if solver.trace_dispatch:
+        indicator = "%s/%d" % (name, len(args))
+        for sig, score, reason in report:
+            solver.err.write("dispatch %s: %s -> %s\n" % (
+                indicator, sig.label(),
+                ("score %s" % score) if score is not None else reason))
+        if winners:
+            solver.err.write("dispatch %s: running %s\n" % (
+                indicator, ", ".join(sig.label() for sig in winners)))
     calls = []
+    full = (ctx,) + args
     for sig in winners:
-        if sig.anonymous:
-            call = Struct(sig.impl_name, (ctx,))
-        else:
-            call = Struct(sig.impl_name, (ctx,) + args)
-        calls.append((call, (sig.impl_name, len(call.args))))
+        # an anonymous rule (arity 0) takes the context alone
+        calls.append((full if sig.arity else (ctx,), sig.impl_key))
     return calls

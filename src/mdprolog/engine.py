@@ -200,7 +200,7 @@ class Engine:
         goal, store, _ = self._prepare(text)
         if not (isinstance(goal, Struct) and goal.functor == "$dispatch"):
             raise ValueError("explain() needs a dispatch query (Given ? Goal)")
-        _, _, ctx, report = score_candidates(self.solver, store, *goal.args)
+        _, _, ctx, report, _ = score_candidates(self.solver, store, *goal.args)
         return ctx, report
 
     # -- introspection ---------------------------------------------------------
@@ -217,8 +217,7 @@ class Engine:
                 Struct("context_rules", sig.rules) if sig.rules else Atom("true"),
             ))
             lines.append(self._render(sig_term, quoted=True) + ".")
-            key = (sig.impl_name, (1 if sig.anonymous else sig.arity + 1))
-            for clause in self.kb.clauses_for(key):
+            for clause in self.kb.clauses_for(sig.impl_key):
                 term = clause.head if clause.body is Atom("true") else \
                     Struct(":-", (clause.head, clause.body))
                 lines.append(self._render(term, quoted=True) + ".")

@@ -6,7 +6,9 @@ import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter
 
+from .dispatcher import PREDICATE_DIM
 from .ops import default_table
+from .solver import compile_body
 from .terms import Atom, Struct, Var, compile_terms, conj, indicator
 
 ANONYMOUS = "$anonymous_rule"
@@ -19,13 +21,14 @@ class Clause:
     filename: str = None
     line: int = None
     order: int = 0
-    # (head argument templates, body template, slot count) once tried
+    # (head argument templates, body goal entries, slot count) once tried
     compiled: tuple = field(default=None, repr=False, compare=False)
 
     def compile(self):
         """Compile the clause into templates on its first try."""
         (head, body), size = compile_terms((self.head, self.body))
-        self.compiled = getattr(head, "args", ()), body, size
+        heads = getattr(head, "args", ())
+        self.compiled = heads, compile_body(body, heads), size
         return self.compiled
 
 
@@ -54,6 +57,15 @@ class Signature:
     # (context-rule goal template, score templates, slot count) once scored;
     # the context variable is slot 0
     compiled: tuple = field(default=None, repr=False, compare=False)
+    # key of the implementation predicate: the context comes first
+    impl_key: tuple = field(init=False, repr=False, compare=False)
+    # the score of the required dimensions; the predicate dimension adds none
+    base_score: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.impl_key = (self.impl_name, self.arity + 1)
+        self.base_score = len(self.required_dims) - self.required_dims.count(
+            PREDICATE_DIM)
 
     def compile(self):
         """Compile the context rules and score variables on first scoring."""
@@ -79,12 +91,13 @@ def first_arg_key(t):
     are keyed by name and arity, apart from the atom of the same name.
     A variable, or None for no argument, has no key.
     """
-    if isinstance(t, Atom):
+    cls = type(t)
+    if cls is Atom:
         return t
-    if isinstance(t, Struct):
+    if cls is Struct:
         return t.functor, len(t.args)
-    if isinstance(t, (int, float)):
-        return type(t), t
+    if cls is int or cls is float:
+        return cls, t
     return None
 
 
@@ -176,10 +189,12 @@ class KnowledgeBase:
         index = self._index.get(key)
         if index is None:
             index = self._index[key] = FirstArgIndex(self.clauses.get(key, ()))
+        if first is None:
+            return index.clauses
         return index.bucket(first)
 
     def has_predicate(self, key):
-        return key in self.clauses or key in self.dynamic
+        return key in self.clauses     # a dynamic predicate is always there
 
     def set_dynamic(self, key):
         self.dynamic.add(key)
@@ -231,7 +246,7 @@ class KnowledgeBase:
             kept = []
             for sig in self.signatures[key]:
                 if sig.filename == filename:
-                    doomed_impls.add((sig.impl_name, sig.arity + 1))
+                    doomed_impls.add(sig.impl_key)
                 else:
                     kept.append(sig)
             if kept:
@@ -241,7 +256,7 @@ class KnowledgeBase:
         kept_anon = []
         for sig in self.anonymous_signatures:
             if sig.filename == filename:
-                doomed_impls.add((sig.impl_name, 1))
+                doomed_impls.add(sig.impl_key)
             else:
                 kept_anon.append(sig)
         self.anonymous_signatures = kept_anon

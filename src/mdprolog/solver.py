@@ -43,8 +43,13 @@ from __future__ import annotations
 
 import sys
 
-from .builtins import DETERMINISTIC, NONDETERMINISTIC
-from .dispatcher import dispatch
+from .builtins import (
+    COMPARISONS,
+    DETERMINISTIC,
+    NONDETERMINISTIC,
+    arith_evaluator,
+)
+from .dispatcher import dispatch, parse_given
 from .errors import (
     BudgetExceeded,
     PrologThrow,
@@ -54,10 +59,15 @@ from .errors import (
 )
 from .render import render
 from .terms import (
+    TRUE,
     Atom,
+    BindingStore,
+    Skeleton,
+    Slot,
     Struct,
     Var,
     build,
+    build_args,
     make_list,
     match_args,
     proper_list,
@@ -73,7 +83,7 @@ FAIL = Atom("fail")
 CLAUSES = 0     # (CLAUSES, mark, cont, args, clauses, index of the next)
 RESUME = 1      # (RESUME, mark, cont): go on with cont
 GENERATOR = 2   # (GENERATOR, mark, cont, suspended builtin)
-WINNERS = 3     # (WINNERS, mark, cont, [(goal, key)], index of the next)
+WINNERS = 3     # (WINNERS, mark, cont, [(args, key)] of the next, last first)
 CATCH = 4       # (CATCH, mark, cont, catcher, recovery, barrier)
 FINDALL = 5     # (FINDALL, mark, cont, template, answers, result)
 CUT_FAIL = 6    # (CUT_FAIL, mark, height): cut to height, then fail
@@ -81,12 +91,12 @@ CUT_FAIL = 6    # (CUT_FAIL, mark, height): cut to height, then fail
 # Continuation markers, tuples in the goal position of a continuation
 # entry; they count no inference.  A resumed CLAUSES or GENERATOR
 # choicepoint is put back into the continuation as a marker too.
-CALL = 10        # (CALL, goal, key): call a predicate, no goal inference
 CUT_TO = 11      # (CUT_TO, height): commit, as if-then-else does
 FAIL_TO = 12     # (FAIL_TO, height): cut to height, then fail
 CATCH_EXIT = 13  # (CATCH_EXIT, height of the CATCH choicepoint)
 COLLECT = 14     # (COLLECT, height of the FINDALL choicepoint)
 FORALL = 15      # (FORALL, height, action): test the action once
+BODY = 16        # (BODY, goal entries, index of the next, frame)
 
 # the continuation of a run whose next step backtracks; _backtrack returns
 # it when no choicepoint is left
@@ -134,18 +144,21 @@ class Solver:
         """True with the bindings of the first solution kept, else False."""
         return self.solve(goal, store, key).step()
 
-    def call_predicate(self, goal, key, store):
-        """The clauses a call of goal tries, in definition order.
+    def call_predicate(self, key, first, store):
+        """The clauses a call of the predicate key tries, in definition order.
 
         This is the one selection point of a predicate call: an unknown
         predicate is an existence error, and a bound first argument
         leaves only the clauses whose first argument could match it.
+        ``first`` is None for a call that is not indexed.
         """
         kb = self.kb
-        if not kb.has_predicate(key):
+        if key not in kb.clauses:       # kb.has_predicate, without a call
             culprit = Struct("/", (Atom(key[0]), key[1]))
             raise existence_error("procedure", culprit)
-        return kb.clauses_for(key, store.deref(goal.args[0]) if key[1] else None)
+        if type(first) is Var:
+            first = store.deref(first)
+        return kb.clauses_for(key, first)
 
     def render(self, term, store=None, quoted=False):
         return render(term, store, self.kb.optable, quoted)
@@ -166,7 +179,9 @@ class Run:
         self.store = store
         self.base = store.mark()
         self.cps = []
-        self.cont = (goal if key is None else (CALL, goal, key), 0, None)
+        if key is not None:     # goal runs as the one winner of a dispatch
+            goal = (WINNERS, self.base, None, [(goal.args, key)])
+        self.cont = (goal, 0, None)
 
     def __iter__(self):
         return self
@@ -180,10 +195,13 @@ class Run:
         """Prove goals up to the next solution; False when none is left."""
         solver = self.solver
         store = self.store
+        deref = store.deref
+        trail = store.trail
         cps = self.cps
         tick = solver.tick
         call_predicate = solver.call_predicate
         occurs_check = solver.occurs_check
+        later = ()      # the winners of a dispatch still to call, last first
         cont = self.cont
         if cont is _REDO:
             cont = self._backtrack()
@@ -194,14 +212,82 @@ class Run:
                         self.cont = _REDO
                         return True
                     goal, barrier, cont = cont
+                    clauses = None
                     if type(goal) is tuple:
                         kind = goal[0]
-                        if kind is CLAUSES:     # a call's next clauses
+                        if kind is BODY:    # the next goal of a clause body
+                            _, entries, i, frame = goal
+                            ticks, code, x, y = entries[i]
+                            i += 1
+                            if i < len(entries):
+                                cont = ((BODY, entries, i, frame), barrier, cont)
+                            tick()
+                            if ticks > 1:
+                                for _ in range(1, ticks):
+                                    tick()
+                            if code is E_CALL:
+                                args = build_args(y, frame)
+                                clauses = call_predicate(
+                                    x, args[0] if args else None, store)
+                                mark = store.mark()
+                                i = 0
+                            elif code is C_DISPATCH:
+                                later = dispatch(
+                                    solver, store, frame[x[0]],
+                                    y if type(y) is tuple else build(y, frame),
+                                    build(x[1], frame))[::-1]
+                                clauses = ()
+                                mark = store.mark()
+                                i = 0
+                            elif code is E_COMPARE:
+                                ok = x(frame, deref)
+                                if ok is None:
+                                    ok = y[0](solver, store, *build_args(y[1], frame))
+                                if ok:
+                                    continue
+                                break
+                            elif code is E_IS:
+                                value = x(frame, deref)
+                                builtin, templates, out, fresh = y
+                                if value is None:
+                                    if fresh:   # left by a retried earlier run
+                                        frame[out] = None
+                                    if builtin(solver, store,
+                                               *build_args(templates, frame)):
+                                        continue
+                                    break
+                                if fresh:
+                                    frame[out] = value
+                                    continue
+                                if unify(frame[out], value, store, occurs_check):
+                                    continue
+                                break
+                            elif code is E_DET:
+                                if x(solver, store, *build_args(y, frame)):
+                                    continue
+                                break
+                            elif code is C_CUT:
+                                del cps[barrier:]
+                                continue
+                            elif code is C_TRUE:
+                                continue
+                            elif code is C_FAIL:
+                                break
+                            elif code is C_NONDET:
+                                mark = store.mark()
+                                suspended = x(solver, store, *build_args(y, frame))
+                                if not next(suspended, False):
+                                    break
+                                cps.append((GENERATOR, mark, cont, suspended))
+                                continue
+                            else:   # E_GOAL: run on the term path below
+                                goal = build(x, frame)
+                        elif kind is CLAUSES:     # a call's next clauses
                             _, mark, _, args, clauses, i = goal
-                        elif kind is CALL:
-                            _, goal, key = goal
-                            args = goal.args
-                            clauses = None
+                        elif kind is WINNERS:     # a dispatch's next winners
+                            _, mark, _, later = goal
+                            clauses = ()
+                            i = 0
                         elif kind is CUT_TO:
                             del cps[goal[1]:]
                             continue
@@ -228,9 +314,10 @@ class Run:
                             continue
                     else:
                         tick()
+                    if clauses is None:     # a goal term
                         cls = type(goal)
                         if cls is Var:
-                            goal = store.deref(goal)
+                            goal = deref(goal)
                             cls = type(goal)
                         if cls is Struct:
                             args = goal.args
@@ -243,8 +330,11 @@ class Run:
                         else:
                             raise type_error("callable", resolve(goal, store))
                         op = _BUILTINS.get(key)
-                        if op is None:
-                            pass        # a predicate call
+                        if op is None:      # a predicate call
+                            clauses = call_predicate(
+                                key, args[0] if args else None, store)
+                            mark = store.mark()
+                            i = 0
                         elif type(op) is not int:
                             if op(solver, store, *args):
                                 continue
@@ -258,18 +348,15 @@ class Run:
                             del cps[barrier:]
                             continue
                         elif op is C_DISPATCH:
-                            calls = dispatch(solver, store, *args)
-                            if not calls:
-                                break
-                            if len(calls) > 1:
-                                cps.append((WINNERS, store.mark(), cont, calls, 1))
-                            goal, key = calls[0]
-                            args = goal.args
+                            later = dispatch(solver, store, *args)[::-1]
+                            clauses = ()
+                            mark = store.mark()
+                            i = 0
                         elif op is C_DISJ or op is C_ITE:
                             if op is C_ITE:
                                 either, other = goal, FAIL
                             else:
-                                either, other = store.deref(args[0]), args[1]
+                                either, other = deref(args[0]), args[1]
                             height = len(cps)
                             cps.append((RESUME, store.mark(), (other, barrier, cont)))
                             if (type(either) is Struct and either.functor == "->"
@@ -313,30 +400,40 @@ class Run:
                             else:   # C_APPLY
                                 cont = (_apply_goal(store, *args), height, cont)
                             continue
-                        clauses = None
-                    if clauses is None:
-                        clauses = call_predicate(goal, key, store)
-                        mark = store.mark()
-                        i = 0
-                    # try the clauses in order from clauses[i]; the first
-                    # whose head matches leaves a choicepoint for the rest
-                    height = len(cps)
+                    # try the clauses in order from clauses[i], then those
+                    # of each later winner; the first whose head matches
+                    # leaves choicepoints for the rest
                     n = len(clauses)
-                    while i < n:
+                    while i < n or later:
+                        if i == n:      # the next winner, which is unindexed
+                            args, key = later.pop()
+                            clauses = call_predicate(key, None, store)
+                            n = len(clauses)
+                            i = 0
+                            continue
                         tick()
                         clause = clauses[i]
                         i += 1
                         heads, body, size = clause.compiled or clause.compile()
-                        slots = [None] * size
-                        if match_args(heads, args, slots, store, occurs_check):
+                        frame = [None] * size
+                        if match_args(heads, args, frame, store, occurs_check):
+                            if later:
+                                cps.append((WINNERS, mark, cont, later))
+                                later = ()
+                            height = len(cps)
                             if i < n:
                                 cps.append((CLAUSES, mark, cont, args, clauses, i))
-                            cont = (build(body, slots), height, cont)
+                            if body:
+                                cont = ((BODY, body, 0, frame), height, cont)
+                            else:
+                                tick()      # the body true of a fact
                             break
-                        store.undo_to(mark)
+                        if len(trail) > mark:
+                            store.undo_to(mark)
                     else:
                         break
             except PrologThrow as exc:
+                later = ()
                 cont = self._recover(exc, cont)
                 if cont is None:
                     raise
@@ -350,8 +447,8 @@ class Run:
 
         Choicepoints without an alternative are popped, and the trail is
         undone to the mark of the one resumed.  A clause or builtin
-        choicepoint comes back inside the continuation, as a marker that
-        ``step`` resumes.  With no choicepoint left the store is as the
+        choicepoint, or the winners of a dispatch left to call, come back
+        inside the continuation, as a marker that ``step`` resumes.  With no choicepoint left the store is as the
         run found it.
         """
         cps = self.cps
@@ -360,15 +457,10 @@ class Run:
             cp = cps.pop()
             store.undo_to(cp[1])
             kind = cp[0]
-            if kind is CLAUSES or kind is GENERATOR:
+            if kind is CLAUSES or kind is GENERATOR or kind is WINNERS:
                 return cp, 0, cp[2]
             if kind is RESUME:
                 return cp[2]
-            if kind is WINNERS:
-                _, mark, cont, calls, i = cp
-                if i + 1 < len(calls):
-                    cps.append((WINNERS, mark, cont, calls, i + 1))
-                return (CALL,) + calls[i], 0, cont
             if kind is FINDALL:
                 if self.solver.unify(cp[5], make_list(cp[4]), store):
                     return cp[2]
@@ -442,6 +534,110 @@ _BUILTINS = {
     **{key: C_NONDET for key in NONDETERMINISTIC},
     **DETERMINISTIC,
 }
+
+
+# -- compiled clause bodies ---------------------------------------------------
+
+# Kinds of goal entry.  The control codes C_TRUE, C_FAIL and C_CUT are
+# kinds too, and so are
+#   (ticks, C_NONDET, generator function, argument templates) and
+#   (ticks, C_DISPATCH, (slot of the implicit context, goal template),
+#    given: parsed or a template)
+E_CALL = 20      # (ticks, E_CALL, key, argument templates)
+E_DET = 21       # (ticks, E_DET, builtin, argument templates)
+E_IS = 22        # (ticks, E_IS, evaluator, (builtin, templates, out, fresh))
+E_COMPARE = 23   # (ticks, E_COMPARE, evaluator, (builtin, templates))
+E_GOAL = 24      # (ticks, E_GOAL, goal template, None): the term path
+
+
+def compile_body(body, heads):
+    """The goal entries of a clause body template; () for ``true``.
+
+    ``heads`` are the head's argument templates, whose slots all hold a
+    value once the head has matched.  Each entry owes one inference for
+    its goal and one for each ``,`` the term path would have taken apart
+    just before it, so the counts are those of running the body as a term.
+    """
+    if body is TRUE:
+        return ()
+    seen = set()
+    _note_slots(heads, seen)
+    entries = []
+    commas = 0
+    stack = [body]
+    while stack:
+        goal = stack.pop()
+        if (type(goal) in (Skeleton, Struct) and goal.functor == ","
+                and len(goal.args) == 2):
+            commas += 1
+            stack.append(goal.args[1])
+            stack.append(goal.args[0])
+            continue
+        entries.append(_compile_goal(goal, commas + 1, seen))
+        _note_slots((goal,), seen)
+        commas = 0
+    return tuple(entries)
+
+
+def _note_slots(templates, seen):
+    stack = list(templates)
+    while stack:
+        t = stack.pop()
+        if type(t) is Slot:
+            seen.add(t.index)
+        elif type(t) is Skeleton:
+            stack.extend(t.args)
+
+
+def _compile_goal(goal, ticks, seen):
+    cls = type(goal)
+    if cls is Skeleton or cls is Struct:
+        key = (goal.functor, len(goal.args))
+        args = goal.args
+    elif cls is Atom:
+        key = (goal.name, 0)
+        args = ()
+    else:       # a variable or a number: the term path calls or rejects it
+        return ticks, E_GOAL, goal, None
+    op = _BUILTINS.get(key)
+    if op is None:
+        return ticks, E_CALL, key, args
+    if op is C_TRUE or op is C_FAIL or op is C_CUT:
+        return ticks, op, None, None
+    if op is C_NONDET:
+        return ticks, C_NONDET, NONDETERMINISTIC[key], args
+    if op is C_DISPATCH:
+        implicit, given, target = args
+        if type(implicit) is Slot and implicit.index in seen:
+            parsed = None if type(given) is Skeleton else _parse_ground_given(given)
+            return ticks, C_DISPATCH, (implicit.index, target), parsed or given
+    if type(op) is int:     # another control construct, or a dispatch that
+        return ticks, E_GOAL, goal, None    # does not read the clause's context
+    if key[0] in COMPARISONS and key[1] == 2:
+        evaluator = arith_evaluator(args, seen, key[0])
+        if evaluator is not None:
+            return ticks, E_COMPARE, evaluator, (op, args)
+    elif key == ("is", 2) and type(args[0]) is Slot:
+        evaluator = arith_evaluator(args[1:], seen)
+        if evaluator is not None:
+            out = args[0].index
+            return ticks, E_IS, evaluator, (op, args, out, out not in seen)
+    return ticks, E_DET, op, args
+
+
+def _parse_ground_given(given):
+    """The parsed form of a ground call-site context, or None.
+
+    A context that does not parse is left to the call, which raises its
+    error when the goal runs.
+    """
+    if type(given) is Slot:
+        return None
+    try:
+        return parse_given(given, BindingStore())
+    except PrologThrow:
+        return None
+
 
 BOOTSTRAP = """
 member(X, [X|_]).

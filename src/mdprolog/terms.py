@@ -95,6 +95,23 @@ class Struct:
         return "Struct(%s/%d)" % (self.functor, len(self.args))
 
 
+_new_object = object.__new__
+_set_functor = Struct.functor.__set__
+_set_args = Struct.args.__set__
+
+
+def new_struct(functor, args):
+    """A compound from a checked functor and a non-empty tuple of arguments.
+
+    The engine's own constructor: it skips the copy and the checks of
+    ``Struct(...)``, so callers must pass a tuple they hold already.
+    """
+    struct = _new_object(Struct)
+    _set_functor(struct, functor)
+    _set_args(struct, args)
+    return struct
+
+
 NIL = Atom("[]")
 TRUE = Atom("true")
 
@@ -154,7 +171,7 @@ class BindingStore:
 
     def deref(self, t):
         m = self.map
-        while isinstance(t, Var):
+        while type(t) is Var:
             nxt = m.get(t)
             if nxt is None:
                 return t
@@ -307,7 +324,7 @@ def resolve(term, store):
                 done.append(a)
             continue
         stack.pop()
-        built = Struct(node.functor, done)
+        built = new_struct(node.functor, tuple(done))
         if not stack:
             return built
         stack[-1][1].append(built)
@@ -438,9 +455,17 @@ def match(template, term, frame, store, occurs_check=False):
 def match_args(templates, terms, frame, store, occurs_check=False):
     """``match`` over paired argument templates and terms."""
     for sub, arg in zip(templates, terms):
-        if type(sub) is Slot and frame[sub.index] is None:
-            frame[sub.index] = arg      # the common case, without a call
-        elif not match(sub, arg, frame, store, occurs_check):
+        cls = type(sub)
+        if cls is Slot:
+            if frame[sub.index] is None:
+                frame[sub.index] = arg      # the common case, without a call
+                continue
+        elif cls is not Skeleton and cls is not Struct and type(arg) is not Var:
+            # an atomic constant against a bound argument, without a call
+            if sub is arg or (cls is type(arg) and sub == arg):
+                continue
+            return False
+        if not match(sub, arg, frame, store, occurs_check):
             return False
     return True
 
@@ -459,8 +484,13 @@ def build(template, frame):
         return value
     if cls is not Skeleton:
         return template
+    return new_struct(template.functor, build_args(template.args, frame))
+
+
+def build_args(templates, frame):
+    """``build`` over a tuple of templates, such as a goal's arguments."""
     args = []
-    for sub in template.args:   # slots and ground arguments without a call
+    for sub in templates:   # slots and ground arguments without a call
         cls = type(sub)
         if cls is Slot:
             value = frame[sub.index]
@@ -471,7 +501,7 @@ def build(template, frame):
             args.append(build(sub, frame))
         else:
             args.append(sub)
-    return Struct(template.functor, args)
+    return tuple(args)
 
 
 def variant_of(t1, t2, store=_EMPTY_STORE):
@@ -505,7 +535,7 @@ def variant_of(t1, t2, store=_EMPTY_STORE):
 def make_list(items, tail=NIL):
     result = tail
     for item in reversed(list(items)):
-        result = Struct(".", (item, result))
+        result = new_struct(".", (item, result))
     return result
 
 
