@@ -128,9 +128,8 @@ def _num_result(value):
 COMPARISONS = {"<": "<", ">": ">", "=<": "<=", ">=": ">=", "=:=": "==",
                "=\\=": "!="}
 _OPERATORS = ("+", "-", "*")
-_MAX_OPERATIONS = 16
-_IN_RANGE = "    if not %d <= %%s <= %d: return None" % (INT_MIN, INT_MAX)
-_EVALUATORS = {}     # source text -> function, shared by every engine
+_MAX_LINES = 32
+_IN_RANGE = "        if not %d <= %%s <= %d: return None" % (INT_MIN, INT_MAX)
 
 
 def arith_evaluator(exprs, seen, comparison=None):
@@ -139,30 +138,38 @@ def arith_evaluator(exprs, seen, comparison=None):
     exprs are expression templates of a body goal, read with the clause's
     slots in ``seen`` already set; with a comparison operator (a key of
     COMPARISONS) the function compares the two values, else it returns the
-    value of the one expression.
+    value of the one expression.  Slot indices and constants are passed
+    to a factory compiled once per shape of expression.
     """
     lines = []
+    params = []
+
+    def param(x):
+        params.append(x)
+        return "p%d" % (len(params) - 1)
 
     def value(t):
         cls = type(t)
         if cls is int:
-            return repr(t) if INT_MIN <= t <= INT_MAX else None
-        name = "v%d" % len(lines)
+            return param(t) if INT_MIN <= t <= INT_MAX else None
+        if len(lines) >= _MAX_LINES:
+            return None
         if cls is Slot:
             if t.index not in seen:
                 return None
-            lines.append("    %s = frame[%d]\n"
-                         "    if type(%s) is not int:\n"
-                         "        %s = deref(%s)\n"
-                         "        if type(%s) is not int: return None"
-                         % ((name, t.index) + (name,) * 4))
+            name = "v%d" % len(lines)
+            lines.append("        %s = frame[%s]\n"
+                         "        if type(%s) is not int:\n"
+                         "            %s = deref(%s)\n"
+                         "            if type(%s) is not int: return None"
+                         % ((name, param(t.index)) + (name,) * 4))
         elif ((cls is Skeleton or cls is Struct) and t.functor in _OPERATORS
-              and len(t.args) == 2 and len(lines) < _MAX_OPERATIONS):
+              and len(t.args) == 2):
             a, b = value(t.args[0]), value(t.args[1])
             if a is None or b is None:
                 return None
             name = "v%d" % len(lines)
-            lines.append("    %s = %s %s %s" % (name, a, t.functor, b))
+            lines.append("        %s = %s %s %s" % (name, a, t.functor, b))
         else:
             return None
         lines.append(_IN_RANGE % name)
@@ -172,17 +179,20 @@ def arith_evaluator(exprs, seen, comparison=None):
     if None in results:
         return None
     if comparison is None:
-        lines.append("    return %s" % results[0])
+        lines.append("        return %s" % results[0])
     else:
-        lines.append("    return %s %s %s"
+        lines.append("        return %s %s %s"
                      % (results[0], COMPARISONS[comparison], results[1]))
-    source = "def evaluate(frame, deref):\n%s\n" % "\n".join(lines)
-    found = _EVALUATORS.get(source)
-    if found is None:
-        namespace = {}
-        exec(source, namespace)
-        found = _EVALUATORS[source] = namespace["evaluate"]
-    return found
+    source = "def make(%s):\n    def evaluate(frame, deref):\n%s\n    return evaluate\n" % (
+        ", ".join("p%d" % i for i in range(len(params))), "\n".join(lines))
+    return _evaluator_factory(source)(*params)
+
+
+@functools.lru_cache(maxsize=256)
+def _evaluator_factory(source):
+    namespace = {}
+    exec(source, namespace)
+    return namespace["make"]
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +431,7 @@ def _b_retractall(solver, store, pattern):
     solver.kb.set_dynamic(key)
     survivors = []
     for clause in solver.kb.clauses_for(key):
-        heads, _, size = clause.compiled or clause.compile()
+        heads, _, size, _ = clause.compiled or clause.compile()
         slots = [None] * size
         mark = store.mark()
         matched = match_args(heads, args, slots, store, solver.occurs_check)

@@ -12,9 +12,6 @@ from __future__ import annotations
 from .errors import existence_error, instantiation_error, type_error
 from .terms import (
     NIL,
-    _new_object,
-    _set_args,
-    _set_functor,
     Atom,
     Struct,
     Var,
@@ -115,9 +112,7 @@ def updated_context(store, implicit, given, goal):
             else:
                 names.append(name)
                 entries.append(entry)
-    entry = _new_object(Struct)     # new_struct, inline on this hot path
-    _set_functor(entry, ":")
-    _set_args(entry, (PREDICATE, goal))
+    entry = new_struct(":", (PREDICATE, goal))
     if PREDICATE_DIM in names:
         entries[names.index(PREDICATE_DIM)] = entry
     else:
@@ -125,10 +120,7 @@ def updated_context(store, implicit, given, goal):
         entries.append(entry)
     ctx = NIL
     for entry in reversed(entries):
-        cell = _new_object(Struct)
-        _set_functor(cell, ".")
-        _set_args(cell, (entry, ctx))
-        ctx = cell
+        ctx = new_struct(".", (entry, ctx))
     return ctx, set(names)
 
 

@@ -21,14 +21,18 @@ class Clause:
     filename: str = None
     line: int = None
     order: int = 0
-    # (head argument templates, body goal entries, slot count) once tried
+    # (head argument templates, body goal entries, slot count, guard) once
+    # tried; the guard is (position, constant) of the first head argument
+    # that is an atom or a number, or None
     compiled: tuple = field(default=None, repr=False, compare=False)
 
     def compile(self):
         """Compile the clause into templates on its first try."""
         (head, body), size = compile_terms((self.head, self.body))
         heads = getattr(head, "args", ())
-        self.compiled = heads, compile_body(body, heads), size
+        guard = next(((i, t) for i, t in enumerate(heads)
+                      if type(t) in (Atom, int, float)), None)
+        self.compiled = heads, compile_body(body, heads), size, guard
         return self.compiled
 
 
@@ -152,6 +156,33 @@ class FirstArgIndex:
             found = self.buckets[key] = tuple(own)
         return found
 
+    def append(self, clause):
+        """Add a clause after every other; calls under way keep their tuples."""
+        self.clauses += (clause,)
+        if self.keyed is None:
+            return
+        key = first_arg_key(clause.head.args[0])
+        if key is None:     # it belongs to every bucket
+            self.unkeyed += (clause,)
+            self.buckets = {k: found + (clause,) for k, found in self.buckets.items()}
+            return
+        self.keyed.setdefault(key, []).append(clause)
+        found = self.buckets.get(key)
+        if found is not None:
+            self.buckets[key] = found + (clause,)
+
+    def retain(self, survivors):
+        """The index of the survivors of a removal, grouped as this one is."""
+        index = FirstArgIndex(survivors)
+        if self.keyed is not None:
+            kept = set(map(id, survivors))
+            index.keyed = {k: [c for c in group if id(c) in kept]
+                           for k, group in self.keyed.items()}
+            index.unkeyed = tuple(c for c in self.unkeyed if id(c) in kept)
+            index.buckets = {k: tuple(c for c in found if id(c) in kept)
+                             for k, found in self.buckets.items()}
+        return index
+
 
 class KnowledgeBase:
     """Indexed clauses, signatures, operator table and hook/dynamic registries."""
@@ -173,12 +204,17 @@ class KnowledgeBase:
         key = indicator(head)
         clause = Clause(head, body, filename, line, next(self._order))
         self.clauses.setdefault(key, []).append(clause)
-        self._index.pop(key, None)
+        index = self._index.get(key)
+        if index is not None:
+            index.append(clause)
         return clause
 
     def replace_clauses(self, key, clauses):
+        """Keep only ``clauses``, a subsequence of the predicate's clauses."""
         self.clauses[key] = clauses
-        self._index.pop(key, None)
+        index = self._index.get(key)
+        if index is not None:
+            self._index[key] = index.retain(clauses)
 
     def clauses_for(self, key, first=None):
         """The clauses of a predicate, in definition order, as a tuple.
@@ -199,7 +235,6 @@ class KnowledgeBase:
     def set_dynamic(self, key):
         self.dynamic.add(key)
         self.clauses.setdefault(key, [])
-        self._index.pop(key, None)
 
     # -- signatures --------------------------------------------------------
 

@@ -143,15 +143,24 @@ class _Renderer:
         return "%s(%s)" % (name, args)
 
     def render_list(self, t, depth):
+        """A list's elements count one level of nesting, however many.
+
+        A cyclic list is found by comparing each cell with one saved at
+        the last power of two cells (Brent), which takes no memory.
+        """
         items = []
         store = self.store
-        node = t
+        node = saved = t
+        steps = power = 1
         while True:
-            if depth + len(items) > RENDER_DEPTH_LIMIT:
-                raise MdpError("list too deep to render (cyclic?)")
             items.append(self.render(node.args[0], 999, depth + 1))
             tail = store.deref(node.args[1])
             if isinstance(tail, Struct) and tail.functor == "." and len(tail.args) == 2:
+                if tail is saved:
+                    raise MdpError("cyclic list cannot be rendered (cyclic?)")
+                if steps == power:
+                    saved, steps, power = tail, 0, power * 2
+                steps += 1
                 node = tail
                 continue
             if tail is Atom("[]"):

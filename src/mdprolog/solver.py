@@ -33,10 +33,36 @@ choicepoint resumes.
 
 A clause is tried through its template (``Clause.compile``, compiled on
 its first try): the goal's arguments are matched against the head in
-place (``terms.match_args``), and the body is built from the filled slots
-(``terms.build``) only when the head matched.  Nothing of the clause is
-renamed; ``rename_term`` copies runtime terms only (findall, copy_term,
-throw/catch and assertz).
+place (``terms.match_args``), into a frame that holds one value per
+clause variable.  Nothing of the clause is renamed; ``rename_term``
+copies runtime terms only (findall, copy_term, throw/catch and assertz).
+
+The body was compiled with the head (``compile_body``) into a tuple of
+goal entries, one per goal of its conjunctions, each with its operation
+resolved: a predicate key and argument templates, a deterministic or
+nondeterministic builtin, cut, true, fail, or a dispatch.  A running body
+is a ``(BODY, entries, index, frame)`` marker in the continuation; its
+last entry continues with the caller's continuation, and a fact's body
+``true`` is no entry at all.  Each entry owes one inference for its goal
+and one for each ``,`` the term would have taken apart just before it,
+so counts are those of running the body as a term.  Other control
+constructs and variable goals are built from the frame and run on the
+term path, as runtime goals (queries, call/N, findall/3) are.
+
+``is/2`` and the arithmetic comparisons over clause variables, integers
+and ``+ - *`` compile to a function of the frame
+(``builtins.arith_evaluator``); ``X is E`` with a first occurrence of
+``X`` stores the value in the frame without a variable.  Where the
+function gives up (an unbound or non-integer operand, a result outside
+64 bits) the builtin runs on the built goal, so answers and error terms
+are the builtin's.  A slot first set by a later entry may hold a value
+from a run that backtracked, so such an entry overwrites it.
+
+A dispatch returns ``(args, key)`` calls.  Its winners are called
+without first-argument indexing, since an implementation clause's first
+argument is the context, one after another while their clauses fail;
+the WINNERS choicepoint is pushed only when a clause of one matched and
+later winners remain.
 """
 
 from __future__ import annotations
@@ -89,8 +115,8 @@ FINDALL = 5     # (FINDALL, mark, cont, template, answers, result)
 CUT_FAIL = 6    # (CUT_FAIL, mark, height): cut to height, then fail
 
 # Continuation markers, tuples in the goal position of a continuation
-# entry; they count no inference.  A resumed CLAUSES or GENERATOR
-# choicepoint is put back into the continuation as a marker too.
+# entry; they count no inference.  A resumed CLAUSES, GENERATOR or
+# WINNERS choicepoint is put back into the continuation as a marker too.
 CUT_TO = 11      # (CUT_TO, height): commit, as if-then-else does
 FAIL_TO = 12     # (FAIL_TO, height): cut to height, then fail
 CATCH_EXIT = 13  # (CATCH_EXIT, height of the CATCH choicepoint)
@@ -414,7 +440,15 @@ class Run:
                         tick()
                         clause = clauses[i]
                         i += 1
-                        heads, body, size = clause.compiled or clause.compile()
+                        heads, body, size, guard = clause.compiled or clause.compile()
+                        if guard is not None:   # a head constant the goal lacks
+                            pos, constant = guard
+                            arg = args[pos]
+                            if type(arg) is Var:
+                                arg = deref(arg)
+                            if not (arg is constant or type(arg) is Var or (
+                                    type(arg) is type(constant) and arg == constant)):
+                                continue
                         frame = [None] * size
                         if match_args(heads, args, frame, store, occurs_check):
                             if later:
@@ -609,8 +643,7 @@ def _compile_goal(goal, ticks, seen):
     if op is C_DISPATCH:
         implicit, given, target = args
         if type(implicit) is Slot and implicit.index in seen:
-            parsed = None if type(given) is Skeleton else _parse_ground_given(given)
-            return ticks, C_DISPATCH, (implicit.index, target), parsed or given
+            return ticks, C_DISPATCH, (implicit.index, target), _parsed(given)
     if type(op) is int:     # another control construct, or a dispatch that
         return ticks, E_GOAL, goal, None    # does not read the clause's context
     if key[0] in COMPARISONS and key[1] == 2:
@@ -625,18 +658,14 @@ def _compile_goal(goal, ticks, seen):
     return ticks, E_DET, op, args
 
 
-def _parse_ground_given(given):
-    """The parsed form of a ground call-site context, or None.
-
-    A context that does not parse is left to the call, which raises its
-    error when the goal runs.
-    """
-    if type(given) is Slot:
-        return None
+def _parsed(given):
+    """A ground call-site context parsed once, else the template to build."""
+    if type(given) is Slot or type(given) is Skeleton:
+        return given
     try:
         return parse_given(given, BindingStore())
-    except PrologThrow:
-        return None
+    except PrologThrow:     # left to the dispatch, which raises it in turn
+        return given
 
 
 BOOTSTRAP = """

@@ -120,6 +120,18 @@ class TestTestSubcommand:
 
 
 class TestDepth:
+    def test_a_100000_element_answer_prints(self):
+        proc = run_cli("--no-prelude", "-g",
+                       "findall(_X, between(1, 100000, _X), L)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("L = [1, 2, 3, ")
+        assert proc.stdout.endswith(", 99999, 100000].\n")
+
+    def test_a_cyclic_list_answer_exits_two(self):
+        proc = run_cli("--no-prelude", "-g", "L = [a|L]")
+        assert proc.returncode == 2
+        assert "cyclic" in proc.stderr
+
     def test_a_runaway_loop_under_a_budget_exits_two(self, tmp_path):
         loop = tmp_path / "loop.mdp"
         loop.write_text("loop(X) :- loop(X).\n")

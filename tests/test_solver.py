@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mdprolog import BudgetExceeded, Engine, PrologThrow, terms
 from mdprolog.reader import parse_term
@@ -269,6 +269,37 @@ class TestClauseSelection:
         assert answers(engine, "p(%s, V)" % probe, "V") == expected
 
 
+    def test_writes_during_a_bound_call_keep_its_clauses_and_reach_the_next(
+            self, engine):
+        engine.consult_text(":- dynamic q/2.\nq(a, 1). q(b, 2). q(a, 3).")
+        assert answers(engine, "q(a, V)", "V") == ["1", "3"]   # groups them
+        assert answers(engine, "findall(V, (q(a, V), assertz(q(a, 4)), "
+                       "assertz(q(_, 5))), L)", "L") == ["[1, 3]"]
+        assert answers(engine, "q(a, V)", "V") == ["1", "3", "4", "5", "4", "5"]
+        assert answers(engine, "q(b, V)", "V") == ["2", "5", "5"]
+        assert answers(engine, "findall(V, (q(a, V), retractall(q(a, _))), L)",
+                       "L") == ["[1, 3, 4, 5, 4, 5]"]
+        assert answers(engine, "q(a, V)", "V") == []
+        assert answers(engine, "q(b, V)", "V") == ["2"]
+        assert answers(engine, "q(K, V)", "V") == ["2"]
+
+    @given(st.lists(st.tuples(st.sampled_from(["assertz", "retractall", "call"]),
+                              st.sampled_from(FIRST_ARGS)), max_size=16))
+    def test_an_index_kept_through_writes_selects_as_a_fresh_one(self, ops):
+        engine = Engine(prelude=False)
+        engine.consult_text(":- dynamic p/2.")
+        for i, (op, key) in enumerate(ops):
+            if op == "assertz":
+                assert engine.run("assertz(p(%s, %d))" % (key, i))
+            elif op == "retractall":
+                assert engine.run("retractall(p(%s, _))" % key)
+            else:
+                sol = engine.query("findall(A-B, p(A, B), L), K = %s" % key)[0]
+                expected = [str(item.args[1]) for item in proper_list(sol["L"])
+                            if unify(item.args[0], sol["K"], BindingStore())]
+                assert answers(engine, "p(%s, V)" % key, "V") == expected
+
+
 NREV = """
 app([], L, L).
 app([H|T], L, [H|R]) :- app(T, L, R).
@@ -441,6 +472,113 @@ class TestControlSemantics:
         assert engine.solver.inferences == 198
 
 
+ARITH_VALUES = ["0", "1", "-1", "7", "9223372036854775807", "-9223372036854775808",
+                "9223372036854775808",
+                "4611686018427387904", "-4611686018427387905", "2.5", "-0.5",
+                "1.0e300", "a", "_"]
+EXPRESSIONS = st.recursive(
+    st.sampled_from(["A", "B", "C", "0", "1", "2"]),
+    lambda sub: st.builds("({} {} {})".format, sub,
+                          st.sampled_from(["+", "-", "*"]), sub),
+    max_leaves=6)
+
+
+def outcome(engine, text):
+    """Answers of a goal as (X, caught error) texts."""
+    return [(s.render("X"), s.render("Error"))
+            for s in engine.solutions("catch((%s), Error, true)" % text)]
+
+
+class TestCompiledBodies:
+    """A clause body runs as compiled goal entries; it must run as its term."""
+
+    @pytest.mark.parametrize("body, count", [
+        ("(a, b), c", 11), ("a, (b, c)", 11), ("((a, b), c), (a, b)", 19),
+        ("a, ((b, true), (c, !))", 15)])
+    def test_nested_conjunctions_count_as_their_terms(self, engine, body, count):
+        engine.consult_text("a. b. c.\nt :- %s." % body)
+        assert engine.run(body)
+        assert engine.solver.inferences == count
+        assert engine.run("t")
+        assert engine.solver.inferences == count + 2    # the call, its clause
+
+    def test_a_variable_goal_and_a_cut_in_a_body(self, engine):
+        engine.consult_text("""
+            v(X) :- G = !, member(X, [1, 2, 3]), G.
+            w(X) :- member(X, [1, 2, 3]), X > 1, !.
+            u(X) :- G = (member(X, [1, 2, 3]), X > 1), G.
+            n(X) :- G = nothing(X), G.
+        """)
+        assert answers(engine, "v(X)", "X") == ["1"]
+        assert answers(engine, "w(X)", "X") == ["2"]
+        assert answers(engine, "u(X)", "X") == ["2", "3"]
+        assert outcome(engine, "n(X)") == [
+            ("X", "error(existence_error(procedure, nothing/1), mdprolog)")]
+
+    def test_a_retried_body_computes_its_arithmetic_again(self, engine):
+        engine.consult_text("""
+            p(X) :- between(1, 3, I), Y is I * 2, Y > 4, X = Y.
+            q(X) :- member(I, [1, 2.5]), Y is I + 1, Y > 3, X = Y.
+        """)
+        assert answers(engine, "p(X)", "X") == ["6"]
+        assert engine.solver.inferences == 17
+        assert answers(engine, "q(X)", "X") == ["3.5"]
+
+    def test_body_arithmetic_errors_are_those_of_the_builtin(self, engine):
+        engine.consult_text("""
+            o(X) :- X is 9223372036854775807 + 1.
+            s(X) :- Y = 4611686018427387904, X is Y * 2 - Y.
+            t(X) :- Y = a, X is Y + 1.
+            u(X) :- X is Y + 1.
+        """)
+        overflow = "error(evaluation_error(int_overflow), mdprolog)"
+        assert outcome(engine, "o(X)") == [("X", overflow)]
+        assert outcome(engine, "s(X)") == [("X", overflow)]
+        assert outcome(engine, "t(X)") == [
+            ("X", "error(type_error(evaluable, a/0), mdprolog)")]
+        assert outcome(engine, "u(X)") == [
+            ("X", "error(instantiation_error, mdprolog)")]
+
+    def test_a_dispatch_in_a_body_parses_its_context_as_it_runs(self, engine):
+        engine.consult_text("""
+            [] # g(1).
+            [a: A] # g(A).
+            [] # bad(X) :- [foo] ? g(X).
+            [] # late(X) :- G = [a: 2], G ? g(X).
+            [] # fixed(X) :- [-a, a: 3] ? g(X).
+        """)
+        assert outcome(engine, "[] ? bad(X)") == [
+            ("X", "error(type_error(context_entry, foo), mdprolog)")]
+        assert answers(engine, "[] ? late(X)", "X") == ["2"]
+        assert answers(engine, "[a: 0] ? fixed(X)", "X") == ["3"]
+
+    def test_mixed_integer_and_float_arithmetic(self, engine):
+        engine.consult_text("""
+            m(X) :- 1 =:= 1.0, A = 1, A =:= 1.0, X is A + 2.5.
+            f(X) :- A = 2.0, A > 1, X is A * 3 - 1.
+            z(X) :- A = 1, B = 1.0, A =\\= B, X = no.
+            z(yes).
+        """)
+        assert answers(engine, "m(X)", "X") == ["3.5"]
+        assert answers(engine, "f(X)", "X") == ["5.0"]
+        assert answers(engine, "z(X)", "X") == ["yes"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(EXPRESSIONS, EXPRESSIONS,
+           st.sampled_from(["<", ">", "=<", ">=", "=:=", "=\\="]),
+           st.lists(st.sampled_from(ARITH_VALUES), min_size=3, max_size=3))
+    def test_body_arithmetic_agrees_with_call(self, left, right, op, values):
+        engine = Engine(prelude=False)
+        comparison = "%s %s %s" % (left, op, right)
+        engine.consult_text("e(A, B, C, X) :- X is %s.\n"
+                            "c(A, B, C, X) :- %s, X = true.\n" % (left, comparison))
+        bind = "A = %s, B = %s, C = %s, " % tuple(values)
+        assert outcome(engine, bind + "e(A, B, C, X)") == \
+            outcome(engine, bind + "call((X is %s))" % left)
+        assert outcome(engine, bind + "c(A, B, C, X)") == \
+            outcome(engine, bind + "call((%s, X = true))" % comparison)
+
+
 DEPTH_SCRIPT = """
 import sys
 from mdprolog import Engine
@@ -502,6 +640,12 @@ class TestDepth:
     def test_a_30000_element_answer_comes_back(self):
         proc = run_depth("upto(30000, L), length(L, N)", "N")
         assert (proc.returncode, proc.stdout) == (0, "30000\n"), proc.stderr
+
+    def test_a_100000_element_answer_renders(self):
+        proc = run_depth("findall(X, between(1, 100000, X), L)", "L")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("[1, 2, 3, ")
+        assert proc.stdout.endswith(", 99999, 100000]\n")
 
     def test_cprofile_runs_at_dispatch_depth(self):
         script = DEPTH_SCRIPT.replace(
