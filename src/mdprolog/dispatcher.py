@@ -136,7 +136,7 @@ def score_signature(solver, store, sig, ctx, ctx_keys):
         if d not in ctx_keys:
             return None, "missing dimension %s" % ", ".join(
                 d for d in dims if d not in ctx_keys)
-    score = sig.base_score
+    score = len(dims) - dims.count(PREDICATE_DIM)
     if sig.dimension_only:
         return score, None
 

@@ -6,7 +6,6 @@ import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .dispatcher import PREDICATE_DIM
 from .ops import default_table
 from .solver import compile_body
 from .terms import Atom, Struct, Var, compile_terms, conj, indicator
@@ -63,13 +62,9 @@ class Signature:
     compiled: tuple = field(default=None, repr=False, compare=False)
     # key of the implementation predicate: the context comes first
     impl_key: tuple = field(init=False, repr=False, compare=False)
-    # the score of the required dimensions; the predicate dimension adds none
-    base_score: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.impl_key = (self.impl_name, self.arity + 1)
-        self.base_score = len(self.required_dims) - self.required_dims.count(
-            PREDICATE_DIM)
 
     def compile(self):
         """Compile the context rules and score variables on first scoring."""
@@ -171,18 +166,6 @@ class FirstArgIndex:
         if found is not None:
             self.buckets[key] = found + (clause,)
 
-    def retain(self, survivors):
-        """The index of the survivors of a removal, grouped as this one is."""
-        index = FirstArgIndex(survivors)
-        if self.keyed is not None:
-            kept = set(map(id, survivors))
-            index.keyed = {k: [c for c in group if id(c) in kept]
-                           for k, group in self.keyed.items()}
-            index.unkeyed = tuple(c for c in self.unkeyed if id(c) in kept)
-            index.buckets = {k: tuple(c for c in found if id(c) in kept)
-                             for k, found in self.buckets.items()}
-        return index
-
 
 class KnowledgeBase:
     """Indexed clauses, signatures, operator table and hook/dynamic registries."""
@@ -210,11 +193,8 @@ class KnowledgeBase:
         return clause
 
     def replace_clauses(self, key, clauses):
-        """Keep only ``clauses``, a subsequence of the predicate's clauses."""
         self.clauses[key] = clauses
-        index = self._index.get(key)
-        if index is not None:
-            self._index[key] = index.retain(clauses)
+        self._index.pop(key, None)
 
     def clauses_for(self, key, first=None):
         """The clauses of a predicate, in definition order, as a tuple.
@@ -229,10 +209,8 @@ class KnowledgeBase:
             return index.clauses
         return index.bucket(first)
 
-    def has_predicate(self, key):
-        return key in self.clauses     # a dynamic predicate is always there
-
     def set_dynamic(self, key):
+        """Declare a predicate dynamic; it exists from now on, clauses or not."""
         self.dynamic.add(key)
         self.clauses.setdefault(key, [])
 

@@ -39,8 +39,8 @@ copies runtime terms only (findall, copy_term, throw/catch and assertz).
 
 The body was compiled with the head (``compile_body``) into a tuple of
 goal entries, one per goal of its conjunctions, each with its operation
-resolved: a predicate key and argument templates, a deterministic or
-nondeterministic builtin, cut, true, fail, or a dispatch.  A running body
+resolved: a predicate key and argument templates, a deterministic
+builtin, cut, or a dispatch.  A running body
 is a ``(BODY, entries, index, frame)`` marker in the continuation; its
 last entry continues with the caller's continuation, and a fact's body
 ``true`` is no entry at all.  Each entry owes one inference for its goal
@@ -179,7 +179,7 @@ class Solver:
         ``first`` is None for a call that is not indexed.
         """
         kb = self.kb
-        if key not in kb.clauses:       # kb.has_predicate, without a call
+        if key not in kb.clauses:       # a dynamic predicate is always there
             culprit = Struct("/", (Atom(key[0]), key[1]))
             raise existence_error("procedure", culprit)
         if type(first) is Var:
@@ -295,17 +295,6 @@ class Run:
                             elif code is C_CUT:
                                 del cps[barrier:]
                                 continue
-                            elif code is C_TRUE:
-                                continue
-                            elif code is C_FAIL:
-                                break
-                            elif code is C_NONDET:
-                                mark = store.mark()
-                                suspended = x(solver, store, *build_args(y, frame))
-                                if not next(suspended, False):
-                                    break
-                                cps.append((GENERATOR, mark, cont, suspended))
-                                continue
                             else:   # E_GOAL: run on the term path below
                                 goal = build(x, frame)
                         elif kind is CLAUSES:     # a call's next clauses
@@ -378,27 +367,8 @@ class Run:
                             clauses = ()
                             mark = store.mark()
                             i = 0
-                        elif op is C_DISJ or op is C_ITE:
-                            if op is C_ITE:
-                                either, other = goal, FAIL
-                            else:
-                                either, other = deref(args[0]), args[1]
-                            height = len(cps)
-                            cps.append((RESUME, store.mark(), (other, barrier, cont)))
-                            if (type(either) is Struct and either.functor == "->"
-                                    and len(either.args) == 2):
-                                cond, then = either.args
-                                cont = (cond, height + 1,
-                                        ((CUT_TO, height), 0, (then, barrier, cont)))
-                            else:
-                                cont = (either, barrier, cont)
-                            continue
                         elif op is C_FAIL:
                             break
-                        elif op is C_CALL:
-                            goal = _extend_goal(store, args[0], args[1:])
-                            cont = (goal, len(cps), cont)
-                            continue
                         elif op is C_NONDET:
                             mark = store.mark()
                             suspended = NONDETERMINISTIC[key](solver, store, *args)
@@ -407,24 +377,7 @@ class Run:
                             cps.append((GENERATOR, mark, cont, suspended))
                             continue
                         else:
-                            height = len(cps)
-                            mark = store.mark()
-                            if op is C_NOT:
-                                cps.append((RESUME, mark, cont))
-                                cont = (args[0], height + 1, ((FAIL_TO, height), 0, cont))
-                            elif op is C_FINDALL:
-                                cps.append((FINDALL, mark, cont, args[0], [], args[2]))
-                                cont = (args[1], height + 1, ((COLLECT, height), 0, cont))
-                            elif op is C_FORALL:
-                                cps.append((RESUME, mark, cont))
-                                cont = (args[0], height + 1,
-                                        ((FORALL, height, args[1]), 0, cont))
-                            elif op is C_CATCH:
-                                cps.append((CATCH, mark, cont, args[1], args[2], barrier))
-                                cont = (args[0], height + 1,
-                                        ((CATCH_EXIT, height), 0, cont))
-                            else:   # C_APPLY
-                                cont = (_apply_goal(store, *args), height, cont)
+                            cont = self._open(op, goal, args, barrier, cont)
                             continue
                     # try the clauses in order from clauses[i], then those
                     # of each later winner; the first whose head matches
@@ -475,6 +428,44 @@ class Run:
             cont = self._backtrack()
         self.cont = _REDO
         return False
+
+    def _open(self, op, goal, args, barrier, cont):
+        """The continuation that runs the goal of a control construct.
+
+        If-then-else, disjunction, \\+, findall/3, forall/2 and catch/3
+        push a choicepoint and a marker for their goal; call/N and apply/2
+        extend theirs.
+        """
+        cps = self.cps
+        store = self.store
+        height = len(cps)
+        if op is C_CALL:
+            return _extend_goal(store, args[0], args[1:]), height, cont
+        if op is C_APPLY:
+            return _apply_goal(store, *args), height, cont
+        mark = store.mark()
+        if op is C_DISJ or op is C_ITE:
+            if op is C_ITE:
+                either, other = goal, FAIL
+            else:
+                either, other = store.deref(args[0]), args[1]
+            cps.append((RESUME, mark, (other, barrier, cont)))
+            if (type(either) is Struct and either.functor == "->"
+                    and len(either.args) == 2):
+                cond, then = either.args
+                return cond, height + 1, ((CUT_TO, height), 0, (then, barrier, cont))
+            return either, barrier, cont
+        if op is C_NOT:
+            cps.append((RESUME, mark, cont))
+            return args[0], height + 1, ((FAIL_TO, height), 0, cont)
+        if op is C_FINDALL:
+            cps.append((FINDALL, mark, cont, args[0], [], args[2]))
+            return args[1], height + 1, ((COLLECT, height), 0, cont)
+        if op is C_FORALL:
+            cps.append((RESUME, mark, cont))
+            return args[0], height + 1, ((FORALL, height, args[1]), 0, cont)
+        cps.append((CATCH, mark, cont, args[1], args[2], barrier))   # C_CATCH
+        return args[0], height + 1, ((CATCH_EXIT, height), 0, cont)
 
     def _backtrack(self):
         """The continuation of the newest alternative, or _REDO if none is left.
@@ -572,9 +563,8 @@ _BUILTINS = {
 
 # -- compiled clause bodies ---------------------------------------------------
 
-# Kinds of goal entry.  The control codes C_TRUE, C_FAIL and C_CUT are
-# kinds too, and so are
-#   (ticks, C_NONDET, generator function, argument templates) and
+# Kinds of goal entry.  Two control codes are kinds too:
+#   (ticks, C_CUT, None, None) and
 #   (ticks, C_DISPATCH, (slot of the implicit context, goal template),
 #    given: parsed or a template)
 E_CALL = 20      # (ticks, E_CALL, key, argument templates)
@@ -636,16 +626,14 @@ def _compile_goal(goal, ticks, seen):
     op = _BUILTINS.get(key)
     if op is None:
         return ticks, E_CALL, key, args
-    if op is C_TRUE or op is C_FAIL or op is C_CUT:
-        return ticks, op, None, None
-    if op is C_NONDET:
-        return ticks, C_NONDET, NONDETERMINISTIC[key], args
+    if op is C_CUT:
+        return ticks, C_CUT, None, None
     if op is C_DISPATCH:
         implicit, given, target = args
         if type(implicit) is Slot and implicit.index in seen:
             return ticks, C_DISPATCH, (implicit.index, target), _parsed(given)
-    if type(op) is int:     # another control construct, or a dispatch that
-        return ticks, E_GOAL, goal, None    # does not read the clause's context
+    if type(op) is int:     # another control construct or nondeterministic
+        return ticks, E_GOAL, goal, None    # builtin, or an unusual dispatch
     if key[0] in COMPARISONS and key[1] == 2:
         evaluator = arith_evaluator(args, seen, key[0])
         if evaluator is not None:
