@@ -183,7 +183,8 @@ def arith_evaluator(exprs, seen, comparison=None):
     else:
         lines.append("        return %s %s %s"
                      % (results[0], COMPARISONS[comparison], results[1]))
-    source = "def make(%s):\n    def evaluate(frame, deref):\n%s\n    return evaluate\n" % (
+    source = ("def make(%s):\n    def evaluate(frame, deref):\n%s\n"
+              "    return evaluate\n") % (
         ", ".join("p%d" % i for i in range(len(params))), "\n".join(lines))
     return _evaluator_factory(source)(*params)
 

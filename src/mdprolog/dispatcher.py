@@ -205,11 +205,12 @@ def score_candidates(solver, store, implicit, given, goal):
 
 
 def dispatch(solver, store, implicit, given, goal):
-    """The calls that run the winners of a dispatch, in definition order.
+    """The calls that run the winners of a dispatch, the last winner first.
 
     Each call is an ``(args, key)`` pair: the key of the winner's
     implementation predicate and its arguments, the updated context and
-    the goal's arguments.
+    the goal's arguments.  The machine pops them, so the winners run in
+    definition order.
     """
     name, args, ctx, report, winners = score_candidates(
         solver, store, implicit, given, goal)
@@ -224,7 +225,7 @@ def dispatch(solver, store, implicit, given, goal):
                 indicator, ", ".join(sig.label() for sig in winners)))
     calls = []
     full = (ctx,) + args
-    for sig in winners:
+    for sig in reversed(winners):
         # an anonymous rule (arity 0) takes the context alone
         calls.append((full if sig.arity else (ctx,), sig.impl_key))
     return calls

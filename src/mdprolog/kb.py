@@ -159,7 +159,8 @@ class FirstArgIndex:
         key = first_arg_key(clause.head.args[0])
         if key is None:     # it belongs to every bucket
             self.unkeyed += (clause,)
-            self.buckets = {k: found + (clause,) for k, found in self.buckets.items()}
+            self.buckets = {k: found + (clause,)
+                            for k, found in self.buckets.items()}
             return
         self.keyed.setdefault(key, []).append(clause)
         found = self.buckets.get(key)

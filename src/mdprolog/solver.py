@@ -96,6 +96,7 @@ from .terms import (
     build_args,
     make_list,
     match_args,
+    new_struct,
     proper_list,
     rename_term,
     resolve,
@@ -258,17 +259,21 @@ class Run:
                                 mark = store.mark()
                                 i = 0
                             elif code is C_DISPATCH:
-                                later = dispatch(
-                                    solver, store, frame[x[0]],
-                                    y if type(y) is tuple else build(y, frame),
-                                    build(x[1], frame))[::-1]
+                                implicit, functor, templates = x
+                                given = y if type(y) is tuple else build(y, frame)
+                                target = new_struct(
+                                    functor, build_args(templates, frame))
+                                later = dispatch(solver, store, frame[implicit],
+                                                 given, target)
                                 clauses = ()
                                 mark = store.mark()
                                 i = 0
                             elif code is E_COMPARE:
                                 ok = x(frame, deref)
                                 if ok is None:
-                                    ok = y[0](solver, store, *build_args(y[1], frame))
+                                    builtin, templates = y
+                                    ok = builtin(solver, store,
+                                                 *build_args(templates, frame))
                                 if ok:
                                     continue
                                 break
@@ -363,7 +368,7 @@ class Run:
                             del cps[barrier:]
                             continue
                         elif op is C_DISPATCH:
-                            later = dispatch(solver, store, *args)[::-1]
+                            later = dispatch(solver, store, *args)
                             clauses = ()
                             mark = store.mark()
                             i = 0
@@ -473,8 +478,8 @@ class Run:
         Choicepoints without an alternative are popped, and the trail is
         undone to the mark of the one resumed.  A clause or builtin
         choicepoint, or the winners of a dispatch left to call, come back
-        inside the continuation, as a marker that ``step`` resumes.  With no choicepoint left the store is as the
-        run found it.
+        inside the continuation, as a marker that ``step`` resumes.  With
+        no choicepoint left the store is as the run found it.
         """
         cps = self.cps
         store = self.store
@@ -565,8 +570,8 @@ _BUILTINS = {
 
 # Kinds of goal entry.  Two control codes are kinds too:
 #   (ticks, C_CUT, None, None) and
-#   (ticks, C_DISPATCH, (slot of the implicit context, goal template),
-#    given: parsed or a template)
+#   (ticks, C_DISPATCH, (slot of the implicit context, goal functor,
+#    goal argument templates), given: parsed or a template)
 E_CALL = 20      # (ticks, E_CALL, key, argument templates)
 E_DET = 21       # (ticks, E_DET, builtin, argument templates)
 E_IS = 22        # (ticks, E_IS, evaluator, (builtin, templates, out, fresh))
@@ -630,10 +635,14 @@ def _compile_goal(goal, ticks, seen):
         return ticks, C_CUT, None, None
     if op is C_DISPATCH:
         implicit, given, target = args
-        if type(implicit) is Slot and implicit.index in seen:
-            return ticks, C_DISPATCH, (implicit.index, target), _parsed(given)
-    if type(op) is int:     # another control construct or nondeterministic
-        return ticks, E_GOAL, goal, None    # builtin, or an unusual dispatch
+        if (type(implicit) is Slot and implicit.index in seen
+                and type(target) is Skeleton):
+            return ticks, C_DISPATCH, (
+                implicit.index, target.functor, target.args), _parsed(given)
+    if type(op) is int:
+        # another control construct, a nondeterministic builtin, or a
+        # dispatch whose goal is a variable or ground
+        return ticks, E_GOAL, goal, None
     if key[0] in COMPARISONS and key[1] == 2:
         evaluator = arith_evaluator(args, seen, key[0])
         if evaluator is not None:
