@@ -23,6 +23,8 @@ from .errors import (
 from .terms import (
     NIL,
     Atom,
+    Skeleton,
+    Slot,
     Struct,
     Var,
     compare_terms,
@@ -36,7 +38,6 @@ from .terms import (
     rename_term,
     resolve,
 )
-from .terms import Skeleton, Slot
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1

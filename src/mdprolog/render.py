@@ -157,7 +157,7 @@ class _Renderer:
             tail = store.deref(node.args[1])
             if isinstance(tail, Struct) and tail.functor == "." and len(tail.args) == 2:
                 if tail is saved:
-                    raise MdpError("cyclic list cannot be rendered (cyclic?)")
+                    raise MdpError("cyclic list cannot be rendered")
                 if steps == power:
                     saved, steps, power = tail, 0, power * 2
                 steps += 1

@@ -34,20 +34,22 @@ choicepoint resumes.
 A clause is tried through its template (``Clause.compile``, compiled on
 its first try): the goal's arguments are matched against the head in
 place (``terms.match_args``), into a frame that holds one value per
-clause variable.  Nothing of the clause is renamed; ``rename_term``
-copies runtime terms only (findall, copy_term, throw/catch and assertz).
+clause variable; a head whose first atom or number argument differs from
+the goal's is passed over before any of it is matched.  Nothing of the
+clause is renamed; ``rename_term`` copies runtime terms only (findall,
+copy_term, throw/catch and assertz).
 
 The body was compiled with the head (``compile_body``) into a tuple of
 goal entries, one per goal of its conjunctions, each with its operation
 resolved: a predicate key and argument templates, a deterministic
-builtin, cut, or a dispatch.  A running body
-is a ``(BODY, entries, index, frame)`` marker in the continuation; its
-last entry continues with the caller's continuation, and a fact's body
-``true`` is no entry at all.  Each entry owes one inference for its goal
-and one for each ``,`` the term would have taken apart just before it,
-so counts are those of running the body as a term.  Other control
-constructs and variable goals are built from the frame and run on the
-term path, as runtime goals (queries, call/N, findall/3) are.
+builtin, cut, or a dispatch.  A running body is a ``(BODY, entries,
+index, frame)`` marker in the continuation; its last entry continues
+with the caller's continuation, and a fact's body ``true`` is no entry
+at all.  Each entry owes one inference for its goal and one for each
+``,`` the term would have taken apart just before it, so counts are
+those of running the body as a term.  Other control constructs and
+variable goals are built from the frame and run on the term path, as
+runtime goals (queries, call/N, findall/3) are.
 
 ``is/2`` and the arithmetic comparisons over clause variables, integers
 and ``+ - *`` compile to a function of the frame

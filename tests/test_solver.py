@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from mdprolog import BudgetExceeded, Engine, PrologThrow, terms
 from mdprolog.reader import parse_term
+from mdprolog.render import render
 from mdprolog.terms import (BindingStore, MdpError, Var, compare_terms,
-                            proper_list, unify)
+                            make_list, proper_list, unify)
 
 
 # first arguments of a mixed fact table: numbers of both types, atoms,
@@ -268,7 +269,6 @@ class TestClauseSelection:
                     if unify(item.args[0], sol["K"], BindingStore())]
         assert answers(engine, "p(%s, V)" % probe, "V") == expected
 
-
     def test_writes_during_a_bound_call_keep_its_clauses_and_reach_the_next(
             self, engine):
         engine.consult_text(":- dynamic q/2.\nq(a, 1). q(b, 2). q(a, 3).")
@@ -472,8 +472,10 @@ class TestControlSemantics:
         assert engine.solver.inferences == 198
 
 
-ARITH_VALUES = ["0", "1", "-1", "7", "9223372036854775807", "-9223372036854775808",
-                "9223372036854775808",
+# operands: 64-bit extremes, an int past them, halves of them, floats, an
+# atom and an unbound variable
+ARITH_VALUES = ["0", "1", "-1", "7", "9223372036854775807",
+                "-9223372036854775808", "9223372036854775808",
                 "4611686018427387904", "-4611686018427387905", "2.5", "-0.5",
                 "1.0e300", "a", "_"]
 EXPRESSIONS = st.recursive(
@@ -646,6 +648,16 @@ class TestDepth:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("[1, 2, 3, ")
         assert proc.stdout.endswith(", 99999, 100000]\n")
+
+    @pytest.mark.parametrize("prefix, cycle", [(0, 1), (0, 3), (5, 3), (2, 40)])
+    def test_rendering_a_cyclic_list_is_an_error(self, prefix, cycle):
+        store = BindingStore()
+        back = Var("Back")
+        loop = make_list(range(cycle), back)
+        assert unify(back, loop, store)
+        with pytest.raises(MdpError, match="cyclic"):
+            render(make_list(range(prefix), loop), store)
+        assert render(make_list(range(20000))).endswith(", 19999]")
 
     def test_cprofile_runs_at_dispatch_depth(self):
         script = DEPTH_SCRIPT.replace(
