@@ -129,7 +129,7 @@ def _num_result(value):
 COMPARISONS = {"<": "<", ">": ">", "=<": "<=", ">=": ">=", "=:=": "==",
                "=\\=": "!="}
 _OPERATORS = ("+", "-", "*")
-_MAX_LINES = 32
+_MAX_NODES = 32     # a larger expression keeps to eval_arith
 _IN_RANGE = "        if not %d <= %%s <= %d: return None" % (INT_MIN, INT_MAX)
 
 
@@ -144,17 +144,20 @@ def arith_evaluator(exprs, seen, comparison=None):
     """
     lines = []
     params = []
+    nodes = 0
 
     def param(x):
         params.append(x)
         return "p%d" % (len(params) - 1)
 
     def value(t):
+        nonlocal nodes
+        nodes += 1
+        if nodes > _MAX_NODES:
+            return None
         cls = type(t)
         if cls is int:
             return param(t) if INT_MIN <= t <= INT_MAX else None
-        if len(lines) >= _MAX_LINES:
-            return None
         if cls is Slot:
             if t.index not in seen:
                 return None

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdprolog import BudgetExceeded, Engine, PrologThrow, terms
+from mdprolog import BudgetExceeded, Engine, PrologThrow, solver, terms
 from mdprolog.reader import parse_term
 from mdprolog.render import render
 from mdprolog.terms import (BindingStore, MdpError, Var, compare_terms,
@@ -553,6 +553,14 @@ class TestCompiledBodies:
             ("X", "error(type_error(context_entry, foo), mdprolog)")]
         assert answers(engine, "[] ? late(X)", "X") == ["2"]
         assert answers(engine, "[a: 0] ? fixed(X)", "X") == ["3"]
+
+    def test_a_long_expression_in_a_body_keeps_to_the_builtin(self, engine):
+        expression = "+".join(["X"] * 5000)
+        engine.consult_text("big(X, Y) :- Y is %s, Y =:= %s."
+                            % (expression, expression))
+        assert answers(engine, "big(2, Y)", "Y") == ["10000"]
+        _, body, _, _ = engine.kb.clauses_for(("big", 2))[0].compiled
+        assert [entry[1] for entry in body] == [solver.E_DET, solver.E_DET]
 
     def test_mixed_integer_and_float_arithmetic(self, engine):
         engine.consult_text("""
