@@ -104,28 +104,37 @@ _by_order = attrgetter("order")
 
 
 class FirstArgIndex:
-    """Snapshot of one predicate's clauses, bucketed on demand.
+    """One predicate's clauses, grouped on their first argument on demand.
 
-    A bucket holds, in definition order, the clauses whose first argument
-    has the bucket's key together with those whose first argument is a
-    variable.  A call iterates over a tuple that later writes never touch,
-    which is the logical update view.  The clauses are grouped on the
-    first call with a bound first argument, so a predicate that is only
-    written or scanned between writes never pays for the grouping.
+    ``source`` is the predicate's clause list, which only grows while the
+    index lives.  A call gets a tuple that later writes never touch, which
+    is the logical update view: all the clauses, or the bucket of its
+    first argument's key, which holds in definition order the clauses
+    with that key together with those whose first argument is a variable.
+    The clauses are grouped on the first call with a bound first
+    argument, so a predicate that is only written or scanned never pays
+    for the grouping; a clause appended later joins its group and drops
+    the buckets it would change.
     """
 
-    __slots__ = ("clauses", "keyed", "unkeyed", "buckets")
+    __slots__ = ("source", "snapshot", "keyed", "unkeyed", "buckets")
 
-    def __init__(self, clauses):
-        self.clauses = tuple(clauses)
+    def __init__(self, source):
+        self.source = source
+        self.snapshot = ()     # tuple(source), remade after an append
         self.keyed = None      # key -> [Clause], once grouped
         self.unkeyed = ()      # clauses with a variable first argument
         self.buckets = {}      # key -> tuple, built on first use
 
+    def clauses(self):
+        if len(self.snapshot) != len(self.source):
+            self.snapshot = tuple(self.source)
+        return self.snapshot
+
     def _group(self):
         # reached only for a bound first argument, so every head is compound
         keyed = {}
-        for clause in self.clauses:
+        for clause in self.source:
             key = first_arg_key(clause.head.args[0])
             group = keyed.get(key)
             if group is None:
@@ -138,7 +147,7 @@ class FirstArgIndex:
     def bucket(self, first):
         key = first_arg_key(first)
         if key is None:
-            return self.clauses
+            return self.clauses()
         found = self.buckets.get(key)
         if found is None:
             if self.keyed is None:
@@ -152,20 +161,16 @@ class FirstArgIndex:
         return found
 
     def append(self, clause):
-        """Add a clause after every other; calls under way keep their tuples."""
-        self.clauses += (clause,)
+        """Group a clause just appended to the source, if grouped already."""
         if self.keyed is None:
             return
         key = first_arg_key(clause.head.args[0])
         if key is None:     # it belongs to every bucket
             self.unkeyed += (clause,)
-            self.buckets = {k: found + (clause,)
-                            for k, found in self.buckets.items()}
-            return
-        self.keyed.setdefault(key, []).append(clause)
-        found = self.buckets.get(key)
-        if found is not None:
-            self.buckets[key] = found + (clause,)
+            self.buckets = {}
+        else:
+            self.keyed.setdefault(key, []).append(clause)
+            self.buckets.pop(key, None)
 
 
 class KnowledgeBase:
@@ -205,9 +210,12 @@ class KnowledgeBase:
         """
         index = self._index.get(key)
         if index is None:
-            index = self._index[key] = FirstArgIndex(self.clauses.get(key, ()))
+            source = self.clauses.get(key)
+            if source is None:
+                return ()
+            index = self._index[key] = FirstArgIndex(source)
         if first is None:
-            return index.clauses
+            return index.clauses()
         return index.bucket(first)
 
     def set_dynamic(self, key):
