@@ -11,7 +11,8 @@ import re
 
 from .ops import default_table
 from .reader import SYMBOL_CHARS
-from .terms import Atom, BindingStore, Struct, Var, is_number, MdpError
+from .terms import (Atom, BindingStore, MdpError, Struct, Var, is_number,
+                    list_parts)
 
 _UNQUOTED_ALPHA = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 _SOLO_ATOMS = {"!", ";", "[]", "{}"}
@@ -143,29 +144,12 @@ class _Renderer:
         return "%s(%s)" % (name, args)
 
     def render_list(self, t, depth):
-        """A list's elements count one level of nesting, however many.
-
-        A cyclic list is found by comparing each cell with one saved at
-        the last power of two cells (Brent), which takes no memory.
-        """
-        items = []
-        store = self.store
-        node = saved = t
-        steps = power = 1
-        while True:
-            items.append(self.render(node.args[0], 999, depth + 1))
-            tail = store.deref(node.args[1])
-            if isinstance(tail, Struct) and tail.functor == "." and len(tail.args) == 2:
-                if tail is saved:
-                    raise MdpError("cyclic list cannot be rendered")
-                if steps == power:
-                    saved, steps, power = tail, 0, power * 2
-                steps += 1
-                node = tail
-                continue
-            if tail is Atom("[]"):
-                return "[%s]" % ", ".join(items)
-            return "[%s|%s]" % (", ".join(items), self.render(tail, 999, depth + 1))
+        """A list's elements count one level of nesting, however many."""
+        items, tail = list_parts(t, self.store)
+        text = ", ".join(self.render(item, 999, depth + 1) for item in items)
+        if tail is Atom("[]"):
+            return "[%s]" % text
+        return "[%s|%s]" % (text, self.render(tail, 999, depth + 1))
 
     @staticmethod
     def wrap(text, priority, max_priority):

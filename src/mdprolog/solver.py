@@ -31,6 +31,15 @@ Python stack.  The other builtins live in ``builtins``: deterministic
 ones return a bool; between/3 and ctx_member/3 are generators that a
 choicepoint resumes.
 
+A store trails only bindings of variables older than its watermark,
+which ``store.mark()`` raises (``terms.BindingStore``), so marks are
+taken only where an undo can follow: before the first head that has
+another clause or winner after it, at every choicepoint pushed (a run's
+start, ``;``, ``->``, \\+, findall/3, forall/2, catch/3, a
+nondeterministic builtin) and where a builtin or the dispatcher undoes
+on its own (``\\=``, retractall/1, context rules).  Deterministic code
+takes no mark, so it keeps only the terms it still uses.
+
 A clause is tried through its template (``Clause.compile``, compiled on
 its first try): the goal's arguments are matched against the head in
 place (``terms.match_args``), into a frame that holds one value per
@@ -57,8 +66,7 @@ and ``+ - *`` compile to a function of the frame
 ``X`` stores the value in the frame without a variable.  Where the
 function gives up (an unbound or non-integer operand, a result outside
 64 bits) the builtin runs on the built goal, so answers and error terms
-are the builtin's.  A slot first set by a later entry may hold a value
-from a run that backtracked, so such an entry overwrites it.
+are the builtin's.
 
 A dispatch returns ``(args, key)`` calls.  Its winners are called
 without first-argument indexing, since an implementation clause's first
@@ -241,15 +249,18 @@ class Run:
                         self.cont = _REDO
                         return True
                     goal, barrier, cont = cont
-                    clauses = None
+                    clauses = mark = None
+                    i = 0
                     if type(goal) is tuple:
                         kind = goal[0]
                         if kind is BODY:    # the next goal of a clause body
-                            _, entries, i, frame = goal
-                            ticks, code, x, y = entries[i]
-                            i += 1
-                            if i < len(entries):
-                                cont = ((BODY, entries, i, frame), barrier, cont)
+                            _, entries, k, frame = goal
+                            ticks, code, x, y, firsts = entries[k]
+                            for slot in firsts:     # see compile_body
+                                frame[slot] = None
+                            k += 1
+                            if k < len(entries):
+                                cont = ((BODY, entries, k, frame), barrier, cont)
                             tick()
                             if ticks > 1:
                                 for _ in range(1, ticks):
@@ -258,8 +269,6 @@ class Run:
                                 args = build_args(y, frame)
                                 clauses = call_predicate(
                                     x, args[0] if args else None, store)
-                                mark = store.mark()
-                                i = 0
                             elif code is C_DISPATCH:
                                 implicit, functor, templates = x
                                 given = y if type(y) is tuple else build(y, frame)
@@ -268,8 +277,6 @@ class Run:
                                 later = dispatch(solver, store, frame[implicit],
                                                  given, target)
                                 clauses = ()
-                                mark = store.mark()
-                                i = 0
                             elif code is E_COMPARE:
                                 ok = x(frame, deref)
                                 if ok is None:
@@ -281,15 +288,13 @@ class Run:
                                 break
                             elif code is E_IS:
                                 value = x(frame, deref)
-                                builtin, templates, out, fresh = y
+                                builtin, templates, out = y
                                 if value is None:
-                                    if fresh:   # left by a retried earlier run
-                                        frame[out] = None
                                     if builtin(solver, store,
                                                *build_args(templates, frame)):
                                         continue
                                     break
-                                if fresh:
+                                if frame[out] is None:  # a first occurrence
                                     frame[out] = value
                                     continue
                                 if unify(frame[out], value, store, occurs_check):
@@ -309,7 +314,6 @@ class Run:
                         elif kind is WINNERS:     # a dispatch's next winners
                             _, mark, _, later = goal
                             clauses = ()
-                            i = 0
                         elif kind is CUT_TO:
                             del cps[goal[1]:]
                             continue
@@ -355,8 +359,6 @@ class Run:
                         if op is None:      # a predicate call
                             clauses = call_predicate(
                                 key, args[0] if args else None, store)
-                            mark = store.mark()
-                            i = 0
                         elif type(op) is not int:
                             if op(solver, store, *args):
                                 continue
@@ -372,8 +374,6 @@ class Run:
                         elif op is C_DISPATCH:
                             later = dispatch(solver, store, *args)
                             clauses = ()
-                            mark = store.mark()
-                            i = 0
                         elif op is C_FAIL:
                             break
                         elif op is C_NONDET:
@@ -388,7 +388,8 @@ class Run:
                             continue
                     # try the clauses in order from clauses[i], then those
                     # of each later winner; the first whose head matches
-                    # leaves choicepoints for the rest
+                    # leaves choicepoints for the rest, and a mark is taken
+                    # before the first head that has an alternative
                     n = len(clauses)
                     while i < n or later:
                         if i == n:      # the next winner, which is unindexed
@@ -409,6 +410,8 @@ class Run:
                             if not (arg is constant or type(arg) is Var or (
                                     type(arg) is type(constant) and arg == constant)):
                                 continue
+                        if mark is None and (i < n or later):
+                            mark = store.mark()
                         frame = [None] * size
                         if match_args(heads, args, frame, store, occurs_check):
                             if later:
@@ -422,7 +425,7 @@ class Run:
                             else:
                                 tick()      # the body true of a fact
                             break
-                        if len(trail) > mark:
+                        if mark is not None and len(trail) > mark:
                             store.undo_to(mark)
                     else:
                         break
@@ -588,6 +591,9 @@ def compile_body(body, heads):
     value once the head has matched.  Each entry owes one inference for
     its goal and one for each ``,`` the term path would have taken apart
     just before it, so the counts are those of running the body as a term.
+    An entry ends with the slots first met in its goal, cleared before it
+    runs: after backtracking such a slot may hold an ``is/2`` value or a
+    variable made since the choicepoint, whose binding was not trailed.
     """
     if body is TRUE:
         return ()
@@ -604,20 +610,24 @@ def compile_body(body, heads):
             stack.append(goal.args[1])
             stack.append(goal.args[0])
             continue
-        entries.append(_compile_goal(goal, commas + 1, seen))
-        _note_slots((goal,), seen)
+        entries.append((*_compile_goal(goal, commas + 1, seen),
+                        _note_slots((goal,), seen)))
         commas = 0
     return tuple(entries)
 
 
 def _note_slots(templates, seen):
+    """Add the slots of templates to seen; the indices that were not."""
+    firsts = []
     stack = list(templates)
     while stack:
         t = stack.pop()
-        if type(t) is Slot:
+        if type(t) is Slot and t.index not in seen:
             seen.add(t.index)
+            firsts.append(t.index)
         elif type(t) is Skeleton:
             stack.extend(t.args)
+    return tuple(firsts)
 
 
 def _compile_goal(goal, ticks, seen):
@@ -652,8 +662,7 @@ def _compile_goal(goal, ticks, seen):
     elif key == ("is", 2) and type(args[0]) is Slot:
         evaluator = arith_evaluator(args[1:], seen)
         if evaluator is not None:
-            out = args[0].index
-            return ticks, E_IS, evaluator, (op, args, out, out not in seen)
+            return ticks, E_IS, evaluator, (op, args, args[0].index)
     return ticks, E_DET, op, args
 
 

@@ -1,6 +1,6 @@
 """Term representation, binding store, unification and standard order.
 
-Terms are immutable values:
+Terms are values; only a variable changes, when a store binds it:
 
 * atoms        -- ``Atom`` (interned by name)
 * integers     -- Python ``int`` (engine enforces a 64-bit range in arithmetic)
@@ -25,14 +25,19 @@ class MdpError(Exception):
 
 
 class Var:
-    """A logic variable. Identity is what matters; the name is for printing."""
+    """A logic variable. Identity is what matters; the name is for printing.
 
-    __slots__ = ("name", "serial")
+    Bound, it holds its value in ``ref`` and the store that bound it in
+    ``owner``; no other store sees the binding.
+    """
+
+    __slots__ = ("name", "serial", "ref", "owner")
     _counter = itertools.count(1)
 
     def __init__(self, name=None):
         self.serial = next(Var._counter)
         self.name = name if name is not None else "_G%d" % self.serial
+        self.owner = None
 
     def __repr__(self):
         return "Var(%s)" % self.name
@@ -76,10 +81,6 @@ class Struct:
 
     def __setattr__(self, key, value):
         raise AttributeError("compound terms are immutable")
-
-    @property
-    def arity(self):
-        return len(self.args)
 
     def __eq__(self, other):
         return (
@@ -157,39 +158,41 @@ def flatten_conj(term):
 
 
 class BindingStore:
-    """Variable bindings plus a trail for backtracking.
+    """The trail of one solve run; its bindings live on the variables.
 
-    A store is confined to one solve run.  ``mark``/``undo_to`` give exact
-    restoration of the pre-mark binding state.
+    ``mark`` returns a trail position for ``undo_to`` and raises the
+    watermark (the WAM's HB register) past every variable made so far.
+    Only a variable older than the watermark is trailed when bound: a
+    newer one cannot be reached from the state an undo restores.  Until
+    its first mark a store trails every binding.
     """
 
-    __slots__ = ("map", "trail")
+    __slots__ = ("trail", "watermark")
 
     def __init__(self):
-        self.map = {}
         self.trail = []
+        self.watermark = float("inf")
 
     def deref(self, t):
-        m = self.map
-        while type(t) is Var:
-            nxt = m.get(t)
-            if nxt is None:
-                return t
-            t = nxt
+        while type(t) is Var and t.owner is self:
+            t = t.ref
         return t
 
     def bind(self, var, term):
-        self.map[var] = term
-        self.trail.append(var)
+        var.ref = term
+        var.owner = self
+        if var.serial < self.watermark:
+            self.trail.append(var)
 
     def mark(self):
+        self.watermark = next(Var._counter)
         return len(self.trail)
 
     def undo_to(self, mark):
         trail = self.trail
-        m = self.map
         while len(trail) > mark:
-            del m[trail.pop()]
+            var = trail.pop()
+            var.owner = var.ref = None
 
 
 _EMPTY_STORE = BindingStore()
@@ -207,8 +210,12 @@ def occurs_in(var, term, store):
 
 
 def unify(t1, t2, store, occurs_check=False):
-    """Extend ``store`` so both terms dereference equal; rewind on failure."""
-    mark = store.mark()
+    """Extend ``store`` so both terms dereference equal; rewind on failure.
+
+    The rewind undoes the trailed bindings; the others are of variables
+    that the backtracking after a failure leaves unreachable.
+    """
+    mark = len(store.trail)
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
@@ -256,44 +263,42 @@ def unify(t1, t2, store, occurs_check=False):
     return True
 
 
-def _order_class(t):
-    if isinstance(t, Var):
-        return 0
-    if is_number(t):
-        return 1
-    if isinstance(t, Atom):
-        return 2
-    return 3
+def _order_key(t):
+    """Var < Number (a float before an equal int) < Atom < Compound."""
+    cls = type(t)
+    if cls is Var:
+        return 0, t.serial
+    if cls is Atom:
+        return 2, t.name
+    if cls is Struct:
+        return 3, len(t.args), t.functor
+    return 1, t, cls is int
 
 
 def compare_terms(t1, t2, store=_EMPTY_STORE):
-    """Standard order: Var < Number < Atom < Compound. Returns -1/0/1."""
-    a = store.deref(t1)
-    b = store.deref(t2)
-    ca, cb = _order_class(a), _order_class(b)
-    if ca != cb:
-        return -1 if ca < cb else 1
-    if ca == 0:
-        return -1 if a.serial < b.serial else (0 if a is b else 1)
-    if ca == 1:
-        if a < b:
-            return -1
-        if a > b:
-            return 1
-        # equal value, float orders before int
-        ra = 0 if isinstance(a, float) else 1
-        rb = 0 if isinstance(b, float) else 1
-        return -1 if ra < rb else (0 if ra == rb else 1)
-    if ca == 2:
-        return -1 if a.name < b.name else (0 if a is b else 1)
-    if len(a.args) != len(b.args):
-        return -1 if len(a.args) < len(b.args) else 1
-    if a.functor != b.functor:
-        return -1 if a.functor < b.functor else 1
-    for x, y in zip(a.args, b.args):
-        c = compare_terms(x, y, store)
-        if c:
-            return c
+    """Standard order of two terms: -1, 0 or 1.
+
+    Iterative; compounds nested more than ``RESOLVE_DEPTH_LIMIT`` deep,
+    such as two cyclic terms, are an error.
+    """
+    deref = store.deref
+    stack = [iter(((t1, t2),))]     # the argument pairs left, per level
+    while stack:
+        pair = next(stack[-1], None)
+        if pair is None:
+            stack.pop()
+            continue
+        a = deref(pair[0])
+        b = deref(pair[1])
+        if a is b:
+            continue
+        ka, kb = _order_key(a), _order_key(b)
+        if ka != kb:
+            return -1 if ka < kb else 1
+        if type(a) is Struct:
+            if len(stack) > RESOLVE_DEPTH_LIMIT:
+                raise MdpError("term too deep while comparing (cyclic binding?)")
+            stack.append(zip(a.args, b.args))
     return 0
 
 
@@ -303,31 +308,41 @@ RESOLVE_DEPTH_LIMIT = 100_000
 def resolve(term, store):
     """Deep-substitute bindings; unbound variables stay as-is.
 
-    Iterative, so a long list costs no Python stack; a term nested more
-    than ``RESOLVE_DEPTH_LIMIT`` deep, such as a cyclic binding, is an
-    error.
+    Iterative, and a list counts as one level of nesting, whatever its
+    length.  A term nested more than ``RESOLVE_DEPTH_LIMIT`` deep, such as
+    a cyclic binding, is an error, and so is a cyclic list.
     """
     t = store.deref(term)
     if type(t) is not Struct:
         return t
     deref = store.deref
-    stack = [(t, [])]   # a compound being rebuilt and its arguments so far
+    stack = []      # (compound, its subterms to resolve, those resolved)
     while True:
-        node, done = stack[-1]
-        if len(done) < len(node.args):
-            a = deref(node.args[len(done)])
-            if type(a) is Struct:
-                if len(stack) > RESOLVE_DEPTH_LIMIT:
-                    raise MdpError("term too deep while resolving (cyclic binding?)")
-                stack.append((a, []))
+        if t.functor == "." and len(t.args) == 2:
+            parts, tail = list_parts(t, store)
+            parts.append(tail)      # a list: its elements and its tail
+        else:
+            parts = t.args
+        stack.append((t, parts, []))
+        while True:
+            node, parts, done = stack[-1]
+            if len(done) < len(parts):
+                t = deref(parts[len(done)])
+                if type(t) is Struct:
+                    if len(stack) > RESOLVE_DEPTH_LIMIT:
+                        raise MdpError(
+                            "term too deep while resolving (cyclic binding?)")
+                    break
+                done.append(t)
+                continue
+            stack.pop()
+            if parts is node.args:
+                built = new_struct(node.functor, tuple(done))
             else:
-                done.append(a)
-            continue
-        stack.pop()
-        built = new_struct(node.functor, tuple(done))
-        if not stack:
-            return built
-        stack[-1][1].append(built)
+                built = make_list(done[:-1], done[-1])
+            if not stack:
+                return built
+            stack[-1][2].append(built)
 
 
 def rename_term(term, store, mapping=None):
@@ -540,12 +555,22 @@ def make_list(items, tail=NIL):
 
 
 def list_parts(term, store=_EMPTY_STORE):
-    """Split a list term into (elements, tail). Proper lists have tail []."""
+    """Split a list term into (elements, tail). Proper lists have tail [].
+
+    A cyclic list is an error, found by comparing each cell with the one
+    saved at the last power of two (Brent), in constant memory.
+    """
     items = []
-    t = store.deref(term)
-    while isinstance(t, Struct) and t.functor == "." and len(t.args) == 2:
+    t = saved = store.deref(term)
+    steps = power = 1
+    while type(t) is Struct and t.functor == "." and len(t.args) == 2:
         items.append(t.args[0])
         t = store.deref(t.args[1])
+        if t is saved:
+            raise MdpError("cyclic list")
+        if steps == power:
+            saved, steps, power = t, 0, power * 2
+        steps += 1
     return items, t
 
 

@@ -132,6 +132,17 @@ class TestDepth:
         assert proc.returncode == 2
         assert "cyclic" in proc.stderr
 
+    def test_the_length_of_a_cyclic_list_exits_two(self):
+        proc = run_cli("--no-prelude", "-g", "L = [a|L], length(L, N)")
+        assert proc.returncode == 2
+        assert "cyclic list" in proc.stderr
+
+    def test_comparing_two_cyclic_terms_exits_two(self):
+        proc = run_cli("--no-prelude", "-g", "X = f(X), Y = f(Y), X == Y")
+        assert proc.returncode == 2
+        assert "term too deep while comparing" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_a_runaway_loop_under_a_budget_exits_two(self, tmp_path):
         loop = tmp_path / "loop.mdp"
         loop.write_text("loop(X) :- loop(X).\n")

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import subprocess
 import sys
 
@@ -631,6 +632,99 @@ class TestDeterminism:
         assert first_answer_run(engine, text).cps == []
 
 
+# clause bodies that bind, test and undo around choicepoints: the goals
+# where a binding left untrailed would show
+ARGS = st.sampled_from(["X", "Y", "Z", "a", "b", "f(X, Y)", "f(Z, a)", "_"])
+GOALS = st.recursive(
+    st.one_of(
+        st.builds("{} = {}".format, ARGS, ARGS),
+        st.builds("{} \\= {}".format, ARGS, ARGS),
+        st.builds("{} == {}".format, ARGS, ARGS),
+        st.builds("{}({}, {})".format, st.sampled_from(["p", "q"]), ARGS, ARGS),
+        st.builds("var({})".format, ARGS),
+        st.sampled_from(["!", "Z = g(W), W = X"])),
+    lambda sub: st.one_of(
+        st.builds("({} ; {})".format, sub, sub),
+        st.builds("({} -> {} ; {})".format, sub, sub, sub),
+        st.builds("\\+ {}".format, sub),
+        st.builds("findall(X, {}, Y)".format, sub)),
+    max_leaves=4)
+BODIES = st.lists(GOALS, min_size=1, max_size=4).map(", ".join)
+
+
+def trail_outcome(program, query):
+    """The first answers of query, or its error, and the inferences spent.
+
+    The occurs check keeps answers acyclic, since copying a cyclic term
+    (findall/3) still recurses on its nesting.
+    """
+    engine = Engine(prelude=False, budget=3000, occurs_check=True)
+    engine.consult_text(program + "p(a, b). q(b, a). q(_, c).\n")
+    try:
+        texts = [s.text() for s in itertools.islice(engine.solutions(query), 8)]
+    except (BudgetExceeded, PrologThrow) as exc:
+        texts = [type(exc).__name__]
+    return texts, engine.solver.inferences
+
+
+class TestConditionalTrailing:
+    """Bindings live on the variables and are trailed only where an undo
+    can follow, so what backtracking or another store must not see is
+    pinned here."""
+
+    def test_a_retried_goal_does_not_reuse_a_backtracked_variable(self, engine):
+        engine.consult_text("""
+            t(A, C) :- (A = 1 ; A = 2), g(A, B), B > 10, C = B.
+            g(1, 5). g(2, 20).
+        """)
+        assert [s.text() for s in engine.solutions("t(A, C)")] == \
+            ["A = 2,\nC = 20"]
+
+    def test_a_failed_head_is_undone_for_the_next_clause(self, engine):
+        engine.consult_text("h(a, b). h(_, c). r(R) :- h(X, c), R = X.")
+        assert engine.run("r(R), var(R)")
+
+    def test_a_local_undo_leaves_no_binding(self, engine):
+        engine.consult_text("""
+            t(Y) :- f(a, X) \\= f(b, b), Y = X.
+            r(Y) :- retractall(d(X, b)), Y = X.
+            d(a, a).
+        """)
+        assert engine.run("t(Y), var(Y)")
+        assert engine.run("r(Y), var(Y)")
+
+    def test_an_earlier_solution_keeps_its_text(self, engine):
+        query = "X = f(Y), (true ; Y = 1)"
+        lazy = engine.solutions(query)
+        first = next(lazy)
+        text = first.text()
+        assert [s.text() for s in lazy] == ["X = f(1),\nY = 1"]
+        assert first.text() == text == "X = f(Y),\nY = Y"
+        eager = engine.query(query, max_solutions=2)
+        assert [s.text() for s in eager] == [text, "X = f(1),\nY = 1"]
+
+    def test_a_hook_binding_does_not_leak_into_the_clause(self, engine):
+        engine.consult_text("""
+            hook_mdp_term(_, wrap(Y), true) :- Y = a.
+            [] # p(X) :- wrap(X), q(X).
+            q(Z) :- Z == b.
+        """)
+        assert engine.run("[] ? p(b)")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["p", "q"]), ARGS, ARGS, BODIES),
+                    min_size=1, max_size=4),
+           ARGS, ARGS)
+    def test_answers_are_those_of_trailing_every_binding(self, clauses, a, b):
+        program = "".join("%s(%s, %s) :- %s.\n" % clause for clause in clauses)
+        query = "p(%s, %s), q(_, W)" % (a, b)
+        conditional = trail_outcome(program, query)
+        with pytest.MonkeyPatch.context() as patch:
+            # a mark that keeps the watermark above every variable
+            patch.setattr(BindingStore, "mark", lambda store: len(store.trail))
+            assert trail_outcome(program, query) == conditional
+
+
 def run_depth(query, var):
     return subprocess.run([sys.executable, "-c", DEPTH_SCRIPT, query, var],
                           capture_output=True, text=True, timeout=60)
@@ -679,3 +773,52 @@ class TestDepth:
         proc = run_depth("p(Y, Y)", "Y")
         assert proc.returncode == 1
         assert "term too deep while resolving" in proc.stderr
+
+    def test_a_150000_element_answer_comes_back(self):
+        proc = run_depth("findall(X, between(1, 150000, X), L)", "L")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith(", 149999, 150000]\n")
+
+    def test_a_cyclic_list_answer_is_still_an_error(self):
+        proc = run_depth("L = [a|L]", "L")
+        assert proc.returncode == 1
+        assert "MdpError: cyclic list" in proc.stderr
+
+
+MEMORY_SCRIPT = """
+import resource
+import sys
+from mdprolog import Engine
+engine = Engine(prelude=False)
+engine.consult_text('''
+churn(0) :- !.
+churn(N) :- X = f(N, _), X = f(_, a), N1 is N - 1, churn(N1).
+numlist(N, N, [N]) :- !.
+numlist(I, N, [I|T]) :- I1 is I + 1, numlist(I1, N, T).
+app([], L, L).
+app([H|T], L, [H|R]) :- app(T, L, R).
+nrev([], []).
+nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).
+''')
+assert engine.run(sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def peak_kb(query):
+    proc = subprocess.run([sys.executable, "-c", MEMORY_SCRIPT, query],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in kilobytes")
+class TestMemory:
+    """Deterministic code keeps only its live terms, not every binding."""
+
+    @pytest.mark.parametrize("small, large", [
+        ("churn(1000)", "churn(200000)"),
+        ("numlist(1, 30, L), nrev(L, _)", "numlist(1, 600, L), nrev(L, _)"),
+    ])
+    def test_peak_memory_does_not_grow_with_the_steps(self, small, large):
+        assert peak_kb(large) - peak_kb(small) < 8 * 1024

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdprolog.terms import (
+    RESOLVE_DEPTH_LIMIT,
     Atom,
     BindingStore,
+    MdpError,
     NIL,
     Struct,
     Var,
@@ -108,6 +110,24 @@ class TestTrail:
         assert store.deref(x) is Atom("a")
         assert store.deref(y) is y
 
+    def test_only_a_variable_older_than_the_last_mark_is_trailed(self):
+        store = BindingStore()
+        old = Var()
+        mark = store.mark()
+        new = Var()
+        store.bind(new, 1)
+        store.bind(old, 2)
+        assert store.trail[mark:] == [old]
+        store.undo_to(mark)
+        assert store.deref(old) is old
+
+    def test_a_binding_is_seen_only_by_its_store(self):
+        x = Var()
+        mine, other = BindingStore(), BindingStore()
+        assert unify(x, Atom("a"), mine)
+        assert other.deref(x) is x
+        assert resolve(Struct("f", (x,)), other).args[0] is x
+
 
 class TestCompare:
     def test_standard_order_of_types(self):
@@ -121,6 +141,21 @@ class TestCompare:
         assert compare_terms(Struct("z", (1,)), Struct("a", (1, 2))) == -1
         assert compare_terms(Struct("a", (1,)), Struct("b", (1,))) == -1
         assert compare_terms(Struct("a", (1,)), Struct("a", (2,))) == -1
+
+    def test_deep_terms_compare_without_recursion(self):
+        a, b = Atom("a"), Atom("b")
+        for _ in range(50_000):
+            a, b = Struct("f", (a,)), Struct("f", (b,))
+        assert compare_terms(a, b) == -1
+
+    def test_two_cyclic_terms_are_too_deep_to_compare(self):
+        store = BindingStore()
+        x, y = Var(), Var()
+        assert unify(x, Struct("f", (x,)), store)
+        assert unify(y, Struct("f", (y,)), store)
+        with pytest.raises(MdpError, match="term too deep while comparing"):
+            compare_terms(x, y, store)
+        assert compare_terms(x, x, store) == 0
 
     @given(ground_terms(), ground_terms())
     def test_antisymmetric(self, a, b):
@@ -152,6 +187,25 @@ class TestCopying:
         store.bind(y, 1)
         assert compare_terms(resolve(Struct("f", (x,)), store),
                              Struct("f", (Struct("g", (1,)),))) == 0
+
+
+class TestResolve:
+    def test_a_list_longer_than_the_depth_limit_resolves(self):
+        store = BindingStore()
+        n = RESOLVE_DEPTH_LIMIT + 50_000
+        tail, x = Var(), Var()
+        assert unify(tail, make_list([x]), store)
+        assert unify(x, 1, store)
+        resolved = resolve(make_list(range(n), tail), store)
+        assert proper_list(resolved) == list(range(n)) + [1]
+
+    @pytest.mark.parametrize("prefix, cycle", [(0, 1), (0, 2), (3, 5), (1, 64)])
+    def test_a_cyclic_list_is_an_error(self, prefix, cycle):
+        store = BindingStore()
+        back = Var()
+        assert unify(back, make_list(range(cycle), back), store)
+        with pytest.raises(MdpError, match="cyclic"):
+            resolve(make_list(range(prefix), back), store)
 
 
 class TestLists:
@@ -236,15 +290,23 @@ class TestTemplates:
         old = BindingStore()
         mapping = {}
         renamed = rename_term(head, old, mapping)
+        mark = old.mark()
         old_ok = unify(goal, renamed, old, occurs_check)
+        # without the check the answer may be a cyclic term
+        checked = old_ok and occurs_check
+        if checked:
+            old_answer = resolve(
+                Struct("r", (goal, rename_term(body, old, mapping))), old)
+        # a variable holds one store's binding at a time, so the goal's
+        # variables are freed before the new store binds them
+        old.undo_to(mark)
 
         (head_t, body_t), size = compile_terms((head, body))
         frame = [None] * size
         new = BindingStore()
         new_ok = match(head_t, goal, frame, new, occurs_check)
         assert new_ok == old_ok
-        if not (old_ok and occurs_check):
-            return   # without the check the answer may be a cyclic term
-        old_answer = resolve(Struct("r", (goal, rename_term(body, old, mapping))), old)
+        if not checked:
+            return
         new_answer = resolve(Struct("r", (goal, build(body_t, frame))), new)
         assert same_answer(old_answer, new_answer, set(goal_pool.values()), {})
