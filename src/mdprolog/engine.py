@@ -122,12 +122,9 @@ class Engine:
             name = getattr(goal, "functor", getattr(goal, "name", None))
             if name == "op":
                 return  # applied by the reader while parsing
-            store = BindingStore()
-            ctx_var = Var("_DirectiveCtx")
-            rewritten = phase1_rewrite(self, goal, ctx_var, 0, where)
-            store.bind(ctx_var, NIL)
+            rewritten = phase1_rewrite(self, goal, NIL, 0, where)
             try:
-                if not self.solver.solve_once(rewritten, store):
+                if not self.solver.solve_once(rewritten, BindingStore()):
                     raise ConsultError("directive failed at %s" % where)
             except PrologThrow as exc:
                 raise ConsultError(
@@ -167,11 +164,8 @@ class Engine:
     def _prepare(self, text):
         self.solver.reset_run()
         term, varmap = parse_term(text, self.kb.optable)
-        store = BindingStore()
-        ctx_var = Var("_QueryCtx")
-        goal = phase1_rewrite(self, term, ctx_var, 0, "<query>")
-        store.bind(ctx_var, NIL)
-        return goal, store, varmap
+        goal = phase1_rewrite(self, term, NIL, 0, "<query>")
+        return goal, BindingStore(), varmap
 
     def solutions(self, text):
         """Lazily enumerate solutions of a query given as text."""

@@ -573,15 +573,17 @@ _BUILTINS = {
 
 # -- compiled clause bodies ---------------------------------------------------
 
-# Kinds of goal entry.  Two control codes are kinds too:
-#   (ticks, C_CUT, None, None) and
+# Kinds of goal entry, the second item of an entry; its last, firsts, are
+# the slots first met in the goal (see compile_body).  Two control codes
+# are kinds too:
+#   (ticks, C_CUT, None, None, firsts) and
 #   (ticks, C_DISPATCH, (slot of the implicit context, goal functor,
-#    goal argument templates), given: parsed or a template)
-E_CALL = 20      # (ticks, E_CALL, key, argument templates)
-E_DET = 21       # (ticks, E_DET, builtin, argument templates)
-E_IS = 22        # (ticks, E_IS, evaluator, (builtin, templates, out, fresh))
-E_COMPARE = 23   # (ticks, E_COMPARE, evaluator, (builtin, templates))
-E_GOAL = 24      # (ticks, E_GOAL, goal template, None): the term path
+#    goal argument templates), given: parsed or a template, firsts)
+E_CALL = 20      # (ticks, E_CALL, key, argument templates, firsts)
+E_DET = 21       # (ticks, E_DET, builtin, argument templates, firsts)
+E_IS = 22        # (ticks, E_IS, evaluator, (builtin, templates, out), firsts)
+E_COMPARE = 23   # (ticks, E_COMPARE, evaluator, (builtin, templates), firsts)
+E_GOAL = 24      # (ticks, E_GOAL, goal template, None, firsts): the term path
 
 
 def compile_body(body, heads):

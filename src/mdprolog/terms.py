@@ -12,12 +12,16 @@ Lists are compounds of ``'.'/2`` terminated by the atom ``[]``.
 
 Stored clauses and signatures are used through templates
 (``compile_terms``): ``match`` unifies a template with a runtime term in
-place and ``build`` makes the runtime copy of a template.
+place and ``build`` makes the runtime copy of a template.  ``resolve``,
+``rename_term`` and ``compile_terms`` copy through one iterative walk
+that shares what it leaves unchanged, and in which a list counts as one
+level of nesting, whatever its length.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import is_not
 
 
 class MdpError(Exception):
@@ -305,18 +309,20 @@ def compare_terms(t1, t2, store=_EMPTY_STORE):
 RESOLVE_DEPTH_LIMIT = 100_000
 
 
-def resolve(term, store):
-    """Deep-substitute bindings; unbound variables stay as-is.
+def _copy(term, store, var_copy, make, too_deep):
+    """The one term-copying walk, behind resolve, rename_term, compile_terms.
 
-    Iterative, and a list counts as one level of nesting, whatever its
-    length.  A term nested more than ``RESOLVE_DEPTH_LIMIT`` deep, such as
-    a cyclic binding, is an error, and so is a cyclic list.
+    An unbound variable becomes ``var_copy(var)`` and a compound with a
+    changed argument ``make(functor, args)``; any other compound comes back
+    as it is, and a list keeps its cells from the last changed one on.  A
+    term nested more than ``RESOLVE_DEPTH_LIMIT`` deep, such as a cyclic
+    binding, is the error ``too_deep``, and a cyclic list is an error too.
     """
-    t = store.deref(term)
-    if type(t) is not Struct:
-        return t
     deref = store.deref
-    stack = []      # (compound, its subterms to resolve, those resolved)
+    t = deref(term)
+    if type(t) is not Struct:
+        return var_copy(t) if type(t) is Var else t
+    stack = []      # (compound, its subterms to copy, their copies so far)
     while True:
         if t.functor == "." and len(t.args) == 2:
             parts, tail = list_parts(t, store)
@@ -330,19 +336,37 @@ def resolve(term, store):
                 t = deref(parts[len(done)])
                 if type(t) is Struct:
                     if len(stack) > RESOLVE_DEPTH_LIMIT:
-                        raise MdpError(
-                            "term too deep while resolving (cyclic binding?)")
+                        raise MdpError(too_deep)
                     break
-                done.append(t)
+                done.append(var_copy(t) if type(t) is Var else t)
                 continue
             stack.pop()
             if parts is node.args:
-                built = new_struct(node.functor, tuple(done))
+                if any(map(is_not, done, parts)):
+                    node = make(node.functor, tuple(done))
             else:
-                built = make_list(done[:-1], done[-1])
+                cells = [node]
+                for _ in range(len(parts) - 2):
+                    cells.append(deref(cells[-1].args[1]))
+                node = done.pop()       # the tail's copy
+                for cell in reversed(cells):
+                    item = done.pop()
+                    node = (cell if item is cell.args[0] and node is cell.args[1]
+                            else make(".", (item, node)))
             if not stack:
-                return built
-            stack[-1][2].append(built)
+                return node
+            stack[-1][2].append(node)
+
+
+def resolve(term, store):
+    """Deep-substitute bindings; unbound variables stay as-is.
+
+    A subterm without bound variables comes back as it is.  A term nested
+    more than ``RESOLVE_DEPTH_LIMIT`` deep, such as a cyclic binding, is an
+    error, and so is a cyclic list.
+    """
+    return _copy(term, store, lambda var: var, new_struct,
+                 "term too deep while resolving (cyclic binding?)")
 
 
 def rename_term(term, store, mapping=None):
@@ -354,21 +378,13 @@ def rename_term(term, store, mapping=None):
     if mapping is None:
         mapping = {}
 
-    def walk(t, depth):
-        if depth > RESOLVE_DEPTH_LIMIT:
-            raise MdpError("term too deep while copying")
-        t = store.deref(t)
-        if isinstance(t, Var):
-            fresh = mapping.get(t)
-            if fresh is None:
-                fresh = Var(t.name)
-                mapping[t] = fresh
-            return fresh
-        if isinstance(t, Struct):
-            return Struct(t.functor, tuple(walk(a, depth + 1) for a in t.args))
-        return t
+    def fresh(var):
+        new = mapping.get(var)
+        if new is None:
+            new = mapping[var] = Var(var.name)
+        return new
 
-    return walk(term, 0)
+    return _copy(term, store, fresh, new_struct, "term too deep while copying")
 
 
 class Slot:
@@ -407,22 +423,15 @@ def compile_terms(terms):
     """
     slots = {}
 
-    def walk(t, depth):
-        if depth > RESOLVE_DEPTH_LIMIT:
-            raise MdpError("term too deep while copying")
-        if isinstance(t, Var):
-            slot = slots.get(t)
-            if slot is None:
-                slot = slots[t] = Slot(len(slots), t.name)
-            return slot
-        if isinstance(t, Struct):
-            args = tuple([walk(a, depth + 1) for a in t.args])
-            for a, b in zip(args, t.args):
-                if a is not b:
-                    return Skeleton(t.functor, args)
-        return t
+    def slot(var):
+        new = slots.get(var)
+        if new is None:
+            new = slots[var] = Slot(len(slots), var.name)
+        return new
 
-    return tuple([walk(t, 0) for t in terms]), len(slots)
+    return tuple([_copy(t, _EMPTY_STORE, slot, Skeleton,
+                        "term too deep while copying")
+                  for t in terms]), len(slots)
 
 
 def match(template, term, frame, store, occurs_check=False):

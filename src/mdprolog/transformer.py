@@ -8,8 +8,9 @@ anonymous rule: applicable to any predicate, matched purely by context.
 
 Goal bodies are rewritten so that every ``Given ? Goal`` call site turns
 into an internal dispatch goal carrying the implicit-context variable of
-the enclosing rule.  User hooks get a chance to rewrite each goal term
-and each context-rule entry first.
+the enclosing rule; the bodies of plain rules, queries and directives
+dispatch in the empty context ``[]``.  User hooks get a chance to rewrite
+each goal term and each context-rule entry first.
 """
 
 from __future__ import annotations
@@ -196,9 +197,10 @@ def phase1_rewrite(engine, term, ctx_var, depth, where="rule body"):
 def expand_source_item(engine, term, filename=None, line=None):
     """Compile one consulted clause.
 
-    Returns (clauses, signature): plain clauses pass through as a single
-    (head, body) pair with no signature; mdp rules produce the generated
-    implementation clause plus a signature record.
+    Returns (clauses, signature): a plain clause is a single (head, body)
+    pair with no signature, its body rewritten in the context ``[]``; mdp
+    rules produce the generated implementation clause plus a signature
+    record.
     """
     if isinstance(term, Struct) and term.functor == ":-" and len(term.args) == 2:
         head, body = term.args
@@ -218,6 +220,8 @@ def expand_source_item(engine, term, filename=None, line=None):
     else:
         if not is_callable_term(head):
             raise TransformError("clause head must be callable in %s" % where)
+        if head is not term:    # a rule; a fact has no body to rewrite
+            body = phase1_rewrite(engine, body, NIL, 0, where)
         return [(head, body)], None
 
     parts = translate_spec(engine, spec_term, where)

@@ -143,6 +143,14 @@ class TestDepth:
         assert "term too deep while comparing" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("goal", [
+        "findall(X, X = f(X), L)", "X = f(X), copy_term(X, Y)"])
+    def test_copying_a_cyclic_term_exits_two(self, goal):
+        proc = run_cli("--no-prelude", "-g", goal)
+        assert proc.returncode == 2
+        assert "term too deep while copying" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_a_runaway_loop_under_a_budget_exits_two(self, tmp_path):
         loop = tmp_path / "loop.mdp"
         loop.write_text("loop(X) :- loop(X).\n")

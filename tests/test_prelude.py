@@ -91,6 +91,12 @@ class TestObjectProtocol:
         sols = engine.query("oid(1) ! read(n, V)")
         assert [s.render("V") for s in sols] == ["2"]
 
+    def test_a_plain_rule_sends_messages(self):
+        engine = Engine(out=io.StringIO())
+        engine.consult_text("q(C) :- O = obj(1), O ! write(color, red),"
+                            " O ! read(color, C).")
+        assert [s.render("C") for s in engine.query("q(C)")] == ["red"]
+
     def test_oids_are_fresh_and_sequential(self):
         engine = Engine(out=io.StringIO())
         sols = engine.query("new_oid(A), new_oid(B)")

@@ -369,11 +369,17 @@ class TestHeadUnification:
     def test_a_clause_deeper_than_the_limit_is_an_error(
             self, engine, monkeypatch):
         monkeypatch.setattr(terms, "RESOLVE_DEPTH_LIMIT", 50)
-        engine.consult_text("deep(%s)." % make_list_text(range(60)))
+        engine.consult_text("deep(%s)." % nested_text(60))
         with pytest.raises(MdpError, match="term too deep while copying"):
             engine.query("deep(X)")
-        engine.consult_text("ok(%s)." % make_list_text(range(40)))
-        assert len(engine.query("ok(X)")) == 1
+        # a list counts as one level, whatever its length
+        engine.consult_text("ok(%s). ok(%s)."
+                            % (nested_text(40), make_list_text(range(60))))
+        assert len(engine.query("ok(X)")) == 2
+
+
+def nested_text(depth):
+    return "f(" * depth + "0" + ")" * depth
 
 
 def make_list_text(items):
@@ -602,6 +608,8 @@ psum(N, A, S) :- N > 0, A1 is A + N, N1 is N - 1, psum(N1, A1, S).
 upto(0, []).
 upto(N, [N|T]) :- N > 0, N1 is N - 1, upto(N1, T).
 p(X, f(X)).
+mk(0, a) :- !.
+mk(N, f(T)) :- N1 is N - 1, mk(N1, T).
 ''')
 print(engine.query(sys.argv[1])[0].render(sys.argv[2]))
 """
@@ -783,6 +791,16 @@ class TestDepth:
         proc = run_depth("L = [a|L]", "L")
         assert proc.returncode == 1
         assert "MdpError: cyclic list" in proc.stderr
+
+    @pytest.mark.parametrize("copy", [
+        "copy_term(T, C)", "findall(T, true, [C])",
+        "assertz(big(T)), big(C)", "catch(throw(T), C, true)"])
+    @pytest.mark.parametrize("make", [
+        "findall(X, between(1, 30000, X), T)", "mk(50000, T)"])
+    def test_a_long_list_or_a_deep_term_is_copied(self, make, copy):
+        proc = run_depth("%s, %s, (C == T -> R = same ; R = other)"
+                         % (make, copy), "R")
+        assert (proc.returncode, proc.stdout) == (0, "same\n"), proc.stderr
 
 
 MEMORY_SCRIPT = """

@@ -189,23 +189,64 @@ class TestCopying:
                              Struct("f", (Struct("g", (1,)),))) == 0
 
 
-class TestResolve:
-    def test_a_list_longer_than_the_depth_limit_resolves(self):
-        store = BindingStore()
-        n = RESOLVE_DEPTH_LIMIT + 50_000
-        tail, x = Var(), Var()
-        assert unify(tail, make_list([x]), store)
-        assert unify(x, 1, store)
-        resolved = resolve(make_list(range(n), tail), store)
-        assert proper_list(resolved) == list(range(n)) + [1]
+def compiled(term, store):
+    """The template of one term; ``compile_terms`` follows no bindings."""
+    return compile_terms((term,))[0][0]
 
-    @pytest.mark.parametrize("prefix, cycle", [(0, 1), (0, 2), (3, 5), (1, 64)])
-    def test_a_cyclic_list_is_an_error(self, prefix, cycle):
-        store = BindingStore()
-        back = Var()
-        assert unify(back, make_list(range(cycle), back), store)
+
+COPIERS = [resolve, rename_term, compiled]
+
+
+def cyclic_list(prefix, cycle):
+    """[0, .., prefix - 1 | L] where L = [0, .., cycle - 1 | L].
+
+    The last cell is pointed back by the slot descriptor, as no binding
+    can be, so that ``compile_terms`` meets the cycle too.
+    """
+    loop = last = make_list(range(cycle))
+    while last.args[1] is not NIL:
+        last = last.args[1]
+    Struct.args.__set__(last, (last.args[0], loop))
+    return make_list(range(prefix), loop)
+
+
+class TestResolve:
+    """The one copy walk, through each entry point: resolve, rename_term
+    and compile_terms."""
+
+    @pytest.mark.parametrize("copy", COPIERS, ids=lambda f: f.__name__)
+    def test_a_list_longer_than_the_depth_limit_resolves(self, copy):
+        n = RESOLVE_DEPTH_LIMIT + 50_000
+        copied = copy(make_list(range(n), make_list([Var("X")])),
+                      BindingStore())
+        items = []
+        while copied is not NIL:    # cells of Struct or, compiled, Skeleton
+            items.append(copied.args[0])
+            copied = copied.args[1]
+        assert len(items) == n + 1 and items[:n] == list(range(n))
+
+    # ids: prefix-cycle for resolve, after the entry point's name otherwise
+    @pytest.mark.parametrize("copy, prefix, cycle", [
+        pytest.param(copy, prefix, cycle, id="-".join(
+            ([] if copy is resolve else [copy.__name__])
+            + [str(prefix), str(cycle)]))
+        for copy in COPIERS
+        for prefix, cycle in [(0, 1), (0, 2), (3, 5), (1, 64)]])
+    def test_a_cyclic_list_is_an_error(self, copy, prefix, cycle):
         with pytest.raises(MdpError, match="cyclic"):
-            resolve(make_list(range(prefix), back), store)
+            copy(cyclic_list(prefix, cycle), BindingStore())
+
+    @pytest.mark.parametrize("copy", COPIERS, ids=lambda f: f.__name__)
+    def test_what_is_not_changed_is_shared(self, copy):
+        store, x = BindingStore(), Var("X")
+        assert unify(x, 1, store)
+        ground = Struct("g", (make_list([1, Atom("a")]),))
+        items = make_list([x, ground, 2])
+        copied = copy(Struct("f", (Var("Y"), ground, items)), store)
+        assert copied.args[1] is ground
+        # a list keeps its cells from the last changed one on
+        assert copied.args[2] is not items
+        assert copied.args[2].args[1] is items.args[1]
 
 
 class TestLists:

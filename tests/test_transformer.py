@@ -159,6 +159,31 @@ class TestDispatchRewrite:
         assert phase1_rewrite(engine, v, Var("Ctx"), 0) is v
 
 
+class TestPlainRules:
+    """Outside any ``#`` rule, a body dispatches in the empty context."""
+
+    def test_a_plain_rule_dispatches(self, engine):
+        engine.consult_text("[] # h(2).\np(X) :- [] ? h(X).")
+        assert [s.render("X") for s in engine.query("p(X)")] == ["2"]
+
+    def test_hooks_get_the_empty_context_in_a_plain_rule(self, engine):
+        engine.consult_text("""
+            hook_mdp_term(Ctx, where(W), W = Ctx).
+            p(W) :- where(W).
+        """)
+        assert [s.render("W") for s in engine.query("p(W)")] == ["[]"]
+
+    def test_the_body_of_a_fact_is_not_rewritten(self, engine):
+        engine.consult_text("""
+            hook_mdp_term(_, true, fail).
+            fact.
+            rule :- true.
+        """)
+        # call/1 of a variable goal passes the hook by
+        assert engine.run("G = fact, call(G)")
+        assert not engine.run("G = rule, call(G)")
+
+
 class TestTermHook:
     def test_hook_rewrites_before_dispatch(self):
         import io
