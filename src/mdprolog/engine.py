@@ -7,7 +7,7 @@ from importlib import resources
 
 from .dispatcher import score_candidates
 from .errors import ConsultError, PrologThrow
-from .kb import KnowledgeBase
+from .kb import KnowledgeBase, first_arg_key
 from .reader import parse_program, parse_term
 from .render import render
 from .solver import BOOTSTRAP, Solver
@@ -144,8 +144,18 @@ class Engine:
 
     def _run_hook(self, hook_name, ctx_var, term):
         key = (hook_name, 3)
-        if not self.kb.clauses.get(key):
+        hooks = self.kb.clauses.get(key)
+        if not hooks:
             return None
+        # skip a solve that would fail on every head: the term's name and
+        # arity, or constant, differ from each head's second argument
+        taken = first_arg_key(term)
+        if taken is not None:
+            for clause in hooks:
+                if first_arg_key(clause.head.args[1]) in (None, taken):
+                    break
+            else:
+                return None
         store = BindingStore()
         out_var = Var("_HookOut")
         goal = Struct(hook_name, (ctx_var, term, out_var))

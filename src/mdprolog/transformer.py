@@ -155,42 +155,54 @@ def _make_dispatch(engine, ctx_var, given, goal, depth, where):
 
 
 def phase1_rewrite(engine, term, ctx_var, depth, where="rule body"):
-    """Rewrite one goal position: hooks first, then dispatch and descent."""
-    if depth > MAX_REWRITE_DEPTH:
-        raise TransformError("goal rewrite exceeded depth %d in %s"
-                             % (MAX_REWRITE_DEPTH, where))
-    t = term
-    if isinstance(t, Var) or is_number(t):
-        return t
-    for _ in range(MAX_REWRITE_DEPTH):
-        replacement = engine.apply_term_hook(ctx_var, t)
-        if replacement is None:
-            break
-        t = replacement
+    """Rewrite one goal position: hooks first, then dispatch and descent.
+
+    ``depth`` counts nested dispatches and descents into a hook's output,
+    the steps that can repeat without end.  Other descents into control
+    constructs do not count, and the last goal position of each is
+    followed in a loop, so a body of any length rewrites.
+    """
+    spine = []      # (functor, args, last goal position) descended through
+    while True:
+        if depth > MAX_REWRITE_DEPTH:
+            raise TransformError("goal rewrite exceeded depth %d in %s"
+                                 % (MAX_REWRITE_DEPTH, where))
+        t = term
         if isinstance(t, Var) or is_number(t):
-            return t
-    else:
-        raise TransformError(
-            "goal-term hook kept rewriting (more than %d rounds) in %s"
-            % (MAX_REWRITE_DEPTH, where))
-    if isinstance(t, Struct) and t.functor == "?":
-        if len(t.args) == 2:
-            return _make_dispatch(engine, ctx_var, t.args[0], t.args[1],
-                                  depth, where)
-        if len(t.args) == 1:
-            return _make_dispatch(engine, ctx_var, NIL, t.args[0], depth, where)
-        if len(t.args) == 3:
-            # already carries an implicit-context slot (hook output)
-            return _make_dispatch(engine, ctx_var, t.args[1], t.args[2],
-                                  depth, where)
-    if isinstance(t, Struct):
+            break
+        for _ in range(MAX_REWRITE_DEPTH):
+            replacement = engine.apply_term_hook(ctx_var, t)
+            if replacement is None:
+                break
+            t = replacement
+            if isinstance(t, Var) or is_number(t):
+                break
+        else:
+            raise TransformError(
+                "goal-term hook kept rewriting (more than %d rounds) in %s"
+                % (MAX_REWRITE_DEPTH, where))
+        if not isinstance(t, Struct):
+            break
+        if t.functor == "?" and 1 <= len(t.args) <= 3:
+            # ?(Goal), Given ? Goal, or ?(Ctx, Given, Goal) from a hook,
+            # which already carries an implicit-context slot
+            given = NIL if len(t.args) == 1 else t.args[-2]
+            t = _make_dispatch(engine, ctx_var, given, t.args[-1], depth,
+                               where)
+            break
         positions = _GOAL_POSITIONS.get((t.functor, len(t.args)))
-        if positions:
-            args = list(t.args)
-            for i in positions:
-                args[i] = phase1_rewrite(engine, args[i], ctx_var, depth + 1,
-                                         where)
-            return Struct(t.functor, tuple(args))
+        if not positions:
+            break
+        if t is not term:
+            depth += 1      # a hook's output may hold what it rewrites again
+        args = list(t.args)
+        for i in positions[:-1]:
+            args[i] = phase1_rewrite(engine, args[i], ctx_var, depth, where)
+        spine.append((t.functor, args, positions[-1]))
+        term = args[positions[-1]]
+    for functor, args, last in reversed(spine):
+        args[last] = t
+        t = Struct(functor, tuple(args))
     return t
 
 

@@ -7,6 +7,7 @@ from mdprolog.terms import (
     BindingStore,
     MdpError,
     NIL,
+    Slot,
     Struct,
     Var,
     build,
@@ -216,22 +217,29 @@ class TestResolve:
 
     @pytest.mark.parametrize("copy", COPIERS, ids=lambda f: f.__name__)
     def test_a_list_longer_than_the_depth_limit_resolves(self, copy):
+        store = BindingStore()
         n = RESOLVE_DEPTH_LIMIT + 50_000
-        copied = copy(make_list(range(n), make_list([Var("X")])),
-                      BindingStore())
+        tail, x, y = Var(), Var(), Var("Y")
+        assert unify(tail, make_list([x, y]), store)
+        assert unify(x, 1, store)
+        copied = copy(make_list(range(n), tail), store)
         items = []
-        while copied is not NIL:    # cells of Struct or, compiled, Skeleton
+        while getattr(copied, "functor", None) == ".":  # Struct or Skeleton
             items.append(copied.args[0])
             copied = copied.args[1]
-        assert len(items) == n + 1 and items[:n] == list(range(n))
+        assert items[:n] == list(range(n))
+        if copy is compiled:    # follows no bindings: the tail is a slot
+            assert len(items) == n and isinstance(copied, Slot)
+        else:                   # [1, Y], Y itself or renamed
+            assert copied is NIL and items[n] == 1 and len(items) == n + 2
+            assert isinstance(items[n + 1], Var)
+            assert (items[n + 1] is y) == (copy is resolve)
 
-    # ids: prefix-cycle for resolve, after the entry point's name otherwise
+    # the resolve cases keep the ids they had before the other entry points
     @pytest.mark.parametrize("copy, prefix, cycle", [
-        pytest.param(copy, prefix, cycle, id="-".join(
-            ([] if copy is resolve else [copy.__name__])
-            + [str(prefix), str(cycle)]))
-        for copy in COPIERS
-        for prefix, cycle in [(0, 1), (0, 2), (3, 5), (1, 64)]])
+        pytest.param(c, p, n, id="-".join(
+            ([] if c is resolve else [c.__name__]) + [str(p), str(n)]))
+        for c in COPIERS for p, n in [(0, 1), (0, 2), (3, 5), (1, 64)]])
     def test_a_cyclic_list_is_an_error(self, copy, prefix, cycle):
         with pytest.raises(MdpError, match="cyclic"):
             copy(cyclic_list(prefix, cycle), BindingStore())

@@ -183,6 +183,27 @@ class TestPlainRules:
         assert engine.run("G = fact, call(G)")
         assert not engine.run("G = rule, call(G)")
 
+    def test_a_body_of_any_length_rewrites(self, engine):
+        goals = ", ".join("X%d = %d" % (i, i) for i in range(10_000))
+        engine.consult_text("p(X0) :- %s.\n[] # q(X0) :- %s.\n"
+                            % (goals, goals))
+        assert engine.run("p(0), [] ? q(0), %s" % goals)
+
+    def test_a_hook_with_a_variable_pattern_sees_every_goal(self, engine):
+        engine.consult_text("""
+            hook_mdp_term(_, G, new) :- G == old.
+            new.
+            p :- true, old.
+        """)
+        assert engine.run("p")
+
+    def test_a_hook_that_keeps_growing_a_goal_is_an_error(self, engine):
+        with pytest.raises(TransformError, match="exceeded depth"):
+            engine.consult_text("""
+                hook_mdp_term(_, grow, (grow, true)).
+                p :- grow.
+            """)
+
 
 class TestTermHook:
     def test_hook_rewrites_before_dispatch(self):
