@@ -22,12 +22,15 @@ from .errors import (
 )
 from .terms import (
     NIL,
+    RESOLVE_DEPTH_LIMIT,
     Atom,
+    MdpError,
     Skeleton,
     Slot,
     Struct,
     Var,
     compare_terms,
+    flatten_conj,
     indicator,
     is_callable_term,
     is_number,
@@ -48,63 +51,93 @@ INT_MAX = 2**63 - 1
 
 
 def eval_arith(term, store):
-    t = store.deref(term)
-    if isinstance(t, Var):
-        raise instantiation_error()
-    if isinstance(t, bool):
-        raise type_error("evaluable", t)
-    if isinstance(t, int):
-        _check_int(t)
-        return t
-    if isinstance(t, float):
-        return t
-    if isinstance(t, Atom):
-        raise type_error("evaluable", Struct("/", (t, 0)))
-    if isinstance(t, Struct):
-        f, n = t.functor, len(t.args)
-        if n == 1:
-            a = eval_arith(t.args[0], store)
-            if f == "-":
-                return _check_int(-a) if isinstance(a, int) else -a
-            if f == "+":
-                return a
-            if f == "abs":
-                return _check_int(abs(a)) if isinstance(a, int) else abs(a)
-            if f == "floor":
-                return _check_int(math.floor(a))
-            if f == "sqrt":
-                if a < 0:
-                    raise evaluation_error("undefined")
-                return math.sqrt(a)
-        elif n == 2:
-            a = eval_arith(t.args[0], store)
-            b = eval_arith(t.args[1], store)
-            if f == "+":
-                return _num_result(a + b)
-            if f == "-":
-                return _num_result(a - b)
-            if f == "*":
-                return _num_result(a * b)
-            if f == "/":
-                if b == 0:
-                    raise evaluation_error("zero_divisor")
-                if isinstance(a, int) and isinstance(b, int):
-                    if a % b == 0:
-                        return _check_int(a // b)
-                    return a / b
+    """The value of an arithmetic expression.
+
+    The compounds whose arguments are still being evaluated wait on a
+    stack, with the values found so far, in place of recursion.  A
+    compound of arity 3 or more is an error before its arguments are
+    evaluated, the others after, left to right.
+    """
+    stack = []      # (compound, the values of its arguments so far)
+    t = term
+    while True:
+        if type(t) is Var:
+            t = store.deref(t)
+        cls = type(t)
+        if cls is int:
+            value = t if INT_MIN <= t <= INT_MAX else _check_int(t)
+        elif cls is float:
+            value = t
+        elif cls is Struct:
+            if len(t.args) > 2:
+                raise type_error("evaluable",
+                                 Struct("/", (Atom(t.functor), len(t.args))))
+            if len(stack) > RESOLVE_DEPTH_LIMIT:
+                raise MdpError("term too deep while evaluating")
+            stack.append((t, []))
+            t = t.args[0]
+            continue
+        elif cls is Var:
+            raise instantiation_error()
+        elif cls is Atom:
+            raise type_error("evaluable", Struct("/", (t, 0)))
+        else:
+            raise type_error("evaluable", t)
+        while stack:    # hand the value to the compound waiting on it
+            node, values = stack[-1]
+            values.append(value)
+            if len(values) < len(node.args):
+                t = node.args[len(values)]
+                break
+            stack.pop()
+            value = _apply(node.functor, values)
+        else:
+            return value
+
+
+def _apply(f, values):
+    """The value of f over the values of its one or two arguments."""
+    if len(values) == 1:
+        a = values[0]
+        if f == "-":
+            return _check_int(-a) if isinstance(a, int) else -a
+        if f == "+":
+            return a
+        if f == "abs":
+            return _check_int(abs(a)) if isinstance(a, int) else abs(a)
+        if f == "floor":
+            return _check_int(math.floor(a))
+        if f == "sqrt":
+            if a < 0:
+                raise evaluation_error("undefined")
+            return math.sqrt(a)
+    else:
+        a, b = values
+        if f == "+":
+            return _num_result(a + b)
+        if f == "-":
+            return _num_result(a - b)
+        if f == "*":
+            return _num_result(a * b)
+        if f == "/":
+            if b == 0:
+                raise evaluation_error("zero_divisor")
+            if isinstance(a, int) and isinstance(b, int):
+                if a % b == 0:
+                    return _check_int(a // b)
                 return a / b
-            if f == "mod":
-                if not (isinstance(a, int) and isinstance(b, int)):
-                    raise type_error("integer", a if not isinstance(a, int) else b)
-                if b == 0:
-                    raise evaluation_error("zero_divisor")
-                return _check_int(a % b)
-            if f == "min":
-                return min(a, b)
-            if f == "max":
-                return max(a, b)
-        raise type_error("evaluable", Struct("/", (Atom(f), n)))
-    raise type_error("evaluable", t)
+            return a / b
+        if f == "mod":
+            if not (isinstance(a, int) and isinstance(b, int)):
+                raise type_error("integer", a if not isinstance(a, int) else b)
+            if b == 0:
+                raise evaluation_error("zero_divisor")
+            return _check_int(a % b)
+        if f == "min":
+            return min(a, b)
+        if f == "max":
+            return max(a, b)
+    raise type_error("evaluable", Struct("/", (Atom(f), len(values))))
 
 
 def _check_int(value):
@@ -448,18 +481,14 @@ def _b_retractall(solver, store, pattern):
 
 
 def _each_indicator(solver, store, spec):
-    s = store.deref(spec)
-    if isinstance(s, Struct) and s.functor == "," and len(s.args) == 2:
-        yield from _each_indicator(solver, store, s.args[0])
-        yield from _each_indicator(solver, store, s.args[1])
-        return
-    if isinstance(s, Struct) and s.functor == "/" and len(s.args) == 2:
-        name = store.deref(s.args[0])
-        arity = store.deref(s.args[1])
-        if isinstance(name, Atom) and isinstance(arity, int):
-            yield (name.name, arity)
-            return
-    raise type_error("predicate_indicator", resolve(spec, store))
+    for s in flatten_conj(spec, store):
+        if isinstance(s, Struct) and s.functor == "/" and len(s.args) == 2:
+            name = store.deref(s.args[0])
+            arity = store.deref(s.args[1])
+            if isinstance(name, Atom) and isinstance(arity, int):
+                yield (name.name, arity)
+                continue
+        raise type_error("predicate_indicator", resolve(s, store))
 
 
 def _b_dynamic(solver, store, spec):

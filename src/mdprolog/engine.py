@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from importlib import resources
 
 from .dispatcher import score_candidates
@@ -13,8 +12,6 @@ from .render import render
 from .solver import BOOTSTRAP, Solver
 from .terms import Atom, BindingStore, NIL, Struct, Var, resolve
 from .transformer import expand_source_item, phase1_rewrite
-
-_MIN_RECURSION_LIMIT = 100_000
 
 
 def _prelude_path():
@@ -53,8 +50,6 @@ class Solution:
 class Engine:
     def __init__(self, prelude=True, occurs_check=False, budget=None,
                  trace_dispatch=False, out=None, err=None):
-        if sys.getrecursionlimit() < _MIN_RECURSION_LIMIT:
-            sys.setrecursionlimit(_MIN_RECURSION_LIMIT)
         self.kb = KnowledgeBase()
         self.solver = Solver(self.kb, out=out, err=err,
                              occurs_check=occurs_check, budget=budget,

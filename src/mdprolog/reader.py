@@ -1,11 +1,17 @@
-"""Tokenizer and operator-precedence parser for the mdp surface syntax."""
+"""Tokenizer and operator-precedence parser for the mdp surface syntax.
+
+The parser reads a term in one loop over an explicit stack of the terms
+that enclose the one being read, so the nesting a clause may have is
+``RESOLVE_DEPTH_LIMIT`` levels, whatever the interpreter's recursion
+limit.
+"""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 
-from .terms import Atom, MdpError, Struct, Var, make_list
+from .terms import NIL, RESOLVE_DEPTH_LIMIT, Atom, MdpError, Struct, Var, make_list
 
 SYMBOL_CHARS = set("#$&*+-./:<=>?@^~\\")
 SOLO_CHARS = {"!", ";"}
@@ -144,6 +150,9 @@ def tokenize(text, filename="<text>"):
 
 TERM_START_KINDS = {"atom", "qatom", "var", "int", "float"}
 
+# Kinds of the frames of Parser.parse, each a term whose parts are read
+_INFIX, _PREFIX, _PAREN, _ARGS, _LIST, _TAIL = range(6)
+
 
 class Parser:
     """Operator-precedence parser over a token list."""
@@ -163,7 +172,7 @@ class Parser:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def next(self):
-        token = self.peek()
+        token = self.tokens[self.pos]   # pos never passes the eof token
         if token.kind != "eof":
             self.pos += 1
         return token
@@ -188,13 +197,134 @@ class Parser:
         return term, dict(self.varmap), start.line
 
     def parse(self, max_priority):
-        """Parse a term; returns (term, priority)."""
-        left, left_pri = self.parse_primary(max_priority)
-        return self.parse_infix(left, left_pri, max_priority)
+        """Parse a term; returns (term, priority).
+
+        One loop reads the term.  A term that encloses others keeps a
+        frame on a stack while they are read: the left operand of an
+        infix operator, a prefix operator, a parenthesised term, a
+        compound's arguments so far, or a list's elements so far and its
+        tail.  Nesting deeper than ``RESOLVE_DEPTH_LIMIT`` is an error.
+        """
+        frames = []     # (kind, max priority around it, name, part, priority)
+        while True:
+            if len(frames) > RESOLVE_DEPTH_LIMIT:
+                self.err("term nested too deep")
+            # read the start of a term of at most max_priority
+            token = self.next()
+            kind = token.kind
+            if kind in ("int", "float"):
+                term, pri = token.value, 0
+            elif kind == "var":
+                if token.func:
+                    self.err("a variable cannot be used as a functor", token)
+                term = (Var("_") if token.value == "_"
+                        else self.varmap.get(token.value))
+                if term is None:
+                    term = self.varmap[token.value] = Var(token.value)
+                pri = 0
+            elif kind == "punct":
+                value = token.value
+                if value == "(":
+                    frames.append((_PAREN, max_priority, None, None, 0))
+                    max_priority = 1200
+                    continue
+                nxt = self.peek()
+                if value == "[":
+                    if nxt.kind == "punct" and nxt.value == "]":
+                        self.next()
+                        term, pri = NIL, 0
+                    else:
+                        frames.append((_LIST, max_priority, None, [], 0))
+                        max_priority = 999
+                        continue
+                elif value == "{" and nxt.kind == "punct" and nxt.value == "}":
+                    self.next()
+                    term, pri = Atom("{}"), 0
+                elif value == "{":
+                    self.err("brace terms are not supported", token)
+                else:
+                    self.err("unexpected token %r" % value, token)
+            elif kind in ("atom", "qatom"):
+                name = token.value
+                if token.func:
+                    self.expect_punct("(")
+                    frames.append((_ARGS, max_priority, name, [], 0))
+                    max_priority = 999
+                    continue
+                nxt = self.peek()
+                prefix = self.ops.prefix_op(name) if kind == "atom" else None
+                if (kind == "atom" and name in ("-", "+")
+                        and nxt.kind in ("int", "float") and not nxt.spaced):
+                    # fold an adjacent numeric literal: -1 is the integer
+                    self.next()
+                    term, pri = (-nxt.value if name == "-" else nxt.value), 0
+                elif (prefix is not None and prefix[0] <= max_priority
+                        and self.starts_term(nxt)):
+                    priority, fixity = prefix
+                    frames.append((_PREFIX, max_priority, name, None, priority))
+                    max_priority = priority if fixity == "fy" else priority - 1
+                    continue
+                else:
+                    pri = self.ops.max_priority(name) if kind == "atom" else 0
+                    if pri > max_priority:
+                        # an operator atom used as an operand is priority 0 in parens
+                        self.err("operator %r cannot stand here" % name, token)
+                    term = Atom(name)
+            elif kind == "end":
+                self.err("unexpected end of clause", token)
+            else:
+                self.err("unexpected end of input", token)
+            # a term is read: take the operators after it, and close the
+            # frames it completes, until one needs another term
+            while True:
+                term, pri, infix = self.parse_infix(term, pri, max_priority)
+                if infix is not None:
+                    name, priority, right_max = infix
+                    frames.append((_INFIX, max_priority, name, term, priority))
+                    max_priority = right_max
+                    break
+                if not frames:
+                    return term, pri
+                kind, max_priority, name, part, pri = frames.pop()
+                if kind is _INFIX:
+                    term = Struct(name, (part, term))
+                elif kind is _PREFIX:
+                    term = Struct(name, (term,))
+                elif kind is _PAREN:
+                    self.expect_punct(")")
+                elif kind is _TAIL:
+                    self.expect_punct("]")
+                    term = make_list(part, term)
+                else:   # the next argument or element, or the end
+                    part.append(term)
+                    token = self.next()
+                    if token.kind == "punct" and token.value == ",":
+                        frames.append((kind, max_priority, name, part, 0))
+                        max_priority = 999
+                        break
+                    if kind is _ARGS:
+                        if token.kind != "punct" or token.value != ")":
+                            self.err("expected ',' or ')' in argument list",
+                                     token)
+                        term = Struct(name, tuple(part))
+                    elif token.kind == "punct" and token.value == "|":
+                        frames.append((_TAIL, max_priority, None, part, 0))
+                        max_priority = 999
+                        break
+                    elif token.kind == "punct" and token.value == "]":
+                        term = make_list(part)
+                    else:
+                        self.err("expected ',', '|' or ']' in list", token)
 
     def parse_infix(self, left, left_pri, max_priority):
+        """Apply the postfix operators after left that fit max_priority.
+
+        Returns (left, priority, infix): infix is the (name, priority,
+        maximum priority of its right operand) of the infix operator
+        whose right operand comes next, after it is taken, or None.
+        """
         while True:
-            token = self.peek()
+            token = self.tokens[self.pos]
             entry = None
             name = None
             if token.kind == "punct" and token.value == ",":
@@ -203,81 +333,20 @@ class Parser:
                 name = token.value
                 entry = self.ops.infix_op(name) or self.ops.postfix_op(name)
             if entry is None:
-                return left, left_pri
+                return left, left_pri, None
             priority, fixity = entry
             if priority > max_priority:
-                return left, left_pri
+                return left, left_pri, None
             max_left = priority if fixity in ("yfx", "yf") else priority - 1
             if left_pri > max_left:
-                return left, left_pri
+                return left, left_pri, None
             self.next()
             if fixity in ("xf", "yf"):
                 left = Struct(name, (left,))
                 left_pri = priority
                 continue
             right_max = priority if fixity == "xfy" else priority - 1
-            right, _ = self.parse(right_max)
-            left = Struct(name, (left, right))
-            left_pri = priority
-
-    def parse_primary(self, max_priority):
-        token = self.next()
-        kind = token.kind
-        if kind in ("int", "float"):
-            return token.value, 0
-        if kind == "var":
-            if token.func:
-                self.err("a variable cannot be used as a functor", token)
-            if token.value == "_":
-                return Var("_"), 0
-            var = self.varmap.get(token.value)
-            if var is None:
-                var = Var(token.value)
-                self.varmap[token.value] = var
-            return var, 0
-        if kind == "punct":
-            if token.value == "(":
-                term, _ = self.parse(1200)
-                self.expect_punct(")")
-                return term, 0
-            if token.value == "[":
-                return self.parse_list(), 0
-            if token.value == "{":
-                nxt = self.peek()
-                if nxt.kind == "punct" and nxt.value == "}":
-                    self.next()
-                    return Atom("{}"), 0
-                self.err("brace terms are not supported", token)
-            self.err("unexpected token %r" % token.value, token)
-        if kind in ("atom", "qatom"):
-            name = token.value
-            if token.func:
-                self.expect_punct("(")
-                args = self.parse_arglist()
-                return Struct(name, args), 0
-            if kind == "atom":
-                # fold an adjacent numeric literal: -1 is the integer
-                nxt = self.peek()
-                if (name in ("-", "+") and nxt.kind in ("int", "float")
-                        and not nxt.spaced):
-                    self.next()
-                    value = nxt.value
-                    return (-value if name == "-" else value), 0
-                prefix = self.ops.prefix_op(name)
-                if prefix is not None and prefix[0] <= max_priority:
-                    if self.starts_term(nxt):
-                        priority, fixity = prefix
-                        arg_max = priority if fixity == "fy" else priority - 1
-                        arg, _ = self.parse(arg_max)
-                        return Struct(name, (arg,)), priority
-            bare_pri = self.ops.max_priority(name) if kind == "atom" else 0
-            if bare_pri > max_priority:
-                # an operator atom used as an operand is priority 0 in parens
-                self.err("operator %r cannot stand here" % name, token)
-            return Atom(name), bare_pri
-        if kind == "end":
-            self.err("unexpected end of clause", token)
-        self.err("unexpected end of input", token)
+            return left, left_pri, (name, priority, right_max)
 
     def starts_term(self, token):
         if token.kind in TERM_START_KINDS:
@@ -295,38 +364,6 @@ class Parser:
                     )
             return True
         return token.kind == "punct" and token.value in ("(", "[")
-
-    def parse_arglist(self):
-        args = [self.parse(999)[0]]
-        while True:
-            token = self.next()
-            if token.kind == "punct" and token.value == ",":
-                args.append(self.parse(999)[0])
-                continue
-            if token.kind == "punct" and token.value == ")":
-                return tuple(args)
-            self.err("expected ',' or ')' in argument list", token)
-
-    def parse_list(self):
-        token = self.peek()
-        if token.kind == "punct" and token.value == "]":
-            self.next()
-            return Atom("[]")
-        items = [self.parse(999)[0]]
-        tail = Atom("[]")
-        while True:
-            token = self.next()
-            if token.kind == "punct" and token.value == ",":
-                items.append(self.parse(999)[0])
-                continue
-            if token.kind == "punct" and token.value == "|":
-                tail = self.parse(999)[0]
-                self.expect_punct("]")
-                break
-            if token.kind == "punct" and token.value == "]":
-                break
-            self.err("expected ',', '|' or ']' in list", token)
-        return make_list(items, tail)
 
 
 @dataclass

@@ -73,6 +73,13 @@ without first-argument indexing, since an implementation clause's first
 argument is the context, one after another while their clauses fail;
 the WINNERS choicepoint is pushed only when a clause of one matched and
 later winners remain.
+
+Two things start a run inside the running one, on the Python stack,
+through ``Solver.solve_once``: scoring a signature whose context rules
+hold goals (``dispatcher.score_signature``) and a transformer hook
+(``Engine._run_hook``).  Each such level costs a few Python frames, so
+at most ``MAX_NESTED_RUNS`` of them may be under way at once; one more is
+an ``MdpError``.  Everything else runs on the machine's own stacks.
 """
 
 from __future__ import annotations
@@ -98,6 +105,7 @@ from .terms import (
     TRUE,
     Atom,
     BindingStore,
+    MdpError,
     Skeleton,
     Slot,
     Struct,
@@ -114,6 +122,9 @@ from .terms import (
 )
 
 FAIL = Atom("fail")
+
+# solve_once runs that may be under way at once, one inside another
+MAX_NESTED_RUNS = 100
 
 # Choicepoint kinds, the first item of a choicepoint; the second is the
 # trail mark to undo to when the choicepoint is resumed.
@@ -153,6 +164,7 @@ class Solver:
         self.trace_dispatch = trace_dispatch
         self.inferences = 0
         self.oid_counter = 0
+        self.nested_runs = 0    # the solve_once runs under way
 
     def reset_run(self):
         self.inferences = 0
@@ -178,8 +190,20 @@ class Solver:
         return Run(self, store, goal, key)
 
     def solve_once(self, goal, store, key=None):
-        """True with the bindings of the first solution kept, else False."""
-        return self.solve(goal, store, key).step()
+        """True with the bindings of the first solution kept, else False.
+
+        A context rule's scoring and a transformer hook run this way
+        inside the running machine, on the Python stack; more than
+        ``MAX_NESTED_RUNS`` such runs under way at once are an error.
+        """
+        if self.nested_runs >= MAX_NESTED_RUNS:
+            raise MdpError("context rules and hooks nested more than %d deep"
+                           % MAX_NESTED_RUNS)
+        self.nested_runs += 1
+        try:
+            return self.solve(goal, store, key).step()
+        finally:
+            self.nested_runs -= 1
 
     def call_predicate(self, key, first, store):
         """The clauses a call of the predicate key tries, in definition order.
@@ -270,11 +294,11 @@ class Run:
                                 clauses = call_predicate(
                                     x, args[0] if args else None, store)
                             elif code is C_DISPATCH:
-                                implicit, functor, templates = x
+                                ctx, functor, templates = x
                                 given = y if type(y) is tuple else build(y, frame)
                                 target = new_struct(
                                     functor, build_args(templates, frame))
-                                later = dispatch(solver, store, frame[implicit],
+                                later = dispatch(solver, store, build(ctx, frame),
                                                  given, target)
                                 clauses = ()
                             elif code is E_COMPARE:
@@ -577,7 +601,7 @@ _BUILTINS = {
 # the slots first met in the goal (see compile_body).  Two control codes
 # are kinds too:
 #   (ticks, C_CUT, None, None, firsts) and
-#   (ticks, C_DISPATCH, (slot of the implicit context, goal functor,
+#   (ticks, C_DISPATCH, (implicit context template, goal functor,
 #    goal argument templates), given: parsed or a template, firsts)
 E_CALL = 20      # (ticks, E_CALL, key, argument templates, firsts)
 E_DET = 21       # (ticks, E_DET, builtin, argument templates, firsts)
@@ -649,13 +673,13 @@ def _compile_goal(goal, ticks, seen):
         return ticks, C_CUT, None, None
     if op is C_DISPATCH:
         implicit, given, target = args
-        if (type(implicit) is Slot and implicit.index in seen
-                and type(target) is Skeleton):
+        if ((type(implicit) is not Slot or implicit.index in seen)
+                and type(target) in (Skeleton, Struct)):
             return ticks, C_DISPATCH, (
-                implicit.index, target.functor, target.args), _parsed(given)
+                implicit, target.functor, target.args), _parsed(given)
     if type(op) is int:
         # another control construct, a nondeterministic builtin, or a
-        # dispatch whose goal is a variable or ground
+        # dispatch whose goal is a variable or an atom
         return ticks, E_GOAL, goal, None
     if key[0] in COMPARISONS and key[1] == 2:
         evaluator = arith_evaluator(args, seen, key[0])

@@ -11,11 +11,15 @@ Terms are values; only a variable changes, when a store binds it:
 Lists are compounds of ``'.'/2`` terminated by the atom ``[]``.
 
 Stored clauses and signatures are used through templates
-(``compile_terms``): ``match`` unifies a template with a runtime term in
-place and ``build`` makes the runtime copy of a template.  ``resolve``,
+(``compile_terms``): ``match_args`` unifies templates with runtime terms
+in place and ``build`` makes the runtime copy of a template.  ``resolve``,
 ``rename_term`` and ``compile_terms`` copy through one iterative walk
 that shares what it leaves unchanged, and in which a list counts as one
 level of nesting, whatever its length.
+
+No walk here recurses in Python: each keeps its own stack, so the depth
+of a term is bounded by ``RESOLVE_DEPTH_LIMIT`` or by the template it
+follows, never by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -154,11 +158,26 @@ def conj(goals):
     return result
 
 
-def flatten_conj(term):
-    """Goal list of a right- or left-nested conjunction."""
-    if isinstance(term, Struct) and term.functor == "," and len(term.args) == 2:
-        return flatten_conj(term.args[0]) + flatten_conj(term.args[1])
-    return [term]
+def flatten_conj(term, store=None):
+    """Goal list of a right- or left-nested conjunction, bindings followed.
+
+    Conjunctions nested more than ``RESOLVE_DEPTH_LIMIT`` deep, such as a
+    cyclic binding, are an error.
+    """
+    deref = (store or _EMPTY_STORE).deref
+    goals = []
+    stack = [(term, 0)]     # (subterm, its depth)
+    while stack:
+        t, depth = stack.pop()
+        t = deref(t)
+        if type(t) is Struct and t.functor == "," and len(t.args) == 2:
+            if depth > RESOLVE_DEPTH_LIMIT:
+                raise MdpError("term too deep while flattening (cyclic binding?)")
+            stack.append((t.args[1], depth + 1))
+            stack.append((t.args[0], depth + 1))
+        else:
+            goals.append(t)
+    return goals
 
 
 class BindingStore:
@@ -217,14 +236,18 @@ def unify(t1, t2, store, occurs_check=False):
     """Extend ``store`` so both terms dereference equal; rewind on failure.
 
     The rewind undoes the trailed bindings; the others are of variables
-    that the backtracking after a failure leaves unreachable.
+    that the backtracking after a failure leaves unreachable.  Compounds
+    are immutable, so a cycle passes through a bound variable: a pair of
+    compounds reached through one is unified once, and met again it is
+    taken as equal, so two cyclic terms unify as rational trees do.
     """
     mark = len(store.trail)
     stack = [(t1, t2)]
+    seen = None     # the pairs of compounds reached through a bound variable
     while stack:
-        a, b = stack.pop()
-        a = store.deref(a)
-        b = store.deref(b)
+        a0, b0 = stack.pop()
+        a = store.deref(a0)
+        b = store.deref(b0)
         if a is b:
             continue
         if isinstance(a, Var):
@@ -260,6 +283,11 @@ def unify(t1, t2, store, occurs_check=False):
             if a.functor != b.functor or len(a.args) != len(b.args):
                 store.undo_to(mark)
                 return False
+            if a is not a0 or b is not b0:
+                seen = set() if seen is None else seen
+                if (id(a), id(b)) in seen:
+                    continue
+                seen.add((id(a), id(b)))
             stack.extend(zip(a.args, b.args))
             continue
         store.undo_to(mark)
@@ -373,7 +401,7 @@ def rename_term(term, store, mapping=None):
     """Copy with fresh variables (after resolving current bindings).
 
     For runtime terms only; clauses and signatures are copied from their
-    templates (``compile_terms``, ``match``, ``build``).
+    templates (``compile_terms``, ``match_args``, ``build``).
     """
     if mapping is None:
         mapping = {}
@@ -434,71 +462,69 @@ def compile_terms(terms):
                   for t in terms]), len(slots)
 
 
-def match(template, term, frame, store, occurs_check=False):
-    """Unify a template with a term, filling the template's slots in frame.
+def match_args(templates, terms, frame, store, occurs_check=False):
+    """Unify argument templates with terms, filling the templates' slots.
 
     ``frame`` holds one entry per slot, None until the slot is first met.
     A slot met for the first time takes the term itself, with no new
     variable and no trail entry; a slot met again is unified with its
     value.  A compound met by an unbound variable is built and bound to
-    it, so structure is only made where the term has none.  On failure
-    the bindings made so far stay for the caller to undo.
+    it, so structure is only made where the term has none.  Compounds are
+    matched in place of recursion through a stack of the argument pairs
+    left at each level.  On failure the bindings made so far stay for the
+    caller to undo.
     """
-    cls = type(template)
-    if cls is Slot:
-        value = frame[template.index]
-        if value is None:
-            frame[template.index] = term
-            return True
-        return unify(value, term, store, occurs_check)
-    if type(term) is Var:
-        term = store.deref(term)
-    if cls is Skeleton:
-        if type(term) is Var:
-            built = build(template, frame)
-            if occurs_check and occurs_in(term, built, store):
+    pairs = zip(templates, terms)
+    stack = None    # the argument pairs left at the levels above
+    while True:
+        for sub, arg in pairs:
+            cls = type(sub)
+            if cls is Slot:
+                if frame[sub.index] is None:
+                    frame[sub.index] = arg      # the common case
+                    continue
+                if not unify(frame[sub.index], arg, store, occurs_check):
+                    return False
+                continue
+            if type(arg) is Var:
+                arg = store.deref(arg)
+            if cls is Skeleton:
+                if type(arg) is Var:
+                    built = build(sub, frame)
+                    if occurs_check and occurs_in(arg, built, store):
+                        return False
+                    store.bind(arg, built)
+                    continue
+                if not (type(arg) is Struct and arg.functor == sub.functor
+                        and len(arg.args) == len(sub.args)):
+                    return False
+                if stack is None:
+                    stack = []
+                stack.append(pairs)
+                pairs = zip(sub.args, arg.args)
+                break
+            # a ground template: an atom, a number or a compound without
+            # variables, which no occurrence check can fail against
+            if type(arg) is Var:
+                store.bind(arg, sub)
+            elif cls is Struct:
+                if sub is not arg and not unify(sub, arg, store):
+                    return False
+            elif not (sub is arg or type(arg) is cls and arg == sub):
                 return False
-            store.bind(term, built)
-            return True
-        return (type(term) is Struct and term.functor == template.functor
-                and len(term.args) == len(template.args)
-                and match_args(template.args, term.args, frame, store,
-                               occurs_check))
-    # a ground template: an atom, a number or a compound without variables,
-    # which no occurrence check can fail against
-    if template is term:
-        return True
-    if type(term) is Var:
-        store.bind(term, template)
-        return True
-    if cls is Struct:
-        return unify(template, term, store)
-    return type(term) is cls and term == template
-
-
-def match_args(templates, terms, frame, store, occurs_check=False):
-    """``match`` over paired argument templates and terms."""
-    for sub, arg in zip(templates, terms):
-        cls = type(sub)
-        if cls is Slot:
-            if frame[sub.index] is None:
-                frame[sub.index] = arg      # the common case, without a call
-                continue
-        elif cls is not Skeleton and cls is not Struct and type(arg) is not Var:
-            # an atomic constant against a bound argument, without a call
-            if sub is arg or (cls is type(arg) and sub == arg):
-                continue
-            return False
-        if not match(sub, arg, frame, store, occurs_check):
-            return False
-    return True
+        else:
+            if not stack:
+                return True
+            pairs = stack.pop()
 
 
 def build(template, frame):
     """The term a template stands for, given the slot values in frame.
 
     A slot with no value yet gets a fresh variable named after the clause
-    variable, which later occurrences share.
+    variable, which later occurrences share.  A skeleton inside a skeleton
+    waits on a stack, with its arguments built so far, in place of
+    recursion.
     """
     cls = type(template)
     if cls is Slot:
@@ -508,7 +534,30 @@ def build(template, frame):
         return value
     if cls is not Skeleton:
         return template
-    return new_struct(template.functor, build_args(template.args, frame))
+    todo, args = iter(template.args), []
+    stack = None    # the skeletons above: (skeleton, args built, args to build)
+    while True:
+        for sub in todo:
+            cls = type(sub)
+            if cls is Slot:
+                value = frame[sub.index]
+                if value is None:
+                    value = frame[sub.index] = Var(sub.name)
+                args.append(value)
+            elif cls is Skeleton:
+                if stack is None:
+                    stack = []
+                stack.append((template, args, todo))
+                template, args, todo = sub, [], iter(sub.args)
+                break
+            else:
+                args.append(sub)
+        else:
+            term = new_struct(template.functor, tuple(args))
+            if not stack:
+                return term
+            template, args, todo = stack.pop()
+            args.append(term)
 
 
 def build_args(templates, frame):
@@ -526,34 +575,6 @@ def build_args(templates, frame):
         else:
             args.append(sub)
     return tuple(args)
-
-
-def variant_of(t1, t2, store=_EMPTY_STORE):
-    """True when the terms are equal up to a variable bijection."""
-    fwd, bwd = {}, {}
-
-    def walk(a, b):
-        a = store.deref(a)
-        b = store.deref(b)
-        if isinstance(a, Var) and isinstance(b, Var):
-            if fwd.get(a, b) is not b or bwd.get(b, a) is not a:
-                return False
-            fwd[a] = b
-            bwd[b] = a
-            return True
-        if isinstance(a, Var) or isinstance(b, Var):
-            return False
-        if isinstance(a, Struct) and isinstance(b, Struct):
-            return (
-                a.functor == b.functor
-                and len(a.args) == len(b.args)
-                and all(walk(x, y) for x, y in zip(a.args, b.args))
-            )
-        if is_number(a) and is_number(b):
-            return type(a) is type(b) and a == b
-        return a is b
-
-    return walk(t1, t2)
 
 
 def make_list(items, tail=NIL):

@@ -159,51 +159,57 @@ def phase1_rewrite(engine, term, ctx_var, depth, where="rule body"):
 
     ``depth`` counts nested dispatches and descents into a hook's output,
     the steps that can repeat without end.  Other descents into control
-    constructs do not count, and the last goal position of each is
-    followed in a loop, so a body of any length rewrites.
+    constructs do not count: each construct descended into waits on a
+    stack, with the goal positions it has left, so a body of any length
+    or nesting rewrites.
     """
-    spine = []      # (functor, args, last goal position) descended through
+    stack = []      # [functor, args, goal positions, the one open, depth]
     while True:
         if depth > MAX_REWRITE_DEPTH:
             raise TransformError("goal rewrite exceeded depth %d in %s"
                                  % (MAX_REWRITE_DEPTH, where))
         t = term
-        if isinstance(t, Var) or is_number(t):
-            break
-        for _ in range(MAX_REWRITE_DEPTH):
-            replacement = engine.apply_term_hook(ctx_var, t)
-            if replacement is None:
+        if not (isinstance(t, Var) or is_number(t)):
+            for _ in range(MAX_REWRITE_DEPTH):
+                replacement = engine.apply_term_hook(ctx_var, t)
+                if replacement is None:
+                    break
+                t = replacement
+                if isinstance(t, Var) or is_number(t):
+                    break
+            else:
+                raise TransformError(
+                    "goal-term hook kept rewriting (more than %d rounds) in %s"
+                    % (MAX_REWRITE_DEPTH, where))
+        if isinstance(t, Struct):
+            positions = _GOAL_POSITIONS.get((t.functor, len(t.args)))
+            if t.functor == "?" and 1 <= len(t.args) <= 3:
+                # ?(Goal), Given ? Goal, or ?(Ctx, Given, Goal) from a hook,
+                # which already carries an implicit-context slot
+                given = NIL if len(t.args) == 1 else t.args[-2]
+                t = _make_dispatch(engine, ctx_var, given, t.args[-1], depth,
+                                   where)
+            elif positions:
+                if t is not term:   # a hook's output may hold what it
+                    depth += 1      # rewrites again
+                args = list(t.args)
+                stack.append([t.functor, args, positions, 0, depth])
+                term = args[positions[0]]
+                continue
+        # t is the rewrite of the open goal position: put it in its place
+        # and open the next position, or rebuild the construct it ends
+        while stack:
+            functor, args, positions, k, depth = frame = stack[-1]
+            args[positions[k]] = t
+            k += 1
+            if k < len(positions):
+                frame[3] = k
+                term = args[positions[k]]
                 break
-            t = replacement
-            if isinstance(t, Var) or is_number(t):
-                break
+            stack.pop()
+            t = Struct(functor, tuple(args))
         else:
-            raise TransformError(
-                "goal-term hook kept rewriting (more than %d rounds) in %s"
-                % (MAX_REWRITE_DEPTH, where))
-        if not isinstance(t, Struct):
-            break
-        if t.functor == "?" and 1 <= len(t.args) <= 3:
-            # ?(Goal), Given ? Goal, or ?(Ctx, Given, Goal) from a hook,
-            # which already carries an implicit-context slot
-            given = NIL if len(t.args) == 1 else t.args[-2]
-            t = _make_dispatch(engine, ctx_var, given, t.args[-1], depth,
-                               where)
-            break
-        positions = _GOAL_POSITIONS.get((t.functor, len(t.args)))
-        if not positions:
-            break
-        if t is not term:
-            depth += 1      # a hook's output may hold what it rewrites again
-        args = list(t.args)
-        for i in positions[:-1]:
-            args[i] = phase1_rewrite(engine, args[i], ctx_var, depth, where)
-        spine.append((t.functor, args, positions[-1]))
-        term = args[positions[-1]]
-    for functor, args, last in reversed(spine):
-        args[last] = t
-        t = Struct(functor, tuple(args))
-    return t
+            return t
 
 
 def expand_source_item(engine, term, filename=None, line=None):

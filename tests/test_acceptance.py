@@ -17,8 +17,8 @@ import pytest
 from mdprolog import BudgetExceeded, Engine
 from mdprolog.reader import parse_program, parse_term
 from mdprolog.render import render
-from mdprolog.terms import variant_of
 from mdprolog.transformer import expand_source_item
+from variants import variant_of
 
 
 def program_text(name):

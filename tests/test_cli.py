@@ -157,3 +157,33 @@ class TestDepth:
         proc = run_cli(str(loop), "--budget", "100000", "-g", "loop(a)")
         assert proc.returncode == 2
         assert "budget" in proc.stderr
+
+    def test_an_expression_nested_too_deep_exits_two(self, tmp_path):
+        program = tmp_path / "sum.mdp"
+        program.write_text("sum(0, 1) :- !.\n"
+                           "sum(N, 1 + T) :- N1 is N - 1, sum(N1, T).\n")
+        proc = run_cli("--no-prelude", str(program), "-g",
+                       "sum(200000, E), X is E")
+        assert proc.returncode == 2
+        assert "term too deep while evaluating" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("levels, code", [(99, 0), (101, 2)])
+    def test_context_rules_nest_at_most_100_runs(self, tmp_path, levels, code):
+        # each level scores ok(N), whose goal dispatches the next level
+        program = tmp_path / "nest.mdp"
+        program.write_text("[n: N, ok(N) @ 0] # q.\n"
+                           "ok(0) :- !.\n"
+                           "ok(N) :- M is N - 1, [n: M] ? q.\n")
+        proc = run_cli("--no-prelude", str(program), "-g",
+                       "[n: %d] ? q" % levels)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert "nested more than 100 deep" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_a_cyclic_conjunction_of_indicators_exits_two(self):
+        proc = run_cli("--no-prelude", "-g", "X = (a/1, X), dynamic(X)")
+        assert proc.returncode == 2
+        assert "term too deep while flattening" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from mdprolog.ops import default_table
 from mdprolog.reader import ReaderError, parse_program, parse_term, tokenize
 from mdprolog.render import render
-from mdprolog.terms import Atom, Struct, Var, variant_of
+from mdprolog.terms import RESOLVE_DEPTH_LIMIT, Atom, Struct, Var
+from variants import variant_of
 
 
 OPTABLE = default_table()
@@ -175,6 +176,12 @@ class TestParser:
     def test_unbalanced_paren(self):
         with pytest.raises(ReaderError):
             parse("foo(a")
+
+    @pytest.mark.parametrize("opening, closing", [("f(", ")"), ("- ", "")])
+    def test_a_term_nested_too_deep_is_a_reader_error(self, opening, closing):
+        n = RESOLVE_DEPTH_LIMIT + 1
+        with pytest.raises(ReaderError, match="term nested too deep"):
+            parse(opening * n + "a" + closing * n)
 
 
 def random_ground_term(rng, depth=0):

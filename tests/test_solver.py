@@ -1,5 +1,6 @@
 import functools
 import itertools
+import resource
 import subprocess
 import sys
 
@@ -127,6 +128,17 @@ class TestArithmetic:
         with pytest.raises(PrologThrow) as e:
             engine.run("X is Y + 1")
         assert "instantiation_error" in str(e.value)
+
+    @pytest.mark.parametrize("expression, culprit", [
+        ("foo(a, b, c)", "foo/3"),      # before its arguments are evaluated
+        ("[1, 2|3]", ". /2"),           # the inner cell, after 2 and 3
+        ("foo(1, a)", "a/0"),           # arguments first, left to right
+        ("a + b", "a/0"),
+    ])
+    def test_an_expression_that_is_not_evaluable(self, engine, expression,
+                                                 culprit):
+        assert outcome(engine, "X is %s" % expression) == [
+            ("X", "error(type_error(evaluable, %s), mdprolog)" % culprit)]
 
 
 class TestExceptions:
@@ -561,6 +573,21 @@ class TestCompiledBodies:
         assert answers(engine, "[] ? late(X)", "X") == ["2"]
         assert answers(engine, "[a: 0] ? fixed(X)", "X") == ["3"]
 
+    def test_a_dispatch_in_a_plain_rule_runs_compiled(self, engine):
+        engine.consult_text("""
+            [] # h(1).
+            [] # h(2).
+            p(X) :- [] ? h(X).
+            q :- [] ? h(2).
+        """)
+        assert answers(engine, "p(X)", "X") == ["1", "2"]
+        assert engine.solver.inferences == 7
+        assert len(engine.query("q")) == 1
+        assert engine.solver.inferences == 6
+        for key in [("p", 1), ("q", 0)]:
+            _, body, _, _ = engine.kb.clauses_for(key)[0].compiled
+            assert [entry[1] for entry in body] == [solver.C_DISPATCH]
+
     def test_a_long_expression_in_a_body_keeps_to_the_builtin(self, engine):
         expression = "+".join(["X"] * 5000)
         engine.consult_text("big(X, Y) :- Y is %s, Y =:= %s."
@@ -610,7 +637,10 @@ upto(N, [N|T]) :- N > 0, N1 is N - 1, upto(N1, T).
 p(X, f(X)).
 mk(0, a) :- !.
 mk(N, f(T)) :- N1 is N - 1, mk(N1, T).
+sum(0, 1) :- !.
+sum(N, 1 + T) :- N1 is N - 1, sum(N1, T).
 ''')
+engine.consult_text(sys.stdin.read(), "<stdin>")
 print(engine.query(sys.argv[1])[0].render(sys.argv[2]))
 """
 
@@ -733,9 +763,21 @@ class TestConditionalTrailing:
             assert trail_outcome(program, query) == conditional
 
 
-def run_depth(query, var):
+def small_stack():
+    """Cap the C stack of a child process at 2 MB, a quarter of the usual."""
+    resource.setrlimit(resource.RLIMIT_STACK, (2 << 20, 2 << 20))
+
+
+def run_depth(query, var, program=""):
+    """The answer to query for var, with program consulted, in a child
+    process at the default recursion limit and on a small stack."""
     return subprocess.run([sys.executable, "-c", DEPTH_SCRIPT, query, var],
-                          capture_output=True, text=True, timeout=60)
+                          input=program, capture_output=True, text=True,
+                          timeout=60, preexec_fn=small_stack)
+
+
+def nested(opening, closing, leaf="a", n=30000):
+    return opening * n + leaf + closing * n
 
 
 class TestDepth:
@@ -769,6 +811,13 @@ class TestDepth:
             render(make_list(range(prefix), loop), store)
         assert render(make_list(range(20000))).endswith(", 19999]")
 
+    def test_rendering_a_cyclic_compound_is_an_error(self):
+        store = BindingStore()
+        x = Var("X")
+        assert unify(x, terms.Struct("f", (x,)), store)
+        with pytest.raises(MdpError, match="term too deep to render"):
+            render(x, store)
+
     def test_cprofile_runs_at_dispatch_depth(self):
         script = DEPTH_SCRIPT.replace(
             "print(", "import cProfile\ncProfile.run('engine.query(sys.argv[1])')\nprint(")
@@ -801,6 +850,57 @@ class TestDepth:
         proc = run_depth("%s, %s, (C == T -> R = same ; R = other)"
                          % (make, copy), "R")
         assert (proc.returncode, proc.stdout) == (0, "same\n"), proc.stderr
+
+    @pytest.mark.parametrize("program, query, var, answer", [
+        pytest.param("p(%s)." % nested("f(", ")"), "p(T)", "T",
+                     nested("f(", ")"), id="read-compound"),
+        pytest.param("p(%s)." % nested("[", "]"), "p(T)", "T",
+                     nested("[", "]"), id="read-list"),
+        pytest.param("p(%s)." % nested("(", ")"), "p(T)", "T", "a",
+                     id="read-parentheses"),
+        pytest.param("p(%s)." % nested("- ", ""), "p(T)", "T",
+                     nested("- ", "", "-a", 29999), id="read-prefix"),
+        pytest.param("p(X) :- %s, X = ok." % ", ".join(["true"] * 30000),
+                     "p(X)", "X", "ok", id="long-body"),
+        pytest.param("p(X) :- %s, X = ok." % nested("(", ", true)", "true"),
+                     "p(X)", "X", "ok", id="left-nested-body"),
+        pytest.param(":- dynamic %s." % ", ".join(
+                         "a%d/1" % i for i in range(5000)),
+                     "(a4999(_) -> X = no ; X = yes)", "X", "yes",
+                     id="dynamic-5000"),
+        pytest.param("", "mk(30000, T)", "T", nested("f(", ")"),
+                     id="print-compound"),
+        pytest.param("p(X) :- X is %s." % nested("(1 + ", ")", "1"),
+                     "p(X)", "X", "30001", id="is-in-clause"),
+        pytest.param("", "sum(50000, E), X is E", "X", "50001",
+                     id="is-at-run-time"),
+        pytest.param("", "length(L, 50000), assertz(big(L)), big(B), "
+                     "length(B, N)", "N", "50000", id="assertz-long-list"),
+    ])
+    def test_a_deep_term_is_read_built_evaluated_and_printed(
+            self, program, query, var, answer):
+        proc = run_depth(query, var, program)
+        assert (proc.returncode, proc.stdout) == (0, answer + "\n"), \
+            proc.stderr[-2000:]
+
+    def test_the_engine_leaves_the_recursion_limit_as_it_was(self):
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            Engine()
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(before)
+
+    @pytest.mark.parametrize("goals, answer", [
+        ("X = f(X), Y = f(Y), X = Y", "yes"),
+        ("X = [a|X], Y = [a, a|Y], X = Y", "yes"),
+        ("X = f(X, a), Y = f(Y, b), X = Y", "no"),
+        ("X = [a|X], Y = [a, b|Y], X = Y", "no"),
+    ])
+    def test_unifying_two_cyclic_terms_ends(self, goals, answer):
+        proc = run_depth("(\\+ \\+ (%s) -> R = yes ; R = no)" % goals, "R")
+        assert (proc.returncode, proc.stdout) == (0, answer + "\n"), proc.stderr
 
 
 MEMORY_SCRIPT = """

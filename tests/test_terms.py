@@ -14,13 +14,13 @@ from mdprolog.terms import (
     compare_terms,
     compile_terms,
     make_list,
-    match,
+    match_args,
     proper_list,
     rename_term,
     resolve,
     unify,
-    variant_of,
 )
+from variants import variant_of
 
 
 def atoms():
@@ -322,7 +322,7 @@ class TestTemplates:
         (head, body), size = compile_terms(
             (Struct("p", (x,)), Struct("q", (x, y, y))))
         frame = [None] * size
-        assert match(head, Struct("p", (Atom("a"),)), frame, BindingStore())
+        assert match_args((head,), (Struct("p", (Atom("a"),)),), frame, BindingStore())
         built = build(body, frame)
         assert built.args[0] is Atom("a")
         assert built.args[1] is built.args[2]
@@ -353,7 +353,7 @@ class TestTemplates:
         (head_t, body_t), size = compile_terms((head, body))
         frame = [None] * size
         new = BindingStore()
-        new_ok = match(head_t, goal, frame, new, occurs_check)
+        new_ok = match_args((head_t,), (goal,), frame, new, occurs_check)
         assert new_ok == old_ok
         if not checked:
             return
