@@ -468,15 +468,15 @@ def _b_retractall(solver, store, pattern):
     args = head.args if key[1] else ()
     solver.kb.set_dynamic(key)
     survivors = []
+    removed = []
     for clause in solver.kb.clauses_for(key):
         heads, _, size, _ = clause.compiled or clause.compile()
         slots = [None] * size
         mark = store.mark()
         matched = match_args(heads, args, slots, store, solver.occurs_check)
         store.undo_to(mark)
-        if not matched:
-            survivors.append(clause)
-    solver.kb.replace_clauses(key, survivors)
+        (removed if matched else survivors).append(clause)
+    solver.kb.remove_clauses(key, survivors, removed)
     return True
 
 

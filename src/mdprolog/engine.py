@@ -47,16 +47,33 @@ class Solution:
         return "<Solution %s>" % self.text().replace("\n", " ")
 
 
+# bool(prelude) -> the knowledge base of the consulted bootstrap and, if
+# true, prelude; built once per process, and every engine gets a copy
+_BASES = {}
+
+
+def _consult_base(prelude):
+    """Consult the start-up text into a new knowledge base, with no budget."""
+    engine = object.__new__(Engine)
+    engine.kb = KnowledgeBase()
+    engine.solver = Solver(engine.kb)
+    engine.consult_text(BOOTSTRAP, filename="<bootstrap>")
+    if prelude:
+        engine.consult_text(_prelude_path().read_text(), filename="<prelude>")
+    return engine.kb
+
+
 class Engine:
     def __init__(self, prelude=True, occurs_check=False, budget=None,
                  trace_dispatch=False, out=None, err=None):
-        self.kb = KnowledgeBase()
+        prelude = bool(prelude)
+        base = _BASES.get(prelude)
+        if base is None:
+            base = _BASES[prelude] = _consult_base(prelude)
+        self.kb = base.copy()
         self.solver = Solver(self.kb, out=out, err=err,
                              occurs_check=occurs_check, budget=budget,
                              trace_dispatch=trace_dispatch)
-        self.consult_text(BOOTSTRAP, filename="<bootstrap>")
-        if prelude:
-            self.consult_text(_prelude_path().read_text(), filename="<prelude>")
 
     # -- configuration -------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from operator import attrgetter
 
 from .ops import default_table
@@ -13,7 +13,7 @@ from .terms import Atom, Struct, Var, compile_terms, conj, indicator
 ANONYMOUS = "$anonymous_rule"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)     # a clause is equal only to itself
 class Clause:
     head: object
     body: object
@@ -106,22 +106,23 @@ _by_order = attrgetter("order")
 class FirstArgIndex:
     """One predicate's clauses, grouped on their first argument on demand.
 
-    ``source`` is the predicate's clause list, which only grows while the
-    index lives.  A call gets a tuple that later writes never touch, which
-    is the logical update view: all the clauses, or the bucket of its
-    first argument's key, which holds in definition order the clauses
-    with that key together with those whose first argument is a variable.
-    The clauses are grouped on the first call with a bound first
-    argument, so a predicate that is only written or scanned never pays
-    for the grouping; a clause appended later joins its group and drops
-    the buckets it would change.
+    ``source`` is the predicate's clause list, which grows by appends and
+    is replaced by its survivors on a removal.  A call gets a tuple that
+    later writes never touch, which is the logical update view: all the
+    clauses, or the bucket of its first argument's key, which holds in
+    definition order the clauses with that key together with those whose
+    first argument is a variable.  The clauses are grouped on the first
+    call with a bound first argument, so a predicate that is only written
+    or scanned never pays for the grouping; a clause appended later joins
+    its group, a removed one leaves it, and either drops the buckets it
+    would change.
     """
 
     __slots__ = ("source", "snapshot", "keyed", "unkeyed", "buckets")
 
     def __init__(self, source):
         self.source = source
-        self.snapshot = ()     # tuple(source), remade after an append
+        self.snapshot = ()     # tuple(source), remade after a write
         self.keyed = None      # key -> [Clause], once grouped
         self.unkeyed = ()      # clauses with a variable first argument
         self.buckets = {}      # key -> tuple, built on first use
@@ -172,6 +173,25 @@ class FirstArgIndex:
             self.keyed.setdefault(key, []).append(clause)
             self.buckets.pop(key, None)
 
+    def remove(self, survivors, removed):
+        """Make survivors, the source less the removed clauses, the source."""
+        self.source = survivors
+        self.snapshot = ()
+        if self.keyed is None:
+            return
+        gone = set(removed).__contains__
+        for key in {first_arg_key(clause.head.args[0]) for clause in removed}:
+            if key is None:
+                self.unkeyed = tuple(filterfalse(gone, self.unkeyed))
+                self.buckets = {}
+                continue
+            group = list(filterfalse(gone, self.keyed[key]))
+            if group:
+                self.keyed[key] = group
+            else:
+                del self.keyed[key]
+            self.buckets.pop(key, None)
+
 
 class KnowledgeBase:
     """Indexed clauses, signatures, operator table and hook/dynamic registries."""
@@ -184,23 +204,53 @@ class KnowledgeBase:
         self._candidates = {}      # (name, arity) -> tuple, until a change
         self.dynamic = set()       # (name, arity)
         self.optable = default_table()
-        self._order = itertools.count(1)
+        self._next_order = 1       # order of the next clause or signature
         self._impl_counters = {}   # predicate name -> count
+
+    def copy(self):
+        """A knowledge base with the same contents that shares nothing mutable.
+
+        The clause and signature objects themselves are shared: once stored
+        nothing writes to them but their ``compiled`` caches, which are the
+        same in every copy.  The indexes start empty.
+        """
+        kb = object.__new__(KnowledgeBase)
+        kb.clauses = {key: list(group) for key, group in self.clauses.items()}
+        kb._index = {}
+        kb.signatures = {key: list(group)
+                         for key, group in self.signatures.items()}
+        kb.anonymous_signatures = list(self.anonymous_signatures)
+        kb._candidates = {}
+        kb.dynamic = set(self.dynamic)
+        kb.optable = self.optable.copy()
+        kb._next_order = self._next_order
+        kb._impl_counters = dict(self._impl_counters)
+        return kb
+
+    def _take_order(self):
+        order = self._next_order
+        self._next_order = order + 1
+        return order
 
     # -- clauses ---------------------------------------------------------
 
     def add_clause(self, head, body, filename=None, line=None):
         key = indicator(head)
-        clause = Clause(head, body, filename, line, next(self._order))
+        clause = Clause(head, body, filename, line, self._take_order())
         self.clauses.setdefault(key, []).append(clause)
         index = self._index.get(key)
         if index is not None:
             index.append(clause)
         return clause
 
-    def replace_clauses(self, key, clauses):
-        self.clauses[key] = clauses
-        self._index.pop(key, None)
+    def remove_clauses(self, key, survivors, removed):
+        """Keep only the survivors, in order, of a predicate's clauses."""
+        if not removed:
+            return
+        self.clauses[key] = survivors
+        index = self._index.get(key)
+        if index is not None:
+            index.remove(survivors, removed)
 
     def clauses_for(self, key, first=None):
         """The clauses of a predicate, in definition order, as a tuple.
@@ -232,7 +282,7 @@ class KnowledgeBase:
 
     def add_signature(self, sig):
         self._candidates.clear()
-        sig.order = next(self._order)
+        sig.order = self._take_order()
         if sig.anonymous:
             self.anonymous_signatures.append(sig)
         else:

@@ -32,6 +32,13 @@ class OperatorTable:
         else:
             raise OperatorError("unknown operator fixity: %r" % (fixity,))
 
+    def copy(self):
+        """A table with the same entries that later ``add`` calls do not share."""
+        table = OperatorTable()
+        table.prefix = dict(self.prefix)
+        table.infix = dict(self.infix)
+        return table
+
     def prefix_op(self, name):
         return self.prefix.get(name)
 

@@ -343,7 +343,9 @@ def _copy(term, store, var_copy, make, too_deep):
     An unbound variable becomes ``var_copy(var)`` and a compound with a
     changed argument ``make(functor, args)``; any other compound comes back
     as it is, and a list keeps its cells from the last changed one on.  A
-    term nested more than ``RESOLVE_DEPTH_LIMIT`` deep, such as a cyclic
+    compound met again is not walked again: its copy is shared, as it is,
+    so a term whose subterms are shared copies in time linear in its size.
+    A term nested more than ``RESOLVE_DEPTH_LIMIT`` deep, such as a cyclic
     binding, is the error ``too_deep``, and a cyclic list is an error too.
     """
     deref = store.deref
@@ -351,6 +353,7 @@ def _copy(term, store, var_copy, make, too_deep):
     if type(t) is not Struct:
         return var_copy(t) if type(t) is Var else t
     stack = []      # (compound, its subterms to copy, their copies so far)
+    copies = {}     # id of a compound walked -> its copy
     while True:
         if t.functor == "." and len(t.args) == 2:
             parts, tail = list_parts(t, store)
@@ -363,6 +366,10 @@ def _copy(term, store, var_copy, make, too_deep):
             if len(done) < len(parts):
                 t = deref(parts[len(done)])
                 if type(t) is Struct:
+                    copy = copies.get(id(t))
+                    if copy is not None:
+                        done.append(copy)
+                        continue
                     if len(stack) > RESOLVE_DEPTH_LIMIT:
                         raise MdpError(too_deep)
                     break
@@ -370,20 +377,22 @@ def _copy(term, store, var_copy, make, too_deep):
                 continue
             stack.pop()
             if parts is node.args:
+                copy = node
                 if any(map(is_not, done, parts)):
-                    node = make(node.functor, tuple(done))
+                    copy = make(node.functor, tuple(done))
             else:
                 cells = [node]
                 for _ in range(len(parts) - 2):
                     cells.append(deref(cells[-1].args[1]))
-                node = done.pop()       # the tail's copy
+                copy = done.pop()       # the tail's copy
                 for cell in reversed(cells):
                     item = done.pop()
-                    node = (cell if item is cell.args[0] and node is cell.args[1]
-                            else make(".", (item, node)))
+                    copy = (cell if item is cell.args[0] and copy is cell.args[1]
+                            else make(".", (item, copy)))
             if not stack:
-                return node
-            stack[-1][2].append(node)
+                return copy
+            copies[id(node)] = copy
+            stack[-1][2].append(copy)
 
 
 def resolve(term, store):

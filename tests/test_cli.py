@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from mdprolog import BudgetExceeded, Engine
+
 CLI = [sys.executable, "-m", "mdprolog.cli"]
 
 GRAPH = """
@@ -85,6 +87,18 @@ class TestFlags:
         proc = run_cli("--budget", "20", "-g", "true")
         assert proc.returncode == 0
         assert proc.stdout == "true.\n"
+
+    def test_a_budget_of_one_lets_the_prelude_load(self):
+        proc = run_cli("--budget", "1", "-g", "true")
+        assert proc.returncode == 0
+        assert proc.stdout == "true.\n"
+        assert Engine(budget=1).run("true")
+
+    def test_each_directive_of_a_program_gets_a_budget_of_its_own(self):
+        with pytest.raises(BudgetExceeded):
+            Engine(budget=1).consult_text(":- X = 1, Y = 2, Z = 3.")
+        # three inferences each, six in all
+        Engine(budget=3).consult_text(":- X = 1, Y = 2.\n:- X = 1, Y = 2.")
 
     def test_trace_dispatch_logs_to_stderr(self, graph_file):
         proc = run_cli("--trace-dispatch", graph_file, "-g", "? path(a, b)")

@@ -3,6 +3,7 @@ import itertools
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mdprolog import BudgetExceeded, Engine, PrologThrow, solver, terms
 from mdprolog.reader import parse_term
 from mdprolog.render import render
-from mdprolog.terms import (BindingStore, MdpError, Var, compare_terms,
+from mdprolog.terms import (Atom, BindingStore, MdpError, Var, compare_terms,
                             make_list, proper_list, unify)
 
 
@@ -295,6 +296,31 @@ class TestClauseSelection:
         assert answers(engine, "q(a, V)", "V") == []
         assert answers(engine, "q(b, V)", "V") == ["2"]
         assert answers(engine, "q(K, V)", "V") == ["2"]
+
+    def test_retractall_keeps_the_index_of_the_survivors(self, engine):
+        engine.consult_text(":- dynamic data/3.\n" + "".join(
+            "data(obj(%d), %s, v%d).\n" % (i % 3 + 1, attr, i)
+            for i, attr in enumerate(["color", "size"] * 6)) +
+            "data(_, color, any).\ndata(_, size, some).\n")
+        assert answers(engine, "data(obj(3), A, V)", "V") == \
+            ["v2", "v5", "v8", "v11", "any", "some"]    # groups the clauses
+        index = engine.kb._index[("data", 3)]
+        assert engine.run("retractall(data(obj(3), color, _))")
+        assert engine.kb._index[("data", 3)] is index
+        assert answers(engine, "data(obj(3), A, V)", "V") == \
+            ["v5", "v11", "some"]
+        assert answers(engine, "data(obj(2), A, V)", "V") == \
+            ["v1", "v4", "v7", "v10", "some"]
+        assert answers(engine, "data(O, color, V)", "V") == \
+            ["v0", "v4", "v6", "v10"]
+        assert answers(engine, "data(O, A, V)", "V") == \
+            ["v0", "v1", "v3", "v4", "v5", "v6", "v7", "v9", "v10", "v11",
+             "some"]
+        # a keyed clause alone leaves: its bucket goes, the others stay
+        assert engine.run("retractall(data(obj(3), size, v5))")
+        assert answers(engine, "data(obj(3), A, V)", "V") == ["v11", "some"]
+        assert answers(engine, "data(obj(2), A, V)", "V") == \
+            ["v1", "v4", "v7", "v10", "some"]
 
     @given(st.lists(st.tuples(st.sampled_from(["assertz", "retractall", "call"]),
                               st.sampled_from(FIRST_ARGS)), max_size=16))
@@ -901,6 +927,36 @@ class TestDepth:
     def test_unifying_two_cyclic_terms_ends(self, goals, answer):
         proc = run_depth("(\\+ \\+ (%s) -> R = yes ; R = no)" % goals, "R")
         assert (proc.returncode, proc.stdout) == (0, answer + "\n"), proc.stderr
+
+
+SHARED = """
+sh(0, a) :- !.
+sh(N, T) :- N1 is N - 1, sh(N1, S), T = f(S, S).
+dag(0, a) :- !.
+dag(N, f(T, T)) :- N1 is N - 1, dag(N1, T).
+"""
+
+
+class TestSharedSubterms:
+    """A copy keeps the subterms it meets twice shared, so a term of
+    depth N whose two arguments are one term copies in N steps, not 2^N."""
+
+    @pytest.mark.parametrize("copy", [
+        "copy_term(T, C)", "findall(T, true, [C])",
+        "assertz(kept({n}, T)), kept({n}, C)"])
+    @pytest.mark.parametrize("make", ["sh", "dag"])
+    def test_a_shared_subterm_is_copied_once(self, engine, make, copy):
+        engine.consult_text(SHARED)
+        # depth 20 first: a copy of every path there takes seconds
+        for n in (20, 30):
+            start = time.perf_counter()
+            sol = engine.query("%s(%d, T), %s" % (make, n, copy.format(n=n)))
+            assert time.perf_counter() - start < 1.0
+            copied = sol[0]["C"]
+            for _ in range(n):
+                assert copied.args[0] is copied.args[1]
+                copied = copied.args[0]
+            assert copied is Atom("a")
 
 
 MEMORY_SCRIPT = """

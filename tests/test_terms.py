@@ -257,6 +257,28 @@ class TestResolve:
         assert copied.args[2].args[1] is items.args[1]
 
 
+    @pytest.mark.parametrize("copy", COPIERS, ids=lambda f: f.__name__)
+    def test_a_shared_subterm_is_copied_once(self, copy):
+        store, x = BindingStore(), Var("X")
+        assert unify(x, 1, store)
+        term = Struct("g", (x,))
+        for _ in range(16):
+            term = Struct("f", (term, term))
+        copied = copy(term, store)
+        assert copied is not term
+        for _ in range(16):
+            assert copied.args[0] is copied.args[1]
+            copied = copied.args[0]
+
+    @pytest.mark.parametrize("copy", [resolve, rename_term],
+                             ids=lambda f: f.__name__)
+    def test_a_cycle_through_a_shared_subterm_is_too_deep(self, copy):
+        store, x = BindingStore(), Var("X")
+        assert unify(x, Struct("f", (x, x)), store)
+        with pytest.raises(MdpError, match="term too deep"):
+            copy(x, store)
+
+
 class TestLists:
     def test_round_trip(self):
         items = [Atom("a"), 1, Struct("f", (Atom("b"),))]
