@@ -125,39 +125,37 @@ def updated_context(store, implicit, given, goal):
 
 
 def score_signature(solver, store, sig, ctx, ctx_keys):
-    """Score one candidate against a context.
+    """Check one candidate's dimensions against a context.
 
-    Returns (score, None) when eligible, else (None, reason).  All
-    bindings made while checking are undone before returning.  A
-    dimension-only signature is scored from ``ctx_keys`` alone.
+    Returns (score, None) when the context has every dimension the
+    candidate requires, else (None, reason); the score counts them.  A
+    goal-bearing candidate's context rules still have to run, and the
+    weights of their first solution add to its score (``weighed``).
     """
     dims = sig.required_dims
     for d in dims:
         if d not in ctx_keys:
             return None, "missing dimension %s" % ", ".join(
                 d for d in dims if d not in ctx_keys)
-    score = len(dims) - dims.count(PREDICATE_DIM)
-    if sig.dimension_only:
-        return score, None
+    return len(dims) - dims.count(PREDICATE_DIM), None
 
-    rules_template, score_templates, size = sig.compiled or sig.compile()
+
+def context_rules(sig, ctx):
+    """A candidate's context rules over ctx, and its score variables."""
+    rules, weights, size = sig.compiled or sig.compile()
     frame = [None] * size
     frame[0] = ctx                 # the slot of the context variable
-    rules = build(rules_template, frame)
-    score_vars = [build(v, frame) for v in score_templates]
+    return build(rules, frame), [build(w, frame) for w in weights]
 
-    mark = store.mark()
-    if not solver.solve_once(rules, store):
-        store.undo_to(mark)
-        return None, "context rules failed"
-    for v in score_vars:
+
+def weighed(store, score, weights):
+    """The score plus the numbers bound to the score variables."""
+    for v in weights:
         value = store.deref(v)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            store.undo_to(mark)
             raise type_error("number", resolve(v, store))
         score += value
-    store.undo_to(mark)
-    return score, None
+    return score
 
 
 def candidates_for(kb, name, arity):
@@ -166,11 +164,14 @@ def candidates_for(kb, name, arity):
 
 
 def score_candidates(solver, store, implicit, given, goal):
-    """Build the updated context and score every candidate of the goal.
+    """Build the updated context and check every candidate of the goal.
 
     Returns (name, args, context, report, winners): the report lists
     (signature, score_or_None, reason) for the candidates in definition
     order, and the winners are the eligible ones of the highest score.
+    While an eligible candidate's context rules hold goals, its score
+    lacks their weights and winners is None: the machine runs the rules
+    and completes the report (``solver.Run._score``).
     """
     if type(goal) is Var:
         goal = store.deref(goal)
@@ -194,9 +195,11 @@ def score_candidates(solver, store, implicit, given, goal):
     for sig in sigs:
         score, reason = score_signature(solver, store, sig, ctx, ctx_keys)
         report.append((sig, score, reason))
-        if score is None:
+        if score is None or winners is None:
             continue
-        if best is None or score > best:
+        if not sig.dimension_only:
+            best = winners = None       # decided once the rules have run
+        elif best is None or score > best:
             best = score
             winners = [sig]
         elif score == best:
@@ -205,15 +208,30 @@ def score_candidates(solver, store, implicit, given, goal):
 
 
 def dispatch(solver, store, implicit, given, goal):
+    """The calls that run the winners of a dispatch (see ``winner_calls``).
+
+    While goal-bearing candidates are still to score, it returns the
+    scoring instead, a (name, args, context, report, explaining) tuple
+    whose rules the machine runs before it calls the winners.
+    """
+    scoring = score_candidates(solver, store, implicit, given, goal)
+    if scoring[4] is None:
+        return scoring[:4] + (False,)
+    return winner_calls(solver, *scoring)
+
+
+def winner_calls(solver, name, args, ctx, report, winners=None):
     """The calls that run the winners of a dispatch, the last winner first.
 
     Each call is an ``(args, key)`` pair: the key of the winner's
     implementation predicate and its arguments, the updated context and
     the goal's arguments.  The machine pops them, so the winners run in
-    definition order.
+    definition order.  Without winners, those of the highest score in
+    the report win.
     """
-    name, args, ctx, report, winners = score_candidates(
-        solver, store, implicit, given, goal)
+    if winners is None:
+        best = max([s for _, s, _ in report if s is not None], default=None)
+        winners = [sig for sig, s, _ in report if s is not None and s == best]
     if solver.trace_dispatch:
         indicator = "%s/%d" % (name, len(args))
         for sig, score, reason in report:

@@ -9,7 +9,7 @@ from .errors import ConsultError, PrologThrow
 from .kb import KnowledgeBase, first_arg_key
 from .reader import parse_program, parse_term
 from .render import render
-from .solver import BOOTSTRAP, Solver
+from .solver import BOOTSTRAP, SCORE, Solver
 from .terms import Atom, BindingStore, NIL, Struct, Var, resolve
 from .transformer import expand_source_item, phase1_rewrite
 
@@ -136,7 +136,7 @@ class Engine:
                 return  # applied by the reader while parsing
             rewritten = phase1_rewrite(self, goal, NIL, 0, where)
             try:
-                if not self.solver.solve_once(rewritten, BindingStore()):
+                if not self.solver.solve(rewritten, BindingStore()).step():
                     raise ConsultError("directive failed at %s" % where)
             except PrologThrow as exc:
                 raise ConsultError(
@@ -171,7 +171,7 @@ class Engine:
         store = BindingStore()
         out_var = Var("_HookOut")
         goal = Struct(hook_name, (ctx_var, term, out_var))
-        if self.solver.solve_once(goal, store, key):
+        if self.solver.solve(goal, store, key).step():
             return resolve(out_var, store)
         return None
 
@@ -209,15 +209,22 @@ class Engine:
     def run(self, text):
         """True when the query has at least one solution."""
         goal, store, _ = self._prepare(text)
-        return self.solver.solve_once(goal, store)
+        return self.solver.solve(goal, store).step()
 
     def explain(self, text):
-        """Dispatch scoring report for a single ``Given ? Goal`` query."""
+        """Dispatch scoring report for a single ``Given ? Goal`` query.
+
+        The machine runs the context rules of each eligible goal-bearing
+        candidate once, as the dispatch would, and calls no winner.
+        """
         goal, store, _ = self._prepare(text)
         if not (isinstance(goal, Struct) and goal.functor == "$dispatch"):
             raise ValueError("explain() needs a dispatch query (Given ? Goal)")
-        _, _, ctx, report, _ = score_candidates(self.solver, store, *goal.args)
-        return ctx, report
+        scoring = score_candidates(self.solver, store, *goal.args)
+        if scoring[4] is None:      # the rules run; no winner is called
+            scoring = scoring[:4] + (True,)
+            self.solver.solve((SCORE, 0, 0, scoring, -1), store).step()
+        return scoring[2], scoring[3]
 
     # -- introspection ---------------------------------------------------------
 

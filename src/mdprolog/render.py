@@ -85,7 +85,7 @@ class _Renderer:
         its children is known; it puts parentheses around a child whose
         priority is above the most its slot takes.  The compounds still
         being put together wait on a stack in place of recursion, and one
-        nested more than ``RESOLVE_DEPTH_LIMIT`` deep is an error.  A
+        nested deeper than ``RESOLVE_DEPTH_LIMIT`` levels is an error.  A
         list's elements and tail count as one level, however many.  A
         bare operator atom has priority 1201, so it is in parentheses
         wherever it is an operand.

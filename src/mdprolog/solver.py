@@ -8,8 +8,9 @@ A run of the machine (``Run``) keeps two structures:
 * the choicepoint stack, a list of the alternatives left to try.  Each
   entry holds the trail mark to undo to and the continuation to resume:
   the clauses a call has not tried yet, the other branch of a
-  disjunction, the winners of a dispatch not run yet, a suspended
-  nondeterministic builtin, or the frame of a catch/3 or findall/3.
+  disjunction, the winners of a dispatch not run yet, a candidate whose
+  context rules are being scored, a suspended nondeterministic builtin,
+  or the frame of a catch/3 or findall/3.
 
 A goal's cut barrier is the height the choicepoint stack had when its
 clause was called, and ``!`` truncates the stack to that height; nothing
@@ -36,8 +37,8 @@ which ``store.mark()`` raises (``terms.BindingStore``), so marks are
 taken only where an undo can follow: before the first head that has
 another clause or winner after it, at every choicepoint pushed (a run's
 start, ``;``, ``->``, \\+, findall/3, forall/2, catch/3, a
-nondeterministic builtin) and where a builtin or the dispatcher undoes
-on its own (``\\=``, retractall/1, context rules).  Deterministic code
+nondeterministic builtin, a scoring) and where a builtin undoes on its
+own (``\\=``, retractall/1).  Deterministic code
 takes no mark, so it keeps only the terms it still uses.
 
 A clause is tried through its template (``Clause.compile``, compiled on
@@ -74,12 +75,19 @@ argument is the context, one after another while their clauses fail;
 the WINNERS choicepoint is pushed only when a clause of one matched and
 later winners remain.
 
-Two things start a run inside the running one, on the Python stack,
-through ``Solver.solve_once``: scoring a signature whose context rules
-hold goals (``dispatcher.score_signature``) and a transformer hook
-(``Engine._run_hook``).  Each such level costs a few Python frames, so
-at most ``MAX_NESTED_RUNS`` of them may be under way at once; one more is
-an ``MdpError``.  Everything else runs on the machine's own stacks.
+A dispatch whose eligible candidates include goal-bearing ones (context
+rules with goals) is scored on the same machine before its winners are
+called.  For each such candidate in definition order a SCORE choicepoint
+is pushed and the candidate's rules run, followed by a SCORED marker.
+The marker adds the weights of the rules' first solution to the
+candidate's score, cuts back to the choicepoint and undoes to its mark,
+so nothing of the rules outlives the scoring; if the rules fail,
+backtracking resumes the choicepoint, which leaves the candidate out.  A
+cut in the rules is local to them, and an error they throw unwinds the
+caller's continuation like any other.  After the last candidate the
+winners are called (``dispatcher.winner_calls``); ``Engine.explain`` runs
+the same scoring and calls no winner.  So dispatch nests as deep as
+plain recursion does: nothing runs on the Python stack but one run.
 """
 
 from __future__ import annotations
@@ -92,7 +100,8 @@ from .builtins import (
     NONDETERMINISTIC,
     arith_evaluator,
 )
-from .dispatcher import dispatch, parse_given
+from .dispatcher import (context_rules, dispatch, parse_given, weighed,
+                         winner_calls)
 from .errors import (
     BudgetExceeded,
     PrologThrow,
@@ -105,7 +114,6 @@ from .terms import (
     TRUE,
     Atom,
     BindingStore,
-    MdpError,
     Skeleton,
     Slot,
     Struct,
@@ -123,9 +131,6 @@ from .terms import (
 
 FAIL = Atom("fail")
 
-# solve_once runs that may be under way at once, one inside another
-MAX_NESTED_RUNS = 100
-
 # Choicepoint kinds, the first item of a choicepoint; the second is the
 # trail mark to undo to when the choicepoint is resumed.
 CLAUSES = 0     # (CLAUSES, mark, cont, args, clauses, index of the next)
@@ -135,16 +140,19 @@ WINNERS = 3     # (WINNERS, mark, cont, [(args, key)] of the next, last first)
 CATCH = 4       # (CATCH, mark, cont, catcher, recovery, barrier)
 FINDALL = 5     # (FINDALL, mark, cont, template, answers, result)
 CUT_FAIL = 6    # (CUT_FAIL, mark, height): cut to height, then fail
+SCORE = 7       # (SCORE, mark, cont, scoring, index of the candidate);
+                # the marker (SCORE, 0, 0, scoring, -1) starts a scoring
 
 # Continuation markers, tuples in the goal position of a continuation
-# entry; they count no inference.  A resumed CLAUSES, GENERATOR or
-# WINNERS choicepoint is put back into the continuation as a marker too.
+# entry; they count no inference.  A resumed CLAUSES, GENERATOR, WINNERS
+# or SCORE choicepoint is put back into the continuation as a marker too.
 CUT_TO = 11      # (CUT_TO, height): commit, as if-then-else does
 FAIL_TO = 12     # (FAIL_TO, height): cut to height, then fail
 CATCH_EXIT = 13  # (CATCH_EXIT, height of the CATCH choicepoint)
 COLLECT = 14     # (COLLECT, height of the FINDALL choicepoint)
 FORALL = 15      # (FORALL, height, action): test the action once
 BODY = 16        # (BODY, goal entries, index of the next, frame)
+SCORED = 17      # (SCORED, height of SCORE, signature, score, weights)
 
 # the continuation of a run whose next step backtracks; _backtrack returns
 # it when no choicepoint is left
@@ -164,7 +172,6 @@ class Solver:
         self.trace_dispatch = trace_dispatch
         self.inferences = 0
         self.oid_counter = 0
-        self.nested_runs = 0    # the solve_once runs under way
 
     def reset_run(self):
         self.inferences = 0
@@ -188,22 +195,6 @@ class Solver:
         goal itself counts no inference.
         """
         return Run(self, store, goal, key)
-
-    def solve_once(self, goal, store, key=None):
-        """True with the bindings of the first solution kept, else False.
-
-        A context rule's scoring and a transformer hook run this way
-        inside the running machine, on the Python stack; more than
-        ``MAX_NESTED_RUNS`` such runs under way at once are an error.
-        """
-        if self.nested_runs >= MAX_NESTED_RUNS:
-            raise MdpError("context rules and hooks nested more than %d deep"
-                           % MAX_NESTED_RUNS)
-        self.nested_runs += 1
-        try:
-            return self.solve(goal, store, key).step()
-        finally:
-            self.nested_runs -= 1
 
     def call_predicate(self, key, first, store):
         """The clauses a call of the predicate key tries, in definition order.
@@ -300,6 +291,10 @@ class Run:
                                     functor, build_args(templates, frame))
                                 later = dispatch(solver, store, build(ctx, frame),
                                                  given, target)
+                                if type(later) is tuple:    # rules to run first
+                                    cont = self._score((SCORE, 0, 0, later, -1), cont)
+                                    later = ()
+                                    continue
                                 clauses = ()
                             elif code is E_COMPARE:
                                 ok = x(frame, deref)
@@ -357,6 +352,9 @@ class Run:
                             cp = cps[goal[1]]
                             cp[4].append(rename_term(cp[3], store))
                             break
+                        elif kind is SCORED or kind is SCORE:
+                            cont = self._score(goal, cont)
+                            continue
                         else:       # FORALL: one proof of the action
                             height = len(cps)
                             cps.append((CUT_FAIL, store.mark(), goal[1]))
@@ -397,6 +395,10 @@ class Run:
                             continue
                         elif op is C_DISPATCH:
                             later = dispatch(solver, store, *args)
+                            if type(later) is tuple:    # rules to run first
+                                cont = self._score((SCORE, 0, 0, later, -1), cont)
+                                later = ()
+                                continue
                             clauses = ()
                         elif op is C_FAIL:
                             break
@@ -501,6 +503,40 @@ class Run:
         cps.append((CATCH, mark, cont, args[1], args[2], barrier))   # C_CATCH
         return args[0], height + 1, ((CATCH_EXIT, height), 0, cont)
 
+    def _score(self, marker, cont):
+        """The continuation that goes on with the scoring of a dispatch.
+
+        At a SCORED marker, the weights of the rules' first solution are
+        added to the candidate's score and the rules are cut and undone; a
+        resumed SCORE choicepoint leaves its candidate reported as failed.
+        Then the context rules of the next eligible goal-bearing candidate
+        run under a SCORE choicepoint, or, with none left, the winners are
+        called; an explained dispatch calls none.  A SCORE marker of
+        candidate -1 starts the scoring.
+        """
+        if marker[0] is SCORED:
+            _, height, sig, score, weights = marker
+            _, mark, _, scoring, k = self.cps[height]
+            scoring[3][k] = sig, weighed(self.store, score, weights), None
+            del self.cps[height:]
+            self.store.undo_to(mark)
+        else:
+            _, _, _, scoring, k = marker
+        name, args, ctx, report, explaining = scoring
+        for k in range(k + 1, len(report)):
+            sig, score, _ = report[k]
+            if score is not None and not sig.dimension_only:
+                rules, weights = context_rules(sig, ctx)
+                report[k] = sig, None, "context rules failed"
+                height = len(self.cps)
+                self.cps.append((SCORE, self.store.mark(), cont, scoring, k))
+                marker = SCORED, height, sig, score, weights
+                return rules, height + 1, (marker, 0, cont)
+        if explaining:
+            return cont
+        calls = winner_calls(self.solver, name, args, ctx, report)
+        return (WINNERS, None, None, calls), 0, cont
+
     def _backtrack(self):
         """The continuation of the newest alternative, or _REDO if none is left.
 
@@ -516,7 +552,8 @@ class Run:
             cp = cps.pop()
             store.undo_to(cp[1])
             kind = cp[0]
-            if kind is CLAUSES or kind is GENERATOR or kind is WINNERS:
+            if (kind is CLAUSES or kind is GENERATOR or kind is WINNERS
+                    or kind is SCORE):
                 return cp, 0, cp[2]
             if kind is RESUME:
                 return cp[2]

@@ -161,7 +161,7 @@ def conj(goals):
 def flatten_conj(term, store=None):
     """Goal list of a right- or left-nested conjunction, bindings followed.
 
-    Conjunctions nested more than ``RESOLVE_DEPTH_LIMIT`` deep, such as a
+    Conjunctions nested deeper than ``RESOLVE_DEPTH_LIMIT`` levels, such as a
     cyclic binding, are an error.
     """
     deref = (store or _EMPTY_STORE).deref
@@ -310,7 +310,7 @@ def _order_key(t):
 def compare_terms(t1, t2, store=_EMPTY_STORE):
     """Standard order of two terms: -1, 0 or 1.
 
-    Iterative; compounds nested more than ``RESOLVE_DEPTH_LIMIT`` deep,
+    Iterative; compounds nested deeper than ``RESOLVE_DEPTH_LIMIT`` levels,
     such as two cyclic terms, are an error.
     """
     deref = store.deref
@@ -345,7 +345,7 @@ def _copy(term, store, var_copy, make, too_deep):
     as it is, and a list keeps its cells from the last changed one on.  A
     compound met again is not walked again: its copy is shared, as it is,
     so a term whose subterms are shared copies in time linear in its size.
-    A term nested more than ``RESOLVE_DEPTH_LIMIT`` deep, such as a cyclic
+    A term nested deeper than ``RESOLVE_DEPTH_LIMIT`` levels, such as a cyclic
     binding, is the error ``too_deep``, and a cyclic list is an error too.
     """
     deref = store.deref

@@ -182,19 +182,17 @@ class TestDepth:
         assert "term too deep while evaluating" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("levels, code", [(99, 0), (101, 2)])
-    def test_context_rules_nest_at_most_100_runs(self, tmp_path, levels, code):
-        # each level scores ok(N), whose goal dispatches the next level
+    def test_context_rules_nest_10000_deep(self, tmp_path):
+        # each level scores ok(N), whose goal dispatches the next level;
+        # the rules run on the query's own machine, at the default limit
         program = tmp_path / "nest.mdp"
         program.write_text("[n: N, ok(N) @ 0] # q.\n"
                            "ok(0) :- !.\n"
                            "ok(N) :- M is N - 1, [n: M] ? q.\n")
-        proc = run_cli("--no-prelude", str(program), "-g",
-                       "[n: %d] ? q" % levels)
-        assert proc.returncode == code, proc.stderr
-        if code:
-            assert "nested more than 100 deep" in proc.stderr
-            assert "Traceback" not in proc.stderr
+        proc = run_cli("--no-prelude", str(program), "-g", "[n: 10000] ? q")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "true.\n"
+        assert "Traceback" not in proc.stderr
 
     def test_a_cyclic_conjunction_of_indicators_exits_two(self):
         proc = run_cli("--no-prelude", "-g", "X = (a/1, X), dynamic(X)")

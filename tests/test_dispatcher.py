@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, strategies as st
 
-from mdprolog import Engine, PrologThrow
+from mdprolog import BudgetExceeded, Engine, PrologThrow
 from mdprolog.dispatcher import updated_context
 from mdprolog.terms import Atom, BindingStore, Struct, Var, make_list, proper_list
 
@@ -181,7 +181,9 @@ class TestScoring:
         """)
         with pytest.raises(PrologThrow) as e:
             engine.query("[mode: x] ? p(X)")
-        assert "type_error" in str(e.value)
+        # the culprit is the weight, read before the rules are undone
+        assert e.value.ball.args[0] == \
+            Struct("type_error", (Atom("number"), Atom("oops")))
 
     def test_unknown_mdp_predicate_is_an_existence_error(self):
         engine = Engine(prelude=False)
@@ -233,6 +235,113 @@ class TestScoring:
         sols = engine.query("[mode: x] ? f(X), [mode: y] ? f(Y)")
         assert [(s.render("X"), s.render("Y")) for s in sols] == [("x", "y")]
         assert engine.out.getvalue() == "checked\n" * 4
+
+
+class TestContextRules:
+    """Context rules holding goals run on the query's own machine."""
+
+    @pytest.mark.parametrize("query", ["[mode: z] ? p(X)", "q(z, X)"])
+    def test_a_failing_precondition_from_a_query_or_a_body(self, query):
+        # q/2 dispatches from a compiled clause body; the first call of
+        # the rules, allowed(z), finds no clause
+        engine = Engine(prelude=False)
+        engine.consult_text("""
+            allowed(a).
+            [mode: M, allowed(M)] # p(guarded).
+            [] # p(fallback).
+            q(M, X) :- [mode: M] ? p(X).
+        """)
+        assert [s.render("X") for s in engine.query(query)] == ["fallback"]
+
+    def test_a_throw_from_context_rules_reaches_the_callers_catch(self):
+        engine = Engine(prelude=False)
+        engine.consult_text("""
+            [mode: M, (M == bad -> throw(oops) ; true)] # p(M).
+            [] # p(none).
+        """)
+        sols = engine.query("catch([mode: bad] ? p(X), E, X = caught(E))")
+        assert [s.render("X") for s in sols] == ["caught(oops)"]
+
+    def test_a_cut_in_context_rules_is_local(self):
+        engine = Engine()
+        engine.consult_text("[mode: M, (member(M, [a, b]), !)] # p(M).")
+        assert [s.render("X") for s in engine.query("[mode: b] ? p(X)")] \
+            == ["b"]
+
+    def test_only_the_first_solution_of_the_rules_scores(self):
+        engine = Engine(prelude=False)
+        engine.consult_text("""
+            c(1). c(2). c(3).
+            [mode: M, c(W) @ W] # p(M).
+        """)
+        assert self_scores(engine) == [2]
+        assert [s.render("X") for s in engine.query("[mode: a] ? p(X)")] \
+            == ["a"]
+
+    def test_backtracking_into_the_winners_scores_nothing_again(self):
+        engine = Engine(prelude=False, out=io.StringIO())
+        engine.consult_text("""
+            [mode: M, writeln(scored)] # p(1).
+            [mode: M, writeln(scored)] # p(2).
+        """)
+        assert [s.render("X") for s in engine.query("[mode: a] ? p(X), X > 1")] \
+            == ["2"]
+        # two scorings, then the residue in each winner's body
+        assert engine.out.getvalue() == "scored\n" * 4
+
+    def test_the_budget_counts_inferences_in_context_rules(self):
+        engine = Engine(prelude=False, budget=2000)
+        engine.consult_text("""
+            loop :- loop.
+            [mode: M, loop] # p(M).
+        """)
+        with pytest.raises(BudgetExceeded):
+            engine.query("[mode: a] ? p(X)")
+        assert engine.solver.inferences == 2001
+
+    def test_explain_runs_the_rules_once_and_calls_no_winner(self):
+        engine = Engine(prelude=False, out=io.StringIO(), err=io.StringIO(),
+                        trace_dispatch=True)
+        engine.consult_text("[writeln(scored), mode: M] # p(M) :- writeln(ran).")
+        _, report = engine.explain("[mode: a] ? p(X)")
+        assert [score for _, score, _ in report] == [1]
+        assert engine.out.getvalue() == "scored\n"
+        assert engine.err.getvalue() == ""
+
+    def test_trace_lines_follow_the_scoring_and_precede_the_winner(self):
+        sink = io.StringIO()
+        engine = Engine(prelude=False, out=sink, err=sink, trace_dispatch=True)
+        engine.consult_text("[writeln(scored), mode: M] # p(M) :- writeln(ran).")
+        assert len(engine.query("[mode: a] ? p(X)")) == 1
+        lines = sink.getvalue().splitlines()
+        assert lines[0] == "scored"
+        assert lines[1].startswith("dispatch p/1: p/1(#")
+        assert lines[1].endswith(" -> score 1")
+        assert lines[2].startswith("dispatch p/1: running p/1(#")
+        assert lines[3:] == ["scored", "ran"]
+
+    def test_a_hook_body_dispatches_to_a_goal_bearing_candidate(self):
+        engine = Engine(prelude=False, out=io.StringIO())
+        engine.consult_text("""
+            [k: K, ok(K) @ 1] # tag(K, yes).
+            ok(a).
+            hook_mdp_term(_, hello(X), writeln(X)) :- [k: a] ? tag(a, yes).
+        """)
+        engine.consult_text("go :- hello(world).", filename="two")
+        assert engine.run("go")
+        assert engine.out.getvalue() == "world\n"
+
+    def test_a_goal_bearing_step_keeps_its_inference_count(self):
+        engine = Engine(prelude=False)
+        engine.consult_text("""
+            ok.
+            [n: _, ok @ 0] # gsum(0, A, A).
+            [n: _, ok @ 0] # gsum(N, A, S) :- N > 0, A1 is A + N,
+                N1 is N - 1, [n: N1] ? gsum(N1, A1, S).
+        """)
+        [sol] = engine.query("[n: 200] ? gsum(200, 0, S)", max_solutions=1)
+        assert sol.render("S") == "20100"
+        assert engine.solver.inferences == 4213
 
 
 class TestDimensionOnly:
