@@ -15,11 +15,13 @@ import math
 from .errors import (
     Halt,
     PrologThrow,
+    domain_error,
     evaluation_error,
     instantiation_error,
     permission_error,
     type_error,
 )
+from .ops import FIXITIES
 from .terms import (
     NIL,
     RESOLVE_DEPTH_LIMIT,
@@ -291,6 +293,8 @@ def _b_functor(solver, store, t, name, arity):
             raise instantiation_error()
         if not isinstance(a, int):
             raise type_error("integer", a)
+        if a < 0:
+            raise domain_error("not_less_than_zero", a)
         if a == 0:
             return solver.unify(t, n, store)
         if not isinstance(n, Atom):
@@ -510,6 +514,10 @@ def _b_op(solver, store, priority, fixity, name):
         raise type_error("integer", p)
     if not isinstance(f, Atom) or not isinstance(n, Atom):
         raise type_error("atom", f if not isinstance(f, Atom) else n)
+    if not 1 <= p <= 1200:      # priority 0, which removes an operator, too
+        raise domain_error("operator_priority", p)
+    if f.name not in FIXITIES:
+        raise domain_error("operator_specifier", f)
     solver.kb.optable.add(p, f.name, n.name)
     return True
 

@@ -18,6 +18,7 @@ import yaml
 from .engine import Engine
 from .errors import BudgetExceeded, PrologThrow
 from .render import render
+from .terms import MdpError
 
 
 @dataclass
@@ -131,6 +132,8 @@ def run_case(case, programs_dir=None):
         return CaseResult(case, True)
     except BudgetExceeded as exc:
         return CaseResult(case, False, "budget exhausted: %s" % exc)
+    except MdpError as exc:     # a reader, consult or engine error
+        return CaseResult(case, False, "error: %s" % exc)
     except PrologThrow as exc:
         text = render(exc.ball, None, engine.kb.optable, quoted=False)
         return CaseResult(case, False, "uncaught error: %s" % text)

@@ -15,7 +15,6 @@ from .terms import (
     Atom,
     Struct,
     Var,
-    build,
     new_struct,
     proper_list,
     resolve,
@@ -25,18 +24,9 @@ PREDICATE_DIM = "predicate"
 PREDICATE = Atom(PREDICATE_DIM)
 
 
-_NOTHING_GIVEN = (frozenset(), ())
-
-
 def parse_given(given, store):
-    """Removed names and (name, entry) upserts of a call-site context.
-
-    The parsed form of a ground context may be kept and passed to
-    ``updated_context`` in place of the term.
-    """
+    """Removed names and (name, entry) upserts of a call-site context."""
     g = store.deref(given)
-    if g is NIL:
-        return _NOTHING_GIVEN
     given_items = proper_list(g, store)
     if given_items is None:
         if isinstance(g, Var):
@@ -75,9 +65,9 @@ def updated_context(store, implicit, given, goal):
 
     Removals (-name) are applied first, then each name: coord entry
     upserts in order, and finally the goal itself is recorded under the
-    predicate dimension.  ``given`` is the call-site context term or its
-    ``parse_given`` form, and ``goal`` is dereferenced.  Returns the
-    context list and the set of its dimension names.
+    predicate dimension.  ``given`` is the call-site context term and
+    ``goal`` is dereferenced.  Returns the context list and the set of
+    its dimension names.
     """
     # The implicit context is engine-built: its entries are the
     # ``name: Coord`` compounds themselves, which the update reuses.
@@ -99,9 +89,8 @@ def updated_context(store, implicit, given, goal):
             t = store.deref(t)
     if t is not NIL:
         raise type_error("list", resolve(implicit, store))
-    if given is not _NOTHING_GIVEN:
-        removals, upserts = (given if type(given) is tuple
-                             else parse_given(given, store))
+    if given is not NIL:
+        removals, upserts = parse_given(given, store)
         if removals:
             kept = [i for i, n in enumerate(names) if n not in removals]
             names = [names[i] for i in kept]
@@ -135,17 +124,8 @@ def score_signature(solver, store, sig, ctx, ctx_keys):
     dims = sig.required_dims
     for d in dims:
         if d not in ctx_keys:
-            return None, "missing dimension %s" % ", ".join(
-                d for d in dims if d not in ctx_keys)
+            return None, "missing dimension " + d
     return len(dims) - dims.count(PREDICATE_DIM), None
-
-
-def context_rules(sig, ctx):
-    """A candidate's context rules over ctx, and its score variables."""
-    rules, weights, size = sig.compiled or sig.compile()
-    frame = [None] * size
-    frame[0] = ctx                 # the slot of the context variable
-    return build(rules, frame), [build(w, frame) for w in weights]
 
 
 def weighed(store, score, weights):
@@ -166,12 +146,11 @@ def candidates_for(kb, name, arity):
 def score_candidates(solver, store, implicit, given, goal):
     """Build the updated context and check every candidate of the goal.
 
-    Returns (name, args, context, report, winners): the report lists
+    Returns (name, args, context, report, pending): the report lists
     (signature, score_or_None, reason) for the candidates in definition
-    order, and the winners are the eligible ones of the highest score.
-    While an eligible candidate's context rules hold goals, its score
-    lacks their weights and winners is None: the machine runs the rules
-    and completes the report (``solver.Run._score``).
+    order.  pending is true while an eligible candidate's context rules
+    hold goals: its score lacks their weights, and the machine runs the
+    rules and completes the report (``solver.Run._score``).
     """
     if type(goal) is Var:
         goal = store.deref(goal)
@@ -190,21 +169,13 @@ def score_candidates(solver, store, implicit, given, goal):
             "mdp_predicate", Struct("/", (Atom(name), len(args))))
     ctx, ctx_keys = updated_context(store, implicit, given, goal)
     report = []
-    best = None
-    winners = []
+    pending = False
     for sig in sigs:
         score, reason = score_signature(solver, store, sig, ctx, ctx_keys)
         report.append((sig, score, reason))
-        if score is None or winners is None:
-            continue
-        if not sig.dimension_only:
-            best = winners = None       # decided once the rules have run
-        elif best is None or score > best:
-            best = score
-            winners = [sig]
-        elif score == best:
-            winners.append(sig)
-    return name, args, ctx, report, winners
+        if score is not None and not sig.dimension_only:
+            pending = True
+    return name, args, ctx, report, pending
 
 
 def dispatch(solver, store, implicit, given, goal):
@@ -214,24 +185,32 @@ def dispatch(solver, store, implicit, given, goal):
     scoring instead, a (name, args, context, report, explaining) tuple
     whose rules the machine runs before it calls the winners.
     """
-    scoring = score_candidates(solver, store, implicit, given, goal)
-    if scoring[4] is None:
-        return scoring[:4] + (False,)
-    return winner_calls(solver, *scoring)
+    name, args, ctx, report, pending = score_candidates(
+        solver, store, implicit, given, goal)
+    if pending:
+        return name, args, ctx, report, False
+    return winner_calls(solver, name, args, ctx, report)
 
 
-def winner_calls(solver, name, args, ctx, report, winners=None):
+def winner_calls(solver, name, args, ctx, report):
     """The calls that run the winners of a dispatch, the last winner first.
 
+    The winners are the candidates of the highest score in the report.
     Each call is an ``(args, key)`` pair: the key of the winner's
     implementation predicate and its arguments, the updated context and
     the goal's arguments.  The machine pops them, so the winners run in
-    definition order.  Without winners, those of the highest score in
-    the report win.
+    definition order.
     """
-    if winners is None:
-        best = max([s for _, s, _ in report if s is not None], default=None)
-        winners = [sig for sig, s, _ in report if s is not None and s == best]
+    best = None
+    winners = []
+    for sig, score, _ in report:
+        if score is None:
+            continue
+        if best is None or score > best:
+            best = score
+            winners = [sig]
+        elif score == best:
+            winners.append(sig)
     if solver.trace_dispatch:
         indicator = "%s/%d" % (name, len(args))
         for sig, score, reason in report:

@@ -155,8 +155,7 @@ class Engine:
     # -- transformer hooks -------------------------------------------------
 
     def _run_hook(self, hook_name, ctx_var, term):
-        key = (hook_name, 3)
-        hooks = self.kb.clauses.get(key)
+        hooks = self.kb.clauses.get((hook_name, 3))
         if not hooks:
             return None
         # skip a solve that would fail on every head: the term's name and
@@ -171,7 +170,7 @@ class Engine:
         store = BindingStore()
         out_var = Var("_HookOut")
         goal = Struct(hook_name, (ctx_var, term, out_var))
-        if self.solver.solve(goal, store, key).step():
+        if self.solver.solve(goal, store).step():
             return resolve(out_var, store)
         return None
 
@@ -220,11 +219,12 @@ class Engine:
         goal, store, _ = self._prepare(text)
         if not (isinstance(goal, Struct) and goal.functor == "$dispatch"):
             raise ValueError("explain() needs a dispatch query (Given ? Goal)")
-        scoring = score_candidates(self.solver, store, *goal.args)
-        if scoring[4] is None:      # the rules run; no winner is called
-            scoring = scoring[:4] + (True,)
+        name, args, ctx, report, pending = score_candidates(
+            self.solver, store, *goal.args)
+        if pending:     # the rules run; no winner is called
+            scoring = name, args, ctx, report, True
             self.solver.solve((SCORE, 0, 0, scoring, -1), store).step()
-        return scoring[2], scoring[3]
+        return ctx, report
 
     # -- introspection ---------------------------------------------------------
 

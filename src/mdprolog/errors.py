@@ -50,6 +50,10 @@ def type_error(expected, culprit):
     return PrologThrow(error_term("type_error", Atom(expected), culprit))
 
 
+def domain_error(domain, culprit):
+    return PrologThrow(error_term("domain_error", Atom(domain), culprit))
+
+
 def existence_error(kind, culprit):
     return PrologThrow(error_term("existence_error", Atom(kind), culprit))
 

@@ -40,8 +40,8 @@ class Signature:
     """Compiled metadata for one mdp rule.
 
     ``name`` is ANONYMOUS for anonymous rules.  ``ctx_var``, ``rules`` and
-    ``score_vars`` share variables; scoring builds fresh copies of them
-    from one template.
+    ``score_vars`` share variables; scoring runs the rules as a compiled
+    body and builds the score variables from the same frame.
     """
 
     name: str            # predicate name, or ANONYMOUS
@@ -57,7 +57,7 @@ class Signature:
     # every rule is ctx_member(ctx_var, name, V) with a V of its own: the
     # context's key set alone decides eligibility and score
     dimension_only: bool = False
-    # (context-rule goal template, score templates, slot count) once scored;
+    # (context-rule goal entries, score templates, slot count) once scored;
     # the context variable is slot 0
     compiled: tuple = field(default=None, repr=False, compare=False)
     # key of the implementation predicate: the context comes first
@@ -67,10 +67,14 @@ class Signature:
         self.impl_key = (self.impl_name, self.arity + 1)
 
     def compile(self):
-        """Compile the context rules and score variables on first scoring."""
-        templates, size = compile_terms(
+        """Compile the context rules and score variables on first scoring.
+
+        The rules compile as a clause body whose one head argument is the
+        context variable.
+        """
+        (ctx, rules, *weights), size = compile_terms(
             (self.ctx_var, conj(self.rules)) + self.score_vars)
-        self.compiled = templates[1], templates[2:], size
+        self.compiled = compile_body(rules, (ctx,)), tuple(weights), size
         return self.compiled
 
     @property
@@ -199,8 +203,8 @@ class KnowledgeBase:
     def __init__(self):
         self.clauses = {}          # (name, arity) -> [Clause]
         self._index = {}           # (name, arity) -> FirstArgIndex
-        self.signatures = {}       # (name, arity) -> [Signature]
-        self.anonymous_signatures = []
+        self.signatures = {}       # (name, arity) -> [Signature]; the
+                                   # anonymous ones under (ANONYMOUS, 0)
         self._candidates = {}      # (name, arity) -> tuple, until a change
         self.dynamic = set()       # (name, arity)
         self.optable = default_table()
@@ -219,7 +223,6 @@ class KnowledgeBase:
         kb._index = {}
         kb.signatures = {key: list(group)
                          for key, group in self.signatures.items()}
-        kb.anonymous_signatures = list(self.anonymous_signatures)
         kb._candidates = {}
         kb.dynamic = set(self.dynamic)
         kb.optable = self.optable.copy()
@@ -283,10 +286,7 @@ class KnowledgeBase:
     def add_signature(self, sig):
         self._candidates.clear()
         sig.order = self._take_order()
-        if sig.anonymous:
-            self.anonymous_signatures.append(sig)
-        else:
-            self.signatures.setdefault((sig.name, sig.arity), []).append(sig)
+        self.signatures.setdefault((sig.name, sig.arity), []).append(sig)
 
     def signatures_for(self, name, arity):
         return tuple(self.signatures.get((name, arity), ()))
@@ -296,13 +296,15 @@ class KnowledgeBase:
         key = (name, arity)
         found = self._candidates.get(key)
         if found is None:
-            found = self._candidates[key] = (
-                self.signatures_for(name, arity) + tuple(self.anonymous_signatures))
+            found = self.signatures_for(name, arity)
+            if key != (ANONYMOUS, 0):   # else they are all in found already
+                found += self.signatures_for(ANONYMOUS, 0)
+            self._candidates[key] = found
         return found
 
     def all_signatures(self):
-        named = [s for group in self.signatures.values() for s in group]
-        return sorted(named + self.anonymous_signatures, key=lambda s: s.order)
+        return sorted((s for group in self.signatures.values() for s in group),
+                      key=_by_order)
 
     def has_mdp_predicate(self, name, arity):
         return bool(self.signatures.get((name, arity)))
@@ -325,13 +327,6 @@ class KnowledgeBase:
                 self.signatures[key] = kept
             else:
                 del self.signatures[key]
-        kept_anon = []
-        for sig in self.anonymous_signatures:
-            if sig.filename == filename:
-                doomed_impls.add(sig.impl_key)
-            else:
-                kept_anon.append(sig)
-        self.anonymous_signatures = kept_anon
         for key in list(self.clauses):
             if key in doomed_impls:
                 del self.clauses[key]

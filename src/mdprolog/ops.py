@@ -11,6 +11,7 @@ from .terms import MdpError
 PREFIX_FIXITIES = {"fy", "fx"}
 INFIX_FIXITIES = {"xfx", "xfy", "yfx"}
 POSTFIX_FIXITIES = {"xf", "yf"}
+FIXITIES = PREFIX_FIXITIES | INFIX_FIXITIES | POSTFIX_FIXITIES
 
 
 class OperatorError(MdpError):

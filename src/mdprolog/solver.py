@@ -77,17 +77,21 @@ later winners remain.
 
 A dispatch whose eligible candidates include goal-bearing ones (context
 rules with goals) is scored on the same machine before its winners are
-called.  For each such candidate in definition order a SCORE choicepoint
-is pushed and the candidate's rules run, followed by a SCORED marker.
-The marker adds the weights of the rules' first solution to the
-candidate's score, cuts back to the choicepoint and undoes to its mark,
-so nothing of the rules outlives the scoring; if the rules fail,
-backtracking resumes the choicepoint, which leaves the candidate out.  A
-cut in the rules is local to them, and an error they throw unwinds the
-caller's continuation like any other.  After the last candidate the
-winners are called (``dispatcher.winner_calls``); ``Engine.explain`` runs
-the same scoring and calls no winner.  So dispatch nests as deep as
-plain recursion does: nothing runs on the Python stack but one run.
+called.  A signature's rules were compiled into goal entries, as a
+clause body is, with the context variable as the one head argument
+(``Signature.compile``).  For each such candidate in definition order a
+SCORE choicepoint is pushed and the rules run as a body whose frame
+holds the updated context in slot 0, followed by a SCORED marker.  The
+marker builds the weights from that frame, adds those of the rules'
+first solution to the candidate's score, cuts back to the choicepoint
+and undoes to its mark, so nothing of the rules outlives the scoring; if
+the rules fail, backtracking resumes the choicepoint, which leaves the
+candidate out.  A cut in the rules is local to them, and an error they
+throw unwinds the caller's continuation like any other.  After the last
+candidate the winners, those of the highest score, are called
+(``dispatcher.winner_calls``); ``Engine.explain`` runs the same scoring
+and calls no winner.  So dispatch nests as deep as plain recursion does:
+nothing runs on the Python stack but one run.
 """
 
 from __future__ import annotations
@@ -100,8 +104,7 @@ from .builtins import (
     NONDETERMINISTIC,
     arith_evaluator,
 )
-from .dispatcher import (context_rules, dispatch, parse_given, weighed,
-                         winner_calls)
+from .dispatcher import dispatch, weighed, winner_calls
 from .errors import (
     BudgetExceeded,
     PrologThrow,
@@ -113,7 +116,6 @@ from .render import render
 from .terms import (
     TRUE,
     Atom,
-    BindingStore,
     Skeleton,
     Slot,
     Struct,
@@ -152,7 +154,8 @@ CATCH_EXIT = 13  # (CATCH_EXIT, height of the CATCH choicepoint)
 COLLECT = 14     # (COLLECT, height of the FINDALL choicepoint)
 FORALL = 15      # (FORALL, height, action): test the action once
 BODY = 16        # (BODY, goal entries, index of the next, frame)
-SCORED = 17      # (SCORED, height of SCORE, signature, score, weights)
+SCORED = 17      # (SCORED, height of SCORE, signature, score, weight
+                 #  templates, frame of the rules)
 
 # the continuation of a run whose next step backtracks; _backtrack returns
 # it when no choicepoint is left
@@ -186,15 +189,14 @@ class Solver:
 
     # -- resolution --------------------------------------------------------
 
-    def solve(self, goal, store, key=None):
+    def solve(self, goal, store):
         """A run of the machine on goal; it yields once per solution.
 
         While a solution is yielded its bindings are in place; an exhausted
-        run leaves the store as it found it.  With a key, goal is called as
-        the predicate of that key, the way a dispatch calls a winner: the
-        goal itself counts no inference.
+        run leaves the store as it found it.  goal is a term, or a marker
+        that starts the scoring of a dispatch (``Engine.explain``).
         """
-        return Run(self, store, goal, key)
+        return Run(self, store, goal)
 
     def call_predicate(self, key, first, store):
         """The clauses a call of the predicate key tries, in definition order.
@@ -226,13 +228,11 @@ class Run:
 
     __slots__ = ("solver", "store", "cont", "cps", "base")
 
-    def __init__(self, solver, store, goal, key=None):
+    def __init__(self, solver, store, goal):
         self.solver = solver
         self.store = store
         self.base = store.mark()
         self.cps = []
-        if key is not None:     # goal runs as the one winner of a dispatch
-            goal = (WINNERS, self.base, None, [(goal.args, key)])
         self.cont = (goal, 0, None)
 
     def __iter__(self):
@@ -286,11 +286,10 @@ class Run:
                                     x, args[0] if args else None, store)
                             elif code is C_DISPATCH:
                                 ctx, functor, templates = x
-                                given = y if type(y) is tuple else build(y, frame)
                                 target = new_struct(
                                     functor, build_args(templates, frame))
                                 later = dispatch(solver, store, build(ctx, frame),
-                                                 given, target)
+                                                 build(y, frame), target)
                                 if type(later) is tuple:    # rules to run first
                                     cont = self._score((SCORE, 0, 0, later, -1), cont)
                                     later = ()
@@ -515,9 +514,10 @@ class Run:
         candidate -1 starts the scoring.
         """
         if marker[0] is SCORED:
-            _, height, sig, score, weights = marker
+            _, height, sig, score, weights, frame = marker
             _, mark, _, scoring, k = self.cps[height]
-            scoring[3][k] = sig, weighed(self.store, score, weights), None
+            score = weighed(self.store, score, build_args(weights, frame))
+            scoring[3][k] = sig, score, None
             del self.cps[height:]
             self.store.undo_to(mark)
         else:
@@ -526,12 +526,16 @@ class Run:
         for k in range(k + 1, len(report)):
             sig, score, _ = report[k]
             if score is not None and not sig.dimension_only:
-                rules, weights = context_rules(sig, ctx)
+                rules, weights, size = sig.compiled or sig.compile()
+                frame = [None] * size
+                frame[0] = ctx      # the slot of the context variable
                 report[k] = sig, None, "context rules failed"
                 height = len(self.cps)
                 self.cps.append((SCORE, self.store.mark(), cont, scoring, k))
-                marker = SCORED, height, sig, score, weights
-                return rules, height + 1, (marker, 0, cont)
+                marker = SCORED, height, sig, score, weights, frame
+                # rules of no entry, such as [true], tick as the term true
+                goal = (BODY, rules, 0, frame) if rules else TRUE
+                return goal, height + 1, (marker, 0, cont)
         if explaining:
             return cont
         calls = winner_calls(self.solver, name, args, ctx, report)
@@ -639,7 +643,7 @@ _BUILTINS = {
 # are kinds too:
 #   (ticks, C_CUT, None, None, firsts) and
 #   (ticks, C_DISPATCH, (implicit context template, goal functor,
-#    goal argument templates), given: parsed or a template, firsts)
+#    goal argument templates), given context template, firsts)
 E_CALL = 20      # (ticks, E_CALL, key, argument templates, firsts)
 E_DET = 21       # (ticks, E_DET, builtin, argument templates, firsts)
 E_IS = 22        # (ticks, E_IS, evaluator, (builtin, templates, out), firsts)
@@ -713,7 +717,7 @@ def _compile_goal(goal, ticks, seen):
         if ((type(implicit) is not Slot or implicit.index in seen)
                 and type(target) in (Skeleton, Struct)):
             return ticks, C_DISPATCH, (
-                implicit, target.functor, target.args), _parsed(given)
+                implicit, target.functor, target.args), given
     if type(op) is int:
         # another control construct, a nondeterministic builtin, or a
         # dispatch whose goal is a variable or an atom
@@ -727,16 +731,6 @@ def _compile_goal(goal, ticks, seen):
         if evaluator is not None:
             return ticks, E_IS, evaluator, (op, args, args[0].index)
     return ticks, E_DET, op, args
-
-
-def _parsed(given):
-    """A ground call-site context parsed once, else the template to build."""
-    if type(given) is Slot or type(given) is Skeleton:
-        return given
-    try:
-        return parse_given(given, BindingStore())
-    except PrologThrow:     # left to the dispatch, which raises it in turn
-        return given
 
 
 BOOTSTRAP = """

@@ -132,6 +132,21 @@ class TestTestSubcommand:
         proc = run_cli("test", "/no/such/corpus")
         assert proc.returncode != 0
 
+    @pytest.mark.parametrize("program, query", [
+        ("p(X) :- Y = f(Y), copy_term(Y, X).", "p(X)"),     # an engine error
+        ("p(X :- .", "true"),                               # a reader error
+    ])
+    def test_a_case_that_raises_an_engine_error_fails(self, tmp_path,
+                                                      program, query):
+        (tmp_path / "prog.mdp").write_text(program + "\n")
+        (tmp_path / "case.yaml").write_text(
+            "name: broken\nprograms: [prog.mdp]\nquery: %r\n"
+            "expect: {solutions: []}\n" % query)
+        proc = run_cli("test", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("FAIL broken  (error: ")
+        assert "Traceback" not in proc.stdout + proc.stderr
+
 
 class TestDepth:
     def test_a_100000_element_answer_prints(self):

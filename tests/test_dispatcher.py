@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, strategies as st
 
-from mdprolog import BudgetExceeded, Engine, PrologThrow
+from mdprolog import BudgetExceeded, Engine, PrologThrow, solver
 from mdprolog.dispatcher import updated_context
 from mdprolog.terms import Atom, BindingStore, Struct, Var, make_list, proper_list
 
@@ -95,6 +95,26 @@ class TestCandidates:
         assert [s.render("X") for s in engine.query("[] ? p(X)")] == ["a", "b"]
         engine.consult_text("[] # p(c).", filename="one")
         assert [s.render("X") for s in engine.query("[] ? p(X)")] == ["b", "c"]
+
+    def test_reconsulting_drops_the_old_anonymous_rules(self):
+        engine = Engine(prelude=False, out=io.StringIO())
+        engine.consult_text("[] # p(a).\n[t: T] :- writeln(one).",
+                            filename="one")
+        engine.consult_text("[t: T] :- writeln(two).", filename="two")
+        engine.consult_text("[] # p(b).", filename="one")
+        _, report = engine.explain("[t: 1] ? p(X)")
+        assert [(sig.label(), score) for sig, score, _ in report] == \
+            [("p/1(#12)", 0), ("$anonymous_rule(#10)", 1)]
+        assert len(engine.query("[t: 1] ? p(X)")) == 1
+        assert engine.out.getvalue() == "two\n"
+
+    def test_a_dispatch_of_the_anonymous_name_runs_each_rule_once(self):
+        # anonymous signatures are kept under their own name, so its
+        # candidates must not add them a second time
+        engine = Engine(prelude=False, out=io.StringIO())
+        engine.consult_text("[t: T] :- writeln(T).")
+        assert len(engine.query("[t: 1] ? '$anonymous_rule'")) == 1
+        assert engine.out.getvalue() == "1\n"
 
 
 class TestScoring:
@@ -330,6 +350,42 @@ class TestContextRules:
         engine.consult_text("go :- hello(world).", filename="two")
         assert engine.run("go")
         assert engine.out.getvalue() == "world\n"
+
+    ARITHMETIC = """
+        [d: X, (W is X * 2) @ W] # p(double).
+        [d: X, X > 3] # p(big).
+        [d: X] # p(plain).
+    """
+
+    def test_arithmetic_in_context_rules_scores_and_guards(self):
+        engine = Engine(prelude=False)
+        engine.consult_text(self.ARITHMETIC)
+        _, report = engine.explain("[d: 5] ? p(R)")
+        assert [score for _, score, _ in report] == [11, 1, 1]
+        assert [s.render("R") for s in engine.query("[d: 5] ? p(R)")] \
+            == ["double"]
+        _, report = engine.explain("[d: 0] ? p(R)")
+        assert [(score, reason) for _, score, reason in report] == \
+            [(1, None), (None, "context rules failed"), (1, None)]
+        assert [s.render("R") for s in engine.query("[d: 0] ? p(R)")] \
+            == ["double", "plain"]
+
+    def test_context_rules_compile_to_goal_entries(self):
+        engine = Engine(prelude=False)
+        engine.consult_text(self.ARITHMETIC)
+        engine.explain("[d: 5] ? p(R)")
+        double, big, _ = engine.kb.signatures_for("p", 1)
+        kinds = [[entry[1] for entry in sig.compiled[0]] for sig in (double, big)]
+        assert kinds == [[solver.E_GOAL, solver.E_IS],
+                         [solver.E_GOAL, solver.E_COMPARE]]
+
+    def test_a_hook_call_counts_one_inference(self):
+        # the call of the hook's goal, its clause and the fact's body true,
+        # then the query's rewritten goal true
+        engine = Engine(prelude=False)
+        engine.consult_text("hook_mdp_term(_, hi, true).")
+        assert engine.run("hi")
+        assert engine.solver.inferences == 4
 
     def test_a_goal_bearing_step_keeps_its_inference_count(self):
         engine = Engine(prelude=False)

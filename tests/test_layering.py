@@ -1,7 +1,9 @@
 """Module layering: every import sits at the top of its module.
 
 An import inside a function body is how an import cycle gets hidden, so
-forbidding them keeps the package's import graph acyclic.
+forbidding them keeps the package's import graph acyclic.  Every name a
+module imports is used there, so code that a change leaves without a
+user does not keep its imports.
 """
 
 import ast
@@ -32,6 +34,28 @@ def test_no_module_imports_inside_a_function():
     assert len(modules) > 10
     sites = sorted({site for m in modules for site in function_local_imports(m)})
     assert sites == []
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}       # name -> line
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return ["%s:%d %s" % (path.name, line, name)
+            for name, line in imported.items() if name not in used]
+
+
+def test_every_imported_name_is_used():
+    # the package's __init__ imports names to re-export them
+    modules = sorted(m for m in PACKAGE.glob("*.py") if m.name != "__init__.py")
+    assert len(modules) > 10
+    assert [site for m in modules for site in unused_imports(m)] == []
 
 
 def load_tracer():

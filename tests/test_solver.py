@@ -154,6 +154,16 @@ class TestExceptions:
         assert answers(
             engine, "catch((X = 1, throw(oops)), oops, (var(X), X = 2))", "X") == ["2"]
 
+    @pytest.mark.parametrize("goal, error", [
+        ("functor(T, foo, -1)", "domain_error(not_less_than_zero, -1)"),
+        ("op(5000, xfx, foo)", "domain_error(operator_priority, 5000)"),
+        ("op(0, xfx, foo)", "domain_error(operator_priority, 0)"),
+        ("op(700, yfy, foo)", "domain_error(operator_specifier, yfy)"),
+    ])
+    def test_builtin_argument_errors_are_catchable(self, engine, goal, error):
+        assert answers(engine, "catch(%s, error(E, _), true)" % goal, "E") \
+            == [error]
+
     def test_budget_is_not_catchable(self):
         engine = Engine(prelude=False, budget=100)
         engine.consult_text("loop :- loop.")
