@@ -470,17 +470,16 @@ def _b_retractall(solver, store, pattern):
         raise type_error("callable", resolve(head, store))
     key = indicator(head)
     args = head.args if key[1] else ()
-    solver.kb.set_dynamic(key)
-    survivors = []
+    kb = solver.kb
+    kb.set_dynamic(key)
     removed = []
-    for clause in solver.kb.clauses_for(key):
+    for clause in kb.clauses_for(key, args, store):
         heads, _, size, _ = clause.compiled or clause.compile()
-        slots = [None] * size
         mark = store.mark()
-        matched = match_args(heads, args, slots, store, solver.occurs_check)
+        if match_args(heads, args, [None] * size, store, solver.occurs_check):
+            removed.append(clause)
         store.undo_to(mark)
-        (removed if matched else survivors).append(clause)
-    solver.kb.remove_clauses(key, survivors, removed)
+    kb.remove_clauses(key, removed)
     return True
 
 

@@ -6,7 +6,7 @@ from importlib import resources
 
 from .dispatcher import score_candidates
 from .errors import ConsultError, PrologThrow
-from .kb import KnowledgeBase, first_arg_key
+from .kb import KnowledgeBase
 from .reader import parse_program, parse_term
 from .render import render
 from .solver import BOOTSTRAP, SCORE, Solver
@@ -155,19 +155,11 @@ class Engine:
     # -- transformer hooks -------------------------------------------------
 
     def _run_hook(self, hook_name, ctx_var, term):
-        hooks = self.kb.clauses.get((hook_name, 3))
-        if not hooks:
-            return None
-        # skip a solve that would fail on every head: the term's name and
-        # arity, or constant, differ from each head's second argument
-        taken = first_arg_key(term)
-        if taken is not None:
-            for clause in hooks:
-                if first_arg_key(clause.head.args[1]) in (None, taken):
-                    break
-            else:
-                return None
         store = BindingStore()
+        # skip a solve that would fail on every head: no head's second
+        # argument can match the term
+        if not self.kb.clauses_at((hook_name, 3), 1, term, store):
+            return None
         out_var = Var("_HookOut")
         goal = Struct(hook_name, (ctx_var, term, out_var))
         if self.solver.solve(goal, store).step():

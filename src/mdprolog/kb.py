@@ -87,12 +87,12 @@ class Signature:
         return "%s/%d(#%d)" % (self.name, self.arity, self.order)
 
 
-def first_arg_key(t):
-    """Index key of a dereferenced first argument.
+def arg_key(t):
+    """Index key of a dereferenced argument.
 
     Numbers carry their type, since 1 and 1.0 do not unify, and compounds
     are keyed by name and arity, apart from the atom of the same name.
-    A variable, or None for no argument, has no key.
+    A variable has no key.
     """
     cls = type(t)
     if cls is Atom:
@@ -104,97 +104,267 @@ def first_arg_key(t):
     return None
 
 
+def _compound(key):
+    """Whether an argument key is that of a compound: (name, arity)."""
+    return type(key) is tuple and type(key[0]) is str
+
+
 _by_order = attrgetter("order")
 
 
-class FirstArgIndex:
-    """One predicate's clauses, grouped on their first argument on demand.
+class ArgGroups:
+    """A predicate's clauses grouped on the key of the argument at ``pos``.
+
+    ``keyed`` maps a key to the clauses that hold it, in definition order;
+    ``unkeyed`` holds the clauses with a variable there, which match any
+    key.  The group of a compound key whose clauses hold at least two
+    distinct keys in the compound's first argument (``obj(1)``,
+    ``obj(2)``; a variable counts as one) is deepened: its clauses are
+    grouped again under (name, arity, inner key), the inner key None
+    standing for a variable.
+    A group that does not split so, such as the one ``[H|T]`` of a list
+    predicate, is never deepened, so a call gets one bucket per key some
+    clause holds, not one per list element.
+
+    A bucket is the tuple a call gets: a group merged with the clauses
+    that match any key, in definition order.  Buckets are cached only
+    for keys that some clause holds; a write drops the buckets it would
+    change.
+    """
+
+    __slots__ = ("pos", "keyed", "unkeyed", "deep", "buckets")
+
+    def __init__(self, pos, clauses):
+        self.pos = pos
+        self.keyed = keyed = {}
+        self.deep = set()      # the deepened compound keys
+        self.buckets = {}      # key -> tuple, built on first use
+        unkeyed = []
+        shared = set()         # the keys of more than one clause
+        for clause in clauses:
+            key = arg_key(clause.head.args[pos])
+            if key is None:
+                unkeyed.append(clause)
+                continue
+            group = keyed.get(key)
+            if group is None:
+                keyed[key] = [clause]
+            else:
+                group.append(clause)
+                shared.add(key)
+        self.unkeyed = tuple(unkeyed)
+        for key in shared:
+            group = keyed[key]
+            if _compound(key) and len({self._inner(c) for c in group}) > 1:
+                self._deepen(key, group)
+
+    def _inner(self, clause):
+        return arg_key(clause.head.args[self.pos].args[0])
+
+    def _deepen(self, key, group):
+        self.deep.add(key)
+        keyed = self.keyed
+        for clause in group:
+            keyed.setdefault(key + (self._inner(clause),), []).append(clause)
+
+    def splits(self):
+        """Whether some key leaves out some of the clauses."""
+        keyed = self.keyed
+        return len(keyed) > 1 or (keyed and self.unkeyed)
+
+    def bucket(self, arg, deref):
+        """The clauses whose argument could match arg, which is bound."""
+        key = arg_key(arg)
+        if key in self.deep:
+            inner = arg.args[0]
+            if type(inner) is Var:
+                inner = deref(inner)
+            inner = arg_key(inner)
+            if inner is not None:
+                return self._deep_bucket(key, inner)
+            # uncached: the fast path would hand it to calls keyed deeper
+            return self._merged(self.keyed[key])
+        found = self.buckets.get(key)
+        if found is None:
+            own = self.keyed.get(key)
+            if own is None:
+                return self.unkeyed
+            found = self.buckets[key] = self._merged(own)
+        return found
+
+    def _deep_bucket(self, outer, inner):
+        key = outer + (inner,)
+        if key not in self.keyed:   # no clause holds inner: those open there
+            key = outer + (None,)
+            if key not in self.keyed:
+                return self.unkeyed
+        found = self.buckets.get(key)
+        if found is None:
+            unbound = () if key[2] is None else self.keyed.get(outer + (None,), ())
+            found = self.buckets[key] = self._merged(self.keyed[key], unbound)
+        return found
+
+    def _merged(self, own, more=()):
+        if not (more or self.unkeyed):
+            return tuple(own)
+        # ordered runs: the sort merges them
+        return tuple(sorted((*own, *more, *self.unkeyed), key=_by_order))
+
+    def append(self, clause):
+        """Group a clause just appended to the predicate."""
+        key = arg_key(clause.head.args[self.pos])
+        if key is None:     # it belongs to every bucket
+            self.unkeyed += (clause,)
+            self.buckets.clear()
+            return
+        group = self.keyed.get(key)
+        if group is None:
+            self.keyed[key] = [clause]
+            return
+        group.append(clause)
+        self.buckets.pop(key, None)
+        if key in self.deep:
+            inner = self._inner(clause)
+            self.keyed.setdefault(key + (inner,), []).append(clause)
+            if inner is None:   # it belongs to every deeper bucket
+                self.buckets.clear()
+            else:
+                self.buckets.pop(key + (inner,), None)
+        elif _compound(key) and self._inner(group[0]) != self._inner(clause):
+            self._deepen(key, group)
+
+    def remove(self, removed, gone):
+        """Drop the removed clauses; gone tests a clause for being one."""
+        keys = set()
+        every = False   # whether a removed clause was in every bucket made
+        for clause in removed:
+            key = arg_key(clause.head.args[self.pos])
+            if key is None:
+                every = True
+            elif key in self.deep:
+                inner = self._inner(clause)
+                keys.update((key, key + (inner,)))
+                every = every or inner is None
+            else:
+                keys.add(key)
+        if every:
+            self.unkeyed = tuple(filterfalse(gone, self.unkeyed))
+            self.buckets.clear()
+        keyed = self.keyed
+        for key in keys:
+            group = list(filterfalse(gone, keyed[key]))
+            if group:
+                keyed[key] = group
+            else:
+                del keyed[key]
+                self.deep.discard(key)
+            self.buckets.pop(key, None)
+
+
+class ClauseIndex:
+    """One predicate's clauses, grouped on their arguments on demand.
 
     ``source`` is the predicate's clause list, which grows by appends and
     is replaced by its survivors on a removal.  A call gets a tuple that
-    later writes never touch, which is the logical update view: all the
-    clauses, or the bucket of its first argument's key, which holds in
-    definition order the clauses with that key together with those whose
-    first argument is a variable.  The clauses are grouped on the first
-    call with a bound first argument, so a predicate that is only written
-    or scanned never pays for the grouping; a clause appended later joins
-    its group, a removed one leaves it, and either drops the buckets it
-    would change.
+    later writes never touch, which is the logical update view: the
+    bucket of its first bound argument whose position splits the clauses
+    (``ArgGroups``), or all the clauses.  A position is grouped the first
+    time a call needs it, so a predicate that is only written or scanned
+    never pays for grouping; a clause appended later joins the groups
+    made, and a removed one leaves them.
     """
 
-    __slots__ = ("source", "snapshot", "keyed", "unkeyed", "buckets")
+    __slots__ = ("source", "snapshot", "groups", "lead", "cached")
 
-    def __init__(self, source):
+    def __init__(self, source, arity):
         self.source = source
         self.snapshot = ()     # tuple(source), remade after a write
-        self.keyed = None      # key -> [Clause], once grouped
-        self.unkeyed = ()      # clauses with a variable first argument
-        self.buckets = {}      # key -> tuple, built on first use
+        self.groups = [None] * arity    # position -> ArgGroups, once grouped
+        self.lead = None       # groups[0] while they split the clauses
+        self.cached = {}       # the lead's buckets
 
     def clauses(self):
         if len(self.snapshot) != len(self.source):
             self.snapshot = tuple(self.source)
         return self.snapshot
 
-    def _group(self):
-        # reached only for a bound first argument, so every head is compound
-        keyed = {}
-        for clause in self.source:
-            key = first_arg_key(clause.head.args[0])
-            group = keyed.get(key)
-            if group is None:
-                keyed[key] = [clause]
-            else:
-                group.append(clause)
-        self.unkeyed = tuple(keyed.pop(None, ()))
-        self.keyed = keyed
+    def select(self, args, store):
+        """The clauses a call with these arguments could match.
 
-    def bucket(self, first):
-        key = first_arg_key(first)
-        if key is None:
-            return self.clauses()
-        found = self.buckets.get(key)
-        if found is None:
-            if self.keyed is None:
-                self._group()
-            own = self.keyed.get(key)
-            if own is None:
-                return self.unkeyed
-            if self.unkeyed:   # two ordered runs: the sort merges them
-                own = sorted((*own, *self.unkeyed), key=_by_order)
-            found = self.buckets[key] = tuple(own)
-        return found
+        A bound first argument whose position splits the clauses, the
+        common case, takes its bucket here; every other call looks
+        through the positions in ``_select``.
+        """
+        arg = args[0]
+        cls = type(arg)
+        if cls is Var:
+            arg = store.deref(arg)
+            cls = type(arg)
+            if cls is Var:
+                return self._select(args, store.deref)
+        # arg_key, inline; a term of no key gets one that no clause holds
+        if cls is Atom:
+            key = arg
+        elif cls is Struct:
+            key = arg.functor, len(arg.args)
+        else:
+            key = cls, arg
+        found = self.cached.get(key)
+        if found is not None:
+            return found
+        lead = self.lead
+        if lead is None:
+            return self._select(args, store.deref)
+        if key not in lead.keyed:
+            return lead.unkeyed
+        return lead.bucket(arg, store.deref)
+
+    def _select(self, args, deref):
+        groups = self.groups
+        for pos, arg in enumerate(args):
+            if type(arg) is Var:
+                arg = deref(arg)
+                if type(arg) is Var:
+                    continue
+            group = groups[pos] or self._group(pos)
+            if group.splits():
+                return group.bucket(arg, deref)
+        return self.clauses()
+
+    def at(self, pos, arg, deref):
+        """The clauses whose argument at pos could match arg."""
+        if type(arg) is Var:
+            arg = deref(arg)
+            if type(arg) is Var:
+                return self.clauses()
+        return (self.groups[pos] or self._group(pos)).bucket(arg, deref)
+
+    def _group(self, pos):
+        group = self.groups[pos] = ArgGroups(pos, self.source)
+        self._find_lead()
+        return group
+
+    def _find_lead(self):
+        lead = self.groups[0] if self.groups else None
+        if lead is not None and lead.splits():
+            self.lead, self.cached = lead, lead.buckets
+        else:
+            self.lead, self.cached = None, {}
 
     def append(self, clause):
-        """Group a clause just appended to the source, if grouped already."""
-        if self.keyed is None:
-            return
-        key = first_arg_key(clause.head.args[0])
-        if key is None:     # it belongs to every bucket
-            self.unkeyed += (clause,)
-            self.buckets = {}
-        else:
-            self.keyed.setdefault(key, []).append(clause)
-            self.buckets.pop(key, None)
+        for group in self.groups:
+            if group is not None:
+                group.append(clause)
+        self._find_lead()
 
-    def remove(self, survivors, removed):
+    def remove(self, survivors, removed, gone):
         """Make survivors, the source less the removed clauses, the source."""
         self.source = survivors
         self.snapshot = ()
-        if self.keyed is None:
-            return
-        gone = set(removed).__contains__
-        for key in {first_arg_key(clause.head.args[0]) for clause in removed}:
-            if key is None:
-                self.unkeyed = tuple(filterfalse(gone, self.unkeyed))
-                self.buckets = {}
-                continue
-            group = list(filterfalse(gone, self.keyed[key]))
-            if group:
-                self.keyed[key] = group
-            else:
-                del self.keyed[key]
-            self.buckets.pop(key, None)
+        for group in self.groups:
+            if group is not None:
+                group.remove(removed, gone)
+        self._find_lead()
 
 
 class KnowledgeBase:
@@ -202,7 +372,7 @@ class KnowledgeBase:
 
     def __init__(self):
         self.clauses = {}          # (name, arity) -> [Clause]
-        self._index = {}           # (name, arity) -> FirstArgIndex
+        self._index = {}           # (name, arity) -> ClauseIndex
         self.signatures = {}       # (name, arity) -> [Signature]; the
                                    # anonymous ones under (ANONYMOUS, 0)
         self._candidates = {}      # (name, arity) -> tuple, until a change
@@ -246,30 +416,44 @@ class KnowledgeBase:
             index.append(clause)
         return clause
 
-    def remove_clauses(self, key, survivors, removed):
-        """Keep only the survivors, in order, of a predicate's clauses."""
+    def remove_clauses(self, key, removed):
+        """Drop the removed clauses of a predicate; the rest keep their order."""
         if not removed:
             return
-        self.clauses[key] = survivors
+        gone = set(removed).__contains__
+        survivors = self.clauses[key] = list(filterfalse(gone, self.clauses[key]))
         index = self._index.get(key)
         if index is not None:
-            index.remove(survivors, removed)
+            index.remove(survivors, removed, gone)
 
-    def clauses_for(self, key, first=None):
+    def clauses_for(self, key, args=(), store=None):
         """The clauses of a predicate, in definition order, as a tuple.
 
-        Given the dereferenced first argument of a call, only the clauses
-        whose first argument could unify with it.
+        Given a call's arguments and the store they are bound in, only the
+        clauses that the index cannot rule out (``ClauseIndex.select``).
         """
         index = self._index.get(key)
         if index is None:
-            source = self.clauses.get(key)
-            if source is None:
+            index = self._new_index(key)
+            if index is None:
                 return ()
-            index = self._index[key] = FirstArgIndex(source)
-        if first is None:
-            return index.clauses()
-        return index.bucket(first)
+        if args:
+            return index.select(args, store)
+        return index.clauses()
+
+    def clauses_at(self, key, pos, arg, store):
+        """The clauses whose argument at pos could match arg, as a tuple."""
+        index = self._index.get(key) or self._new_index(key)
+        if index is None:
+            return ()
+        return index.at(pos, arg, store.deref)
+
+    def _new_index(self, key):
+        source = self.clauses.get(key)
+        if source is None:
+            return None
+        index = self._index[key] = ClauseIndex(source, key[1])
+        return index
 
     def set_dynamic(self, key):
         """Declare a predicate dynamic; it exists from now on, clauses or not."""

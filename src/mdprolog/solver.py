@@ -70,10 +70,9 @@ function gives up (an unbound or non-integer operand, a result outside
 are the builtin's.
 
 A dispatch returns ``(args, key)`` calls.  Its winners are called
-without first-argument indexing, since an implementation clause's first
-argument is the context, one after another while their clauses fail;
-the WINNERS choicepoint is pushed only when a clause of one matched and
-later winners remain.
+without indexing, since each implementation predicate has one clause,
+one after another while their clauses fail; the WINNERS choicepoint is
+pushed only when a clause of one matched and later winners remain.
 
 A dispatch whose eligible candidates include goal-bearing ones (context
 rules with goals) is scored on the same machine before its winners are
@@ -198,21 +197,19 @@ class Solver:
         """
         return Run(self, store, goal)
 
-    def call_predicate(self, key, first, store):
+    def call_predicate(self, key, args, store):
         """The clauses a call of the predicate key tries, in definition order.
 
         This is the one selection point of a predicate call: an unknown
-        predicate is an existence error, and a bound first argument
-        leaves only the clauses whose first argument could match it.
-        ``first`` is None for a call that is not indexed.
+        predicate is an existence error, and the index leaves out clauses
+        that a bound argument rules out (``kb.ClauseIndex``).  ``args``
+        is () for a call that is not indexed.
         """
         kb = self.kb
         if key not in kb.clauses:       # a dynamic predicate is always there
             culprit = Struct("/", (Atom(key[0]), key[1]))
             raise existence_error("procedure", culprit)
-        if type(first) is Var:
-            first = store.deref(first)
-        return kb.clauses_for(key, first)
+        return kb.clauses_for(key, args, store)
 
     def render(self, term, store=None, quoted=False):
         return render(term, store, self.kb.optable, quoted)
@@ -282,8 +279,7 @@ class Run:
                                     tick()
                             if code is E_CALL:
                                 args = build_args(y, frame)
-                                clauses = call_predicate(
-                                    x, args[0] if args else None, store)
+                                clauses = call_predicate(x, args, store)
                             elif code is C_DISPATCH:
                                 ctx, functor, templates = x
                                 target = new_struct(
@@ -378,8 +374,7 @@ class Run:
                             raise type_error("callable", resolve(goal, store))
                         op = _BUILTINS.get(key)
                         if op is None:      # a predicate call
-                            clauses = call_predicate(
-                                key, args[0] if args else None, store)
+                            clauses = call_predicate(key, args, store)
                         elif type(op) is not int:
                             if op(solver, store, *args):
                                 continue
@@ -419,7 +414,7 @@ class Run:
                     while i < n or later:
                         if i == n:      # the next winner, which is unindexed
                             args, key = later.pop()
-                            clauses = call_predicate(key, None, store)
+                            clauses = call_predicate(key, (), store)
                             n = len(clauses)
                             i = 0
                             continue

@@ -11,7 +11,10 @@ from importlib import resources
 import pytest
 
 from mdprolog import Engine
+from mdprolog import engine as engine_module
 from mdprolog.corpus import run_all
+from mdprolog.solver import Solver
+from mdprolog.terms import indicator
 
 PRELUDE = resources.files("mdprolog").joinpath("prelude.mdp").read_text()
 PROGRAM = """
@@ -92,3 +95,32 @@ class TestSharedBase:
         passed, results = run_all()
         assert passed == len(results)
         assert start_state(Engine()) == first
+
+
+class TestHookSolves:
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The goals of the runs started from now on, start-up included."""
+        goals = []
+        solve = Solver.solve
+
+        def counting(self, goal, store):
+            goals.append(goal)
+            return solve(self, goal, store)
+
+        monkeypatch.setattr(Solver, "solve", counting)
+        monkeypatch.setattr(engine_module, "_BASES", {})
+        return goals
+
+    def test_start_up_solves_only_directives_and_the_one_matching_hook(
+            self, solved):
+        engine = Engine()
+        # the prelude's two dynamic/1 directives, and the hook for the one
+        # `OIDClone ! write(Name, Value)` of clone/1's body
+        assert [indicator(goal) for goal in solved] == \
+            [("dynamic", 1), ("dynamic", 1), ("hook_mdp_term", 3)]
+        solved.clear()
+        engine.consult_text("p(X) :- q(X), r(X, 1), s.\nq(1). r(1, 1). s.")
+        assert solved == []     # no hook head's second argument matches
+        engine.consult_text("t :- o ! q(_).")
+        assert [indicator(goal) for goal in solved] == [("hook_mdp_term", 3)]

@@ -1,14 +1,17 @@
 import functools
+import io
 import itertools
 import resource
 import subprocess
 import sys
 import time
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdprolog import BudgetExceeded, Engine, PrologThrow, solver, terms
+from mdprolog import builtins as mdbuiltins
 from mdprolog.reader import parse_term
 from mdprolog.render import render
 from mdprolog.terms import (Atom, BindingStore, MdpError, Var, compare_terms,
@@ -19,6 +22,12 @@ from mdprolog.terms import (Atom, BindingStore, MdpError, Var, compare_terms,
 # compounds sharing a name with an atom, lists and variables
 FIRST_ARGS = ["0", "1", "1.0", "2.5", "a", "b", "[]", "a(1)", "a(b)",
               "a(_)", "a(1, 2)", "[1]", "[_|_]", "_"]
+# arguments of a clause: those above and compounds of one name and arity
+# whose first arguments differ, so that the index keys them one level deeper
+ARGS = FIRST_ARGS + ["f(a)", "f(1)", "f(1.0)", "f(_)", "f(a, b)", "[a]"]
+# arguments of a call or a retractall/1 pattern: unbound at least half the
+# time, and X shared between positions
+CALL_ARGS = st.one_of(st.sampled_from(["_", "X"]), st.sampled_from(ARGS))
 
 
 @pytest.fixture
@@ -28,6 +37,19 @@ def engine():
 
 def answers(engine, text, var):
     return [sol.render(var) for sol in engine.solutions(text)]
+
+
+def printed(engine, goal):
+    """What the bodies of the clauses that goal reaches print, in order."""
+    engine.out = io.StringIO()
+    assert engine.run("forall(%s, true)" % goal)
+    return engine.out.getvalue().split()
+
+
+def unifiable(engine, text1, text2):
+    optable = engine.kb.optable
+    return unify(parse_term(text1, optable)[0], parse_term(text2, optable)[0],
+                 BindingStore())
 
 
 class TestResolution:
@@ -281,17 +303,19 @@ class TestClauseSelection:
         # clause was tried)
         assert engine.solver.inferences == 3
 
-    @given(st.lists(st.sampled_from(FIRST_ARGS), max_size=12),
-           st.sampled_from(FIRST_ARGS))
+    @given(st.lists(st.tuples(*[st.sampled_from(ARGS)] * 3), max_size=12),
+           st.tuples(*[CALL_ARGS] * 3))
     def test_a_call_sees_the_clauses_its_first_argument_unifies_with(
             self, table, probe):
+        # now any argument: the clauses whose heads unify with the goal
         engine = Engine(prelude=False)
-        engine.consult_text(":- dynamic p/2.\n" + "".join(
-            "p(%s, %d).\n" % (key, i) for i, key in enumerate(table)))
-        sol = engine.query("findall(A-B, p(A, B), L), K = %s" % probe)[0]
-        expected = [str(item.args[1]) for item in proper_list(sol["L"])
-                    if unify(item.args[0], sol["K"], BindingStore())]
-        assert answers(engine, "p(%s, V)" % probe, "V") == expected
+        heads = ["p(%s)" % ", ".join(row) for row in table]
+        engine.consult_text(":- dynamic p/3.\n" + "".join(
+            "%s :- writeln(%d).\n" % (head, i) for i, head in enumerate(heads)))
+        goal = "p(%s)" % ", ".join(probe)
+        assert printed(engine, goal) == [
+            str(i) for i, head in enumerate(heads)
+            if unifiable(engine, head, goal)]
 
     def test_writes_during_a_bound_call_keep_its_clauses_and_reach_the_next(
             self, engine):
@@ -333,20 +357,110 @@ class TestClauseSelection:
             ["v1", "v4", "v7", "v10", "some"]
 
     @given(st.lists(st.tuples(st.sampled_from(["assertz", "retractall", "call"]),
-                              st.sampled_from(FIRST_ARGS)), max_size=16))
+                              st.tuples(*[CALL_ARGS] * 3)), max_size=16))
     def test_an_index_kept_through_writes_selects_as_a_fresh_one(self, ops):
         engine = Engine(prelude=False)
-        engine.consult_text(":- dynamic p/2.")
-        for i, (op, key) in enumerate(ops):
+        engine.consult_text(":- dynamic p/3.")
+        table = []      # (head, number) of each clause there should be
+        for i, (op, row) in enumerate(ops):
+            head = "p(%s)" % ", ".join(row)
             if op == "assertz":
-                assert engine.run("assertz(p(%s, %d))" % (key, i))
+                assert engine.run("assertz((%s :- writeln(%d)))" % (head, i))
+                table.append((head, str(i)))
             elif op == "retractall":
-                assert engine.run("retractall(p(%s, _))" % key)
+                assert engine.run("retractall(%s)" % head)
+                table = [(h, n) for h, n in table
+                         if not unifiable(engine, h, head)]
             else:
-                sol = engine.query("findall(A-B, p(A, B), L), K = %s" % key)[0]
-                expected = [str(item.args[1]) for item in proper_list(sol["L"])
-                            if unify(item.args[0], sol["K"], BindingStore())]
-                assert answers(engine, "p(%s, V)" % key, "V") == expected
+                assert printed(engine, head) == [
+                    n for h, n in table if unifiable(engine, h, head)]
+
+    def test_a_compound_key_splits_one_level_deeper(self, engine):
+        engine.consult_text(DATA)
+        assert answers(engine, "data(obj(3), k1, V)", "V") == ["v12"]
+        # the call, the four clauses of obj(3) and the body of one (90
+        # when every obj/1 clause was tried)
+        assert engine.solver.inferences == 6
+        assert answers(engine, "data(obj(_), k1, V)", "V") == \
+            ["v%d" % i for i in range(0, 88, 4)]
+        assert answers(engine, "data(obj(3), k1, V)", "V") == ["v12"]
+        assert engine.solver.inferences == 6
+
+    def test_clauses_asserted_after_grouping_are_keyed_deeper(self, engine):
+        first, *rest = DATA.splitlines()
+        engine.consult_text(":- dynamic data/3.\n" + first)
+        assert answers(engine, "data(obj(0), k1, V)", "V") == ["v0"]
+        for fact in rest:
+            assert engine.run("assertz(%s)" % fact.rstrip("."))
+        assert answers(engine, "data(obj(3), k1, V)", "V") == ["v12"]
+        assert engine.solver.inferences == 6
+
+    def test_writes_reach_the_deeper_buckets_made(self, engine):
+        engine.consult_text(":- dynamic d/2.\nd(f(a), 1). d(f(b), 2). d(_, 3).")
+        assert answers(engine, "d(f(a), V)", "V") == ["1", "3"]
+        assert answers(engine, "d(f(c), V)", "V") == ["3"]
+        assert engine.run("assertz(d(f(a), 4))")
+        assert answers(engine, "d(f(a), V)", "V") == ["1", "3", "4"]
+        assert engine.run("assertz(d(f(_), 5))")
+        assert answers(engine, "d(f(a), V)", "V") == ["1", "3", "4", "5"]
+        assert answers(engine, "d(f(c), V)", "V") == ["3", "5"]
+        assert engine.run("retractall(d(_, 3))")
+        assert answers(engine, "d(f(a), V)", "V") == ["1", "4", "5"]
+        assert engine.run("retractall(d(f(_), 5))")
+        assert answers(engine, "d(f(a), V)", "V") == ["1", "4"]
+        assert answers(engine, "d(f(c), V)", "V") == []
+        # ',', =/2, the call, the two clauses of f(a) and their bodies
+        assert answers(engine, "X = a, d(f(X), V)", "V") == ["1", "4"]
+        assert engine.solver.inferences == 7
+
+    def test_a_call_indexes_on_its_first_bound_argument_that_splits(self):
+        engine = Engine()
+        engine.consult_file(CORPUS / "programs" / "shapes.mdp")
+        assert answers(engine, "subtype(P, circle)", "P") == ["shape"]
+        # the call, the one clause of circle's bucket and its body
+        assert engine.solver.inferences == 3
+
+    def test_a_position_every_clause_shares_is_passed_over(self, engine):
+        engine.consult_text("q(a, 1, x). q(a, 2, y). q(a, 3, z).")
+        assert answers(engine, "q(a, 2, V)", "V") == ["y"]
+        assert engine.solver.inferences == 3
+
+    def test_a_list_argument_is_not_keyed_by_its_elements(self, engine):
+        engine.consult_text(NREV)
+        assert engine.run("nrev([%s], R)" % ", ".join(map(str, range(300))))
+        index = engine.kb._index[("app", 3)]
+        # [] and '.'/2: the [H|T] clause does not split on its head
+        assert sum(len(group.buckets) for group in index.groups if group) <= 2
+
+    def test_calls_with_keys_no_clause_holds_cache_no_bucket(self, engine):
+        engine.consult_text("k(a, 1). k(b, 2). k(f(1), 3). k(f(2), 4). "
+                            "k(2.5, 5). k(_, 6).")
+        assert engine.run("forall(between(3, 502, I), "
+                          "(findall(V, k(I, V), [6]), k(f(I), 6)))")
+        index = engine.kb._index[("k", 2)]
+        assert not any(group.buckets for group in index.groups if group)
+        assert answers(engine, "k(f(2), V)", "V") == ["4", "6"]
+
+    def test_retractall_tests_only_the_heads_the_index_leaves(
+            self, engine, monkeypatch):
+        engine.consult_text(":- dynamic data/3.\n" + DATA)
+        tried = []
+
+        def counting(templates, *rest):
+            tried.append(templates)
+            return terms.match_args(templates, *rest)
+
+        monkeypatch.setattr(mdbuiltins, "match_args", counting)
+        assert engine.run("retractall(data(obj(3), k2, _))")
+        assert len(tried) == 4      # obj(3)'s heads, of 88
+        assert answers(engine, "data(obj(3), K, _)", "K") == ["k1", "k3", "k4"]
+        assert len(engine.query("data(O, K, V)")) == 87
+
+
+# 22 objects with four attributes each
+DATA = "".join("data(obj(%d), k%d, v%d).\n" % (i // 4, i % 4 + 1, i)
+               for i in range(88))
+CORPUS = resources.files("mdprolog").joinpath("corpus")
 
 
 NREV = """
