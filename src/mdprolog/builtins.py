@@ -32,13 +32,13 @@ from .terms import (
     Struct,
     Var,
     compare_terms,
+    compile_source,
     flatten_conj,
     indicator,
     is_callable_term,
     is_number,
     list_parts,
     make_list,
-    match_args,
     proper_list,
     rename_term,
     resolve,
@@ -175,7 +175,8 @@ def arith_evaluator(exprs, seen, comparison=None):
     slots in ``seen`` already set; with a comparison operator (a key of
     COMPARISONS) the function compares the two values, else it returns the
     value of the one expression.  Slot indices and constants are passed
-    to a factory compiled once per shape of expression.
+    to a factory compiled once per shape of expression
+    (``terms.compile_source``).
     """
     lines = []
     params = []
@@ -225,14 +226,7 @@ def arith_evaluator(exprs, seen, comparison=None):
     source = ("def make(%s):\n    def evaluate(frame, deref):\n%s\n"
               "    return evaluate\n") % (
         ", ".join("p%d" % i for i in range(len(params))), "\n".join(lines))
-    return _evaluator_factory(source)(*params)
-
-
-@functools.lru_cache(maxsize=256)
-def _evaluator_factory(source):
-    namespace = {}
-    exec(source, namespace)
-    return namespace["make"]
+    return compile_source(source)(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +468,9 @@ def _b_retractall(solver, store, pattern):
     kb.set_dynamic(key)
     removed = []
     for clause in kb.clauses_for(key, args, store):
-        heads, _, size, _ = clause.compiled or clause.compile()
+        match, _, size, _ = clause.compiled or clause.compile()
         mark = store.mark()
-        if match_args(heads, args, [None] * size, store, solver.occurs_check):
+        if match(args, [None] * size, store, solver.occurs_check):
             removed.append(clause)
         store.undo_to(mark)
     kb.remove_clauses(key, removed)

@@ -8,7 +8,8 @@ from operator import attrgetter
 
 from .ops import default_table
 from .solver import compile_body
-from .terms import Atom, Struct, Var, compile_terms, conj, indicator
+from .terms import (Atom, Struct, Var, compile_terms, conj, head_matcher,
+                    indicator)
 
 ANONYMOUS = "$anonymous_rule"
 
@@ -20,18 +21,19 @@ class Clause:
     filename: str = None
     line: int = None
     order: int = 0
-    # (head argument templates, body goal entries, slot count, guard) once
-    # tried; the guard is (position, constant) of the first head argument
-    # that is an atom or a number, or None
+    # (head matcher, body goal entries, slot count, guard) once tried; the
+    # guard is (position, constant) of the first head argument that is an
+    # atom or a number, or None
     compiled: tuple = field(default=None, repr=False, compare=False)
 
     def compile(self):
-        """Compile the clause into templates on its first try."""
+        """Compile the head's matcher and the body on the first try."""
         (head, body), size = compile_terms((self.head, self.body))
         heads = getattr(head, "args", ())
         guard = next(((i, t) for i, t in enumerate(heads)
                       if type(t) in (Atom, int, float)), None)
-        self.compiled = heads, compile_body(body, heads), size, guard
+        self.compiled = (head_matcher(heads), compile_body(body, heads), size,
+                         guard)
         return self.compiled
 
 
@@ -496,27 +498,36 @@ class KnowledgeBase:
     # -- consult bookkeeping -----------------------------------------------
 
     def forget_file(self, filename):
-        """Drop clauses and signatures previously consulted from this file."""
-        self._index.clear()
-        self._candidates.clear()
+        """Drop clauses and signatures previously consulted from this file.
+
+        Only a predicate that loses a clause or a signature loses its index
+        or its cached candidates; every other one keeps its clause list, the
+        ``source`` of its live ``ClauseIndex``.
+        """
         doomed_impls = set()
         for key in list(self.signatures):
-            kept = []
-            for sig in self.signatures[key]:
-                if sig.filename == filename:
-                    doomed_impls.add(sig.impl_key)
-                else:
-                    kept.append(sig)
+            group = self.signatures[key]
+            kept = [sig for sig in group if sig.filename != filename]
+            if len(kept) == len(group):
+                continue
+            doomed_impls.update(sig.impl_key for sig in group
+                                if sig.filename == filename)
+            if key == (ANONYMOUS, 0):   # among the candidates of every name
+                self._candidates.clear()
+            else:
+                self._candidates.pop(key, None)
             if kept:
                 self.signatures[key] = kept
             else:
                 del self.signatures[key]
         for key in list(self.clauses):
-            if key in doomed_impls:
-                del self.clauses[key]
+            group = self.clauses[key]
+            if key not in doomed_impls and all(c.filename != filename
+                                               for c in group):
                 continue
-            kept = [c for c in self.clauses[key] if c.filename != filename]
-            if kept or key in self.dynamic:
+            self._index.pop(key, None)
+            kept = [c for c in group if c.filename != filename]
+            if key not in doomed_impls and (kept or key in self.dynamic):
                 self.clauses[key] = kept
             else:
                 del self.clauses[key]

@@ -41,13 +41,16 @@ nondeterministic builtin, a scoring) and where a builtin undoes on its
 own (``\\=``, retractall/1).  Deterministic code
 takes no mark, so it keeps only the terms it still uses.
 
-A clause is tried through its template (``Clause.compile``, compiled on
-its first try): the goal's arguments are matched against the head in
-place (``terms.match_args``), into a frame that holds one value per
-clause variable; a head whose first atom or number argument differs from
-the goal's is passed over before any of it is matched.  Nothing of the
-clause is renamed; ``rename_term`` copies runtime terms only (findall,
-copy_term, throw/catch and assertz).
+A clause is tried through what ``Clause.compile`` makes on its first
+try: a head whose first atom or number argument differs from the goal's
+is passed over before any of it is matched, and otherwise the goal's
+arguments are matched in place by the head's matcher, a function
+generated for the shape of the head and shared by every head of that
+shape (``terms.head_matcher``).  It fills a frame that holds one value
+per clause variable, storing a variable's first occurrence with no test
+and building structure only where the goal has an unbound variable.
+Nothing of the clause is renamed; ``rename_term`` copies runtime terms
+only (findall, copy_term, throw/catch and assertz).
 
 The body was compiled with the head (``compile_body``) into a tuple of
 goal entries, one per goal of its conjunctions, each with its operation
@@ -122,7 +125,6 @@ from .terms import (
     build,
     build_args,
     make_list,
-    match_args,
     new_struct,
     proper_list,
     rename_term,
@@ -421,7 +423,7 @@ class Run:
                         tick()
                         clause = clauses[i]
                         i += 1
-                        heads, body, size, guard = clause.compiled or clause.compile()
+                        match, body, size, guard = clause.compiled or clause.compile()
                         if guard is not None:   # a head constant the goal lacks
                             pos, constant = guard
                             arg = args[pos]
@@ -433,7 +435,7 @@ class Run:
                         if mark is None and (i < n or later):
                             mark = store.mark()
                         frame = [None] * size
-                        if match_args(heads, args, frame, store, occurs_check):
+                        if match(args, frame, store, occurs_check):
                             if later:
                                 cps.append((WINNERS, mark, cont, later))
                                 later = ()

@@ -11,8 +11,12 @@ Terms are values; only a variable changes, when a store binds it:
 Lists are compounds of ``'.'/2`` terminated by the atom ``[]``.
 
 Stored clauses and signatures are used through templates
-(``compile_terms``): ``match_args`` unifies templates with runtime terms
-in place and ``build`` makes the runtime copy of a template.  ``resolve``,
+(``compile_terms``): a clause head is matched with runtime terms in place
+by code generated for its shape (``head_matcher``, with ``match_args`` for
+what lies beyond its caps), and ``build`` makes the runtime copy of a
+template.  Generated code, head matchers and the arithmetic of
+``builtins``, is compiled once per source text (``compile_source``).
+``resolve``,
 ``rename_term`` and ``compile_terms`` copy through one iterative walk
 that shares what it leaves unchanged, and in which a list counts as one
 level of nesting, whatever its length.
@@ -24,6 +28,7 @@ follows, never by the interpreter's recursion limit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import is_not
 
@@ -188,6 +193,12 @@ class BindingStore:
     Only a variable older than the watermark is trailed when bound: a
     newer one cannot be reached from the state an undo restores.  Until
     its first mark a store trails every binding.
+
+    A variable holds one store's binding at a time: binding it through a
+    second store overwrites the first store's binding, which that store's
+    undo then cannot restore.  So a caller must not bind a variable
+    through another store while a query that uses it still enumerates;
+    undo the first store's bindings before.  The engine never does this.
     """
 
     __slots__ = ("trail", "watermark")
@@ -474,6 +485,9 @@ def compile_terms(terms):
 def match_args(templates, terms, frame, store, occurs_check=False):
     """Unify argument templates with terms, filling the templates' slots.
 
+    The generic matcher: a ``head_matcher`` hands it the part of a head
+    that lies beyond its caps, and agrees with it everywhere else.
+
     ``frame`` holds one entry per slot, None until the slot is first met.
     A slot met for the first time takes the term itself, with no new
     variable and no trail entry; a slot met again is unified with its
@@ -499,10 +513,8 @@ def match_args(templates, terms, frame, store, occurs_check=False):
                 arg = store.deref(arg)
             if cls is Skeleton:
                 if type(arg) is Var:
-                    built = build(sub, frame)
-                    if occurs_check and occurs_in(arg, built, store):
+                    if not _bind_built(arg, sub, frame, store, occurs_check):
                         return False
-                    store.bind(arg, built)
                     continue
                 if not (type(arg) is Struct and arg.functor == sub.functor
                         and len(arg.args) == len(sub.args)):
@@ -525,6 +537,258 @@ def match_args(templates, terms, frame, store, occurs_check=False):
             if not stack:
                 return True
             pairs = stack.pop()
+
+
+# -- generated code -----------------------------------------------------------
+
+# A head matcher handles inline a head's arguments and the arguments of a
+# compound argument, at most MATCH_NODES of them; what lies deeper or
+# further is matched by match_args.  Each process compiles the code of each
+# shape it meets, up to a millisecond for a large head, so inline code must
+# pay for itself: matching 8 levels inline cut the bytecodes of an objects
+# or corpus round by a further 0.5 %, and took 1.7 ms more to compile the
+# prelude's two hook heads in Engine().  The generated code nests 4 blocks
+# deep: two functions, the compound argument and a one-line test.
+MATCH_NODES = 64
+_CACHED = 512           # generated sources, and head shapes, kept at most
+_SHAPE_NODES = 256      # the nodes of the largest head shape kept
+
+
+@functools.lru_cache(maxsize=_CACHED)
+def compile_source(source):
+    """The function ``make`` that a generated Python source defines.
+
+    Generated code is cached by its text, so clauses or goals of one shape
+    share one code object; what differs between them (constants, slot
+    indices, functors, variable names) is passed to ``make``, whose result
+    closes over it.  The source sees the names of ``_GENERATED_NAMES``.
+    """
+    namespace = dict(_GENERATED_NAMES)
+    exec(source, namespace)
+    return namespace["make"]
+
+
+def head_matcher(templates):
+    """A function ``match(args, frame, store, occurs_check) -> bool``.
+
+    It does what ``match_args(templates, args, frame, store,
+    occurs_check)`` does, in code generated for the shape of the templates,
+    as the WAM's get instructions specialise a head (``_HeadCode``).  A
+    slot's first occurrence is known when the head is compiled, so it is
+    stored in the frame with no test, and later ones are unified.  An atom
+    is matched by identity, a number by type and value, and a compound
+    without variables through ``unify``.  A skeleton argument met by an
+    unbound variable is built and bound to it, with the occurs check where
+    a variable of the goal could be inside; otherwise its functor and
+    arity are checked and its arguments matched one level down.  A
+    skeleton inside it, and what lies beyond ``MATCH_NODES`` nodes, is
+    handed to ``match_args``, so heads of any depth and arity compile.
+
+    The frame holds one entry per slot, all None; on failure the bindings
+    made so far stay for the caller to undo.  A variable holds one store's
+    binding at a time (``BindingStore``): the goal's variables must not be
+    bound through a second store while a query that uses them still
+    enumerates.
+
+    Heads of one shape share one generated function, found by the shape
+    alone (``_head_shape``), so the source is generated once per shape; the
+    function's ``make(templates)`` reads the constants, functors and
+    variable names of each head from its templates.
+    """
+    shape = _head_shape(templates)
+    make = _HEAD_MAKERS.get(shape)
+    if make is None:
+        make = compile_source(_HeadCode(templates).source())
+        if shape is not None:
+            if len(_HEAD_MAKERS) >= _CACHED:
+                _HEAD_MAKERS.clear()
+            _HEAD_MAKERS[shape] = make
+    return make(templates)
+
+
+_HEAD_MAKERS = {}       # head shape -> the make function of its matcher
+
+
+def _head_shape(templates):
+    """What the matcher code of templates depends on, in a flat tuple.
+
+    The templates in prefix order: a slot by its index, a skeleton by its
+    arity negated, any other node by its type.  None for a head of more
+    than ``_SHAPE_NODES`` nodes, which is not looked up by its shape.
+    """
+    shape = [len(templates)]
+    stack = list(reversed(templates))
+    while stack:
+        if len(shape) > _SHAPE_NODES:
+            return None
+        t = stack.pop()
+        cls = type(t)
+        if cls is Slot:
+            shape.append(t.index)
+        elif cls is Skeleton:
+            shape.append(-len(t.args))
+            stack.extend(reversed(t.args))
+        else:
+            shape.append(cls)
+    return tuple(shape)
+
+
+class _HeadCode:
+    """The source of a head matcher, generated from head templates.
+
+    Each parameter ``pN`` of the matcher is read from the templates ``T``
+    through a path (``T[1].args[0].functor``) when ``make(T)`` runs, so
+    the source names no constant of the head.  ``known`` holds the slots
+    that have a value at the point of the code being written; ``nodes`` is
+    what is left of the ``MATCH_NODES`` budget.  Each term met gets a local
+    of its own, ``x1``, ``x2``...
+    """
+
+    __slots__ = ("lines", "params", "known", "nodes", "names")
+
+    def __init__(self, templates):
+        self.lines = []
+        self.params = {}    # path -> name
+        self.known = set()
+        self.nodes = MATCH_NODES
+        self.names = 0
+        self.siblings(templates, "T", "args", False, 2)
+        self.lines.append("        return True")
+
+    def source(self):
+        params = "".join("    %s = %s\n" % (name, path)
+                         for path, name in self.params.items())
+        body = "\n".join(self.lines)
+        return ("def make(T):\n%s"
+                "    def match(args, frame, store, occurs_check):\n"
+                "%s\n    return match\n") % (params, body)
+
+    def param(self, path):
+        name = self.params.get(path)
+        if name is None:
+            name = self.params[path] = "p%d" % len(self.params)
+        return name
+
+    def emit(self, indent, line):
+        self.lines.append("    " * indent + line)
+
+    def fail_unless(self, indent, test):
+        self.emit(indent, "if not %s: return False" % test)
+
+    def siblings(self, subs, path, container, nested, indent):
+        """Match subs, the templates at ``path``, with the terms of the
+        tuple ``container``; nested, they are a skeleton argument's."""
+        inline = subs[:max(self.nodes, 0)]
+        self.nodes -= len(inline)
+        names = ["x%d" % (self.names + j) for j in range(1, len(inline) + 1)]
+        self.names += len(inline)
+        if inline:
+            self.emit(indent, "%s, = %s%s" % (
+                ", ".join(names), container,
+                "" if len(inline) == len(subs) else "[:%d]" % len(inline)))
+        for j, sub in enumerate(inline):
+            self.one(sub, "%s[%d]" % (path, j), names[j], nested, indent)
+        if len(inline) < len(subs):
+            j = len(inline)
+            rest = self.param("%s[%d:]" % (path, j))
+            self.fail_unless(indent, "match_args(%s, %s[%d:], frame, store, "
+                             "occurs_check)" % (rest, container, j))
+            self.known.update(_slots_of(subs[j:]))
+
+    def one(self, sub, path, x, nested, indent):
+        """Match the template sub, at path, with the term in the local x."""
+        cls = type(sub)
+        if cls is Slot:
+            if sub.index in self.known:
+                self.fail_unless(indent, "unify(frame[%d], %s, store, "
+                                 "occurs_check)" % (sub.index, x))
+            else:
+                self.emit(indent, "frame[%d] = %s" % (sub.index, x))
+                self.known.add(sub.index)
+            return
+        if cls is Skeleton and (nested or len(sub.args) > self.nodes):
+            self.fail_unless(indent, "match_args(%s, (%s,), frame, store, "
+                             "occurs_check)" % (self.param("(%s,)" % path), x))
+            self.known.update(_slots_of((sub,)))
+            return
+        self.emit(indent, "while type({0}) is Var and {0}.owner is store: "
+                          "{0} = {0}.ref".format(x))
+        if cls is Skeleton:
+            self.emit(indent, "if type(%s) is Var:" % x)
+            known = set(self.known)
+            self.write(sub, path, x, indent + 1)
+            self.known = known
+            functor = self.param(path + ".functor")
+            self.emit(indent, "elif type({0}) is Struct and {0}.functor == {1} "
+                              "and len({0}.args) == {2}:".format(
+                                  x, functor, len(sub.args)))
+            self.siblings(sub.args, path + ".args", x + ".args", True,
+                          indent + 1)
+            self.emit(indent, "else:")
+            self.emit(indent + 1, "return False")
+            return
+        p = self.param(path)
+        self.emit(indent, "if type(%s) is Var: store.bind(%s, %s)" % (x, x, p))
+        if cls is Atom:
+            self.emit(indent, "elif %s is not %s: return False" % (x, p))
+        elif cls is Struct:     # no variable in it, so no occurs check
+            self.emit(indent, "elif {0} is not {1} and not unify({1}, {0}, "
+                              "store): return False".format(x, p))
+        else:   # a number: 1 and 1.0 differ
+            kind = self.param("type(%s)" % path)
+            self.emit(indent, "elif type({0}) is not {1} or {0} != {2}: "
+                              "return False".format(x, kind, p))
+
+    def write(self, sub, path, x, indent):
+        """Build the skeleton argument sub, at path, and bind the variable x
+        to it.
+
+        It is built inline, from the slots' values and variables made for
+        the slots met first, unless it holds a skeleton: ``build`` makes
+        that one.
+        """
+        if any(type(t) is Skeleton for t in sub.args):
+            self.fail_unless(indent, "_bind_built(%s, %s, frame, store, "
+                             "occurs_check)" % (x, self.param(path)))
+            return
+        functor = self.param(path + ".functor")
+        shared = False      # whether it may hold a variable of the goal
+        made = set()        # the slots whose variable is made here
+        args = []
+        for j, t in enumerate(sub.args):
+            if type(t) is not Slot:
+                args.append(self.param("%s.args[%d]" % (path, j)))
+                continue
+            i = t.index
+            if i in self.known:
+                shared = shared or i not in made
+                args.append("frame[%d]" % i if i not in made else "s%d" % i)
+                continue
+            made.add(i)
+            self.known.add(i)
+            self.emit(indent, "s%d = frame[%d] = Var(%s)"
+                      % (i, i, self.param("%s.args[%d].name" % (path, j))))
+            args.append("s%d" % i)
+        built = "new_struct(%s, (%s,))" % (functor, ", ".join(args))
+        if shared:
+            self.emit(indent, "t = %s" % built)
+            self.emit(indent, "if occurs_check and occurs_in(%s, t, store): "
+                              "return False" % x)
+            built = "t"
+        self.emit(indent, "store.bind(%s, %s)" % (x, built))
+
+
+def _slots_of(templates):
+    """The indices of the slots in templates."""
+    found = set()
+    stack = list(templates)
+    while stack:
+        t = stack.pop()
+        if type(t) is Slot:
+            found.add(t.index)
+        elif type(t) is Skeleton:
+            stack.extend(t.args)
+    return found
 
 
 def build(template, frame):
@@ -567,6 +831,22 @@ def build(template, frame):
                 return term
             template, args, todo = stack.pop()
             args.append(term)
+
+
+def _bind_built(var, template, frame, store, occurs_check):
+    """Bind the unbound var to the term of a skeleton; False if it occurs
+    there and the occurs check is on."""
+    built = build(template, frame)
+    if occurs_check and occurs_in(var, built, store):
+        return False
+    store.bind(var, built)
+    return True
+
+
+# the globals of generated code
+_GENERATED_NAMES = {"Var": Var, "Struct": Struct, "new_struct": new_struct,
+                    "unify": unify, "occurs_in": occurs_in,
+                    "match_args": match_args, "_bind_built": _bind_built}
 
 
 def build_args(templates, frame):

@@ -108,6 +108,23 @@ class TestCandidates:
         assert len(engine.query("[t: 1] ? p(X)")) == 1
         assert engine.out.getvalue() == "two\n"
 
+    def test_consulting_a_file_again_without_its_signatures_drops_them(self):
+        # the candidates cached by a dispatch lose what the file took away
+        engine = Engine(prelude=False)
+        engine.consult_text("[] # p(a).", filename="one")
+        engine.consult_text("[] # p(b).", filename="two")
+        assert [s.render("X") for s in engine.query("[] ? p(X)")] == ["a", "b"]
+        engine.consult_text("q.", filename="one")
+        assert [s.render("X") for s in engine.query("[] ? p(X)")] == ["b"]
+
+        engine = Engine(prelude=False, out=io.StringIO())
+        engine.consult_text("[t: T] :- writeln(one).", filename="one")
+        engine.consult_text("[] # p(b).", filename="two")
+        assert [s.render("X") for s in engine.query("[t: 1] ? p(X)")] == ["X"]
+        engine.consult_text("q.", filename="one")
+        assert [s.render("X") for s in engine.query("[t: 1] ? p(X)")] == ["b"]
+        assert engine.out.getvalue() == "one\n"
+
     def test_a_dispatch_of_the_anonymous_name_runs_each_rule_once(self):
         # anonymous signatures are kept under their own name, so its
         # candidates must not add them a second time

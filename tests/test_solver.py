@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdprolog import BudgetExceeded, Engine, PrologThrow, solver, terms
-from mdprolog import builtins as mdbuiltins
 from mdprolog.reader import parse_term
 from mdprolog.render import render
 from mdprolog.terms import (Atom, BindingStore, MdpError, Var, compare_terms,
@@ -303,6 +302,22 @@ class TestClauseSelection:
         # clause was tried)
         assert engine.solver.inferences == 3
 
+    def test_consulting_another_file_keeps_an_index(self, engine):
+        engine.consult_text("".join("fact(%d, v%d).\n" % (k, k)
+                                    for k in range(5000)), filename="facts.pl")
+        assert answers(engine, "fact(4999, V)", "V") == ["v4999"]  # groups
+        index = engine.kb._index[("fact", 2)]
+        engine.consult_text("other(1).", filename="other.pl")
+        assert engine.kb._index[("fact", 2)] is index
+        assert answers(engine, "fact(17, V)", "V") == ["v17"]
+        assert engine.solver.inferences == 3
+        # consulting the file again drops its predicates' index
+        engine.consult_text("fact(1, w).\nfact(2, v2).", filename="facts.pl")
+        assert ("fact", 2) not in engine.kb._index
+        assert answers(engine, "fact(1, V)", "V") == ["w"]
+        assert answers(engine, "fact(4999, V)", "V") == []
+        assert engine.kb._index[("fact", 2)] is not index
+
     @given(st.lists(st.tuples(*[st.sampled_from(ARGS)] * 3), max_size=12),
            st.tuples(*[CALL_ARGS] * 3))
     def test_a_call_sees_the_clauses_its_first_argument_unifies_with(
@@ -441,16 +456,19 @@ class TestClauseSelection:
         assert not any(group.buckets for group in index.groups if group)
         assert answers(engine, "k(f(2), V)", "V") == ["4", "6"]
 
-    def test_retractall_tests_only_the_heads_the_index_leaves(
-            self, engine, monkeypatch):
+    def test_retractall_tests_only_the_heads_the_index_leaves(self, engine):
         engine.consult_text(":- dynamic data/3.\n" + DATA)
         tried = []
 
-        def counting(templates, *rest):
-            tried.append(templates)
-            return terms.match_args(templates, *rest)
+        def counting(match):
+            def counted(*args):
+                tried.append(args)
+                return match(*args)
+            return counted
 
-        monkeypatch.setattr(mdbuiltins, "match_args", counting)
+        for clause in engine.kb.clauses[("data", 3)]:
+            match, *rest = clause.compiled or clause.compile()
+            clause.compiled = counting(match), *rest
         assert engine.run("retractall(data(obj(3), k2, _))")
         assert len(tried) == 4      # obj(3)'s heads, of 88
         assert answers(engine, "data(obj(3), K, _)", "K") == ["k1", "k3", "k4"]
@@ -511,6 +529,14 @@ class TestHeadUnification:
         engine.consult_text(":- dynamic p/2.\np(a, a). p(a, b). p(b, b).")
         engine.run("retractall(p(X, X))")
         assert answers(engine, "findall(X-Y, p(X, Y), L)", "L") == ["[a-b]"]
+        # and in the stored heads
+        engine.consult_text(":- dynamic q/2.\nq(X, X). q(X, f(X)). q(a, Y).")
+        count = "findall(x, q(_, _), L), length(L, N)"
+        for pattern, left in [("q(b, a)", "3"), ("q(c, c)", "2"),
+                              ("q(b, f(c))", "2"), ("q(b, f(b))", "1")]:
+            assert engine.run("retractall(%s)" % pattern)
+            assert answers(engine, count, "N") == [left]
+        assert answers(engine, "q(K, V)", "K") == ["a"]
 
     def test_unbound_arguments_render_as_before(self, engine):
         engine.consult_text(NREV)

@@ -1,8 +1,13 @@
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from mdprolog import terms
+from mdprolog.kb import Clause
 from mdprolog.terms import (
     RESOLVE_DEPTH_LIMIT,
+    TRUE,
     Atom,
     BindingStore,
     MdpError,
@@ -13,6 +18,7 @@ from mdprolog.terms import (
     build,
     compare_terms,
     compile_terms,
+    head_matcher,
     make_list,
     match_args,
     proper_list,
@@ -344,40 +350,173 @@ class TestTemplates:
         (head, body), size = compile_terms(
             (Struct("p", (x,)), Struct("q", (x, y, y))))
         frame = [None] * size
-        assert match_args((head,), (Struct("p", (Atom("a"),)),), frame, BindingStore())
+        assert head_matcher(head.args)((Atom("a"),), frame, BindingStore(), False)
         built = build(body, frame)
         assert built.args[0] is Atom("a")
         assert built.args[1] is built.args[2]
         assert built.args[1] is not y and built.args[1].name == "Y"
 
-    @given(shapes(), shapes(), shapes(), st.booleans())
+    @given(st.lists(st.tuples(shapes(), shapes()), min_size=1, max_size=3),
+           shapes(), st.booleans())
     def test_match_then_build_agrees_with_rename_then_unify(
-            self, head_shape, goal_shape, body_shape, occurs_check):
-        clause_vars, goal_pool = {}, {}
-        head = instantiate(head_shape, clause_vars, "H")
+            self, arg_shapes, body_shape, occurs_check):
+        clause_vars, goal_vars = {}, {}
+        head = Struct("h", [instantiate(h, clause_vars, "H") for h, _ in arg_shapes])
         body = instantiate(body_shape, clause_vars, "H")
-        goal = instantiate(goal_shape, goal_pool, "G")
+        goal = Struct("h", [instantiate(g, goal_vars, "G") for _, g in arg_shapes])
+        agrees(head, body, goal, occurs_check)
 
-        old = BindingStore()
-        mapping = {}
-        renamed = rename_term(head, old, mapping)
-        mark = old.mark()
-        old_ok = unify(goal, renamed, old, occurs_check)
-        # without the check the answer may be a cyclic term
-        checked = old_ok and occurs_check
-        if checked:
-            old_answer = resolve(
-                Struct("r", (goal, rename_term(body, old, mapping))), old)
-        # a variable holds one store's binding at a time, so the goal's
-        # variables are freed before the new store binds them
-        old.undo_to(mark)
+    @pytest.mark.parametrize("occurs_check", [False, True])
+    def test_heads_beyond_the_caps_match_as_unify_does(self, occurs_check):
+        xs = [Var("X%d" % i) for i in range(1, 41)]
+        deep = Struct("p", (make_list(xs), xs[-1]))     # p([X1, ..., X40], X40)
+        ints = list(range(1, 41))
+        body = Struct("b", tuple(xs))
+        assert agrees(deep, body, Struct("p", (make_list(ints), Var("V"))),
+                      occurs_check)
+        assert agrees(deep, body, Struct("p", (Var("L"), Var("V"))), occurs_check)
+        assert not agrees(deep, body, Struct("p", (make_list(ints[1:]), Var("V"))),
+                          occurs_check)
+        assert not agrees(deep, body, Struct("p", (make_list(ints), 7)),
+                          occurs_check)
+        z = Var("Z")
+        assert agrees(deep, body, Struct("p", (make_list(ints[:20], z), z)),
+                      occurs_check) != occurs_check   # Z = [21, ..., 40|Z]
 
-        (head_t, body_t), size = compile_terms((head, body))
+        # p(X0, f(X0), a, 3, X4, f(X4), a, 7, ...): 100 arguments
+        ys = [Var("Y%d" % i) for i in range(100)]
+        pattern = [(y, Struct("f", (y,)), Atom("a"), 4 * i + 3)
+                   for i, y in enumerate(ys[::4])]
+        wide = Struct("q", tuple(t for group in pattern for t in group))
+        values = [t for i in range(25)
+                  for t in (i, Struct("f", (i,)), Atom("a"), 4 * i + 3)]
+        body = Struct("b", tuple(ys[::4]))
+        assert agrees(wide, body, Struct("q", tuple(values)), occurs_check)
+        assert agrees(wide, body, Struct("q", tuple(Var("G%d" % i) for i in range(100))),
+                      occurs_check)
+        assert not agrees(wide, body, Struct("q", tuple(values[:-1]) + (1.0,)),
+                          occurs_check)
+        assert not agrees(wide, body, Struct("q", tuple(values[:-3]) + (
+            Struct("f", (0,)), Atom("a"), 99)), occurs_check)
+
+    def test_a_repeated_slot_in_a_built_skeleton_is_one_variable(self):
+        x = Var("X")
+        (head,), size = compile_terms((Struct("p", (Struct("f", (x, x)),)),))
+        for occurs_check in (False, True):
+            store, v, frame = BindingStore(), Var("V"), [None] * size
+            assert head_matcher(head.args)((v,), frame, store, occurs_check)
+            built = store.deref(v)
+            assert built.functor == "f" and built.args[0] is built.args[1]
+            assert built.args[0] is frame[0] and frame[0].name == "X"
+            assert agrees(Struct("p", (Struct("f", (x, x)),)), x,
+                          Struct("p", (v,)), occurs_check)
+
+    def test_the_occurs_check_covers_a_built_skeleton(self):
+        x, a = Var("X"), Var("A")
+        for head, goal in [
+                (Struct("p", (x, Struct("f", (x,)))), Struct("p", (a, a))),
+                (Struct("p", (Struct("g", (x, Struct("f", (x,)))),)),
+                 Struct("p", (Struct("g", (a, a)),)))]:
+            assert agrees(head, x, goal, False)
+            assert not agrees(head, x, goal, True)
+
+    def test_numbers_match_by_type_and_value(self):
+        for head_arg, goal_arg, ok in [(1, 1, True), (1, 1.0, False),
+                                       (1.0, 1, False), (1.0, 1.0, True),
+                                       (2, 1, False)]:
+            for wrap in (lambda t: t, lambda t: Struct("f", (t, Var("X")))):
+                head = Struct("p", (wrap(head_arg),))
+                goal = Struct("p", (wrap(goal_arg),))
+                assert agrees(head, TRUE, goal, True) is ok
+
+    def test_a_cyclic_goal_argument_matches_as_a_rational_tree(self):
+        store, x, y = BindingStore(), Var("X"), Var("Y")
+        assert unify(x, Struct("f", (x,)), store)
+        deep = y
+        for _ in range(40):
+            deep = Struct("f", (deep,))
+        for head, ok in [(Struct("p", (deep, y)), True),
+                         (Struct("p", (Struct("f", (Struct("f", (y,)),)), y)), True),
+                         (Struct("p", (Struct("f", (Atom("a"),)), y)), False),
+                         (Struct("p", (y, Struct("g", (y,)))), False)]:
+            (template,), size = compile_terms((head,))
+            for occurs_check in (False, True):
+                mark = store.mark()
+                frame = [None] * size
+                assert head_matcher(template.args)(
+                    (x, x), frame, store, occurs_check) is ok
+                if ok:
+                    assert store.deref(frame[0]) is store.deref(x)
+                store.undo_to(mark)
+
+    def test_heads_of_one_shape_share_one_matcher(self):
+        clauses = [Clause(Struct("fact", (k, Atom("v%d" % k))), TRUE)
+                   for k in range(5000)]
+        matchers = [clause.compile()[0] for clause in clauses]
+        assert len({match.__code__ for match in matchers}) == 1
+        store, v = BindingStore(), Var("V")
+        assert matchers[17]((17, v), [], store, False)
+        assert store.deref(v) is Atom("v17")
+        assert not matchers[18]((17, Var("W")), [], store, False)
+        assert not matchers[17]((17.0, Var("W")), [], store, False)
+
+    def test_generated_code_nests_within_the_cap(self):
+        f = Var("F")
+        for _ in range(50):
+            f = Struct("f", (f, Atom("a")))
+        heads = [Struct("p", (make_list([Var("X%d" % i) for i in range(40)]),)),
+                 Struct("p", (f, f)),
+                 Struct("q", tuple(Struct("g", (Var("Y%d" % i),) * 3)
+                                   for i in range(100)))]
+        for head in heads:
+            (template,), _ = compile_terms((head,))
+            lines = terms._HeadCode(template.args).source().splitlines()
+            # the two functions and a compound argument; a test's body
+            # shares its line
+            indents = {(len(line) - len(line.lstrip())) // 4 for line in lines}
+            assert max(indents) <= 3
+
+
+def term_vars(term):
+    found, stack = set(), [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            found.add(t)
+        elif isinstance(t, Struct):
+            stack.extend(t.args)
+    return found
+
+
+def agrees(head, body, goal, occurs_check):
+    """Whether goal matches the clause head :- body, checked to agree with
+    renaming the clause and unifying.
+
+    Both the generated matcher of the head's arguments and ``match_args``,
+    the matcher's fallback, are checked: the same success and, with the
+    occurs check, the same answer (without it the answer may be cyclic).
+    """
+    old = BindingStore()
+    mapping = {}
+    renamed = rename_term(head, old, mapping)
+    mark = old.mark()
+    old_ok = unify(goal, renamed, old, occurs_check)
+    checked = old_ok and occurs_check
+    if checked:
+        old_answer = resolve(
+            Struct("r", (goal, rename_term(body, old, mapping))), old)
+    # a variable holds one store's binding at a time, so the goal's
+    # variables are freed before the new store binds them
+    old.undo_to(mark)
+
+    (head_t, body_t), size = compile_terms((head, body))
+    for match in (head_matcher(head_t.args),
+                  functools.partial(match_args, head_t.args)):
         frame = [None] * size
-        new = BindingStore()
-        new_ok = match_args((head_t,), (goal,), frame, new, occurs_check)
-        assert new_ok == old_ok
-        if not checked:
-            return
-        new_answer = resolve(Struct("r", (goal, build(body_t, frame))), new)
-        assert same_answer(old_answer, new_answer, set(goal_pool.values()), {})
+        new = BindingStore()    # no mark: it trails every binding
+        assert match(goal.args, frame, new, occurs_check) == old_ok
+        if checked:
+            new_answer = resolve(Struct("r", (goal, build(body_t, frame))), new)
+            assert same_answer(old_answer, new_answer, term_vars(goal), {})
+        new.undo_to(0)
+    return old_ok
