@@ -238,9 +238,10 @@ def _b_unify(solver, store, a, b):
 
 
 def _b_not_unify(solver, store, a, b):
-    mark = store.mark()
+    watermark, mark = store.watermark, store.mark()
     ok = solver.unify(a, b, store)
     store.undo_to(mark)
+    store.watermark = watermark     # no undo goes back here later
     return not ok
 
 
@@ -417,6 +418,7 @@ def _b_intersection(solver, store, a, b, out):
     if items_a is None or items_b is None:
         raise type_error("list", resolve(a if items_a is None else b, store))
     kept = []
+    watermark = store.watermark
     for item in items_a:
         for other in items_b:
             mark = store.mark()
@@ -425,6 +427,7 @@ def _b_intersection(solver, store, a, b, out):
             if ok:
                 kept.append(item)
                 break
+    store.watermark = watermark
     return solver.unify(out, make_list(kept), store)
 
 
@@ -467,12 +470,14 @@ def _b_retractall(solver, store, pattern):
     kb = solver.kb
     kb.set_dynamic(key)
     removed = []
+    watermark = store.watermark
     for clause in kb.clauses_for(key, args, store):
         match, _, size, _ = clause.compiled or clause.compile()
         mark = store.mark()
         if match(args, [None] * size, store, solver.occurs_check):
             removed.append(clause)
         store.undo_to(mark)
+    store.watermark = watermark
     kb.remove_clauses(key, removed)
     return True
 

@@ -9,7 +9,7 @@ from .errors import ConsultError, PrologThrow
 from .kb import KnowledgeBase
 from .reader import parse_program, parse_term
 from .render import render
-from .solver import BOOTSTRAP, SCORE, Solver
+from .solver import BOOTSTRAP, Solver
 from .terms import Atom, BindingStore, NIL, Struct, Var, resolve
 from .transformer import expand_source_item, phase1_rewrite
 
@@ -39,8 +39,9 @@ class Solution:
                    if not n.startswith("_")]
         if not visible:
             return "true"
+        # a value stands on the right of =, a slot of priority 699
         return ",\n".join(
-            "%s = %s" % (n, render(t, None, self._optable, quoted=False))
+            "%s = %s" % (n, render(t, None, self._optable, False, 699))
             for n, t in visible)
 
     def __repr__(self):
@@ -214,8 +215,7 @@ class Engine:
         name, args, ctx, report, pending = score_candidates(
             self.solver, store, *goal.args)
         if pending:     # the rules run; no winner is called
-            scoring = name, args, ctx, report, True
-            self.solver.solve((SCORE, 0, 0, scoring, -1), store).step()
+            self.solver.explain((name, args, ctx, report, True), store)
         return ctx, report
 
     # -- introspection ---------------------------------------------------------

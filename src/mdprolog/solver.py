@@ -3,25 +3,51 @@
 A run of the machine (``Run``) keeps two structures:
 
 * the continuation, the goals still to prove, as a linked list of
-  ``(goal, cut barrier, next)`` tuples; ``None`` means every goal is
+  ``(marker, cut barrier, next)`` tuples; ``None`` means every goal is
   proved, which is a solution;
 * the choicepoint stack, a list of the alternatives left to try.  Each
-  entry holds the trail mark to undo to and the continuation to resume:
-  the clauses a call has not tried yet, the other branch of a
-  disjunction, the winners of a dispatch not run yet, a candidate whose
-  context rules are being scored, a suspended nondeterministic builtin,
-  or the frame of a catch/3 or findall/3.
+  entry holds the trail mark to undo to, the watermark that goes with
+  it and the continuation to resume: the clauses a call has not tried
+  yet, the other branch of a disjunction, the winners of a dispatch not
+  run yet, a candidate whose context rules are being scored, a suspended
+  nondeterministic builtin, or the frame of a catch/3 or findall/3.
+
+There is one way to run a goal: as goal entries made by one compiler.
+A clause body is compiled with its head (``compile_body``) into a tuple
+of entries, one per goal of its conjunctions, each with its operation
+resolved: a predicate key and argument templates, a builtin, cut, a
+dispatch, or a control construct.  A goal known only when it runs, such
+as a query, a hook goal, the goal of call/N or apply/2, or a variable
+body goal, is compiled when it is called (``compile_goal``) by the same
+compiler with an empty frame: a runtime term is already a template
+without slots, which ``build`` returns unchanged.  Its conjunctions are
+flattened with bindings followed, and no code is generated for its
+arithmetic.  A running body is a ``(BODY, entries, index, frame)``
+marker in the continuation; its last entry continues with the caller's
+continuation, and a fact's body ``true`` is no entry at all.  Each
+entry owes one inference for its goal and one for each ``,`` the term
+would have taken apart just before it, so counts are those of running
+the goal as a term; the entries a variable goal is compiled into owe
+one inference less, since its own entry counted the goal itself.
 
 A goal's cut barrier is the height the choicepoint stack had when its
 clause was called, and ``!`` truncates the stack to that height; nothing
-polls a cut flag.  call/N, \\+, findall/3, forall/2, the condition of
-if-then-else and the goal of catch/3 are opaque to cut: the barrier of
-their goal is the height at which they started.  The machine runs these
-constructs itself.  Each pushes a choicepoint and puts a marker in the
-continuation of its goal, a ``(kind, height, ...)`` tuple in the goal
-position that acts when the goal succeeds: if-then-else commits to its
-condition there, \\+ fails, findall/3 collects an answer, and catch/3
-stops guarding its goal.  A thrown ball unwinds to the innermost
+polls a cut flag.  A variable body goal keeps the barrier of its clause.
+call/N, \\+, findall/3, forall/2, the condition of if-then-else and the
+goal of catch/3 are opaque to cut: the barrier of their goal is the
+height at which they started.  A control construct compiles into an
+entry that holds its goals as compiled sub-bodies, which share the
+clause's frame; \\+ G runs as ``(G -> fail ; true)`` and forall(C, A)
+as ``\\+ (C, \\+ A)``.  If-then-else, disjunction, findall/3 and
+catch/3 push a choicepoint, and all but disjunction put a marker in the
+continuation of their goal, a ``(kind, height)`` tuple that acts when
+the goal succeeds: if-then-else commits to its condition there,
+findall/3 collects an answer, and catch/3 stops guarding its goal.  The
+slots first met in a construct get fresh variables before its
+choicepoint is pushed, so a branch that fails leaves no value in the
+frame that the undo cannot reach.  An if-then-else whose condition is an
+arithmetic comparison of slots met before it pushes nothing: the
+comparison picks the branch.  A thrown ball unwinds to the innermost
 catch/3 whose exit marker is still in the continuation of the goal that
 threw, so a throw after a catch/3 goal has exited is not caught by it.
 
@@ -32,14 +58,17 @@ Python stack.  The other builtins live in ``builtins``: deterministic
 ones return a bool; between/3 and ctx_member/3 are generators that a
 choicepoint resumes.
 
-A store trails only bindings of variables older than its watermark,
-which ``store.mark()`` raises (``terms.BindingStore``), so marks are
-taken only where an undo can follow: before the first head that has
-another clause or winner after it, at every choicepoint pushed (a run's
-start, ``;``, ``->``, \\+, findall/3, forall/2, catch/3, a
-nondeterministic builtin, a scoring) and where a builtin undoes on its
-own (``\\=``, retractall/1).  Deterministic code
-takes no mark, so it keeps only the terms it still uses.
+A store trails only bindings of variables older than its watermark
+(``terms.BindingStore``).  ``store.mark()`` raises the watermark where
+an undo can follow: before the first head that has another clause or
+winner after it, at every choicepoint pushed, and where a builtin undoes
+on its own (``\\=``, retractall/1).  Each choicepoint keeps the
+watermark it raised, and wherever the stack is cut or popped the
+watermark goes back to that of the newest choicepoint left, as the WAM
+restores HB; a cut also drops the trail entries that only the
+choicepoints it removes could undo.  So deterministic code, and a loop
+whose choicepoints are gone by its next step, keeps only the terms it
+still uses.
 
 A clause is tried through what ``Clause.compile`` makes on its first
 try: a head whose first atom or number argument differs from the goal's
@@ -52,20 +81,8 @@ and building structure only where the goal has an unbound variable.
 Nothing of the clause is renamed; ``rename_term`` copies runtime terms
 only (findall, copy_term, throw/catch and assertz).
 
-The body was compiled with the head (``compile_body``) into a tuple of
-goal entries, one per goal of its conjunctions, each with its operation
-resolved: a predicate key and argument templates, a deterministic
-builtin, cut, or a dispatch.  A running body is a ``(BODY, entries,
-index, frame)`` marker in the continuation; its last entry continues
-with the caller's continuation, and a fact's body ``true`` is no entry
-at all.  Each entry owes one inference for its goal and one for each
-``,`` the term would have taken apart just before it, so counts are
-those of running the body as a term.  Other control constructs and
-variable goals are built from the frame and run on the term path, as
-runtime goals (queries, call/N, findall/3) are.
-
-``is/2`` and the arithmetic comparisons over clause variables, integers
-and ``+ - *`` compile to a function of the frame
+In a clause body, ``is/2`` and the arithmetic comparisons over clause
+variables, integers and ``+ - *`` compile to a function of the frame
 (``builtins.arith_evaluator``); ``X is E`` with a first occurrence of
 ``X`` stores the value in the frame without a variable.  Where the
 function gives up (an unbound or non-integer operand, a result outside
@@ -125,7 +142,6 @@ from .terms import (
     build,
     build_args,
     make_list,
-    new_struct,
     proper_list,
     rename_term,
     resolve,
@@ -135,28 +151,29 @@ from .terms import (
 FAIL = Atom("fail")
 
 # Choicepoint kinds, the first item of a choicepoint; the second is the
-# trail mark to undo to when the choicepoint is resumed.
-CLAUSES = 0     # (CLAUSES, mark, cont, args, clauses, index of the next)
-RESUME = 1      # (RESUME, mark, cont): go on with cont
-GENERATOR = 2   # (GENERATOR, mark, cont, suspended builtin)
-WINNERS = 3     # (WINNERS, mark, cont, [(args, key)] of the next, last first)
-CATCH = 4       # (CATCH, mark, cont, catcher, recovery, barrier)
-FINDALL = 5     # (FINDALL, mark, cont, template, answers, result)
-CUT_FAIL = 6    # (CUT_FAIL, mark, height): cut to height, then fail
-SCORE = 7       # (SCORE, mark, cont, scoring, index of the candidate);
-                # the marker (SCORE, 0, 0, scoring, -1) starts a scoring
+# trail mark to undo to when it is resumed, the third the watermark it
+# raised and the fourth the continuation it resumes:
+#   (CLAUSES, mark, watermark, cont, args, clauses, index of the next)
+#   (RESUME, mark, watermark, cont): go on with cont
+#   (GENERATOR, mark, watermark, cont, suspended builtin)
+#   (WINNERS, mark, watermark, cont, [(args, key)] of the next, last first)
+#   (CATCH, mark, watermark, cont, catcher, recovery entries, frame, barrier)
+#   (FINDALL, mark, watermark, cont, template, answers, result)
+#   (SCORE, mark, watermark, cont, scoring, index of the candidate); the
+#   marker (SCORE, None, None, None, scoring, -1) starts a scoring
+CLAUSES, RESUME, GENERATOR, WINNERS, CATCH, FINDALL, SCORE = range(7)
 
-# Continuation markers, tuples in the goal position of a continuation
+# Continuation markers, tuples in the first position of a continuation
 # entry; they count no inference.  A resumed CLAUSES, GENERATOR, WINNERS
-# or SCORE choicepoint is put back into the continuation as a marker too.
-CUT_TO = 11      # (CUT_TO, height): commit, as if-then-else does
-FAIL_TO = 12     # (FAIL_TO, height): cut to height, then fail
-CATCH_EXIT = 13  # (CATCH_EXIT, height of the CATCH choicepoint)
-COLLECT = 14     # (COLLECT, height of the FINDALL choicepoint)
-FORALL = 15      # (FORALL, height, action): test the action once
-BODY = 16        # (BODY, goal entries, index of the next, frame)
-SCORED = 17      # (SCORED, height of SCORE, signature, score, weight
-                 #  templates, frame of the rules)
+# or SCORE choicepoint is put back into the continuation as a marker, and
+# so is a GENERATOR that has not yet given its first answer.
+#   (CUT_TO, height): commit, as if-then-else does
+#   (CATCH_EXIT, height of the CATCH choicepoint)
+#   (COLLECT, height of the FINDALL choicepoint)
+#   (BODY, goal entries, index of the next, frame)
+#   (SCORED, height of SCORE, signature, score, weight templates, frame of
+#   the rules)
+CUT_TO, CATCH_EXIT, COLLECT, BODY, SCORED = range(11, 16)
 
 # the continuation of a run whose next step backtracks; _backtrack returns
 # it when no choicepoint is left
@@ -191,13 +208,20 @@ class Solver:
     # -- resolution --------------------------------------------------------
 
     def solve(self, goal, store):
-        """A run of the machine on goal; it yields once per solution.
+        """A run of the machine on a goal term; it yields once per solution.
 
         While a solution is yielded its bindings are in place; an exhausted
-        run leaves the store as it found it.  goal is a term, or a marker
-        that starts the scoring of a dispatch (``Engine.explain``).
+        run leaves the store as it found it.
         """
-        return Run(self, store, goal)
+        return Run(self, store, (BODY, compile_goal(goal, store), 0, ()))
+
+    def explain(self, scoring, store):
+        """Run the context rules of a dispatch's goal-bearing candidates.
+
+        scoring is a ``dispatcher.score_candidates`` result whose report
+        the rules complete, as a dispatch would; no winner is called.
+        """
+        Run(self, store, (SCORE, None, None, None, scoring, -1)).step()
 
     def call_predicate(self, key, args, store):
         """The clauses a call of the predicate key tries, in definition order.
@@ -218,21 +242,22 @@ class Solver:
 
 
 class Run:
-    """One run of the machine over a goal: the continuation and choicepoints.
+    """One run of the machine: the continuation and choicepoints.
 
     ``step`` proves goals until the continuation is empty (a solution,
     True) or no choicepoint is left (False); the next ``step`` resumes
     the newest choicepoint.  Iterating a run yields once per solution.
     """
 
-    __slots__ = ("solver", "store", "cont", "cps", "base")
+    __slots__ = ("solver", "store", "cont", "cps", "base", "floor")
 
-    def __init__(self, solver, store, goal):
+    def __init__(self, solver, store, marker):
         self.solver = solver
         self.store = store
         self.base = store.mark()
+        self.floor = store.watermark    # the watermark with no choicepoint
         self.cps = []
-        self.cont = (goal, 0, None)
+        self.cont = (marker, 0, None)
 
     def __iter__(self):
         return self
@@ -249,6 +274,7 @@ class Run:
         deref = store.deref
         trail = store.trail
         cps = self.cps
+        floor = self.floor
         tick = solver.tick
         call_predicate = solver.call_predicate
         occurs_check = solver.occurs_check
@@ -263,151 +289,106 @@ class Run:
                         self.cont = _REDO
                         return True
                     goal, barrier, cont = cont
-                    clauses = mark = None
-                    i = 0
-                    if type(goal) is tuple:
-                        kind = goal[0]
-                        if kind is BODY:    # the next goal of a clause body
-                            _, entries, k, frame = goal
-                            ticks, code, x, y, firsts = entries[k]
-                            for slot in firsts:     # see compile_body
-                                frame[slot] = None
-                            k += 1
-                            if k < len(entries):
-                                cont = ((BODY, entries, k, frame), barrier, cont)
+                    kind = goal[0]
+                    if kind is BODY:    # the next goal of a body
+                        _, entries, k, frame = goal
+                        ticks, code, x, y, firsts = entries[k]
+                        for slot in firsts:     # see compile_body
+                            frame[slot] = None
+                        k += 1
+                        if k < len(entries):
+                            cont = ((BODY, entries, k, frame), barrier, cont)
+                        if ticks == 1:
                             tick()
-                            if ticks > 1:
-                                for _ in range(1, ticks):
-                                    tick()
-                            if code is E_CALL:
-                                args = build_args(y, frame)
-                                clauses = call_predicate(x, args, store)
-                            elif code is C_DISPATCH:
-                                ctx, functor, templates = x
-                                target = new_struct(
-                                    functor, build_args(templates, frame))
-                                later = dispatch(solver, store, build(ctx, frame),
-                                                 build(y, frame), target)
-                                if type(later) is tuple:    # rules to run first
-                                    cont = self._score((SCORE, 0, 0, later, -1), cont)
-                                    later = ()
+                        else:   # ',' before the goal, or none owed
+                            for _ in range(ticks):
+                                tick()
+                        if code is E_CALL:     # a frame of no slots builds nothing
+                            args = build_args(y, frame) if frame else y
+                            clauses = call_predicate(x, args, store)
+                            mark, i = None, 0
+                        elif code is C_DISPATCH:
+                            implicit, given, target = y
+                            later = dispatch(solver, store, build(implicit, frame),
+                                             build(given, frame), build(target, frame))
+                            if type(later) is tuple:    # rules to run first
+                                cont = self._score((SCORE, None, None, None, later, -1),
+                                                   cont)
+                                later = ()
+                                continue
+                            clauses, mark, i = (), None, 0
+                        elif code is E_IS:
+                            value = x(frame, deref)
+                            builtin, templates, out = y
+                            if value is None:
+                                if builtin(solver, store,
+                                           *build_args(templates, frame)):
                                     continue
-                                clauses = ()
-                            elif code is E_COMPARE:
-                                ok = x(frame, deref)
-                                if ok is None:
-                                    builtin, templates = y
-                                    ok = builtin(solver, store,
-                                                 *build_args(templates, frame))
+                                break
+                            if frame[out] is None:  # a first occurrence
+                                frame[out] = value
+                                continue
+                            if unify(frame[out], value, store, occurs_check):
+                                continue
+                            break
+                        elif code is E_COMPARE or code is C_IF:
+                            ok = x(frame, deref)
+                            if ok is None:  # the builtin on the built goal
+                                ok = y[0](solver, store, *build_args(y[1], frame))
+                            if code is E_COMPARE:
                                 if ok:
                                     continue
                                 break
-                            elif code is E_IS:
-                                value = x(frame, deref)
-                                builtin, templates, out = y
-                                if value is None:
-                                    if builtin(solver, store,
-                                               *build_args(templates, frame)):
-                                        continue
-                                    break
-                                if frame[out] is None:  # a first occurrence
-                                    frame[out] = value
-                                    continue
-                                if unify(frame[out], value, store, occurs_check):
-                                    continue
-                                break
-                            elif code is E_DET:
-                                if x(solver, store, *build_args(y, frame)):
-                                    continue
-                                break
-                            elif code is C_CUT:
-                                del cps[barrier:]
-                                continue
-                            else:   # E_GOAL: run on the term path below
-                                goal = build(x, frame)
-                        elif kind is CLAUSES:     # a call's next clauses
-                            _, mark, _, args, clauses, i = goal
-                        elif kind is WINNERS:     # a dispatch's next winners
-                            _, mark, _, later = goal
-                            clauses = ()
-                        elif kind is CUT_TO:
-                            del cps[goal[1]:]
+                            for slot in y[4]:   # C_IF: ok picks the branch
+                                frame[slot.index] = Var(slot.name)
+                            cont = ((BODY, y[2] if ok else y[3], 0, frame),
+                                    barrier, cont)
                             continue
-                        elif kind is FAIL_TO:
-                            del cps[goal[1]:]
-                            break
-                        elif kind is CATCH_EXIT:
-                            if len(cps) == goal[1] + 1:
-                                cps.pop()   # the goal left no choicepoint
-                            continue
-                        elif kind is GENERATOR:
-                            if not next(goal[3], False):
-                                break
-                            cps.append(goal)
-                            continue
-                        elif kind is COLLECT:
-                            cp = cps[goal[1]]
-                            cp[4].append(rename_term(cp[3], store))
-                            break
-                        elif kind is SCORED or kind is SCORE:
-                            cont = self._score(goal, cont)
-                            continue
-                        else:       # FORALL: one proof of the action
-                            height = len(cps)
-                            cps.append((CUT_FAIL, store.mark(), goal[1]))
-                            cont = (goal[2], height + 1, ((FAIL_TO, height), 0, cont))
-                            continue
-                    else:
-                        tick()
-                    if clauses is None:     # a goal term
-                        cls = type(goal)
-                        if cls is Var:
-                            goal = deref(goal)
-                            cls = type(goal)
-                        if cls is Struct:
-                            args = goal.args
-                            key = (goal.functor, len(args))
-                        elif cls is Atom:
-                            args = ()
-                            key = (goal.name, 0)
-                        elif cls is Var:
-                            raise instantiation_error()
-                        else:
-                            raise type_error("callable", resolve(goal, store))
-                        op = _BUILTINS.get(key)
-                        if op is None:      # a predicate call
-                            clauses = call_predicate(key, args, store)
-                        elif type(op) is not int:
-                            if op(solver, store, *args):
+                        elif code is E_DET:
+                            if x(solver, store, *build_args(y, frame)):
                                 continue
                             break
-                        elif op is C_CONJ:
-                            cont = (args[0], barrier, (args[1], barrier, cont))
+                        elif code is C_CUT:
+                            if len(cps) > barrier:
+                                self._cut(barrier)
                             continue
-                        elif op is C_TRUE:
-                            continue
-                        elif op is C_CUT:
-                            del cps[barrier:]
-                            continue
-                        elif op is C_DISPATCH:
-                            later = dispatch(solver, store, *args)
-                            if type(later) is tuple:    # rules to run first
-                                cont = self._score((SCORE, 0, 0, later, -1), cont)
-                                later = ()
-                                continue
-                            clauses = ()
-                        elif op is C_FAIL:
-                            break
-                        elif op is C_NONDET:
+                        elif code is E_NONDET:  # a marker for its first answer
+                            args = build_args(y, frame)
                             mark = store.mark()
-                            suspended = NONDETERMINISTIC[key](solver, store, *args)
-                            if not next(suspended, False):
-                                break
-                            cps.append((GENERATOR, mark, cont, suspended))
+                            cont = ((GENERATOR, mark, store.watermark, cont,
+                                     x(solver, store, *args)), 0, cont)
                             continue
+                        elif code is C_TRUE:
+                            continue
+                        elif code is C_FAIL:
+                            break
                         else:
-                            cont = self._open(op, goal, args, barrier, cont)
+                            cont = self._open(code, x, y, frame, barrier, cont)
                             continue
+                    elif kind is CLAUSES:     # a call's next clauses
+                        _, mark, watermark, _, args, clauses, i = goal
+                    elif kind is WINNERS:     # a dispatch's next winners
+                        _, mark, watermark, _, later = goal
+                        clauses, i = (), 0
+                    elif kind is CUT_TO:
+                        self._cut(goal[1])
+                        continue
+                    elif kind is CATCH_EXIT:
+                        if len(cps) == goal[1] + 1:     # the goal left no
+                            self._cut(goal[1])          # choicepoint
+                        continue
+                    elif kind is GENERATOR:
+                        if not next(goal[4], False):
+                            break
+                        cps.append(goal)
+                        continue
+                    elif kind is COLLECT:
+                        cp = cps[goal[1]]
+                        cp[5].append(rename_term(cp[4], store))
+                        break
+                    else:       # SCORED or SCORE
+                        cont = self._score(goal, cont)
+                        continue
                     # try the clauses in order from clauses[i], then those
                     # of each later winner; the first whose head matches
                     # leaves choicepoints for the rest, and a mark is taken
@@ -434,14 +415,18 @@ class Run:
                                 continue
                         if mark is None and (i < n or later):
                             mark = store.mark()
+                            watermark = store.watermark
                         frame = [None] * size
                         if match(args, frame, store, occurs_check):
                             if later:
-                                cps.append((WINNERS, mark, cont, later))
+                                cps.append((WINNERS, mark, watermark, cont, later))
                                 later = ()
                             height = len(cps)
                             if i < n:
-                                cps.append((CLAUSES, mark, cont, args, clauses, i))
+                                cps.append((CLAUSES, mark, watermark, cont, args,
+                                            clauses, i))
+                            if mark is not None:    # no choicepoint may be left
+                                store.watermark = cps[-1][2] if cps else floor
                             if body:
                                 cont = ((BODY, body, 0, frame), height, cont)
                             else:
@@ -461,43 +446,46 @@ class Run:
         self.cont = _REDO
         return False
 
-    def _open(self, op, goal, args, barrier, cont):
-        """The continuation that runs the goal of a control construct.
+    def _open(self, code, x, y, frame, barrier, cont):
+        """The continuation that runs a goal of call/N or a variable goal,
+        or the goals of a control construct.
 
-        If-then-else, disjunction, \\+, findall/3, forall/2 and catch/3
-        push a choicepoint and a marker for their goal; call/N and apply/2
-        extend theirs.
+        A goal known only now is compiled now.  If-then-else (and so \\+
+        and forall/2), disjunction, findall/3 and catch/3 give their slots
+        first met fresh variables, then push a choicepoint and, but for a
+        disjunction, a marker for their goal.
         """
-        cps = self.cps
         store = self.store
+        cps = self.cps
         height = len(cps)
-        if op is C_CALL:
-            return _extend_goal(store, args[0], args[1:]), height, cont
-        if op is C_APPLY:
-            return _apply_goal(store, *args), height, cont
+        if code is C_CALL or code is E_VAR:
+            if x is None:   # the goal of call/1, compiled with the clause
+                return (BODY, y, 0, frame), height, cont
+            goal = x(self.solver, store, *build_args(y, frame))
+            if code is C_CALL:
+                return (BODY, compile_goal(goal, store), 0, ()), height, cont
+            # a variable goal, counted by its entry, keeps its clause's barrier
+            return (BODY, compile_goal(goal, store, 1), 0, ()), barrier, cont
+        for slot in x:
+            frame[slot.index] = Var(slot.name)
+        first, second, third = y
         mark = store.mark()
-        if op is C_DISJ or op is C_ITE:
-            if op is C_ITE:
-                either, other = goal, FAIL
-            else:
-                either, other = store.deref(args[0]), args[1]
-            cps.append((RESUME, mark, (other, barrier, cont)))
-            if (type(either) is Struct and either.functor == "->"
-                    and len(either.args) == 2):
-                cond, then = either.args
-                return cond, height + 1, ((CUT_TO, height), 0, (then, barrier, cont))
-            return either, barrier, cont
-        if op is C_NOT:
-            cps.append((RESUME, mark, cont))
-            return args[0], height + 1, ((FAIL_TO, height), 0, cont)
-        if op is C_FINDALL:
-            cps.append((FINDALL, mark, cont, args[0], [], args[2]))
-            return args[1], height + 1, ((COLLECT, height), 0, cont)
-        if op is C_FORALL:
-            cps.append((RESUME, mark, cont))
-            return args[0], height + 1, ((FORALL, height, args[1]), 0, cont)
-        cps.append((CATCH, mark, cont, args[1], args[2], barrier))   # C_CATCH
-        return args[0], height + 1, ((CATCH_EXIT, height), 0, cont)
+        watermark = store.watermark
+        if code is C_ITE or code is C_DISJ:
+            alternative = (BODY, third, 0, frame), barrier, cont
+            cps.append((RESUME, mark, watermark, alternative))
+            if code is C_DISJ:
+                return (BODY, first, 0, frame), barrier, cont
+            after = (CUT_TO, height), 0, ((BODY, second, 0, frame), barrier, cont)
+        elif code is C_FINDALL:
+            cps.append((FINDALL, mark, watermark, cont, build(second, frame), [],
+                        build(third, frame)))
+            after = (COLLECT, height), 0, cont
+        else:       # C_CATCH
+            cps.append((CATCH, mark, watermark, cont, build(second, frame), third,
+                        frame, barrier))
+            after = (CATCH_EXIT, height), 0, cont
+        return (BODY, first, 0, frame), height + 1, after
 
     def _score(self, marker, cont):
         """The continuation that goes on with the scoring of a dispatch.
@@ -510,15 +498,16 @@ class Run:
         called; an explained dispatch calls none.  A SCORE marker of
         candidate -1 starts the scoring.
         """
+        cps = self.cps
+        store = self.store
         if marker[0] is SCORED:
             _, height, sig, score, weights, frame = marker
-            _, mark, _, scoring, k = self.cps[height]
-            score = weighed(self.store, score, build_args(weights, frame))
-            scoring[3][k] = sig, score, None
-            del self.cps[height:]
-            self.store.undo_to(mark)
+            _, mark, _, _, scoring, k = cps[height]
+            scoring[3][k] = sig, weighed(store, score, build_args(weights, frame)), None
+            store.undo_to(mark)
+            self._cut(height)
         else:
-            _, _, _, scoring, k = marker
+            scoring, k = marker[4], marker[5]
         name, args, ctx, report, explaining = scoring
         for k in range(k + 1, len(report)):
             sig, score, _ = report[k]
@@ -527,25 +516,37 @@ class Run:
                 frame = [None] * size
                 frame[0] = ctx      # the slot of the context variable
                 report[k] = sig, None, "context rules failed"
-                height = len(self.cps)
-                self.cps.append((SCORE, self.store.mark(), cont, scoring, k))
+                height = len(cps)
+                cps.append((SCORE, store.mark(), store.watermark, cont, scoring, k))
                 marker = SCORED, height, sig, score, weights, frame
-                # rules of no entry, such as [true], tick as the term true
-                goal = (BODY, rules, 0, frame) if rules else TRUE
-                return goal, height + 1, (marker, 0, cont)
+                return (BODY, rules or _TRUE, 0, frame), height + 1, (marker, 0, cont)
         if explaining:
             return cont
         calls = winner_calls(self.solver, name, args, ctx, report)
-        return (WINNERS, None, None, calls), 0, cont
+        return (WINNERS, None, None, None, calls), 0, cont
+
+    def _cut(self, height):
+        """Drop the choicepoints from height on, and the trail entries
+        that only they could undo: those of variables made after the
+        newest choicepoint left."""
+        cps = self.cps
+        store = self.store
+        trail = store.trail
+        mark = cps[height][1]
+        del cps[height:]
+        watermark = store.watermark = cps[-1][2] if cps else self.floor
+        if len(trail) > mark:
+            trail[mark:] = [var for var in trail[mark:] if var.serial < watermark]
 
     def _backtrack(self):
         """The continuation of the newest alternative, or _REDO if none is left.
 
         Choicepoints without an alternative are popped, and the trail is
         undone to the mark of the one resumed.  A clause or builtin
-        choicepoint, or the winners of a dispatch left to call, come back
-        inside the continuation, as a marker that ``step`` resumes.  With
-        no choicepoint left the store is as the run found it.
+        choicepoint, the winners of a dispatch left to call, or a scored
+        candidate whose rules failed come back inside the continuation, as
+        a marker that ``step`` resumes.  With no choicepoint left the store
+        is as the run found it.
         """
         cps = self.cps
         store = self.store
@@ -553,18 +554,20 @@ class Run:
             cp = cps.pop()
             store.undo_to(cp[1])
             kind = cp[0]
-            if (kind is CLAUSES or kind is GENERATOR or kind is WINNERS
-                    or kind is SCORE):
-                return cp, 0, cp[2]
+            if kind is CLAUSES or kind is GENERATOR or kind is WINNERS:
+                store.watermark = cp[2]     # the marker retries under it
+                return cp, 0, cp[3]
+            store.watermark = cps[-1][2] if cps else self.floor
             if kind is RESUME:
-                return cp[2]
+                return cp[3]
+            if kind is SCORE:
+                return cp, 0, cp[3]
             if kind is FINDALL:
-                if self.solver.unify(cp[5], make_list(cp[4]), store):
-                    return cp[2]
-            elif kind is CUT_FAIL:
-                del cps[cp[2]:]
+                if self.solver.unify(cp[6], make_list(cp[5]), store):
+                    return cp[3]
             # a CATCH choicepoint: its goal has no answer left
         store.undo_to(self.base)
+        store.watermark = self.floor
         return _REDO
 
     def _recover(self, exc, cont):
@@ -578,74 +581,87 @@ class Run:
         store = self.store
         while cont is not None:
             marker = cont[0]
-            if type(marker) is tuple and marker[0] is CATCH_EXIT:
+            if marker[0] is CATCH_EXIT:
                 height = marker[1]
-                _, mark, after, catcher, recovery, barrier = cps[height]
-                del cps[height:]
+                _, mark, _, after, catcher, recovery, frame, barrier = cps[height]
                 store.undo_to(mark)
+                self._cut(height)
                 ball = rename_term(exc.ball, store)
                 if self.solver.unify(catcher, ball, store):
-                    return recovery, barrier, after
+                    return (BODY, recovery, 0, frame), barrier, after
             cont = cont[2]
         return None
 
 
-def _extend_goal(store, g, extra):
+def _call_goal(solver, store, g, *extra):
+    """The goal of call/N: g with the extra arguments added."""
     g = store.deref(g)
-    if isinstance(g, Var):
+    if type(g) is Atom:
+        return Struct(g.name, extra) if extra else g
+    if type(g) is Struct:
+        return Struct(g.functor, g.args + extra) if extra else g
+    if type(g) is Var:
         raise instantiation_error()
-    if isinstance(g, Atom):
-        return Struct(g.name, tuple(extra)) if extra else g
-    if isinstance(g, Struct):
-        return Struct(g.functor, g.args + tuple(extra)) if extra else g
     raise type_error("callable", resolve(g, store))
 
 
-def _apply_goal(store, g, arglist):
+def _apply_goal(solver, store, g, arglist):
     items = proper_list(arglist, store)
     if items is None:
         raise type_error("list", resolve(arglist, store))
-    return _extend_goal(store, g, tuple(items))
+    return _call_goal(solver, store, g, *items)
 
 
-# Control constructs: the machine runs these itself.
-(C_CONJ, C_TRUE, C_CUT, C_DISPATCH, C_DISJ, C_ITE, C_FAIL, C_CALL, C_NONDET,
- C_NOT, C_FINDALL, C_FORALL, C_CATCH, C_APPLY) = range(14)
+# -- compiled goals -----------------------------------------------------------
 
+# Kinds of goal entry, the second item of an entry (ticks, kind, x, y,
+# firsts); firsts are the indices of the slots first met in the goal,
+# cleared before it runs (see compile_body).  What x and y hold:
+#   E_CALL: predicate key, argument templates
+#   E_DET: builtin, argument templates
+#   E_IS: evaluator, (builtin, templates, index of the out slot)
+#   E_COMPARE: evaluator, (builtin, templates)
+#   E_NONDET: generator builtin, argument templates
+#   E_VAR: _call_goal, (goal template,); compiled when it runs
+#   C_CALL: goal maker, argument templates; or None, the entries of a
+#   call/1 goal compiled with the clause
+#   C_DISPATCH: None, (implicit context, given context, goal) templates
+#   C_CUT, C_TRUE, C_FAIL: None, ()
+#   C_IF: evaluator, (builtin, templates, then entries, else entries,
+#   fresh slots), for an if-then-else whose condition is a comparison of
+#   slots met before it
+# The other constructs: x holds the slots first met in the construct,
+# given fresh variables before it runs, and y its three parts, each goal
+# among them compiled into entries:
+#   C_ITE (condition, then, else), C_DISJ (either, None, or),
+#   C_FINDALL (goal, template, result), C_CATCH (goal, catcher, recovery)
+# \+ G runs as (G -> fail ; true) and forall(C, A) as \+ (C, \+ A), with
+# no inference for the parts that the term does not have.
+(E_CALL, E_DET, E_IS, E_COMPARE, E_NONDET, E_VAR, C_CALL, C_DISPATCH, C_CUT,
+ C_TRUE, C_FAIL, C_IF, C_ITE, C_DISJ, C_NOT, C_FINDALL, C_FORALL,
+ C_CATCH) = range(20, 38)
+
+# the positions of the goals among a construct's parts, in compiled order
+_GOALS = {C_ITE: (0, 1, 2), C_DISJ: (0, 2), C_NOT: (0,), C_FINDALL: (0,),
+          C_FORALL: (0, 1), C_CATCH: (0, 2)}
+# constructs nested deeper than NESTING_LIMIT compile when they run, so
+# that compiling stays clear of the limit of the Python stack, and so do
+# the goals of a runtime conjunction past the first CHUNK, so that a cyclic
+# one runs, and counts its inferences, as it compiles
+NESTING_LIMIT = 100
+CHUNK = 10_000
 
 _BUILTINS = {
-    ("true", 0): C_TRUE,
-    ("fail", 0): C_FAIL,
-    ("false", 0): C_FAIL,
-    ("!", 0): C_CUT,
-    (",", 2): C_CONJ,
-    (";", 2): C_DISJ,
-    ("->", 2): C_ITE,
-    ("\\+", 1): C_NOT,
-    ("catch", 3): C_CATCH,
-    ("findall", 3): C_FINDALL,
-    ("forall", 2): C_FORALL,
-    ("apply", 2): C_APPLY,
-    ("$dispatch", 3): C_DISPATCH,
-    **{("call", n): C_CALL for n in range(1, 9)},
-    **{key: C_NONDET for key in NONDETERMINISTIC},
-    **DETERMINISTIC,
+    ("true", 0): (C_TRUE, None), ("fail", 0): (C_FAIL, None),
+    ("false", 0): (C_FAIL, None), ("!", 0): (C_CUT, None),
+    (";", 2): (C_DISJ, None), ("->", 2): (C_ITE, None), ("\\+", 1): (C_NOT, None),
+    ("catch", 3): (C_CATCH, None), ("findall", 3): (C_FINDALL, None),
+    ("forall", 2): (C_FORALL, None), ("$dispatch", 3): (C_DISPATCH, None),
+    ("apply", 2): (C_CALL, _apply_goal),
+    **{("call", n): (C_CALL, _call_goal) for n in range(1, 9)},
+    **{key: (E_NONDET, gen) for key, gen in NONDETERMINISTIC.items()},
+    **{key: (E_DET, builtin) for key, builtin in DETERMINISTIC.items()},
 }
-
-
-# -- compiled clause bodies ---------------------------------------------------
-
-# Kinds of goal entry, the second item of an entry; its last, firsts, are
-# the slots first met in the goal (see compile_body).  Two control codes
-# are kinds too:
-#   (ticks, C_CUT, None, None, firsts) and
-#   (ticks, C_DISPATCH, (implicit context template, goal functor,
-#    goal argument templates), given context template, firsts)
-E_CALL = 20      # (ticks, E_CALL, key, argument templates, firsts)
-E_DET = 21       # (ticks, E_DET, builtin, argument templates, firsts)
-E_IS = 22        # (ticks, E_IS, evaluator, (builtin, templates, out), firsts)
-E_COMPARE = 23   # (ticks, E_COMPARE, evaluator, (builtin, templates), firsts)
-E_GOAL = 24      # (ticks, E_GOAL, goal template, None, firsts): the term path
 
 
 def compile_body(body, heads):
@@ -653,81 +669,144 @@ def compile_body(body, heads):
 
     ``heads`` are the head's argument templates, whose slots all hold a
     value once the head has matched.  Each entry owes one inference for
-    its goal and one for each ``,`` the term path would have taken apart
-    just before it, so the counts are those of running the body as a term.
+    its goal and one for each ``,`` the term would have taken apart just
+    before it, so the counts are those of running the body as a term.
     An entry ends with the slots first met in its goal, cleared before it
     runs: after backtracking such a slot may hold an ``is/2`` value or a
     variable made since the choicepoint, whose binding was not trailed.
+    Once a body has passed a slot's first goal the slot holds a value.
     """
     if body is TRUE:
         return ()
     seen = set()
     _note_slots(heads, seen)
+    return _compile(body, seen, None, 0)
+
+
+def compile_goal(goal, store, counted=0):
+    """The goal entries of a runtime goal, a template without slots.
+
+    Bindings are followed where goals are taken apart, and a variable
+    still unbound becomes a variable goal; no code is generated.
+    ``counted`` is 1 for a variable goal, whose own inference its entry
+    has counted.
+    """
+    return _compile(goal, None, store.deref, 0, -counted)
+
+
+def _compile(body, seen, deref, depth, commas=0):
+    """The entries of a conjunction's goals; seen is None at run time.
+
+    A runtime conjunction of more than ``CHUNK`` goals, a cyclic one
+    among them, compiles the goals past them when it gets there.
+    """
     entries = []
-    commas = 0
     stack = [body]
     while stack:
         goal = stack.pop()
+        if deref is not None and type(goal) is Var:
+            goal = deref(goal)
         if (type(goal) in (Skeleton, Struct) and goal.functor == ","
                 and len(goal.args) == 2):
+            if deref is not None and len(entries) + len(stack) >= CHUNK:
+                stack.append(goal)
+                break
             commas += 1
-            stack.append(goal.args[1])
-            stack.append(goal.args[0])
+            stack += reversed(goal.args)
             continue
-        entries.append((*_compile_goal(goal, commas + 1, seen),
-                        _note_slots((goal,), seen)))
+        entries.append(_compile_goal(goal, commas + 1, seen, deref, depth))
+        commas = 0
+    for goal in reversed(stack):    # the goals past a chunk, if any
+        entries.append((commas + 1, E_VAR, _call_goal, (goal,), ()))
         commas = 0
     return tuple(entries)
 
 
+def _compile_goal(goal, ticks, seen, deref, depth):
+    cls = type(goal)
+    if cls is Skeleton or cls is Struct:
+        key, args = (goal.functor, len(goal.args)), goal.args
+    else:
+        key, args = (goal.name, 0) if cls is Atom else None, ()
+    code, op = _BUILTINS.get(key) or (E_CALL, key)
+    if code is E_CALL and key is not None:
+        return ticks, E_CALL, key, args, _firsts(goal, seen)
+    if key is None or (code in _GOALS and depth >= NESTING_LIMIT):
+        # a variable, no callable term, or a construct nested too deep to
+        # compile on the Python stack
+        return ticks, E_VAR, _call_goal, (goal,), _firsts(goal, seen)
+    if code in _GOALS:
+        return _compile_construct(code, args, ticks, seen, deref, depth + 1)
+    if key == ("call", 1) and depth < NESTING_LIMIT:
+        called = args[0] if deref is None else deref(args[0])
+        if type(called) in (Skeleton, Struct, Atom):
+            return ticks, C_CALL, None, _compile(called, seen, deref, depth + 1), ()
+    if code is E_DET and seen is not None:
+        if key[0] in COMPARISONS and key[1] == 2:
+            evaluator = arith_evaluator(args, seen, key[0])
+            if evaluator is not None:
+                return ticks, E_COMPARE, evaluator, (op, args), _firsts(goal, seen)
+        elif key == ("is", 2) and type(args[0]) is Slot:
+            evaluator = arith_evaluator(args[1:], seen)
+            if evaluator is not None:
+                return (ticks, E_IS, evaluator, (op, args, args[0].index),
+                        _firsts(goal, seen))
+    return ticks, code, op, args, _firsts(goal, seen)
+
+
+def _compile_construct(code, args, ticks, seen, deref, depth):
+    if code is C_DISJ:
+        either = args[0] if deref is None else deref(args[0])
+        if (type(either) in (Skeleton, Struct) and either.functor == "->"
+                and len(either.args) == 2):
+            code, args = C_ITE, either.args + args[1:]
+        else:
+            args = args[0], None, args[1]
+    elif code is C_ITE:
+        args += (FAIL,)
+    elif code is C_FINDALL:
+        args = args[1], args[0], args[2]
+    cond = args[0]      # a comparison of known slots needs no choicepoint
+    test = (code in (C_ITE, C_NOT) and seen is not None
+            and type(cond) in (Skeleton, Struct) and cond.functor in COMPARISONS
+            and len(cond.args) == 2 and arith_evaluator(cond.args, seen, cond.functor))
+    fresh = _note_slots(args, seen)
+    goals = _GOALS[code]
+    parts = [_compile(a, seen, deref, depth) if i in goals else a
+             for i, a in enumerate(args)]
+    if code is C_NOT:
+        code, parts = C_ITE, [parts[0], _QUIET_FAIL, _QUIET_TRUE]
+    elif code is C_FORALL:
+        inner = 0, C_ITE, (), (parts[1], _QUIET_FAIL, _QUIET_TRUE), ()
+        code, parts = C_ITE, [parts[0] + (inner,), _QUIET_FAIL, _QUIET_TRUE]
+    if test:
+        builtin = DETERMINISTIC[(cond.functor, 2)]
+        return ticks + 1, C_IF, test, (builtin, cond.args, *parts[1:], fresh), ()
+    return ticks, code, fresh, tuple(parts), ()
+
+
 def _note_slots(templates, seen):
-    """Add the slots of templates to seen; the indices that were not."""
+    """Add the slots of templates to seen; those that were not, in order."""
     firsts = []
-    stack = list(templates)
+    stack = list(templates) if seen is not None else ()
     while stack:
         t = stack.pop()
         if type(t) is Slot and t.index not in seen:
             seen.add(t.index)
-            firsts.append(t.index)
+            firsts.append(t)
         elif type(t) is Skeleton:
             stack.extend(t.args)
     return tuple(firsts)
 
 
-def _compile_goal(goal, ticks, seen):
-    cls = type(goal)
-    if cls is Skeleton or cls is Struct:
-        key = (goal.functor, len(goal.args))
-        args = goal.args
-    elif cls is Atom:
-        key = (goal.name, 0)
-        args = ()
-    else:       # a variable or a number: the term path calls or rejects it
-        return ticks, E_GOAL, goal, None
-    op = _BUILTINS.get(key)
-    if op is None:
-        return ticks, E_CALL, key, args
-    if op is C_CUT:
-        return ticks, C_CUT, None, None
-    if op is C_DISPATCH:
-        implicit, given, target = args
-        if ((type(implicit) is not Slot or implicit.index in seen)
-                and type(target) in (Skeleton, Struct)):
-            return ticks, C_DISPATCH, (
-                implicit, target.functor, target.args), given
-    if type(op) is int:
-        # another control construct, a nondeterministic builtin, or a
-        # dispatch whose goal is a variable or an atom
-        return ticks, E_GOAL, goal, None
-    if key[0] in COMPARISONS and key[1] == 2:
-        evaluator = arith_evaluator(args, seen, key[0])
-        if evaluator is not None:
-            return ticks, E_COMPARE, evaluator, (op, args)
-    elif key == ("is", 2) and type(args[0]) is Slot:
-        evaluator = arith_evaluator(args[1:], seen)
-        if evaluator is not None:
-            return ticks, E_IS, evaluator, (op, args, args[0].index)
-    return ticks, E_DET, op, args
+def _firsts(goal, seen):
+    return () if seen is None else tuple(
+        [slot.index for slot in _note_slots((goal,), seen)])
+
+
+_TRUE = _compile(TRUE, None, None, 0)
+_QUIET_TRUE = ((0, C_TRUE, None, (), ()),)
+_QUIET_FAIL = ((0, C_FAIL, None, (), ()),)
 
 
 BOOTSTRAP = """

@@ -192,7 +192,11 @@ class BindingStore:
     watermark (the WAM's HB register) past every variable made so far.
     Only a variable older than the watermark is trailed when bound: a
     newer one cannot be reached from the state an undo restores.  Until
-    its first mark a store trails every binding.
+    its first mark a store trails every binding.  Whoever marks puts the
+    watermark back once no undo can return to the mark: the machine
+    keeps the watermark of each choicepoint and restores that of the
+    newest one left when choicepoints go, and a builtin that undoes on
+    its own restores the one it found.
 
     A variable holds one store's binding at a time: binding it through a
     second store overwrites the first store's binding, which that store's

@@ -66,6 +66,29 @@ class TestGoalMode:
         assert proc.stdout == "true.\n"
 
 
+class TestAnswerText:
+    """An answer prints each value as the right-hand side of =, so an
+    operator term of priority 700 or more reads back in parentheses."""
+
+    QUERY = "G = (p(X), X > 1), call(G)"
+
+    def test_solution_text_puts_operator_terms_in_parentheses(self):
+        engine = Engine(prelude=False)
+        engine.consult_text("p(2).")
+        [sol] = engine.query(self.QUERY)
+        assert sol.text() == "G = (p(2),2>1),\nX = 2"
+        [sol] = engine.query("A = (a :- b), B = (x = y), C = 1 + 2")
+        assert sol.text() == "A = (a:-b),\nB = (x=y),\nC = 1+2"
+
+    def test_the_cli_answer_reads_back_as_the_same_value(self, tmp_path):
+        program = tmp_path / "p.mdp"
+        program.write_text("p(2).")
+        proc = run_cli(str(program), "-g", self.QUERY)
+        assert (proc.returncode, proc.stdout) == (0, "G = (p(2),2>1),\nX = 2.\n")
+        proc = run_cli(str(program), "-g", "G = (p(2),2>1), call(G)")
+        assert (proc.returncode, proc.stdout) == (0, "G = (p(2),2>1).\n")
+
+
 class TestRepl:
     def test_session_transcript(self, graph_file):
         proc = run_cli(graph_file, stdin="?- ? path(a, X).\n;\nhalt.\n")

@@ -393,8 +393,8 @@ class TestContextRules:
         engine.explain("[d: 5] ? p(R)")
         double, big, _ = engine.kb.signatures_for("p", 1)
         kinds = [[entry[1] for entry in sig.compiled[0]] for sig in (double, big)]
-        assert kinds == [[solver.E_GOAL, solver.E_IS],
-                         [solver.E_GOAL, solver.E_COMPARE]]
+        assert kinds == [[solver.E_NONDET, solver.E_IS],
+                         [solver.E_NONDET, solver.E_COMPARE]]
 
     def test_a_hook_call_counts_one_inference(self):
         # the call of the hook's goal, its clause and the fact's body true,

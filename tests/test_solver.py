@@ -1,6 +1,7 @@
 import functools
 import io
 import itertools
+import re
 import resource
 import subprocess
 import sys
@@ -205,6 +206,16 @@ class TestBudget:
         engine.consult_text("loop :- loop.")
         with pytest.raises(BudgetExceeded):
             engine.run("loop")
+
+    @pytest.mark.parametrize("goal", [
+        "G = (true, G), call(G)", "G = (G, true), call(G)", "G = (true, G), G",
+        "G = (\\+ G), call(G)", "G = (G ; true), call(G)",
+        "G = catch(G, _, true), call(G)"])
+    def test_a_cyclic_goal_runs_out_of_budget(self, goal):
+        # a goal compiles when it is called, a piece at a time, so a cyclic
+        # one runs and counts inferences as it goes
+        with pytest.raises(BudgetExceeded):
+            Engine(prelude=False, budget=20_000).run(goal)
 
 
 class TestDatabase:
@@ -705,12 +716,46 @@ class TestCompiledBodies:
             w(X) :- member(X, [1, 2, 3]), X > 1, !.
             u(X) :- G = (member(X, [1, 2, 3]), X > 1), G.
             n(X) :- G = nothing(X), G.
+            c(X) :- G = !, member(X, [1, 2, 3]), call(G).
         """)
         assert answers(engine, "v(X)", "X") == ["1"]
+        assert engine.solver.inferences == 9
+        assert answers(engine, "c(X)", "X") == ["1", "2", "3"]   # call/1 is opaque
         assert answers(engine, "w(X)", "X") == ["2"]
         assert answers(engine, "u(X)", "X") == ["2", "3"]
+        assert engine.solver.inferences == 23
         assert outcome(engine, "n(X)") == [
             ("X", "error(existence_error(procedure, nothing/1), mdprolog)")]
+
+    @pytest.mark.parametrize("goal, error, count", [
+        ("v1", "type_error(callable, 1)", 7),
+        ("v2(_)", "instantiation_error", 5),
+        ("v2(1)", "type_error(callable, 1)", 5),
+        ("call(1)", "type_error(callable, 1)", 3),
+        ("call(_)", "instantiation_error", 3),
+        ("X", "instantiation_error", 3),
+        ("call((true, 1))", "type_error(callable, 1)", 6),
+        ("(true, X)", "instantiation_error", 5),
+    ])
+    def test_a_goal_that_is_not_callable_counts_its_inference(
+            self, engine, goal, error, count):
+        # a variable goal counts one inference, callable or not, as the
+        # goal itself would; call/N counts one for itself and then rejects
+        engine.consult_text("v1 :- G = 1, G.\nv2(G) :- G.")
+        assert answers(engine, "catch(%s, E, true)" % goal, "E") == \
+            ["error(%s, mdprolog)" % error]
+        assert engine.solver.inferences == count
+
+    def test_deeply_nested_constructs_compile_a_piece_at_a_time(self, engine):
+        goal = "\\+ " * 3000 + "fail"
+        engine.consult_text("d :- %s." % goal)
+        assert engine.run(goal) is False
+        assert engine.run("d") is False
+        assert engine.solver.inferences == 3003
+        goal = "(" * 3000 + "true" + " ; fail)" * 3000
+        engine.consult_text("d :- %s." % goal)
+        assert engine.run("d")
+        assert engine.solver.inferences == 3003
 
     def test_a_retried_body_computes_its_arithmetic_again(self, engine):
         engine.consult_text("""
@@ -763,6 +808,24 @@ class TestCompiledBodies:
         for key in [("p", 1), ("q", 0)]:
             _, body, _, _ = engine.kb.clauses_for(key)[0].compiled
             assert [entry[1] for entry in body] == [solver.C_DISPATCH]
+
+    def test_an_if_then_else_on_a_comparison_pushes_no_choicepoint(self, engine):
+        engine.consult_text("""
+            t(X, Y) :- (X > 1 -> Y = big ; Y = small).
+            n(X) :- \\+ X > 1.
+            g(X, Y) :- (X > 1, true -> Y = big ; Y = small).
+        """)
+        assert answers(engine, "t(2, Y)", "Y") == ["big"]
+        assert answers(engine, "t(0, Y)", "Y") == ["small"]
+        assert engine.solver.inferences == 5    # call, clause, ;, >, =
+        assert engine.run("n(0)") and not engine.run("n(2)")
+        assert answers(engine, "g(2, Y)", "Y") == ["big"]
+        assert answers(engine, "catch(t(a, _), E, true)", "E") == [
+            "error(type_error(evaluable, a/0), mdprolog)"]
+        for key, kind in [(("t", 2), solver.C_IF), (("n", 1), solver.C_IF),
+                          (("g", 2), solver.C_ITE)]:
+            _, body, _, _ = engine.kb.clauses_for(key)[0].compiled
+            assert [entry[1] for entry in body] == [kind]
 
     def test_a_long_expression_in_a_body_keeps_to_the_builtin(self, engine):
         expression = "+".join(["X"] * 5000)
@@ -925,6 +988,46 @@ class TestConditionalTrailing:
         """)
         assert engine.run("[] ? p(b)")
 
+    @pytest.mark.parametrize("goal", [
+        "(Y is 1, fail ; true), var(Y)",
+        "\\+ (Y = 1, fail), var(Y)",
+        "findall(Y, (Y is 2 ; Y is 3), L), var(Y)",
+        "catch((Y is 1, throw(x)), x, true), var(Y)",
+        "forall((Y = 1 ; Y is 2), true), var(Y)",
+        "(member(Y, [1, 2]), Y > 1 -> true ; true), Y == 2",
+        "(1 > 2 -> Y = a ; true), member(Z, [1, 2]), Y = Z, Z > 1",
+    ])
+    def test_a_failed_branch_leaves_no_value_behind(self, engine, goal):
+        # the construct's variables are made before its choicepoint, so
+        # an is/2 value or a binding of a failed branch is undone
+        engine.consult_text("t :- %s." % goal)
+        assert engine.run(goal)
+        assert engine.run("t")
+
+    @pytest.mark.parametrize("step", [
+        "(N > 0 -> true ; true)",
+        "(N > 0, true -> true ; true)",
+        "\\+ N = -1",
+        "(N =:= -1 ; true)",
+        "(member(_, [N, N]), !)",
+        "catch(N > 0, _, true)",
+        "findall(N, N > 0, _)",
+        "forall(N > 0, true)",
+        "N \\= -1",
+        "s(f(N))",
+    ])
+    def test_the_trail_stays_small_once_choicepoints_go(self, engine, step):
+        # each step marks and then drops its choicepoints, so the watermark
+        # goes back down and the binding of X is not trailed
+        engine.consult_text('''
+            ite(0, _) :- !.
+            ite(N, X) :- %s, X = g(Y), N1 is N - 1, ite(N1, Y).
+            s(f(-1)).
+            s(_).
+        ''' % step)
+        run = first_answer_run(engine, "ite(10000, _)")
+        assert len(run.store.trail) < 10
+
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["p", "q"]), ARGS, ARGS, BODIES),
                     min_size=1, max_size=4),
@@ -937,6 +1040,68 @@ class TestConditionalTrailing:
             # a mark that keeps the watermark above every variable
             patch.setattr(BindingStore, "mark", lambda store: len(store.trail))
             assert trail_outcome(program, query) == conditional
+
+
+# bodies for the differential of a body run as a clause and as a query:
+# control constructs, cut, throw, arithmetic, member/2 and variable goals
+RUN_ARGS = st.sampled_from(["X", "Y", "Z", "1", "2", "a", "f(X)"])
+RUN_GOALS = st.recursive(
+    st.one_of(
+        st.builds("{} = {}".format, RUN_ARGS, RUN_ARGS),
+        st.builds("{} is {} + 1".format, st.sampled_from(["X", "Y", "Z"]),
+                  RUN_ARGS),
+        st.builds("{} {} {}".format, RUN_ARGS,
+                  st.sampled_from(["<", ">=", "=:="]), RUN_ARGS),
+        st.builds("member({}, [1, 2, a])".format, RUN_ARGS),
+        st.builds("G = ({})".format, st.sampled_from(
+            ["true", "fail", "!", "member(Z, [1, 2])", "(X = 1 ; X = 2)"])),
+        st.sampled_from(["!", "G", "call(G)", "throw(e)", "throw(Y)", "true",
+                         "fail"])),
+    lambda sub: st.one_of(
+        st.builds("({} ; {})".format, sub, sub),
+        st.builds("({} -> {} ; {})".format, sub, sub, sub),
+        st.builds("({} -> {})".format, sub, sub),
+        st.builds("\\+ {}".format, sub),
+        st.builds("findall(X, {}, Y)".format, sub),
+        st.builds("forall({}, {})".format, sub, sub),
+        st.builds("catch({}, E, {})".format, sub, sub),
+        st.builds("call(({}))".format, sub)),
+    max_leaves=5)
+RUN_BODIES = st.lists(RUN_GOALS, min_size=1, max_size=4).map(", ".join)
+
+
+def run_outcome(engine, query):
+    """The first answers of query for X, Y and Z, or its error, and the
+    inferences spent; unbound variables are named by first occurrence."""
+    texts = []
+    try:
+        for sol in itertools.islice(engine.solutions(query), 6):
+            values = [sol.bindings.get(name, Var(name)) for name in "XYZ"]
+            text = engine.solver.render(terms.Struct("v", tuple(values)))
+            names = {}
+            texts.append(re.sub(r"\b[_A-Z]\w*", lambda m: names.setdefault(
+                m.group(), "_V%d" % len(names)), text))
+    except PrologThrow as exc:
+        texts.append(engine.solver.render(exc.ball))
+    return texts, engine.solver.inferences
+
+
+class TestOneExecutionPath:
+    """A goal runs as the same compiled entries whether it is a clause
+    body or a query, so both give the same answers for the same work."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(RUN_BODIES)
+    def test_a_body_as_a_clause_and_as_a_query_agree(self, body):
+        engine = Engine(prelude=False, budget=20000, occurs_check=True)
+        engine.consult_text("t(X, Y, Z) :- %s." % body)
+        try:
+            clause, clause_count = run_outcome(engine, "t(X, Y, Z)")
+            query, query_count = run_outcome(engine, body)
+        except BudgetExceeded:
+            return
+        assert clause == query
+        assert clause_count == query_count + 2    # the call and its clause
 
 
 def small_stack():

@@ -1,0 +1,65 @@
+"""The cost of one step of an accumulator loop, in bytecodes.
+
+A step is counted as the ``sys.settrace`` opcode events of a first
+answer: (events at n = 300 - events at n = 100) / 200, after a warm-up.
+The count does not depend on the machine's speed or load, so it can
+guard the cost of control constructs against that of a plain step.
+"""
+
+import sys
+
+import pytest
+
+from mdprolog import Engine
+
+LOOPS = """
+psum(0, A, A).
+psum(N, A, S) :- N > 0, A1 is A + N, N1 is N - 1, psum(N1, A1, S).
+isum(0, A, A).
+isum(N, A, S) :- (N > 5 -> A1 is A + N ; A1 is A - N), N1 is N - 1,
+    isum(N1, A1, S).
+csum(0, A, A).
+csum(N, A, S) :- call(N > 0), A1 is A + N, N1 is N - 1, csum(N1, A1, S).
+"""
+
+
+def opcodes(engine, query):
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        if event == "opcode":
+            count += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        assert engine.run(query)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def step_cost(engine, loop):
+    opcodes(engine, "%s(50, 0, S)" % loop)
+    return (opcodes(engine, "%s(300, 0, S)" % loop)
+            - opcodes(engine, "%s(100, 0, S)" % loop)) / 200
+
+
+@pytest.fixture(scope="module")
+def costs():
+    engine = Engine(prelude=False)
+    engine.consult_text(LOOPS)
+    return {loop: step_cost(engine, loop) for loop in ("psum", "isum", "csum")}
+
+
+def test_an_if_then_else_step_costs_at_most_1_6_plain_steps(costs):
+    # the condition is a comparison: no choicepoint, no goal term
+    assert costs["isum"] <= 1.6 * costs["psum"]
+
+
+def test_a_call_step_costs_at_most_1_54_plain_steps(costs):
+    # the goal of call/1 is compiled with the clause
+    assert costs["csum"] <= 1.54 * costs["psum"]
