@@ -2,14 +2,13 @@
 
 from .engine import Engine, Solution
 from .errors import (
-    BudgetExceeded,
     ConsultError,
     Halt,
     PrologThrow,
     TransformError,
 )
 from .reader import ReaderError
-from .terms import MdpError
+from .terms import BudgetExceeded, MdpError
 
 __all__ = [
     "Engine",

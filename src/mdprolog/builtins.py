@@ -40,7 +40,6 @@ from .terms import (
     list_parts,
     make_list,
     proper_list,
-    rename_term,
     resolve,
 )
 
@@ -326,7 +325,7 @@ def _b_univ(solver, store, t, lst):
 
 
 def _b_copy_term(solver, store, t, out):
-    return solver.unify(out, rename_term(t, store), store)
+    return solver.unify(out, solver.copy(t, store), store)
 
 
 def _b_between(solver, store, low, high, x):
@@ -448,8 +447,8 @@ def _split_clause(solver, store, term):
 def _b_assertz(solver, store, clause):
     head, body = _split_clause(solver, store, clause)
     mapping = {}
-    head_copy = rename_term(head, store, mapping)
-    body_copy = rename_term(body, store, mapping)
+    head_copy = solver.copy(head, store, mapping)
+    body_copy = solver.copy(body, store, mapping)
     key = indicator(head_copy)
     if solver.kb.has_mdp_predicate(*key):
         raise permission_error("modify", "mdp_predicate",
@@ -539,7 +538,7 @@ def _b_throw(solver, store, ball):
     b = store.deref(ball)
     if isinstance(b, Var):
         raise instantiation_error()
-    raise PrologThrow(rename_term(ball, store))
+    raise PrologThrow(solver.copy(ball, store))
 
 
 def _b_new_oid(solver, store, out):

@@ -16,9 +16,9 @@ from pathlib import Path
 import yaml
 
 from .engine import Engine
-from .errors import BudgetExceeded, PrologThrow
+from .errors import PrologThrow
 from .render import render
-from .terms import MdpError
+from .terms import BudgetExceeded, MdpError
 
 
 @dataclass

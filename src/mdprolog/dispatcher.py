@@ -2,9 +2,12 @@
 
 A dispatch call receives the implicit context of the calling rule, the
 given context written at the call site, and the goal.  It builds the
-updated context, scores every candidate signature of the goal's
-predicate, and runs the implementation clauses of all maximally specific
-candidates in definition order.
+updated context and scores every candidate signature of the goal's
+predicate (``dispatch``), the predicate's own signatures and then the
+anonymous ones, each in definition order.  The winners, all maximally
+specific candidates, are then called as one call whose clauses are
+their implementation clauses in that order (``winner_calls``), so the
+machine runs them as it runs the clauses of a plain predicate.
 """
 
 from __future__ import annotations
@@ -143,14 +146,16 @@ def candidates_for(kb, name, arity):
     return kb.candidates(name, arity)
 
 
-def score_candidates(solver, store, implicit, given, goal):
+def dispatch(solver, store, implicit, given, goal):
     """Build the updated context and check every candidate of the goal.
 
-    Returns (name, args, context, report, pending): the report lists
-    (signature, score_or_None, reason) for the candidates in definition
-    order.  pending is true while an eligible candidate's context rules
-    hold goals: its score lacks their weights, and the machine runs the
-    rules and completes the report (``solver.Run._score``).
+    Returns the scoring, (name, args, context, report, pending): the
+    report lists (signature, score_or_None, reason) for the candidates in
+    definition order.  pending is true while an eligible candidate's
+    context rules hold goals: its score lacks their weights, and the
+    machine runs the rules and completes the report
+    (``solver.Run._score``) before it calls the winners (``winner_calls``).
+    ``Engine.explain`` runs the same scoring and calls no winner.
     """
     if type(goal) is Var:
         goal = store.deref(goal)
@@ -178,29 +183,17 @@ def score_candidates(solver, store, implicit, given, goal):
     return name, args, ctx, report, pending
 
 
-def dispatch(solver, store, implicit, given, goal):
-    """The calls that run the winners of a dispatch (see ``winner_calls``).
-
-    While goal-bearing candidates are still to score, it returns the
-    scoring instead, a (name, args, context, report, explaining) tuple
-    whose rules the machine runs before it calls the winners.
-    """
-    name, args, ctx, report, pending = score_candidates(
-        solver, store, implicit, given, goal)
-    if pending:
-        return name, args, ctx, report, False
-    return winner_calls(solver, name, args, ctx, report)
-
-
-def winner_calls(solver, name, args, ctx, report):
-    """The calls that run the winners of a dispatch, the last winner first.
+def winner_calls(solver, scoring):
+    """The winners of a complete scoring as one call: its arguments and the
+    winners' implementation clauses, in the order of the report.
 
     The winners are the candidates of the highest score in the report.
-    Each call is an ``(args, key)`` pair: the key of the winner's
-    implementation predicate and its arguments, the updated context and
-    the goal's arguments.  The machine pops them, so the winners run in
-    definition order.
+    The arguments are the updated context and the goal's arguments, and
+    the machine tries the clauses with them as it tries the clauses of a
+    predicate.  An anonymous winner's clause, which takes the context
+    alone, is its variant for the goal's arity (``Signature.variant``).
     """
+    name, args, ctx, report, _ = scoring
     best = None
     winners = []
     for sig, score, _ in report:
@@ -220,9 +213,6 @@ def winner_calls(solver, name, args, ctx, report):
         if winners:
             solver.err.write("dispatch %s: running %s\n" % (
                 indicator, ", ".join(sig.label() for sig in winners)))
-    calls = []
-    full = (ctx,) + args
-    for sig in reversed(winners):
-        # an anonymous rule (arity 0) takes the context alone
-        calls.append((full if sig.arity else (ctx,), sig.impl_key))
-    return calls
+    n = len(args)
+    return (ctx,) + args, tuple([sig.clause if sig.arity == n else sig.variant(n)
+                                 for sig in winners])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .dispatcher import score_candidates
+from .dispatcher import dispatch
 from .errors import ConsultError, PrologThrow
 from .kb import KnowledgeBase
 from .reader import parse_program, parse_term
@@ -144,14 +144,12 @@ class Engine:
                     "directive raised %s at %s"
                     % (self._render(exc.ball), where)) from exc
             return
-        clauses, sig = expand_source_item(self, item.term, item.filename,
-                                          item.line)
-        for head, body in clauses:
+        [(head, body)], sig = expand_source_item(self, item.term, item.filename,
+                                                 item.line)
+        if sig is None:
             self.kb.add_clause(head, body, item.filename, item.line)
-        if sig is not None:
-            sig.filename = item.filename
-            sig.line = item.line
-            self.kb.add_signature(sig)
+        else:   # an mdp rule: its implementation clause goes with its signature
+            self.kb.add_signature(sig, head, body)
 
     # -- transformer hooks -------------------------------------------------
 
@@ -212,11 +210,10 @@ class Engine:
         goal, store, _ = self._prepare(text)
         if not (isinstance(goal, Struct) and goal.functor == "$dispatch"):
             raise ValueError("explain() needs a dispatch query (Given ? Goal)")
-        name, args, ctx, report, pending = score_candidates(
-            self.solver, store, *goal.args)
-        if pending:     # the rules run; no winner is called
-            self.solver.explain((name, args, ctx, report, True), store)
-        return ctx, report
+        scoring = dispatch(self.solver, store, *goal.args)
+        if scoring[4]:      # goal-bearing candidates: their rules run
+            self.solver.explain(scoring, store)
+        return scoring[2], scoring[3]
 
     # -- introspection ---------------------------------------------------------
 
@@ -232,10 +229,10 @@ class Engine:
                 Struct("context_rules", sig.rules) if sig.rules else Atom("true"),
             ))
             lines.append(self._render(sig_term, quoted=True) + ".")
-            for clause in self.kb.clauses_for(sig.impl_key):
-                term = clause.head if clause.body is Atom("true") else \
-                    Struct(":-", (clause.head, clause.body))
-                lines.append(self._render(term, quoted=True) + ".")
+            clause = sig.clause
+            term = clause.head if clause.body is Atom("true") else \
+                Struct(":-", (clause.head, clause.body))
+            lines.append(self._render(term, quoted=True) + ".")
             lines.append("")
         return "\n".join(lines)
 

@@ -14,10 +14,6 @@ class ConsultError(MdpError):
     """A file could not be consulted (parse error, bad directive, ...)."""
 
 
-class BudgetExceeded(MdpError):
-    """The inference budget for a solve run was exhausted."""
-
-
 class Halt(Exception):
     """Raised by halt/0 and halt/1."""
 

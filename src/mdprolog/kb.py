@@ -39,11 +39,13 @@ class Clause:
 
 @dataclass(slots=True)
 class Signature:
-    """Compiled metadata for one mdp rule.
+    """Compiled metadata for one mdp rule, and its implementation clause.
 
     ``name`` is ANONYMOUS for anonymous rules.  ``ctx_var``, ``rules`` and
     ``score_vars`` share variables; scoring runs the rules as a compiled
-    body and builds the score variables from the same frame.
+    body and builds the score variables from the same frame.  The
+    implementation clause is called only through its signature, when it
+    wins a dispatch, so it is no predicate of the knowledge base.
     """
 
     name: str            # predicate name, or ANONYMOUS
@@ -62,11 +64,11 @@ class Signature:
     # (context-rule goal entries, score templates, slot count) once scored;
     # the context variable is slot 0
     compiled: tuple = field(default=None, repr=False, compare=False)
-    # key of the implementation predicate: the context comes first
-    impl_key: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.impl_key = (self.impl_name, self.arity + 1)
+    # the implementation clause, whose head takes the context first; set
+    # by KnowledgeBase.add_signature
+    clause: Clause = field(default=None, repr=False, compare=False)
+    # an anonymous rule's clause variants: goal arity -> Clause
+    variants: dict = field(default_factory=dict, repr=False, compare=False)
 
     def compile(self):
         """Compile the context rules and score variables on first scoring.
@@ -78,6 +80,18 @@ class Signature:
             (self.ctx_var, conj(self.rules)) + self.score_vars)
         self.compiled = compile_body(rules, (ctx,)), tuple(weights), size
         return self.compiled
+
+    def variant(self, n):
+        """The clause of an anonymous rule for a goal of n arguments, made
+        once: its head takes the context and n void arguments."""
+        found = self.variants.get(n)
+        if found is None:
+            clause = self.clause
+            head = Struct(clause.head.functor,
+                          clause.head.args + tuple(Var("_") for _ in range(n)))
+            found = self.variants[n] = Clause(head, clause.body, clause.filename,
+                                              clause.line, clause.order)
+        return found
 
     @property
     def anonymous(self):
@@ -469,8 +483,10 @@ class KnowledgeBase:
         self._impl_counters[name] = n
         return "$impl$%s/%d#%d" % (name, arity, n)
 
-    def add_signature(self, sig):
+    def add_signature(self, sig, head, body):
+        """Store a signature with its implementation clause (head, body)."""
         self._candidates.clear()
+        sig.clause = Clause(head, body, sig.filename, sig.line, self._take_order())
         sig.order = self._take_order()
         self.signatures.setdefault((sig.name, sig.arity), []).append(sig)
 
@@ -504,14 +520,11 @@ class KnowledgeBase:
         or its cached candidates; every other one keeps its clause list, the
         ``source`` of its live ``ClauseIndex``.
         """
-        doomed_impls = set()
         for key in list(self.signatures):
             group = self.signatures[key]
             kept = [sig for sig in group if sig.filename != filename]
             if len(kept) == len(group):
                 continue
-            doomed_impls.update(sig.impl_key for sig in group
-                                if sig.filename == filename)
             if key == (ANONYMOUS, 0):   # among the candidates of every name
                 self._candidates.clear()
             else:
@@ -522,12 +535,11 @@ class KnowledgeBase:
                 del self.signatures[key]
         for key in list(self.clauses):
             group = self.clauses[key]
-            if key not in doomed_impls and all(c.filename != filename
-                                               for c in group):
+            if all(c.filename != filename for c in group):
                 continue
             self._index.pop(key, None)
             kept = [c for c in group if c.filename != filename]
-            if key not in doomed_impls and (kept or key in self.dynamic):
+            if kept or key in self.dynamic:
                 self.clauses[key] = kept
             else:
                 del self.clauses[key]

@@ -7,9 +7,9 @@ A run of the machine (``Run``) keeps two structures:
   proved, which is a solution;
 * the choicepoint stack, a list of the alternatives left to try.  Each
   entry holds the trail mark to undo to, the watermark that goes with
-  it and the continuation to resume: the clauses a call has not tried
-  yet, the other branch of a disjunction, the winners of a dispatch not
-  run yet, a candidate whose context rules are being scored, a suspended
+  it and the continuation to resume: the clauses a call (or the winners
+  a dispatch) has not tried yet, the other branch of a disjunction, a
+  candidate whose context rules are being scored, a suspended
   nondeterministic builtin, or the frame of a catch/3 or findall/3.
 
 There is one way to run a goal: as goal entries made by one compiler.
@@ -79,7 +79,9 @@ shape (``terms.head_matcher``).  It fills a frame that holds one value
 per clause variable, storing a variable's first occurrence with no test
 and building structure only where the goal has an unbound variable.
 Nothing of the clause is renamed; ``rename_term`` copies runtime terms
-only (findall, copy_term, throw/catch and assertz).
+only (findall, copy_term, throw/catch and assertz), and under a budget
+a copy builds at most as many compounds as inferences are left
+(``Solver.copy``).
 
 In a clause body, ``is/2`` and the arithmetic comparisons over clause
 variables, integers and ``+ - *`` compile to a function of the frame
@@ -89,10 +91,13 @@ function gives up (an unbound or non-integer operand, a result outside
 64 bits) the builtin runs on the built goal, so answers and error terms
 are the builtin's.
 
-A dispatch returns ``(args, key)`` calls.  Its winners are called
-without indexing, since each implementation predicate has one clause,
-one after another while their clauses fail; the WINNERS choicepoint is
-pushed only when a clause of one matched and later winners remain.
+A dispatch is a call.  Its clauses are the implementation clauses of
+its winners, kept on their signatures, in the order of the report, and
+its arguments the updated context and the goal's arguments
+(``dispatcher.winner_calls``); they are tried as a call's clauses are,
+without indexing.  Its CLAUSES choicepoint, pushed only when a clause
+matched and later winners remain, lies below the cut barrier of the
+winner that matched, so a cut in one winner does not stop the next.
 
 A dispatch whose eligible candidates include goal-bearing ones (context
 rules with goals) is scored on the same machine before its winners are
@@ -106,10 +111,11 @@ first solution to the candidate's score, cuts back to the choicepoint
 and undoes to its mark, so nothing of the rules outlives the scoring; if
 the rules fail, backtracking resumes the choicepoint, which leaves the
 candidate out.  A cut in the rules is local to them, and an error they
-throw unwinds the caller's continuation like any other.  After the last
-candidate the winners, those of the highest score, are called
-(``dispatcher.winner_calls``); ``Engine.explain`` runs the same scoring
-and calls no winner.  So dispatch nests as deep as plain recursion does:
+throw unwinds the caller's continuation like any other.  The dispatch
+puts a CALL_WINNERS marker after the scoring, so after the last
+candidate the winners, those of the highest score, are called;
+``Engine.explain`` runs the same scoring with nothing after it, and so
+calls no winner.  So dispatch nests as deep as plain recursion does:
 nothing runs on the Python stack but one run.
 """
 
@@ -125,7 +131,6 @@ from .builtins import (
 )
 from .dispatcher import dispatch, weighed, winner_calls
 from .errors import (
-    BudgetExceeded,
     PrologThrow,
     existence_error,
     instantiation_error,
@@ -135,6 +140,7 @@ from .render import render
 from .terms import (
     TRUE,
     Atom,
+    BudgetExceeded,
     Skeleton,
     Slot,
     Struct,
@@ -153,27 +159,30 @@ FAIL = Atom("fail")
 # Choicepoint kinds, the first item of a choicepoint; the second is the
 # trail mark to undo to when it is resumed, the third the watermark it
 # raised and the fourth the continuation it resumes:
-#   (CLAUSES, mark, watermark, cont, args, clauses, index of the next)
+#   (CLAUSES, mark, watermark, cont, args, clauses, index of the next,
+#   spared): the clauses of a call, spared 0, or the winners of a
+#   dispatch, spared 1, whose cut barrier lies above this choicepoint, so
+#   that a cut in one winner spares the next
 #   (RESUME, mark, watermark, cont): go on with cont
 #   (GENERATOR, mark, watermark, cont, suspended builtin)
-#   (WINNERS, mark, watermark, cont, [(args, key)] of the next, last first)
 #   (CATCH, mark, watermark, cont, catcher, recovery entries, frame, barrier)
 #   (FINDALL, mark, watermark, cont, template, answers, result)
 #   (SCORE, mark, watermark, cont, scoring, index of the candidate); the
 #   marker (SCORE, None, None, None, scoring, -1) starts a scoring
-CLAUSES, RESUME, GENERATOR, WINNERS, CATCH, FINDALL, SCORE = range(7)
+CLAUSES, RESUME, GENERATOR, CATCH, FINDALL, SCORE = range(6)
 
 # Continuation markers, tuples in the first position of a continuation
-# entry; they count no inference.  A resumed CLAUSES, GENERATOR, WINNERS
-# or SCORE choicepoint is put back into the continuation as a marker, and
-# so is a GENERATOR that has not yet given its first answer.
+# entry; they count no inference.  A resumed CLAUSES, GENERATOR or SCORE
+# choicepoint is put back into the continuation as a marker, and so is a
+# GENERATOR that has not yet given its first answer.
 #   (CUT_TO, height): commit, as if-then-else does
 #   (CATCH_EXIT, height of the CATCH choicepoint)
 #   (COLLECT, height of the FINDALL choicepoint)
 #   (BODY, goal entries, index of the next, frame)
 #   (SCORED, height of SCORE, signature, score, weight templates, frame of
 #   the rules)
-CUT_TO, CATCH_EXIT, COLLECT, BODY, SCORED = range(11, 16)
+#   (CALL_WINNERS, scoring): call the winners of a scored dispatch
+CUT_TO, CATCH_EXIT, COLLECT, BODY, SCORED, CALL_WINNERS = range(11, 17)
 
 # the continuation of a run whose next step backtracks; _backtrack returns
 # it when no choicepoint is left
@@ -205,6 +214,12 @@ class Solver:
     def unify(self, a, b, store):
         return unify(a, b, store, self.occurs_check)
 
+    def copy(self, term, store, mapping=None):
+        """A copy of a runtime term (``rename_term``).  Under a budget it
+        may build at most as many compounds as inferences are left."""
+        limit = None if self.budget is None else self.budget - self.inferences
+        return rename_term(term, store, mapping, limit)
+
     # -- resolution --------------------------------------------------------
 
     def solve(self, goal, store):
@@ -218,8 +233,9 @@ class Solver:
     def explain(self, scoring, store):
         """Run the context rules of a dispatch's goal-bearing candidates.
 
-        scoring is a ``dispatcher.score_candidates`` result whose report
-        the rules complete, as a dispatch would; no winner is called.
+        scoring is a ``dispatcher.dispatch`` result whose report the rules
+        complete, as a dispatch would.  Nothing follows the scoring in this
+        run, so no winner is called.
         """
         Run(self, store, (SCORE, None, None, None, scoring, -1)).step()
 
@@ -278,7 +294,6 @@ class Run:
         tick = solver.tick
         call_predicate = solver.call_predicate
         occurs_check = solver.occurs_check
-        later = ()      # the winners of a dispatch still to call, last first
         cont = self.cont
         if cont is _REDO:
             cont = self._backtrack()
@@ -306,17 +321,18 @@ class Run:
                         if code is E_CALL:     # a frame of no slots builds nothing
                             args = build_args(y, frame) if frame else y
                             clauses = call_predicate(x, args, store)
-                            mark, i = None, 0
+                            mark, i, spared = None, 0, 0
                         elif code is C_DISPATCH:
                             implicit, given, target = y
-                            later = dispatch(solver, store, build(implicit, frame),
-                                             build(given, frame), build(target, frame))
-                            if type(later) is tuple:    # rules to run first
-                                cont = self._score((SCORE, None, None, None, later, -1),
-                                                   cont)
-                                later = ()
+                            scoring = dispatch(solver, store, build(implicit, frame),
+                                               build(given, frame), build(target, frame))
+                            if scoring[4]:  # goal-bearing rules to run first
+                                cont = self._score(
+                                    (SCORE, None, None, None, scoring, -1),
+                                    ((CALL_WINNERS, scoring), 0, cont))
                                 continue
-                            clauses, mark, i = (), None, 0
+                            args, clauses = winner_calls(solver, scoring)
+                            mark, i, spared = None, 0, 1
                         elif code is E_IS:
                             value = x(frame, deref)
                             builtin, templates, out = y
@@ -366,10 +382,7 @@ class Run:
                             cont = self._open(code, x, y, frame, barrier, cont)
                             continue
                     elif kind is CLAUSES:     # a call's next clauses
-                        _, mark, watermark, _, args, clauses, i = goal
-                    elif kind is WINNERS:     # a dispatch's next winners
-                        _, mark, watermark, _, later = goal
-                        clauses, i = (), 0
+                        _, mark, watermark, _, args, clauses, i, spared = goal
                     elif kind is CUT_TO:
                         self._cut(goal[1])
                         continue
@@ -384,23 +397,20 @@ class Run:
                         continue
                     elif kind is COLLECT:
                         cp = cps[goal[1]]
-                        cp[5].append(rename_term(cp[4], store))
+                        cp[5].append(solver.copy(cp[4], store))
                         break
+                    elif kind is CALL_WINNERS:
+                        args, clauses = winner_calls(solver, goal[1])
+                        mark, i, spared = None, 0, 1
                     else:       # SCORED or SCORE
                         cont = self._score(goal, cont)
                         continue
-                    # try the clauses in order from clauses[i], then those
-                    # of each later winner; the first whose head matches
-                    # leaves choicepoints for the rest, and a mark is taken
-                    # before the first head that has an alternative
+                    # try the clauses in order from clauses[i]; the first
+                    # whose head matches leaves a choicepoint for the rest,
+                    # and a mark is taken before the first head that has an
+                    # alternative
                     n = len(clauses)
-                    while i < n or later:
-                        if i == n:      # the next winner, which is unindexed
-                            args, key = later.pop()
-                            clauses = call_predicate(key, (), store)
-                            n = len(clauses)
-                            i = 0
-                            continue
+                    while i < n:
                         tick()
                         clause = clauses[i]
                         i += 1
@@ -413,18 +423,16 @@ class Run:
                             if not (arg is constant or type(arg) is Var or (
                                     type(arg) is type(constant) and arg == constant)):
                                 continue
-                        if mark is None and (i < n or later):
+                        if mark is None and i < n:
                             mark = store.mark()
                             watermark = store.watermark
                         frame = [None] * size
                         if match(args, frame, store, occurs_check):
-                            if later:
-                                cps.append((WINNERS, mark, watermark, cont, later))
-                                later = ()
                             height = len(cps)
                             if i < n:
                                 cps.append((CLAUSES, mark, watermark, cont, args,
-                                            clauses, i))
+                                            clauses, i, spared))
+                                height += spared
                             if mark is not None:    # no choicepoint may be left
                                 store.watermark = cps[-1][2] if cps else floor
                             if body:
@@ -437,7 +445,6 @@ class Run:
                     else:
                         break
             except PrologThrow as exc:
-                later = ()
                 cont = self._recover(exc, cont)
                 if cont is None:
                     raise
@@ -494,9 +501,9 @@ class Run:
         added to the candidate's score and the rules are cut and undone; a
         resumed SCORE choicepoint leaves its candidate reported as failed.
         Then the context rules of the next eligible goal-bearing candidate
-        run under a SCORE choicepoint, or, with none left, the winners are
-        called; an explained dispatch calls none.  A SCORE marker of
-        candidate -1 starts the scoring.
+        run under a SCORE choicepoint, or, with none left, the run goes on
+        with cont, where a dispatch has put the call of its winners.  A
+        SCORE marker of candidate -1 starts the scoring.
         """
         cps = self.cps
         store = self.store
@@ -508,7 +515,7 @@ class Run:
             self._cut(height)
         else:
             scoring, k = marker[4], marker[5]
-        name, args, ctx, report, explaining = scoring
+        ctx, report = scoring[2], scoring[3]
         for k in range(k + 1, len(report)):
             sig, score, _ = report[k]
             if score is not None and not sig.dimension_only:
@@ -520,10 +527,7 @@ class Run:
                 cps.append((SCORE, store.mark(), store.watermark, cont, scoring, k))
                 marker = SCORED, height, sig, score, weights, frame
                 return (BODY, rules or _TRUE, 0, frame), height + 1, (marker, 0, cont)
-        if explaining:
-            return cont
-        calls = winner_calls(self.solver, name, args, ctx, report)
-        return (WINNERS, None, None, None, calls), 0, cont
+        return cont
 
     def _cut(self, height):
         """Drop the choicepoints from height on, and the trail entries
@@ -543,9 +547,9 @@ class Run:
 
         Choicepoints without an alternative are popped, and the trail is
         undone to the mark of the one resumed.  A clause or builtin
-        choicepoint, the winners of a dispatch left to call, or a scored
-        candidate whose rules failed come back inside the continuation, as
-        a marker that ``step`` resumes.  With no choicepoint left the store
+        choicepoint, or a scored candidate whose rules failed, come back
+        inside the continuation, as a marker that ``step`` resumes.  With
+        no choicepoint left the store
         is as the run found it.
         """
         cps = self.cps
@@ -554,7 +558,7 @@ class Run:
             cp = cps.pop()
             store.undo_to(cp[1])
             kind = cp[0]
-            if kind is CLAUSES or kind is GENERATOR or kind is WINNERS:
+            if kind is CLAUSES or kind is GENERATOR:
                 store.watermark = cp[2]     # the marker retries under it
                 return cp, 0, cp[3]
             store.watermark = cps[-1][2] if cps else self.floor
@@ -586,7 +590,7 @@ class Run:
                 _, mark, _, after, catcher, recovery, frame, barrier = cps[height]
                 store.undo_to(mark)
                 self._cut(height)
-                ball = rename_term(exc.ball, store)
+                ball = self.solver.copy(exc.ball, store)
                 if self.solver.unify(catcher, ball, store):
                     return (BODY, recovery, 0, frame), barrier, after
             cont = cont[2]

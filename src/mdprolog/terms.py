@@ -37,6 +37,10 @@ class MdpError(Exception):
     """Base class for engine errors that are not Prolog exceptions."""
 
 
+class BudgetExceeded(MdpError):
+    """The inference budget for a solve run was exhausted."""
+
+
 class Var:
     """A logic variable. Identity is what matters; the name is for printing.
 
@@ -237,12 +241,16 @@ _EMPTY_STORE = BindingStore()
 
 
 def occurs_in(var, term, store):
+    """Whether var occurs in term; a compound met again is not walked again,
+    so a term whose subterms are shared is walked in time linear in its size."""
     stack = [term]
+    walked = set()
     while stack:
         t = store.deref(stack.pop())
         if t is var:
             return True
-        if isinstance(t, Struct):
+        if isinstance(t, Struct) and id(t) not in walked:
+            walked.add(id(t))
             stack.extend(t.args)
     return False
 
@@ -421,11 +429,13 @@ def resolve(term, store):
                  "term too deep while resolving (cyclic binding?)")
 
 
-def rename_term(term, store, mapping=None):
+def rename_term(term, store, mapping=None, limit=None):
     """Copy with fresh variables (after resolving current bindings).
 
     For runtime terms only; clauses and signatures are copied from their
-    templates (``compile_terms``, ``match_args``, ``build``).
+    templates (``compile_terms``, ``match_args``, ``build``).  With a
+    limit, the copy may build at most that many compounds, and one more
+    raises ``BudgetExceeded`` before it is built.
     """
     if mapping is None:
         mapping = {}
@@ -436,7 +446,18 @@ def rename_term(term, store, mapping=None):
             new = mapping[var] = Var(var.name)
         return new
 
-    return _copy(term, store, fresh, new_struct, "term too deep while copying")
+    make = new_struct
+    if limit is not None:
+        built = itertools.count(1)
+
+        def make(functor, args):
+            if next(built) > limit:
+                raise BudgetExceeded(
+                    "inference budget exhausted: a copy may build at most %d "
+                    "compounds" % limit)
+            return new_struct(functor, args)
+
+    return _copy(term, store, fresh, make, "term too deep while copying")
 
 
 class Slot:

@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from mdprolog import BudgetExceeded, Engine, PrologThrow, solver, terms
 from mdprolog.reader import parse_term
 from mdprolog.render import render
-from mdprolog.terms import (Atom, BindingStore, MdpError, Var, compare_terms,
+from mdprolog.terms import (NIL, Atom, BindingStore, MdpError, Var, compare_terms,
                             make_list, proper_list, unify)
+from mdprolog.transformer import phase1_rewrite
 
 
 # first arguments of a mixed fact table: numbers of both types, atoms,
@@ -216,6 +217,46 @@ class TestBudget:
         # one runs and counts inferences as it goes
         with pytest.raises(BudgetExceeded):
             Engine(prelude=False, budget=20_000).run(goal)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS")
+    @pytest.mark.parametrize("program, options", [
+        # each step copies a term twice the size of the last, in findall/3,
+        # copy_term/2, assertz/1, throw/1 or the ball catch/3 takes: within
+        # the budget the last copy would build 2**17 compounds or more
+        ("d(X) :- findall(X, true, [C]), d(f(X, C)).", "budget=120"),
+        ("d(X) :- copy_term(X, C), d(f(X, C)).", "budget=120"),
+        ("d(X) :- retractall(k(_)), assertz(k(X)), k(C), d(f(X, C)).",
+         "budget=200"),
+        ("d(X) :- catch(throw(X), C, true), d(f(X, C)).", "budget=120"),
+        ("d(X) :- catch(functor(_, X, 1), error(type_error(_, C), _), true),"
+         " d(f(X, C)).", "budget=120"),
+        # each step doubles a tree whose subterms are shared, and the occurs
+        # check walks it: a tree of 2**1000 nodes at 3,000 inferences
+        ("d(X) :- Y = f(X, X), d(Y).", "budget=3000, occurs_check=True"),
+    ])
+    def test_work_that_doubles_each_step_ends_within_the_budget(self, program,
+                                                                 options):
+        script = RUNAWAY_SCRIPT % (options, program)
+        gib = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (gib, gib)))
+        assert proc.stdout == "BudgetExceeded\n", proc.stderr
+
+
+RUNAWAY_SCRIPT = """
+import time
+from mdprolog import BudgetExceeded, Engine
+engine = Engine(prelude=False, %s)
+engine.consult_text(%r)
+start = time.monotonic()
+try:
+    engine.run("d(g(_))")
+except BudgetExceeded:
+    assert time.monotonic() - start < 10
+    print("BudgetExceeded")
+"""
 
 
 class TestDatabase:
@@ -654,6 +695,21 @@ class TestControlSemantics:
         engine.consult_text("[] # f(1) :- !.\n[] # f(2).")
         assert answers(engine, "[] ? f(X)", "X") == ["1", "2"]
 
+    def test_named_and_anonymous_winners_answer_in_definition_order(self, engine):
+        # an anonymous winner takes the context alone, and so is called
+        # through a variant of its clause with a void argument for each of
+        # the goal's
+        engine.consult_text("""
+            [] # g(X, Y) :- !, X = first, Y = 1.
+            [] # g(second, 2).
+            [predicate: g(X, Y)] :- !, X = anonymous, Y = 3.
+            [] :- true.
+        """)
+        assert [s.text() for s in engine.solutions("[] ? g(X, Y)")] == [
+            "X = first,\nY = 1", "X = second,\nY = 2",
+            "X = anonymous,\nY = 3", "X = X,\nY = Y"]
+        assert answers(engine, "[] ? g(second, Y)", "Y") == ["2", "Y"]
+
     def test_a_cut_in_a_condition_is_local_to_it(self, engine):
         engine.consult_text("t(X) :- member(X, [1,2,3]), ((!, X > 5) -> true ; true).")
         assert answers(engine, "t(X)", "X") == ["1", "2", "3"]
@@ -907,6 +963,21 @@ class TestDeterminism:
     def test_the_first_answer_leaves_no_choicepoint(self, engine, text):
         engine.consult_text(NREV)
         assert first_answer_run(engine, text).cps == []
+
+    def test_the_last_winner_of_a_dispatch_leaves_no_choicepoint(self, engine):
+        engine.consult_text("""
+            [] # w(1).
+            [] # w(X) :- X = 2.
+            [] :- true.
+        """)
+        goal, _ = parse_term("[] ? w(X)", engine.kb.optable)
+        run = engine.solver.solve(phase1_rewrite(engine, goal, NIL, 0),
+                                  BindingStore())
+        heights = []
+        while run.step():
+            heights.append(len(run.cps))
+        # one choicepoint holds the winners still to run, until the last
+        assert heights == [1, 1, 0]
 
 
 # clause bodies that bind, test and undo around choicepoints: the goals

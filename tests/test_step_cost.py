@@ -20,7 +20,12 @@ isum(N, A, S) :- (N > 5 -> A1 is A + N ; A1 is A - N), N1 is N - 1,
     isum(N1, A1, S).
 csum(0, A, A).
 csum(N, A, S) :- call(N > 0), A1 is A + N, N1 is N - 1, csum(N1, A1, S).
+[] # dsum(0, A, A).
+[] # dsum(N, A, S) :- N > 0, A1 is A + N, N1 is N - 1, [] ? dsum(N1, A1, S).
 """
+# the query of each loop, given n
+QUERIES = {"psum": "psum(%d, 0, S)", "isum": "isum(%d, 0, S)",
+           "csum": "csum(%d, 0, S)", "dsum": "[] ? dsum(%d, 0, S)"}
 
 
 def opcodes(engine, query):
@@ -43,16 +48,16 @@ def opcodes(engine, query):
 
 
 def step_cost(engine, loop):
-    opcodes(engine, "%s(50, 0, S)" % loop)
-    return (opcodes(engine, "%s(300, 0, S)" % loop)
-            - opcodes(engine, "%s(100, 0, S)" % loop)) / 200
+    query = QUERIES[loop]
+    opcodes(engine, query % 50)
+    return (opcodes(engine, query % 300) - opcodes(engine, query % 100)) / 200
 
 
 @pytest.fixture(scope="module")
 def costs():
     engine = Engine(prelude=False)
     engine.consult_text(LOOPS)
-    return {loop: step_cost(engine, loop) for loop in ("psum", "isum", "csum")}
+    return {loop: step_cost(engine, loop) for loop in QUERIES}
 
 
 def test_an_if_then_else_step_costs_at_most_1_6_plain_steps(costs):
@@ -63,3 +68,9 @@ def test_an_if_then_else_step_costs_at_most_1_6_plain_steps(costs):
 def test_a_call_step_costs_at_most_1_54_plain_steps(costs):
     # the goal of call/1 is compiled with the clause
     assert costs["csum"] <= 1.54 * costs["psum"]
+
+
+def test_a_dispatched_step_costs_at_most_1_75_plain_steps(costs):
+    # the winners of a dimension-only dispatch are called as the clauses
+    # of one call
+    assert costs["dsum"] <= 1.75 * costs["psum"]
