@@ -31,6 +31,7 @@ from .terms import (
     Slot,
     Struct,
     Var,
+    arg_builder,
     compare_terms,
     compile_source,
     flatten_conj,
@@ -154,78 +155,158 @@ def _num_result(value):
 
 
 # Compiled arithmetic: is/2 and the comparisons of a clause body, over
-# slots, integer constants and + - *, become one Python function of the
-# frame.  It returns None wherever eval_arith could differ (an operand
-# that is not a 64-bit integer, a result out of range), and the caller
-# then runs the builtin on the built goal, which gives the same answer
-# or error.
+# slots, integer constants and + - *, become Python code of the frame.
+# Where eval_arith could differ (an operand that is not a 64-bit integer,
+# a result out of range) the code gives up, and the builtin runs on the
+# built goal instead, which gives the same answer or error.
 
 COMPARISONS = {"<": "<", ">": ">", "=<": "<=", ">=": ">=", "=:=": "==",
                "=\\=": "!="}
 _OPERATORS = ("+", "-", "*")
 _MAX_NODES = 32     # a larger expression keeps to eval_arith
-_IN_RANGE = "        if not %d <= %%s <= %d: return None" % (INT_MIN, INT_MAX)
 
 
-def arith_evaluator(exprs, seen, comparison=None):
-    """A function (frame, deref) -> value or None, or None if none applies.
+class ArithRun:
+    """A run of body goals, is/2 and comparisons, as one generated function
+    ``run(solver, store, frame, tick) -> bool``, a superoperator.
 
-    exprs are expression templates of a body goal, read with the clause's
-    slots in ``seen`` already set; with a comparison operator (a key of
-    COMPARISONS) the function compares the two values, else it returns the
-    value of the one expression.  Slot indices and constants are passed
-    to a factory compiled once per shape of expression
-    (``terms.compile_source``).
+    ``add`` takes the goals in order while their expressions compile;
+    ``function`` makes the run.  The function counts each goal's
+    inferences (``ticks``) with one ``tick`` call each before it runs the
+    goal, as the machine would.  Each value gets a local of its own,
+    ``v0``, ``v1``...; constants, slot indices, builtins and builders are
+    parameters ``p0``, ``p1``... of ``make``, so that runs of one shape
+    share one source (``terms.compile_source``).  A goal runs in a ``for``
+    loop of one turn, which it leaves with ``continue`` where an operand
+    is no 64-bit integer: its builtin then runs on the built goal
+    (``terms.arg_builder``).  A first occurrence of the variable of ``X is
+    E`` takes the value with no variable.  When a goal fails the run
+    returns False, and first clears the first occurrences it has filled.
     """
-    lines = []
-    params = []
-    nodes = 0
 
-    def param(x):
-        params.append(x)
-        return "p%d" % (len(params) - 1)
+    __slots__ = ("lines", "params", "names", "filled")
 
-    def value(t):
-        nonlocal nodes
-        nodes += 1
-        if nodes > _MAX_NODES:
+    def __init__(self):
+        self.lines = []
+        self.params = []
+        self.names = 0
+        self.filled = []    # the params of the first occurrences filled
+
+    def __bool__(self):
+        return bool(self.lines)
+
+    def param(self, x):
+        self.params.append(x)
+        return "p%d" % (len(self.params) - 1)
+
+    def local(self):
+        self.names += 1
+        return "v%d" % (self.names - 1)
+
+    def values(self, exprs, seen):
+        """The lines that compute the expressions, and the locals of their
+        values; None if some expression does not compile."""
+        lines = []
+        nodes = 0
+
+        def value(t):
+            nonlocal nodes
+            nodes += 1
+            if nodes > _MAX_NODES:
+                return None
+            cls = type(t)
+            if cls is int:
+                return self.param(t) if INT_MIN <= t <= INT_MAX else None
+            name = self.local()
+            if cls is Slot:
+                if t.index not in seen:
+                    return None
+                lines.extend((
+                    "%s = frame[%s]" % (name, self.param(t.index)),
+                    "if type(%s) is not int:" % name,
+                    "    %s = store.deref(%s)" % (name, name),
+                    "    if type(%s) is not int: continue" % name))
+            elif ((cls is Skeleton or cls is Struct) and t.functor in _OPERATORS
+                  and len(t.args) == 2):
+                a, b = value(t.args[0]), value(t.args[1])
+                if a is None or b is None:
+                    return None
+                lines.append("%s = %s %s %s" % (name, a, t.functor, b))
+            else:
+                return None
+            lines.append("if not %d <= %s <= %d: continue"
+                         % (INT_MIN, name, INT_MAX))
+            return name
+
+        start = len(self.params)
+        results = [value(t) for t in exprs]
+        if None in results:
+            del self.params[start:]
             return None
-        cls = type(t)
-        if cls is int:
-            return param(t) if INT_MIN <= t <= INT_MAX else None
-        if cls is Slot:
-            if t.index not in seen:
-                return None
-            name = "v%d" % len(lines)
-            lines.append("        %s = frame[%s]\n"
-                         "        if type(%s) is not int:\n"
-                         "            %s = deref(%s)\n"
-                         "            if type(%s) is not int: return None"
-                         % ((name, param(t.index)) + (name,) * 4))
-        elif ((cls is Skeleton or cls is Struct) and t.functor in _OPERATORS
-              and len(t.args) == 2):
-            a, b = value(t.args[0]), value(t.args[1])
-            if a is None or b is None:
-                return None
-            name = "v%d" % len(lines)
-            lines.append("        %s = %s %s %s" % (name, a, t.functor, b))
+        return lines, results
+
+    def add(self, ticks, key, args, seen):
+        """Add the goal key(args) if it compiles; seen holds the slots set
+        before it, and then the goal's too.  Whether it was added."""
+        out = None
+        if key == ("is", 2) and type(args[0]) is Slot:
+            out, exprs = args[0], args[1:]
+        elif not (key[0] in COMPARISONS and key[1] == 2):
+            return False
         else:
-            return None
-        lines.append(_IN_RANGE % name)
-        return name
+            exprs = args
+        found = self.values(exprs, seen)
+        if found is None:
+            return False
+        lines, results = found
+        first = out is not None and out.index not in seen
+        builtin = self.param(DETERMINISTIC[key])
+        put = self.param(arg_builder(args, seen))
+        emit = self.lines.append
+        for _ in range(ticks):
+            emit("        tick()")
+        emit("        for _ in (0,):")
+        self.lines += ["            " + line for line in lines]
+        filled = list(self.filled)
+        if out is None:
+            emit("            if %s %s %s: break" % (
+                results[0], COMPARISONS[key[0]], results[1]))
+            self._fail(3)
+        elif not first:     # unify the value with what is there
+            known = self.local()
+            self.lines += [
+                "            %s = frame[%s]" % (known, self.param(out.index)),
+                "            if type(%s) is Var:" % known,
+                "                %s = store.deref(%s)" % (known, known),
+                "                if type(%s) is Var:" % known,
+                "                    store.bind(%s, %s)" % (known, results[0]),
+                "                    break",
+                "            if type(%s) is int and %s == %s: break"
+                % (known, known, results[0])]
+            self._fail(3)
+        else:
+            index = self.param(out.index)
+            emit("            frame[%s] = %s" % (index, results[0]))
+            emit("            break")
+            filled.append(index)
+        emit("        else:")
+        emit("            if not %s(solver, store, *%s(frame)):" % (builtin, put))
+        self.filled = filled
+        self._fail(4)
+        return True
 
-    results = [value(t) for t in exprs]
-    if None in results:
-        return None
-    if comparison is None:
-        lines.append("        return %s" % results[0])
-    else:
-        lines.append("        return %s %s %s"
-                     % (results[0], COMPARISONS[comparison], results[1]))
-    source = ("def make(%s):\n    def evaluate(frame, deref):\n%s\n"
-              "    return evaluate\n") % (
-        ", ".join("p%d" % i for i in range(len(params))), "\n".join(lines))
-    return compile_source(source)(*params)
+    def _fail(self, indent):
+        pad = "    " * indent
+        for index in self.filled:
+            self.lines.append("%sframe[%s] = None" % (pad, index))
+        self.lines.append(pad + "return False")
+
+    def function(self):
+        source = ("def make(%s):\n    def run(solver, store, frame, tick):\n"
+                  "%s\n        return True\n    return run\n") % (
+            ", ".join("p%d" % i for i in range(len(self.params))),
+            "\n".join(self.lines))
+        return compile_source(source)(*self.params)
 
 
 # ---------------------------------------------------------------------------

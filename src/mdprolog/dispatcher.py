@@ -3,11 +3,18 @@
 A dispatch call receives the implicit context of the calling rule, the
 given context written at the call site, and the goal.  It builds the
 updated context and scores every candidate signature of the goal's
-predicate (``dispatch``), the predicate's own signatures and then the
-anonymous ones, each in definition order.  The winners, all maximally
-specific candidates, are then called as one call whose clauses are
-their implementation clauses in that order (``winner_calls``), so the
-machine runs them as it runs the clauses of a plain predicate.
+predicate (``dispatch``), its own signatures and the anonymous ones
+together, in definition order.  The winners, all maximally specific
+candidates, are then called as one call whose clauses are their
+implementation clauses in that order (``winner_calls``), so the machine
+runs them as it runs the clauses of a plain predicate.
+
+A candidate's dimension checks depend on the set of the context's
+dimension names alone, so each predicate keeps the checks it has made
+per set of names (``KnowledgeBase.scorings``), and with them, when no
+goal-bearing candidate is eligible, the winners' clauses: a dispatch
+whose context has a shape seen before scores nothing, as a polymorphic
+inline cache reuses the lookup made for a receiver's type.
 """
 
 from __future__ import annotations
@@ -69,8 +76,8 @@ def updated_context(store, implicit, given, goal):
     Removals (-name) are applied first, then each name: coord entry
     upserts in order, and finally the goal itself is recorded under the
     predicate dimension.  ``given`` is the call-site context term and
-    ``goal`` is dereferenced.  Returns the context list and the set of
-    its dimension names.
+    ``goal`` is dereferenced.  Returns the context list and the frozenset
+    of its dimension names.
     """
     # The implicit context is engine-built: its entries are the
     # ``name: Coord`` compounds themselves, which the update reuses.
@@ -113,7 +120,7 @@ def updated_context(store, implicit, given, goal):
     ctx = NIL
     for entry in reversed(entries):
         ctx = new_struct(".", (entry, ctx))
-    return ctx, set(names)
+    return ctx, frozenset(names)
 
 
 def score_signature(solver, store, sig, ctx, ctx_keys):
@@ -149,13 +156,16 @@ def candidates_for(kb, name, arity):
 def dispatch(solver, store, implicit, given, goal):
     """Build the updated context and check every candidate of the goal.
 
-    Returns the scoring, (name, args, context, report, pending): the
+    Returns the scoring, (name, args, context, report, winners): the
     report lists (signature, score_or_None, reason) for the candidates in
-    definition order.  pending is true while an eligible candidate's
-    context rules hold goals: its score lacks their weights, and the
-    machine runs the rules and completes the report
-    (``solver.Run._score``) before it calls the winners (``winner_calls``).
-    ``Engine.explain`` runs the same scoring and calls no winner.
+    definition order, and winners holds the winners' clauses as
+    ``winner_calls`` gives them.  winners is None while an eligible
+    candidate's context rules hold goals: its score lacks their weights,
+    and the machine runs the rules and completes the report, a list of
+    its own (``solver.Run._score``), before it calls the winners.
+    ``Engine.explain`` runs the same scoring and calls no winner.  The
+    checks of a context whose set of names the predicate has met before
+    come from its cache.
     """
     if type(goal) is Var:
         goal = store.deref(goal)
@@ -168,32 +178,50 @@ def dispatch(solver, store, implicit, given, goal):
         raise instantiation_error()
     else:
         raise type_error("callable", resolve(goal, store))
-    sigs = candidates_for(solver.kb, name, len(args))
+    kb = solver.kb
+    sigs = candidates_for(kb, name, len(args))
     if not sigs:
         raise existence_error(
             "mdp_predicate", Struct("/", (Atom(name), len(args))))
     ctx, ctx_keys = updated_context(store, implicit, given, goal)
+    shapes, entries = kb.scorings(name, len(args))
+    found = shapes.get(ctx_keys)
+    if found is None:
+        if len(shapes) >= SHAPES_KEPT:
+            shapes.clear()
+        found = shapes[ctx_keys] = _checks(solver, store, sigs, ctx, ctx_keys,
+                                           len(args), entries)
+    report, winners = found
+    if winners is None:     # the rules complete a copy
+        report = list(report)
+    return name, args, ctx, report, winners
+
+
+SHAPES_KEPT = 64    # the sets of context names a predicate keeps checks for
+
+
+def _checks(solver, store, sigs, ctx, ctx_keys, n, entries):
+    """The report of the candidates' dimension checks, as a tuple, and the
+    winners' clauses for a goal of n arguments, or None if an eligible
+    candidate is goal-bearing.  A candidate's entry is made once per
+    outcome of its check and kept in entries, so the reports the cache
+    keeps share them, and no signature refers back to its entries."""
     report = []
     pending = False
     for sig in sigs:
         score, reason = score_signature(solver, store, sig, ctx, ctx_keys)
-        report.append((sig, score, reason))
+        outcome = sig.order, score if reason is None else reason
+        entry = entries.get(outcome)
+        if entry is None:
+            entry = entries[outcome] = sig, score, reason
+        report.append(entry)
         if score is not None and not sig.dimension_only:
             pending = True
-    return name, args, ctx, report, pending
+    return tuple(report), None if pending else _clauses(_winners(report), n)
 
 
-def winner_calls(solver, scoring):
-    """The winners of a complete scoring as one call: its arguments and the
-    winners' implementation clauses, in the order of the report.
-
-    The winners are the candidates of the highest score in the report.
-    The arguments are the updated context and the goal's arguments, and
-    the machine tries the clauses with them as it tries the clauses of a
-    predicate.  An anonymous winner's clause, which takes the context
-    alone, is its variant for the goal's arity (``Signature.variant``).
-    """
-    name, args, ctx, report, _ = scoring
+def _winners(report):
+    """The candidates of the highest score in the report, in its order."""
     best = None
     winners = []
     for sig, score, _ in report:
@@ -204,15 +232,38 @@ def winner_calls(solver, scoring):
             winners = [sig]
         elif score == best:
             winners.append(sig)
-    if solver.trace_dispatch:
-        indicator = "%s/%d" % (name, len(args))
-        for sig, score, reason in report:
-            solver.err.write("dispatch %s: %s -> %s\n" % (
-                indicator, sig.label(),
-                ("score %s" % score) if score is not None else reason))
-        if winners:
-            solver.err.write("dispatch %s: running %s\n" % (
-                indicator, ", ".join(sig.label() for sig in winners)))
-    n = len(args)
-    return (ctx,) + args, tuple([sig.clause if sig.arity == n else sig.variant(n)
-                                 for sig in winners])
+    return winners
+
+
+def _clauses(winners, n):
+    """The winners' implementation clauses for a goal of n arguments.  An
+    anonymous winner's clause, which takes the context alone, is its
+    variant for n (``Signature.variant``)."""
+    return tuple([sig.clause if sig.arity == n else sig.variant(n)
+                  for sig in winners])
+
+
+def winner_calls(solver, scoring):
+    """The winners of a complete scoring as one call: its arguments and the
+    winners' implementation clauses, in the order of the report.
+
+    The winners are the candidates of the highest score in the report.
+    The arguments are the updated context and the goal's arguments, and
+    the machine tries the clauses with them as it tries the clauses of a
+    predicate.
+    """
+    name, args, ctx, report, clauses = scoring
+    if clauses is None or solver.trace_dispatch:
+        winners = _winners(report)
+        if clauses is None:
+            clauses = _clauses(winners, len(args))
+        if solver.trace_dispatch:
+            indicator = "%s/%d" % (name, len(args))
+            for sig, score, reason in report:
+                solver.err.write("dispatch %s: %s -> %s\n" % (
+                    indicator, sig.label(),
+                    ("score %s" % score) if score is not None else reason))
+            if winners:
+                solver.err.write("dispatch %s: running %s\n" % (
+                    indicator, ", ".join(sig.label() for sig in winners)))
+    return (ctx,) + args, clauses

@@ -211,9 +211,9 @@ class Engine:
         if not (isinstance(goal, Struct) and goal.functor == "$dispatch"):
             raise ValueError("explain() needs a dispatch query (Given ? Goal)")
         scoring = dispatch(self.solver, store, *goal.args)
-        if scoring[4]:      # goal-bearing candidates: their rules run
+        if scoring[4] is None:  # goal-bearing candidates: their rules run
             self.solver.explain(scoring, store)
-        return scoring[2], scoring[3]
+        return scoring[2], list(scoring[3])
 
     # -- introspection ---------------------------------------------------------
 

@@ -287,15 +287,17 @@ class ClauseIndex:
     (``ArgGroups``), or all the clauses.  A position is grouped the first
     time a call needs it, so a predicate that is only written or scanned
     never pays for grouping; a clause appended later joins the groups
-    made, and a removed one leaves them.
+    made, and a removed one leaves them.  Whether each grouped position
+    splits the clauses is kept until a write.
     """
 
-    __slots__ = ("source", "snapshot", "groups", "lead", "cached")
+    __slots__ = ("source", "snapshot", "groups", "splitting", "lead", "cached")
 
     def __init__(self, source, arity):
         self.source = source
         self.snapshot = ()     # tuple(source), remade after a write
         self.groups = [None] * arity    # position -> ArgGroups, once grouped
+        self.splitting = [None] * arity     # position -> groups[pos].splits()
         self.lead = None       # groups[0] while they split the clauses
         self.cached = {}       # the lead's buckets
 
@@ -336,15 +338,18 @@ class ClauseIndex:
         return lead.bucket(arg, store.deref)
 
     def _select(self, args, deref):
-        groups = self.groups
+        splitting = self.splitting
         for pos, arg in enumerate(args):
             if type(arg) is Var:
                 arg = deref(arg)
                 if type(arg) is Var:
                     continue
-            group = groups[pos] or self._group(pos)
-            if group.splits():
-                return group.bucket(arg, deref)
+            split = splitting[pos]
+            if split is None:
+                self._group(pos)
+                split = splitting[pos]
+            if split:
+                return self.groups[pos].bucket(arg, deref)
         return self.clauses()
 
     def at(self, pos, arg, deref):
@@ -361,9 +366,13 @@ class ClauseIndex:
         return group
 
     def _find_lead(self):
-        lead = self.groups[0] if self.groups else None
-        if lead is not None and lead.splits():
-            self.lead, self.cached = lead, lead.buckets
+        """Note which grouped positions split, after a grouping or a write."""
+        splitting = self.splitting
+        splitting[:] = [None if group is None else bool(group.splits())
+                        for group in self.groups]
+        if splitting and splitting[0]:
+            self.lead = self.groups[0]
+            self.cached = self.lead.buckets
         else:
             self.lead, self.cached = None, {}
 
@@ -392,6 +401,7 @@ class KnowledgeBase:
         self.signatures = {}       # (name, arity) -> [Signature]; the
                                    # anonymous ones under (ANONYMOUS, 0)
         self._candidates = {}      # (name, arity) -> tuple, until a change
+        self._scorings = {}        # (name, arity) -> two dicts, until a change
         self.dynamic = set()       # (name, arity)
         self.optable = default_table()
         self._next_order = 1       # order of the next clause or signature
@@ -401,8 +411,9 @@ class KnowledgeBase:
         """A knowledge base with the same contents that shares nothing mutable.
 
         The clause and signature objects themselves are shared: once stored
-        nothing writes to them but their ``compiled`` caches, which are the
-        same in every copy.  The indexes start empty.
+        nothing writes to them but their caches (``compiled``, a
+        signature's ``variants``), which are the same in every copy.  The
+        indexes and the dispatch caches start empty.
         """
         kb = object.__new__(KnowledgeBase)
         kb.clauses = {key: list(group) for key, group in self.clauses.items()}
@@ -410,6 +421,7 @@ class KnowledgeBase:
         kb.signatures = {key: list(group)
                          for key, group in self.signatures.items()}
         kb._candidates = {}
+        kb._scorings = {}
         kb.dynamic = set(self.dynamic)
         kb.optable = self.optable.copy()
         kb._next_order = self._next_order
@@ -486,6 +498,7 @@ class KnowledgeBase:
     def add_signature(self, sig, head, body):
         """Store a signature with its implementation clause (head, body)."""
         self._candidates.clear()
+        self._scorings.clear()
         sig.clause = Clause(head, body, sig.filename, sig.line, self._take_order())
         sig.order = self._take_order()
         self.signatures.setdefault((sig.name, sig.arity), []).append(sig)
@@ -494,14 +507,27 @@ class KnowledgeBase:
         return tuple(self.signatures.get((name, arity), ()))
 
     def candidates(self, name, arity):
-        """The signatures of name/arity, then every anonymous one."""
+        """The signatures of name/arity and every anonymous one, in
+        definition order."""
         key = (name, arity)
         found = self._candidates.get(key)
         if found is None:
             found = self.signatures_for(name, arity)
-            if key != (ANONYMOUS, 0):   # else they are all in found already
-                found += self.signatures_for(ANONYMOUS, 0)
+            anonymous = self.signatures_for(ANONYMOUS, 0)
+            if anonymous and key != (ANONYMOUS, 0):     # two ordered runs
+                found = tuple(sorted(found + anonymous, key=_by_order))
             self._candidates[key] = found
+        return found
+
+    def scorings(self, name, arity):
+        """The dispatcher's caches for name/arity: its dimension checks by
+        set of context names, and the report entries they share.  Two
+        dicts, dropped by a change to the candidates with the cached
+        candidates."""
+        key = (name, arity)
+        found = self._scorings.get(key)
+        if found is None:
+            found = self._scorings[key] = {}, {}
         return found
 
     def all_signatures(self):
@@ -527,8 +553,10 @@ class KnowledgeBase:
                 continue
             if key == (ANONYMOUS, 0):   # among the candidates of every name
                 self._candidates.clear()
+                self._scorings.clear()
             else:
                 self._candidates.pop(key, None)
+                self._scorings.pop(key, None)
             if kept:
                 self.signatures[key] = kept
             else:

@@ -15,20 +15,24 @@ A run of the machine (``Run``) keeps two structures:
 There is one way to run a goal: as goal entries made by one compiler.
 A clause body is compiled with its head (``compile_body``) into a tuple
 of entries, one per goal of its conjunctions, each with its operation
-resolved: a predicate key and argument templates, a builtin, cut, a
-dispatch, or a control construct.  A goal known only when it runs, such
-as a query, a hook goal, the goal of call/N or apply/2, or a variable
-body goal, is compiled when it is called (``compile_goal``) by the same
-compiler with an empty frame: a runtime term is already a template
-without slots, which ``build`` returns unchanged.  Its conjunctions are
-flattened with bindings followed, and no code is generated for its
-arithmetic.  A running body is a ``(BODY, entries, index, frame)``
-marker in the continuation; its last entry continues with the caller's
-continuation, and a fact's body ``true`` is no entry at all.  Each
-entry owes one inference for its goal and one for each ``,`` the term
-would have taken apart just before it, so counts are those of running
-the goal as a term; the entries a variable goal is compiled into owe
-one inference less, since its own entry counted the goal itself.
+resolved: a predicate key, a builtin, cut, a dispatch, or a control
+construct.  Each goal's arguments are made by a builder, Python code
+generated for the shape of the goal (``terms.arg_builder``), as the
+WAM's put instructions are; the variables of the slots first met in a
+goal are made there, so no slot is read before its first goal has
+filled it.  A goal known only when it runs, such as a query, a hook
+goal, the goal of call/N or apply/2, or a variable body goal, is
+compiled when it is called (``compile_goal``) by the same compiler,
+with no frame (None): its entries hold its arguments as they are, and
+no code is generated for it.  Its conjunctions are flattened with
+bindings followed, and an atom goal's entries are made once.  A running
+body is a ``(BODY, entries, index, frame)`` marker in the continuation;
+its last entry continues with the caller's continuation, and a fact's
+body ``true`` is no entry at all.  Each entry owes one inference for
+its goal and one for each ``,`` the term would have taken apart just
+before it, so counts are those of running the goal as a term; the
+entries a variable goal is compiled into owe one inference less, since
+its own entry counted the goal itself.
 
 A goal's cut barrier is the height the choicepoint stack had when its
 clause was called, and ``!`` truncates the stack to that height; nothing
@@ -84,12 +88,17 @@ a copy builds at most as many compounds as inferences are left
 (``Solver.copy``).
 
 In a clause body, ``is/2`` and the arithmetic comparisons over clause
-variables, integers and ``+ - *`` compile to a function of the frame
-(``builtins.arith_evaluator``); ``X is E`` with a first occurrence of
-``X`` stores the value in the frame without a variable.  Where the
-function gives up (an unbound or non-integer operand, a result outside
-64 bits) the builtin runs on the built goal, so answers and error terms
-are the builtin's.
+variables, integers and ``+ - *`` compile to Python code of the frame,
+and each maximal run of such goals is one entry whose generated
+function runs them all (``builtins.ArithRun``), as a superoperator
+fuses a run of instructions.  It counts each goal's inferences before
+the goal, as the entries would, so a budget runs out at the same
+inference.  ``X is E`` with a first occurrence of ``X`` stores the
+value in the frame without a variable, and a run that fails clears
+those values.  Where the code gives up (an unbound or non-integer
+operand, a result outside 64 bits) the builtin runs on the built goal,
+so answers and error terms are the builtin's.  An if-then-else whose
+condition is such a comparison tests it with a run of its own.
 
 A dispatch is a call.  Its clauses are the implementation clauses of
 its winners, kept on their signatures, in the order of the report, and
@@ -127,7 +136,7 @@ from .builtins import (
     COMPARISONS,
     DETERMINISTIC,
     NONDETERMINISTIC,
-    arith_evaluator,
+    ArithRun,
 )
 from .dispatcher import dispatch, weighed, winner_calls
 from .errors import (
@@ -145,8 +154,8 @@ from .terms import (
     Slot,
     Struct,
     Var,
+    arg_builder,
     build,
-    build_args,
     make_list,
     proper_list,
     rename_term,
@@ -228,7 +237,7 @@ class Solver:
         While a solution is yielded its bindings are in place; an exhausted
         run leaves the store as it found it.
         """
-        return Run(self, store, (BODY, compile_goal(goal, store), 0, ()))
+        return Run(self, store, (BODY, compile_goal(goal, store), 0, None))
 
     def explain(self, scoring, store):
         """Run the context rules of a dispatch's goal-bearing candidates.
@@ -307,69 +316,52 @@ class Run:
                     kind = goal[0]
                     if kind is BODY:    # the next goal of a body
                         _, entries, k, frame = goal
-                        ticks, code, x, y, firsts = entries[k]
-                        for slot in firsts:     # see compile_body
-                            frame[slot] = None
+                        ticks, code, x, y = entries[k]
                         k += 1
                         if k < len(entries):
                             cont = ((BODY, entries, k, frame), barrier, cont)
+                        if code is E_ARITH:     # it counts its own inferences
+                            if x(solver, store, frame, tick):
+                                continue
+                            break
                         if ticks == 1:
                             tick()
                         else:   # ',' before the goal, or none owed
                             for _ in range(ticks):
                                 tick()
-                        if code is E_CALL:     # a frame of no slots builds nothing
-                            args = build_args(y, frame) if frame else y
+                        # y builds the arguments, but for a runtime goal,
+                        # whose frame is None and whose y holds them
+                        if code is E_CALL:
+                            args = y if frame is None else y(frame)
                             clauses = call_predicate(x, args, store)
                             mark, i, spared = None, 0, 0
                         elif code is C_DISPATCH:
-                            implicit, given, target = y
-                            scoring = dispatch(solver, store, build(implicit, frame),
-                                               build(given, frame), build(target, frame))
-                            if scoring[4]:  # goal-bearing rules to run first
+                            scoring = dispatch(solver, store,
+                                               *(y if frame is None else y(frame)))
+                            if scoring[4] is None:  # goal-bearing rules first
                                 cont = self._score(
                                     (SCORE, None, None, None, scoring, -1),
                                     ((CALL_WINNERS, scoring), 0, cont))
                                 continue
                             args, clauses = winner_calls(solver, scoring)
                             mark, i, spared = None, 0, 1
-                        elif code is E_IS:
-                            value = x(frame, deref)
-                            builtin, templates, out = y
-                            if value is None:
-                                if builtin(solver, store,
-                                           *build_args(templates, frame)):
-                                    continue
-                                break
-                            if frame[out] is None:  # a first occurrence
-                                frame[out] = value
-                                continue
-                            if unify(frame[out], value, store, occurs_check):
+                        elif code is E_DET:
+                            if x(solver, store, *(y if frame is None else y(frame))):
                                 continue
                             break
-                        elif code is E_COMPARE or code is C_IF:
-                            ok = x(frame, deref)
-                            if ok is None:  # the builtin on the built goal
-                                ok = y[0](solver, store, *build_args(y[1], frame))
-                            if code is E_COMPARE:
-                                if ok:
-                                    continue
-                                break
-                            for slot in y[4]:   # C_IF: ok picks the branch
+                        elif code is C_IF:    # the condition picks the branch
+                            ok = x(solver, store, frame, tick)
+                            for slot in y[2]:
                                 frame[slot.index] = Var(slot.name)
-                            cont = ((BODY, y[2] if ok else y[3], 0, frame),
+                            cont = ((BODY, y[0] if ok else y[1], 0, frame),
                                     barrier, cont)
                             continue
-                        elif code is E_DET:
-                            if x(solver, store, *build_args(y, frame)):
-                                continue
-                            break
                         elif code is C_CUT:
                             if len(cps) > barrier:
                                 self._cut(barrier)
                             continue
                         elif code is E_NONDET:  # a marker for its first answer
-                            args = build_args(y, frame)
+                            args = y if frame is None else y(frame)
                             mark = store.mark()
                             cont = ((GENERATOR, mark, store.watermark, cont,
                                      x(solver, store, *args)), 0, cont)
@@ -468,11 +460,11 @@ class Run:
         if code is C_CALL or code is E_VAR:
             if x is None:   # the goal of call/1, compiled with the clause
                 return (BODY, y, 0, frame), height, cont
-            goal = x(self.solver, store, *build_args(y, frame))
+            goal = x(self.solver, store, *(y if frame is None else y(frame)))
             if code is C_CALL:
-                return (BODY, compile_goal(goal, store), 0, ()), height, cont
+                return (BODY, compile_goal(goal, store), 0, None), height, cont
             # a variable goal, counted by its entry, keeps its clause's barrier
-            return (BODY, compile_goal(goal, store, 1), 0, ()), barrier, cont
+            return (BODY, compile_goal(goal, store, 1), 0, None), barrier, cont
         for slot in x:
             frame[slot.index] = Var(slot.name)
         first, second, third = y
@@ -510,7 +502,8 @@ class Run:
         if marker[0] is SCORED:
             _, height, sig, score, weights, frame = marker
             _, mark, _, _, scoring, k = cps[height]
-            scoring[3][k] = sig, weighed(store, score, build_args(weights, frame)), None
+            scoring[3][k] = sig, weighed(
+                store, score, [build(w, frame) for w in weights]), None
             store.undo_to(mark)
             self._cut(height)
         else:
@@ -618,22 +611,25 @@ def _apply_goal(solver, store, g, arglist):
 
 # -- compiled goals -----------------------------------------------------------
 
-# Kinds of goal entry, the second item of an entry (ticks, kind, x, y,
-# firsts); firsts are the indices of the slots first met in the goal,
-# cleared before it runs (see compile_body).  What x and y hold:
-#   E_CALL: predicate key, argument templates
-#   E_DET: builtin, argument templates
-#   E_IS: evaluator, (builtin, templates, index of the out slot)
-#   E_COMPARE: evaluator, (builtin, templates)
-#   E_NONDET: generator builtin, argument templates
-#   E_VAR: _call_goal, (goal template,); compiled when it runs
-#   C_CALL: goal maker, argument templates; or None, the entries of a
-#   call/1 goal compiled with the clause
-#   C_DISPATCH: None, (implicit context, given context, goal) templates
+# Kinds of goal entry, the second item of an entry (ticks, kind, x, y).
+# In a clause body, y holds a builder (``terms.arg_builder``) that makes
+# the goal's arguments from the frame; the goal's first occurrences get
+# their variables there, so no entry reads a slot before its first goal
+# has filled it.  In a goal compiled when it runs, y holds the arguments.
+#   E_CALL: predicate key, arguments
+#   E_DET: builtin, arguments
+#   E_ARITH: the function of a run of is/2 and comparisons
+#   (``builtins.ArithRun``), which counts its own inferences; ticks 0, y
+#   None
+#   E_NONDET: generator builtin, arguments
+#   E_VAR: _call_goal, (goal,); compiled when it runs
+#   C_CALL: goal maker, arguments; or None, the entries of a call/1 goal
+#   compiled with the clause
+#   C_DISPATCH: None, (implicit context, given context, goal)
 #   C_CUT, C_TRUE, C_FAIL: None, ()
-#   C_IF: evaluator, (builtin, templates, then entries, else entries,
-#   fresh slots), for an if-then-else whose condition is a comparison of
-#   slots met before it
+#   C_IF: the run of the condition, (then entries, else entries, fresh
+#   slots), for an if-then-else whose condition is a comparison of slots
+#   met before it
 # The other constructs: x holds the slots first met in the construct,
 # given fresh variables before it runs, and y its three parts, each goal
 # among them compiled into entries:
@@ -641,9 +637,9 @@ def _apply_goal(solver, store, g, arglist):
 #   C_FINDALL (goal, template, result), C_CATCH (goal, catcher, recovery)
 # \+ G runs as (G -> fail ; true) and forall(C, A) as \+ (C, \+ A), with
 # no inference for the parts that the term does not have.
-(E_CALL, E_DET, E_IS, E_COMPARE, E_NONDET, E_VAR, C_CALL, C_DISPATCH, C_CUT,
+(E_CALL, E_DET, E_ARITH, E_NONDET, E_VAR, C_CALL, C_DISPATCH, C_CUT,
  C_TRUE, C_FAIL, C_IF, C_ITE, C_DISJ, C_NOT, C_FINDALL, C_FORALL,
- C_CATCH) = range(20, 38)
+ C_CATCH) = range(20, 37)
 
 # the positions of the goals among a construct's parts, in compiled order
 _GOALS = {C_ITE: (0, 1, 2), C_DISJ: (0, 2), C_NOT: (0,), C_FINDALL: (0,),
@@ -666,6 +662,7 @@ _BUILTINS = {
     **{key: (E_NONDET, gen) for key, gen in NONDETERMINISTIC.items()},
     **{key: (E_DET, builtin) for key, builtin in DETERMINISTIC.items()},
 }
+_ARITH = {"is", *COMPARISONS}
 
 
 def compile_body(body, heads):
@@ -675,10 +672,8 @@ def compile_body(body, heads):
     value once the head has matched.  Each entry owes one inference for
     its goal and one for each ``,`` the term would have taken apart just
     before it, so the counts are those of running the body as a term.
-    An entry ends with the slots first met in its goal, cleared before it
-    runs: after backtracking such a slot may hold an ``is/2`` value or a
-    variable made since the choicepoint, whose binding was not trailed.
-    Once a body has passed a slot's first goal the slot holds a value.
+    Each maximal run of is/2 and comparisons whose expressions compile is
+    one E_ARITH entry.
     """
     if body is TRUE:
         return ()
@@ -693,9 +688,21 @@ def compile_goal(goal, store, counted=0):
     Bindings are followed where goals are taken apart, and a variable
     still unbound becomes a variable goal; no code is generated.
     ``counted`` is 1 for a variable goal, whose own inference its entry
-    has counted.
+    has counted.  The entries of an atom goal are made once.
     """
+    if type(goal) is Atom:
+        key = goal, counted
+        found = _ATOM_GOALS.get(key)
+        if found is None:
+            if len(_ATOM_GOALS) >= _ATOMS_KEPT:
+                _ATOM_GOALS.clear()
+            found = _ATOM_GOALS[key] = _compile(goal, None, None, 0, -counted)
+        return found
     return _compile(goal, None, store.deref, 0, -counted)
+
+
+_ATOM_GOALS = {}        # (atom, counted) -> its entries
+_ATOMS_KEPT = 512
 
 
 def _compile(body, seen, deref, depth, commas=0):
@@ -705,6 +712,7 @@ def _compile(body, seen, deref, depth, commas=0):
     among them, compiles the goals past them when it gets there.
     """
     entries = []
+    run = ArithRun() if seen is not None else None
     stack = [body]
     while stack:
         goal = stack.pop()
@@ -718,10 +726,20 @@ def _compile(body, seen, deref, depth, commas=0):
             commas += 1
             stack += reversed(goal.args)
             continue
-        entries.append(_compile_goal(goal, commas + 1, seen, deref, depth))
-        commas = 0
+        ticks, commas = commas + 1, 0
+        if run is not None:
+            if (type(goal) is Skeleton and goal.functor in _ARITH
+                    and len(goal.args) == 2
+                    and run.add(ticks, (goal.functor, 2), goal.args, seen)):
+                continue
+            if run:
+                entries.append((0, E_ARITH, run.function(), None))
+                run = ArithRun()
+        entries.append(_compile_goal(goal, ticks, seen, deref, depth))
+    if run:
+        entries.append((0, E_ARITH, run.function(), None))
     for goal in reversed(stack):    # the goals past a chunk, if any
-        entries.append((commas + 1, E_VAR, _call_goal, (goal,), ()))
+        entries.append((commas + 1, E_VAR, _call_goal, (goal,)))
         commas = 0
     return tuple(entries)
 
@@ -734,28 +752,27 @@ def _compile_goal(goal, ticks, seen, deref, depth):
         key, args = (goal.name, 0) if cls is Atom else None, ()
     code, op = _BUILTINS.get(key) or (E_CALL, key)
     if code is E_CALL and key is not None:
-        return ticks, E_CALL, key, args, _firsts(goal, seen)
+        return ticks, E_CALL, key, _put(args, seen)
     if key is None or (code in _GOALS and depth >= NESTING_LIMIT):
         # a variable, no callable term, or a construct nested too deep to
         # compile on the Python stack
-        return ticks, E_VAR, _call_goal, (goal,), _firsts(goal, seen)
+        return ticks, E_VAR, _call_goal, _put((goal,), seen)
     if code in _GOALS:
         return _compile_construct(code, args, ticks, seen, deref, depth + 1)
     if key == ("call", 1) and depth < NESTING_LIMIT:
         called = args[0] if deref is None else deref(args[0])
         if type(called) in (Skeleton, Struct, Atom):
-            return ticks, C_CALL, None, _compile(called, seen, deref, depth + 1), ()
-    if code is E_DET and seen is not None:
-        if key[0] in COMPARISONS and key[1] == 2:
-            evaluator = arith_evaluator(args, seen, key[0])
-            if evaluator is not None:
-                return ticks, E_COMPARE, evaluator, (op, args), _firsts(goal, seen)
-        elif key == ("is", 2) and type(args[0]) is Slot:
-            evaluator = arith_evaluator(args[1:], seen)
-            if evaluator is not None:
-                return (ticks, E_IS, evaluator, (op, args, args[0].index),
-                        _firsts(goal, seen))
-    return ticks, code, op, args, _firsts(goal, seen)
+            return ticks, C_CALL, None, _compile(called, seen, deref, depth + 1)
+    if code is C_CUT or code is C_TRUE or code is C_FAIL:
+        return ticks, code, None, ()
+    return ticks, code, op, _put(args, seen)
+
+
+def _put(templates, seen):
+    """A goal's arguments as its entry holds them: a builder in a clause
+    body, which adds the goal's slots to seen, or the terms themselves at
+    run time."""
+    return templates if seen is None else arg_builder(templates, seen)
 
 
 def _compile_construct(code, args, ticks, seen, deref, depth):
@@ -771,9 +788,13 @@ def _compile_construct(code, args, ticks, seen, deref, depth):
     elif code is C_FINDALL:
         args = args[1], args[0], args[2]
     cond = args[0]      # a comparison of known slots needs no choicepoint
-    test = (code in (C_ITE, C_NOT) and seen is not None
+    test = None
+    if (code in (C_ITE, C_NOT) and seen is not None
             and type(cond) in (Skeleton, Struct) and cond.functor in COMPARISONS
-            and len(cond.args) == 2 and arith_evaluator(cond.args, seen, cond.functor))
+            and len(cond.args) == 2):
+        run = ArithRun()
+        if run.add(0, (cond.functor, 2), cond.args, seen):
+            test = run.function()
     fresh = _note_slots(args, seen)
     goals = _GOALS[code]
     parts = [_compile(a, seen, deref, depth) if i in goals else a
@@ -781,36 +802,34 @@ def _compile_construct(code, args, ticks, seen, deref, depth):
     if code is C_NOT:
         code, parts = C_ITE, [parts[0], _QUIET_FAIL, _QUIET_TRUE]
     elif code is C_FORALL:
-        inner = 0, C_ITE, (), (parts[1], _QUIET_FAIL, _QUIET_TRUE), ()
+        inner = 0, C_ITE, (), (parts[1], _QUIET_FAIL, _QUIET_TRUE)
         code, parts = C_ITE, [parts[0] + (inner,), _QUIET_FAIL, _QUIET_TRUE]
     if test:
-        builtin = DETERMINISTIC[(cond.functor, 2)]
-        return ticks + 1, C_IF, test, (builtin, cond.args, *parts[1:], fresh), ()
-    return ticks, code, fresh, tuple(parts), ()
+        return ticks + 1, C_IF, test, (*parts[1:], fresh)
+    return ticks, code, fresh, tuple(parts)
 
 
 def _note_slots(templates, seen):
-    """Add the slots of templates to seen; those that were not, in order."""
+    """Add the slots of templates to seen; those that were not, in order.
+    A skeleton met again, shared by the templates, is not walked again."""
     firsts = []
+    walked = set()
     stack = list(templates) if seen is not None else ()
     while stack:
         t = stack.pop()
-        if type(t) is Slot and t.index not in seen:
-            seen.add(t.index)
-            firsts.append(t)
-        elif type(t) is Skeleton:
+        if type(t) is Slot:
+            if t.index not in seen:
+                seen.add(t.index)
+                firsts.append(t)
+        elif type(t) is Skeleton and id(t) not in walked:
+            walked.add(id(t))
             stack.extend(t.args)
     return tuple(firsts)
 
 
-def _firsts(goal, seen):
-    return () if seen is None else tuple(
-        [slot.index for slot in _note_slots((goal,), seen)])
-
-
 _TRUE = _compile(TRUE, None, None, 0)
-_QUIET_TRUE = ((0, C_TRUE, None, (), ()),)
-_QUIET_FAIL = ((0, C_FAIL, None, (), ()),)
+_QUIET_TRUE = ((0, C_TRUE, None, ()),)
+_QUIET_FAIL = ((0, C_FAIL, None, ()),)
 
 
 BOOTSTRAP = """

@@ -13,13 +13,14 @@ Lists are compounds of ``'.'/2`` terminated by the atom ``[]``.
 Stored clauses and signatures are used through templates
 (``compile_terms``): a clause head is matched with runtime terms in place
 by code generated for its shape (``head_matcher``, with ``match_args`` for
-what lies beyond its caps), and ``build`` makes the runtime copy of a
-template.  Generated code, head matchers and the arithmetic of
-``builtins``, is compiled once per source text (``compile_source``).
-``resolve``,
-``rename_term`` and ``compile_terms`` copy through one iterative walk
-that shares what it leaves unchanged, and in which a list counts as one
-level of nesting, whatever its length.
+what lies beyond its caps), a body goal's arguments are made by code
+generated for the goal's shape (``arg_builder``), and ``build`` makes the
+runtime copy of any template.  Generated code, head matchers, argument
+builders and the arithmetic of ``builtins``, is compiled once per source
+text (``compile_source``).  ``resolve``, ``rename_term`` and
+``compile_terms`` copy through one iterative walk that shares what it
+leaves unchanged, and in which a list counts as one level of nesting,
+whatever its length.
 
 No walk here recurses in Python: each keeps its own stack, so the depth
 of a term is bounded by ``RESOLVE_DEPTH_LIMIT`` or by the template it
@@ -616,11 +617,11 @@ def head_matcher(templates):
     enumerates.
 
     Heads of one shape share one generated function, found by the shape
-    alone (``_head_shape``), so the source is generated once per shape; the
+    alone (``_shape``), so the source is generated once per shape; the
     function's ``make(templates)`` reads the constants, functors and
     variable names of each head from its templates.
     """
-    shape = _head_shape(templates)
+    shape = _shape(templates)
     make = _HEAD_MAKERS.get(shape)
     if make is None:
         make = compile_source(_HeadCode(templates).source())
@@ -634,12 +635,14 @@ def head_matcher(templates):
 _HEAD_MAKERS = {}       # head shape -> the make function of its matcher
 
 
-def _head_shape(templates):
-    """What the matcher code of templates depends on, in a flat tuple.
+def _shape(templates, known=None, firsts=None):
+    """What the generated code of templates depends on, in a flat tuple.
 
-    The templates in prefix order: a slot by its index, a skeleton by its
-    arity negated, any other node by its type.  None for a head of more
-    than ``_SHAPE_NODES`` nodes, which is not looked up by its shape.
+    The templates in prefix order: a slot by its index, after ``Slot``
+    if it is not in ``known`` (a builder's shape), a skeleton by its arity
+    negated, any other node by its type.  The slots not in ``known`` are
+    appended to the list ``firsts`` as they are first met.  None for more
+    than ``_SHAPE_NODES`` nodes, which are not looked up by their shape.
     """
     shape = [len(templates)]
     stack = list(reversed(templates))
@@ -649,6 +652,10 @@ def _head_shape(templates):
         t = stack.pop()
         cls = type(t)
         if cls is Slot:
+            if known is not None and t.index not in known:
+                shape.append(Slot)
+                if t not in firsts:
+                    firsts.append(t)
             shape.append(t.index)
         elif cls is Skeleton:
             shape.append(-len(t.args))
@@ -658,41 +665,55 @@ def _head_shape(templates):
     return tuple(shape)
 
 
-class _HeadCode:
-    """The source of a head matcher, generated from head templates.
+class _TemplateCode:
+    """Generated source whose parameters are read from templates.
 
-    Each parameter ``pN`` of the matcher is read from the templates ``T``
-    through a path (``T[1].args[0].functor``) when ``make(T)`` runs, so
-    the source names no constant of the head.  ``known`` holds the slots
-    that have a value at the point of the code being written; ``nodes`` is
-    what is left of the ``MATCH_NODES`` budget.  Each term met gets a local
-    of its own, ``x1``, ``x2``...
+    Each parameter ``pN`` is read from the templates ``T`` through a path
+    (``T[1].args[0].functor``) when ``make`` runs, so the source names no
+    constant of a clause.  ``known`` holds the slots that have a value at
+    the point of the code being written; ``nodes`` is what is left of the
+    ``MATCH_NODES`` budget.
     """
 
-    __slots__ = ("lines", "params", "known", "nodes", "names")
+    __slots__ = ("lines", "params", "known", "nodes")
 
-    def __init__(self, templates):
+    def __init__(self, known):
         self.lines = []
         self.params = {}    # path -> name
-        self.known = set()
+        self.known = known
         self.nodes = MATCH_NODES
-        self.names = 0
-        self.siblings(templates, "T", "args", False, 2)
-        self.lines.append("        return True")
-
-    def source(self):
-        params = "".join("    %s = %s\n" % (name, path)
-                         for path, name in self.params.items())
-        body = "\n".join(self.lines)
-        return ("def make(T):\n%s"
-                "    def match(args, frame, store, occurs_check):\n"
-                "%s\n    return match\n") % (params, body)
 
     def param(self, path):
         name = self.params.get(path)
         if name is None:
             name = self.params[path] = "p%d" % len(self.params)
         return name
+
+    def make_source(self, arguments, function):
+        """``make(arguments)``, which returns the generated ``function``."""
+        params = "".join("    %s = %s\n" % (name, path)
+                         for path, name in self.params.items())
+        return "def make(%s):\n%s    def %s:\n%s\n    return %s\n" % (
+            arguments, params, function, "\n".join(self.lines),
+            function.split("(")[0])
+
+
+class _HeadCode(_TemplateCode):
+    """The source of a head matcher, generated from head templates.
+
+    Each term met gets a local of its own, ``x1``, ``x2``...
+    """
+
+    __slots__ = ("names",)
+
+    def __init__(self, templates):
+        super().__init__(set())
+        self.names = 0
+        self.siblings(templates, "T", "args", False, 2)
+        self.lines.append("        return True")
+
+    def source(self):
+        return self.make_source("T", "match(args, frame, store, occurs_check)")
 
     def emit(self, indent, line):
         self.lines.append("    " * indent + line)
@@ -718,7 +739,7 @@ class _HeadCode:
             rest = self.param("%s[%d:]" % (path, j))
             self.fail_unless(indent, "match_args(%s, %s[%d:], frame, store, "
                              "occurs_check)" % (rest, container, j))
-            self.known.update(_slots_of(subs[j:]))
+            self.known.update(_slot_indices(subs[j:]))
 
     def one(self, sub, path, x, nested, indent):
         """Match the template sub, at path, with the term in the local x."""
@@ -734,7 +755,7 @@ class _HeadCode:
         if cls is Skeleton and (nested or len(sub.args) > self.nodes):
             self.fail_unless(indent, "match_args(%s, (%s,), frame, store, "
                              "occurs_check)" % (self.param("(%s,)" % path), x))
-            self.known.update(_slots_of((sub,)))
+            self.known.update(_slot_indices((sub,)))
             return
         self.emit(indent, "while type({0}) is Var and {0}.owner is store: "
                           "{0} = {0}.ref".format(x))
@@ -803,26 +824,15 @@ class _HeadCode:
         self.emit(indent, "store.bind(%s, %s)" % (x, built))
 
 
-def _slots_of(templates):
-    """The indices of the slots in templates."""
-    found = set()
-    stack = list(templates)
-    while stack:
-        t = stack.pop()
-        if type(t) is Slot:
-            found.add(t.index)
-        elif type(t) is Skeleton:
-            stack.extend(t.args)
-    return found
-
-
 def build(template, frame):
     """The term a template stands for, given the slot values in frame.
 
     A slot with no value yet gets a fresh variable named after the clause
     variable, which later occurrences share.  A skeleton inside a skeleton
     waits on a stack, with its arguments built so far, in place of
-    recursion.
+    recursion, and a skeleton met again, shared by the template, gives the
+    term already built for it, so a template whose skeletons are shared is
+    built in time linear in its size.
     """
     cls = type(template)
     if cls is Slot:
@@ -834,6 +844,7 @@ def build(template, frame):
         return template
     todo, args = iter(template.args), []
     stack = None    # the skeletons above: (skeleton, args built, args to build)
+    built = None    # id of an inner skeleton built -> its term
     while True:
         for sub in todo:
             cls = type(sub)
@@ -843,6 +854,10 @@ def build(template, frame):
                     value = frame[sub.index] = Var(sub.name)
                 args.append(value)
             elif cls is Skeleton:
+                term = None if built is None else built.get(id(sub))
+                if term is not None:
+                    args.append(term)
+                    continue
                 if stack is None:
                     stack = []
                 stack.append((template, args, todo))
@@ -854,6 +869,9 @@ def build(template, frame):
             term = new_struct(template.functor, tuple(args))
             if not stack:
                 return term
+            if built is None:
+                built = {}
+            built[id(template)] = term
             template, args, todo = stack.pop()
             args.append(term)
 
@@ -868,27 +886,103 @@ def _bind_built(var, template, frame, store, occurs_check):
     return True
 
 
+def arg_builder(templates, known):
+    """A function ``put(frame) -> tuple``: the terms the templates stand
+    for, such as a body goal's arguments, as ``build`` would make them.
+
+    ``known`` holds the indices of the slots that have a value when the
+    function runs; the others are met first here, and each gets its
+    variable, in the order in which ``build`` would make them, with no
+    test of the frame.  They are added to ``known``, since the function
+    has set them when it returns.  The code is generated for the shape of
+    the templates, as the WAM's put instructions specialise a goal
+    (``_PutCode``), and shared by every goal of that shape; a skeleton
+    nested deeper than ``PUT_DEPTH`` levels, or beyond ``MATCH_NODES``
+    nodes, is made by ``build``.
+    """
+    firsts = []
+    shape = _shape(templates, known, firsts)
+    if shape is None:   # too large: the slots are found without the shape
+        firsts = _first_slots(templates, known)
+    make = _PUT_MAKERS.get(shape)
+    if make is None:
+        make = compile_source(_PutCode(templates, known, firsts).source())
+        if shape is not None:
+            if len(_PUT_MAKERS) >= _CACHED:
+                _PUT_MAKERS.clear()
+            _PUT_MAKERS[shape] = make
+    known.update([slot.index for slot in firsts])
+    return make(templates, tuple(firsts))
+
+
+PUT_DEPTH = 8
+_PUT_MAKERS = {}        # goal shape -> the make function of its builder
+
+
+def _first_slots(templates, known=()):
+    """The slots of templates not in known, in the order of their first
+    occurrence; a skeleton met again, shared by the templates, is not
+    walked again."""
+    firsts = []
+    met = set()
+    walked = set()
+    stack = list(reversed(templates))
+    while stack:
+        t = stack.pop()
+        if type(t) is Slot:
+            if t.index not in known and t.index not in met:
+                met.add(t.index)
+                firsts.append(t)
+        elif type(t) is Skeleton and id(t) not in walked:
+            walked.add(id(t))
+            stack.extend(reversed(t.args))
+    return tuple(firsts)
+
+
+def _slot_indices(templates):
+    return {slot.index for slot in _first_slots(templates)}
+
+
+class _PutCode(_TemplateCode):
+    """The source of a goal's argument builder, generated from templates.
+
+    ``make(T, F)`` reads its parameters from the templates ``T``; ``F``
+    holds the slots met first, whose variables the builder makes before
+    it builds anything.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, templates, known, firsts):
+        super().__init__(known)
+        self.lines = ["        s%d = frame[%d] = Var(F[%d].name)"
+                      % (slot.index, slot.index, j) for j, slot in enumerate(firsts)]
+        terms = [self.term(t, "T[%d]" % j, 0) for j, t in enumerate(templates)]
+        self.lines.append("        return (%s)" % "".join(t + ", " for t in terms))
+
+    def source(self):
+        return self.make_source("T, F", "put(frame)")
+
+    def term(self, t, path, depth):
+        """The expression of the template t, at path."""
+        cls = type(t)
+        if cls is Slot:
+            return ("frame[%d]" if t.index in self.known else "s%d") % t.index
+        if cls is not Skeleton:
+            return self.param(path)
+        if depth >= PUT_DEPTH or len(t.args) > self.nodes:
+            return "build(%s, frame)" % self.param(path)
+        self.nodes -= len(t.args)
+        args = [self.term(a, "%s.args[%d]" % (path, j), depth + 1)
+                for j, a in enumerate(t.args)]
+        return "new_struct(%s, (%s))" % (self.param(path + ".functor"),
+                                         "".join(a + ", " for a in args))
+
+
 # the globals of generated code
 _GENERATED_NAMES = {"Var": Var, "Struct": Struct, "new_struct": new_struct,
-                    "unify": unify, "occurs_in": occurs_in,
+                    "unify": unify, "occurs_in": occurs_in, "build": build,
                     "match_args": match_args, "_bind_built": _bind_built}
-
-
-def build_args(templates, frame):
-    """``build`` over a tuple of templates, such as a goal's arguments."""
-    args = []
-    for sub in templates:   # slots and ground arguments without a call
-        cls = type(sub)
-        if cls is Slot:
-            value = frame[sub.index]
-            if value is None:
-                value = frame[sub.index] = Var(sub.name)
-            args.append(value)
-        elif cls is Skeleton:
-            args.append(build(sub, frame))
-        else:
-            args.append(sub)
-    return tuple(args)
 
 
 def make_list(items, tail=NIL):

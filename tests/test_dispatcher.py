@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, strategies as st
 
-from mdprolog import BudgetExceeded, Engine, PrologThrow, solver
+from mdprolog import BudgetExceeded, Engine, PrologThrow, dispatcher, solver
 from mdprolog.dispatcher import updated_context
 from mdprolog.terms import Atom, BindingStore, Struct, Var, make_list, proper_list
 
@@ -103,8 +103,9 @@ class TestCandidates:
         engine.consult_text("[t: T] :- writeln(two).", filename="two")
         engine.consult_text("[] # p(b).", filename="one")
         _, report = engine.explain("[t: 1] ? p(X)")
+        # candidates in definition order, named and anonymous alike
         assert [(sig.label(), score) for sig, score, _ in report] == \
-            [("p/1(#12)", 0), ("$anonymous_rule(#10)", 1)]
+            [("$anonymous_rule(#10)", 1), ("p/1(#12)", 0)]
         assert len(engine.query("[t: 1] ? p(X)")) == 1
         assert engine.out.getvalue() == "two\n"
 
@@ -125,6 +126,15 @@ class TestCandidates:
         assert [s.render("X") for s in engine.query("[t: 1] ? p(X)")] == ["b"]
         assert engine.out.getvalue() == "one\n"
 
+    def test_named_and_anonymous_candidates_mix_in_definition_order(self):
+        engine = Engine(prelude=False)
+        engine.consult_text("""
+            [predicate: g(X)] :- X = anon.
+            [] # g(named).
+        """)
+        assert [s.render("X") for s in engine.query("[] ? g(X)")] == \
+            ["anon", "named"]
+
     def test_a_dispatch_of_the_anonymous_name_runs_each_rule_once(self):
         # anonymous signatures are kept under their own name, so its
         # candidates must not add them a second time
@@ -132,6 +142,76 @@ class TestCandidates:
         engine.consult_text("[t: T] :- writeln(T).")
         assert len(engine.query("[t: 1] ? '$anonymous_rule'")) == 1
         assert engine.out.getvalue() == "1\n"
+
+
+class TestShapeCache:
+    """The dimension checks of a dispatch are cached per predicate and set
+    of context names."""
+
+    PROGRAM = """
+        [mode: M] # p(moded).
+        [] # p(plain).
+        [mode: fast, ok @ 1] # p(fast).
+        ok.
+    """
+
+    def reports(self, engine, query):
+        _, report = engine.explain(query)
+        return [(sig.label(), score, reason) for sig, score, reason in report]
+
+    def test_a_hit_reports_and_answers_as_the_miss_did(self, monkeypatch):
+        engine = Engine(prelude=False, trace_dispatch=True, err=io.StringIO())
+        engine.consult_text(self.PROGRAM)
+        queries = ["[mode: fast] ? p(X)", "[mode: slow] ? p(X)", "[] ? p(X)",
+                   "[other: 1] ? p(X)"]
+        first = [(self.reports(engine, q), answers(engine, q)) for q in queries]
+        trace = engine.err.getvalue()
+        scored = []
+        score = dispatcher.score_signature
+        monkeypatch.setattr(dispatcher, "score_signature",
+                            lambda *args: scored.append(args[2]) or score(*args))
+        engine.err = io.StringIO()
+        assert [(self.reports(engine, q), answers(engine, q))
+                for q in queries] == first
+        assert engine.err.getvalue() == trace
+        assert scored == []
+        assert first[0][0] == [("p/1(#6)", 1, None), ("p/1(#8)", 0, None),
+                               ("p/1(#10)", 2, None)]
+        assert first[1][0][2] == ("p/1(#10)", None, "context rules failed")
+        assert first[0][1] == ["fast"]
+        assert first[3][1] == ["plain"]
+
+    def test_a_consult_that_adds_or_removes_a_signature_drops_it(self):
+        engine = Engine(prelude=False)
+        engine.consult_text("[] # p(a).", filename="one")
+        assert answers(engine, "[] ? p(X)") == ["a"]
+        assert engine.kb.scorings("p", 1)[0]
+        engine.consult_text("[] # p(b).", filename="two")
+        assert engine.kb.scorings("p", 1) == ({}, {})
+        assert answers(engine, "[] ? p(X)") == ["a", "b"]
+        engine.consult_text("[] :- true.", filename="three")
+        assert answers(engine, "[] ? p(X)") == ["a", "b", "X"]
+        engine.consult_text("q.", filename="two")
+        assert answers(engine, "[] ? p(X)") == ["a", "X"]
+        engine.consult_text("q.", filename="three")
+        assert answers(engine, "[] ? p(X)") == ["a"]
+        copy = engine.kb.copy()
+        assert copy.scorings("p", 1) == ({}, {})
+
+    def test_it_stays_bounded(self):
+        engine = Engine(prelude=False)
+        engine.consult_text("[] # p(a).")
+        for i in range(dispatcher.SHAPES_KEPT * 3):
+            assert answers(engine, "[d%d: 1] ? p(X)" % i) == ["a"]
+            assert len(engine.kb.scorings("p", 1)[0]) <= dispatcher.SHAPES_KEPT
+        # the cached reports share the candidate's one entry
+        reports = [report for report, _ in engine.kb.scorings("p", 1)[0].values()]
+        assert len(reports) > 1
+        assert len({id(report[0]) for report in reports}) == 1
+
+
+def answers(engine, query):
+    return [s.render("X") for s in engine.query(query)]
 
 
 class TestScoring:
@@ -393,8 +473,9 @@ class TestContextRules:
         engine.explain("[d: 5] ? p(R)")
         double, big, _ = engine.kb.signatures_for("p", 1)
         kinds = [[entry[1] for entry in sig.compiled[0]] for sig in (double, big)]
-        assert kinds == [[solver.E_NONDET, solver.E_IS],
-                         [solver.E_NONDET, solver.E_COMPARE]]
+        # is/2 and a comparison each make a run of arithmetic
+        assert kinds == [[solver.E_NONDET, solver.E_ARITH],
+                         [solver.E_NONDET, solver.E_ARITH]]
 
     def test_a_hook_call_counts_one_inference(self):
         # the call of the hook's goal, its clause and the fact's body true,

@@ -11,7 +11,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdprolog import BudgetExceeded, Engine, PrologThrow, solver, terms
+from mdprolog import BudgetExceeded, Engine, PrologThrow, kb, solver, terms
 from mdprolog.reader import parse_term
 from mdprolog.render import render
 from mdprolog.terms import (NIL, Atom, BindingStore, MdpError, Var, compare_terms,
@@ -492,6 +492,23 @@ class TestClauseSelection:
         assert answers(engine, "q(a, 2, V)", "V") == ["y"]
         assert engine.solver.inferences == 3
 
+    def test_whether_a_position_splits_is_kept_until_a_write(self, engine,
+                                                             monkeypatch):
+        engine.consult_text(":- dynamic(q/3).\nq(a, 1, x). q(a, 2, y).")
+        assert answers(engine, "q(a, 2, V)", "V") == ["y"]
+        calls = []
+        splits = kb.ArgGroups.splits
+        monkeypatch.setattr(kb.ArgGroups, "splits",
+                            lambda group: calls.append(group.pos) or splits(group))
+        for _ in range(3):
+            assert answers(engine, "q(a, 1, V)", "V") == ["x"]
+        assert calls == []
+        # the write makes position 0 split, and the next call keys on it
+        assert engine.run("assertz(q(b, 1, z))")
+        assert calls
+        assert answers(engine, "q(b, X, V)", "V") == ["z"]
+        assert engine.solver.inferences == 3
+
     def test_a_list_argument_is_not_keyed_by_its_elements(self, engine):
         engine.consult_text(NREV)
         assert engine.run("nrev([%s], R)" % ", ".join(map(str, range(300))))
@@ -616,6 +633,28 @@ class TestHeadUnification:
         engine.consult_text("ok(%s). ok(%s)."
                             % (nested_text(40), make_list_text(range(60))))
         assert len(engine.query("ok(X)")) == 2
+
+
+    def test_a_shared_skeleton_is_walked_once(self):
+        # T is a tree of 2**24 leaves whose subterms are shared: asserting
+        # it, compiling the clause and building its head walk each once
+        script = DAG_SCRIPT % 24
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.stdout == "ok\n", proc.stderr
+
+
+DAG_SCRIPT = """
+import time
+from mdprolog import Engine
+engine = Engine(prelude=False)
+engine.consult_text("dagv(0, g(_)) :- !.\\n"
+                    "dagv(N, f(T, T)) :- N1 is N - 1, dagv(N1, T).")
+start = time.monotonic()
+assert engine.run("dagv(%d, T), assertz(k(T)), k(C)")
+assert time.monotonic() - start < 1
+print("ok")
+"""
 
 
 def nested_text(depth):
@@ -802,6 +841,19 @@ class TestCompiledBodies:
             ["error(%s, mdprolog)" % error]
         assert engine.solver.inferences == count
 
+    def test_an_atom_goal_compiles_once(self, engine):
+        store = BindingStore()
+        for atom in (Atom("true"), Atom("fail"), Atom("nothing")):
+            for counted in (0, 1):
+                first = solver.compile_goal(atom, store, counted)
+                assert solver.compile_goal(atom, store, counted) is first
+        assert solver.compile_goal(Atom("true"), store, 1) != \
+            solver.compile_goal(Atom("true"), store, 0)
+        engine.consult_text("m(G) :- call(G).\nv(G) :- G.")
+        for _ in range(2):
+            assert engine.run("m(true), v(true), \\+ m(fail), \\+ v(fail)")
+            assert engine.solver.inferences == 19
+
     def test_deeply_nested_constructs_compile_a_piece_at_a_time(self, engine):
         goal = "\\+ " * 3000 + "fail"
         engine.consult_text("d :- %s." % goal)
@@ -901,6 +953,58 @@ class TestCompiledBodies:
         assert answers(engine, "m(X)", "X") == ["3.5"]
         assert answers(engine, "f(X)", "X") == ["5.0"]
         assert answers(engine, "z(X)", "X") == ["yes"]
+
+    def test_a_run_of_arithmetic_is_one_entry(self, engine):
+        engine.consult_text("""
+            r(A, X) :- A > 0, B is A + 1, (B > 9 -> X = big ; X = small),
+                C is B * 2, C =\\= 3, X \\== none.
+        """)
+        assert answers(engine, "r(4, X)", "X") == ["small"]
+        _, body, _, _ = engine.kb.clauses_for(("r", 2))[0].compiled
+        assert [entry[1] for entry in body] == [
+            solver.E_ARITH, solver.C_IF, solver.E_ARITH, solver.E_DET]
+
+    def test_a_budget_that_runs_out_inside_a_run_stops_at_its_inference(self):
+        # the run counts its goals' inferences one at a time, as the goals
+        # would; nothing after the inference that exceeds the budget runs
+        program = ("r(A) :- A > 0, B is A + 1, C is B * 2, C > 3, "
+                   "writeln(C).\n")
+        plain = Engine(prelude=False, out=io.StringIO())
+        plain.consult_text(program)
+        assert plain.run("r(5)")
+        total = plain.solver.inferences
+        # the same goals as a term: one more for the call of A = 5, one
+        # fewer for the clause
+        assert plain.run("A = 5, (A > 0, B is A + 1, C is B * 2, C > 3, "
+                         "writeln(C))")
+        assert plain.solver.inferences == total
+        for budget in range(1, total + 1):
+            engine = Engine(prelude=False, budget=budget, out=io.StringIO())
+            engine.consult_text(program)
+            if budget < total:
+                with pytest.raises(BudgetExceeded):
+                    engine.run("r(5)")
+                assert engine.solver.inferences == budget + 1
+                assert engine.out.getvalue() == ""
+            else:
+                assert engine.run("r(5)")
+                assert engine.out.getvalue() == "12\n"
+
+    @pytest.mark.parametrize("b", [1, 2.5])
+    def test_a_failed_run_leaves_no_first_occurrence_value(self, engine, b):
+        # with 2.5 the comparison runs as the builtin, and fails there
+        engine.consult_text("t(A, B) :- X is A + 1, Y is X * 2, Y < B.")
+        assert not engine.run("t(1, %s)" % b)
+        _, body, size, _ = engine.kb.clauses_for(("t", 2))[0].compiled
+        [(_, kind, run, _)] = body
+        assert kind is solver.E_ARITH
+        frame = [1, b] + [None] * (size - 2)
+        store = BindingStore()
+        assert not run(engine.solver, store, frame, engine.solver.tick)
+        assert frame == [1, b, None, None]
+        frame = [1, 5] + [None] * (size - 2)
+        assert run(engine.solver, store, frame, engine.solver.tick)
+        assert frame == [1, 5, 2, 4]
 
     @settings(max_examples=150, deadline=None)
     @given(EXPRESSIONS, EXPRESSIONS,

@@ -15,6 +15,7 @@ from mdprolog.terms import (
     Slot,
     Struct,
     Var,
+    arg_builder,
     build,
     compare_terms,
     compile_terms,
@@ -460,6 +461,42 @@ class TestTemplates:
         assert not matchers[18]((17, Var("W")), [], store, False)
         assert not matchers[17]((17.0, Var("W")), [], store, False)
 
+    def test_builders_agree_with_build_beyond_their_caps(self):
+        xs = [Var("X%d" % i) for i in range(100)]
+        deep = xs[0]
+        for i in range(50):
+            deep = Struct("f", (deep, xs[i % 7]))
+        shared = Struct("g", (xs[1], xs[2]))
+        for _ in range(8):      # 2**8 leaves, shared
+            shared = Struct("s", (shared, shared))
+        goal = Struct("q", (make_list(xs), deep, xs[3], shared, Atom("a")))
+        (head, body), size = compile_terms((Struct("p", (xs[3],)), goal))
+        known = {head.args[0].index}
+        for args in (body.args, body.args[1:], body.args[::-1]):
+            frame = [None] * size
+            frame[head.args[0].index] = Atom("v")
+            put_frame = list(frame)
+            built = arg_builder(args, set(known))(put_frame)
+            expected = tuple(build(t, frame) for t in args)
+            assert same_answer(Struct("r", built), Struct("r", expected),
+                               set(), {})
+            # the same slots get variables, made in the same order
+            assert made_order(put_frame) == made_order(frame)
+
+    def test_goals_of_one_shape_share_one_builder(self):
+        x = Var("X")
+        builders = []
+        for k in range(50):
+            (head, body), _ = compile_terms((
+                Struct("p", (x,)), Struct("q", (Struct("f", (k, x)), Atom("a%d" % k),
+                                                Var("Y")))))
+            builders.append(arg_builder(body.args, {head.args[0].index}))
+        assert len({put.__code__ for put in builders}) == 1
+        frame = [7, None]
+        built = builders[17](frame)
+        assert built[0].args == (17, 7) and built[1] is Atom("a17")
+        assert built[2] is frame[1] and built[2].name == "Y"
+
     def test_generated_code_nests_within_the_cap(self):
         f = Var("F")
         for _ in range(50):
@@ -475,6 +512,12 @@ class TestTemplates:
             # shares its line
             indents = {(len(line) - len(line.lstrip())) // 4 for line in lines}
             assert max(indents) <= 3
+
+
+def made_order(frame):
+    """The slots that hold a variable, oldest variable first."""
+    return sorted((i for i, v in enumerate(frame) if isinstance(v, Var)),
+                  key=lambda i: frame[i].serial)
 
 
 def term_vars(term):
@@ -495,6 +538,8 @@ def agrees(head, body, goal, occurs_check):
     Both the generated matcher of the head's arguments and ``match_args``,
     the matcher's fallback, are checked: the same success and, with the
     occurs check, the same answer (without it the answer may be cyclic).
+    The body is made both by ``build`` and by the builder generated for
+    it, which knows the head's slots to be set.
     """
     old = BindingStore()
     mapping = {}
@@ -516,7 +561,12 @@ def agrees(head, body, goal, occurs_check):
         new = BindingStore()    # no mark: it trails every binding
         assert match(goal.args, frame, new, occurs_check) == old_ok
         if checked:
+            put_frame = list(frame)
             new_answer = resolve(Struct("r", (goal, build(body_t, frame))), new)
             assert same_answer(old_answer, new_answer, term_vars(goal), {})
+            [put_body] = arg_builder((body_t,), terms._slot_indices(head_t.args))(
+                put_frame)
+            put_answer = resolve(Struct("r", (goal, put_body)), new)
+            assert same_answer(old_answer, put_answer, term_vars(goal), {})
         new.undo_to(0)
     return old_ok
