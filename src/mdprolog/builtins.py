@@ -5,6 +5,12 @@ arguments and return True on success, False on failure; errors are
 raised as ``PrologThrow``.  The nondeterministic ones are generators
 that yield True once per solution, with its bindings in place, and undo
 them before the next.
+
+The is/2 and comparisons of a clause body also compile, in runs, to
+generated Python code of the clause's frame (``ArithRun``), made by the
+generator that makes head matchers and argument builders
+(``terms._TemplateCode``), which falls back to these builtins where the
+code cannot settle a goal.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .errors import (
 )
 from .ops import FIXITIES
 from .terms import (
+    MATCH_NODES,
     NIL,
     RESOLVE_DEPTH_LIMIT,
     Atom,
@@ -31,6 +38,7 @@ from .terms import (
     Slot,
     Struct,
     Var,
+    _TemplateCode,
     arg_builder,
     compare_terms,
     compile_source,
@@ -163,150 +171,126 @@ def _num_result(value):
 COMPARISONS = {"<": "<", ">": ">", "=<": "<=", ">=": ">=", "=:=": "==",
                "=\\=": "!="}
 _OPERATORS = ("+", "-", "*")
-_MAX_NODES = 32     # a larger expression keeps to eval_arith
 
 
-class ArithRun:
+class ArithRun(_TemplateCode):
     """A run of body goals, is/2 and comparisons, as one generated function
     ``run(solver, store, frame, tick) -> bool``, a superoperator.
 
-    ``add`` takes the goals in order while their expressions compile;
-    ``function`` makes the run.  The function counts each goal's
-    inferences (``ticks``) with one ``tick`` call each before it runs the
-    goal, as the machine would.  Each value gets a local of its own,
-    ``v0``, ``v1``...; constants, slot indices, builtins and builders are
-    parameters ``p0``, ``p1``... of ``make``, so that runs of one shape
-    share one source (``terms.compile_source``).  A goal runs in a ``for``
-    loop of one turn, which it leaves with ``continue`` where an operand
-    is no 64-bit integer: its builtin then runs on the built goal
-    (``terms.arg_builder``).  A first occurrence of the variable of ``X is
-    E`` takes the value with no variable.  When a goal fails the run
-    returns False, and first clears the first occurrences it has filled.
+    ``add`` takes the goals in order while their expressions compile,
+    each goal's within a ``MATCH_NODES`` budget of its own; ``function``
+    makes the run.  The function counts each goal's inferences
+    (``ticks``) with one ``tick`` call each before it runs the goal, as
+    the machine would.
+    ``make(T)`` reads its parameters from ``T``, which holds the argument
+    templates, the builtin and the argument builder of each goal in turn,
+    so that runs of one shape share one source (``terms.compile_source``).
+    A goal runs in a ``for`` loop of one turn, which it leaves with
+    ``continue`` where an operand is no 64-bit integer: its builtin then
+    runs on the built goal (``terms.arg_builder``).  A first occurrence of
+    the variable of ``X is E`` takes the value with no variable.  When a
+    goal fails the run returns False, and first clears the first
+    occurrences it has filled.
     """
 
-    __slots__ = ("lines", "params", "names", "filled")
+    __slots__ = ("goals", "filled")
 
-    def __init__(self):
-        self.lines = []
-        self.params = []
-        self.names = 0
+    def __init__(self, known):
+        super().__init__(known)
+        self.goals = []
         self.filled = []    # the params of the first occurrences filled
 
     def __bool__(self):
-        return bool(self.lines)
+        return bool(self.goals)
 
-    def param(self, x):
-        self.params.append(x)
-        return "p%d" % (len(self.params) - 1)
-
-    def local(self):
-        self.names += 1
-        return "v%d" % (self.names - 1)
-
-    def values(self, exprs, seen):
-        """The lines that compute the expressions, and the locals of their
-        values; None if some expression does not compile."""
-        lines = []
-        nodes = 0
-
-        def value(t):
-            nonlocal nodes
-            nodes += 1
-            if nodes > _MAX_NODES:
-                return None
-            cls = type(t)
-            if cls is int:
-                return self.param(t) if INT_MIN <= t <= INT_MAX else None
-            name = self.local()
-            if cls is Slot:
-                if t.index not in seen:
-                    return None
-                lines.extend((
-                    "%s = frame[%s]" % (name, self.param(t.index)),
-                    "if type(%s) is not int:" % name,
-                    "    %s = store.deref(%s)" % (name, name),
-                    "    if type(%s) is not int: continue" % name))
-            elif ((cls is Skeleton or cls is Struct) and t.functor in _OPERATORS
-                  and len(t.args) == 2):
-                a, b = value(t.args[0]), value(t.args[1])
-                if a is None or b is None:
-                    return None
-                lines.append("%s = %s %s %s" % (name, a, t.functor, b))
-            else:
-                return None
-            lines.append("if not %d <= %s <= %d: continue"
-                         % (INT_MIN, name, INT_MAX))
-            return name
-
-        start = len(self.params)
-        results = [value(t) for t in exprs]
-        if None in results:
-            del self.params[start:]
+    def value(self, t, path, lines):
+        """The local or parameter of the value of the expression t, at
+        path, which lines compute; None if it does not compile."""
+        self.nodes -= 1
+        cls = type(t)
+        if self.nodes < 0:
             return None
-        return lines, results
+        if cls is int:
+            return self.param(path) if INT_MIN <= t <= INT_MAX else None
+        name = self.local()
+        if cls is Slot:
+            if t.index not in self.known:
+                return None
+            lines += ("%s = frame[%s]" % (name, self.param(path + ".index")),
+                      "if type(%s) is not int:" % name,
+                      "    %s = store.deref(%s)" % (name, name),
+                      "    if type(%s) is not int: continue" % name)
+        elif ((cls is Skeleton or cls is Struct) and t.functor in _OPERATORS
+              and len(t.args) == 2):
+            a = self.value(t.args[0], path + ".args[0]", lines)
+            b = self.value(t.args[1], path + ".args[1]", lines)
+            if a is None or b is None:
+                return None
+            lines.append("%s = %s %s %s" % (name, a, t.functor, b))
+        else:
+            return None
+        lines.append("if not %d <= %s <= %d: continue"
+                     % (INT_MIN, name, INT_MAX))
+        return name
 
-    def add(self, ticks, key, args, seen):
-        """Add the goal key(args) if it compiles; seen holds the slots set
+    def add(self, ticks, key, args):
+        """Add the goal key(args) if it compiles; known holds the slots set
         before it, and then the goal's too.  Whether it was added."""
         out = None
         if key == ("is", 2) and type(args[0]) is Slot:
-            out, exprs = args[0], args[1:]
+            out = args[0]
         elif not (key[0] in COMPARISONS and key[1] == 2):
             return False
-        else:
-            exprs = args
-        found = self.values(exprs, seen)
-        if found is None:
+        path = "T[%d]" % len(self.goals)
+        saved = dict(self.params), self.names
+        self.nodes = MATCH_NODES
+        lines = []
+        results = [self.value(args[j], "%s[%d]" % (path, j), lines)
+                   for j in range(out is not None, 2)]
+        if None in results:
+            self.params, self.names = saved
             return False
-        lines, results = found
-        first = out is not None and out.index not in seen
-        builtin = self.param(DETERMINISTIC[key])
-        put = self.param(arg_builder(args, seen))
-        emit = self.lines.append
-        for _ in range(ticks):
-            emit("        tick()")
-        emit("        for _ in (0,):")
-        self.lines += ["            " + line for line in lines]
+        first = out is not None and out.index not in self.known
+        builtin = self.param("T[%d]" % (len(self.goals) + 1))
+        put = self.param("T[%d]" % (len(self.goals) + 2))
+        self.goals += (args, DETERMINISTIC[key], arg_builder(args, self.known))
+        self.emit(2, *["tick()"] * ticks, "for _ in (0,):")
+        self.emit(3, *lines)
         filled = list(self.filled)
         if out is None:
-            emit("            if %s %s %s: break" % (
+            self.emit(3, "if %s %s %s: break" % (
                 results[0], COMPARISONS[key[0]], results[1]))
             self._fail(3)
         elif not first:     # unify the value with what is there
             known = self.local()
-            self.lines += [
-                "            %s = frame[%s]" % (known, self.param(out.index)),
-                "            if type(%s) is Var:" % known,
-                "                %s = store.deref(%s)" % (known, known),
-                "                if type(%s) is Var:" % known,
-                "                    store.bind(%s, %s)" % (known, results[0]),
-                "                    break",
-                "            if type(%s) is int and %s == %s: break"
-                % (known, known, results[0])]
+            index = self.param(path + "[0].index")
+            self.emit(3, "%s = frame[%s]" % (known, index),
+                      "if type(%s) is Var:" % known,
+                      "    %s = store.deref(%s)" % (known, known),
+                      "    if type(%s) is Var:" % known,
+                      "        store.bind(%s, %s)" % (known, results[0]),
+                      "        break",
+                      "if type(%s) is int and %s == %s: break"
+                      % (known, known, results[0]))
             self._fail(3)
         else:
-            index = self.param(out.index)
-            emit("            frame[%s] = %s" % (index, results[0]))
-            emit("            break")
+            index = self.param(path + "[0].index")
+            self.emit(3, "frame[%s] = %s" % (index, results[0]), "break")
             filled.append(index)
-        emit("        else:")
-        emit("            if not %s(solver, store, *%s(frame)):" % (builtin, put))
+        self.emit(2, "else:")
+        self.emit(3, "if not %s(solver, store, *%s(frame)):" % (builtin, put))
         self.filled = filled
         self._fail(4)
         return True
 
     def _fail(self, indent):
-        pad = "    " * indent
-        for index in self.filled:
-            self.lines.append("%sframe[%s] = None" % (pad, index))
-        self.lines.append(pad + "return False")
+        self.emit(indent, *["frame[%s] = None" % i for i in self.filled],
+                  "return False")
 
     def function(self):
-        source = ("def make(%s):\n    def run(solver, store, frame, tick):\n"
-                  "%s\n        return True\n    return run\n") % (
-            ", ".join("p%d" % i for i in range(len(self.params))),
-            "\n".join(self.lines))
-        return compile_source(source)(*self.params)
+        self.emit(2, "return True")
+        source = self.make_source("T", "run(solver, store, frame, tick)")
+        return compile_source(source)(tuple(self.goals))
 
 
 # ---------------------------------------------------------------------------

@@ -51,12 +51,14 @@ def run_goal(engine, text):
         if not first:
             sys.stdout.write(".\n")
         return halt.code
-    except (PrologThrow, MdpError) as exc:
+    except (PrologThrow, MdpError, MemoryError) as exc:
         _error(_describe(engine, exc))
         return 2
 
 
 def _describe(engine, exc):
+    if isinstance(exc, MemoryError):
+        return "out of memory"
     if isinstance(exc, PrologThrow):
         return "uncaught exception: " + render(
             exc.ball, None, engine.kb.optable, quoted=False)
@@ -118,6 +120,8 @@ def repl(engine, stdin=None, stdout=None, stderr=None):
             return halt.code
         except (PrologThrow, MdpError) as exc:
             stderr.write("error: %s\n" % _describe(engine, exc))
+        except MemoryError as exc:     # the query's terms are gone: go on
+            stderr.write("mdprolog: %s\n" % _describe(engine, exc))
 
 
 def main(argv=None):
@@ -145,6 +149,9 @@ def main(argv=None):
             engine.consult_file(path)
     except (OSError, PrologThrow, MdpError) as exc:
         _error(str(exc))
+        return 2
+    except MemoryError as exc:
+        _error(_describe(None, exc))
         return 2
 
     if args.dump_expansion:

@@ -400,8 +400,8 @@ class KnowledgeBase:
         self._index = {}           # (name, arity) -> ClauseIndex
         self.signatures = {}       # (name, arity) -> [Signature]; the
                                    # anonymous ones under (ANONYMOUS, 0)
-        self._candidates = {}      # (name, arity) -> tuple, until a change
-        self._scorings = {}        # (name, arity) -> two dicts, until a change
+        self._dispatch = {}        # (name, arity) -> (candidates, scorings),
+                                   # until a change
         self.dynamic = set()       # (name, arity)
         self.optable = default_table()
         self._next_order = 1       # order of the next clause or signature
@@ -420,8 +420,7 @@ class KnowledgeBase:
         kb._index = {}
         kb.signatures = {key: list(group)
                          for key, group in self.signatures.items()}
-        kb._candidates = {}
-        kb._scorings = {}
+        kb._dispatch = {}
         kb.dynamic = set(self.dynamic)
         kb.optable = self.optable.copy()
         kb._next_order = self._next_order
@@ -497,8 +496,7 @@ class KnowledgeBase:
 
     def add_signature(self, sig, head, body):
         """Store a signature with its implementation clause (head, body)."""
-        self._candidates.clear()
-        self._scorings.clear()
+        self._dispatch.clear()
         sig.clause = Clause(head, body, sig.filename, sig.line, self._take_order())
         sig.order = self._take_order()
         self.signatures.setdefault((sig.name, sig.arity), []).append(sig)
@@ -509,26 +507,25 @@ class KnowledgeBase:
     def candidates(self, name, arity):
         """The signatures of name/arity and every anonymous one, in
         definition order."""
-        key = (name, arity)
-        found = self._candidates.get(key)
-        if found is None:
-            found = self.signatures_for(name, arity)
-            anonymous = self.signatures_for(ANONYMOUS, 0)
-            if anonymous and key != (ANONYMOUS, 0):     # two ordered runs
-                found = tuple(sorted(found + anonymous, key=_by_order))
-            self._candidates[key] = found
-        return found
+        return (self._dispatch.get((name, arity))
+                or self._new_dispatch(name, arity))[0]
 
     def scorings(self, name, arity):
         """The dispatcher's caches for name/arity: its dimension checks by
         set of context names, and the report entries they share.  Two
         dicts, dropped by a change to the candidates with the cached
         candidates."""
+        return (self._dispatch.get((name, arity))
+                or self._new_dispatch(name, arity))[1]
+
+    def _new_dispatch(self, name, arity):
         key = (name, arity)
-        found = self._scorings.get(key)
-        if found is None:
-            found = self._scorings[key] = {}, {}
-        return found
+        found = self.signatures_for(name, arity)
+        anonymous = self.signatures_for(ANONYMOUS, 0)
+        if anonymous and key != (ANONYMOUS, 0):     # two ordered runs
+            found = tuple(sorted(found + anonymous, key=_by_order))
+        entry = self._dispatch[key] = found, ({}, {})
+        return entry
 
     def all_signatures(self):
         return sorted((s for group in self.signatures.values() for s in group),
@@ -552,11 +549,9 @@ class KnowledgeBase:
             if len(kept) == len(group):
                 continue
             if key == (ANONYMOUS, 0):   # among the candidates of every name
-                self._candidates.clear()
-                self._scorings.clear()
+                self._dispatch.clear()
             else:
-                self._candidates.pop(key, None)
-                self._scorings.pop(key, None)
+                self._dispatch.pop(key, None)
             if kept:
                 self.signatures[key] = kept
             else:

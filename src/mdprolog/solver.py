@@ -49,7 +49,10 @@ the goal succeeds: if-then-else commits to its condition there,
 findall/3 collects an answer, and catch/3 stops guarding its goal.  The
 slots first met in a construct get fresh variables before its
 choicepoint is pushed, so a branch that fails leaves no value in the
-frame that the undo cannot reach.  An if-then-else whose condition is an
+frame that the undo cannot reach; they are made in the order in which
+``build`` would make them (``terms._first_slots``), as a body's builders
+make theirs, so where a goal sits does not change an answer.  An
+if-then-else whose condition is an
 arithmetic comparison of slots met before it pushes nothing: the
 comparison picks the branch.  A thrown ball unwinds to the innermost
 catch/3 whose exit marker is still in the continuation of the goal that
@@ -90,8 +93,9 @@ a copy builds at most as many compounds as inferences are left
 In a clause body, ``is/2`` and the arithmetic comparisons over clause
 variables, integers and ``+ - *`` compile to Python code of the frame,
 and each maximal run of such goals is one entry whose generated
-function runs them all (``builtins.ArithRun``), as a superoperator
-fuses a run of instructions.  It counts each goal's inferences before
+function runs them all (``builtins.ArithRun``, made by the generator of
+head matchers and builders), as a superoperator fuses a run of
+instructions.  It counts each goal's inferences before
 the goal, as the entries would, so a budget runs out at the same
 inference.  ``X is E`` with a first occurrence of ``X`` stores the
 value in the frame without a variable, and a run that fails clears
@@ -151,9 +155,9 @@ from .terms import (
     Atom,
     BudgetExceeded,
     Skeleton,
-    Slot,
     Struct,
     Var,
+    _first_slots,
     arg_builder,
     build,
     make_list,
@@ -677,9 +681,7 @@ def compile_body(body, heads):
     """
     if body is TRUE:
         return ()
-    seen = set()
-    _note_slots(heads, seen)
-    return _compile(body, seen, None, 0)
+    return _compile(body, set(_first_slots(heads)), None, 0)
 
 
 def compile_goal(goal, store, counted=0):
@@ -712,7 +714,7 @@ def _compile(body, seen, deref, depth, commas=0):
     among them, compiles the goals past them when it gets there.
     """
     entries = []
-    run = ArithRun() if seen is not None else None
+    run = None      # a run of arithmetic goals while it grows
     stack = [body]
     while stack:
         goal = stack.pop()
@@ -727,14 +729,14 @@ def _compile(body, seen, deref, depth, commas=0):
             stack += reversed(goal.args)
             continue
         ticks, commas = commas + 1, 0
-        if run is not None:
-            if (type(goal) is Skeleton and goal.functor in _ARITH
-                    and len(goal.args) == 2
-                    and run.add(ticks, (goal.functor, 2), goal.args, seen)):
+        if (seen is not None and type(goal) is Skeleton
+                and goal.functor in _ARITH and len(goal.args) == 2):
+            run = run or ArithRun(seen)
+            if run.add(ticks, (goal.functor, 2), goal.args):
                 continue
-            if run:
-                entries.append((0, E_ARITH, run.function(), None))
-                run = ArithRun()
+        if run:
+            entries.append((0, E_ARITH, run.function(), None))
+        run = None
         entries.append(_compile_goal(goal, ticks, seen, deref, depth))
     if run:
         entries.append((0, E_ARITH, run.function(), None))
@@ -792,10 +794,13 @@ def _compile_construct(code, args, ticks, seen, deref, depth):
     if (code in (C_ITE, C_NOT) and seen is not None
             and type(cond) in (Skeleton, Struct) and cond.functor in COMPARISONS
             and len(cond.args) == 2):
-        run = ArithRun()
-        if run.add(0, (cond.functor, 2), cond.args, seen):
+        run = ArithRun(seen)
+        if run.add(0, (cond.functor, 2), cond.args):
             test = run.function()
-    fresh = _note_slots(args, seen)
+    fresh = {} if seen is None else _first_slots(args, seen)
+    if fresh:
+        seen.update(fresh)
+    fresh = tuple(fresh.values())
     goals = _GOALS[code]
     parts = [_compile(a, seen, deref, depth) if i in goals else a
              for i, a in enumerate(args)]
@@ -807,24 +812,6 @@ def _compile_construct(code, args, ticks, seen, deref, depth):
     if test:
         return ticks + 1, C_IF, test, (*parts[1:], fresh)
     return ticks, code, fresh, tuple(parts)
-
-
-def _note_slots(templates, seen):
-    """Add the slots of templates to seen; those that were not, in order.
-    A skeleton met again, shared by the templates, is not walked again."""
-    firsts = []
-    walked = set()
-    stack = list(templates) if seen is not None else ()
-    while stack:
-        t = stack.pop()
-        if type(t) is Slot:
-            if t.index not in seen:
-                seen.add(t.index)
-                firsts.append(t)
-        elif type(t) is Skeleton and id(t) not in walked:
-            walked.add(id(t))
-            stack.extend(t.args)
-    return tuple(firsts)
 
 
 _TRUE = _compile(TRUE, None, None, 0)

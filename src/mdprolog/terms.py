@@ -15,9 +15,14 @@ Stored clauses and signatures are used through templates
 by code generated for its shape (``head_matcher``, with ``match_args`` for
 what lies beyond its caps), a body goal's arguments are made by code
 generated for the goal's shape (``arg_builder``), and ``build`` makes the
-runtime copy of any template.  Generated code, head matchers, argument
-builders and the arithmetic of ``builtins``, is compiled once per source
-text (``compile_source``).  ``resolve``, ``rename_term`` and
+runtime copy of any template.  One generator (``_TemplateCode``) makes
+all generated code, head matchers, argument builders and the arithmetic
+runs of ``builtins``: it reads a clause's constants into the code through
+paths, spends one node budget, builds a term one way, which a head's
+write mode shares, and finds first occurrences with one walk
+(``_first_slots``).  Matchers and builders are kept by shape in one
+cache, and every source is compiled once per text (``compile_source``).
+``resolve``, ``rename_term`` and
 ``compile_terms`` copy through one iterative walk that shares what it
 leaves unchanged, and in which a list counts as one level of nesting,
 whatever its length.
@@ -574,10 +579,12 @@ def match_args(templates, terms, frame, store, occurs_check=False):
 # pay for itself: matching 8 levels inline cut the bytecodes of an objects
 # or corpus round by a further 0.5 %, and took 1.7 ms more to compile the
 # prelude's two hook heads in Engine().  The generated code nests 4 blocks
-# deep: two functions, the compound argument and a one-line test.
+# deep: two functions, the compound argument and a one-line test.  A term
+# is built inline to PUT_DEPTH levels, within the same budget.
 MATCH_NODES = 64
-_CACHED = 512           # generated sources, and head shapes, kept at most
-_SHAPE_NODES = 256      # the nodes of the largest head shape kept
+PUT_DEPTH = 8
+_CACHED = 512           # generated sources, and shapes, kept at most
+_SHAPE_NODES = 256      # the nodes of the largest shape kept
 
 
 @functools.lru_cache(maxsize=_CACHED)
@@ -604,11 +611,12 @@ def head_matcher(templates):
     stored in the frame with no test, and later ones are unified.  An atom
     is matched by identity, a number by type and value, and a compound
     without variables through ``unify``.  A skeleton argument met by an
-    unbound variable is built and bound to it, with the occurs check where
-    a variable of the goal could be inside; otherwise its functor and
-    arity are checked and its arguments matched one level down.  A
-    skeleton inside it, and what lies beyond ``MATCH_NODES`` nodes, is
-    handed to ``match_args``, so heads of any depth and arity compile.
+    unbound variable is built as an argument builder builds it, the WAM's
+    write mode, and bound to the variable, with the occurs check where a
+    variable of the goal could be inside; otherwise its functor and arity
+    are checked and its arguments matched one level down.  A skeleton
+    inside it, and what lies beyond ``MATCH_NODES`` nodes, is handed to
+    ``match_args``, so heads of any depth and arity compile.
 
     The frame holds one entry per slot, all None; on failure the bindings
     made so far stay for the caller to undo.  A variable holds one store's
@@ -621,30 +629,63 @@ def head_matcher(templates):
     function's ``make(templates)`` reads the constants, functors and
     variable names of each head from its templates.
     """
-    shape = _shape(templates)
-    make = _HEAD_MAKERS.get(shape)
-    if make is None:
-        make = compile_source(_HeadCode(templates).source())
-        if shape is not None:
-            if len(_HEAD_MAKERS) >= _CACHED:
-                _HEAD_MAKERS.clear()
-            _HEAD_MAKERS[shape] = make
+    shape = _shape(_HeadCode, templates)
+    make = _MAKERS.get(shape) or _maker(shape, _HeadCode(templates))
     return make(templates)
 
 
-_HEAD_MAKERS = {}       # head shape -> the make function of its matcher
+def arg_builder(templates, known):
+    """A function ``put(frame) -> tuple``: the terms the templates stand
+    for, such as a body goal's arguments, as ``build`` would make them.
 
-
-def _shape(templates, known=None, firsts=None):
-    """What the generated code of templates depends on, in a flat tuple.
-
-    The templates in prefix order: a slot by its index, after ``Slot``
-    if it is not in ``known`` (a builder's shape), a skeleton by its arity
-    negated, any other node by its type.  The slots not in ``known`` are
-    appended to the list ``firsts`` as they are first met.  None for more
-    than ``_SHAPE_NODES`` nodes, which are not looked up by their shape.
+    ``known`` holds the indices of the slots that have a value when the
+    function runs; the others are met first here, and each gets its
+    variable, in the order in which ``build`` would make them, with no
+    test of the frame.  They are added to ``known``, since the function
+    has set them when it returns.  The code is generated for the shape of
+    the templates, as the WAM's put instructions specialise a goal
+    (``_PutCode``), and shared by every goal of that shape; a skeleton
+    nested deeper than ``PUT_DEPTH`` levels, or beyond ``MATCH_NODES``
+    nodes, is made by ``build``, and so is every argument if a slot met
+    first lies in such a skeleton, so that the variables are made in
+    order.
     """
-    shape = [len(templates)]
+    firsts = []
+    shape = _shape(_PutCode, templates, known, firsts)
+    if shape is None:   # too large: the slots are found without the shape
+        firsts = list(_first_slots(templates, known).values())
+    make = (_MAKERS.get(shape)
+            or _maker(shape, _PutCode(templates, known, firsts)))
+    known.update([slot.index for slot in firsts])
+    return make(templates)
+
+
+_MAKERS = {}        # shape -> the make function of its generated code
+
+
+def _maker(shape, code):
+    """The make function of the generated code, kept in ``_MAKERS`` by
+    its shape, whose first item is the generator; a shape of None, too
+    large, is not kept."""
+    make = compile_source(code.source())
+    if shape is not None:
+        if len(_MAKERS) >= _CACHED:
+            _MAKERS.clear()
+        _MAKERS[shape] = make
+    return make
+
+
+def _shape(code, templates, known=None, firsts=None):
+    """What the code generated for templates depends on, in a flat tuple.
+
+    The generator code, then the templates in prefix order: a slot by its
+    index, after ``Slot`` if it is not in ``known`` (a builder's shape), a
+    skeleton by its arity negated, any other node by its type.  The slots
+    not in ``known`` are appended to the list ``firsts`` as they are first
+    met.  None for more than ``_SHAPE_NODES`` nodes, which are not looked
+    up by their shape.
+    """
+    shape = [code, len(templates)]
     stack = list(reversed(templates))
     while stack:
         if len(shape) > _SHAPE_NODES:
@@ -665,29 +706,91 @@ def _shape(templates, known=None, firsts=None):
     return tuple(shape)
 
 
+def _first_slots(templates, known=()):
+    """The slots of templates not in known, by index, in the order of
+    their first occurrence, which is the order in which ``build`` makes
+    their variables; a skeleton met again, shared by the templates, is
+    not walked again."""
+    firsts = {}
+    walked = set()
+    stack = list(reversed(templates))
+    while stack:
+        t = stack.pop()
+        if type(t) is Slot:
+            if t.index not in known and t.index not in firsts:
+                firsts[t.index] = t
+        elif type(t) is Skeleton and id(t) not in walked:
+            walked.add(id(t))
+            stack.extend(reversed(t.args))
+    return firsts
+
+
 class _TemplateCode:
     """Generated source whose parameters are read from templates.
 
-    Each parameter ``pN`` is read from the templates ``T`` through a path
-    (``T[1].args[0].functor``) when ``make`` runs, so the source names no
-    constant of a clause.  ``known`` holds the slots that have a value at
-    the point of the code being written; ``nodes`` is what is left of the
-    ``MATCH_NODES`` budget.
+    Each parameter ``pN`` is read from the arguments of ``make`` through a
+    path (``T[1].args[0].functor``) when ``make`` runs, so the source names
+    no constant of a clause.  Each term
+    or value gets a local of its own, ``x1``, ``x2``...  ``known`` holds
+    the slots that have a value at the point of the code being written;
+    ``nodes`` is what is left of the ``MATCH_NODES`` budget; ``met`` maps
+    the slots ``term`` met without a value to a path of theirs.
     """
 
-    __slots__ = ("lines", "params", "known", "nodes")
+    __slots__ = ("lines", "params", "known", "nodes", "names", "met")
 
     def __init__(self, known):
         self.lines = []
         self.params = {}    # path -> name
         self.known = known
         self.nodes = MATCH_NODES
+        self.names = 0
+        self.met = {}
 
     def param(self, path):
         name = self.params.get(path)
         if name is None:
             name = self.params[path] = "p%d" % len(self.params)
         return name
+
+    def local(self):
+        self.names += 1
+        return "x%d" % self.names
+
+    def emit(self, indent, *lines):
+        self.lines += ["    " * indent + line for line in lines]
+
+    def term(self, t, path, depth):
+        """The expression of the template t, at path, which builds what
+        ``build`` builds: nesting inline up to ``PUT_DEPTH`` levels and
+        within the budget, and through ``build`` beyond.  A slot without a
+        value is the local ``sN`` of its variable, which ``made`` makes."""
+        cls = type(t)
+        if cls is Slot:
+            if t.index in self.known:
+                return "frame[%d]" % t.index
+            self.met[t.index] = path
+            return "s%d" % t.index
+        if cls is not Skeleton:
+            return self.param(path)
+        if depth >= PUT_DEPTH or len(t.args) > self.nodes:
+            return "build(%s, frame)" % self.param(path)
+        self.nodes -= len(t.args)
+        args = [self.term(a, "%s.args[%d]" % (path, j), depth + 1)
+                for j, a in enumerate(t.args)]
+        return "new_struct(%s, (%s,))" % (self.param(path + ".functor"),
+                                          ", ".join(args))
+
+    def made(self, indent, firsts):
+        """Make the variables of the slots firsts, in order, before the
+        terms built with them; False, with nothing made, if ``term`` did
+        not meet them all, since ``build`` makes those it meets."""
+        if not all(slot.index in self.met for slot in firsts):
+            return False
+        for slot in firsts:
+            self.emit(indent, "s{0} = frame[{0}] = Var({1})".format(
+                slot.index, self.param(self.met[slot.index] + ".name")))
+        return True
 
     def make_source(self, arguments, function):
         """``make(arguments)``, which returns the generated ``function``."""
@@ -699,24 +802,17 @@ class _TemplateCode:
 
 
 class _HeadCode(_TemplateCode):
-    """The source of a head matcher, generated from head templates.
+    """The source of a head matcher, generated from head templates."""
 
-    Each term met gets a local of its own, ``x1``, ``x2``...
-    """
-
-    __slots__ = ("names",)
+    __slots__ = ()
 
     def __init__(self, templates):
         super().__init__(set())
-        self.names = 0
         self.siblings(templates, "T", "args", False, 2)
-        self.lines.append("        return True")
+        self.emit(2, "return True")
 
     def source(self):
         return self.make_source("T", "match(args, frame, store, occurs_check)")
-
-    def emit(self, indent, line):
-        self.lines.append("    " * indent + line)
 
     def fail_unless(self, indent, test):
         self.emit(indent, "if not %s: return False" % test)
@@ -726,8 +822,7 @@ class _HeadCode(_TemplateCode):
         tuple ``container``; nested, they are a skeleton argument's."""
         inline = subs[:max(self.nodes, 0)]
         self.nodes -= len(inline)
-        names = ["x%d" % (self.names + j) for j in range(1, len(inline) + 1)]
-        self.names += len(inline)
+        names = [self.local() for _ in inline]
         if inline:
             self.emit(indent, "%s, = %s%s" % (
                 ", ".join(names), container,
@@ -739,7 +834,7 @@ class _HeadCode(_TemplateCode):
             rest = self.param("%s[%d:]" % (path, j))
             self.fail_unless(indent, "match_args(%s, %s[%d:], frame, store, "
                              "occurs_check)" % (rest, container, j))
-            self.known.update(_slot_indices(subs[j:]))
+            self.known.update(_first_slots(subs[j:]))
 
     def one(self, sub, path, x, nested, indent):
         """Match the template sub, at path, with the term in the local x."""
@@ -755,15 +850,15 @@ class _HeadCode(_TemplateCode):
         if cls is Skeleton and (nested or len(sub.args) > self.nodes):
             self.fail_unless(indent, "match_args(%s, (%s,), frame, store, "
                              "occurs_check)" % (self.param("(%s,)" % path), x))
-            self.known.update(_slot_indices((sub,)))
+            self.known.update(_first_slots((sub,)))
             return
         self.emit(indent, "while type({0}) is Var and {0}.owner is store: "
                           "{0} = {0}.ref".format(x))
         if cls is Skeleton:
             self.emit(indent, "if type(%s) is Var:" % x)
-            known = set(self.known)
+            nodes = self.nodes      # the write and the match are alternatives
             self.write(sub, path, x, indent + 1)
-            self.known = known
+            self.nodes = nodes
             functor = self.param(path + ".functor")
             self.emit(indent, "elif type({0}) is Struct and {0}.functor == {1} "
                               "and len({0}.args) == {2}:".format(
@@ -786,40 +881,26 @@ class _HeadCode(_TemplateCode):
                               "return False".format(x, kind, p))
 
     def write(self, sub, path, x, indent):
-        """Build the skeleton argument sub, at path, and bind the variable x
-        to it.
+        """Bind the unbound variable x to the term of the skeleton sub, at
+        path, built by the code of an argument builder.
 
-        It is built inline, from the slots' values and variables made for
-        the slots met first, unless it holds a skeleton: ``build`` makes
-        that one.
+        The occurs check is made where a slot with a value, one of the
+        goal's, lies inside.  Where a slot met first lies beyond what is
+        built inline, ``build`` makes all of the term, in its order.
         """
-        if any(type(t) is Skeleton for t in sub.args):
+        slots = _first_slots((sub,))
+        firsts = [slot for slot in slots.values()
+                  if slot.index not in self.known]
+        params = dict(self.params)
+        built = self.term(sub, path, 0)
+        if not self.made(indent, firsts):
+            self.params = params
             self.fail_unless(indent, "_bind_built(%s, %s, frame, store, "
                              "occurs_check)" % (x, self.param(path)))
             return
-        functor = self.param(path + ".functor")
-        shared = False      # whether it may hold a variable of the goal
-        made = set()        # the slots whose variable is made here
-        args = []
-        for j, t in enumerate(sub.args):
-            if type(t) is not Slot:
-                args.append(self.param("%s.args[%d]" % (path, j)))
-                continue
-            i = t.index
-            if i in self.known:
-                shared = shared or i not in made
-                args.append("frame[%d]" % i if i not in made else "s%d" % i)
-                continue
-            made.add(i)
-            self.known.add(i)
-            self.emit(indent, "s%d = frame[%d] = Var(%s)"
-                      % (i, i, self.param("%s.args[%d].name" % (path, j))))
-            args.append("s%d" % i)
-        built = "new_struct(%s, (%s,))" % (functor, ", ".join(args))
-        if shared:
-            self.emit(indent, "t = %s" % built)
-            self.emit(indent, "if occurs_check and occurs_in(%s, t, store): "
-                              "return False" % x)
+        if len(firsts) < len(slots):
+            self.emit(indent, "t = " + built, "if occurs_check and occurs_in("
+                      "%s, t, store): return False" % x)
             built = "t"
         self.emit(indent, "store.bind(%s, %s)" % (x, built))
 
@@ -886,97 +967,24 @@ def _bind_built(var, template, frame, store, occurs_check):
     return True
 
 
-def arg_builder(templates, known):
-    """A function ``put(frame) -> tuple``: the terms the templates stand
-    for, such as a body goal's arguments, as ``build`` would make them.
-
-    ``known`` holds the indices of the slots that have a value when the
-    function runs; the others are met first here, and each gets its
-    variable, in the order in which ``build`` would make them, with no
-    test of the frame.  They are added to ``known``, since the function
-    has set them when it returns.  The code is generated for the shape of
-    the templates, as the WAM's put instructions specialise a goal
-    (``_PutCode``), and shared by every goal of that shape; a skeleton
-    nested deeper than ``PUT_DEPTH`` levels, or beyond ``MATCH_NODES``
-    nodes, is made by ``build``.
-    """
-    firsts = []
-    shape = _shape(templates, known, firsts)
-    if shape is None:   # too large: the slots are found without the shape
-        firsts = _first_slots(templates, known)
-    make = _PUT_MAKERS.get(shape)
-    if make is None:
-        make = compile_source(_PutCode(templates, known, firsts).source())
-        if shape is not None:
-            if len(_PUT_MAKERS) >= _CACHED:
-                _PUT_MAKERS.clear()
-            _PUT_MAKERS[shape] = make
-    known.update([slot.index for slot in firsts])
-    return make(templates, tuple(firsts))
-
-
-PUT_DEPTH = 8
-_PUT_MAKERS = {}        # goal shape -> the make function of its builder
-
-
-def _first_slots(templates, known=()):
-    """The slots of templates not in known, in the order of their first
-    occurrence; a skeleton met again, shared by the templates, is not
-    walked again."""
-    firsts = []
-    met = set()
-    walked = set()
-    stack = list(reversed(templates))
-    while stack:
-        t = stack.pop()
-        if type(t) is Slot:
-            if t.index not in known and t.index not in met:
-                met.add(t.index)
-                firsts.append(t)
-        elif type(t) is Skeleton and id(t) not in walked:
-            walked.add(id(t))
-            stack.extend(reversed(t.args))
-    return tuple(firsts)
-
-
-def _slot_indices(templates):
-    return {slot.index for slot in _first_slots(templates)}
-
-
 class _PutCode(_TemplateCode):
-    """The source of a goal's argument builder, generated from templates.
-
-    ``make(T, F)`` reads its parameters from the templates ``T``; ``F``
-    holds the slots met first, whose variables the builder makes before
-    it builds anything.
-    """
+    """The source of a goal's argument builder, generated from templates:
+    the variables of the slots met first are made before anything is built,
+    all by ``build`` if one of them lies beyond what is built inline."""
 
     __slots__ = ()
 
     def __init__(self, templates, known, firsts):
         super().__init__(known)
-        self.lines = ["        s%d = frame[%d] = Var(F[%d].name)"
-                      % (slot.index, slot.index, j) for j, slot in enumerate(firsts)]
         terms = [self.term(t, "T[%d]" % j, 0) for j, t in enumerate(templates)]
-        self.lines.append("        return (%s)" % "".join(t + ", " for t in terms))
+        if not self.made(2, firsts):
+            self.params = {}
+            terms = ["build(%s, frame)" % self.param("T[%d]" % j)
+                     for j in range(len(templates))]
+        self.emit(2, "return (%s)" % "".join(t + ", " for t in terms))
 
     def source(self):
-        return self.make_source("T, F", "put(frame)")
-
-    def term(self, t, path, depth):
-        """The expression of the template t, at path."""
-        cls = type(t)
-        if cls is Slot:
-            return ("frame[%d]" if t.index in self.known else "s%d") % t.index
-        if cls is not Skeleton:
-            return self.param(path)
-        if depth >= PUT_DEPTH or len(t.args) > self.nodes:
-            return "build(%s, frame)" % self.param(path)
-        self.nodes -= len(t.args)
-        args = [self.term(a, "%s.args[%d]" % (path, j), depth + 1)
-                for j, a in enumerate(t.args)]
-        return "new_struct(%s, (%s))" % (self.param(path + ".functor"),
-                                         "".join(a + ", " for a in args))
+        return self.make_source("T", "put(frame)")
 
 
 # the globals of generated code

@@ -1,3 +1,4 @@
+import resource
 import subprocess
 import sys
 
@@ -237,3 +238,37 @@ class TestDepth:
         assert proc.returncode == 2
         assert "term too deep while flattening" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS")
+class TestMemory:
+    """Running out of memory is an error (exit 2), not a traceback."""
+
+    HUGE = "length(L, 100000000)"   # no inference per element
+
+    def run_limited(self, *args, stdin=""):
+        # the limit is set in the child only, before it runs the CLI
+        limit = 256 << 20
+        return subprocess.run(
+            CLI + list(args), input=stdin, capture_output=True, text=True,
+            timeout=120, preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)))
+
+    def test_a_goal_out_of_memory_exits_two(self):
+        proc = self.run_limited("--budget", "100", "-g", self.HUGE)
+        assert proc.returncode == 2
+        assert proc.stderr == "mdprolog: out of memory\n"
+
+    def test_a_consult_out_of_memory_exits_two(self, tmp_path):
+        program = tmp_path / "huge.mdp"
+        program.write_text(":- %s.\n" % self.HUGE)
+        proc = self.run_limited("--no-prelude", str(program), "-g", "true")
+        assert proc.returncode == 2
+        assert proc.stderr == "mdprolog: out of memory\n"
+
+    def test_the_repl_goes_on_after_a_query_out_of_memory(self):
+        proc = self.run_limited("--no-prelude", stdin="%s.\nX = 1.\n" % self.HUGE)
+        assert proc.returncode == 0
+        assert "mdprolog: out of memory\n" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == "X = 1.\n"

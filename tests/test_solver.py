@@ -963,6 +963,12 @@ class TestCompiledBodies:
         _, body, _, _ = engine.kb.clauses_for(("r", 2))[0].compiled
         assert [entry[1] for entry in body] == [
             solver.E_ARITH, solver.C_IF, solver.E_ARITH, solver.E_DET]
+        # a goal whose expression compiles only in part ends the run
+        engine.consult_text("s(A, C, D) :- B is A + 1, C is A + 1.5, D is B * 2.")
+        assert answers(engine, "s(2, C, D), X = C-D", "X") == ["3.5-6"]
+        _, body, _, _ = engine.kb.clauses_for(("s", 3))[0].compiled
+        assert [entry[1] for entry in body] == [
+            solver.E_ARITH, solver.E_DET, solver.E_ARITH]
 
     def test_a_budget_that_runs_out_inside_a_run_stops_at_its_inference(self):
         # the run counts its goals' inferences one at a time, as the goals
@@ -1178,6 +1184,15 @@ class TestConditionalTrailing:
         engine.consult_text("t :- %s." % goal)
         assert engine.run(goal)
         assert engine.run("t")
+
+    @pytest.mark.parametrize("body", [
+        "A = B, R = f(A, B)", "(A = B, R = f(A, B) ; true)",
+        "(A = B, R = f(A, B) -> true ; true)", "\\+ \\+ true, A = B, R = f(A, B)",
+        "(true ; fail), findall(A-B, fail, _), A = B, R = f(A, B)"])
+    def test_a_construct_makes_its_variables_in_build_order(self, engine, body):
+        # A is made first, so B is bound to it, wherever the goals sit
+        engine.consult_text("p(R) :- %s." % body)
+        assert answers(engine, "p(R)", "R")[0] == "f(A, A)"
 
     @pytest.mark.parametrize("step", [
         "(N > 0 -> true ; true)",

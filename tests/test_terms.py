@@ -3,7 +3,7 @@ import functools
 import pytest
 from hypothesis import given, strategies as st
 
-from mdprolog import terms
+from mdprolog import solver, terms
 from mdprolog.kb import Clause
 from mdprolog.terms import (
     RESOLVE_DEPTH_LIMIT,
@@ -497,6 +497,57 @@ class TestTemplates:
         assert built[0].args == (17, 7) and built[1] is Atom("a17")
         assert built[2] is frame[1] and built[2].name == "Y"
 
+    def test_arith_runs_of_one_shape_share_one_function(self):
+        x, y, w, z = Var("X"), Var("Y"), Var("W"), Var("Z")
+        runs = []
+        for k in range(50):
+            a, b = (x, y) if k % 2 else (y, x)
+            body = terms.conj([Struct(">", (a, k)),
+                               Struct("is", (z, Struct("+", (b, k)))),
+                               Struct("=<", (z, w))])
+            _, entries, size, _ = Clause(Struct("p", (x, y, w)), body).compile()
+            [(_, code, run, _)] = entries
+            assert code is solver.E_ARITH and size == 4
+            runs.append(run)
+        assert len({run.__code__ for run in runs}) == 1
+        # each run reads its own constants and slots: X, Y, W, then Z
+        for k, z_value in [(3, 23), (4, 14), (30, None)]:
+            frame = [10, 20, 100, None]
+            assert runs[k](None, BindingStore(), frame, lambda: None) is (
+                z_value is not None)
+            assert frame[3] == z_value
+
+    @pytest.mark.parametrize("occurs_check", [False, True])
+    def test_a_head_write_beyond_its_caps_makes_variables_in_build_order(
+            self, occurs_check):
+        x, y, z = Var("X"), Var("Y"), Var("Z")
+        deep = x
+        for _ in range(terms.PUT_DEPTH + 2):
+            deep = Struct("f", (deep,))
+        for head in [Struct("p", (Struct("g", (deep, y)),)),
+                     Struct("p", (z, Struct("g", (y, deep, z)))),
+                     Struct("p", (Struct("g", (y, z)), Struct("h", (deep, z))))]:
+            (template,), _ = compile_terms((head,))
+            assert "_bind_built" in terms._HeadCode(template.args).source()
+            goal = Struct("p", tuple(Var("G%d" % i)
+                                     for i in range(len(head.args))))
+            assert agrees(head, Struct("b", (x, y, z)), goal, occurs_check)
+        # a slot beyond that has a value already is left to build to read
+        head = Struct("p", (x, Struct("g", (y, deep, z))))
+        (template,), _ = compile_terms((head,))
+        source = terms._HeadCode(template.args).source()
+        assert "_bind_built" not in source and "build(" in source
+        assert agrees(head, Struct("b", (x, y, z)), Struct("p", (1, Var("G"))),
+                      occurs_check)
+
+    def test_a_head_write_leaves_the_match_its_budget(self):
+        # the write and the match of a compound argument are alternatives
+        xs = tuple(Var("X%d" % i) for i in range(40))
+        (template,), _ = compile_terms((Struct("p", (Struct("f", xs),)),))
+        source = terms._HeadCode(template.args).source()
+        assert "store.bind(x1, new_struct(" in source
+        assert "match_args" not in source
+
     def test_generated_code_nests_within_the_cap(self):
         f = Var("F")
         for _ in range(50):
@@ -555,18 +606,22 @@ def agrees(head, body, goal, occurs_check):
     old.undo_to(mark)
 
     (head_t, body_t), size = compile_terms((head, body))
+    orders = []     # the slots whose variables each matcher made, by age
     for match in (head_matcher(head_t.args),
                   functools.partial(match_args, head_t.args)):
         frame = [None] * size
         new = BindingStore()    # no mark: it trails every binding
         assert match(goal.args, frame, new, occurs_check) == old_ok
+        orders.append(made_order(frame))
         if checked:
             put_frame = list(frame)
             new_answer = resolve(Struct("r", (goal, build(body_t, frame))), new)
             assert same_answer(old_answer, new_answer, term_vars(goal), {})
-            [put_body] = arg_builder((body_t,), terms._slot_indices(head_t.args))(
-                put_frame)
+            known = set(terms._first_slots(head_t.args))
+            [put_body] = arg_builder((body_t,), known)(put_frame)
             put_answer = resolve(Struct("r", (goal, put_body)), new)
             assert same_answer(old_answer, put_answer, term_vars(goal), {})
         new.undo_to(0)
+    if old_ok:      # a head's write mode makes them in the order of build
+        assert orders[0] == orders[1]
     return old_ok
