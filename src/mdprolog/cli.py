@@ -8,6 +8,7 @@ import sys
 from .corpus import run_all
 from .engine import Engine
 from .errors import Halt, MdpError, PrologThrow
+from .reader import ends_clause
 from .render import render
 
 
@@ -83,9 +84,8 @@ def repl(engine, stdin=None, stdout=None, stderr=None):
             if not line:
                 return None
             buf += line
-            stripped = buf.strip()
-            if stripped.endswith("."):
-                return stripped
+            if ends_clause(buf):    # a comment may follow the dot
+                return buf.strip()
 
     while True:
         text = read_query()

@@ -2,6 +2,8 @@
 
 An operator name has at most one prefix entry and one infix/postfix entry,
 with priorities in 1..1200.  ``op/3`` directives replace entries in place.
+The reader looks names up in the three dicts directly; ``priority`` holds
+each name's highest priority as any operator.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ class OperatorTable:
     def __init__(self):
         self.prefix = {}   # name -> (priority, fixity)
         self.infix = {}    # name -> (priority, fixity); includes postfix
+        self.priority = {}  # name -> its highest priority as any operator
 
     def add(self, priority, fixity, name):
         if not isinstance(priority, int) or not 1 <= priority <= 1200:
@@ -32,12 +35,15 @@ class OperatorTable:
             self.infix[name] = (priority, fixity)
         else:
             raise OperatorError("unknown operator fixity: %r" % (fixity,))
+        self.priority[name] = max(self.prefix.get(name, (0,))[0],
+                                  self.infix.get(name, (0,))[0])
 
     def copy(self):
         """A table with the same entries that later ``add`` calls do not share."""
         table = OperatorTable()
         table.prefix = dict(self.prefix)
         table.infix = dict(self.infix)
+        table.priority = dict(self.priority)
         return table
 
     def prefix_op(self, name):
@@ -56,15 +62,7 @@ class OperatorTable:
         return None
 
     def is_operator(self, name):
-        return name in self.prefix or name in self.infix
-
-    def max_priority(self, name):
-        best = 0
-        for table in (self.prefix, self.infix):
-            entry = table.get(name)
-            if entry:
-                best = max(best, entry[0])
-        return best
+        return name in self.priority
 
 
 _DEFAULT_OPS = [

@@ -1,21 +1,34 @@
-"""Tokenizer and operator-precedence parser for the mdp surface syntax.
+"""Reader: one regex scan and an operator-precedence parser for mdp text.
 
-The parser reads a term in one loop over an explicit stack of the terms
-that enclose the one being read, so the nesting a clause may have is
-``RESOLVE_DEPTH_LIMIT`` levels, whatever the interpreter's recursion
-limit.
+Scanning is one ``re.findall`` of ``_SCAN``, run in C: it splits the whole
+text into (lexeme, layout) pairs, where the layout is the whitespace and
+comments after the lexeme.  The parser reads the pairs through an index.
+It tells a lexeme's kind by its first character, with one dict lookup,
+and reads the operator table's dicts directly; it makes no token objects.
+A lexeme's line and column are worked out from the summed lengths of the
+pairs before it, and only when a ``ReaderError`` is raised.  The scan
+itself never fails: a character that starts no lexeme, an unterminated
+quoted atom or block comment is an error when the parser reaches it.
+``tokenize`` builds the ``Token`` view of the same scan.
+
+End of input ends a term as its final '.' does, so a query needs no dot,
+even after a comment.  The parser reads a term in one loop over an
+explicit stack of the terms that enclose the one being read, so the
+nesting a clause may have is ``RESOLVE_DEPTH_LIMIT`` levels, whatever the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .terms import NIL, RESOLVE_DEPTH_LIMIT, Atom, MdpError, Struct, Var, make_list
+from .ops import INFIX_FIXITIES
+from .terms import (NIL, RESOLVE_DEPTH_LIMIT, Atom, MdpError, Struct, Var,
+                    make_list, new_struct)
 
 SYMBOL_CHARS = set("#$&*+-./:<=>?@^~\\")
-SOLO_CHARS = {"!", ";"}
-PUNCT_CHARS = {"(", ")", "[", "]", ",", "|", "{", "}"}
 
 
 class ReaderError(MdpError):
@@ -39,165 +52,131 @@ class Token:
     func: bool = False  # immediately followed by '(' (compound notation)
 
 
-_SPACE = re.compile(r"[ \t\r\n]+")
-_NAME = re.compile(r"\w+")    # \w is str.isalnum() or "_"
-_NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_SYMBOLS = re.compile("[%s]+" % re.escape("".join(sorted(SYMBOL_CHARS))))
-_QUOTED_RUN = re.compile(r"[^'\\]*")
-_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
+# Layout: whitespace, line comments and block comments
+_CLOSED_LAYOUT = re.compile(r"(?:[ \t\r\n]+|%[^\n]*|/\*[\s\S]*?\*/)*")
+# A lexeme and the layout after it.  The first match is the empty lexeme
+# before the text's leading layout.  A quoted atom or block comment left
+# open runs to the end of the text; the last alternative takes any other
+# character, so the pairs cover the text.
+_SCAN = re.compile(r"""(\A|[()\[\],|{}!;]|[^\W\d]\w*|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?
+    |'[^'\\]*(?:(?:''|\\[\s\S])[^'\\]*)*(?:'|\Z)|[#$&*+\-./:<=>?@^~\\]+|[\s\S])
+    ((?:[ \t\r\n]+|%[^\n]*|/\*[\s\S]*?(?:\*/|\Z))*)""", re.VERBOSE)
+_QUOTE_PARTS = re.compile(r"''|'|\\[\s\S]?")
+_ESCAPES = {"\\n": "\n", "\\t": "\t", "\\\\": "\\", "\\'": "'", '\\"': '"',
+            "''": "'"}
+
+# Lexeme kinds, by first character
+_ATOM, _VAR, _NUM, _PUNCT, _QUOTED, _DOT, _EOF, _BAD = range(8)
 
 
-def tokenize(text, filename="<text>"):
-    """Token list of a source text, ending with an eof token.
-
-    Each step skips a whole run (layout, a comment, a name, a number, a
-    symbol run or a quoted atom) by index.  Only layout, comments and
-    quoted atoms can hold a newline; the line is advanced by the newlines
-    in such a run, and a column is the distance from the start of the
-    current line.
-    """
-    tokens = []
-    append = tokens.append
-    i, n = 0, len(text)
-    line, line_start = 1, 0    # line number at offset i, and where it starts
-    spaced = True
-
-    def err(msg, at):
-        raise ReaderError(msg, filename, line + text.count("\n", i, at),
-                          at - text.rfind("\n", 0, at))
-
-    while i < n:
-        ch = text[i]
-        col = i - line_start + 1
-        layout = False         # whitespace, a comment or an end token
-        if ch in " \t\r\n":
-            j = _SPACE.match(text, i).end()
-            layout = True
-        elif ch == "%":
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            layout = True
-        elif ch == "/" and text.startswith("*", i + 1):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                err("unterminated block comment", i)
-            j += 2
-            layout = True
-        elif ch in PUNCT_CHARS:
-            if ch == "(" and not spaced and tokens \
-                    and tokens[-1].kind in ("atom", "qatom", "var"):
-                tokens[-1].func = True
-            append(Token("punct", ch, line, col, spaced))
-            j = i + 1
-        elif ch in SOLO_CHARS:
-            append(Token("atom", ch, line, col, spaced))
-            j = i + 1
-        elif ch == "'":
-            buf = []
-            j = i + 1
-            while True:
-                k = _QUOTED_RUN.match(text, j).end()
-                buf.append(text[j:k])
-                j = k
-                if j >= n:
-                    err("unterminated quoted atom", i)
-                if text[j] == "'":
-                    if text.startswith("'", j + 1):
-                        buf.append("'")
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                if j + 1 >= n:
-                    err("unterminated quoted atom", i)
-                mapped = _ESCAPES.get(text[j + 1])
-                if mapped is None:
-                    err("unknown escape \\%s in quoted atom" % text[j + 1], j)
-                buf.append(mapped)
-                j += 2
-            append(Token("qatom", "".join(buf), line, col, spaced))
-        elif ch.isdecimal():
-            j = _NUMBER.match(text, i).end()
-            lexeme = text[i:j]
-            if lexeme.isdecimal():
-                append(Token("int", int(lexeme), line, col, spaced))
-            else:
-                append(Token("float", float(lexeme), line, col, spaced))
-        elif ch.isalpha() or ch == "_":
-            j = _NAME.match(text, i).end()
-            kind = "var" if (ch == "_" or ch.isupper()) else "atom"
-            append(Token(kind, text[i:j], line, col, spaced))
-        elif ch == "." and (i + 1 == n or text[i + 1] in " \t\r\n%"):
-            append(Token("end", ".", line, col, spaced))
-            j = i + 1
-            layout = True
-        elif ch in SYMBOL_CHARS:
-            j = _SYMBOLS.match(text, i).end()
-            append(Token("atom", text[i:j], line, col, spaced))
-        else:
-            err("unexpected character %r" % ch, i)
-        if layout or ch == "'":
-            newlines = text.count("\n", i, j)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", i, j) + 1
-        i = j
-        spaced = layout
-
-    append(Token("eof", None, line, n - line_start + 1, True))
-    return tokens
+class _Kinds(dict):
+    def __missing__(self, ch):   # outside ASCII
+        if ch.isalpha():
+            return _VAR if ch.isupper() else _ATOM
+        return _NUM if ch.isdecimal() else _BAD
 
 
-TERM_START_KINDS = {"atom", "qatom", "var", "int", "float"}
+_KIND = _Kinds({ch: kind for chars, kind in [
+    ("abcdefghijklmnopqrstuvwxyz!;#$&*+-/:<=>?@^~\\", _ATOM),
+    ("ABCDEFGHIJKLMNOPQRSTUVWXYZ_", _VAR), ("0123456789", _NUM),
+    ("()[],|{}", _PUNCT), ("'", _QUOTED), (".", _DOT), (" ", _EOF)]
+    for ch in chars})
+_EOF_PAIR = (" ", "")   # no lexeme starts with layout
+_TERM_START = (_ATOM, _VAR, _NUM, _QUOTED)
+_COMMA = (1000, "xfy")
 
-# Kinds of the frames of Parser.parse, each a term whose parts are read
+# Kinds of the frames of _Reader.term, each a term whose parts are read
 _INFIX, _PREFIX, _PAREN, _ARGS, _LIST, _TAIL = range(6)
 
 
-class Parser:
-    """Operator-precedence parser over a token list."""
+def _unquote(lex):
+    """(name, None) for a quoted atom's lexeme, or (None, (message, offset))."""
+    parts, at = [], 1
+    for m in _QUOTE_PARTS.finditer(lex, 1):
+        parts.append(lex[at:m.start()])
+        piece = m.group()
+        if piece == "'":
+            return "".join(parts), None
+        mapped = _ESCAPES.get(piece)
+        if mapped is None:
+            if len(piece) == 1:
+                break
+            return None, ("unknown escape %s in quoted atom" % piece, m.start())
+        parts.append(mapped)
+        at = m.end()
+    return None, ("unterminated quoted atom", 0)
 
-    def __init__(self, tokens, optable, filename="<text>", pos=0):
-        self.tokens = tokens
+
+class _Reader:
+    """The (lexeme, layout) pairs of one text and what reading them needs."""
+
+    def __init__(self, text, optable, filename):
+        self.text = text
         self.ops = optable
         self.filename = filename
-        self.pos = pos
-        self.varmap = {}
+        self.pairs = _SCAN.findall(text)
+        layout = self.pairs[-1][1]
+        # the length of a block comment left open at the end of the text
+        self.open = len(layout) - _CLOSED_LAYOUT.match(layout).end()
+        self.pairs.append(_EOF_PAIR)
+        self.last = len(self.pairs) - 1
 
-    def err(self, msg, token=None):
-        token = token or self.peek()
-        raise ReaderError(msg, self.filename, token.line, token.col)
+    def error(self, message, k, at=0):
+        """Raise a ReaderError at lexeme k, or at its own error if it has one."""
+        lex = self.pairs[k][0]
+        kind = _KIND[lex[0]]
+        if lex == "(" and _KIND[self.pairs[k - 1][0][:1]] is _VAR \
+                and self.pairs[k - 1][1] == "":
+            message, k = "a variable cannot be used as a functor", k - 1
+        elif kind is _BAD:
+            message = "unexpected character %r" % lex[0]
+        elif kind is _QUOTED and _unquote(lex)[1]:
+            message, at = _unquote(lex)[1]
+        elif kind is _EOF and self.open:
+            message, at = "unterminated block comment", -self.open
+        offset = sum(map(len, chain.from_iterable(self.pairs[:k]))) + at
+        text = self.text
+        raise ReaderError(message, self.filename, text.count("\n", 0, offset) + 1,
+                          offset - text.rfind("\n", 0, offset))
 
-    def peek(self, offset=0):
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def value(self, k):
+        """The number, name or punctuation lexeme k stands for."""
+        lex = self.pairs[k][0]
+        kind = _KIND[lex[0]]
+        return (_number(lex) if kind is _NUM
+                else _unquote(lex)[0] if kind is _QUOTED else lex)
 
-    def next(self):
-        token = self.tokens[self.pos]   # pos never passes the eof token
-        if token.kind != "eof":
-            self.pos += 1
-        return token
+    def found(self, k):
+        """How an error message names lexeme k."""
+        return "end of input" if k == self.last else repr(self.value(k))
 
-    def expect_punct(self, value):
-        token = self.next()
-        if token.kind != "punct" or token.value != value:
-            self.err("expected %r, found %r" % (value, token.value), token)
+    def kind(self, k):
+        """The kind of lexeme k: _DOT only for a '.' that ends a clause,
+        one followed by layout or by the end of the text."""
+        lex, layout = self.pairs[k]
+        kind = _KIND[lex[0]]
+        if kind is _DOT and (lex != "." or not layout and k + 1 < self.last):
+            return _ATOM
+        return kind
 
-    # -- term reading ---------------------------------------------------
+    def func(self, k):
+        """Whether lexeme k is followed by '(' with no layout between."""
+        return self.pairs[k][1] == "" and self.pairs[k + 1][0] == "("
 
-    def read_clause_term(self):
-        """One term terminated by the end token, or None at eof."""
-        self.varmap = {}
-        if self.peek().kind == "eof":
-            return None
-        start = self.peek()
-        term, _ = self.parse(1200)
-        token = self.next()
-        if token.kind != "end":
-            self.err("operator priority clash or unexpected token %r" % (token.value,), token)
-        return term, dict(self.varmap), start.line
+    def starts_term(self, k):
+        """Whether lexeme k, after a prefix operator, starts its operand."""
+        lex = self.pairs[k][0]
+        kind = self.kind(k)
+        entry = self.ops.infix.get(lex)
+        if kind is _ATOM and entry and entry[1] in INFIX_FIXITIES \
+                and lex not in self.ops.prefix and not self.func(k):
+            # an infix-only operator atom after a prefix op is likely an
+            # operand only when something else follows it
+            lex, kind = self.pairs[k + 1][0], self.kind(k + 1)
+        return kind in _TERM_START or lex in ("(", "[")
 
-    def parse(self, max_priority):
-        """Parse a term; returns (term, priority).
+    def term(self, i, varmap):
+        """Read the term at lexeme i: (term, index of the lexeme after it).
 
         One loop reads the term.  A term that encloses others keeps a
         frame on a stack while they are read: the left operand of an
@@ -205,165 +184,203 @@ class Parser:
         compound's arguments so far, or a list's elements so far and its
         tail.  Nesting deeper than ``RESOLVE_DEPTH_LIMIT`` is an error.
         """
+        pairs = self.pairs
+        ops = self.ops
+        prefix, infix, priorities = ops.prefix, ops.infix, ops.priority
         frames = []     # (kind, max priority around it, name, part, priority)
+        push = frames.append
+        maxp = 1200
+        # only a text of more lexemes than the limit can nest that deep
+        deep = self.last - i > RESOLVE_DEPTH_LIMIT
         while True:
-            if len(frames) > RESOLVE_DEPTH_LIMIT:
-                self.err("term nested too deep")
-            # read the start of a term of at most max_priority
-            token = self.next()
-            kind = token.kind
-            if kind in ("int", "float"):
-                term, pri = token.value, 0
-            elif kind == "var":
-                if token.func:
-                    self.err("a variable cannot be used as a functor", token)
-                term = (Var("_") if token.value == "_"
-                        else self.varmap.get(token.value))
-                if term is None:
-                    term = self.varmap[token.value] = Var(token.value)
-                pri = 0
-            elif kind == "punct":
-                value = token.value
-                if value == "(":
-                    frames.append((_PAREN, max_priority, None, None, 0))
-                    max_priority = 1200
+            if deep and len(frames) > RESOLVE_DEPTH_LIMIT:
+                self.error("term nested too deep", i)
+            # read the start of a term of at most priority maxp
+            lex, layout = pairs[i]
+            i += 1
+            kind = _KIND[lex[0]]
+            pri = 0
+            if kind is _ATOM or kind is _DOT and self.kind(i - 1) is _ATOM:
+                if not layout and pairs[i][0] == "(":
+                    push((_ARGS, maxp, lex, [], 0))
+                    i += 1
+                    maxp = 999
                     continue
-                nxt = self.peek()
-                if value == "[":
-                    if nxt.kind == "punct" and nxt.value == "]":
-                        self.next()
-                        term, pri = NIL, 0
+                if lex in priorities:
+                    if not layout and (lex == "-" or lex == "+") \
+                            and _KIND[pairs[i][0][0]] is _NUM:
+                        # fold an adjacent numeric literal: -1 is the integer
+                        term = _number(pairs[i][0])
+                        term, i = (-term if lex == "-" else term), i + 1
                     else:
-                        frames.append((_LIST, max_priority, None, [], 0))
-                        max_priority = 999
+                        entry = prefix.get(lex)
+                        if entry is not None and entry[0] <= maxp \
+                                and self.starts_term(i):
+                            pri, fixity = entry
+                            push((_PREFIX, maxp, lex, None, pri))
+                            maxp = pri if fixity == "fy" else pri - 1
+                            continue
+                        pri = priorities[lex]
+                        if pri > maxp:
+                            # an operator atom as an operand goes in parens
+                            self.error("operator %r cannot stand here" % lex, i - 1)
+                        term = Atom(lex)
+                else:
+                    term = Atom(lex)
+            elif kind is _VAR:     # a '(' right after it fails below
+                if lex == "_":
+                    term = Var("_")
+                else:
+                    term = varmap.get(lex)
+                    if term is None:
+                        term = varmap[lex] = Var(lex)
+            elif kind is _NUM:
+                term = int(lex) if lex.isdecimal() else float(lex)
+            elif kind is _PUNCT:
+                if lex == "(":
+                    push((_PAREN, maxp, None, None, 0))
+                    maxp = 1200
+                    continue
+                if lex == "[":
+                    if pairs[i][0] != "]":
+                        push((_LIST, maxp, None, [], 0))
+                        maxp = 999
                         continue
-                elif value == "{" and nxt.kind == "punct" and nxt.value == "}":
-                    self.next()
-                    term, pri = Atom("{}"), 0
-                elif value == "{":
-                    self.err("brace terms are not supported", token)
+                    i += 1
+                    term = NIL
+                elif lex == "{" and pairs[i][0] == "}":
+                    i += 1
+                    term = Atom("{}")
+                elif lex == "{":
+                    self.error("brace terms are not supported", i - 1)
                 else:
-                    self.err("unexpected token %r" % value, token)
-            elif kind in ("atom", "qatom"):
-                name = token.value
-                if token.func:
-                    self.expect_punct("(")
-                    frames.append((_ARGS, max_priority, name, [], 0))
-                    max_priority = 999
+                    self.error("unexpected token %r" % lex, i - 1)
+            elif kind is _QUOTED:
+                name, bad = _unquote(lex)
+                if bad:
+                    self.error("", i - 1)
+                if not layout and pairs[i][0] == "(":
+                    push((_ARGS, maxp, name, [], 0))
+                    i += 1
+                    maxp = 999
                     continue
-                nxt = self.peek()
-                prefix = self.ops.prefix_op(name) if kind == "atom" else None
-                if (kind == "atom" and name in ("-", "+")
-                        and nxt.kind in ("int", "float") and not nxt.spaced):
-                    # fold an adjacent numeric literal: -1 is the integer
-                    self.next()
-                    term, pri = (-nxt.value if name == "-" else nxt.value), 0
-                elif (prefix is not None and prefix[0] <= max_priority
-                        and self.starts_term(nxt)):
-                    priority, fixity = prefix
-                    frames.append((_PREFIX, max_priority, name, None, priority))
-                    max_priority = priority if fixity == "fy" else priority - 1
-                    continue
-                else:
-                    pri = self.ops.max_priority(name) if kind == "atom" else 0
-                    if pri > max_priority:
-                        # an operator atom used as an operand is priority 0 in parens
-                        self.err("operator %r cannot stand here" % name, token)
-                    term = Atom(name)
-            elif kind == "end":
-                self.err("unexpected end of clause", token)
+                term = Atom(name)
+            elif kind is _DOT:
+                self.error("unexpected end of clause", i - 1)
             else:
-                self.err("unexpected end of input", token)
+                self.error("unexpected end of input", i - 1)
             # a term is read: take the operators after it, and close the
             # frames it completes, until one needs another term
             while True:
-                term, pri, infix = self.parse_infix(term, pri, max_priority)
-                if infix is not None:
-                    name, priority, right_max = infix
-                    frames.append((_INFIX, max_priority, name, term, priority))
-                    max_priority = right_max
-                    break
+                lex = pairs[i][0]
+                entry = infix.get(lex)
+                if entry is None:
+                    if lex == "," and maxp >= 1000:
+                        entry = _COMMA
+                elif _KIND[lex[0]] is not _ATOM and self.kind(i) is not _ATOM:
+                    entry = None   # punctuation, a variable, the end
+                if entry is not None and entry[0] <= maxp:
+                    priority, fixity = entry
+                    if pri <= (priority if fixity in ("yfx", "yf") else priority - 1):
+                        i += 1
+                        if fixity in ("xf", "yf"):
+                            term = new_struct(lex, (term,))
+                            pri = priority
+                            continue
+                        push((_INFIX, maxp, lex, term, priority))
+                        maxp = priority if fixity == "xfy" else priority - 1
+                        break
                 if not frames:
-                    return term, pri
-                kind, max_priority, name, part, pri = frames.pop()
-                if kind is _INFIX:
-                    term = Struct(name, (part, term))
-                elif kind is _PREFIX:
-                    term = Struct(name, (term,))
-                elif kind is _PAREN:
-                    self.expect_punct(")")
-                elif kind is _TAIL:
-                    self.expect_punct("]")
-                    term = make_list(part, term)
-                else:   # the next argument or element, or the end
+                    return term, i
+                kind, maxp, name, part, pri = frames[-1]
+                if kind is _ARGS or kind is _LIST:
                     part.append(term)
-                    token = self.next()
-                    if token.kind == "punct" and token.value == ",":
-                        frames.append((kind, max_priority, name, part, 0))
-                        max_priority = 999
+                    i += 1
+                    if lex == ",":     # the next argument or element
+                        maxp = 999
                         break
-                    if kind is _ARGS:
-                        if token.kind != "punct" or token.value != ")":
-                            self.err("expected ',' or ')' in argument list",
-                                     token)
-                        term = Struct(name, tuple(part))
-                    elif token.kind == "punct" and token.value == "|":
-                        frames.append((_TAIL, max_priority, None, part, 0))
-                        max_priority = 999
+                del frames[-1]
+                if kind is _ARGS:
+                    if lex != ")":
+                        self.error("expected ',' or ')' in argument list", i - 1)
+                    term = new_struct(name, tuple(part))
+                elif kind is _INFIX:
+                    term = new_struct(name, (part, term))
+                elif kind is _LIST:
+                    if lex == "|":
+                        push((_TAIL, maxp, None, part, 0))
+                        maxp = 999
                         break
-                    elif token.kind == "punct" and token.value == "]":
-                        term = make_list(part)
-                    else:
-                        self.err("expected ',', '|' or ']' in list", token)
+                    if lex != "]":
+                        self.error("expected ',', '|' or ']' in list", i - 1)
+                    term = make_list(part)
+                elif kind is _PREFIX:
+                    term = new_struct(name, (term,))
+                else:
+                    close = ")" if kind is _PAREN else "]"
+                    if lex != close:
+                        self.error("expected %r, found %s" % (close, self.found(i)), i)
+                    i += 1
+                    if kind is _TAIL:
+                        term = make_list(part, term)
 
-    def parse_infix(self, left, left_pri, max_priority):
-        """Apply the postfix operators after left that fit max_priority.
+    def clause(self, i, varmap, query=False):
+        """Read a term and its end: (term, index after the end), None at eof.
 
-        Returns (left, priority, infix): infix is the (name, priority,
-        maximum priority of its right operand) of the infix operator
-        whose right operand comes next, after it is taken, or None.
+        A term ends with a '.', or, in a query, at the end of the text.
         """
-        while True:
-            token = self.tokens[self.pos]
-            entry = None
-            name = None
-            if token.kind == "punct" and token.value == ",":
-                entry, name = (1000, "xfy"), ","
-            elif token.kind == "atom":
-                name = token.value
-                entry = self.ops.infix_op(name) or self.ops.postfix_op(name)
-            if entry is None:
-                return left, left_pri, None
-            priority, fixity = entry
-            if priority > max_priority:
-                return left, left_pri, None
-            max_left = priority if fixity in ("yfx", "yf") else priority - 1
-            if left_pri > max_left:
-                return left, left_pri, None
-            self.next()
-            if fixity in ("xf", "yf"):
-                left = Struct(name, (left,))
-                left_pri = priority
-                continue
-            right_max = priority if fixity == "xfy" else priority - 1
-            return left, left_pri, (name, priority, right_max)
+        if i == self.last:
+            self.check_layout()
+            return None
+        term, i = self.term(i, varmap)
+        if self.kind(i) is _DOT:
+            i += 1
+        elif i != self.last:
+            self.error("operator priority clash or unexpected token %r"
+                       % (self.value(i),), i)
+        elif query:
+            self.check_layout()
+        else:
+            self.error("unexpected end of input", i)
+        return term, i
 
-    def starts_term(self, token):
-        if token.kind in TERM_START_KINDS:
-            if token.kind == "atom":
-                # an infix-only operator atom after a prefix op is likely an
-                # operand only when something else follows it
-                if (
-                    self.ops.infix_op(token.value)
-                    and not self.ops.prefix_op(token.value)
-                    and not token.func
-                ):
-                    after = self.peek(1)
-                    return after.kind in TERM_START_KINDS or (
-                        after.kind == "punct" and after.value in ("(", "[")
-                    )
-            return True
-        return token.kind == "punct" and token.value in ("(", "[")
+    def check_layout(self):
+        """Raise on a block comment left open at the end of the text."""
+        if self.open:
+            self.error("", self.last)
+
+
+def _number(lex):
+    return int(lex) if lex.isdecimal() else float(lex)
+
+
+def tokenize(text, filename="<text>"):
+    """Token list of a source text, ending with an eof token.
+
+    The Token view of the reader's scan; the parser reads the pairs
+    themselves.  Lines and columns are counted along the text.
+    """
+    reader = _Reader(text, None, filename)
+    pairs = reader.pairs
+    tokens, line, start = [], 1, 0
+    for k in range(1, reader.last):
+        end = start + len(pairs[k - 1][0]) + len(pairs[k - 1][1])
+        line += text.count("\n", start, end)
+        kind, value, start = reader.kind(k), reader.value(k), end
+        if kind is _BAD or kind is _QUOTED and value is None:
+            reader.error("", k)
+        tokens.append(Token(
+            type(value).__name__ if kind is _NUM else _TOKEN_KINDS[kind], value,
+            line, end - text.rfind("\n", 0, end), k == 1 or pairs[k - 1][1] != "",
+            kind in _FUNCTORS and reader.func(k)))
+    reader.check_layout()
+    return tokens + [Token("eof", None, text.count("\n") + 1,
+                           len(text) - text.rfind("\n"), True)]
+
+
+_TOKEN_KINDS = {_ATOM: "atom", _VAR: "var", _PUNCT: "punct", _QUOTED: "qatom",
+                _DOT: "end"}
+_FUNCTORS = (_ATOM, _VAR, _QUOTED)
 
 
 @dataclass
@@ -378,29 +395,38 @@ class SourceItem:
 
 
 def parse_term(text, optable, filename="<text>"):
-    """Parse a single term (the terminating '.' is optional)."""
-    stripped = text.rstrip()
-    if not stripped.endswith("."):
-        text = stripped + " ."
-    parser = Parser(tokenize(text, filename), optable, filename)
-    result = parser.read_clause_term()
-    if result is None:
+    """Parse a single term; end of input ends it as a final '.' does."""
+    reader = _Reader(text, optable, filename)
+    varmap = {}
+    read = reader.clause(1, varmap, query=True)
+    if read is None:
         raise ReaderError("empty input", filename)
-    term, varmap, _ = result
-    if parser.peek().kind != "eof":
-        parser.err("unexpected text after term")
-    return term, varmap
+    if read[1] != reader.last:
+        reader.error("unexpected text after term", read[1])
+    return read[0], varmap
+
+
+def ends_clause(text):
+    """Whether text ends with an end token, no block comment left open."""
+    reader = _Reader(text, None, "<text>")
+    return reader.last > 1 and reader.kind(reader.last - 1) is _DOT and not reader.open
 
 
 def parse_program(text, optable, filename="<text>"):
     """Yield SourceItems; op/3 directives update the table immediately."""
-    tokens = tokenize(text, filename)
-    parser = Parser(tokens, optable, filename)
+    reader = _Reader(text, optable, filename)
+    pairs = reader.pairs
+    i, line, offset, counted = 1, 1, 0, 0
     while True:
-        result = parser.read_clause_term()
-        if result is None:
+        varmap = {}
+        read = reader.clause(i, varmap)
+        if read is None:
             return
-        term, varmap, line = result
+        # the line of the clause's first lexeme, counted on from the last
+        start = offset + sum(map(len, chain.from_iterable(pairs[counted:i])))
+        line += text.count("\n", offset, start)
+        offset, counted = start, i
+        term, i = read
         is_directive = (
             isinstance(term, Struct) and term.functor == ":-" and len(term.args) == 1
         )

@@ -216,9 +216,11 @@ def test_criterion_09_reader_round_trip():
     def body():
         engine = Engine()       # prelude gives the full operator table
         optable = engine.kb.optable
-        root = resources.files("mdprolog").joinpath("corpus", "programs")
+        package = resources.files("mdprolog")
+        root = package.joinpath("corpus", "programs")
         count = 0
-        for entry in sorted(root.iterdir(), key=lambda e: e.name):
+        for entry in [package.joinpath("prelude.mdp")] + sorted(
+                root.iterdir(), key=lambda e: e.name):
             for item in parse_program(entry.read_text(), optable, entry.name):
                 round_trip(item.term, optable)
                 count += 1

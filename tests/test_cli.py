@@ -1,3 +1,4 @@
+import io
 import resource
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from mdprolog import BudgetExceeded, Engine
+from mdprolog.cli import repl
 
 CLI = [sys.executable, "-m", "mdprolog.cli"]
 
@@ -53,6 +55,17 @@ class TestGoalMode:
         proc = run_cli(str(bad), "-g", "true")
         assert proc.returncode == 2
 
+    def test_a_goal_may_end_in_a_comment(self):
+        proc = run_cli("--no-prelude", "-g", "X = 1 % note")
+        assert proc.returncode == 0
+        assert proc.stdout == "X = 1.\n"
+
+    @pytest.mark.parametrize("goal", ["", "% c"])
+    def test_a_goal_with_no_term_is_empty_input(self, goal):
+        proc = run_cli("--no-prelude", "-g", goal)
+        assert proc.returncode == 2
+        assert proc.stderr == "mdprolog: <text>: empty input\n"
+
     def test_transform_error_in_goal_exits_two(self):
         proc = run_cli("-g", "X ? (Y ? p)")
         assert proc.returncode == 2
@@ -99,6 +112,13 @@ class TestRepl:
     def test_no_solution_prints_false(self, graph_file):
         proc = run_cli(graph_file, stdin="?- edge(z, _).\nhalt.\n")
         assert "false." in proc.stdout
+
+    def test_a_comment_after_the_dot_ends_the_query(self):
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.StringIO("X = 1. % note\nY = 2.\n")
+        assert repl(Engine(prelude=False), stdin, out, err) == 0
+        assert out.getvalue() == "X = 1.\nY = 2.\n"
+        assert "error" not in err.getvalue()
 
     def test_survives_a_syntax_error(self, graph_file):
         proc = run_cli(graph_file, stdin="?- p(.\n?- edge(a, X).\nhalt.\n")

@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdprolog import Engine
 from mdprolog.ops import default_table
-from mdprolog.reader import ReaderError, parse_program, parse_term, tokenize
+from mdprolog.reader import (ReaderError, ends_clause, parse_program, parse_term,
+                             tokenize)
 from mdprolog.render import render
 from mdprolog.terms import RESOLVE_DEPTH_LIMIT, Atom, Struct, Var
 from variants import variant_of
@@ -125,6 +127,46 @@ class TestPositions:
             list(parse_program(text, OPTABLE, "<t>"))
         assert (e.value.line, e.value.col) == (line, col)
         assert str(e.value) == "<t>:%d: %s" % (line, message)
+
+
+class TestEndOfInput:
+    @pytest.mark.parametrize("text", [
+        "X = 1 % note", "X = 1. % note", "X = 1 /* note */", "X = 1.\n"])
+    def test_a_query_ends_at_the_end_of_its_text(self, text):
+        [solution] = Engine(prelude=False).query(text)
+        assert solution.text() == "X = 1"
+
+    @pytest.mark.parametrize("text", ["", " \n", "% c", "/* c */ % d"])
+    def test_a_text_with_no_term_is_empty_input(self, text):
+        with pytest.raises(ReaderError) as e:
+            parse(text)
+        assert str(e.value) == "<text>: empty input"
+
+    @pytest.mark.parametrize("text, message", [
+        ("X = ", "unexpected end of input"),
+        ("f(a, ", "unexpected end of input"),
+        ("(a", "expected ')', found end of input"),
+        ("[a|T", "expected ']', found end of input"),
+        ("X = 1 /* open", "unterminated block comment"),
+        (".", "unexpected end of clause"),
+    ])
+    def test_a_query_cut_short(self, text, message):
+        with pytest.raises(ReaderError) as e:
+            parse(text)
+        assert str(e.value) == "<text>:1: " + message
+
+    def test_a_clause_cut_short_by_the_end_of_a_program(self):
+        with pytest.raises(ReaderError) as e:
+            list(parse_program("a.\nb :- c", OPTABLE, "<t>"))
+        assert (e.value.line, e.value.col) == (2, 7)
+        assert str(e.value) == "<t>:2: unexpected end of input"
+
+    @pytest.mark.parametrize("text, ends", [
+        ("X = 1.", True), ("X = 1. % note\n", True), ("a. /* c */\n", True),
+        ("X = 1", False), ("X = 'a.", False), ("X = 1. /* open", False),
+        ("X =..", False), ("% c.", False), ("", False)])
+    def test_ends_clause(self, text, ends):
+        assert ends_clause(text) is ends
 
 
 class TestParser:

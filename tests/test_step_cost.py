@@ -1,13 +1,15 @@
-"""The cost of one step of an accumulator loop, in bytecodes.
+"""The cost of one step of an accumulator loop, and of reading, in bytecodes.
 
 A step is counted as the ``sys.settrace`` opcode events of a first
 answer: (events at n = 300 - events at n = 100) / 200, after a warm-up.
 The count does not depend on the machine's speed or load, so it can
 guard the cost of control constructs against that of a plain step.
+Reading is counted per token of the text read, after a warm-up read.
 
 Run as a script (``python tests/test_step_cost.py``), it prints the cost
-of each loop's step and its ratio to a plain step on the Python that
-runs it.
+of each loop's step and its ratio to a plain step, and the cost of
+reading each text per token and its ratio to the character-by-character
+reader's, on the Python that runs it.
 """
 
 import sys
@@ -15,6 +17,7 @@ import sys
 import pytest
 
 from mdprolog import Engine, solver
+from mdprolog.reader import parse_program, parse_term, tokenize
 
 LOOPS = """
 psum(0, A, A).
@@ -32,7 +35,17 @@ QUERIES = {"psum": "psum(%d, 0, S)", "isum": "isum(%d, 0, S)",
            "csum": "csum(%d, 0, S)", "dsum": "[] ? dsum(%d, 0, S)"}
 
 
-def opcodes(engine, query):
+# A dispatch workload query, and a consulted text of 100 facts
+READS = {"query": "[d1: 5, d3: 7] ? via([-d1, d0: 4], p50(R))",
+         "facts": "".join("fact(%d, v%d).\n" % (k, k) for k in range(100))}
+# (bytecodes, tokens) of reading each text with the character-by-character
+# tokenizer and Token parser that the one-pass reader replaced, on
+# Python 3.11.7
+CHAR_READER = {"query": (7439, 27), "facts": (171050, 701)}
+
+
+def opcodes(call):
+    """The opcode events of call()."""
     count = 0
 
     def trace(frame, event, arg):
@@ -45,16 +58,19 @@ def opcodes(engine, query):
 
     sys.settrace(trace)
     try:
-        assert engine.run(query)
+        call()
     finally:
         sys.settrace(None)
     return count
 
 
 def step_cost(engine, loop):
-    query = QUERIES[loop]
-    opcodes(engine, query % 50)
-    return (opcodes(engine, query % 300) - opcodes(engine, query % 100)) / 200
+    def first_answer(n):
+        def run():
+            assert engine.run(QUERIES[loop] % n)
+        return opcodes(run)
+    first_answer(50)
+    return (first_answer(300) - first_answer(100)) / 200
 
 
 def measure():
@@ -66,6 +82,16 @@ def measure():
 @pytest.fixture(scope="module")
 def costs():
     return measure()
+
+
+def read_cost(name):
+    """Bytecodes per token of reading READS[name], after a warm-up read."""
+    optable = Engine(prelude=False).kb.optable
+    text = READS[name]
+    read = ((lambda: parse_term(text, optable)) if name == "query"
+            else (lambda: list(parse_program(text, optable))))
+    read()
+    return opcodes(read) / len(tokenize(text))
 
 
 def test_a_plain_step_is_a_run_of_arithmetic_and_a_call():
@@ -92,9 +118,22 @@ def test_a_dispatched_step_costs_at_most_1_75_plain_steps(costs):
     assert costs["dsum"] <= 1.75 * costs["psum"]
 
 
+@pytest.mark.parametrize("name", sorted(READS))
+def test_reading_costs_at_most_half_the_character_reader(name):
+    # one regex scan and a parser over its lexemes, with no token objects
+    bytecodes, tokens = CHAR_READER[name]
+    assert read_cost(name) <= 0.5 * bytecodes / tokens
+
+
 if __name__ == "__main__":
     print("Python %s: bytecodes per loop step" % sys.version.split()[0])
     print("loop   step     x psum")
     found = measure()
     for loop, cost in found.items():
         print("%-5s %6.0f %8.3f" % (loop, cost, cost / found["psum"]))
+    print("Python %s: bytecodes per token read" % sys.version.split()[0])
+    print("text   token  x char reader (3.11)")
+    for name in READS:
+        cost = read_cost(name)
+        bytecodes, tokens = CHAR_READER[name]
+        print("%-5s %6.1f %8.3f" % (name, cost, cost * tokens / bytecodes))
