@@ -54,10 +54,11 @@ class Token:
 
 # Layout: whitespace, line comments and block comments
 _CLOSED_LAYOUT = re.compile(r"(?:[ \t\r\n]+|%[^\n]*|/\*[\s\S]*?\*/)*")
-# A lexeme and the layout after it.  The first match is the empty lexeme
-# before the text's leading layout.  A quoted atom or block comment left
-# open runs to the end of the text; the last alternative takes any other
-# character, so the pairs cover the text.
+# A lexeme and the layout after it.  The lexeme alternatives, in order:
+# the empty lexeme before the text's leading layout; punctuation, ! and ;;
+# a name; a number; a quoted atom, which left open runs to the end of the
+# text, as an open block comment does in the layout; a symbol atom or an
+# end dot; and any other character, an error, so the pairs cover the text.
 _SCAN = re.compile(r"""(\A|[()\[\],|{}!;]|[^\W\d]\w*|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?
     |'[^'\\]*(?:(?:''|\\[\s\S])[^'\\]*)*(?:'|\Z)|[#$&*+\-./:<=>?@^~\\]+|[\s\S])
     ((?:[ \t\r\n]+|%[^\n]*|/\*[\s\S]*?(?:\*/|\Z))*)""", re.VERBOSE)
@@ -122,7 +123,13 @@ class _Reader:
         self.last = len(self.pairs) - 1
 
     def error(self, message, k, at=0):
-        """Raise a ReaderError at lexeme k, or at its own error if it has one."""
+        """Raise a ReaderError at lexeme k.
+
+        A lexeme that is itself wrong reports its own error instead: a
+        character that starts no lexeme, a malformed quoted atom, the end
+        of a text that leaves a block comment open, or a '(' right after a
+        variable.
+        """
         lex = self.pairs[k][0]
         kind = _KIND[lex[0]]
         if lex == "(" and _KIND[self.pairs[k - 1][0][:1]] is _VAR \

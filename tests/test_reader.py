@@ -129,6 +129,14 @@ class TestPositions:
         assert str(e.value) == "<t>:%d: %s" % (line, message)
 
 
+    def test_a_scan_error_is_raised_where_the_parser_reaches_it(self):
+        items = parse_program('a.\nb :- "x".\nc.', OPTABLE, "<t>")
+        assert next(items).term == Atom("a")
+        with pytest.raises(ReaderError) as e:
+            next(items)
+        assert str(e.value) == "<t>:2: unexpected character '\"'"
+
+
 class TestEndOfInput:
     @pytest.mark.parametrize("text", [
         "X = 1 % note", "X = 1. % note", "X = 1 /* note */", "X = 1.\n"])
