@@ -345,9 +345,7 @@ class _Reader:
         elif i != self.last:
             self.error("operator priority clash or unexpected token %r"
                        % (self.value(i),), i)
-        elif query:
-            self.check_layout()
-        else:
+        elif not query:
             self.error("unexpected end of input", i)
         return term, i
 
@@ -410,6 +408,7 @@ def parse_term(text, optable, filename="<text>"):
         raise ReaderError("empty input", filename)
     if read[1] != reader.last:
         reader.error("unexpected text after term", read[1])
+    reader.check_layout()
     return read[0], varmap
 
 

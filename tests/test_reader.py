@@ -128,7 +128,6 @@ class TestPositions:
         assert (e.value.line, e.value.col) == (line, col)
         assert str(e.value) == "<t>:%d: %s" % (line, message)
 
-
     def test_a_scan_error_is_raised_where_the_parser_reaches_it(self):
         items = parse_program('a.\nb :- "x".\nc.', OPTABLE, "<t>")
         assert next(items).term == Atom("a")
@@ -156,6 +155,7 @@ class TestEndOfInput:
         ("(a", "expected ')', found end of input"),
         ("[a|T", "expected ']', found end of input"),
         ("X = 1 /* open", "unterminated block comment"),
+        ("X = 1. /* open", "unterminated block comment"),
         (".", "unexpected end of clause"),
     ])
     def test_a_query_cut_short(self, text, message):
