@@ -2,9 +2,11 @@
 
 Deterministic builtins take the solver, the binding store and the goal's
 arguments and return True on success, False on failure; errors are
-raised as ``PrologThrow``.  The nondeterministic ones are generators
-that yield True once per solution, with its bindings in place, and undo
-them before the next.
+raised as ``PrologThrow``.  The nondeterministic ones bind nothing:
+they return a term and the values it unifies with, in order, and the
+machine tries those values as it tries a call's clauses.  A builtin
+that tests a unification and undoes it runs the test through
+``BindingStore.attempt``, so none of them marks or undoes on its own.
 
 The is/2 and comparisons of a clause body also compile, in runs, to
 generated Python code of the clause's frame (``ArithRun``), made by the
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 from .errors import (
     Halt,
@@ -302,11 +305,7 @@ def _b_unify(solver, store, a, b):
 
 
 def _b_not_unify(solver, store, a, b):
-    watermark, mark = store.watermark, store.mark()
-    ok = solver.unify(a, b, store)
-    store.undo_to(mark)
-    store.watermark = watermark     # no undo goes back here later
-    return not ok
+    return not store.attempt(solver.unify, a, b, store)
 
 
 def _b_struct_eq(solver, store, a, b):
@@ -398,22 +397,16 @@ def _b_between(solver, store, low, high, x):
     hi = store.deref(high)
     if isinstance(lo, Var) or isinstance(hi, Var):
         raise instantiation_error()
-    if not isinstance(lo, int):
-        raise type_error("integer", lo)
-    if not isinstance(hi, int):
-        raise type_error("integer", hi)
+    for bound in (lo, hi):
+        if not isinstance(bound, int):
+            raise type_error("integer", bound)
     xd = store.deref(x)
-    if isinstance(xd, int):
-        if lo <= xd <= hi:
-            yield True
-        return
-    if not isinstance(xd, Var):
+    if isinstance(xd, int):     # the one value xd, if it is in range
+        lo, hi = max(lo, xd), min(hi, xd)
+    elif not isinstance(xd, Var):
         raise type_error("integer", xd)
-    for i in range(lo, hi + 1):
-        mark = store.mark()
-        store.bind(xd, i)
-        yield True
-        store.undo_to(mark)
+    # len() counts at most sys.maxsize values, more than any run can try
+    return xd, range(lo, min(hi + 1, lo + sys.maxsize))
 
 
 def _b_length(solver, store, lst, n):
@@ -481,17 +474,9 @@ def _b_intersection(solver, store, a, b, out):
     items_b = proper_list(b, store)
     if items_a is None or items_b is None:
         raise type_error("list", resolve(a if items_a is None else b, store))
-    kept = []
-    watermark = store.watermark
-    for item in items_a:
-        for other in items_b:
-            mark = store.mark()
-            ok = solver.unify(item, other, store)
-            store.undo_to(mark)
-            if ok:
-                kept.append(item)
-                break
-    store.watermark = watermark
+    kept = [item for item in items_a
+            if any(store.attempt(solver.unify, item, other, store)
+                   for other in items_b)]
     return solver.unify(out, make_list(kept), store)
 
 
@@ -534,14 +519,10 @@ def _b_retractall(solver, store, pattern):
     kb = solver.kb
     kb.set_dynamic(key)
     removed = []
-    watermark = store.watermark
     for clause in kb.clauses_for(key, args, store):
         match, _, size, _ = clause.compiled or clause.compile()
-        mark = store.mark()
-        if match(args, [None] * size, store, solver.occurs_check):
+        if store.attempt(match, args, [None] * size, store, solver.occurs_check):
             removed.append(clause)
-        store.undo_to(mark)
-    store.watermark = watermark
     kb.remove_clauses(key, removed)
     return True
 
@@ -612,20 +593,31 @@ def _b_new_oid(solver, store, out):
 
 
 def _b_ctx_member(solver, store, ctx, dim, coord):
+    """For an atom dim, coord and the coordinates of the entries named
+    dim, until an entry's name is not an atom; from there, or for any
+    other dim, dim:coord and every ``:``/2 entry."""
     entries = proper_list(ctx, store)
     if entries is None:
         raise type_error("list", resolve(ctx, store))
-    for entry in entries:
-        e = store.deref(entry)
-        if not (isinstance(e, Struct) and e.functor == ":" and len(e.args) == 2):
-            continue
-        mark = store.mark()
-        if solver.unify(dim, e.args[0], store) and solver.unify(coord, e.args[1], store):
-            yield True
-        store.undo_to(mark)
+    dim = store.deref(dim)
+    named = type(dim) is Atom
+    values = []
+    for entry in map(store.deref, entries):
+        if type(entry) is Struct and entry.functor == ":" and len(entry.args) == 2:
+            if named:
+                name = store.deref(entry.args[0])
+                if type(name) is Atom:
+                    if name is dim:
+                        values.append(entry.args[1])
+                    continue
+                named = False   # a name that may be dim: the pairs so far
+                values = [Struct(":", (dim, value)) for value in values]
+            values.append(entry)
+    return (coord, values) if named else (Struct(":", (dim, coord)), values)
 
 
-# nondeterministic builtins: generators that yield True once per solution
+# nondeterministic builtins: each returns a term and the values, in order,
+# that the machine tries to unify it with
 NONDETERMINISTIC = {
     ("between", 3): _b_between,
     ("ctx_member", 3): _b_ctx_member,

@@ -9,8 +9,10 @@ A run of the machine (``Run``) keeps two structures:
   entry holds the trail mark to undo to, the watermark that goes with
   it and the continuation to resume: the clauses a call (or the winners
   a dispatch) has not tried yet, the other branch of a disjunction, a
-  candidate whose context rules are being scored, a suspended
-  nondeterministic builtin, or the frame of a catch/3 or findall/3.
+  candidate whose context rules are being scored, the values of a
+  nondeterministic builtin not yet tried, or the frame of a catch/3 or
+  findall/3.  A choicepoint holds only data: what it tries next is an
+  index into its clauses or values, never a suspended Python frame.
 
 There is one way to run a goal: as goal entries made by one compiler.
 A clause body is compiled with its head (``compile_body``) into a tuple
@@ -62,20 +64,26 @@ A call that has no clause left to try leaves no choicepoint, and a
 clause body's last goal continues with its caller's continuation, so
 deterministic recursion grows neither the choicepoint stack nor the
 Python stack.  The other builtins live in ``builtins``: deterministic
-ones return a bool; between/3 and ctx_member/3 are generators that a
-choicepoint resumes.
+ones return a bool; between/3 and ctx_member/3 bind nothing, but return
+a term and the values it unifies with, in order.  The machine tries
+those values as it tries a call's clauses (``Run._values``), with no
+inference for a redo: it marks only when there are two or more, and a
+VALUES choicepoint holds the index of the next value only while values
+remain, so a last answer leaves no choicepoint.
 
 A store trails only bindings of variables older than its watermark
 (``terms.BindingStore``).  ``store.mark()`` raises the watermark where
 an undo can follow: before the first head that has another clause or
-winner after it, at every choicepoint pushed, and where a builtin undoes
-on its own (``\\=``, retractall/1).  Each choicepoint keeps the
-watermark it raised, and wherever the stack is cut or popped the
+winner after it, before the first of two or more values, at every
+choicepoint pushed, and where a builtin tests and undoes
+(``BindingStore.attempt``: ``\\=``, intersection/3, retractall/1).
+Each choicepoint keeps the watermark it raised.  Wherever the stack is
+cut or popped, and after a call's last clause or a last value, the
 watermark goes back to that of the newest choicepoint left, as the WAM
-restores HB; a cut also drops the trail entries that only the
-choicepoints it removes could undo.  So deterministic code, and a loop
-whose choicepoints are gone by its next step, keeps only the terms it
-still uses.
+restores HB, and the trail entries from the mark on that only the
+choicepoints gone could undo are dropped (``Run._release``).  So
+deterministic code, and a loop whose choicepoints are gone by its next
+step, keeps only the terms it still uses.
 
 A clause is tried through what ``Clause.compile`` makes on its first
 try: a head whose first atom or number argument differs from the goal's
@@ -177,17 +185,17 @@ FAIL = Atom("fail")
 #   dispatch, spared 1, whose cut barrier lies above this choicepoint, so
 #   that a cut in one winner spares the next
 #   (RESUME, mark, watermark, cont): go on with cont
-#   (GENERATOR, mark, watermark, cont, suspended builtin)
+#   (VALUES, mark, watermark, cont, term, values, index of the next): the
+#   values of a nondeterministic builtin still to unify with term
 #   (CATCH, mark, watermark, cont, catcher, recovery entries, frame, barrier)
 #   (FINDALL, mark, watermark, cont, template, answers, result)
 #   (SCORE, mark, watermark, cont, scoring, index of the candidate); the
 #   marker (SCORE, None, None, None, scoring, -1) starts a scoring
-CLAUSES, RESUME, GENERATOR, CATCH, FINDALL, SCORE = range(6)
+CLAUSES, RESUME, VALUES, CATCH, FINDALL, SCORE = range(6)
 
 # Continuation markers, tuples in the first position of a continuation
-# entry; they count no inference.  A resumed CLAUSES, GENERATOR or SCORE
-# choicepoint is put back into the continuation as a marker, and so is a
-# GENERATOR that has not yet given its first answer.
+# entry; they count no inference.  A resumed CLAUSES or SCORE choicepoint
+# is put back into the continuation as a marker.
 #   (CUT_TO, height): commit, as if-then-else does
 #   (CATCH_EXIT, height of the CATCH choicepoint)
 #   (COLLECT, height of the FINDALL choicepoint)
@@ -303,7 +311,6 @@ class Run:
         deref = store.deref
         trail = store.trail
         cps = self.cps
-        floor = self.floor
         tick = solver.tick
         call_predicate = solver.call_predicate
         occurs_check = solver.occurs_check
@@ -364,11 +371,9 @@ class Run:
                             if len(cps) > barrier:
                                 self._cut(barrier)
                             continue
-                        elif code is E_NONDET:  # a marker for its first answer
-                            args = y if frame is None else y(frame)
-                            mark = store.mark()
-                            cont = ((GENERATOR, mark, store.watermark, cont,
-                                     x(solver, store, *args)), 0, cont)
+                        elif code is E_NONDET:  # a term and its values
+                            cont = self._values(cont, *x(
+                                solver, store, *(y if frame is None else y(frame))))
                             continue
                         elif code is C_TRUE:
                             continue
@@ -385,11 +390,6 @@ class Run:
                     elif kind is CATCH_EXIT:
                         if len(cps) == goal[1] + 1:     # the goal left no
                             self._cut(goal[1])          # choicepoint
-                        continue
-                    elif kind is GENERATOR:
-                        if not next(goal[4], False):
-                            break
-                        cps.append(goal)
                         continue
                     elif kind is COLLECT:
                         cp = cps[goal[1]]
@@ -429,8 +429,8 @@ class Run:
                                 cps.append((CLAUSES, mark, watermark, cont, args,
                                             clauses, i, spared))
                                 height += spared
-                            if mark is not None:    # no choicepoint may be left
-                                store.watermark = cps[-1][2] if cps else floor
+                            elif mark is not None:  # the last clause
+                                self._release(mark)
                             if body:
                                 cont = ((BODY, body, 0, frame), height, cont)
                             else:
@@ -526,27 +526,52 @@ class Run:
                 return (BODY, rules or _TRUE, 0, frame), height + 1, (marker, 0, cont)
         return cont
 
-    def _cut(self, height):
-        """Drop the choicepoints from height on, and the trail entries
-        that only they could undo: those of variables made after the
-        newest choicepoint left."""
-        cps = self.cps
+    def _values(self, cont, term, values, i=0, mark=None):
+        """cont once term unifies with the first of values[i:] that it
+        can, or _FAILED if none does.
+
+        A mark is taken before the first of two or more values.  While
+        values remain, a VALUES choicepoint holds the index of the next;
+        after the last, the mark is released.
+        """
         store = self.store
-        trail = store.trail
-        mark = cps[height][1]
-        del cps[height:]
+        n = len(values)
+        if mark is None and n > 1:
+            mark = store.mark()
+        for i in range(i, n):
+            if self.solver.unify(term, values[i], store):
+                if i + 1 < n:
+                    self.cps.append((VALUES, mark, store.watermark, cont, term,
+                                     values, i + 1))
+                elif mark is not None:
+                    self._release(mark)
+                return cont
+        return _FAILED
+
+    def _release(self, mark):
+        """Put back the watermark of the newest choicepoint left, and drop
+        the trail entries from mark on that no choicepoint left can undo:
+        those of variables made after its watermark."""
+        store, trail, cps = self.store, self.store.trail, self.cps
         watermark = store.watermark = cps[-1][2] if cps else self.floor
         if len(trail) > mark:
             trail[mark:] = [var for var in trail[mark:] if var.serial < watermark]
+
+    def _cut(self, height):
+        """Drop the choicepoints from height on, and the trail entries
+        that only they could undo."""
+        mark = self.cps[height][1]
+        del self.cps[height:]
+        self._release(mark)
 
     def _backtrack(self):
         """The continuation of the newest alternative, or _REDO if none is left.
 
         Choicepoints without an alternative are popped, and the trail is
-        undone to the mark of the one resumed.  A clause or builtin
-        choicepoint, or a scored candidate whose rules failed, come back
-        inside the continuation, as a marker that ``step`` resumes.  With
-        no choicepoint left the store
+        undone to the mark of the one resumed.  A clause choicepoint, or a
+        scored candidate whose rules failed, come back inside the
+        continuation, as a marker that ``step`` resumes; the next values
+        of a builtin are tried here.  With no choicepoint left the store
         is as the run found it.
         """
         cps = self.cps
@@ -555,10 +580,12 @@ class Run:
             cp = cps.pop()
             store.undo_to(cp[1])
             kind = cp[0]
-            if kind is CLAUSES or kind is GENERATOR:
-                store.watermark = cp[2]     # the marker retries under it
-                return cp, 0, cp[3]
-            store.watermark = cps[-1][2] if cps else self.floor
+            if kind is CLAUSES or kind is VALUES:
+                store.watermark = cp[2]     # the retry runs under it
+                if kind is CLAUSES:
+                    return cp, 0, cp[3]
+                return self._values(cp[3], cp[4], cp[5], cp[6], cp[1])
+            self._release(cp[1])
             if kind is RESUME:
                 return cp[3]
             if kind is SCORE:
@@ -625,7 +652,7 @@ def _apply_goal(solver, store, g, arglist):
 #   E_ARITH: the function of a run of is/2 and comparisons
 #   (``builtins.ArithRun``), which counts its own inferences; ticks 0, y
 #   None
-#   E_NONDET: generator builtin, arguments
+#   E_NONDET: builtin that returns a term and its values, arguments
 #   E_VAR: _call_goal, (goal,); compiled when it runs
 #   C_CALL: goal maker, arguments; or None, the entries of a call/1 goal
 #   compiled with the clause
@@ -663,7 +690,7 @@ _BUILTINS = {
     ("forall", 2): (C_FORALL, None), ("$dispatch", 3): (C_DISPATCH, None),
     ("apply", 2): (C_CALL, _apply_goal),
     **{("call", n): (C_CALL, _call_goal) for n in range(1, 9)},
-    **{key: (E_NONDET, gen) for key, gen in NONDETERMINISTIC.items()},
+    **{key: (E_NONDET, builtin) for key, builtin in NONDETERMINISTIC.items()},
     **{key: (E_DET, builtin) for key, builtin in DETERMINISTIC.items()},
 }
 _ARITH = {"is", *COMPARISONS}
@@ -817,6 +844,8 @@ def _compile_construct(code, args, ticks, seen, deref, depth):
 _TRUE = _compile(TRUE, None, None, 0)
 _QUIET_TRUE = ((0, C_TRUE, None, ()),)
 _QUIET_FAIL = ((0, C_FAIL, None, ()),)
+# the continuation of a goal that has failed, with no inference to count
+_FAILED = (BODY, _QUIET_FAIL, 0, None), 0, None
 
 
 BOOTSTRAP = """

@@ -205,8 +205,9 @@ class BindingStore:
     its first mark a store trails every binding.  Whoever marks puts the
     watermark back once no undo can return to the mark: the machine
     keeps the watermark of each choicepoint and restores that of the
-    newest one left when choicepoints go, and a builtin that undoes on
-    its own restores the one it found.
+    newest one left when choicepoints go (``solver.Run._release``), and
+    ``attempt``, which undoes a test outside the machine, restores the
+    one it found.
 
     A variable holds one store's binding at a time: binding it through a
     second store overwrites the first store's binding, which that store's
@@ -241,6 +242,14 @@ class BindingStore:
         while len(trail) > mark:
             var = trail.pop()
             var.owner = var.ref = None
+
+    def attempt(self, test, *args):
+        """Whether test(*args) succeeds; the bindings it makes are undone."""
+        watermark, mark = self.watermark, self.mark()
+        ok = test(*args)
+        self.undo_to(mark)
+        self.watermark = watermark      # no undo goes back to mark later
+        return ok
 
 
 _EMPTY_STORE = BindingStore()

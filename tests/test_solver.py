@@ -11,7 +11,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdprolog import BudgetExceeded, Engine, PrologThrow, kb, solver, terms
+from mdprolog import BudgetExceeded, Engine, PrologThrow, builtins, kb, solver, terms
 from mdprolog.reader import parse_term
 from mdprolog.render import render
 from mdprolog.terms import (NIL, Atom, BindingStore, MdpError, Var, compare_terms,
@@ -1029,6 +1029,7 @@ class TestCompiledBodies:
 
 
 DEPTH_SCRIPT = """
+import resource
 import sys
 from mdprolog import Engine
 engine = Engine(prelude=False)
@@ -1047,6 +1048,8 @@ sum(N, 1 + T) :- N1 is N - 1, sum(N1, T).
 ''')
 engine.consult_text(sys.stdin.read(), "<stdin>")
 print(engine.query(sys.argv[1])[0].render(sys.argv[2]))
+# the peak memory in kilobytes on Linux, as the last line of stderr
+sys.stderr.write("%d\\n" % resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
@@ -1069,6 +1072,10 @@ class TestDeterminism:
         "forall(member(X, [1, 2]), X > 0)",
         "call(app, [1], [2], L)",
         "member(X, [1, 2]), !",
+        "between(1, 1, X)",
+        "between(1, 3, 3)",
+        "ctx_member([a: 1, b: 2], a, V)",
+        "(between(1, 2, X), X > 1)",
     ])
     def test_the_first_answer_leaves_no_choicepoint(self, engine, text):
         engine.consult_text(NREV)
@@ -1088,6 +1095,64 @@ class TestDeterminism:
             heights.append(len(run.cps))
         # one choicepoint holds the winners still to run, until the last
         assert heights == [1, 1, 0]
+
+
+# goals of between/3 and ctx_member/3, and their answers or error
+VALUE_GOALS = [
+    ("between(1, 3, X)", ["X = 1", "X = 2", "X = 3"]),
+    ("between(3, 1, X)", []),
+    ("between(1, 3, 2)", ["true"]),
+    ("between(1, 3, 5)", []),
+    ("between(1, 3, X), X > 1, !", ["X = 2"]),
+    ("between(a, 3, X)", "error(type_error(integer, a), mdprolog)"),
+    ("between(1, 3, a)", "error(type_error(integer, a), mdprolog)"),
+    ("between(X, 3, Y)", "error(instantiation_error, mdprolog)"),
+    ("ctx_member([a: 1, b: 2], a, V)", ["V = 1"]),
+    ("ctx_member([a: 1, a: 2], a, V)", ["V = 1", "V = 2"]),
+    ("ctx_member([a: 1, b: 2], D, V)", ["D = a, V = 1", "D = b, V = 2"]),
+    ("ctx_member([a: f(Y), a: f(2)], a, f(Z))", ["Y = Y, Z = Y", "Y = Y, Z = 2"]),
+    # a name that is not an atom may be the dimension
+    ("ctx_member([X: 1], a, V)", ["X = a, V = 1"]),
+    ("ctx_member([K: 1, b: 2], b, V)", ["K = b, V = 1", "K = K, V = 2"]),
+    # entries that are not name: coordinate pairs are passed over
+    ("ctx_member([a: 1, b, Z], a, V)", ["Z = Z, V = 1"]),
+    ("ctx_member([1: x, 1.0: y], 1, V)", ["V = x"]),
+    ("ctx_member([a: 1, b: 2], a, 2)", []),
+    ("ctx_member([a: 1, b: 2], f(x), V)", []),
+    ("X = b, ctx_member([a: 1, b: 2], X, V)", ["X = b, V = 2"]),
+    ("ctx_member([a: 1|T], a, V)", "error(type_error(list, [a:1|T]), mdprolog)"),
+    ("ctx_member(foo, a, V)", "error(type_error(list, foo), mdprolog)"),
+]
+
+
+class TestValueBuiltins:
+    """between/3 and ctx_member/3 return a term and the values it unifies
+    with, and the machine tries them in order."""
+
+    @pytest.mark.parametrize("goal, expected", VALUE_GOALS)
+    def test_answers_and_errors(self, engine, goal, expected):
+        try:
+            found = [s.text().replace("\n", " ") for s in engine.solutions(goal)]
+        except PrologThrow as exc:
+            found = engine.solver.render(exc.ball)
+        assert found == expected
+
+    def test_a_range_longer_than_len_counts_is_enumerated(self, engine):
+        goal = ("between(-9223372036854775808, 9223372036854775807, X), "
+                "X > -9223372036854775807, !")
+        assert answers(engine, goal, "X") == ["-9223372036854775806"]
+
+    def test_a_nondeterministic_builtin_binds_nothing(self, engine):
+        store = BindingStore()
+        x, k, v = Var("X"), Var("K"), Var("V")
+        ctx = make_list([terms.Struct(":", (k, 1))])
+        between = builtins.NONDETERMINISTIC["between", 3]
+        ctx_member = builtins.NONDETERMINISTIC["ctx_member", 3]
+        assert between(engine.solver, store, 1, 3, x) == (x, range(1, 4))
+        # K may be a, so the entry is tried whole
+        term, values = ctx_member(engine.solver, store, ctx, Atom("a"), v)
+        assert term.args == (Atom("a"), v) and values == [ctx.args[0]]
+        assert store.trail == [] and x.owner is k.owner is v.owner is None
 
 
 # clause bodies that bind, test and undo around choicepoints: the goals
@@ -1205,6 +1270,11 @@ class TestConditionalTrailing:
         "forall(N > 0, true)",
         "N \\= -1",
         "s(f(N))",
+        "(m(I), I > 1)",
+        "between(1, 1, _)",
+        "ctx_member([a: N], a, _)",
+        "(between(1, 2, I), I > 1)",
+        "(ctx_member([a: 1, a: 2], a, I), I > 1)",
     ])
     def test_the_trail_stays_small_once_choicepoints_go(self, engine, step):
         # each step marks and then drops its choicepoints, so the watermark
@@ -1214,6 +1284,8 @@ class TestConditionalTrailing:
             ite(N, X) :- %s, X = g(Y), N1 is N - 1, ite(N1, Y).
             s(f(-1)).
             s(_).
+            m(1).
+            m(2).
         ''' % step)
         run = first_answer_run(engine, "ite(10000, _)")
         assert len(run.store.trail) < 10
@@ -1325,6 +1397,24 @@ class TestDepth:
     def test_a_30000_element_answer_comes_back(self):
         proc = run_depth("upto(30000, L), length(L, N)", "N")
         assert (proc.returncode, proc.stdout) == (0, "30000\n"), proc.stderr
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in kilobytes")
+    def test_a_goal_bearing_dispatch_loop_runs_in_constant_memory(self):
+        # each step's winner runs ctx_member/3 as its residue, whose last
+        # answer leaves no choicepoint to keep the steps before it
+        program = """
+            ok.
+            [n: _, ok @ 0] # gsum(0, A, A).
+            [n: _, ok @ 0] # gsum(N, A, S) :- N > 0, A1 is A + N,
+                N1 is N - 1, [n: N1] ? gsum(N1, A1, S).
+            go(N) :- [n: N] ? gsum(N, 0, _).
+        """
+        peaks = []
+        for n in (1000, 50000):
+            proc = run_depth("go(%d), R = done" % n, "R", program)
+            assert (proc.returncode, proc.stdout) == (0, "done\n"), proc.stderr
+            peaks.append(int(proc.stderr.split()[-1]))
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_a_100000_element_answer_renders(self):
         proc = run_depth("findall(X, between(1, 100000, X), L)", "L")

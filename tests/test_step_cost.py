@@ -29,10 +29,15 @@ csum(0, A, A).
 csum(N, A, S) :- call(N > 0), A1 is A + N, N1 is N - 1, csum(N1, A1, S).
 [] # dsum(0, A, A).
 [] # dsum(N, A, S) :- N > 0, A1 is A + N, N1 is N - 1, [] ? dsum(N1, A1, S).
+ok.
+[n: _, ok @ 0] # gsum(0, A, A).
+[n: _, ok @ 0] # gsum(N, A, S) :- N > 0, A1 is A + N, N1 is N - 1,
+    [n: N1] ? gsum(N1, A1, S).
 """
 # the query of each loop, given n
 QUERIES = {"psum": "psum(%d, 0, S)", "isum": "isum(%d, 0, S)",
-           "csum": "csum(%d, 0, S)", "dsum": "[] ? dsum(%d, 0, S)"}
+           "csum": "csum(%d, 0, S)", "dsum": "[] ? dsum(%d, 0, S)",
+           "gsum": "[n: 0] ? gsum(%d, 0, S)"}
 
 
 # A dispatch workload query, and a consulted text of 100 facts
@@ -116,6 +121,12 @@ def test_a_dispatched_step_costs_at_most_1_75_plain_steps(costs):
     # the winners of a dimension-only dispatch are called as the clauses
     # of one call
     assert costs["dsum"] <= 1.75 * costs["psum"]
+
+
+def test_a_goal_bearing_step_costs_at_most_8_6_plain_steps(costs):
+    # its context rules run as goals on the machine, three ctx_member/3
+    # calls a step, and the last answer of each leaves no choicepoint
+    assert costs["gsum"] <= 8.6 * costs["psum"]
 
 
 @pytest.mark.parametrize("name", sorted(READS))
