@@ -595,12 +595,21 @@ def _b_new_oid(solver, store, out):
 def _b_ctx_member(solver, store, ctx, dim, coord):
     """For an atom dim, coord and the coordinates of the entries named
     dim, until an entry's name is not an atom; from there, or for any
-    other dim, dim:coord and every ``:``/2 entry."""
+    other dim, dim:coord and every ``:``/2 entry.
+
+    A context that ``dispatcher.updated_context`` built names each entry
+    once, and with an atom dim the answer is one lookup in the entries by
+    name kept with it (``Solver.contexts``); any other list is walked."""
+    ctx = store.deref(ctx)
+    dim = store.deref(dim)
+    named = type(dim) is Atom
+    known = solver.contexts.get(id(ctx))
+    if named and known is not None and known[0] is ctx:
+        entry = known[1].get(dim.name)
+        return coord, [] if entry is None else [entry.args[1]]
     entries = proper_list(ctx, store)
     if entries is None:
         raise type_error("list", resolve(ctx, store))
-    dim = store.deref(dim)
-    named = type(dim) is Atom
     values = []
     for entry in map(store.deref, entries):
         if type(entry) is Struct and entry.functor == ":" and len(entry.args) == 2:

@@ -9,12 +9,19 @@ candidates, are then called as one call whose clauses are their
 implementation clauses in that order (``winner_calls``), so the machine
 runs them as it runs the clauses of a plain predicate.
 
-A candidate's dimension checks depend on the set of the context's
-dimension names alone, so each predicate keeps the checks it has made
-per set of names (``KnowledgeBase.scorings``), and with them, when no
-goal-bearing candidate is eligible, the winners' clauses: a dispatch
-whose context has a shape seen before scores nothing, as a polymorphic
-inline cache reuses the lookup made for a receiver's type.
+A candidate's dimension checks read only whether the context names
+each dimension it requires.  So the checks of a predicate depend only on
+which of the names its candidates require the context holds, and each
+predicate keeps the checks it has made per such set of names
+(``KnowledgeBase.scorings``), and with them, when no goal-bearing
+candidate is eligible, the winners' clauses: a dispatch whose context
+has a shape seen before scores nothing, as a polymorphic inline cache
+reuses the lookup made for a receiver's type.  A name that no candidate
+requires makes no new shape.
+
+A context that a dispatch builds is kept with its entries by name
+(``updated_context``), so the next dispatch inside it starts from them,
+and ``ctx_member/3`` looks a name up in them instead of walking the list.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .terms import (
     Atom,
     Struct,
     Var,
+    list_parts,
     new_struct,
     proper_list,
     resolve,
@@ -70,57 +78,79 @@ def parse_given(given, store):
     return frozenset(removals), tuple(upserts)
 
 
-def updated_context(store, implicit, given, goal):
+def updated_context(solver, store, implicit, given, goal):
     """Merge the call-site context into the implicit one.
 
     Removals (-name) are applied first, then each name: coord entry
     upserts in order, and finally the goal itself is recorded under the
     predicate dimension.  ``given`` is the call-site context term and
-    ``goal`` is dereferenced.  Returns the context list and the frozenset
-    of its dimension names.
+    ``goal`` is dereferenced.  Returns the context list and its entries
+    by name, an ordered dict.
+
+    A context built here has unique names, and it is kept with that dict
+    in ``solver.contexts``, under its id, so that an update of it starts
+    from a copy of the dict and ``ctx_member/3`` looks a name up in it.
+    Any other implicit list is walked (``_named``).
     """
-    # The implicit context is engine-built: its entries are the
-    # ``name: Coord`` compounds themselves, which the update reuses.
-    names = []
-    entries = []
     t = store.deref(implicit) if type(implicit) is Var else implicit
-    while type(t) is Struct and t.functor == "." and len(t.args) == 2:
-        e, t = t.args
-        if type(e) is Var:
-            e = store.deref(e)
-        if type(e) is Struct and e.functor == ":" and len(e.args) == 2:
-            name = e.args[0]
-            if type(name) is Var:
-                name = store.deref(name)
-            if type(name) is Atom:
-                names.append(name.name)
-                entries.append(e)
-        if type(t) is Var:
-            t = store.deref(t)
-    if t is not NIL:
-        raise type_error("list", resolve(implicit, store))
+    contexts = solver.contexts
+    known = contexts.get(id(t))
+    if known is not None and known[0] is t:
+        named, repeats = known[1].copy(), False
+    elif t is NIL:      # the context of a query or a plain rule
+        named, repeats = {}, False
+    else:
+        named, repeats = _named(store, implicit)
     if given is not NIL:
         removals, upserts = parse_given(given, store)
-        if removals:
-            kept = [i for i, n in enumerate(names) if n not in removals]
-            names = [names[i] for i in kept]
-            entries = [entries[i] for i in kept]
-        for name, entry in upserts:
-            if name in names:
-                entries[names.index(name)] = entry
-            else:
-                names.append(name)
-                entries.append(entry)
-    entry = new_struct(":", (PREDICATE, goal))
-    if PREDICATE_DIM in names:
-        entries[names.index(PREDICATE_DIM)] = entry
-    else:
-        names.append(PREDICATE_DIM)
-        entries.append(entry)
+        for name in removals:
+            named.pop(name, None)
+        if repeats and removals:    # and the entries of a name met again
+            named = {key: e for key, e in named.items()
+                     if type(key) is str or key[0] not in removals}
+        for name, entry in upserts:     # in place, or appended
+            named[name] = entry
+    named[PREDICATE_DIM] = new_struct(":", (PREDICATE, goal))
     ctx = NIL
-    for entry in reversed(entries):
+    for entry in reversed(named.values()):
         ctx = new_struct(".", (entry, ctx))
-    return ctx, frozenset(names)
+    if not repeats:
+        if len(contexts) >= CONTEXTS_KEPT:
+            contexts.clear()
+        contexts[id(ctx)] = ctx, named
+    return ctx, named
+
+
+CONTEXTS_KEPT = 64      # the engine-built contexts a solver keeps by id
+
+
+def _named(store, implicit):
+    """The ``name: Coord`` entries of an implicit list whose name is an
+    atom, in order, and whether a name is met again.
+
+    An entry is keyed by its name, or, where the name is met again, by
+    (name, position), so that an upsert replaces the first and the rest
+    stay.  A name bound through a variable is put in the entry.  A cyclic
+    list is an error (``list_parts``).
+    """
+    items, tail = list_parts(implicit, store)
+    if tail is not NIL:
+        raise type_error("list", resolve(implicit, store))
+    named = {}
+    repeats = False
+    for i, e in enumerate(items):
+        e = store.deref(e)
+        if type(e) is Struct and e.functor == ":" and len(e.args) == 2:
+            name = store.deref(e.args[0])
+            if type(name) is Atom:
+                if name is not e.args[0]:
+                    e = new_struct(":", (name, e.args[1]))
+                if name.name in named:
+                    named[name.name, i] = e
+                    repeats = True
+                else:
+                    named[name.name] = e
+    return named, repeats
 
 
 def score_signature(solver, store, sig, ctx, ctx_keys):
@@ -164,8 +194,8 @@ def dispatch(solver, store, implicit, given, goal):
     and the machine runs the rules and completes the report, a list of
     its own (``solver.Run._score``), before it calls the winners.
     ``Engine.explain`` runs the same scoring and calls no winner.  The
-    checks of a context whose set of names the predicate has met before
-    come from its cache.
+    checks of a context that holds a set of the required names that the
+    predicate has met before come from its cache.
     """
     if type(goal) is Var:
         goal = store.deref(goal)
@@ -183,8 +213,9 @@ def dispatch(solver, store, implicit, given, goal):
     if not sigs:
         raise existence_error(
             "mdp_predicate", Struct("/", (Atom(name), len(args))))
-    ctx, ctx_keys = updated_context(store, implicit, given, goal)
-    shapes, entries = kb.scorings(name, len(args))
+    ctx, named = updated_context(solver, store, implicit, given, goal)
+    shapes, entries, required = kb.scorings(name, len(args))
+    ctx_keys = required.intersection(named)     # all that the checks read
     found = shapes.get(ctx_keys)
     if found is None:
         if len(shapes) >= SHAPES_KEPT:
@@ -197,7 +228,7 @@ def dispatch(solver, store, implicit, given, goal):
     return name, args, ctx, report, winners
 
 
-SHAPES_KEPT = 64    # the sets of context names a predicate keeps checks for
+SHAPES_KEPT = 64    # the sets of required names a predicate keeps checks for
 
 
 def _checks(solver, store, sigs, ctx, ctx_keys, n, entries):

@@ -512,9 +512,10 @@ class KnowledgeBase:
 
     def scorings(self, name, arity):
         """The dispatcher's caches for name/arity: its dimension checks by
-        set of context names, and the report entries they share.  Two
-        dicts, dropped by a change to the candidates with the cached
-        candidates."""
+        the set of required names that a context holds, and the report
+        entries they share, two dicts; and the names that the candidates
+        require, a frozenset.  A change to the candidates drops them with
+        the cached candidates."""
         return (self._dispatch.get((name, arity))
                 or self._new_dispatch(name, arity))[1]
 
@@ -524,7 +525,8 @@ class KnowledgeBase:
         anonymous = self.signatures_for(ANONYMOUS, 0)
         if anonymous and key != (ANONYMOUS, 0):     # two ordered runs
             found = tuple(sorted(found + anonymous, key=_by_order))
-        entry = self._dispatch[key] = found, ({}, {})
+        required = frozenset([d for sig in found for d in sig.required_dims])
+        entry = self._dispatch[key] = found, ({}, {}, required)
         return entry
 
     def all_signatures(self):

@@ -223,9 +223,13 @@ class Solver:
         self.trace_dispatch = trace_dispatch
         self.inferences = 0
         self.oid_counter = 0
+        # id -> (context, its entries by name), of the contexts that
+        # dispatcher.updated_context built
+        self.contexts = {}
 
     def reset_run(self):
         self.inferences = 0
+        self.contexts.clear()
 
     def tick(self):
         self.inferences += 1

@@ -6,11 +6,18 @@ from hypothesis import given, strategies as st
 
 from mdprolog import BudgetExceeded, Engine, PrologThrow, dispatcher, solver
 from mdprolog.dispatcher import updated_context
-from mdprolog.terms import Atom, BindingStore, Struct, Var, make_list, proper_list
+from mdprolog.kb import KnowledgeBase
+from mdprolog.terms import NIL, Atom, BindingStore, Struct, Var, make_list, proper_list
 
 
 def entry(name, coord):
     return Struct(":", (Atom(name), coord))
+
+
+def updated(store, implicit, given, goal):
+    """updated_context on a solver of its own."""
+    return updated_context(solver.Solver(KnowledgeBase()), store, implicit,
+                           given, goal)
 
 
 def entries_of(ctx, store):
@@ -25,14 +32,14 @@ class TestUpdatedContext:
     def test_goal_is_recorded_under_predicate(self):
         store = BindingStore()
         goal = Struct("p", (Atom("x"),))
-        ctx, _ = updated_context(store, make_list([]), make_list([]), goal)
+        ctx, _ = updated(store, make_list([]), make_list([]), goal)
         assert entries_of(ctx, store) == [("predicate", goal)]
 
     def test_upsert_replaces_in_place_and_appends_new(self):
         store = BindingStore()
         implicit = make_list([entry("a", Atom("1")), entry("b", Atom("2"))])
         given = make_list([entry("a", Atom("9")), entry("c", Atom("3"))])
-        ctx, _ = updated_context(store, implicit, given, Atom("g"))
+        ctx, _ = updated(store, implicit, given, Atom("g"))
         assert [n for n, _ in entries_of(ctx, store)] == \
             ["a", "b", "c", "predicate"]
         assert dict(entries_of(ctx, store))["a"] == Atom("9")
@@ -41,19 +48,19 @@ class TestUpdatedContext:
         store = BindingStore()
         implicit = make_list([entry("a", Atom("1"))])
         given = make_list([Struct("-", (Atom("a"),)), entry("a", Atom("2"))])
-        ctx, _ = updated_context(store, implicit, given, Atom("g"))
+        ctx, _ = updated(store, implicit, given, Atom("g"))
         assert dict(entries_of(ctx, store))["a"] == Atom("2")
 
     def test_removal_of_absent_dimension_is_harmless(self):
         store = BindingStore()
-        ctx, _ = updated_context(store, make_list([]),
-                              make_list([Struct("-", (Atom("zz"),))]), Atom("g"))
+        ctx, _ = updated(store, make_list([]),
+                         make_list([Struct("-", (Atom("zz"),))]), Atom("g"))
         assert [n for n, _ in entries_of(ctx, store)] == ["predicate"]
 
     def test_call_site_predicate_entry_loses_to_live_goal(self):
         store = BindingStore()
         given = make_list([entry("predicate", Atom("fake"))])
-        ctx, _ = updated_context(store, make_list([]), given, Atom("real"))
+        ctx, _ = updated(store, make_list([]), given, Atom("real"))
         assert dict(entries_of(ctx, store))["predicate"] == Atom("real")
 
     def test_unchanged_entries_are_reused(self):
@@ -61,20 +68,64 @@ class TestUpdatedContext:
         kept = entry("a", Atom("1"))
         given = entry("b", Atom("2"))
         implicit = make_list([kept, entry("predicate", Atom("old"))])
-        ctx, keys = updated_context(store, implicit, make_list([given]), Atom("g"))
+        ctx, named = updated(store, implicit, make_list([given]), Atom("g"))
         items = proper_list(ctx)
         assert items[0] is kept and items[2] is given
         assert dict(entries_of(ctx, store))["predicate"] == Atom("g")
-        assert keys == {"a", "predicate", "b"}
+        assert named.keys() == {"a", "predicate", "b"}
 
     def test_a_given_name_bound_through_a_variable_is_an_atom(self):
         store = BindingStore()
         name = Var("N")
         store.bind(name, Atom("mode"))
         given = make_list([Struct(":", (name, Atom("fast")))])
-        ctx, keys = updated_context(store, make_list([]), given, Atom("g"))
+        ctx, named = updated(store, make_list([]), given, Atom("g"))
         assert proper_list(ctx)[0] == entry("mode", Atom("fast"))
-        assert keys == {"mode", "predicate"}
+        assert named.keys() == {"mode", "predicate"}
+
+
+class TestImplicitLists:
+    """An implicit context that no dispatch built is walked as a list, so a
+    name it repeats stays; one that a dispatch built is kept with its
+    entries by name, a bounded table that each query empties."""
+
+    @pytest.mark.parametrize("query, expected", [
+        ("'$dispatch'([a: 1, a: 2, b: 3], [-b], p(X))", ["1", "2"]),
+        ("'$dispatch'([a: 1, a: 2], [a: 5], p(X))", ["5", "2"]),
+        ("'$dispatch'([a: 1, a: 2, b: 3], [-a, a: 5], p(X))", ["5"]),
+        ("G = [a: 1], '$dispatch'([b: 2|G], G, p(X))", ["1"]),
+        ("[a: 1, a: 2] ? p(X)", ["2"]),
+        ("N = a, '$dispatch'([N: 1], [], p(X))", ["1"]),
+    ])
+    def test_answers(self, query, expected):
+        engine = Engine(prelude=False)
+        engine.consult_text("[a: X] # p(X).")
+        assert answers(engine, query) == expected
+
+    def test_a_list_that_repeats_a_name_is_not_kept(self):
+        engine = Engine(prelude=False)
+        store = BindingStore()
+        repeated = make_list([entry("a", 1), entry("a", 2)])
+        _, named = updated_context(engine.solver, store, repeated, NIL, Atom("g"))
+        assert list(named) == ["a", ("a", 1), "predicate"]
+        assert engine.solver.contexts == {}
+        _, named = updated_context(engine.solver, store, repeated,
+                                   make_list([Struct("-", (Atom("a"),))]),
+                                   Atom("g"))
+        assert list(named) == ["predicate"]
+
+    def test_the_kept_contexts_are_bounded_and_each_query_empties_them(
+            self, monkeypatch):
+        engine = Engine(prelude=False)
+        engine.consult_text(
+            "[] # d(0).\n[] # d(N) :- N > 0, N1 is N - 1, [n: N1] ? d(N1).")
+        sizes = []
+        update = dispatcher.updated_context
+        monkeypatch.setattr(dispatcher, "updated_context", lambda solver, *args:
+                            sizes.append(len(solver.contexts)) or update(solver, *args))
+        assert engine.run("[] ? d(200)")
+        assert max(sizes) == dispatcher.CONTEXTS_KEPT and sizes[0] == 0
+        assert engine.run("true") and engine.solver.contexts == {}
 
 
 class TestCandidates:
@@ -187,7 +238,7 @@ class TestShapeCache:
         assert answers(engine, "[] ? p(X)") == ["a"]
         assert engine.kb.scorings("p", 1)[0]
         engine.consult_text("[] # p(b).", filename="two")
-        assert engine.kb.scorings("p", 1) == ({}, {})
+        assert engine.kb.scorings("p", 1) == ({}, {}, frozenset())
         assert answers(engine, "[] ? p(X)") == ["a", "b"]
         engine.consult_text("[] :- true.", filename="three")
         assert answers(engine, "[] ? p(X)") == ["a", "b", "X"]
@@ -196,18 +247,52 @@ class TestShapeCache:
         engine.consult_text("q.", filename="three")
         assert answers(engine, "[] ? p(X)") == ["a"]
         copy = engine.kb.copy()
-        assert copy.scorings("p", 1) == ({}, {})
+        assert copy.scorings("p", 1) == ({}, {}, frozenset())
+        engine.consult_text("[mode: M, d: _] # p(M).\n[] :- true.", filename="two")
+        assert engine.kb.scorings("p", 1)[2] == {"mode", "d"}
 
     def test_it_stays_bounded(self):
+        # each query names another set of the eight dimensions that the
+        # candidates require, so each is a shape of its own
         engine = Engine(prelude=False)
-        engine.consult_text("[] # p(a).")
+        engine.consult_text("[] # p(none).\n" + "".join(
+            "[d%d: _] # p(%d).\n" % (j, j) for j in range(8)))
         for i in range(dispatcher.SHAPES_KEPT * 3):
-            assert answers(engine, "[d%d: 1] ? p(X)" % i) == ["a"]
+            named = [j for j in range(8) if i >> j & 1]
+            query = "[%s] ? p(X)" % ", ".join("d%d: 1" % j for j in named)
+            assert answers(engine, query) == ([str(j) for j in named] or ["none"])
             assert len(engine.kb.scorings("p", 1)[0]) <= dispatcher.SHAPES_KEPT
-        # the cached reports share the candidate's one entry
+        # the cached reports share the first candidate's one entry
         reports = [report for report, _ in engine.kb.scorings("p", 1)[0].values()]
         assert len(reports) > 1
         assert len({id(report[0]) for report in reports}) == 1
+
+    def test_names_that_no_candidate_requires_make_no_shape(self, monkeypatch):
+        engine = Engine(prelude=False)
+        engine.consult_text("[] # p(a).")
+        assert answers(engine, "[d1: 1] ? p(X)") == ["a"]
+        scored = []
+        score = dispatcher.score_signature
+        monkeypatch.setattr(dispatcher, "score_signature",
+                            lambda *args: scored.append(args[2]) or score(*args))
+        assert answers(engine, "[d2: 1] ? p(X)") == ["a"]
+        assert scored == [] and list(engine.kb.scorings("p", 1)[0]) == [frozenset()]
+
+    def test_a_name_that_a_candidate_requires_makes_a_shape(self, monkeypatch):
+        engine = Engine(prelude=False)
+        engine.consult_text("[mode: M] # p(moded(M)).\n[] # p(plain).")
+        scored = []
+        score = dispatcher.score_signature
+        monkeypatch.setattr(dispatcher, "score_signature",
+                            lambda *args: scored.append(args[2]) or score(*args))
+        assert answers(engine, "[] ? p(X)") == ["plain"]
+        assert answers(engine, "[mode: x] ? p(X)") == ["moded(x)"]
+        assert len(scored) == 4
+        assert answers(engine, "[mode: y, d: 1] ? p(X)") == ["moded(y)"]
+        assert answers(engine, "[d: 1] ? p(X)") == ["plain"]
+        assert len(scored) == 4
+        assert set(engine.kb.scorings("p", 1)[0]) == {frozenset(),
+                                                     frozenset(["mode"])}
 
 
 def answers(engine, query):

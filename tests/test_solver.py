@@ -11,7 +11,8 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdprolog import BudgetExceeded, Engine, PrologThrow, builtins, kb, solver, terms
+from mdprolog import (BudgetExceeded, Engine, PrologThrow, builtins, dispatcher,
+                      kb, solver, terms)
 from mdprolog.reader import parse_term
 from mdprolog.render import render
 from mdprolog.terms import (NIL, Atom, BindingStore, MdpError, Var, compare_terms,
@@ -236,18 +237,33 @@ class TestBudget:
     ])
     def test_work_that_doubles_each_step_ends_within_the_budget(self, program,
                                                                  options):
-        script = RUNAWAY_SCRIPT % (options, program)
-        gib = 1 << 30
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            timeout=60, preexec_fn=lambda: resource.setrlimit(
-                resource.RLIMIT_AS, (gib, gib)))
-        assert proc.stdout == "BudgetExceeded\n", proc.stderr
+        assert run_away(program, options) == "BudgetExceeded\n"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS")
+    @pytest.mark.parametrize("context", ["[a: 1|L]", "[b, a: 1|L]"])
+    def test_a_cyclic_implicit_context_is_an_error(self, context):
+        # the walk of an implicit list that the engine did not build checks
+        # for a cycle, as that of a given list does
+        program = "[a: X] # p(X).\nd(_) :- L = %s, '$dispatch'(L, [], p(_))."
+        assert run_away(program % context, "budget=1000") == "cyclic list\n"
+
+
+def run_away(program, options):
+    """The stdout of RUNAWAY_SCRIPT in a child process, which a timeout
+    and an address-space limit of 1 GiB, set on the child only, end."""
+    gib = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNAWAY_SCRIPT % (options, program)],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)))
+    assert proc.stdout, proc.stderr
+    return proc.stdout
 
 
 RUNAWAY_SCRIPT = """
 import time
 from mdprolog import BudgetExceeded, Engine
+from mdprolog.terms import MdpError
 engine = Engine(prelude=False, %s)
 engine.consult_text(%r)
 start = time.monotonic()
@@ -256,6 +272,9 @@ try:
 except BudgetExceeded:
     assert time.monotonic() - start < 10
     print("BudgetExceeded")
+except MdpError as exc:
+    assert time.monotonic() - start < 10
+    print(exc)
 """
 
 
@@ -1141,6 +1160,50 @@ class TestValueBuiltins:
         goal = ("between(-9223372036854775808, 9223372036854775807, X), "
                 "X > -9223372036854775807, !")
         assert answers(engine, goal, "X") == ["-9223372036854775806"]
+
+    @pytest.mark.parametrize("goal, expected", VALUE_GOALS)
+    def test_a_dispatch_runs_them_as_a_query_does(self, engine, goal, expected):
+        # inside a winner, whose implicit context the engine built
+        engine.consult_text("[] # run(G) :- G.")
+        self.test_answers_and_errors(engine, "[a: 1, b: 2] ? run((%s))" % goal,
+                                     expected)
+
+    @pytest.mark.parametrize("goal", sorted({
+        re.sub(r"^(.*?)ctx_member\((\[.*?\]|foo)", r"\1ctx_member(C", goal)
+        for goal, _ in VALUE_GOALS if "ctx_member" in goal}))
+    def test_an_engine_built_context_answers_as_its_list(self, engine, goal):
+        # the goal's list is C: a context built by a dispatch, whose names
+        # ctx_member/3 looks up, or the same entries as a list of the query
+        found = []
+        for built in (True, False):
+            store = BindingStore()
+            term, varmap = parse_term(goal, engine.kb.optable)
+            entries = [terms.Struct(":", (Atom(name), coord)) for name, coord
+                       in (("a", 1), ("b", 2), ("predicate", Atom("g")))]
+            if built:
+                ctx, _ = dispatcher.updated_context(
+                    engine.solver, store, NIL, make_list(entries[:2]), Atom("g"))
+                assert engine.solver.contexts[id(ctx)][0] is ctx
+            else:
+                ctx = make_list(entries)
+            store.bind(varmap.pop("C"), ctx)
+            engine.solver.inferences = 0
+            texts = [[(name, render(var, store)) for name, var in varmap.items()]
+                     for _ in engine.solver.solve(term, store)]
+            found.append((texts, engine.solver.inferences))
+        assert found[0] == found[1]
+
+    def test_an_atom_name_in_an_engine_built_context_is_looked_up(self, engine,
+                                                                  monkeypatch):
+        store = BindingStore()
+        given = make_list([terms.Struct(":", (Atom("a"), 1))])
+        ctx, _ = dispatcher.updated_context(engine.solver, store, NIL, given,
+                                            Atom("g"))
+        ctx_member = builtins.NONDETERMINISTIC["ctx_member", 3]
+        v = Var("V")
+        monkeypatch.setattr(builtins, "proper_list", None)     # no walk
+        assert ctx_member(engine.solver, store, ctx, Atom("a"), v) == (v, [1])
+        assert ctx_member(engine.solver, store, ctx, Atom("b"), v) == (v, [])
 
     def test_a_nondeterministic_builtin_binds_nothing(self, engine):
         store = BindingStore()

@@ -117,16 +117,16 @@ def test_a_call_step_costs_at_most_1_54_plain_steps(costs):
     assert costs["csum"] <= 1.54 * costs["psum"]
 
 
-def test_a_dispatched_step_costs_at_most_1_75_plain_steps(costs):
+def test_a_dispatched_step_costs_at_most_1_6_plain_steps(costs):
     # the winners of a dimension-only dispatch are called as the clauses
-    # of one call
-    assert costs["dsum"] <= 1.75 * costs["psum"]
+    # of one call, and the update starts from the implicit context's names
+    assert costs["dsum"] <= 1.6 * costs["psum"]
 
 
-def test_a_goal_bearing_step_costs_at_most_8_6_plain_steps(costs):
+def test_a_goal_bearing_step_costs_at_most_6_8_plain_steps(costs):
     # its context rules run as goals on the machine, three ctx_member/3
-    # calls a step, and the last answer of each leaves no choicepoint
-    assert costs["gsum"] <= 8.6 * costs["psum"]
+    # calls a step, each one lookup in the context's names
+    assert costs["gsum"] <= 6.8 * costs["psum"]
 
 
 @pytest.mark.parametrize("name", sorted(READS))
