@@ -119,6 +119,10 @@ def _apply(f, values):
         if f == "abs":
             return _check_int(abs(a)) if isinstance(a, int) else abs(a)
         if f == "floor":
+            if a != a:      # NaN
+                raise evaluation_error("undefined")
+            if a in (math.inf, -math.inf):
+                raise evaluation_error("int_overflow")
             return _check_int(math.floor(a))
         if f == "sqrt":
             if a < 0:
@@ -466,7 +470,7 @@ def _b_max_list(solver, store, lst, out):
 
 def _b_sum_list(solver, store, lst, out):
     values = _numeric_list(solver, store, lst)
-    return solver.unify(out, sum(values) if values else 0, store)
+    return solver.unify(out, _num_result(sum(values)), store)
 
 
 def _b_intersection(solver, store, a, b, out):

@@ -129,7 +129,11 @@ def main(argv=None):
 
     if argv and argv[0] == "test":
         directory = argv[1] if len(argv) > 1 else None
-        passed, results = run_all(directory, report=sys.stdout)
+        try:
+            passed, results = run_all(directory, report=sys.stdout)
+        except MdpError as exc:     # a case file that holds no case
+            _error(str(exc))
+            return 2
         if not results:
             _error("no corpus cases found in %s" % (directory or "package"))
             return 2

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import yaml
 
-from .engine import Engine
+from .engine import Engine, read_source
 from .errors import PrologThrow
 from .render import render
 from .terms import BudgetExceeded, MdpError
@@ -45,8 +45,24 @@ def _packaged_root():
     return resources.files("mdprolog").joinpath("corpus")
 
 
+# the fields of a case file and their types; a case needs a name and a query
+_FIELDS = {"name": str, "query": str, "topic": str, "programs": list,
+           "setup": list, "budget": int, "max_solutions": int, "expect": dict}
+
+
 def load_case(path):
-    data = yaml.safe_load(Path(path).read_text())
+    """The case of a YAML file; an MdpError that names the file if it is none."""
+    try:
+        data = yaml.safe_load(read_source(Path(path)))
+    except yaml.YAMLError as exc:
+        raise MdpError("%s: not a case file: %s" % (path, exc)) from exc
+    if not isinstance(data, dict) or None in (data.get("name"), data.get("query")):
+        raise MdpError("%s: a case needs a name and a query" % path)
+    for key, kind in _FIELDS.items():
+        value = data.get(key)
+        if value is not None and not (isinstance(value, kind) and (
+                kind is not list or all(isinstance(v, str) for v in value))):
+            raise MdpError("%s: %s must be a %s" % (path, key, kind.__name__))
     return CorpusCase(
         name=data["name"],
         topic=data.get("topic", ""),
@@ -71,11 +87,12 @@ def load_cases(directory=None):
 
 
 def _program_text(name, directory=None):
-    if directory is not None:
-        local = Path(directory) / name
-        if local.exists():
-            return local.read_text()
-    return _packaged_root().joinpath("programs").joinpath(name).read_text()
+    """The text of a program: the directory's file of that name, if there
+    is one, else the packaged one."""
+    path = Path(directory) / name if directory is not None else None
+    if path is None or not path.exists():
+        path = _packaged_root().joinpath("programs").joinpath(name)
+    return read_source(path)
 
 
 def _solution_line(sol):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from importlib import resources
+from pathlib import Path
 
 from .dispatcher import dispatch
 from .errors import ConsultError, PrologThrow
@@ -16,6 +17,17 @@ from .transformer import expand_source_item, phase1_rewrite
 
 def _prelude_path():
     return resources.files("mdprolog").joinpath("prelude.mdp")
+
+
+def read_source(path):
+    """The text of a UTF-8 source file; a ConsultError if it cannot be read."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConsultError("%s: %s" % (path, exc.strerror)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConsultError("%s:%d: not UTF-8 text: %s" % (
+            path, exc.object.count(b"\n", 0, exc.start) + 1, exc.reason)) from exc
 
 
 class Solution:
@@ -60,7 +72,7 @@ def _consult_base(prelude):
     engine.solver = Solver(engine.kb)
     engine.consult_text(BOOTSTRAP, filename="<bootstrap>")
     if prelude:
-        engine.consult_text(_prelude_path().read_text(), filename="<prelude>")
+        engine.consult_text(read_source(_prelude_path()), filename="<prelude>")
     return engine.kb
 
 
@@ -113,9 +125,7 @@ class Engine:
     # -- consulting ------------------------------------------------------
 
     def consult_file(self, path):
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        self.consult_text(text, filename=str(path))
+        self.consult_text(read_source(Path(path)), filename=str(path))
 
     def consult_text(self, text, filename="<text>"):
         self.kb.forget_file(filename)
@@ -131,11 +141,7 @@ class Engine:
         self.solver.reset_run()
         where = "%s:%s" % (item.filename, item.line)
         if item.is_directive:
-            goal = item.term.args[0]
-            name = getattr(goal, "functor", getattr(goal, "name", None))
-            if name == "op":
-                return  # applied by the reader while parsing
-            rewritten = phase1_rewrite(self, goal, NIL, 0, where)
+            rewritten = phase1_rewrite(self, item.term.args[0], NIL, 0, where)
             try:
                 if not self.solver.solve(rewritten, BindingStore()).step():
                     raise ConsultError("directive failed at %s" % where)

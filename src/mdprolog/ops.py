@@ -1,23 +1,18 @@
-"""Operator table for reading and writing terms.
+"""Operator table for reading and writing terms: plain data.
 
 An operator name has at most one prefix entry and one infix/postfix entry,
-with priorities in 1..1200.  ``op/3`` directives replace entries in place.
-The reader looks names up in the three dicts directly; ``priority`` holds
-each name's highest priority as any operator.
+with priorities in 1..1200.  ``op/3`` replaces entries in place; it checks
+its arguments before it calls ``add``, which checks nothing.  The reader
+and the renderer look names up in the three dicts directly; ``priority``
+holds each name's highest priority as any operator.
 """
 
 from __future__ import annotations
-
-from .terms import MdpError
 
 PREFIX_FIXITIES = {"fy", "fx"}
 INFIX_FIXITIES = {"xfx", "xfy", "yfx"}
 POSTFIX_FIXITIES = {"xf", "yf"}
 FIXITIES = PREFIX_FIXITIES | INFIX_FIXITIES | POSTFIX_FIXITIES
-
-
-class OperatorError(MdpError):
-    pass
 
 
 class OperatorTable:
@@ -27,14 +22,11 @@ class OperatorTable:
         self.priority = {}  # name -> its highest priority as any operator
 
     def add(self, priority, fixity, name):
-        if not isinstance(priority, int) or not 1 <= priority <= 1200:
-            raise OperatorError("operator priority out of range: %r" % (priority,))
+        """Enter an operator: priority in 1..1200, fixity one of FIXITIES."""
         if fixity in PREFIX_FIXITIES:
             self.prefix[name] = (priority, fixity)
-        elif fixity in INFIX_FIXITIES or fixity in POSTFIX_FIXITIES:
-            self.infix[name] = (priority, fixity)
         else:
-            raise OperatorError("unknown operator fixity: %r" % (fixity,))
+            self.infix[name] = (priority, fixity)
         self.priority[name] = max(self.prefix.get(name, (0,))[0],
                                   self.infix.get(name, (0,))[0])
 
@@ -45,24 +37,6 @@ class OperatorTable:
         table.infix = dict(self.infix)
         table.priority = dict(self.priority)
         return table
-
-    def prefix_op(self, name):
-        return self.prefix.get(name)
-
-    def infix_op(self, name):
-        entry = self.infix.get(name)
-        if entry and entry[1] in INFIX_FIXITIES:
-            return entry
-        return None
-
-    def postfix_op(self, name):
-        entry = self.infix.get(name)
-        if entry and entry[1] in POSTFIX_FIXITIES:
-            return entry
-        return None
-
-    def is_operator(self, name):
-        return name in self.priority
 
 
 _DEFAULT_OPS = [

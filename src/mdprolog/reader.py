@@ -9,7 +9,11 @@ A lexeme's line and column are worked out from the summed lengths of the
 pairs before it, and only when a ``ReaderError`` is raised.  The scan
 itself never fails: a character that starts no lexeme, an unterminated
 quoted atom or block comment is an error when the parser reaches it.
-``tokenize`` builds the ``Token`` view of the same scan.
+
+The reader only reads: it turns text into terms and applies no
+directive.  ``parse_program`` yields a file's items one at a time, so an
+``op/3`` directive that the consult runs before asking for the next item
+governs the clauses after it.
 
 End of input ends a term as its final '.' does, so a query needs no dot,
 even after a comment.  The parser reads a term in one loop over an
@@ -21,7 +25,7 @@ interpreter's recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from .ops import INFIX_FIXITIES
@@ -40,16 +44,6 @@ class ReaderError(MdpError):
         if line is not None:
             where += ":%d" % line
         super().__init__("%s: %s" % (where, message))
-
-
-@dataclass(slots=True)
-class Token:
-    kind: str        # atom, qatom, var, int, float, punct, end, eof
-    value: object
-    line: int
-    col: int
-    spaced: bool     # preceded by whitespace or a comment
-    func: bool = False  # immediately followed by '(' (compound notation)
 
 
 # Layout: whitespace, line comments and block comments
@@ -359,35 +353,6 @@ def _number(lex):
     return int(lex) if lex.isdecimal() else float(lex)
 
 
-def tokenize(text, filename="<text>"):
-    """Token list of a source text, ending with an eof token.
-
-    The Token view of the reader's scan; the parser reads the pairs
-    themselves.  Lines and columns are counted along the text.
-    """
-    reader = _Reader(text, None, filename)
-    pairs = reader.pairs
-    tokens, line, start = [], 1, 0
-    for k in range(1, reader.last):
-        end = start + len(pairs[k - 1][0]) + len(pairs[k - 1][1])
-        line += text.count("\n", start, end)
-        kind, value, start = reader.kind(k), reader.value(k), end
-        if kind is _BAD or kind is _QUOTED and value is None:
-            reader.error("", k)
-        tokens.append(Token(
-            type(value).__name__ if kind is _NUM else _TOKEN_KINDS[kind], value,
-            line, end - text.rfind("\n", 0, end), k == 1 or pairs[k - 1][1] != "",
-            kind in _FUNCTORS and reader.func(k)))
-    reader.check_layout()
-    return tokens + [Token("eof", None, text.count("\n") + 1,
-                           len(text) - text.rfind("\n"), True)]
-
-
-_TOKEN_KINDS = {_ATOM: "atom", _VAR: "var", _PUNCT: "punct", _QUOTED: "qatom",
-                _DOT: "end"}
-_FUNCTORS = (_ATOM, _VAR, _QUOTED)
-
-
 @dataclass
 class SourceItem:
     """A directive or clause term read from source, with provenance."""
@@ -396,7 +361,6 @@ class SourceItem:
     is_directive: bool
     filename: str
     line: int
-    varmap: dict = field(default_factory=dict)
 
 
 def parse_term(text, optable, filename="<text>"):
@@ -419,13 +383,16 @@ def ends_clause(text):
 
 
 def parse_program(text, optable, filename="<text>"):
-    """Yield SourceItems; op/3 directives update the table immediately."""
+    """Yield a SourceItem for each clause and directive, as it is read.
+
+    The next item is read only when it is asked for, with the table as it
+    is then: an op/3 directive run in between governs the rest of the text.
+    """
     reader = _Reader(text, optable, filename)
     pairs = reader.pairs
     i, line, offset, counted = 1, 1, 0, 0
     while True:
-        varmap = {}
-        read = reader.clause(i, varmap)
+        read = reader.clause(i, {})
         if read is None:
             return
         # the line of the clause's first lexeme, counted on from the last
@@ -436,12 +403,4 @@ def parse_program(text, optable, filename="<text>"):
         is_directive = (
             isinstance(term, Struct) and term.functor == ":-" and len(term.args) == 1
         )
-        if is_directive:
-            goal = term.args[0]
-            if isinstance(goal, Struct) and goal.functor == "op" and len(goal.args) == 3:
-                priority, fixity, name = goal.args
-                if not isinstance(priority, int) or not isinstance(fixity, Atom) \
-                        or not isinstance(name, Atom):
-                    raise ReaderError("malformed op/3 directive", filename, line)
-                optable.add(priority, fixity.name, name.name)
-        yield SourceItem(term, is_directive, filename, line, varmap)
+        yield SourceItem(term, is_directive, filename, line)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .ops import default_table
+from .ops import INFIX_FIXITIES, POSTFIX_FIXITIES, default_table
 from .reader import SYMBOL_CHARS
 from .terms import (NIL, RESOLVE_DEPTH_LIMIT, Atom, BindingStore, MdpError,
                     Struct, Var, is_number, list_parts)
@@ -92,7 +92,7 @@ class _Renderer:
         """
         deref = self.store.deref
         atom_text = self.atom_text
-        is_operator = self.ops.is_operator
+        operators = self.ops.priority
         stack = []      # the compounds above, as (children, slots, form, texts)
         # the term is the one child of a root whose slot takes max_priority
         children, slots, form, texts = (term,), (max_priority,), None, []
@@ -112,7 +112,7 @@ class _Renderer:
                     text, priority = t.name, 0
                 elif cls is Atom:
                     text = atom_text(t.name)
-                    priority = 1201 if is_operator(t.name) else 0
+                    priority = 1201 if t.name in operators else 0
                 elif cls is int or cls is float:
                     text, priority = repr(t), 0
                 else:
@@ -139,23 +139,23 @@ class _Renderer:
         if len(args) == 2:
             if f == ",":
                 return args, (999, 1000), (_INFIX, ",", 1000)
-            entry = self.ops.infix_op(f)
-            if entry:
+            entry = self.ops.infix.get(f)
+            if entry and entry[1] in INFIX_FIXITIES:
                 priority, fixity = entry
                 return args, (
                     priority if fixity == "yfx" else priority - 1,
                     priority if fixity == "xfy" else priority - 1,
                 ), (_INFIX, self.atom_text(f), priority)
         elif len(args) == 1:
-            entry = self.ops.prefix_op(f)
+            entry = self.ops.prefix.get(f)
             if entry:
                 priority, fixity = entry
                 # keep "- 1" from re-reading as the literal -1
                 number = f in ("-", "+") and is_number(self.store.deref(args[0]))
                 return args, (priority if fixity == "fy" else priority - 1,), (
                     _PREFIX, self.atom_text(f), priority, number)
-            entry = self.ops.postfix_op(f)
-            if entry:
+            entry = self.ops.infix.get(f)
+            if entry and entry[1] in POSTFIX_FIXITIES:
                 priority, fixity = entry
                 return args, (priority if fixity == "yf" else priority - 1,), (
                     _POSTFIX, self.atom_text(f), priority)

@@ -260,6 +260,64 @@ class TestDepth:
         assert "Traceback" not in proc.stderr
 
 
+CASE = 'name: %s\nprograms: [%s]\nquery: "true"\nexpect: {solutions: ["true"]}\n'
+
+# Inputs that are not what they claim: (files to write, arguments, exit
+# code, texts that stdout and stderr hold).  "{}" stands for the directory
+# the files are written to.
+HOSTILE = {
+    "floor of infinity": ({}, ["-g", "X is floor(1.0e400)"], 2, [
+        "uncaught exception: error(evaluation_error(int_overflow), mdprolog)"]),
+    "floor of NaN": ({}, ["-g", "X is floor(1.0e400 - 1.0e400)"], 2, [
+        "uncaught exception: error(evaluation_error(undefined), mdprolog)"]),
+    "program not UTF-8": (
+        {"f.mdp": b"p(a).\np(\xff).\n"}, ["{}/f.mdp", "-g", "true"], 2,
+        ["mdprolog: {}/f.mdp:2: not UTF-8 text: invalid start byte"]),
+    "case not YAML": ({"c/a.yaml": b"name: [open\n"}, ["test", "{}/c"], 2,
+                      ["mdprolog: {}/c/a.yaml: not a case file: "]),
+    "case not UTF-8": ({"c/a.yaml": b"name: \xff\n"}, ["test", "{}/c"], 2,
+                       ["mdprolog: {}/c/a.yaml:1: not UTF-8 text"]),
+    "case without a query": (
+        {"c/a.yaml": b"name: x\nprograms: []\n"}, ["test", "{}/c"], 2,
+        ["mdprolog: {}/c/a.yaml: a case needs a name and a query"]),
+    "case not a mapping": ({"c/a.yaml": b"- a\n"}, ["test", "{}/c"], 2,
+                           ["mdprolog: {}/c/a.yaml: a case needs a name"]),
+    "case with a wrong field": (
+        {"c/a.yaml": b"name: x\nquery: 'true'\nprograms: [1]\n"},
+        ["test", "{}/c"], 2, ["mdprolog: {}/c/a.yaml: programs must be a list"]),
+    "case with a missing program": (
+        {"c/a.yaml": (CASE % ("a", "nope.mdp")).encode(),
+         "c/b.yaml": (CASE % ("b", "")).encode()}, ["test", "{}/c"], 1,
+        ["FAIL a  (error: ", "nope.mdp: No such file or directory)\n"
+         "ok   b\n1/2 cases passed\n"]),
+    "op priority out of range": (
+        {"f.mdp": b":- op(1300, xfx, foo).\n"}, ["{}/f.mdp", "-g", "true"], 2,
+        ["mdprolog: directive raised error(domain_error(operator_priority, "
+         "1300), mdprolog) at {}/f.mdp:1\n"]),
+    "op priority unbound": (
+        {"f.mdp": b"p.\n:- op(_, xfx, foo).\n"}, ["{}/f.mdp", "-g", "true"], 2,
+        ["mdprolog: directive raised error(instantiation_error, mdprolog) "
+         "at {}/f.mdp:2\n"]),
+    "op specifier unknown": (
+        {"f.mdp": b":- op(700, abc, foo).\n"}, ["{}/f.mdp", "-g", "true"], 2,
+        ["mdprolog: directive raised error(domain_error(operator_specifier, "
+         "abc), mdprolog) at {}/f.mdp:1\n"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_input_exits_with_a_message_and_no_traceback(tmp_path, name):
+    files, args, code, texts = HOSTILE[name]
+    for path, data in files.items():
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        (tmp_path / path).write_bytes(data)
+    proc = run_cli(*[arg.format(tmp_path) for arg in args])
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    for text in texts:
+        assert text.format(tmp_path) in proc.stdout + proc.stderr
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS")
 class TestMemory:
     """Running out of memory is an error (exit 2), not a traceback."""

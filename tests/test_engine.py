@@ -40,7 +40,7 @@ def new_engine():
 # what one engine does, and how an engine shows that it was done
 CHANGES = {
     "op": (lambda e: e.run("op(700, xfx, ===>)"),
-           lambda e: e.kb.optable.is_operator("===>")),
+           lambda e: "===>" in e.kb.optable.priority),
     "assertz": (lambda e: e.run("assertz(data(obj(3), color, red))"),
                 lambda e: len(e.query("data(obj(3), color, red)")) == 1),
     "retractall": (lambda e: e.run("retractall(data(obj(1), _, _))"),
@@ -76,9 +76,9 @@ class TestSharedBase:
         assert [s.render("X") for s in pending] == ["2", "3"]
 
     def test_engines_without_the_prelude_lack_its_operator(self):
-        assert Engine().kb.optable.is_operator("!")
+        assert "!" in Engine().kb.optable.priority
         bare = Engine(prelude=False)
-        assert not bare.kb.optable.is_operator("!")
+        assert "!" not in bare.kb.optable.priority
         assert ("hook_mdp_term", 3) not in bare.kb.clauses
         assert not bare.dump_expansion()
 
@@ -115,10 +115,10 @@ class TestHookSolves:
     def test_start_up_solves_only_directives_and_the_one_matching_hook(
             self, solved):
         engine = Engine()
-        # the prelude's two dynamic/1 directives, and the hook for the one
-        # `OIDClone ! write(Name, Value)` of clone/1's body
+        # the prelude's op/3 and two dynamic/1 directives, and the hook for
+        # the one `OIDClone ! write(Name, Value)` of clone/1's body
         assert [indicator(goal) for goal in solved] == \
-            [("dynamic", 1), ("dynamic", 1), ("hook_mdp_term", 3)]
+            [("op", 3), ("dynamic", 1), ("dynamic", 1), ("hook_mdp_term", 3)]
         solved.clear()
         engine.consult_text("p(X) :- q(X), r(X, 1), s.\nq(1). r(1, 1). s.")
         assert solved == []     # no hook head's second argument matches

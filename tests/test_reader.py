@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdprolog import Engine
+from mdprolog.errors import ConsultError
 from mdprolog.ops import default_table
-from mdprolog.reader import (ReaderError, ends_clause, parse_program, parse_term,
-                             tokenize)
+from mdprolog.reader import (ReaderError, _Reader, ends_clause, parse_program,
+                             parse_term)
 from mdprolog.render import render
 from mdprolog.terms import RESOLVE_DEPTH_LIMIT, Atom, Struct, Var
 from variants import variant_of
@@ -29,10 +30,23 @@ def rt(text):
     return rendered
 
 
-class TestTokenizer:
+def lexemes(text):
+    """(value, line, col) of each lexeme of text, then (None, line, col) of
+    its end, each position as a ReaderError raised there reports it."""
+    reader = _Reader(text, None, "<t>")
+    found = []
+    for k in range(1, reader.last + 1):
+        with pytest.raises(ReaderError) as e:
+            reader.error("", k)
+        found.append((reader.value(k) if k < reader.last else None,
+                      e.value.line, e.value.col))
+    return found
+
+
+class TestLexemes:
     def test_comments_are_skipped(self):
-        toks = tokenize("a % line\n /* block */ b .", "<t>")
-        assert [t.value for t in toks[:2]] == ["a", "b"]
+        assert [value for value, _, _ in
+                lexemes("a % line\n /* block */ b .")] == ["a", "b", ".", None]
 
     def test_quoted_atom_escapes(self):
         term = parse("'don''t \\n stop'")
@@ -53,39 +67,25 @@ POSITIONS_TEXT = (
     "  foo:-bar, [H|T] =.. 0.\n"
     "end.")
 
-# (kind, value, line, col, spaced, func) of every token of POSITIONS_TEXT
+# (value, line, col) of every lexeme of POSITIONS_TEXT, and of its end
 POSITIONS = [
-    ("atom", "p", 2, 1, True, True), ("punct", "(", 2, 2, False, False),
-    ("var", "X", 2, 3, False, False), ("punct", ",", 2, 4, False, False),
-    ("qatom", "don't\n", 2, 6, True, False),
-    ("punct", ")", 2, 16, False, False), ("atom", ":-", 2, 18, True, False),
-    ("atom", "q", 3, 18, True, True), ("punct", "(", 3, 19, False, False),
-    ("var", "X", 3, 20, False, False), ("punct", ",", 3, 21, False, False),
-    ("float", 1500.0, 3, 23, True, False),
-    ("punct", ")", 3, 28, False, False), ("punct", ",", 3, 29, False, False),
-    ("qatom", "two\nlines", 4, 2, True, False),
-    ("atom", "=", 5, 8, True, False), ("var", "Y", 5, 10, True, False),
-    ("punct", ",", 5, 11, False, False), ("atom", "foo", 6, 3, True, False),
-    ("atom", ":-", 6, 6, False, False), ("atom", "bar", 6, 8, False, False),
-    ("punct", ",", 6, 11, False, False), ("punct", "[", 6, 13, True, False),
-    ("var", "H", 6, 14, False, False), ("punct", "|", 6, 15, False, False),
-    ("var", "T", 6, 16, False, False), ("punct", "]", 6, 17, False, False),
-    ("atom", "=..", 6, 19, True, False), ("int", 0, 6, 23, True, False),
-    ("end", ".", 6, 24, False, False), ("atom", "end", 7, 1, True, False),
-    ("end", ".", 7, 4, False, False), ("eof", None, 7, 5, True, False),
+    ("p", 2, 1), ("(", 2, 2), ("X", 2, 3), (",", 2, 4), ("don't\n", 2, 6),
+    (")", 2, 16), (":-", 2, 18), ("q", 3, 18), ("(", 3, 19), ("X", 3, 20),
+    (",", 3, 21), (1500.0, 3, 23), (")", 3, 28), (",", 3, 29),
+    ("two\nlines", 4, 2), ("=", 5, 8), ("Y", 5, 10), (",", 5, 11),
+    ("foo", 6, 3), (":-", 6, 6), ("bar", 6, 8), (",", 6, 11), ("[", 6, 13),
+    ("H", 6, 14), ("|", 6, 15), ("T", 6, 16), ("]", 6, 17), ("=..", 6, 19),
+    (0, 6, 23), (".", 6, 24), ("end", 7, 1), (".", 7, 4), (None, 7, 5),
 ]
 
 
 class TestPositions:
-    def test_token_lines_and_columns(self):
-        assert [(t.kind, t.value, t.line, t.col, t.spaced, t.func)
-                for t in tokenize(POSITIONS_TEXT, "<t>")] == POSITIONS
+    def test_lexeme_lines_and_columns(self):
+        assert lexemes(POSITIONS_TEXT) == POSITIONS
 
     def test_trailing_comment_and_empty_block_comment(self):
-        assert [(t.kind, t.line, t.col) for t in tokenize("% only", "<t>")] \
-            == [("eof", 1, 7)]
-        assert [(t.value, t.line, t.col)
-                for t in tokenize("a. %c\n/**/b.\n\n  ]", "<t>")] == [
+        assert lexemes("% only") == [(None, 1, 7)]
+        assert lexemes("a. %c\n/**/b.\n\n  ]") == [
             ("a", 1, 1), (".", 1, 2), ("b", 2, 5), (".", 2, 6),
             ("]", 4, 3), (None, 4, 4)]
 
@@ -100,18 +100,16 @@ class TestPositions:
         for lexeme, layout in pieces:
             starts.append(len(text))
             text += lexeme + layout
+        starts.append(len(text))    # the end
         expected = []
         for at in starts:
             last_nl = text.rfind("\n", 0, at)
             expected.append((text.count("\n", 0, at) + 1, at - last_nl))
-        tokens = tokenize(text, "<t>")
-        assert [(t.line, t.col) for t in tokens[:-1]] == expected
-        assert (tokens[-1].line, tokens[-1].col) \
-            == (text.count("\n") + 1, len(text) - text.rfind("\n"))
+        assert [(line, col) for _, line, col in lexemes(text)] == expected
 
     def test_a_non_decimal_digit_is_a_reader_error(self):
         with pytest.raises(ReaderError, match="unexpected character"):
-            tokenize("x = 2².", "<t>")
+            parse("x = 2².")
 
     @pytest.mark.parametrize("text, line, col, message", [
         ("/* one\n two */ ok.\n  \"x\".", 3, 3, "unexpected character '\"'"),
@@ -213,10 +211,52 @@ class TestParser:
         t = parse("f(_, _)")
         assert t.args[0] is not t.args[1]
 
-    def test_op_directive_applies_immediately(self):
-        items = list(parse_program(
-            ":- op(700, xfx, ===).\n a === b.", default_table(), "<t>"))
-        assert items[1].term.functor == "==="
+    def test_lexeme_kinds(self):
+        # a variable, a quoted atom, an integer, a float, a name, a list
+        t = parse("p(X, 'don''t\\n', 0, 1.5e3, foo, [H|T])")
+        assert t.functor == "p"
+        x, quoted, integer, number, name, items = t.args
+        assert isinstance(x, Var) and quoted == Atom("don't\n")
+        assert type(integer) is int and type(number) is float
+        assert number == 1500.0 and name == Atom("foo")
+        assert items.functor == "." and isinstance(items.args[1], Var)
+
+    def test_a_dot_ends_a_clause_only_before_layout_or_the_end(self):
+        assert parse("p(.)") == Struct("p", (Atom("."),))
+        with pytest.raises(ReaderError, match="unexpected end of clause"):
+            parse("p(. )")
+        items = list(parse_program("a.\nb.", OPTABLE, "<t>"))
+        assert [item.term for item in items] == [Atom("a"), Atom("b")]
+
+    def test_a_functor_is_a_name_or_quoted_atom_right_before_its_paren(self):
+        assert parse("'f g'(a)") == Struct("f g", (Atom("a"),))
+        with pytest.raises(ReaderError, match="unexpected token"):
+            parse("'f' (a)")
+        with pytest.raises(ReaderError) as e:
+            parse("p(a) :- X(a)")
+        assert (e.value.line, e.value.col) == (1, 9)
+        assert str(e.value) == "<text>:1: a variable cannot be used as a functor"
+
+    def test_an_op_directive_governs_the_clauses_after_it(self):
+        engine = Engine(prelude=False)
+        engine.consult_text(":- op(700, xfx, ===).\n a === b.")
+        [solution] = engine.query("X === Y")
+        assert solution.text() == "X = a,\nY = b"
+
+    def test_a_file_that_is_not_utf8_is_a_consult_error(self, tmp_path):
+        path = tmp_path / "f.mdp"
+        path.write_bytes(b"p(a).\np(\xff).\n")
+        with pytest.raises(ConsultError) as e:
+            Engine(prelude=False).consult_file(path)
+        assert str(e.value) == "%s:2: not UTF-8 text: invalid start byte" % path
+
+    def test_the_reader_applies_no_op_directive(self):
+        optable = default_table()
+        items = parse_program(":- op(700, xfx, ===).\n a === b.", optable, "<t>")
+        assert next(items).is_directive
+        assert "===" not in optable.priority
+        with pytest.raises(ReaderError):
+            next(items)
 
     def test_parse_error_has_location(self):
         with pytest.raises(ReaderError) as e:
@@ -305,3 +345,37 @@ class TestRoundTrip:
             parse(text)
         except ReaderError:
             pass
+
+
+class TestPostfixOperators:
+    @pytest.fixture(scope="class")
+    def engine(self):
+        engine = Engine(prelude=False)
+        engine.consult_text(
+            ":- op(200, xf, ++).\n:- op(200, xf, --).\n:- op(200, yf, ^^).")
+        return engine
+
+    @pytest.mark.parametrize("term, text, quoted", [
+        ("++(++(a))", "(a++)++", "(a++)++"),      # xf takes no equal priority
+        ("--(++(1))", "(1++)--", "(1++)--"),
+        ("^^(^^(a))", "a^^ ^^", "a^^ ^^"),        # yf does
+        ("^^(++(a))", "a++ ^^", "a++ ^^"),
+        ("++(^^(a))", "(a^^)++", "(a^^)++"),
+        ("++(1 + 2)", "(1+2)++", "(1+2)++"),
+        ("++(-(a))", "(-a)++", "(-a)++"),
+        ("-(++(a))", "-a++", "-a++"),
+        ("++(-1)", "-1++", "-1++"),
+        ("++('A')", "A++", "'A'++"),
+        ("(++(a) = b)", "(a++ =b)", "a++ =b"),
+        ("[++(a)|++(b)]", "[a++|b++]", "[a++|b++]"),
+        ("++(a, b)", "++(a, b)", "++(a, b)"),     # not an infix operator
+        ("++", "(++)", "(++)"),
+    ])
+    def test_postfix_terms_render_and_read_back(self, engine, term, text,
+                                                quoted):
+        [solution] = engine.query("X = " + term)
+        assert solution.text() == "X = " + text
+        optable = engine.kb.optable
+        rendered = render(solution["X"], None, optable, quoted=True)
+        assert rendered == quoted
+        assert parse_term(rendered, optable)[0] == solution["X"]

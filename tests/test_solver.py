@@ -154,6 +154,16 @@ class TestArithmetic:
             engine.run("X is Y + 1")
         assert "instantiation_error" in str(e.value)
 
+    @pytest.mark.parametrize("expression, error", [
+        ("floor(1.0e19)", "int_overflow"),
+        ("floor(1.0e400)", "int_overflow"),     # reads as infinity
+        ("floor(-1.0e400)", "int_overflow"),
+        ("floor(1.0e400 - 1.0e400)", "undefined"),     # NaN
+    ])
+    def test_floor_of_a_float_out_of_range(self, engine, expression, error):
+        assert outcome(engine, "X is %s" % expression) == [
+            ("X", "error(evaluation_error(%s), mdprolog)" % error)]
+
     @pytest.mark.parametrize("expression, culprit", [
         ("foo(a, b, c)", "foo/3"),      # before its arguments are evaluated
         ("[1, 2|3]", ". /2"),           # the inner cell, after 2 and 3
@@ -696,6 +706,31 @@ class TestTermInspection:
     def test_between_and_length(self, engine):
         assert answers(engine, "findall(X, between(1, 4, X), L)", "L") == ["[1, 2, 3, 4]"]
         assert answers(engine, "length([a, b, c], N)", "N") == ["3"]
+
+
+class TestListBuiltins:
+    @pytest.mark.parametrize("goal, answer", [
+        ("intersection([a, b, c], [c, a], X)", "[a, c]"),
+        ("intersection([a, b, a], [a], X)", "[a, a]"),
+        ("intersection([], [a], X)", "[]"),
+        ("intersection([f(1), f(2)], [f(_)], X)", "[f(1), f(2)]"),
+        ("intersection(a, [], X)", "error(type_error(list, a), mdprolog)"),
+        ("intersection([a], [b|_], X)",
+         "error(type_error(list, [b|_]), mdprolog)"),
+        ("sum_list([], X)", "0"),
+        ("sum_list([1, 2, 3], X)", "6"),
+        ("sum_list([1, 2.5], X)", "3.5"),
+        ("sum_list(a, X)", "error(type_error(list, a), mdprolog)"),
+        ("sum_list([a], X)", "error(type_error(number, a), mdprolog)"),
+        # the range of is/2
+        ("sum_list([9223372036854775807, 1], X)",
+         "error(evaluation_error(int_overflow), mdprolog)"),
+        ("sum_list([-9223372036854775808, -1], X)",
+         "error(evaluation_error(int_overflow), mdprolog)"),
+    ])
+    def test_answers_and_errors(self, engine, goal, answer):
+        [(x, error)] = outcome(engine, goal)
+        assert (error if error.startswith("error(") else x) == answer
 
 
 class TestSorting:
