@@ -139,11 +139,9 @@ def _apply(f, values):
         if f == "/":
             if b == 0:
                 raise evaluation_error("zero_divisor")
-            if isinstance(a, int) and isinstance(b, int):
-                if a % b == 0:
-                    return _check_int(a // b)
-                return a / b
-            return a / b
+            if isinstance(a, int) and isinstance(b, int) and a % b == 0:
+                return _check_int(a // b)
+            return _num_result(a / b)
         if f == "mod":
             if not (isinstance(a, int) and isinstance(b, int)):
                 raise type_error("integer", a if not isinstance(a, int) else b)
@@ -164,8 +162,13 @@ def _check_int(value):
 
 
 def _num_result(value):
+    """The value of + - * or /: a 64-bit integer or a finite float."""
     if isinstance(value, int):
         return _check_int(value)
+    if value != value:
+        raise evaluation_error("undefined")
+    if value in (math.inf, -math.inf):
+        raise evaluation_error("float_overflow")
     return value
 
 
@@ -469,8 +472,10 @@ def _b_max_list(solver, store, lst, out):
 
 
 def _b_sum_list(solver, store, lst, out):
-    values = _numeric_list(solver, store, lst)
-    return solver.unify(out, _num_result(sum(values)), store)
+    total = 0
+    for value in _numeric_list(solver, store, lst):
+        total = _num_result(total + value)     # each partial sum, as is/2
+    return solver.unify(out, total, store)
 
 
 def _b_intersection(solver, store, a, b, out):
@@ -478,9 +483,13 @@ def _b_intersection(solver, store, a, b, out):
     items_b = proper_list(b, store)
     if items_a is None or items_b is None:
         raise type_error("list", resolve(a if items_a is None else b, store))
-    kept = [item for item in items_a
-            if any(store.attempt(solver.unify, item, other, store)
-                   for other in items_b)]
+    kept = []
+    for item in items_a:    # unified with the first element it matches
+        for other in items_b:
+            if store.attempt(solver.unify, item, other, store):
+                solver.unify(item, other, store)
+                kept.append(item)
+                break
     return solver.unify(out, make_list(kept), store)
 
 

@@ -45,9 +45,12 @@ def _packaged_root():
     return resources.files("mdprolog").joinpath("corpus")
 
 
-# the fields of a case file and their types; a case needs a name and a query
+# the fields of a case file and of its expect, and their types, a list's
+# items being str; a case needs a name and a query, and a field given no
+# value is an error
 _FIELDS = {"name": str, "query": str, "topic": str, "programs": list,
            "setup": list, "budget": int, "max_solutions": int, "expect": dict}
+_EXPECT = {"error": str, "solutions": list, "output": list, "hazard": bool}
 
 
 def load_case(path):
@@ -58,11 +61,15 @@ def load_case(path):
         raise MdpError("%s: not a case file: %s" % (path, exc)) from exc
     if not isinstance(data, dict) or None in (data.get("name"), data.get("query")):
         raise MdpError("%s: a case needs a name and a query" % path)
-    for key, kind in _FIELDS.items():
-        value = data.get(key)
-        if value is not None and not (isinstance(value, kind) and (
-                kind is not list or all(isinstance(v, str) for v in value))):
-            raise MdpError("%s: %s must be a %s" % (path, key, kind.__name__))
+    expect = data.get("expect") or {}
+    for fields, values, prefix in ((_FIELDS, data, ""),
+                                   (_EXPECT, expect, "expect.")):
+        for key, kind in fields.items():
+            value = values.get(key)
+            if key in values and not (isinstance(value, kind) and (
+                    kind is not list or all(isinstance(v, str) for v in value))):
+                raise MdpError("%s: %s%s must be a %s"
+                               % (path, prefix, key, kind.__name__))
     return CorpusCase(
         name=data["name"],
         topic=data.get("topic", ""),
@@ -71,7 +78,7 @@ def load_case(path):
         setup=data.get("setup", []),
         budget=data.get("budget"),
         max_solutions=data.get("max_solutions"),
-        expect=data.get("expect", {}),
+        expect=expect,
         source=str(path),
     )
 

@@ -12,10 +12,12 @@ Lists are compounds of ``'.'/2`` terminated by the atom ``[]``.
 
 Stored clauses and signatures are used through templates
 (``compile_terms``): a clause head is matched with runtime terms in place
-by code generated for its shape (``head_matcher``, with ``match_args`` for
-what lies beyond its caps), a body goal's arguments are made by code
-generated for the goal's shape (``arg_builder``), and ``build`` makes the
-runtime copy of any template.  One generator (``_TemplateCode``) makes
+by code generated for its shape, at every depth (``head_matcher``), a
+body goal's arguments are made by code generated for the goal's shape
+(``arg_builder``), and ``build`` makes the runtime copy of any template.
+What lies beyond the caps of generated code is made by ``build``, and a
+head's part matched by ``build`` and ``unify``, the reference the
+generated code agrees with.  One generator (``_TemplateCode``) makes
 all generated code, head matchers, argument builders and the arithmetic
 runs of ``builtins``: it reads a clause's constants into the code through
 paths, spends one node budget, builds a term one way, which a head's
@@ -448,7 +450,7 @@ def rename_term(term, store, mapping=None, limit=None):
     """Copy with fresh variables (after resolving current bindings).
 
     For runtime terms only; clauses and signatures are copied from their
-    templates (``compile_terms``, ``match_args``, ``build``).  With a
+    templates (``compile_terms``, ``head_matcher``, ``build``).  With a
     limit, the copy may build at most that many compounds, and one more
     raises ``BudgetExceeded`` before it is built.
     """
@@ -522,74 +524,16 @@ def compile_terms(terms):
                   for t in terms]), len(slots)
 
 
-def match_args(templates, terms, frame, store, occurs_check=False):
-    """Unify argument templates with terms, filling the templates' slots.
-
-    The generic matcher: a ``head_matcher`` hands it the part of a head
-    that lies beyond its caps, and agrees with it everywhere else.
-
-    ``frame`` holds one entry per slot, None until the slot is first met.
-    A slot met for the first time takes the term itself, with no new
-    variable and no trail entry; a slot met again is unified with its
-    value.  A compound met by an unbound variable is built and bound to
-    it, so structure is only made where the term has none.  Compounds are
-    matched in place of recursion through a stack of the argument pairs
-    left at each level.  On failure the bindings made so far stay for the
-    caller to undo.
-    """
-    pairs = zip(templates, terms)
-    stack = None    # the argument pairs left at the levels above
-    while True:
-        for sub, arg in pairs:
-            cls = type(sub)
-            if cls is Slot:
-                if frame[sub.index] is None:
-                    frame[sub.index] = arg      # the common case
-                    continue
-                if not unify(frame[sub.index], arg, store, occurs_check):
-                    return False
-                continue
-            if type(arg) is Var:
-                arg = store.deref(arg)
-            if cls is Skeleton:
-                if type(arg) is Var:
-                    if not _bind_built(arg, sub, frame, store, occurs_check):
-                        return False
-                    continue
-                if not (type(arg) is Struct and arg.functor == sub.functor
-                        and len(arg.args) == len(sub.args)):
-                    return False
-                if stack is None:
-                    stack = []
-                stack.append(pairs)
-                pairs = zip(sub.args, arg.args)
-                break
-            # a ground template: an atom, a number or a compound without
-            # variables, which no occurrence check can fail against
-            if type(arg) is Var:
-                store.bind(arg, sub)
-            elif cls is Struct:
-                if sub is not arg and not unify(sub, arg, store):
-                    return False
-            elif not (sub is arg or type(arg) is cls and arg == sub):
-                return False
-        else:
-            if not stack:
-                return True
-            pairs = stack.pop()
-
-
 # -- generated code -----------------------------------------------------------
 
-# A head matcher handles inline a head's arguments and the arguments of a
-# compound argument, at most MATCH_NODES of them; what lies deeper or
-# further is matched by match_args.  Each process compiles the code of each
-# shape it meets, up to a millisecond for a large head, so inline code must
-# pay for itself: matching 8 levels inline cut the bytecodes of an objects
-# or corpus round by a further 0.5 %, and took 1.7 ms more to compile the
-# prelude's two hook heads in Engine().  The generated code nests 4 blocks
-# deep: two functions, the compound argument and a one-line test.  A term
-# is built inline to PUT_DEPTH levels, within the same budget.
+# A head matcher matches inline the first MATCH_NODES nodes of a head, at
+# any depth; each template beyond is matched by build and unify.  Each
+# process compiles the code of each shape it meets, up to a millisecond for
+# a large head, so the code is kept flat: a compound below a compound
+# argument is matched at its parent's indentation, with no block of its
+# own, and the generated code nests 4 blocks deep: two functions, the
+# compound argument and a one-line test.  A term is built inline to
+# PUT_DEPTH levels, within the same budget.
 MATCH_NODES = 64
 PUT_DEPTH = 8
 _CACHED = 512           # generated sources, and shapes, kept at most
@@ -613,10 +557,11 @@ def compile_source(source):
 def head_matcher(templates):
     """A function ``match(args, frame, store, occurs_check) -> bool``.
 
-    It does what ``match_args(templates, args, frame, store,
-    occurs_check)`` does, in code generated for the shape of the templates,
-    as the WAM's get instructions specialise a head (``_HeadCode``).  A
-    slot's first occurrence is known when the head is compiled, so it is
+    It unifies the terms args with the terms the templates stand for,
+    filling the frame, in code generated for the shape of the templates,
+    as the WAM's get instructions specialise a head (``_HeadCode``); it
+    agrees with ``build`` of each template and ``unify`` with its term.
+    A slot's first occurrence is known when the head is compiled, so it is
     stored in the frame with no test, and later ones are unified.  An atom
     is matched by identity, a number by type and value, and a compound
     without variables through ``unify``.  A skeleton argument met by an
@@ -624,8 +569,10 @@ def head_matcher(templates):
     write mode, and bound to the variable, with the occurs check where a
     variable of the goal could be inside; otherwise its functor and arity
     are checked and its arguments matched one level down.  A skeleton
-    inside it, and what lies beyond ``MATCH_NODES`` nodes, is handed to
-    ``match_args``, so heads of any depth and arity compile.
+    deeper down is matched in the same flat code: an unbound variable
+    there is unified with the term ``build`` makes, then the term is
+    checked as a bound one is.  Each template beyond ``MATCH_NODES`` nodes
+    is built and unified too, so heads of any depth and arity compile.
 
     The frame holds one entry per slot, all None; on failure the bindings
     made so far stay for the caller to undo.  A variable holds one store's
@@ -811,7 +758,12 @@ class _TemplateCode:
 
 
 class _HeadCode(_TemplateCode):
-    """The source of a head matcher, generated from head templates."""
+    """The source of a head matcher, generated from head templates.
+
+    Its one fallback, for a write whose variables ``build`` must make and
+    for what lies beyond the budget, is ``unify`` with what ``build``
+    makes (``built``).
+    """
 
     __slots__ = ()
 
@@ -828,7 +780,8 @@ class _HeadCode(_TemplateCode):
 
     def siblings(self, subs, path, container, nested, indent):
         """Match subs, the templates at ``path``, with the terms of the
-        tuple ``container``; nested, they are a skeleton argument's."""
+        tuple ``container``; nested, they are a skeleton argument's, whose
+        skeletons are matched flat."""
         inline = subs[:max(self.nodes, 0)]
         self.nodes -= len(inline)
         names = [self.local() for _ in inline]
@@ -838,12 +791,10 @@ class _HeadCode(_TemplateCode):
                 "" if len(inline) == len(subs) else "[:%d]" % len(inline)))
         for j, sub in enumerate(inline):
             self.one(sub, "%s[%d]" % (path, j), names[j], nested, indent)
-        if len(inline) < len(subs):
-            j = len(inline)
-            rest = self.param("%s[%d:]" % (path, j))
-            self.fail_unless(indent, "match_args(%s, %s[%d:], frame, store, "
-                             "occurs_check)" % (rest, container, j))
-            self.known.update(_first_slots(subs[j:]))
+        for j in range(len(inline), len(subs)):     # beyond the budget
+            self.fail_unless(indent, self.built(
+                "%s[%d]" % (container, j), "%s[%d]" % (path, j)))
+        self.known.update(_first_slots(subs[len(inline):]))
 
     def one(self, sub, path, x, nested, indent):
         """Match the template sub, at path, with the term in the local x."""
@@ -856,13 +807,22 @@ class _HeadCode(_TemplateCode):
                 self.emit(indent, "frame[%d] = %s" % (sub.index, x))
                 self.known.add(sub.index)
             return
-        if cls is Skeleton and (nested or len(sub.args) > self.nodes):
-            self.fail_unless(indent, "match_args(%s, (%s,), frame, store, "
-                             "occurs_check)" % (self.param("(%s,)" % path), x))
+        if cls is Skeleton and len(sub.args) > self.nodes:
+            self.fail_unless(indent, self.built(x, path))
             self.known.update(_first_slots((sub,)))
             return
-        self.emit(indent, "while type({0}) is Var and {0}.owner is store: "
-                          "{0} = {0}.ref".format(x))
+        deref = ("while type({0}) is Var and {0}.owner is store: "
+                 "{0} = {0}.ref".format(x))
+        self.emit(indent, deref)
+        if cls is Skeleton and nested:
+            # flat: a variable is bound to the term built, then matched
+            self.emit(indent, "if type(%s) is Var and not %s: return False"
+                      % (x, self.built(x, path)), deref,
+                      "if type({0}) is not Struct or {0}.functor != {1} or "
+                      "len({0}.args) != {2}: return False".format(
+                          x, self.param(path + ".functor"), len(sub.args)))
+            self.siblings(sub.args, path + ".args", x + ".args", True, indent)
+            return
         if cls is Skeleton:
             self.emit(indent, "if type(%s) is Var:" % x)
             nodes = self.nodes      # the write and the match are alternatives
@@ -904,14 +864,19 @@ class _HeadCode(_TemplateCode):
         built = self.term(sub, path, 0)
         if not self.made(indent, firsts):
             self.params = params
-            self.fail_unless(indent, "_bind_built(%s, %s, frame, store, "
-                             "occurs_check)" % (x, self.param(path)))
+            self.fail_unless(indent, self.built(x, path))
             return
         if len(firsts) < len(slots):
             self.emit(indent, "t = " + built, "if occurs_check and occurs_in("
                       "%s, t, store): return False" % x)
             built = "t"
         self.emit(indent, "store.bind(%s, %s)" % (x, built))
+
+    def built(self, x, path):
+        """The test that unifies the term in x with the term that ``build``
+        makes of the template at path: the one fallback."""
+        return "unify(%s, build(%s, frame), store, occurs_check)" % (
+            x, self.param(path))
 
 
 def build(template, frame):
@@ -966,16 +931,6 @@ def build(template, frame):
             args.append(term)
 
 
-def _bind_built(var, template, frame, store, occurs_check):
-    """Bind the unbound var to the term of a skeleton; False if it occurs
-    there and the occurs check is on."""
-    built = build(template, frame)
-    if occurs_check and occurs_in(var, built, store):
-        return False
-    store.bind(var, built)
-    return True
-
-
 class _PutCode(_TemplateCode):
     """The source of a goal's argument builder, generated from templates:
     the variables of the slots met first are made before anything is built,
@@ -998,8 +953,7 @@ class _PutCode(_TemplateCode):
 
 # the globals of generated code
 _GENERATED_NAMES = {"Var": Var, "Struct": Struct, "new_struct": new_struct,
-                    "unify": unify, "occurs_in": occurs_in, "build": build,
-                    "match_args": match_args, "_bind_built": _bind_built}
+                    "unify": unify, "occurs_in": occurs_in, "build": build}
 
 
 def make_list(items, tail=NIL):

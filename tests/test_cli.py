@@ -270,6 +270,14 @@ HOSTILE = {
         "uncaught exception: error(evaluation_error(int_overflow), mdprolog)"]),
     "floor of NaN": ({}, ["-g", "X is floor(1.0e400 - 1.0e400)"], 2, [
         "uncaught exception: error(evaluation_error(undefined), mdprolog)"]),
+    "float product out of range": ({}, ["-g", "X is 2.0 * 1.0e308"], 2, [
+        "uncaught exception: error(evaluation_error(float_overflow), "
+        "mdprolog)"]),
+    "float quotient out of range": ({}, ["-g", "X is 1.0e308 / 1.0e-10"], 2, [
+        "uncaught exception: error(evaluation_error(float_overflow), "
+        "mdprolog)"]),
+    "float NaN": ({}, ["-g", "X is 1.0e400, Y is X - X"], 2, [
+        "uncaught exception: error(evaluation_error(undefined), mdprolog)"]),
     "program not UTF-8": (
         {"f.mdp": b"p(a).\np(\xff).\n"}, ["{}/f.mdp", "-g", "true"], 2,
         ["mdprolog: {}/f.mdp:2: not UTF-8 text: invalid start byte"]),
@@ -285,6 +293,13 @@ HOSTILE = {
     "case with a wrong field": (
         {"c/a.yaml": b"name: x\nquery: 'true'\nprograms: [1]\n"},
         ["test", "{}/c"], 2, ["mdprolog: {}/c/a.yaml: programs must be a list"]),
+    "case with a wrong expect field": (
+        {"c/a.yaml": b"name: a\nquery: 'throw(x)'\nexpect: {error: 5}\n"},
+        ["test", "{}/c"], 2, ["mdprolog: {}/c/a.yaml: expect.error must be a str"]),
+    "case with an empty expect field": (
+        {"c/a.yaml": b"name: a\nquery: 'true'\nexpect: {solutions: }\n"},
+        ["test", "{}/c"], 2,
+        ["mdprolog: {}/c/a.yaml: expect.solutions must be a list"]),
     "case with a missing program": (
         {"c/a.yaml": (CASE % ("a", "nope.mdp")).encode(),
          "c/b.yaml": (CASE % ("b", "")).encode()}, ["test", "{}/c"], 1,

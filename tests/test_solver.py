@@ -164,6 +164,24 @@ class TestArithmetic:
         assert outcome(engine, "X is %s" % expression) == [
             ("X", "error(evaluation_error(%s), mdprolog)" % error)]
 
+    @pytest.mark.parametrize("expression, answer", [
+        ("1.0e308 * 1.0", "1e+308"),
+        ("2.0 * 1.0e308", "error(evaluation_error(float_overflow), mdprolog)"),
+        ("1.0e308 + 1.0e308",
+         "error(evaluation_error(float_overflow), mdprolog)"),
+        ("-1.0e308 - 1.0e308",
+         "error(evaluation_error(float_overflow), mdprolog)"),
+        ("1.0e308 / 1.0e-10",
+         "error(evaluation_error(float_overflow), mdprolog)"),
+        ("1.0e400 + 1",     # reads as infinity
+         "error(evaluation_error(float_overflow), mdprolog)"),
+        ("1.0e400 - 1.0e400", "error(evaluation_error(undefined), mdprolog)"),
+        ("1.0e400 * 0", "error(evaluation_error(undefined), mdprolog)"),
+    ])
+    def test_a_float_result_out_of_range(self, engine, expression, answer):
+        [(x, error)] = outcome(engine, "X is %s" % expression)
+        assert (error if error.startswith("error(") else x) == answer
+
     @pytest.mark.parametrize("expression, culprit", [
         ("foo(a, b, c)", "foo/3"),      # before its arguments are evaluated
         ("[1, 2|3]", ". /2"),           # the inner cell, after 2 and 3
@@ -713,7 +731,8 @@ class TestListBuiltins:
         ("intersection([a, b, c], [c, a], X)", "[a, c]"),
         ("intersection([a, b, a], [a], X)", "[a, a]"),
         ("intersection([], [a], X)", "[]"),
-        ("intersection([f(1), f(2)], [f(_)], X)", "[f(1), f(2)]"),
+        # the first match binds _ to 1, as memberchk/2 does
+        ("intersection([f(1), f(2)], [f(_)], X)", "[f(1)]"),
         ("intersection(a, [], X)", "error(type_error(list, a), mdprolog)"),
         ("intersection([a], [b|_], X)",
          "error(type_error(list, [b|_]), mdprolog)"),
@@ -727,10 +746,31 @@ class TestListBuiltins:
          "error(evaluation_error(int_overflow), mdprolog)"),
         ("sum_list([-9223372036854775808, -1], X)",
          "error(evaluation_error(int_overflow), mdprolog)"),
+        # each partial sum, as X is 9223372036854775807 + 1 - 1 checks it
+        ("sum_list([9223372036854775807, 1, -1], X)",
+         "error(evaluation_error(int_overflow), mdprolog)"),
+        ("sum_list([1.0e308, 1.0e308, -1.0e308], X)",
+         "error(evaluation_error(float_overflow), mdprolog)"),
     ])
     def test_answers_and_errors(self, engine, goal, answer):
         [(x, error)] = outcome(engine, goal)
         assert (error if error.startswith("error(") else x) == answer
+
+    @pytest.mark.parametrize("goal, answer", [
+        ("intersection([X, b], [a], L)", "X = a, L = [a]"),
+        ("intersection([X, Y], [a, b], L)", "X = a, Y = a, L = [a, a]"),
+        ("intersection([f(X, 1), f(2, Y)], [f(Z, Z)], L)",
+         "X = 1, Y = Y, Z = 1, L = [f(1, 1)]"),
+    ])
+    def test_intersection_keeps_the_binding_it_matched(self, engine, goal,
+                                                       answer):
+        # as memberchk/2 would: each element is unified with the first
+        # element of the second list that it matches
+        [solution] = engine.solutions(goal)
+        names = [name.split(" = ")[0] for name in answer.split(", ")
+                 if " = " in name]
+        assert ", ".join("%s = %s" % (name, solution.render(name))
+                         for name in names) == answer
 
 
 class TestSorting:

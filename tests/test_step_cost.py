@@ -33,11 +33,15 @@ ok.
 [n: _, ok @ 0] # gsum(0, A, A).
 [n: _, ok @ 0] # gsum(N, A, S) :- N > 0, A1 is A + N, N1 is N - 1,
     [n: N1] ? gsum(N1, A1, S).
+lsum(0, _, A, A).
+lsum(N, [X, Y|T], A, S) :- N > 0, A1 is A + X + Y, N1 is N - 1,
+    lsum(N1, [Y, X|T], A1, S).
 """
 # the query of each loop, given n
 QUERIES = {"psum": "psum(%d, 0, S)", "isum": "isum(%d, 0, S)",
            "csum": "csum(%d, 0, S)", "dsum": "[] ? dsum(%d, 0, S)",
-           "gsum": "[n: 0] ? gsum(%d, 0, S)"}
+           "gsum": "[n: 0] ? gsum(%d, 0, S)",
+           "lsum": "lsum(%d, [1, 2], 0, S)"}
 
 
 # A dispatch workload query, and a consulted text of 100 facts
@@ -132,6 +136,12 @@ def test_a_goal_bearing_step_costs_at_most_6_8_plain_steps(costs):
     # its context rules run as goals on the machine, three ctx_member/3
     # calls a step, each one lookup in the context's names
     assert costs["gsum"] <= 6.8 * costs["psum"]
+
+
+def test_a_step_with_a_depth_two_head_costs_at_most_1_42_plain_steps(costs):
+    # the list cell inside the head's list cell is matched by generated
+    # code too, flat, with no interpreted matcher
+    assert costs["lsum"] <= 1.42 * costs["psum"]
 
 
 @pytest.mark.parametrize("name", sorted(READS))

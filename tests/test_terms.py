@@ -1,5 +1,3 @@
-import functools
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,7 +19,6 @@ from mdprolog.terms import (
     compile_terms,
     head_matcher,
     make_list,
-    match_args,
     proper_list,
     rename_term,
     resolve,
@@ -524,11 +521,13 @@ class TestTemplates:
         deep = x
         for _ in range(terms.PUT_DEPTH + 2):
             deep = Struct("f", (deep,))
-        for head in [Struct("p", (Struct("g", (deep, y)),)),
-                     Struct("p", (z, Struct("g", (y, deep, z)))),
-                     Struct("p", (Struct("g", (y, z)), Struct("h", (deep, z))))]:
+        for head, local in [(Struct("p", (Struct("g", (deep, y)),)), "x1"),
+                            (Struct("p", (z, Struct("g", (y, deep, z)))), "x2"),
+                            (Struct("p", (Struct("g", (y, z)),
+                                          Struct("h", (deep, z)))), "x2")]:
             (template,), _ = compile_terms((head,))
-            assert "_bind_built" in terms._HeadCode(template.args).source()
+            source = terms._HeadCode(template.args).source()
+            assert "if not unify(%s, build(" % local in source
             goal = Struct("p", tuple(Var("G%d" % i)
                                      for i in range(len(head.args))))
             assert agrees(head, Struct("b", (x, y, z)), goal, occurs_check)
@@ -536,7 +535,8 @@ class TestTemplates:
         head = Struct("p", (x, Struct("g", (y, deep, z))))
         (template,), _ = compile_terms((head,))
         source = terms._HeadCode(template.args).source()
-        assert "_bind_built" not in source and "build(" in source
+        assert "if not unify(x2, build(" not in source
+        assert "t = new_struct(" in source and "build(" in source
         assert agrees(head, Struct("b", (x, y, z)), Struct("p", (1, Var("G"))),
                       occurs_check)
 
@@ -546,7 +546,30 @@ class TestTemplates:
         (template,), _ = compile_terms((Struct("p", (Struct("f", xs),)),))
         source = terms._HeadCode(template.args).source()
         assert "store.bind(x1, new_struct(" in source
-        assert "match_args" not in source
+        assert "build(" not in source
+
+    @pytest.mark.parametrize("occurs_check", [False, True])
+    def test_a_compound_below_a_compound_argument_is_matched_inline(
+            self, occurs_check):
+        x, y = Var("X"), Var("Y")
+        head = Struct("p", (Struct("g", (Struct("f", (x, y)),
+                                         Struct("k", (Atom("a"), y)))), x))
+        body = Struct("b", (x, y))
+        (template,), _ = compile_terms((head,))
+        source = terms._HeadCode(template.args).source()
+        # one write for each inner compound, in place in the flat code
+        assert source.count("build(") == 2
+        v, w = Var("V"), Var("W")
+        f, k = Struct("f", (1, 2)), Struct("k", (Atom("a"), 2))
+        for args, ok in [((f, k), True), ((f, v), True), ((v, k), True),
+                         ((v, w), True), ((v, v), False),
+                         ((Struct("h", (1, 2)), k), False),
+                         ((Struct("f", (1,)), k), False),
+                         ((f, Struct("k", (Atom("b"), 2))), False),
+                         ((f, Struct("k", (Atom("a"), 3))), False)]:
+            for last in (1, Var("Z")):
+                goal = Struct("p", (Struct("g", args), last))
+                assert agrees(head, body, goal, occurs_check) is ok
 
     def test_generated_code_nests_within_the_cap(self):
         f = Var("F")
@@ -565,10 +588,13 @@ class TestTemplates:
             assert max(indents) <= 3
 
 
-def made_order(frame):
-    """The slots that hold a variable, oldest variable first."""
-    return sorted((i for i, v in enumerate(frame) if isinstance(v, Var)),
-                  key=lambda i: frame[i].serial)
+def made_order(frame, store=terms._EMPTY_STORE, newest=0):
+    """The slots whose value, dereferenced, is an unbound variable newer
+    than the variable of serial newest, oldest variable first."""
+    values = [store.deref(v) for v in frame]
+    return sorted((i for i, v in enumerate(values)
+                   if isinstance(v, Var) and v.serial > newest),
+                  key=lambda i: values[i].serial)
 
 
 def term_vars(term):
@@ -586,9 +612,11 @@ def agrees(head, body, goal, occurs_check):
     """Whether goal matches the clause head :- body, checked to agree with
     renaming the clause and unifying.
 
-    Both the generated matcher of the head's arguments and ``match_args``,
-    the matcher's fallback, are checked: the same success and, with the
-    occurs check, the same answer (without it the answer may be cyclic).
+    Both the generated matcher of the head's arguments and the reference,
+    ``build`` of each argument template and ``unify`` with its term, are
+    checked: the same success and, with the occurs check, the same answer
+    (without it the answer may be cyclic), and on success the same order
+    of the new variables left unbound in the frame.
     The body is made both by ``build`` and by the builder generated for
     it, which knows the head's slots to be set.
     """
@@ -606,13 +634,18 @@ def agrees(head, body, goal, occurs_check):
     old.undo_to(mark)
 
     (head_t, body_t), size = compile_terms((head, body))
-    orders = []     # the slots whose variables each matcher made, by age
-    for match in (head_matcher(head_t.args),
-                  functools.partial(match_args, head_t.args)):
+
+    def reference(args, frame, store, oc):
+        return all(unify(build(t, frame), a, store, oc)
+                   for t, a in zip(head_t.args, args))
+
+    newest = max((v.serial for v in term_vars(goal)), default=0)
+    orders = []     # the slots whose new variables each matcher left, by age
+    for match in (head_matcher(head_t.args), reference):
         frame = [None] * size
         new = BindingStore()    # no mark: it trails every binding
         assert match(goal.args, frame, new, occurs_check) == old_ok
-        orders.append(made_order(frame))
+        orders.append(made_order(frame, new, newest))
         if checked:
             put_frame = list(frame)
             new_answer = resolve(Struct("r", (goal, build(body_t, frame))), new)
