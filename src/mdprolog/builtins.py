@@ -11,8 +11,9 @@ that tests a unification and undoes it runs the test through
 The is/2 and comparisons of a clause body also compile, in runs, to
 generated Python code of the clause's frame (``ArithRun``), made by the
 generator that makes head matchers and argument builders
-(``terms._TemplateCode``), which falls back to these builtins where the
-code cannot settle a goal.
+(``terms._TemplateCode``).  Where that code cannot settle a goal it
+falls back to ``eval_arith``, the evaluator of these builtins, on the
+goal's own templates.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .terms import (
     Struct,
     Var,
     _TemplateCode,
-    arg_builder,
     compare_terms,
     compile_source,
     flatten_conj,
@@ -63,17 +63,21 @@ INT_MAX = 2**63 - 1
 # arithmetic
 
 
-def eval_arith(term, store):
+def eval_arith(term, store, frame=None):
     """The value of an arithmetic expression.
 
-    The compounds whose arguments are still being evaluated wait on a
-    stack, with the values found so far, in place of recursion.  A
-    compound of arity 3 or more is an error before its arguments are
-    evaluated, the others after, left to right.
+    The expression may be a template of a clause body, a ``Skeleton``
+    being a compound and a ``Slot`` the value in frame.  The compounds
+    whose arguments are still being evaluated wait on a stack, with the
+    values found so far, in place of recursion.  A compound of arity 3 or
+    more is an error before its arguments are evaluated, the others
+    after, left to right.
     """
     stack = []      # (compound, the values of its arguments so far)
     t = term
     while True:
+        if type(t) is Slot:
+            t = frame[t.index]
         if type(t) is Var:
             t = store.deref(t)
         cls = type(t)
@@ -81,7 +85,7 @@ def eval_arith(term, store):
             value = t if INT_MIN <= t <= INT_MAX else _check_int(t)
         elif cls is float:
             value = t
-        elif cls is Struct:
+        elif cls is Struct or cls is Skeleton:
             if len(t.args) > 2:
                 raise type_error("evaluable",
                                  Struct("/", (Atom(t.functor), len(t.args))))
@@ -175,8 +179,8 @@ def _num_result(value):
 # Compiled arithmetic: is/2 and the comparisons of a clause body, over
 # slots, integer constants and + - *, become Python code of the frame.
 # Where eval_arith could differ (an operand that is not a 64-bit integer,
-# a result out of range) the code gives up, and the builtin runs on the
-# built goal instead, which gives the same answer or error.
+# a result out of range) the code gives up, and eval_arith evaluates the
+# goal's own expression templates instead, which gives its value or error.
 
 COMPARISONS = {"<": "<", ">": ">", "=<": "<=", ">=": ">=", "=:=": "==",
                "=\\=": "!="}
@@ -192,13 +196,15 @@ class ArithRun(_TemplateCode):
     makes the run.  The function counts each goal's inferences
     (``ticks``) with one ``tick`` call each before it runs the goal, as
     the machine would.
-    ``make(T)`` reads its parameters from ``T``, which holds the argument
-    templates, the builtin and the argument builder of each goal in turn,
-    so that runs of one shape share one source (``terms.compile_source``).
-    A goal runs in a ``for`` loop of one turn, which it leaves with
-    ``continue`` where an operand is no 64-bit integer: its builtin then
-    runs on the built goal (``terms.arg_builder``).  A first occurrence of
-    the variable of ``X is E`` takes the value with no variable.  When a
+    ``make(T, eval_arith)`` reads its parameters from ``T``, which holds
+    the argument templates of each goal in turn, so that runs of one
+    shape share one source (``terms.compile_source``).  A goal computes
+    its values in a ``for`` loop of one turn, which it leaves with
+    ``continue`` where an operand is no 64-bit integer or a result is out
+    of range: ``eval_arith`` then computes them from the goal's templates
+    and the frame.  One tail follows: the comparison, the binding or test
+    of a known result, or, for a first occurrence of the variable of
+    ``X is E``, the value stored in the frame with no variable.  When a
     goal fails the run returns False, and first clears the first
     occurrences it has filled.
     """
@@ -215,11 +221,9 @@ class ArithRun(_TemplateCode):
 
     def value(self, t, path, lines):
         """The local or parameter of the value of the expression t, at
-        path, which lines compute; None if it does not compile."""
-        self.nodes -= 1
+        path, which lines compute; None if it does not compile.  Each
+        compound spends one of the budget."""
         cls = type(t)
-        if self.nodes < 0:
-            return None
         if cls is int:
             return self.param(path) if INT_MIN <= t <= INT_MAX else None
         name = self.local()
@@ -231,7 +235,8 @@ class ArithRun(_TemplateCode):
                       "    %s = store.deref(%s)" % (name, name),
                       "    if type(%s) is not int: continue" % name)
         elif ((cls is Skeleton or cls is Struct) and t.functor in _OPERATORS
-              and len(t.args) == 2):
+              and len(t.args) == 2 and self.nodes > 0):
+            self.nodes -= 1
             a = self.value(t.args[0], path + ".args[0]", lines)
             b = self.value(t.args[1], path + ".args[1]", lines)
             if a is None or b is None:
@@ -260,37 +265,33 @@ class ArithRun(_TemplateCode):
         if None in results:
             self.params, self.names = saved
             return False
-        first = out is not None and out.index not in self.known
-        builtin = self.param("T[%d]" % (len(self.goals) + 1))
-        put = self.param("T[%d]" % (len(self.goals) + 2))
-        self.goals += (args, DETERMINISTIC[key], arg_builder(args, self.known))
-        self.emit(2, *["tick()"] * ticks, "for _ in (0,):")
-        self.emit(3, *lines)
-        filled = list(self.filled)
+        self.goals.append(args)
+        self.emit(2, *["tick()"] * ticks)
+        if lines:       # a constant needs no test
+            self.emit(2, "for _ in (0,):")
+            self.emit(3, *lines, "break")
+            self.emit(2, "else:")
+            self.emit(3, *["%s = eval_arith(%s, store, frame)" % (
+                result, self.param("%s[%d]" % (path, j)))
+                for j, result in enumerate(results, out is not None)
+                if result.startswith("x")])     # a local, no constant
+        index = None if out is None else self.param(path + "[0].index")
         if out is None:
-            self.emit(3, "if %s %s %s: break" % (
+            self.emit(2, "if not %s %s %s:" % (
                 results[0], COMPARISONS[key[0]], results[1]))
             self._fail(3)
-        elif not first:     # unify the value with what is there
-            known = self.local()
-            index = self.param(path + "[0].index")
-            self.emit(3, "%s = frame[%s]" % (known, index),
-                      "if type(%s) is Var:" % known,
-                      "    %s = store.deref(%s)" % (known, known),
-                      "    if type(%s) is Var:" % known,
-                      "        store.bind(%s, %s)" % (known, results[0]),
-                      "        break",
-                      "if type(%s) is int and %s == %s: break"
-                      % (known, known, results[0]))
+        elif out.index in self.known:   # bind or compare what is there
+            known, value = self.local(), results[0]
+            self.emit(2, "%s = store.deref(frame[%s])" % (known, index),
+                      "if type({0}) is Var: store.bind({0}, {1})".format(
+                          known, value),
+                      "elif type({0}) is not type({1}) or {0} != {1}:".format(
+                          known, value))
             self._fail(3)
         else:
-            index = self.param(path + "[0].index")
-            self.emit(3, "frame[%s] = %s" % (index, results[0]), "break")
-            filled.append(index)
-        self.emit(2, "else:")
-        self.emit(3, "if not %s(solver, store, *%s(frame)):" % (builtin, put))
-        self.filled = filled
-        self._fail(4)
+            self.emit(2, "frame[%s] = %s" % (index, results[0]))
+            self.filled.append(index)
+            self.known.add(out.index)
         return True
 
     def _fail(self, indent):
@@ -299,8 +300,9 @@ class ArithRun(_TemplateCode):
 
     def function(self):
         self.emit(2, "return True")
-        source = self.make_source("T", "run(solver, store, frame, tick)")
-        return compile_source(source)(tuple(self.goals))
+        source = self.make_source("T, eval_arith",
+                                  "run(solver, store, frame, tick)")
+        return compile_source(source)(tuple(self.goals), eval_arith)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +358,8 @@ def _b_functor(solver, store, t, name, arity):
         a = store.deref(arity)
         if isinstance(n, Var) or isinstance(a, Var):
             raise instantiation_error()
+        if isinstance(n, Struct):
+            raise type_error("atomic", resolve(n, store))
         if not isinstance(a, int):
             raise type_error("integer", a)
         if a < 0:
@@ -418,15 +422,19 @@ def _b_between(solver, store, low, high, x):
 
 def _b_length(solver, store, lst, n):
     items, tail = list_parts(lst, store)
+    nd = store.deref(n)
+    if not isinstance(nd, (Var, int)):
+        raise type_error("integer", resolve(nd, store))
     if tail is NIL:
         return solver.unify(n, len(items), store)
-    nd = store.deref(n)
-    if isinstance(tail, Var) and isinstance(nd, int):
-        if nd < len(items):
-            return False
-        extension = make_list([Var() for _ in range(nd - len(items))])
-        return solver.unify(tail, extension, store)
-    raise instantiation_error()
+    if not isinstance(tail, Var):
+        raise type_error("list", resolve(lst, store))
+    if isinstance(nd, Var):
+        raise instantiation_error()
+    if nd < len(items):
+        return False
+    extension = make_list([Var() for _ in range(nd - len(items))])
+    return solver.unify(tail, extension, store)
 
 
 def _b_msort(solver, store, lst, out):

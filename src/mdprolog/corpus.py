@@ -9,6 +9,7 @@ budget).  Cases run on a fresh engine and double as documentation.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -103,13 +104,17 @@ def _program_text(name, directory=None):
 
 
 def _solution_line(sol):
-    return sol.text().replace("\n", " ")
+    """A solution's text on one line.  The variables that are not the
+    query's, ``_G<serial>``, are numbered in order of appearance, so a
+    line does not depend on the run and two variant answers read alike."""
+    names = {}
+    return re.sub(r"_G\d+", lambda m: names.setdefault(
+        m.group(), "_G%d" % len(names)), sol.text().replace("\n", " "))
 
 
 def run_case(case, programs_dir=None):
-    engine = Engine(budget=case.budget)
     sink = io.StringIO()
-    engine.out = sink
+    engine = Engine(budget=case.budget, out=sink)
     try:
         for name in case.programs:
             engine.consult_text(_program_text(name, programs_dir), name)

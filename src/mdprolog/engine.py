@@ -31,11 +31,18 @@ def read_source(path):
 
 
 class Solution:
-    """One query answer: resolved bindings for the named query variables."""
+    """One query answer: resolved bindings for the named query variables.
 
-    def __init__(self, bindings, optable):
+    The query's named variables print under their names and an anonymous
+    one as ``_``; any other variable, such as a copy made by copy_term/2
+    or findall/3, prints as ``_G<serial>``, so two distinct variables
+    never share a name.
+    """
+
+    def __init__(self, bindings, optable, names):
         self.bindings = bindings  # name -> term, in first-occurrence order
         self._optable = optable
+        self._names = names     # query variable -> its name
 
     def __getitem__(self, name):
         return self.bindings[name]
@@ -44,7 +51,8 @@ class Solution:
         return name in self.bindings
 
     def render(self, name):
-        return render(self.bindings[name], None, self._optable, quoted=False)
+        return render(self.bindings[name], None, self._optable, False,
+                      names=self._names)
 
     def text(self):
         visible = [(n, t) for n, t in self.bindings.items()
@@ -53,7 +61,8 @@ class Solution:
             return "true"
         # a value stands on the right of =, a slot of priority 699
         return ",\n".join(
-            "%s = %s" % (n, render(t, None, self._optable, False, 699))
+            "%s = %s" % (n, render(t, None, self._optable, False, 699,
+                                   self._names))
             for n, t in visible)
 
     def __repr__(self):
@@ -90,6 +99,9 @@ class Engine:
 
     # -- configuration -------------------------------------------------------
 
+    # The solver holds the configuration (engine.solver.out, .err,
+    # .trace_dispatch); budget is kept here too because the benchmark
+    # (perfbench/child.py) sets it on the engine.
     @property
     def budget(self):
         return self.solver.budget
@@ -97,30 +109,6 @@ class Engine:
     @budget.setter
     def budget(self, value):
         self.solver.budget = value
-
-    @property
-    def trace_dispatch(self):
-        return self.solver.trace_dispatch
-
-    @trace_dispatch.setter
-    def trace_dispatch(self, value):
-        self.solver.trace_dispatch = value
-
-    @property
-    def out(self):
-        return self.solver.out
-
-    @out.setter
-    def out(self, sink):
-        self.solver.out = sink
-
-    @property
-    def err(self):
-        return self.solver.err
-
-    @err.setter
-    def err(self, sink):
-        self.solver.err = sink
 
     # -- consulting ------------------------------------------------------
 
@@ -188,10 +176,11 @@ class Engine:
     def solutions(self, text):
         """Lazily enumerate solutions of a query given as text."""
         goal, store, varmap = self._prepare(text)
+        names = {var: name for name, var in varmap.items()}
         for _ in self.solver.solve(goal, store):
             bindings = {name: resolve(var, store)
                         for name, var in varmap.items()}
-            yield Solution(bindings, self.kb.optable)
+            yield Solution(bindings, self.kb.optable, names)
 
     def query(self, text, max_solutions=None):
         """All (or the first max_solutions) solutions, as a list."""

@@ -68,10 +68,11 @@ _LIST, _INFIX, _PREFIX, _POSTFIX, _CANONICAL = range(5)
 
 
 class _Renderer:
-    def __init__(self, store, optable, quoted):
+    def __init__(self, store, optable, quoted, names):
         self.store = store or _EMPTY
         self.ops = optable or default_table()
         self.quoted = quoted
+        self.names = names
 
     def atom_text(self, name):
         if self.quoted and atom_needs_quotes(name):
@@ -109,7 +110,7 @@ class _Renderer:
                     texts = []
                     continue
                 if cls is Var:
-                    text, priority = t.name, 0
+                    text, priority = self.var_text(t), 0
                 elif cls is Atom:
                     text = atom_text(t.name)
                     priority = 1201 if t.name in operators else 0
@@ -124,6 +125,13 @@ class _Renderer:
                 children, slots, form, texts = stack.pop()
                 i = len(texts)
             texts.append("(" + text + ")" if priority > slots[i] else text)
+
+    def var_text(self, var):
+        """A variable's print name; with names, its name there, ``_`` for
+        an anonymous one and ``_G<serial>`` for any other."""
+        if self.names is None or var.name == "_":
+            return var.name
+        return self.names.get(var) or "_G%d" % var.serial
 
     def parts(self, t):
         """(children, the maximum priority of each child's slot, form).
@@ -187,5 +195,9 @@ class _Renderer:
         return "%s(%s)" % (form[1], ", ".join(texts)), 0
 
 
-def render(term, store=None, optable=None, quoted=False, max_priority=1200):
-    return _Renderer(store, optable, quoted).render(term, max_priority)
+def render(term, store=None, optable=None, quoted=False, max_priority=1200,
+           names=None):
+    """The text of term; names, if given, maps each variable that keeps
+    its name to that name, and any other but ``_`` prints as
+    ``_G<serial>``."""
+    return _Renderer(store, optable, quoted, names).render(term, max_priority)

@@ -108,8 +108,9 @@ the goal, as the entries would, so a budget runs out at the same
 inference.  ``X is E`` with a first occurrence of ``X`` stores the
 value in the frame without a variable, and a run that fails clears
 those values.  Where the code gives up (an unbound or non-integer
-operand, a result outside 64 bits) the builtin runs on the built goal,
-so answers and error terms are the builtin's.  An if-then-else whose
+operand, a result outside 64 bits) ``builtins.eval_arith`` evaluates
+the goal's expression templates over the frame, with no goal built, so
+answers and error terms are the builtin's.  An if-then-else whose
 condition is such a comparison tests it with a run of its own.
 
 A dispatch is a call.  Its clauses are the implementation clauses of

@@ -15,13 +15,13 @@ Stored clauses and signatures are used through templates
 by code generated for its shape, at every depth (``head_matcher``), a
 body goal's arguments are made by code generated for the goal's shape
 (``arg_builder``), and ``build`` makes the runtime copy of any template.
-What lies beyond the caps of generated code is made by ``build``, and a
-head's part matched by ``build`` and ``unify``, the reference the
+A compound beyond the budget of generated code is made by ``build``,
+and one of a head matched by ``build`` and ``unify``, the reference the
 generated code agrees with.  One generator (``_TemplateCode``) makes
 all generated code, head matchers, argument builders and the arithmetic
 runs of ``builtins``: it reads a clause's constants into the code through
-paths, spends one node budget, builds a term one way, which a head's
-write mode shares, and finds first occurrences with one walk
+paths, spends one budget of compounds, builds a term one way, which a
+head's write mode shares, and finds first occurrences with one walk
 (``_first_slots``).  Matchers and builders are kept by shape in one
 cache, and every source is compiled once per text (``compile_source``).
 ``resolve``, ``rename_term`` and
@@ -526,16 +526,15 @@ def compile_terms(terms):
 
 # -- generated code -----------------------------------------------------------
 
-# A head matcher matches inline the first MATCH_NODES nodes of a head, at
-# any depth; each template beyond is matched by build and unify.  Each
-# process compiles the code of each shape it meets, up to a millisecond for
-# a large head, so the code is kept flat: a compound below a compound
-# argument is matched at its parent's indentation, with no block of its
-# own, and the generated code nests 4 blocks deep: two functions, the
-# compound argument and a one-line test.  A term is built inline to
-# PUT_DEPTH levels, within the same budget.
+# Generated code matches or builds inline the first MATCH_NODES compounds
+# of its templates, at any depth; slots and constants are always inline.
+# Past the budget a head's template is matched by build and unify, and a
+# built one made by build.  Each process compiles the code of each shape it
+# meets, up to a millisecond for a large head, so a head's code is kept
+# flat: a compound below a compound argument is matched at its parent's
+# indentation, with no block of its own, and the generated code nests 4
+# blocks deep: two functions, the compound argument and a one-line test.
 MATCH_NODES = 64
-PUT_DEPTH = 8
 _CACHED = 512           # generated sources, and shapes, kept at most
 _SHAPE_NODES = 256      # the nodes of the largest shape kept
 
@@ -571,8 +570,9 @@ def head_matcher(templates):
     are checked and its arguments matched one level down.  A skeleton
     deeper down is matched in the same flat code: an unbound variable
     there is unified with the term ``build`` makes, then the term is
-    checked as a bound one is.  Each template beyond ``MATCH_NODES`` nodes
-    is built and unified too, so heads of any depth and arity compile.
+    checked as a bound one is.  Slots and constants are always matched
+    inline; each compound beyond the first ``MATCH_NODES`` is built and
+    unified too, so heads of any depth and arity compile.
 
     The frame holds one entry per slot, all None; on failure the bindings
     made so far stay for the caller to undo.  A variable holds one store's
@@ -601,10 +601,9 @@ def arg_builder(templates, known):
     has set them when it returns.  The code is generated for the shape of
     the templates, as the WAM's put instructions specialise a goal
     (``_PutCode``), and shared by every goal of that shape; a skeleton
-    nested deeper than ``PUT_DEPTH`` levels, or beyond ``MATCH_NODES``
-    nodes, is made by ``build``, and so is every argument if a slot met
-    first lies in such a skeleton, so that the variables are made in
-    order.
+    beyond the first ``MATCH_NODES`` is made by ``build``, and so is every
+    argument if a slot met first lies in such a skeleton, so that the
+    variables are made in order.
     """
     firsts = []
     shape = _shape(_PutCode, templates, known, firsts)
@@ -689,7 +688,8 @@ class _TemplateCode:
     no constant of a clause.  Each term
     or value gets a local of its own, ``x1``, ``x2``...  ``known`` holds
     the slots that have a value at the point of the code being written;
-    ``nodes`` is what is left of the ``MATCH_NODES`` budget; ``met`` maps
+    ``nodes`` is what is left of the ``MATCH_NODES`` budget, which each
+    compound matched or built inline spends one of; ``met`` maps
     the slots ``term`` met without a value to a path of theirs.
     """
 
@@ -716,11 +716,11 @@ class _TemplateCode:
     def emit(self, indent, *lines):
         self.lines += ["    " * indent + line for line in lines]
 
-    def term(self, t, path, depth):
+    def term(self, t, path):
         """The expression of the template t, at path, which builds what
-        ``build`` builds: nesting inline up to ``PUT_DEPTH`` levels and
-        within the budget, and through ``build`` beyond.  A slot without a
-        value is the local ``sN`` of its variable, which ``made`` makes."""
+        ``build`` builds: a compound inline while the budget lasts, and
+        through ``build`` beyond.  A slot without a value is the local
+        ``sN`` of its variable, which ``made`` makes."""
         cls = type(t)
         if cls is Slot:
             if t.index in self.known:
@@ -729,10 +729,10 @@ class _TemplateCode:
             return "s%d" % t.index
         if cls is not Skeleton:
             return self.param(path)
-        if depth >= PUT_DEPTH or len(t.args) > self.nodes:
+        if self.nodes < 1:
             return "build(%s, frame)" % self.param(path)
-        self.nodes -= len(t.args)
-        args = [self.term(a, "%s.args[%d]" % (path, j), depth + 1)
+        self.nodes -= 1
+        args = [self.term(a, "%s.args[%d]" % (path, j))
                 for j, a in enumerate(t.args)]
         return "new_struct(%s, (%s,))" % (self.param(path + ".functor"),
                                           ", ".join(args))
@@ -782,19 +782,11 @@ class _HeadCode(_TemplateCode):
         """Match subs, the templates at ``path``, with the terms of the
         tuple ``container``; nested, they are a skeleton argument's, whose
         skeletons are matched flat."""
-        inline = subs[:max(self.nodes, 0)]
-        self.nodes -= len(inline)
-        names = [self.local() for _ in inline]
-        if inline:
-            self.emit(indent, "%s, = %s%s" % (
-                ", ".join(names), container,
-                "" if len(inline) == len(subs) else "[:%d]" % len(inline)))
-        for j, sub in enumerate(inline):
+        names = [self.local() for _ in subs]
+        if subs:
+            self.emit(indent, "%s, = %s" % (", ".join(names), container))
+        for j, sub in enumerate(subs):
             self.one(sub, "%s[%d]" % (path, j), names[j], nested, indent)
-        for j in range(len(inline), len(subs)):     # beyond the budget
-            self.fail_unless(indent, self.built(
-                "%s[%d]" % (container, j), "%s[%d]" % (path, j)))
-        self.known.update(_first_slots(subs[len(inline):]))
 
     def one(self, sub, path, x, nested, indent):
         """Match the template sub, at path, with the term in the local x."""
@@ -807,7 +799,7 @@ class _HeadCode(_TemplateCode):
                 self.emit(indent, "frame[%d] = %s" % (sub.index, x))
                 self.known.add(sub.index)
             return
-        if cls is Skeleton and len(sub.args) > self.nodes:
+        if cls is Skeleton and self.nodes < 1:     # beyond the budget
             self.fail_unless(indent, self.built(x, path))
             self.known.update(_first_slots((sub,)))
             return
@@ -816,6 +808,7 @@ class _HeadCode(_TemplateCode):
         self.emit(indent, deref)
         if cls is Skeleton and nested:
             # flat: a variable is bound to the term built, then matched
+            self.nodes -= 1
             self.emit(indent, "if type(%s) is Var and not %s: return False"
                       % (x, self.built(x, path)), deref,
                       "if type({0}) is not Struct or {0}.functor != {1} or "
@@ -827,7 +820,7 @@ class _HeadCode(_TemplateCode):
             self.emit(indent, "if type(%s) is Var:" % x)
             nodes = self.nodes      # the write and the match are alternatives
             self.write(sub, path, x, indent + 1)
-            self.nodes = nodes
+            self.nodes = nodes - 1
             functor = self.param(path + ".functor")
             self.emit(indent, "elif type({0}) is Struct and {0}.functor == {1} "
                               "and len({0}.args) == {2}:".format(
@@ -861,7 +854,7 @@ class _HeadCode(_TemplateCode):
         firsts = [slot for slot in slots.values()
                   if slot.index not in self.known]
         params = dict(self.params)
-        built = self.term(sub, path, 0)
+        built = self.term(sub, path)
         if not self.made(indent, firsts):
             self.params = params
             self.fail_unless(indent, self.built(x, path))
@@ -940,7 +933,7 @@ class _PutCode(_TemplateCode):
 
     def __init__(self, templates, known, firsts):
         super().__init__(known)
-        terms = [self.term(t, "T[%d]" % j, 0) for j, t in enumerate(templates)]
+        terms = [self.term(t, "T[%d]" % j) for j, t in enumerate(templates)]
         if not self.made(2, firsts):
             self.params = {}
             terms = ["build(%s, frame)" % self.param("T[%d]" % j)

@@ -61,7 +61,7 @@ def test_criterion_01_graph_paths_and_debug_output():
         engine = engine_with("graph.mdp", "debug_path.mdp")
         assert rows(engine, "[debug: writeln] ? path(X, Y)", "X", "Y") == \
             [("a", "b"), ("b", "c"), ("a", "c")]
-        assert engine.out.getvalue() == "a,b\nb,c\na,c\n"
+        assert engine.solver.out.getvalue() == "a,b\nb,c\na,c\n"
         assert time.monotonic() - start < 1.0
     criterion(1, body)
 
@@ -131,7 +131,7 @@ def test_criterion_05_specialized_and_anonymous_rules_tie():
         assert eligible.count(1) >= 2       # specialized rule and anonymous
         assert rows(engine, "[debug: writeln] ? edge(a, Y)", "Y") == \
             [("b",), ("b",)]
-        assert engine.out.getvalue() == "a,b\nedge(a, b)\n"
+        assert engine.solver.out.getvalue() == "a,b\nedge(a, b)\n"
     criterion(5, body)
 
 

@@ -158,7 +158,7 @@ class TestCandidates:
         assert [(sig.label(), score) for sig, score, _ in report] == \
             [("$anonymous_rule(#10)", 1), ("p/1(#12)", 0)]
         assert len(engine.query("[t: 1] ? p(X)")) == 1
-        assert engine.out.getvalue() == "two\n"
+        assert engine.solver.out.getvalue() == "two\n"
 
     def test_consulting_a_file_again_without_its_signatures_drops_them(self):
         # the candidates cached by a dispatch lose what the file took away
@@ -175,7 +175,7 @@ class TestCandidates:
         assert [s.render("X") for s in engine.query("[t: 1] ? p(X)")] == ["X"]
         engine.consult_text("q.", filename="one")
         assert [s.render("X") for s in engine.query("[t: 1] ? p(X)")] == ["b"]
-        assert engine.out.getvalue() == "one\n"
+        assert engine.solver.out.getvalue() == "one\n"
 
     def test_named_and_anonymous_candidates_mix_in_definition_order(self):
         engine = Engine(prelude=False)
@@ -192,7 +192,7 @@ class TestCandidates:
         engine = Engine(prelude=False, out=io.StringIO())
         engine.consult_text("[t: T] :- writeln(T).")
         assert len(engine.query("[t: 1] ? '$anonymous_rule'")) == 1
-        assert engine.out.getvalue() == "1\n"
+        assert engine.solver.out.getvalue() == "1\n"
 
 
 class TestShapeCache:
@@ -216,15 +216,15 @@ class TestShapeCache:
         queries = ["[mode: fast] ? p(X)", "[mode: slow] ? p(X)", "[] ? p(X)",
                    "[other: 1] ? p(X)"]
         first = [(self.reports(engine, q), answers(engine, q)) for q in queries]
-        trace = engine.err.getvalue()
+        trace = engine.solver.err.getvalue()
         scored = []
         score = dispatcher.score_signature
         monkeypatch.setattr(dispatcher, "score_signature",
                             lambda *args: scored.append(args[2]) or score(*args))
-        engine.err = io.StringIO()
+        engine.solver.err = io.StringIO()
         assert [(self.reports(engine, q), answers(engine, q))
                 for q in queries] == first
-        assert engine.err.getvalue() == trace
+        assert engine.solver.err.getvalue() == trace
         assert scored == []
         assert first[0][0] == [("p/1(#6)", 1, None), ("p/1(#8)", 0, None),
                                ("p/1(#10)", 2, None)]
@@ -401,7 +401,7 @@ class TestScoring:
             [log: Sink] :- writeln(Sink).
         """)
         engine.query("[log: hello] ? p(X)")
-        assert engine.out.getvalue() == "hello\n"
+        assert engine.solver.out.getvalue() == "hello\n"
 
     def test_explain_of_unknown_mdp_predicate_is_the_same_error(self):
         engine = Engine(prelude=False)
@@ -436,7 +436,7 @@ class TestScoring:
         engine.consult_text("[writeln(checked), mode: M] # f(M).")
         sols = engine.query("[mode: x] ? f(X), [mode: y] ? f(Y)")
         assert [(s.render("X"), s.render("Y")) for s in sols] == [("x", "y")]
-        assert engine.out.getvalue() == "checked\n" * 4
+        assert engine.solver.out.getvalue() == "checked\n" * 4
 
 
 class TestContextRules:
@@ -489,7 +489,7 @@ class TestContextRules:
         assert [s.render("X") for s in engine.query("[mode: a] ? p(X), X > 1")] \
             == ["2"]
         # two scorings, then the residue in each winner's body
-        assert engine.out.getvalue() == "scored\n" * 4
+        assert engine.solver.out.getvalue() == "scored\n" * 4
 
     def test_the_budget_counts_inferences_in_context_rules(self):
         engine = Engine(prelude=False, budget=2000)
@@ -507,8 +507,8 @@ class TestContextRules:
         engine.consult_text("[writeln(scored), mode: M] # p(M) :- writeln(ran).")
         _, report = engine.explain("[mode: a] ? p(X)")
         assert [score for _, score, _ in report] == [1]
-        assert engine.out.getvalue() == "scored\n"
-        assert engine.err.getvalue() == ""
+        assert engine.solver.out.getvalue() == "scored\n"
+        assert engine.solver.err.getvalue() == ""
 
     def test_trace_lines_follow_the_scoring_and_precede_the_winner(self):
         sink = io.StringIO()
@@ -531,7 +531,7 @@ class TestContextRules:
         """)
         engine.consult_text("go :- hello(world).", filename="two")
         assert engine.run("go")
-        assert engine.out.getvalue() == "world\n"
+        assert engine.solver.out.getvalue() == "world\n"
 
     ARITHMETIC = """
         [d: X, (W is X * 2) @ W] # p(double).
@@ -654,14 +654,14 @@ def explain_winners(engine, query):
 
 def traced_winners(engine, query, indicator):
     """Labels on the `running` line --trace-dispatch writes for a query."""
-    engine.err = io.StringIO()
-    engine.trace_dispatch = True
+    engine.solver.err = io.StringIO()
+    engine.solver.trace_dispatch = True
     try:
         engine.query(query)
     finally:
-        engine.trace_dispatch = False
+        engine.solver.trace_dispatch = False
     prefix = "dispatch %s: running " % indicator
-    lines = [line[len(prefix):] for line in engine.err.getvalue().splitlines()
+    lines = [line[len(prefix):] for line in engine.solver.err.getvalue().splitlines()
              if line.startswith(prefix)]
     assert len(lines) == 1
     return lines[0].split(", ")
@@ -700,4 +700,4 @@ class TestImplicitPropagation:
             [predicate: P] # probe :- writeln(P).
         """)
         assert len(engine.query("? outer")) == 1
-        assert engine.out.getvalue() == "probe\n"
+        assert engine.solver.out.getvalue() == "probe\n"

@@ -14,7 +14,7 @@ from mdprolog import Engine
 from mdprolog import engine as engine_module
 from mdprolog.corpus import run_all
 from mdprolog.solver import Solver
-from mdprolog.terms import indicator
+from mdprolog.terms import indicator, proper_list
 
 PRELUDE = resources.files("mdprolog").joinpath("prelude.mdp").read_text()
 PROGRAM = """
@@ -124,3 +124,28 @@ class TestHookSolves:
         assert solved == []     # no hook head's second argument matches
         engine.consult_text("t :- o ! q(_).")
         assert [indicator(goal) for goal in solved] == [("hook_mdp_term", 3)]
+
+
+class TestAnswerNames:
+    """An answer shows the query's variables under their names; any other
+    variable shows as _G<serial>, so two distinct variables never share
+    a name."""
+
+    def test_distinct_variables_show_distinct_names(self):
+        engine = Engine(prelude=False)
+        engine.consult_text("p(f(A, B), A).")
+        # a copy is not the variable it was copied from
+        [s] = engine.solutions("X = f(Y), copy_term(X, Z)")
+        assert s.render("X") == "f(Y)"
+        assert s.render("Z") == "f(_G%d)" % s["Z"].args[0].serial
+        # two fresh variables, neither of them the query's Y
+        [s] = engine.solutions("findall(X-Y, member(X, [a, b]), L)")
+        a, b = [pair.args[1] for pair in proper_list(s["L"])]
+        assert a is not b and s["Y"] not in (a, b)
+        assert s.render("L") == "[a-_G%d, b-_G%d]" % (a.serial, b.serial)
+        # no clause variable's name leaks into the answer
+        [s] = engine.solutions("findall(T, p(T, _), [C]), p(D, _)")
+        c, d = s["C"].args[1], s["D"].args[1]
+        assert c is not d
+        assert s.text() == "T = T,\nC = f(_, _G%d),\nD = f(_, _G%d)" % (
+            c.serial, d.serial)

@@ -36,12 +36,23 @@ ok.
 lsum(0, _, A, A).
 lsum(N, [X, Y|T], A, S) :- N > 0, A1 is A + X + Y, N1 is N - 1,
     lsum(N1, [Y, X|T], A1, S).
-"""
+""" + """
+blist(0, _, A, A).
+blist(N, [{xs}], A, S) :- N > 0, A1 is A + N, N1 is N - 1,
+    blist(N1, [{xs}], A1, S).
+bwide(0, A, A{voids}).
+bwide(N, A, S, {gs}) :- N > 0, A1 is A + N, N1 is N - 1,
+    bwide(N1, A1, S, {gs}).
+""".format(xs=", ".join("X%d" % i for i in range(40)),
+           gs=", ".join("g(X%d)" % i for i in range(40)), voids=", _" * 40)
 # the query of each loop, given n
 QUERIES = {"psum": "psum(%d, 0, S)", "isum": "isum(%d, 0, S)",
            "csum": "csum(%d, 0, S)", "dsum": "[] ? dsum(%d, 0, S)",
            "gsum": "[n: 0] ? gsum(%d, 0, S)",
-           "lsum": "lsum(%d, [1, 2], 0, S)"}
+           "lsum": "lsum(%d, [1, 2], 0, S)",
+           "blist": "blist(%%d, [%s], 0, S)" % ", ".join(map(str, range(40))),
+           "bwide": "bwide(%%d, 0, S, %s)" % ", ".join(
+               "g(%d)" % i for i in range(40))}
 
 
 # A dispatch workload query, and a consulted text of 100 facts
@@ -142,6 +153,13 @@ def test_a_step_with_a_depth_two_head_costs_at_most_1_42_plain_steps(costs):
     # the list cell inside the head's list cell is matched by generated
     # code too, flat, with no interpreted matcher
     assert costs["lsum"] <= 1.42 * costs["psum"]
+
+
+@pytest.mark.parametrize("loop", ["blist", "bwide"])
+def test_a_step_with_a_wide_head_costs_at_most_7_plain_steps(costs, loop):
+    # the 40 compounds of each head are matched inline, within the budget
+    # of generated code, since a slot or a constant spends none of it
+    assert costs[loop] <= 7 * costs["psum"]
 
 
 @pytest.mark.parametrize("name", sorted(READS))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from mdprolog import solver, terms
 from mdprolog.kb import Clause
@@ -293,17 +293,43 @@ class TestLists:
         assert proper_list(make_list([Atom("a")], tail=Var())) is None
 
 
+CONSTANTS = [Atom("a"), Atom("b"), NIL, 1, 1.0, 2]
+FUNCTORS = ["f", "g", "."]
+
+
 def shapes(depth=3):
     """Term shapes whose ("var", i) leaves stand for the i-th variable."""
     base = st.one_of(
-        st.sampled_from([Atom("a"), Atom("b"), NIL, 1, 1.0, 2]),
+        st.sampled_from(CONSTANTS),
         st.integers(0, 3).map(lambda i: ("var", i)),
     )
 
     def extend(children):
-        return st.tuples(st.sampled_from(["f", "g", "."]),
+        return st.tuples(st.sampled_from(FUNCTORS),
                          st.lists(children, min_size=1, max_size=3))
     return st.recursive(base, extend, max_leaves=8)
+
+
+def one_change(shape):
+    """The shapes that differ from shape at one node that is not a
+    variable: a functor, an arity or a constant changed there."""
+    if isinstance(shape, tuple) and shape[0] == "var":
+        return
+    if not isinstance(shape, tuple):
+        for c in CONSTANTS:
+            if type(c) is not type(shape) or c != shape:
+                yield c
+        return
+    functor, children = shape
+    for other in FUNCTORS:
+        if other != functor:
+            yield other, children
+    if len(children) > 1:
+        yield functor, children[:-1]
+    yield functor, children + [Atom("a")]
+    for i, child in enumerate(children):
+        for changed in one_change(child):
+            yield functor, children[:i] + [changed] + children[i + 1:]
 
 
 def instantiate(shape, pool, prefix):
@@ -363,6 +389,21 @@ class TestTemplates:
         body = instantiate(body_shape, clause_vars, "H")
         goal = Struct("h", [instantiate(g, goal_vars, "G") for _, g in arg_shapes])
         agrees(head, body, goal, occurs_check)
+
+    @given(st.lists(shapes(), min_size=1, max_size=3), st.data(),
+           st.booleans())
+    def test_a_goal_that_differs_from_the_head_at_one_node_fails(
+            self, arg_shapes, data, occurs_check):
+        # the goal has the head's shape but for one functor, arity or
+        # constant, so every check of the matcher is needed to refuse it
+        changes = [arg_shapes[:i] + [changed] + arg_shapes[i + 1:]
+                   for i, shape in enumerate(arg_shapes)
+                   for changed in one_change(shape)]
+        assume(changes)
+        goal_shapes = data.draw(st.sampled_from(changes))
+        head = instantiate(("h", arg_shapes), {}, "H")
+        goal = instantiate(("h", goal_shapes), {}, "G")
+        assert not agrees(head, TRUE, goal, occurs_check)
 
     @pytest.mark.parametrize("occurs_check", [False, True])
     def test_heads_beyond_the_caps_match_as_unify_does(self, occurs_check):
@@ -519,7 +560,7 @@ class TestTemplates:
             self, occurs_check):
         x, y, z = Var("X"), Var("Y"), Var("Z")
         deep = x
-        for _ in range(terms.PUT_DEPTH + 2):
+        for _ in range(terms.MATCH_NODES + 2):
             deep = Struct("f", (deep,))
         for head, local in [(Struct("p", (Struct("g", (deep, y)),)), "x1"),
                             (Struct("p", (z, Struct("g", (y, deep, z)))), "x2"),

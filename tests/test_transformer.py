@@ -215,7 +215,7 @@ class TestTermHook:
             [flag: 1] # relay :- send(server, ping).
         """)
         assert len(engine.query("[flag: 1] ? relay")) == 1
-        assert engine.out.getvalue() == "server\n"
+        assert engine.solver.out.getvalue() == "server\n"
 
     def test_runaway_hook_is_cut_off(self):
         engine = Engine(prelude=False)
