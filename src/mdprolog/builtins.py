@@ -7,6 +7,9 @@ they return a term and the values it unifies with, in order, and the
 machine tries those values as it tries a call's clauses.  A builtin
 that tests a unification and undoes it runs the test through
 ``BindingStore.attempt``, so none of them marks or undoes on its own.
+ctx_member/3 is one of them, but the dispatcher's own
+(``dispatcher.ctx_member``), since it reads the contexts that dispatches
+keep.
 
 The is/2 and comparisons of a clause body also compile, in runs, to
 generated Python code of the clause's frame (``ArithRun``), made by the
@@ -22,6 +25,7 @@ import functools
 import math
 import sys
 
+from .dispatcher import ctx_member
 from .errors import (
     Halt,
     PrologThrow,
@@ -515,15 +519,23 @@ def _split_clause(solver, store, term):
     return head, body
 
 
+# the indicators of the heads that make a consulted clause an mdp rule
+# (``transformer.expand_source_item``): Spec # Head, and a context list,
+# the head of an anonymous rule
+MDP_RULE_HEADS = {("#", 2), ("[]", 0), (".", 2)}
+
+
 def _b_assertz(solver, store, clause):
     head, body = _split_clause(solver, store, clause)
+    key = indicator(head)
+    # only a consult makes an mdp rule, with its signature
+    kind = "mdp_rule" if key in MDP_RULE_HEADS else "mdp_predicate"
+    if kind == "mdp_rule" or solver.kb.has_mdp_predicate(*key):
+        raise permission_error("modify", kind,
+                               Struct("/", (Atom(key[0]), key[1])))
     mapping = {}
     head_copy = solver.copy(head, store, mapping)
     body_copy = solver.copy(body, store, mapping)
-    key = indicator(head_copy)
-    if solver.kb.has_mdp_predicate(*key):
-        raise permission_error("modify", "mdp_predicate",
-                               Struct("/", (Atom(key[0]), key[1])))
     solver.kb.set_dynamic(key)
     solver.kb.add_clause(head_copy, body_copy)
     return True
@@ -613,44 +625,11 @@ def _b_new_oid(solver, store, out):
     return solver.unify(out, Struct("oid", (solver.oid_counter,)), store)
 
 
-def _b_ctx_member(solver, store, ctx, dim, coord):
-    """For an atom dim, coord and the coordinates of the entries named
-    dim, until an entry's name is not an atom; from there, or for any
-    other dim, dim:coord and every ``:``/2 entry.
-
-    A context that ``dispatcher.updated_context`` built names each entry
-    once, and with an atom dim the answer is one lookup in the entries by
-    name kept with it (``Solver.contexts``); any other list is walked."""
-    ctx = store.deref(ctx)
-    dim = store.deref(dim)
-    named = type(dim) is Atom
-    known = solver.contexts.get(id(ctx))
-    if named and known is not None and known[0] is ctx:
-        entry = known[1].get(dim.name)
-        return coord, [] if entry is None else [entry.args[1]]
-    entries = proper_list(ctx, store)
-    if entries is None:
-        raise type_error("list", resolve(ctx, store))
-    values = []
-    for entry in map(store.deref, entries):
-        if type(entry) is Struct and entry.functor == ":" and len(entry.args) == 2:
-            if named:
-                name = store.deref(entry.args[0])
-                if type(name) is Atom:
-                    if name is dim:
-                        values.append(entry.args[1])
-                    continue
-                named = False   # a name that may be dim: the pairs so far
-                values = [Struct(":", (dim, value)) for value in values]
-            values.append(entry)
-    return (coord, values) if named else (Struct(":", (dim, coord)), values)
-
-
 # nondeterministic builtins: each returns a term and the values, in order,
 # that the machine tries to unify it with
 NONDETERMINISTIC = {
     ("between", 3): _b_between,
-    ("ctx_member", 3): _b_ctx_member,
+    ("ctx_member", 3): ctx_member,
 }
 
 DETERMINISTIC = {

@@ -1,27 +1,34 @@
 """Context-directed dispatch over multidimensional predicates.
 
-A dispatch call receives the implicit context of the calling rule, the
-given context written at the call site, and the goal.  It builds the
-updated context and scores every candidate signature of the goal's
-predicate (``dispatch``), its own signatures and the anonymous ones
-together, in definition order.  The winners, all maximally specific
-candidates, are then called as one call whose clauses are their
-implementation clauses in that order (``winner_calls``), so the machine
-runs them as it runs the clauses of a plain predicate.
+A dispatch goal, of functor ``DISPATCH`` and arguments (implicit
+context, given context, goal), is what the transformer makes of ``Given
+? Goal``, and this module alone names that functor.  A dispatch call
+receives the implicit context of the calling rule, the given context
+written at the call site, and the goal.  It builds the updated context
+and scores every candidate signature of the goal's predicate
+(``dispatch``), its own signatures and the anonymous ones together, in
+definition order.  The winners, all maximally specific candidates, are
+then called as one call whose clauses are their implementation clauses
+in that order (``winner_calls``), so the machine runs them as it runs
+the clauses of a plain predicate.
 
-A candidate's dimension checks read only whether the context names
-each dimension it requires.  So the checks of a predicate depend only on
-which of the names its candidates require the context holds, and each
-predicate keeps the checks it has made per such set of names
-(``KnowledgeBase.scorings``), and with them, when no goal-bearing
-candidate is eligible, the winners' clauses: a dispatch whose context
-has a shape seen before scores nothing, as a polymorphic inline cache
-reuses the lookup made for a receiver's type.  A name that no candidate
-requires makes no new shape.
+This module owns all that dispatch keeps between calls.  A candidate's
+dimension checks read only whether the context names each dimension it
+requires.  So the checks of a predicate depend only on which of the
+names its candidates require the context holds, and each predicate's
+entry (``candidates_for``) keeps its candidates, the checks made per
+such set of names, and with them, when no goal-bearing candidate is
+eligible, the winners' clauses: a dispatch whose context has a shape
+seen before scores nothing, as a polymorphic inline cache reuses the
+lookup made for a receiver's type.  A name that no candidate requires
+makes no new shape.  The entries live in the knowledge base's
+``dispatch`` dict, which a change to the signatures empties.
 
-A context that a dispatch builds is kept with its entries by name
-(``updated_context``), so the next dispatch inside it starts from them,
-and ``ctx_member/3`` looks a name up in them instead of walking the list.
+A context that a dispatch builds is kept with its entries by name in
+``Solver.contexts`` (``updated_context``), so the next dispatch inside
+it starts from them, and ``ctx_member/3`` (``ctx_member``) looks a name
+up in them instead of walking the list.  No other module reads that
+table.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .terms import (
     resolve,
 )
 
+DISPATCH = "$dispatch"
 PREDICATE_DIM = "predicate"
 PREDICATE = Atom(PREDICATE_DIM)
 
@@ -124,6 +132,40 @@ def updated_context(solver, store, implicit, given, goal):
 CONTEXTS_KEPT = 64      # the engine-built contexts a solver keeps by id
 
 
+def ctx_member(solver, store, ctx, dim, coord):
+    """ctx_member/3, a nondeterministic builtin: for an atom dim, coord
+    and the coordinates of the entries named dim, until an entry's name
+    is not an atom; from there, or for any other dim, dim:coord and every
+    ``:``/2 entry.
+
+    A context that ``updated_context`` built names each entry once, and
+    with an atom dim the answer is one lookup in the entries by name kept
+    with it; any other list is walked."""
+    ctx = store.deref(ctx)
+    dim = store.deref(dim)
+    named = type(dim) is Atom
+    known = solver.contexts.get(id(ctx))
+    if named and known is not None and known[0] is ctx:
+        entry = known[1].get(dim.name)
+        return coord, [] if entry is None else [entry.args[1]]
+    entries = proper_list(ctx, store)
+    if entries is None:
+        raise type_error("list", resolve(ctx, store))
+    values = []
+    for entry in map(store.deref, entries):
+        if type(entry) is Struct and entry.functor == ":" and len(entry.args) == 2:
+            if named:
+                name = store.deref(entry.args[0])
+                if type(name) is Atom:
+                    if name is dim:
+                        values.append(entry.args[1])
+                    continue
+                named = False   # a name that may be dim: the pairs so far
+                values = [Struct(":", (dim, value)) for value in values]
+            values.append(entry)
+    return (coord, values) if named else (Struct(":", (dim, coord)), values)
+
+
 def _named(store, implicit):
     """The ``name: Coord`` entries of an implicit list whose name is an
     atom, in order, and whether a name is met again.
@@ -179,8 +221,19 @@ def weighed(store, score, weights):
 
 
 def candidates_for(kb, name, arity):
-    """The signatures a dispatch of name/arity scores: a cached tuple."""
-    return kb.candidates(name, arity)
+    """The signatures a dispatch of name/arity scores, a tuple.
+
+    They come from the predicate's entry in ``kb.dispatch``, made here
+    on the first dispatch after a change to the signatures: (candidates,
+    checks by the set of required names that a context holds, the report
+    entries those checks share, the names the candidates require).
+    """
+    entry = kb.dispatch.get((name, arity))
+    if entry is None:
+        sigs = kb.candidates(name, arity)
+        required = frozenset([d for sig in sigs for d in sig.required_dims])
+        entry = kb.dispatch[name, arity] = sigs, {}, {}, required
+    return entry[0]
 
 
 def dispatch(solver, store, implicit, given, goal):
@@ -209,19 +262,19 @@ def dispatch(solver, store, implicit, given, goal):
     else:
         raise type_error("callable", resolve(goal, store))
     kb = solver.kb
-    sigs = candidates_for(kb, name, len(args))
+    n = len(args)
+    sigs = candidates_for(kb, name, n)
     if not sigs:
-        raise existence_error(
-            "mdp_predicate", Struct("/", (Atom(name), len(args))))
+        raise existence_error("mdp_predicate", Struct("/", (Atom(name), n)))
     ctx, named = updated_context(solver, store, implicit, given, goal)
-    shapes, entries, required = kb.scorings(name, len(args))
+    _, shapes, entries, required = kb.dispatch[name, n]
     ctx_keys = required.intersection(named)     # all that the checks read
     found = shapes.get(ctx_keys)
     if found is None:
         if len(shapes) >= SHAPES_KEPT:
             shapes.clear()
         found = shapes[ctx_keys] = _checks(solver, store, sigs, ctx, ctx_keys,
-                                           len(args), entries)
+                                           n, entries)
     report, winners = found
     if winners is None:     # the rules complete a copy
         report = list(report)

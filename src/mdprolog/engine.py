@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .dispatcher import dispatch
+from .dispatcher import DISPATCH, dispatch
 from .errors import ConsultError, PrologThrow
 from .kb import KnowledgeBase
 from .reader import parse_program, parse_term
@@ -138,8 +138,8 @@ class Engine:
                     "directive raised %s at %s"
                     % (self._render(exc.ball), where)) from exc
             return
-        [(head, body)], sig = expand_source_item(self, item.term, item.filename,
-                                                 item.line)
+        head, body, sig = expand_source_item(self, item.term, item.filename,
+                                             item.line)
         if sig is None:
             self.kb.add_clause(head, body, item.filename, item.line)
         else:   # an mdp rule: its implementation clause goes with its signature
@@ -203,7 +203,7 @@ class Engine:
         candidate once, as the dispatch would, and calls no winner.
         """
         goal, store, _ = self._prepare(text)
-        if not (isinstance(goal, Struct) and goal.functor == "$dispatch"):
+        if not (isinstance(goal, Struct) and goal.functor == DISPATCH):
             raise ValueError("explain() needs a dispatch query (Given ? Goal)")
         scoring = dispatch(self.solver, store, *goal.args)
         if scoring[4] is None:  # goal-bearing candidates: their rules run

@@ -1,4 +1,10 @@
-"""Clause store, mdp signature store and related bookkeeping."""
+"""Clause store, mdp signature store and related bookkeeping.
+
+The dispatcher keeps what it caches per predicate in ``dispatch``
+(``dispatcher.candidates_for``); the knowledge base never reads an entry
+there, and empties the dict, or a predicate's entry, when a signature
+that its candidates hold is added or forgotten.
+"""
 
 from __future__ import annotations
 
@@ -400,8 +406,8 @@ class KnowledgeBase:
         self._index = {}           # (name, arity) -> ClauseIndex
         self.signatures = {}       # (name, arity) -> [Signature]; the
                                    # anonymous ones under (ANONYMOUS, 0)
-        self._dispatch = {}        # (name, arity) -> (candidates, scorings),
-                                   # until a change
+        self.dispatch = {}         # (name, arity) -> the dispatcher's entry,
+                                   # emptied by a change to the signatures
         self.dynamic = set()       # (name, arity)
         self.optable = default_table()
         self._next_order = 1       # order of the next clause or signature
@@ -413,14 +419,14 @@ class KnowledgeBase:
         The clause and signature objects themselves are shared: once stored
         nothing writes to them but their caches (``compiled``, a
         signature's ``variants``), which are the same in every copy.  The
-        indexes and the dispatch caches start empty.
+        indexes and the dispatcher's entries start empty.
         """
         kb = object.__new__(KnowledgeBase)
         kb.clauses = {key: list(group) for key, group in self.clauses.items()}
         kb._index = {}
         kb.signatures = {key: list(group)
                          for key, group in self.signatures.items()}
-        kb._dispatch = {}
+        kb.dispatch = {}
         kb.dynamic = set(self.dynamic)
         kb.optable = self.optable.copy()
         kb._next_order = self._next_order
@@ -496,7 +502,7 @@ class KnowledgeBase:
 
     def add_signature(self, sig, head, body):
         """Store a signature with its implementation clause (head, body)."""
-        self._dispatch.clear()
+        self.dispatch.clear()
         sig.clause = Clause(head, body, sig.filename, sig.line, self._take_order())
         sig.order = self._take_order()
         self.signatures.setdefault((sig.name, sig.arity), []).append(sig)
@@ -507,27 +513,11 @@ class KnowledgeBase:
     def candidates(self, name, arity):
         """The signatures of name/arity and every anonymous one, in
         definition order."""
-        return (self._dispatch.get((name, arity))
-                or self._new_dispatch(name, arity))[0]
-
-    def scorings(self, name, arity):
-        """The dispatcher's caches for name/arity: its dimension checks by
-        the set of required names that a context holds, and the report
-        entries they share, two dicts; and the names that the candidates
-        require, a frozenset.  A change to the candidates drops them with
-        the cached candidates."""
-        return (self._dispatch.get((name, arity))
-                or self._new_dispatch(name, arity))[1]
-
-    def _new_dispatch(self, name, arity):
-        key = (name, arity)
         found = self.signatures_for(name, arity)
         anonymous = self.signatures_for(ANONYMOUS, 0)
-        if anonymous and key != (ANONYMOUS, 0):     # two ordered runs
+        if anonymous and (name, arity) != (ANONYMOUS, 0):   # two ordered runs
             found = tuple(sorted(found + anonymous, key=_by_order))
-        required = frozenset([d for sig in found for d in sig.required_dims])
-        entry = self._dispatch[key] = found, ({}, {}, required)
-        return entry
+        return found
 
     def all_signatures(self):
         return sorted((s for group in self.signatures.values() for s in group),
@@ -542,8 +532,8 @@ class KnowledgeBase:
         """Drop clauses and signatures previously consulted from this file.
 
         Only a predicate that loses a clause or a signature loses its index
-        or its cached candidates; every other one keeps its clause list, the
-        ``source`` of its live ``ClauseIndex``.
+        or its dispatcher's entry; every other one keeps its clause list,
+        the ``source`` of its live ``ClauseIndex``.
         """
         for key in list(self.signatures):
             group = self.signatures[key]
@@ -551,9 +541,9 @@ class KnowledgeBase:
             if len(kept) == len(group):
                 continue
             if key == (ANONYMOUS, 0):   # among the candidates of every name
-                self._dispatch.clear()
+                self.dispatch.clear()
             else:
-                self._dispatch.pop(key, None)
+                self.dispatch.pop(key, None)
             if kept:
                 self.signatures[key] = kept
             else:

@@ -151,7 +151,7 @@ from .builtins import (
     NONDETERMINISTIC,
     ArithRun,
 )
-from .dispatcher import dispatch, weighed, winner_calls
+from .dispatcher import DISPATCH, dispatch, weighed, winner_calls
 from .errors import (
     PrologThrow,
     existence_error,
@@ -224,8 +224,8 @@ class Solver:
         self.trace_dispatch = trace_dispatch
         self.inferences = 0
         self.oid_counter = 0
-        # id -> (context, its entries by name), of the contexts that
-        # dispatcher.updated_context built
+        # the contexts that dispatches built, in the dispatcher's format
+        # (dispatcher.updated_context)
         self.contexts = {}
 
     def reset_run(self):
@@ -627,12 +627,18 @@ class Run:
 
 
 def _call_goal(solver, store, g, *extra):
-    """The goal of call/N: g with the extra arguments added."""
+    """The goal of call/N: g with the extra arguments added, to the goal
+    that g dispatches if g is a dispatch."""
     g = store.deref(g)
     if type(g) is Atom:
         return Struct(g.name, extra) if extra else g
     if type(g) is Struct:
-        return Struct(g.functor, g.args + extra) if extra else g
+        if not extra:
+            return g
+        if g.functor == DISPATCH and len(g.args) == 3:
+            goal = _call_goal(solver, store, g.args[2], *extra)
+            return Struct(DISPATCH, g.args[:2] + (goal,))
+        return Struct(g.functor, g.args + extra)
     if type(g) is Var:
         raise instantiation_error()
     raise type_error("callable", resolve(g, store))
@@ -687,12 +693,22 @@ _GOALS = {C_ITE: (0, 1, 2), C_DISJ: (0, 2), C_NOT: (0,), C_FINDALL: (0,),
 NESTING_LIMIT = 100
 CHUNK = 10_000
 
+# the positions of the goal arguments of each control construct: the
+# machine runs the term there as a goal, and the transformer rewrites it
+# as one (``transformer.phase1_rewrite``); apply/2, whose goal is left as
+# it is written, is not among them
+GOAL_ARGS = {
+    (",", 2): (0, 1), (";", 2): (0, 1), ("->", 2): (0, 1), ("\\+", 1): (0,),
+    ("findall", 3): (1,), ("forall", 2): (0, 1), ("catch", 3): (0, 2),
+    **{("call", n): (0,) for n in range(1, 9)},
+}
+
 _BUILTINS = {
     ("true", 0): (C_TRUE, None), ("fail", 0): (C_FAIL, None),
     ("false", 0): (C_FAIL, None), ("!", 0): (C_CUT, None),
     (";", 2): (C_DISJ, None), ("->", 2): (C_ITE, None), ("\\+", 1): (C_NOT, None),
     ("catch", 3): (C_CATCH, None), ("findall", 3): (C_FINDALL, None),
-    ("forall", 2): (C_FORALL, None), ("$dispatch", 3): (C_DISPATCH, None),
+    ("forall", 2): (C_FORALL, None), (DISPATCH, 3): (C_DISPATCH, None),
     ("apply", 2): (C_CALL, _apply_goal),
     **{("call", n): (C_CALL, _call_goal) for n in range(1, 9)},
     **{key: (E_NONDET, builtin) for key, builtin in NONDETERMINISTIC.items()},

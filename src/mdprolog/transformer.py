@@ -15,8 +15,11 @@ each goal term and each context-rule entry first.
 
 from __future__ import annotations
 
+from .builtins import MDP_RULE_HEADS
+from .dispatcher import DISPATCH
 from .errors import TransformError
 from .kb import ANONYMOUS, Signature
+from .solver import GOAL_ARGS
 from .terms import (
     Atom,
     NIL,
@@ -25,6 +28,7 @@ from .terms import (
     conj,
     flatten_conj,
     functor_of,
+    indicator,
     is_callable_term,
     is_number,
     list_parts,
@@ -33,21 +37,6 @@ from .terms import (
 )
 
 MAX_REWRITE_DEPTH = 32
-
-DISPATCH = "$dispatch"
-
-# goal argument positions of control constructs the rewrite descends into
-_GOAL_POSITIONS = {
-    (",", 2): (0, 1),
-    (";", 2): (0, 1),
-    ("->", 2): (0, 1),
-    ("\\+", 1): (0,),
-    ("findall", 3): (1,),
-    ("forall", 2): (0, 1),
-    ("catch", 3): (0, 2),
-}
-for _n in range(1, 9):
-    _GOAL_POSITIONS[("call", _n)] = (0,)
 
 
 class SpecParts:
@@ -76,10 +65,6 @@ class SpecParts:
                 and all(isinstance(c, Var) and c is not self.ctx_var
                         for c in coords)
                 and len(set(coords)) == len(coords))
-
-
-def _is_list_term(t):
-    return t is NIL or (isinstance(t, Struct) and t.functor == "." and len(t.args) == 2)
 
 
 def translate_entry(engine, entry, parts, depth, where):
@@ -182,7 +167,7 @@ def phase1_rewrite(engine, term, ctx_var, depth, where="rule body"):
                     "goal-term hook kept rewriting (more than %d rounds) in %s"
                     % (MAX_REWRITE_DEPTH, where))
         if isinstance(t, Struct):
-            positions = _GOAL_POSITIONS.get((t.functor, len(t.args)))
+            positions = GOAL_ARGS.get((t.functor, len(t.args)))
             if t.functor == "?" and 1 <= len(t.args) <= 3:
                 # ?(Goal), Given ? Goal, or ?(Ctx, Given, Goal) from a hook,
                 # which already carries an implicit-context slot
@@ -215,10 +200,9 @@ def phase1_rewrite(engine, term, ctx_var, depth, where="rule body"):
 def expand_source_item(engine, term, filename=None, line=None):
     """Compile one consulted clause.
 
-    Returns (clauses, signature): a plain clause is a single (head, body)
-    pair with no signature, its body rewritten in the context ``[]``; mdp
-    rules produce the generated implementation clause plus a signature
-    record.
+    Returns (head, body, signature): a plain clause comes back with no
+    signature, its body rewritten in the context ``[]``; an mdp rule
+    gives its generated implementation clause and its signature record.
     """
     if isinstance(term, Struct) and term.functor == ":-" and len(term.args) == 2:
         head, body = term.args
@@ -227,20 +211,20 @@ def expand_source_item(engine, term, filename=None, line=None):
 
     where = "%s:%s" % (filename or "<consult>", line if line is not None else "?")
 
-    if isinstance(head, Struct) and head.functor == "#" and len(head.args) == 2:
+    if not is_callable_term(head):
+        raise TransformError("clause head must be callable in %s" % where)
+    key = indicator(head)
+    if key == ("#", 2):
         spec_term, real_head = head.args
         if not is_callable_term(real_head):
             raise TransformError("mdp rule head must be callable in %s" % where)
         name, head_args = functor_of(real_head)
-    elif _is_list_term(head):
-        spec_term, real_head = head, None
-        name, head_args = ANONYMOUS, ()
+    elif key in MDP_RULE_HEADS:     # a context list: an anonymous rule
+        spec_term, name, head_args = head, ANONYMOUS, ()
     else:
-        if not is_callable_term(head):
-            raise TransformError("clause head must be callable in %s" % where)
         if head is not term:    # a rule; a fact has no body to rewrite
             body = phase1_rewrite(engine, body, NIL, 0, where)
-        return [(head, body)], None
+        return head, body, None
 
     parts = translate_spec(engine, spec_term, where)
     rewritten_body = phase1_rewrite(engine, body, parts.ctx_var, 0, where)
@@ -261,4 +245,4 @@ def expand_source_item(engine, term, filename=None, line=None):
         line=line,
         dimension_only=parts.dimension_only(),
     )
-    return [(impl_head, impl_body)], sig
+    return impl_head, impl_body, sig

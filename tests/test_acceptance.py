@@ -198,10 +198,9 @@ def test_criterion_08_transformer_golden_structure():
         text = ("[debug: P, weight(debug, D)@D] # edge(A, B) :- "
                 "[-debug] ? edge(A, B), call(P, (A, B)).")
         term, _ = parse_term(text, engine.kb.optable)
-        clauses, sig = expand_source_item(engine, term)
+        head, _, sig = expand_source_item(engine, term)
         assert sig.required_dims == ("debug",)
         assert len(sig.score_vars) == 1
-        head, _ = clauses[0]
         assert len(head.args) == 3          # context + the two original args
         assert head.args[0] is sig.ctx_var
     criterion(8, body)

@@ -195,6 +195,47 @@ class TestCandidates:
         assert engine.solver.out.getvalue() == "1\n"
 
 
+class TestTermsMadeAtRunTime:
+    """Only the text consulted or queried is rewritten: a ``?`` or ``#``
+    in a term built at run time is no dispatch and no mdp rule."""
+
+    PROGRAM = """
+        [] # foo(1).
+        r2(G) :- call(G).
+        r3(G) :- G.
+    """
+
+    @pytest.mark.parametrize("goal", [
+        "G = ([] ? foo(X)), call(G)",
+        "r2([] ? foo(X))",
+        "r3([] ? foo(X))",      # a variable body goal bound to a ? term
+    ])
+    def test_a_dispatch_built_at_run_time_is_an_unknown_procedure(self, goal):
+        engine = Engine(prelude=False)
+        engine.consult_text(self.PROGRAM)
+        assert outcome(engine, goal) == \
+            ["error(existence_error(procedure, (?)/2), mdprolog)"]
+        assert answers(engine, "[] ? foo(X)") == ["1"]
+
+    @pytest.mark.parametrize("clause, name, arity", [
+        ("[] # g(1)", "#", 2),
+        ("([m: M] # g(M) :- true)", "#", 2),
+        ("([] :- writeln(hi))", "[]", 0),
+        ("([m: 1] :- true)", ".", 2),
+    ])
+    def test_assertz_of_an_mdp_rule_is_refused(self, clause, name, arity):
+        engine = Engine(prelude=False)
+        engine.consult_text(self.PROGRAM)
+        with pytest.raises(PrologThrow) as e:
+            engine.query("assertz((%s))" % clause)
+        assert e.value.ball.args[0] == Struct("permission_error", (
+            Atom("modify"), Atom("mdp_rule"), Struct("/", (Atom(name), arity))))
+        assert (name, arity) not in engine.kb.clauses
+        assert answers(engine, "[] ? foo(X)") == ["1"]
+        assert outcome(engine, "[] ? g(X)") == \
+            ["error(existence_error(mdp_predicate, g/1), mdprolog)"]
+
+
 class TestShapeCache:
     """The dimension checks of a dispatch are cached per predicate and set
     of context names."""
@@ -236,9 +277,9 @@ class TestShapeCache:
         engine = Engine(prelude=False)
         engine.consult_text("[] # p(a).", filename="one")
         assert answers(engine, "[] ? p(X)") == ["a"]
-        assert engine.kb.scorings("p", 1)[0]
+        assert scorings(engine.kb, "p", 1)[0]
         engine.consult_text("[] # p(b).", filename="two")
-        assert engine.kb.scorings("p", 1) == ({}, {}, frozenset())
+        assert scorings(engine.kb, "p", 1) == ({}, {}, frozenset())
         assert answers(engine, "[] ? p(X)") == ["a", "b"]
         engine.consult_text("[] :- true.", filename="three")
         assert answers(engine, "[] ? p(X)") == ["a", "b", "X"]
@@ -247,9 +288,9 @@ class TestShapeCache:
         engine.consult_text("q.", filename="three")
         assert answers(engine, "[] ? p(X)") == ["a"]
         copy = engine.kb.copy()
-        assert copy.scorings("p", 1) == ({}, {}, frozenset())
+        assert scorings(copy, "p", 1) == ({}, {}, frozenset())
         engine.consult_text("[mode: M, d: _] # p(M).\n[] :- true.", filename="two")
-        assert engine.kb.scorings("p", 1)[2] == {"mode", "d"}
+        assert scorings(engine.kb, "p", 1)[2] == {"mode", "d"}
 
     def test_it_stays_bounded(self):
         # each query names another set of the eight dimensions that the
@@ -261,9 +302,9 @@ class TestShapeCache:
             named = [j for j in range(8) if i >> j & 1]
             query = "[%s] ? p(X)" % ", ".join("d%d: 1" % j for j in named)
             assert answers(engine, query) == ([str(j) for j in named] or ["none"])
-            assert len(engine.kb.scorings("p", 1)[0]) <= dispatcher.SHAPES_KEPT
+            assert len(scorings(engine.kb, "p", 1)[0]) <= dispatcher.SHAPES_KEPT
         # the cached reports share the first candidate's one entry
-        reports = [report for report, _ in engine.kb.scorings("p", 1)[0].values()]
+        reports = [report for report, _ in scorings(engine.kb, "p", 1)[0].values()]
         assert len(reports) > 1
         assert len({id(report[0]) for report in reports}) == 1
 
@@ -276,7 +317,7 @@ class TestShapeCache:
         monkeypatch.setattr(dispatcher, "score_signature",
                             lambda *args: scored.append(args[2]) or score(*args))
         assert answers(engine, "[d2: 1] ? p(X)") == ["a"]
-        assert scored == [] and list(engine.kb.scorings("p", 1)[0]) == [frozenset()]
+        assert scored == [] and list(scorings(engine.kb, "p", 1)[0]) == [frozenset()]
 
     def test_a_name_that_a_candidate_requires_makes_a_shape(self, monkeypatch):
         engine = Engine(prelude=False)
@@ -291,12 +332,26 @@ class TestShapeCache:
         assert answers(engine, "[mode: y, d: 1] ? p(X)") == ["moded(y)"]
         assert answers(engine, "[d: 1] ? p(X)") == ["plain"]
         assert len(scored) == 4
-        assert set(engine.kb.scorings("p", 1)[0]) == {frozenset(),
-                                                     frozenset(["mode"])}
+        assert set(scorings(engine.kb, "p", 1)[0]) == {frozenset(),
+                                                      frozenset(["mode"])}
 
 
 def answers(engine, query):
     return [s.render("X") for s in engine.query(query)]
+
+
+def outcome(engine, goal):
+    """The catcher of catch(goal, E, true) in each answer: the error
+    goal raised, or a fresh variable."""
+    return [s.render("E") for s in engine.query("catch((%s), E, true)" % goal)]
+
+
+def scorings(kb, name, arity):
+    """The dispatcher's caches for name/arity, made as a dispatch makes
+    them: its checks by the set of required names that a context holds,
+    the report entries they share, and the names the candidates require."""
+    dispatcher.candidates_for(kb, name, arity)
+    return kb.dispatch[name, arity][1:]
 
 
 class TestScoring:

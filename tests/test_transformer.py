@@ -1,7 +1,10 @@
+import io
+
 import pytest
 
 from mdprolog import Engine, TransformError
 from mdprolog.reader import parse_term
+from mdprolog.solver import GOAL_ARGS
 from mdprolog.terms import NIL, Atom, Struct, Var, make_list, proper_list
 from mdprolog.transformer import expand_source_item, phase1_rewrite
 
@@ -35,7 +38,7 @@ class TestContextRule:
            "[-debug] ? edge(A, B), call(P, (A, B))."
 
     def test_signature_shape(self, engine):
-        clauses, sig = expand(engine, self.RULE)
+        _, _, sig = expand(engine, self.RULE)
         assert sig is not None
         assert sig.name == "edge" and sig.arity == 2
         assert sig.required_dims == ("debug",)
@@ -49,9 +52,7 @@ class TestContextRule:
         assert weight_rule.args[1] is sig.score_vars[0]
 
     def test_impl_clause_shape(self, engine):
-        clauses, sig = expand(engine, self.RULE)
-        assert len(clauses) == 1
-        head, body = clauses[0]
+        head, body, sig = expand(engine, self.RULE)
         assert head.functor == sig.impl_name
         assert len(head.args) == 3          # context + the two head args
         assert head.args[0] is sig.ctx_var
@@ -67,30 +68,28 @@ class TestContextRule:
         assert goals[-1].functor == "call"
 
     def test_weight_entry_is_not_a_precondition(self, engine):
-        clauses, sig = expand(engine, self.RULE)
-        _, body = clauses[0]
+        _, body, _ = expand(engine, self.RULE)
         functors = [g.functor for g in flatten(body) if isinstance(g, Struct)]
         assert "weight" not in functors     # scored at dispatch, not re-run
 
     def test_implementation_names_are_distinct(self, engine):
-        _, sig1 = expand(engine, "[a: 1] # p(X).")
-        _, sig2 = expand(engine, "[a: 2] # p(X).")
+        _, _, sig1 = expand(engine, "[a: 1] # p(X).")
+        _, _, sig2 = expand(engine, "[a: 2] # p(X).")
         assert sig1.impl_name != sig2.impl_name
 
 
 class TestAnonymousRule:
     def test_list_head_becomes_anonymous(self, engine):
-        clauses, sig = expand(engine, "[debug: P] :- writeln(hi).")
+        head, _, sig = expand(engine, "[debug: P] :- writeln(hi).")
         assert sig.anonymous
         assert sig.arity == 0
-        head, _ = clauses[0]
         assert len(head.args) == 1          # the context alone
 
     def test_plain_clause_is_untouched(self, engine):
         term = read(engine, "p(X) :- q(X).")
-        clauses, sig = expand_source_item(engine, term)
+        head, body, sig = expand_source_item(engine, term)
         assert sig is None
-        assert clauses == [(term.args[0], term.args[1])]
+        assert (head, body) == (term.args[0], term.args[1])
 
 
 class TestSpecEntries:
@@ -99,14 +98,13 @@ class TestSpecEntries:
             expand(engine, "[-debug] # p(X).")
 
     def test_plain_goal_entry_is_a_precondition(self, engine):
-        clauses, sig = expand(engine, "[guard(on)] # p(X).")
+        _, body, sig = expand(engine, "[guard(on)] # p(X).")
         assert sig.required_dims == ()
         assert sig.rules[0].functor == "guard"
-        _, body = clauses[0]
         assert flatten(body)[0].functor == "guard"
 
     def test_variable_entry_passes_through(self, engine):
-        _, sig = expand(engine, "[Cond] # p(X).")
+        _, _, sig = expand(engine, "[Cond] # p(X).")
         assert isinstance(sig.rules[0], Var)
 
     def test_non_list_spec_is_rejected(self, engine):
@@ -207,7 +205,6 @@ class TestPlainRules:
 
 class TestTermHook:
     def test_hook_rewrites_before_dispatch(self):
-        import io
         engine = Engine(prelude=False, out=io.StringIO())
         engine.consult_text("""
             hook_mdp_term(_, send(R, M), [rcvr: R] ? M).
@@ -222,3 +219,50 @@ class TestTermHook:
         engine.consult_text("hook_mdp_term(_, spin(X), spin(s(X))).")
         with pytest.raises(TransformError):
             expand(engine, "[mode: 1] # p :- spin(zero).")
+
+
+# a body for each goal argument of each control construct, the goal at
+# that argument written G
+PLACES = [
+    ((",", 2), 0, "(G, true)"), ((",", 2), 1, "(true, G)"),
+    ((";", 2), 0, "(G ; fail)"), ((";", 2), 1, "(fail ; G)"),
+    (("->", 2), 0, "(G -> true)"), (("->", 2), 1, "(true -> G)"),
+    (("\\+", 1), 0, "\\+ G"),
+    (("findall", 3), 1, "findall(x, G, _)"),
+    (("forall", 2), 0, "forall(G, true)"), (("forall", 2), 1, "forall(true, G)"),
+    (("catch", 3), 0, "catch(G, _, true)"),
+    (("catch", 3), 2, "catch(throw(x), _, G)"),
+] + [(("call", n), 0, "call(%s)" % ", ".join(["G"] + ["a"] * (n - 1)))
+     for n in range(1, 9)]
+
+
+class TestControlConstructs:
+    """The rewrite reaches the goal arguments of control constructs, as
+    the table of the machine (``solver.GOAL_ARGS``) lists them."""
+
+    def test_the_table_lists_each_goal_argument_tested_here(self):
+        assert {(key, pos) for key, pos, _ in PLACES} == \
+            {(key, pos) for key, positions in GOAL_ARGS.items()
+             for pos in positions}
+
+    @pytest.mark.parametrize("key, pos, body", PLACES,
+                             ids=[body for _, _, body in PLACES])
+    def test_a_dispatch_there_dispatches(self, key, pos, body):
+        # the anonymous rule joins a dispatch of p/N of any N, such as
+        # the p(X, a, ...) of call/N
+        engine = Engine(prelude=False, out=io.StringIO())
+        engine.consult_text("[] :- writeln(dispatched).\nr :- %s."
+                            % body.replace("G", "([] ? p(X))"))
+        engine.query("r ; true")
+        assert engine.solver.out.getvalue() == "dispatched\n"
+
+    @pytest.mark.parametrize("key, pos, body", PLACES,
+                             ids=[body for _, _, body in PLACES])
+    def test_a_goal_term_hook_sees_the_goal_there(self, key, pos, body):
+        engine = Engine(prelude=False)
+        engine.consult_text("""
+            :- dynamic(seen/0).
+            hook_mdp_term(_, mark, marked) :- assertz(seen).
+            r :- %s.
+        """ % body.replace("G", "mark"))
+        assert engine.run("seen")
