@@ -550,13 +550,14 @@ def _b_retractall(solver, store, pattern):
     key = indicator(head)
     args = head.args if key[1] else ()
     kb = solver.kb
-    kb.set_dynamic(key)
+    pred = kb.set_dynamic(key)
     removed = []
     for clause in kb.clauses_for(key, args, store):
         match, _, size, _ = clause.compiled or clause.compile()
         if store.attempt(match, args, [None] * size, store, solver.occurs_check):
             removed.append(clause)
-    kb.remove_clauses(key, removed)
+    if removed:
+        pred.remove(removed)
     return True
 
 

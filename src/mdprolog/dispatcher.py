@@ -226,11 +226,15 @@ def candidates_for(kb, name, arity):
     They come from the predicate's entry in ``kb.dispatch``, made here
     on the first dispatch after a change to the signatures: (candidates,
     checks by the set of required names that a context holds, the report
-    entries those checks share, the names the candidates require).
+    entries those checks share, the names the candidates require).  A
+    name and arity with no candidates gets no entry, so dispatches of
+    names that no signature holds keep nothing.
     """
     entry = kb.dispatch.get((name, arity))
     if entry is None:
         sigs = kb.candidates(name, arity)
+        if not sigs:
+            return sigs
         required = frozenset([d for sig in sigs for d in sig.required_dims])
         entry = kb.dispatch[name, arity] = sigs, {}, {}, required
     return entry[0]

@@ -151,7 +151,8 @@ class Engine:
         store = BindingStore()
         # skip a solve that would fail on every head: no head's second
         # argument can match the term
-        if not self.kb.clauses_at((hook_name, 3), 1, term, store):
+        pred = self.kb.predicates.get((hook_name, 3))
+        if pred is None or not pred.at(1, term, store.deref):
             return None
         out_var = Var("_HookOut")
         goal = Struct(hook_name, (ctx_var, term, out_var))

@@ -1,4 +1,11 @@
-"""Clause store, mdp signature store and related bookkeeping.
+"""Predicate records, mdp signature store and related bookkeeping.
+
+Each predicate has one record, a ``Predicate`` in ``predicates``: its
+clauses, their argument groups and its dynamic flag.  The record is made
+by the first clause or declaration and replaced only when the predicate
+goes, when a consult removes its last clause and it is not dynamic.
+Every removal, by retractall/1 or by a consult, goes through
+``Predicate.remove``.
 
 The dispatcher keeps what it caches per predicate in ``dispatch``
 (``dispatcher.candidates_for``); the knowledge base never reads an entry
@@ -283,11 +290,12 @@ class ArgGroups:
             self.buckets.pop(key, None)
 
 
-class ClauseIndex:
-    """One predicate's clauses, grouped on their arguments on demand.
+class Predicate:
+    """One predicate's record: its clauses, grouped on their arguments on
+    demand, and whether it is dynamic.
 
-    ``source`` is the predicate's clause list, which grows by appends and
-    is replaced by its survivors on a removal.  A call gets a tuple that
+    ``clauses`` is the clause list, which grows by appends and is
+    replaced by its survivors on a removal.  A call gets a tuple that
     later writes never touch, which is the logical update view: the
     bucket of its first bound argument whose position splits the clauses
     (``ArgGroups``), or all the clauses.  A position is grouped the first
@@ -297,19 +305,22 @@ class ClauseIndex:
     splits the clauses is kept until a write.
     """
 
-    __slots__ = ("source", "snapshot", "groups", "splitting", "lead", "cached")
+    __slots__ = ("clauses", "dynamic", "snapshot", "groups", "splitting",
+                 "lead", "cached")
 
-    def __init__(self, source, arity):
-        self.source = source
-        self.snapshot = ()     # tuple(source), remade after a write
-        self.groups = [None] * arity    # position -> ArgGroups, once grouped
+    def __init__(self, arity, clauses=(), dynamic=False):
+        self.clauses = list(clauses)
+        self.dynamic = dynamic
+        self.snapshot = ()     # tuple(clauses), remade after a write
+        self.groups = {}       # position -> ArgGroups, once grouped
         self.splitting = [None] * arity     # position -> groups[pos].splits()
         self.lead = None       # groups[0] while they split the clauses
         self.cached = {}       # the lead's buckets
 
-    def clauses(self):
-        if len(self.snapshot) != len(self.source):
-            self.snapshot = tuple(self.source)
+    def view(self):
+        """All the clauses, as a tuple."""
+        if len(self.snapshot) != len(self.clauses):
+            self.snapshot = tuple(self.clauses)
         return self.snapshot
 
     def select(self, args, store):
@@ -356,26 +367,22 @@ class ClauseIndex:
                 split = splitting[pos]
             if split:
                 return self.groups[pos].bucket(arg, deref)
-        return self.clauses()
+        return self.view()
 
     def at(self, pos, arg, deref):
-        """The clauses whose argument at pos could match arg."""
-        if type(arg) is Var:
-            arg = deref(arg)
-            if type(arg) is Var:
-                return self.clauses()
-        return (self.groups[pos] or self._group(pos)).bucket(arg, deref)
+        """The clauses whose argument at pos could match arg, which is bound."""
+        return (self.groups.get(pos) or self._group(pos)).bucket(arg, deref)
 
     def _group(self, pos):
-        group = self.groups[pos] = ArgGroups(pos, self.source)
+        group = self.groups[pos] = ArgGroups(pos, self.clauses)
         self._find_lead()
         return group
 
     def _find_lead(self):
         """Note which grouped positions split, after a grouping or a write."""
         splitting = self.splitting
-        splitting[:] = [None if group is None else bool(group.splits())
-                        for group in self.groups]
+        for pos, group in self.groups.items():
+            splitting[pos] = bool(group.splits())
         if splitting and splitting[0]:
             self.lead = self.groups[0]
             self.cached = self.lead.buckets
@@ -383,32 +390,32 @@ class ClauseIndex:
             self.lead, self.cached = None, {}
 
     def append(self, clause):
-        for group in self.groups:
-            if group is not None:
+        self.clauses.append(clause)
+        if self.groups:
+            for group in self.groups.values():
                 group.append(clause)
-        self._find_lead()
+            self._find_lead()
 
-    def remove(self, survivors, removed, gone):
-        """Make survivors, the source less the removed clauses, the source."""
-        self.source = survivors
+    def remove(self, removed):
+        """Drop the removed clauses; the survivors keep their order and groups."""
+        gone = set(removed).__contains__
+        self.clauses = list(filterfalse(gone, self.clauses))
         self.snapshot = ()
-        for group in self.groups:
-            if group is not None:
+        if self.groups:
+            for group in self.groups.values():
                 group.remove(removed, gone)
-        self._find_lead()
+            self._find_lead()
 
 
 class KnowledgeBase:
-    """Indexed clauses, signatures, operator table and hook/dynamic registries."""
+    """Predicate records, signatures, operator table and the dispatcher's cache."""
 
     def __init__(self):
-        self.clauses = {}          # (name, arity) -> [Clause]
-        self._index = {}           # (name, arity) -> ClauseIndex
+        self.predicates = {}       # (name, arity) -> Predicate
         self.signatures = {}       # (name, arity) -> [Signature]; the
                                    # anonymous ones under (ANONYMOUS, 0)
         self.dispatch = {}         # (name, arity) -> the dispatcher's entry,
                                    # emptied by a change to the signatures
-        self.dynamic = set()       # (name, arity)
         self.optable = default_table()
         self._next_order = 1       # order of the next clause or signature
         self._impl_counters = {}   # predicate name -> count
@@ -418,16 +425,16 @@ class KnowledgeBase:
 
         The clause and signature objects themselves are shared: once stored
         nothing writes to them but their caches (``compiled``, a
-        signature's ``variants``), which are the same in every copy.  The
-        indexes and the dispatcher's entries start empty.
+        signature's ``variants``), which are the same in every copy.  Each
+        predicate's record starts with no groups, and the dispatcher's
+        entries start empty.
         """
         kb = object.__new__(KnowledgeBase)
-        kb.clauses = {key: list(group) for key, group in self.clauses.items()}
-        kb._index = {}
+        kb.predicates = {key: Predicate(key[1], pred.clauses, pred.dynamic)
+                         for key, pred in self.predicates.items()}
         kb.signatures = {key: list(group)
                          for key, group in self.signatures.items()}
         kb.dispatch = {}
-        kb.dynamic = set(self.dynamic)
         kb.optable = self.optable.copy()
         kb._next_order = self._next_order
         kb._impl_counters = dict(self._impl_counters)
@@ -440,58 +447,35 @@ class KnowledgeBase:
 
     # -- clauses ---------------------------------------------------------
 
+    def _predicate(self, key):
+        """The record of a predicate, made on first use."""
+        pred = self.predicates.get(key)
+        if pred is None:
+            pred = self.predicates[key] = Predicate(key[1])
+        return pred
+
     def add_clause(self, head, body, filename=None, line=None):
         key = indicator(head)
         clause = Clause(head, body, filename, line, self._take_order())
-        self.clauses.setdefault(key, []).append(clause)
-        index = self._index.get(key)
-        if index is not None:
-            index.append(clause)
+        self._predicate(key).append(clause)
         return clause
 
-    def remove_clauses(self, key, removed):
-        """Drop the removed clauses of a predicate; the rest keep their order."""
-        if not removed:
-            return
-        gone = set(removed).__contains__
-        survivors = self.clauses[key] = list(filterfalse(gone, self.clauses[key]))
-        index = self._index.get(key)
-        if index is not None:
-            index.remove(survivors, removed, gone)
-
     def clauses_for(self, key, args=(), store=None):
-        """The clauses of a predicate, in definition order, as a tuple.
+        """The clauses of a known predicate, in definition order, as a tuple.
 
         Given a call's arguments and the store they are bound in, only the
-        clauses that the index cannot rule out (``ClauseIndex.select``).
+        clauses that the index cannot rule out (``Predicate.select``).
         """
-        index = self._index.get(key)
-        if index is None:
-            index = self._new_index(key)
-            if index is None:
-                return ()
+        pred = self.predicates[key]
         if args:
-            return index.select(args, store)
-        return index.clauses()
-
-    def clauses_at(self, key, pos, arg, store):
-        """The clauses whose argument at pos could match arg, as a tuple."""
-        index = self._index.get(key) or self._new_index(key)
-        if index is None:
-            return ()
-        return index.at(pos, arg, store.deref)
-
-    def _new_index(self, key):
-        source = self.clauses.get(key)
-        if source is None:
-            return None
-        index = self._index[key] = ClauseIndex(source, key[1])
-        return index
+            return pred.select(args, store)
+        return pred.view()
 
     def set_dynamic(self, key):
         """Declare a predicate dynamic; it exists from now on, clauses or not."""
-        self.dynamic.add(key)
-        self.clauses.setdefault(key, [])
+        pred = self._predicate(key)
+        pred.dynamic = True
+        return pred
 
     # -- signatures --------------------------------------------------------
 
@@ -531,9 +515,10 @@ class KnowledgeBase:
     def forget_file(self, filename):
         """Drop clauses and signatures previously consulted from this file.
 
-        Only a predicate that loses a clause or a signature loses its index
-        or its dispatcher's entry; every other one keeps its clause list,
-        the ``source`` of its live ``ClauseIndex``.
+        Only a predicate that loses a signature loses its dispatcher's
+        entry.  One that loses a clause loses it as retractall/1 would,
+        and keeps the groups of the rest; one left with no clause, and not
+        dynamic, loses its record.
         """
         for key in list(self.signatures):
             group = self.signatures[key]
@@ -548,13 +533,9 @@ class KnowledgeBase:
                 self.signatures[key] = kept
             else:
                 del self.signatures[key]
-        for key in list(self.clauses):
-            group = self.clauses[key]
-            if all(c.filename != filename for c in group):
-                continue
-            self._index.pop(key, None)
-            kept = [c for c in group if c.filename != filename]
-            if kept or key in self.dynamic:
-                self.clauses[key] = kept
-            else:
-                del self.clauses[key]
+        for key, pred in list(self.predicates.items()):
+            removed = [c for c in pred.clauses if c.filename == filename]
+            if removed:
+                pred.remove(removed)
+                if not (pred.clauses or pred.dynamic):
+                    del self.predicates[key]

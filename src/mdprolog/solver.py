@@ -27,7 +27,7 @@ goal, the goal of call/N or apply/2, or a variable body goal, is
 compiled when it is called (``compile_goal``) by the same compiler,
 with no frame (None): its entries hold its arguments as they are, and
 no code is generated for it.  Its conjunctions are flattened with
-bindings followed, and an atom goal's entries are made once.  A running
+bindings followed.  A running
 body is a ``(BODY, entries, index, frame)`` marker in the continuation;
 its last entry continues with the caller's continuation, and a fact's
 body ``true`` is no entry at all.  Each entry owes one inference for
@@ -268,13 +268,13 @@ class Solver:
     def call_predicate(self, key, args, store):
         """The clauses a call of the predicate key tries, in definition order.
 
-        This is the one selection point of a predicate call: an unknown
-        predicate is an existence error, and the index leaves out clauses
-        that a bound argument rules out (``kb.ClauseIndex``).  ``args``
-        is () for a call that is not indexed.
+        This is the one selection point of a predicate call: a predicate
+        with no record is an existence error, and the record's groups
+        leave out clauses that a bound argument rules out
+        (``kb.Predicate``).  ``args`` is () for a call that is not indexed.
         """
         kb = self.kb
-        if key not in kb.clauses:       # a dynamic predicate is always there
+        if key not in kb.predicates:    # a dynamic one keeps its record
             culprit = Struct("/", (Atom(key[0]), key[1]))
             raise existence_error("procedure", culprit)
         return kb.clauses_for(key, args, store)
@@ -738,21 +738,9 @@ def compile_goal(goal, store, counted=0):
     Bindings are followed where goals are taken apart, and a variable
     still unbound becomes a variable goal; no code is generated.
     ``counted`` is 1 for a variable goal, whose own inference its entry
-    has counted.  The entries of an atom goal are made once.
+    has counted.
     """
-    if type(goal) is Atom:
-        key = goal, counted
-        found = _ATOM_GOALS.get(key)
-        if found is None:
-            if len(_ATOM_GOALS) >= _ATOMS_KEPT:
-                _ATOM_GOALS.clear()
-            found = _ATOM_GOALS[key] = _compile(goal, None, None, 0, -counted)
-        return found
     return _compile(goal, None, store.deref, 0, -counted)
-
-
-_ATOM_GOALS = {}        # (atom, counted) -> its entries
-_ATOMS_KEPT = 512
 
 
 def _compile(body, seen, deref, depth, commas=0):

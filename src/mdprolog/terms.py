@@ -310,8 +310,6 @@ def unify(t1, t2, store, occurs_check=False):
             store.bind(b, a)
             continue
         if isinstance(a, Atom) or isinstance(b, Atom):
-            if a is b:
-                continue
             store.undo_to(mark)
             return False
         if is_number(a) or is_number(b):

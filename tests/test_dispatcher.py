@@ -230,7 +230,7 @@ class TestTermsMadeAtRunTime:
             engine.query("assertz((%s))" % clause)
         assert e.value.ball.args[0] == Struct("permission_error", (
             Atom("modify"), Atom("mdp_rule"), Struct("/", (Atom(name), arity))))
-        assert (name, arity) not in engine.kb.clauses
+        assert (name, arity) not in engine.kb.predicates
         assert answers(engine, "[] ? foo(X)") == ["1"]
         assert outcome(engine, "[] ? g(X)") == \
             ["error(existence_error(mdp_predicate, g/1), mdprolog)"]
@@ -307,6 +307,20 @@ class TestShapeCache:
         reports = [report for report, _ in scorings(engine.kb, "p", 1)[0].values()]
         assert len(reports) > 1
         assert len({id(report[0]) for report in reports}) == 1
+
+    def test_names_with_no_candidates_keep_no_entry(self, monkeypatch):
+        # a name with no candidates gets no entry, so failing dispatches
+        # of ever new names keep nothing
+        engine = Engine()
+        looked_up = []
+        candidates_for = dispatcher.candidates_for
+        monkeypatch.setattr(dispatcher, "candidates_for", lambda *args: (
+            looked_up.append(args[1:]) or candidates_for(*args)))
+        for i in range(50):
+            assert outcome(engine, "[] ? f%d(1)" % i) == [
+                "error(existence_error(mdp_predicate, f%d/1), mdprolog)" % i]
+        assert looked_up == [("f%d" % i, 1) for i in range(50)]
+        assert engine.kb.dispatch == {}
 
     def test_names_that_no_candidate_requires_make_no_shape(self, monkeypatch):
         engine = Engine(prelude=False)

@@ -27,8 +27,9 @@ def start_state(engine):
     """What an engine starts from: expansion, clause counts and operators."""
     kb = engine.kb
     return (engine.dump_expansion(),
-            {key: len(group) for key, group in kb.clauses.items()},
-            dict(kb.optable.prefix), dict(kb.optable.infix), set(kb.dynamic))
+            {key: len(pred.clauses) for key, pred in kb.predicates.items()},
+            dict(kb.optable.prefix), dict(kb.optable.infix),
+            {key for key, pred in kb.predicates.items() if pred.dynamic})
 
 
 def new_engine():
@@ -79,7 +80,7 @@ class TestSharedBase:
         assert "!" in Engine().kb.optable.priority
         bare = Engine(prelude=False)
         assert "!" not in bare.kb.optable.priority
-        assert ("hook_mdp_term", 3) not in bare.kb.clauses
+        assert ("hook_mdp_term", 3) not in bare.kb.predicates
         assert not bare.dump_expansion()
 
     def test_the_base_is_what_consulting_the_prelude_gives(self):

@@ -405,17 +405,18 @@ class TestClauseSelection:
         engine.consult_text("".join("fact(%d, v%d).\n" % (k, k)
                                     for k in range(5000)), filename="facts.pl")
         assert answers(engine, "fact(4999, V)", "V") == ["v4999"]  # groups
-        index = engine.kb._index[("fact", 2)]
+        record = engine.kb.predicates[("fact", 2)]
         engine.consult_text("other(1).", filename="other.pl")
-        assert engine.kb._index[("fact", 2)] is index
+        assert engine.kb.predicates[("fact", 2)] is record
+        assert record.groups
         assert answers(engine, "fact(17, V)", "V") == ["v17"]
         assert engine.solver.inferences == 3
-        # consulting the file again drops its predicates' index
+        # consulting the file again removes every clause of the predicate,
+        # which is not dynamic: its record goes, and a new one starts
         engine.consult_text("fact(1, w).\nfact(2, v2).", filename="facts.pl")
-        assert ("fact", 2) not in engine.kb._index
+        assert engine.kb.predicates[("fact", 2)] is not record
         assert answers(engine, "fact(1, V)", "V") == ["w"]
         assert answers(engine, "fact(4999, V)", "V") == []
-        assert engine.kb._index[("fact", 2)] is not index
 
     @given(st.lists(st.tuples(*[st.sampled_from(ARGS)] * 3), max_size=12),
            st.tuples(*[CALL_ARGS] * 3))
@@ -452,9 +453,11 @@ class TestClauseSelection:
             "data(_, color, any).\ndata(_, size, some).\n")
         assert answers(engine, "data(obj(3), A, V)", "V") == \
             ["v2", "v5", "v8", "v11", "any", "some"]    # groups the clauses
-        index = engine.kb._index[("data", 3)]
+        record = engine.kb.predicates[("data", 3)]
+        groups = record.groups[0]
         assert engine.run("retractall(data(obj(3), color, _))")
-        assert engine.kb._index[("data", 3)] is index
+        assert engine.kb.predicates[("data", 3)] is record
+        assert record.groups[0] is groups
         assert answers(engine, "data(obj(3), A, V)", "V") == \
             ["v5", "v11", "some"]
         assert answers(engine, "data(obj(2), A, V)", "V") == \
@@ -470,24 +473,32 @@ class TestClauseSelection:
         assert answers(engine, "data(obj(2), A, V)", "V") == \
             ["v1", "v4", "v7", "v10", "some"]
 
-    @given(st.lists(st.tuples(st.sampled_from(["assertz", "retractall", "call"]),
+    @given(st.lists(st.tuples(st.sampled_from(["assertz", "retractall",
+                                               "consult", "call"]),
                               st.tuples(*[CALL_ARGS] * 3)), max_size=16))
     def test_an_index_kept_through_writes_selects_as_a_fresh_one(self, ops):
         engine = Engine(prelude=False)
         engine.consult_text(":- dynamic p/3.")
-        table = []      # (head, number) of each clause there should be
+        table = []      # (head, number, file) of each clause there should be
         for i, (op, row) in enumerate(ops):
             head = "p(%s)" % ", ".join(row)
             if op == "assertz":
                 assert engine.run("assertz((%s :- writeln(%d)))" % (head, i))
-                table.append((head, str(i)))
+                table.append((head, str(i), None))
             elif op == "retractall":
                 assert engine.run("retractall(%s)" % head)
-                table = [(h, n) for h, n in table
+                table = [(h, n, f) for h, n, f in table
                          if not unifiable(engine, h, head)]
+            elif op == "consult":
+                # consulting a file again removes its clauses in place
+                filename = "f%d.pl" % (i % 2)
+                engine.consult_text("%s :- writeln(%d)." % (head, i),
+                                    filename=filename)
+                table = [(h, n, f) for h, n, f in table if f != filename]
+                table.append((head, str(i), filename))
             else:
                 assert printed(engine, head) == [
-                    n for h, n in table if unifiable(engine, h, head)]
+                    n for h, n, _ in table if unifiable(engine, h, head)]
 
     def test_a_compound_key_splits_one_level_deeper(self, engine):
         engine.consult_text(DATA)
@@ -559,17 +570,17 @@ class TestClauseSelection:
     def test_a_list_argument_is_not_keyed_by_its_elements(self, engine):
         engine.consult_text(NREV)
         assert engine.run("nrev([%s], R)" % ", ".join(map(str, range(300))))
-        index = engine.kb._index[("app", 3)]
+        record = engine.kb.predicates[("app", 3)]
         # [] and '.'/2: the [H|T] clause does not split on its head
-        assert sum(len(group.buckets) for group in index.groups if group) <= 2
+        assert sum(len(group.buckets) for group in record.groups.values()) <= 2
 
     def test_calls_with_keys_no_clause_holds_cache_no_bucket(self, engine):
         engine.consult_text("k(a, 1). k(b, 2). k(f(1), 3). k(f(2), 4). "
                             "k(2.5, 5). k(_, 6).")
         assert engine.run("forall(between(3, 502, I), "
                           "(findall(V, k(I, V), [6]), k(f(I), 6)))")
-        index = engine.kb._index[("k", 2)]
-        assert not any(group.buckets for group in index.groups if group)
+        record = engine.kb.predicates[("k", 2)]
+        assert not any(group.buckets for group in record.groups.values())
         assert answers(engine, "k(f(2), V)", "V") == ["4", "6"]
 
     def test_retractall_tests_only_the_heads_the_index_leaves(self, engine):
@@ -582,7 +593,7 @@ class TestClauseSelection:
                 return match(*args)
             return counted
 
-        for clause in engine.kb.clauses[("data", 3)]:
+        for clause in engine.kb.predicates[("data", 3)].clauses:
             match, *rest = clause.compiled or clause.compile()
             clause.compiled = counting(match), *rest
         assert engine.run("retractall(data(obj(3), k2, _))")
@@ -628,7 +639,7 @@ class TestHeadUnification:
 
     def test_a_ground_list_in_a_clause_is_returned_unchanged(self, engine):
         engine.consult_text("big([1, [2, 3], f(a, 'b c'), 4.5]).")
-        stored = engine.kb.clauses[("big", 1)][0].head.args[0]
+        stored = engine.kb.predicates[("big", 1)].clauses[0].head.args[0]
         sol = engine.query("big(L)")[0]
         assert sol["L"] == stored
         assert sol.render("L") == "[1, [2, 3], f(a, b c), 4.5]"
@@ -636,7 +647,7 @@ class TestHeadUnification:
     def test_assertz_stores_bindings_and_fresh_variables(self, engine):
         engine.consult_text(":- dynamic r/2.")
         assert engine.run("X = 1, assertz(r(X, Y))")
-        (clause,) = engine.kb.clauses[("r", 2)]
+        (clause,) = engine.kb.predicates[("r", 2)].clauses
         assert clause.head.args[0] == 1
         assert isinstance(clause.head.args[1], Var)
         assert engine.run("r(1, A), r(1, B), A \\== B, var(A)")
@@ -958,12 +969,12 @@ class TestCompiledBodies:
             ["error(%s, mdprolog)" % error]
         assert engine.solver.inferences == count
 
-    def test_an_atom_goal_compiles_once(self, engine):
+    def test_an_atom_goal_compiles_as_any_runtime_goal(self, engine):
         store = BindingStore()
         for atom in (Atom("true"), Atom("fail"), Atom("nothing")):
             for counted in (0, 1):
                 first = solver.compile_goal(atom, store, counted)
-                assert solver.compile_goal(atom, store, counted) is first
+                assert solver.compile_goal(atom, store, counted) == first
         assert solver.compile_goal(Atom("true"), store, 1) != \
             solver.compile_goal(Atom("true"), store, 0)
         engine.consult_text("m(G) :- call(G).\nv(G) :- G.")
