@@ -9,7 +9,10 @@ that tests a unification and undoes it runs the test through
 ``BindingStore.attempt``, so none of them marks or undoes on its own.
 ctx_member/3 is one of them, but the dispatcher's own
 (``dispatcher.ctx_member``), since it reads the contexts that dispatches
-keep.
+keep.  A list argument that must be a proper list is read by
+``errors.list_items``, whose error is ``type_error(list, Term)`` for a
+partial list too; ``=../2`` and ``length/2`` keep ISO's rules of their
+own, where a partial list is an instantiation error.
 
 The is/2 and comparisons of a clause body also compile, in runs, to
 generated Python code of the clause's frame (``ArithRun``), made by the
@@ -32,6 +35,7 @@ from .errors import (
     domain_error,
     evaluation_error,
     instantiation_error,
+    list_items,
     permission_error,
     type_error,
 )
@@ -55,7 +59,6 @@ from .terms import (
     is_number,
     list_parts,
     make_list,
-    proper_list,
     resolve,
 )
 
@@ -383,10 +386,10 @@ def _b_functor(solver, store, t, name, arity):
 def _b_univ(solver, store, t, lst):
     td = store.deref(t)
     if isinstance(td, Var):
-        items = proper_list(lst, store)
-        if items is None:
+        items, tail = list_parts(lst, store)
+        if isinstance(tail, Var):
             raise instantiation_error()
-        if not items:
+        if tail is not NIL or not items:
             raise type_error("list", resolve(lst, store))
         head = store.deref(items[0])
         if len(items) == 1:
@@ -442,20 +445,14 @@ def _b_length(solver, store, lst, n):
 
 
 def _b_msort(solver, store, lst, out):
-    items = proper_list(lst, store)
-    if items is None:
-        raise type_error("list", resolve(lst, store))
-    ordered = sorted(items, key=functools.cmp_to_key(
+    ordered = sorted(list_items(lst, store), key=functools.cmp_to_key(
         lambda a, b: compare_terms(a, b, store)))
     return solver.unify(out, make_list(ordered), store)
 
 
 def _b_keysort(solver, store, lst, out):
-    items = proper_list(lst, store)
-    if items is None:
-        raise type_error("list", resolve(lst, store))
     pairs = []
-    for item in items:
+    for item in list_items(lst, store):
         d = store.deref(item)
         if not (isinstance(d, Struct) and d.functor == "-" and len(d.args) == 2):
             raise type_error("pair", resolve(item, store))
@@ -466,11 +463,8 @@ def _b_keysort(solver, store, lst, out):
 
 
 def _numeric_list(solver, store, term):
-    items = proper_list(term, store)
-    if items is None:
-        raise type_error("list", resolve(term, store))
     values = []
-    for item in items:
+    for item in list_items(term, store):
         d = store.deref(item)
         if not is_number(d):
             raise type_error("number", resolve(item, store))
@@ -491,10 +485,8 @@ def _b_sum_list(solver, store, lst, out):
 
 
 def _b_intersection(solver, store, a, b, out):
-    items_a = proper_list(a, store)
-    items_b = proper_list(b, store)
-    if items_a is None or items_b is None:
-        raise type_error("list", resolve(a if items_a is None else b, store))
+    items_a = list_items(a, store)
+    items_b = list_items(b, store)
     kept = []
     for item in items_a:    # unified with the first element it matches
         for other in items_b:

@@ -16,13 +16,19 @@ This module owns all that dispatch keeps between calls.  A candidate's
 dimension checks read only whether the context names each dimension it
 requires.  So the checks of a predicate depend only on which of the
 names its candidates require the context holds, and each predicate's
-entry (``candidates_for``) keeps its candidates, the checks made per
-such set of names, and with them, when no goal-bearing candidate is
-eligible, the winners' clauses: a dispatch whose context has a shape
-seen before scores nothing, as a polymorphic inline cache reuses the
-lookup made for a receiver's type.  A name that no candidate requires
-makes no new shape.  The entries live in the knowledge base's
-``dispatch`` dict, which a change to the signatures empties.
+dispatch record (``Candidates``, found by ``candidates_for``) is its
+candidates, a tuple, that keeps the checks made per such set of names,
+and with them, when no goal-bearing candidate is eligible, the winners'
+clauses: a dispatch whose context has a shape seen before scores
+nothing, as a polymorphic inline cache reuses the lookup made for a
+receiver's type.  A name that no candidate requires makes no new shape.
+A dispatch looks its record up once.  The records live in the knowledge
+base's ``dispatch`` dict, which a change to the signatures empties; the
+names with no signature of their own share one record per arity.
+
+A dispatch reads the call-site list once (``updated_context``), and a
+list argument that must be a proper list is read by
+``errors.list_items``, as the builtins read theirs.
 
 A context that a dispatch builds is kept with its entries by name in
 ``Solver.contexts`` (``updated_context``), so the next dispatch inside
@@ -33,57 +39,12 @@ table.
 
 from __future__ import annotations
 
-from .errors import existence_error, instantiation_error, type_error
-from .terms import (
-    NIL,
-    Atom,
-    Struct,
-    Var,
-    list_parts,
-    new_struct,
-    proper_list,
-    resolve,
-)
+from .errors import existence_error, instantiation_error, list_items, type_error
+from .terms import NIL, Atom, Struct, Var, new_struct, resolve
 
 DISPATCH = "$dispatch"
 PREDICATE_DIM = "predicate"
 PREDICATE = Atom(PREDICATE_DIM)
-
-
-def parse_given(given, store):
-    """Removed names and (name, entry) upserts of a call-site context."""
-    g = store.deref(given)
-    given_items = proper_list(g, store)
-    if given_items is None:
-        if isinstance(g, Var):
-            raise instantiation_error()
-        raise type_error("list", resolve(given, store))
-    removals = set()
-    upserts = []
-    for item in given_items:
-        e = store.deref(item)
-        if isinstance(e, Var):
-            raise instantiation_error()
-        if isinstance(e, Struct) and e.functor == "-" and len(e.args) == 1:
-            name = store.deref(e.args[0])
-            if isinstance(name, Var):
-                raise instantiation_error()
-            if not isinstance(name, Atom):
-                raise type_error("atom", resolve(name, store))
-            removals.add(name.name)
-            continue
-        if isinstance(e, Struct) and e.functor == ":" and len(e.args) == 2:
-            name = store.deref(e.args[0])
-            if isinstance(name, Var):
-                raise instantiation_error()
-            if not isinstance(name, Atom):
-                raise type_error("atom", resolve(name, store))
-            if name is not e.args[0]:    # a bound variable names it
-                e = new_struct(":", (name, e.args[1]))
-            upserts.append((name.name, e))
-            continue
-        raise type_error("context_entry", resolve(item, store))
-    return frozenset(removals), tuple(upserts)
 
 
 def updated_context(solver, store, implicit, given, goal):
@@ -94,6 +55,10 @@ def updated_context(solver, store, implicit, given, goal):
     predicate dimension.  ``given`` is the call-site context term and
     ``goal`` is dereferenced.  Returns the context list and its entries
     by name, an ordered dict.
+
+    The call-site list is walked once: a removal applies where the walk
+    meets it, and the upserts, checked there, apply after the walk.  An
+    item is checked as it is met, so the first bad one is the error.
 
     A context built here has unique names, and it is kept with that dict
     in ``solver.contexts``, under its id, so that an update of it starts
@@ -110,12 +75,32 @@ def updated_context(solver, store, implicit, given, goal):
     else:
         named, repeats = _named(store, implicit)
     if given is not NIL:
-        removals, upserts = parse_given(given, store)
-        for name in removals:
-            named.pop(name, None)
-        if repeats and removals:    # and the entries of a name met again
-            named = {key: e for key, e in named.items()
-                     if type(key) is str or key[0] not in removals}
+        g = store.deref(given)
+        if isinstance(g, Var):
+            raise instantiation_error()
+        upserts = []
+        for item in list_items(g, store):
+            e = store.deref(item)
+            if isinstance(e, Var):
+                raise instantiation_error()
+            arity = len(e.args) if isinstance(e, Struct) else 0
+            if not (arity == 1 and e.functor == "-"
+                    or arity == 2 and e.functor == ":"):
+                raise type_error("context_entry", resolve(item, store))
+            name = store.deref(e.args[0])
+            if isinstance(name, Var):
+                raise instantiation_error()
+            if not isinstance(name, Atom):
+                raise type_error("atom", resolve(name, store))
+            if arity == 1:
+                named.pop(name.name, None)
+                if repeats:     # and the entries of a name met again
+                    named = {key: x for key, x in named.items()
+                             if type(key) is str or key[0] != name.name}
+            else:
+                if name is not e.args[0]:    # a bound variable names it
+                    e = new_struct(":", (name, e.args[1]))
+                upserts.append((name.name, e))
         for name, entry in upserts:     # in place, or appended
             named[name] = entry
     named[PREDICATE_DIM] = new_struct(":", (PREDICATE, goal))
@@ -148,11 +133,8 @@ def ctx_member(solver, store, ctx, dim, coord):
     if named and known is not None and known[0] is ctx:
         entry = known[1].get(dim.name)
         return coord, [] if entry is None else [entry.args[1]]
-    entries = proper_list(ctx, store)
-    if entries is None:
-        raise type_error("list", resolve(ctx, store))
     values = []
-    for entry in map(store.deref, entries):
+    for entry in map(store.deref, list_items(ctx, store)):
         if type(entry) is Struct and entry.functor == ":" and len(entry.args) == 2:
             if named:
                 name = store.deref(entry.args[0])
@@ -172,15 +154,11 @@ def _named(store, implicit):
 
     An entry is keyed by its name, or, where the name is met again, by
     (name, position), so that an upsert replaces the first and the rest
-    stay.  A name bound through a variable is put in the entry.  A cyclic
-    list is an error (``list_parts``).
+    stay.  A name bound through a variable is put in the entry.
     """
-    items, tail = list_parts(implicit, store)
-    if tail is not NIL:
-        raise type_error("list", resolve(implicit, store))
     named = {}
     repeats = False
-    for i, e in enumerate(items):
+    for i, e in enumerate(list_items(implicit, store)):
         e = store.deref(e)
         if type(e) is Struct and e.functor == ":" and len(e.args) == 2:
             name = store.deref(e.args[0])
@@ -220,24 +198,45 @@ def weighed(store, score, weights):
     return score
 
 
-def candidates_for(kb, name, arity):
-    """The signatures a dispatch of name/arity scores, a tuple.
+class Candidates(tuple):
+    """A predicate's dispatch record: its candidates, in definition order,
+    with the caches of their checks.  ``shapes`` holds the checks by the
+    set of required names that a context holds, ``entries`` the report
+    entries those checks share, and ``required`` the names the candidates
+    require."""
 
-    They come from the predicate's entry in ``kb.dispatch``, made here
-    on the first dispatch after a change to the signatures: (candidates,
-    checks by the set of required names that a context holds, the report
-    entries those checks share, the names the candidates require).  A
-    name and arity with no candidates gets no entry, so dispatches of
-    names that no signature holds keep nothing.
+    def __new__(cls, sigs):
+        record = tuple.__new__(cls, sigs)
+        record.shapes = {}
+        record.entries = {}
+        record.required = frozenset([d for sig in sigs
+                                     for d in sig.required_dims])
+        return record
+
+
+def candidates_for(kb, name, arity):
+    """The dispatch record of name/arity (``Candidates``), the signatures
+    a dispatch scores.
+
+    It is the predicate's entry in ``kb.dispatch``, made here on the
+    first dispatch after a change to the signatures.  The names with no
+    signature of their own, whose candidates are the anonymous ones
+    alone, share one record per arity, kept under (None, arity), a key
+    that no predicate has.  With no candidates it is an empty tuple and
+    no entry is made, so dispatches of names that no signature holds
+    keep nothing.
     """
-    entry = kb.dispatch.get((name, arity))
-    if entry is None:
-        sigs = kb.candidates(name, arity)
-        if not sigs:
-            return sigs
-        required = frozenset([d for sig in sigs for d in sig.required_dims])
-        entry = kb.dispatch[name, arity] = sigs, {}, {}, required
-    return entry[0]
+    record = kb.dispatch.get((name, arity))
+    if record is None:
+        if not kb.has_mdp_predicate(name, arity):
+            name = None
+            record = kb.dispatch.get((None, arity))
+        if record is None:
+            sigs = kb.candidates(name, arity)
+            if not sigs:
+                return sigs
+            record = kb.dispatch[name, arity] = Candidates(sigs)
+    return record
 
 
 def dispatch(solver, store, implicit, given, goal):
@@ -252,7 +251,7 @@ def dispatch(solver, store, implicit, given, goal):
     its own (``solver.Run._score``), before it calls the winners.
     ``Engine.explain`` runs the same scoring and calls no winner.  The
     checks of a context that holds a set of the required names that the
-    predicate has met before come from its cache.
+    predicate has met before come from its record.
     """
     if type(goal) is Var:
         goal = store.deref(goal)
@@ -265,20 +264,19 @@ def dispatch(solver, store, implicit, given, goal):
         raise instantiation_error()
     else:
         raise type_error("callable", resolve(goal, store))
-    kb = solver.kb
     n = len(args)
-    sigs = candidates_for(kb, name, n)
-    if not sigs:
+    record = candidates_for(solver.kb, name, n)
+    if not record:
         raise existence_error("mdp_predicate", Struct("/", (Atom(name), n)))
     ctx, named = updated_context(solver, store, implicit, given, goal)
-    _, shapes, entries, required = kb.dispatch[name, n]
-    ctx_keys = required.intersection(named)     # all that the checks read
+    ctx_keys = record.required.intersection(named)  # all that the checks read
+    shapes = record.shapes
     found = shapes.get(ctx_keys)
     if found is None:
         if len(shapes) >= SHAPES_KEPT:
             shapes.clear()
-        found = shapes[ctx_keys] = _checks(solver, store, sigs, ctx, ctx_keys,
-                                           n, entries)
+        found = shapes[ctx_keys] = _checks(solver, store, record, ctx,
+                                           ctx_keys, n)
     report, winners = found
     if winners is None:     # the rules complete a copy
         report = list(report)
@@ -288,15 +286,16 @@ def dispatch(solver, store, implicit, given, goal):
 SHAPES_KEPT = 64    # the sets of required names a predicate keeps checks for
 
 
-def _checks(solver, store, sigs, ctx, ctx_keys, n, entries):
-    """The report of the candidates' dimension checks, as a tuple, and the
+def _checks(solver, store, record, ctx, ctx_keys, n):
+    """The report of the record's dimension checks, as a tuple, and the
     winners' clauses for a goal of n arguments, or None if an eligible
     candidate is goal-bearing.  A candidate's entry is made once per
-    outcome of its check and kept in entries, so the reports the cache
-    keeps share them, and no signature refers back to its entries."""
+    outcome of its check and kept in the record's entries, so the reports
+    it keeps share them, and no signature refers back to its entries."""
+    entries = record.entries
     report = []
     pending = False
-    for sig in sigs:
+    for sig in record:
         score, reason = score_signature(solver, store, sig, ctx, ctx_keys)
         outcome = sig.order, score if reason is None else reason
         entry = entries.get(outcome)

@@ -1,9 +1,11 @@
-"""Engine error and exception types."""
+"""Engine error and exception types, the error terms of ISO builtins,
+and ``list_items``, the one reader of a list argument that must be a
+proper list."""
 
 from __future__ import annotations
 
 from .render import render
-from .terms import Atom, MdpError, Struct
+from .terms import NIL, Atom, MdpError, Struct, list_parts, resolve
 
 
 class TransformError(MdpError):
@@ -61,3 +63,13 @@ def permission_error(action, kind, culprit):
 
 def evaluation_error(what):
     return PrologThrow(error_term("evaluation_error", Atom(what)))
+
+
+def list_items(term, store):
+    """The elements of a proper list; any other term, a partial list
+    too, is a ``type_error(list, Term)``, and a cyclic list an error
+    (``list_parts``)."""
+    items, tail = list_parts(term, store)
+    if tail is not NIL:
+        raise type_error("list", resolve(term, store))
+    return items

@@ -7,10 +7,12 @@ goes, when a consult removes its last clause and it is not dynamic.
 Every removal, by retractall/1 or by a consult, goes through
 ``Predicate.remove``.
 
-The dispatcher keeps what it caches per predicate in ``dispatch``
-(``dispatcher.candidates_for``); the knowledge base never reads an entry
-there, and empties the dict, or a predicate's entry, when a signature
-that its candidates hold is added or forgotten.
+The dispatcher keeps each predicate's dispatch record in ``dispatch``
+(``dispatcher.candidates_for``), and one record per arity that the
+names with no signature of their own share, under a key that no
+predicate has; the knowledge base never reads a record there, and
+empties the dict, or a predicate's record, when a signature that its
+candidates hold is added or forgotten.
 """
 
 from __future__ import annotations
@@ -414,7 +416,7 @@ class KnowledgeBase:
         self.predicates = {}       # (name, arity) -> Predicate
         self.signatures = {}       # (name, arity) -> [Signature]; the
                                    # anonymous ones under (ANONYMOUS, 0)
-        self.dispatch = {}         # (name, arity) -> the dispatcher's entry,
+        self.dispatch = {}         # (name, arity) -> the dispatcher's record,
                                    # emptied by a change to the signatures
         self.optable = default_table()
         self._next_order = 1       # order of the next clause or signature
@@ -516,7 +518,7 @@ class KnowledgeBase:
         """Drop clauses and signatures previously consulted from this file.
 
         Only a predicate that loses a signature loses its dispatcher's
-        entry.  One that loses a clause loses it as retractall/1 would,
+        record.  One that loses a clause loses it as retractall/1 would,
         and keeps the groups of the rest; one left with no clause, and not
         dynamic, loses its record.
         """

@@ -156,6 +156,7 @@ from .errors import (
     PrologThrow,
     existence_error,
     instantiation_error,
+    list_items,
     type_error,
 )
 from .render import render
@@ -170,7 +171,6 @@ from .terms import (
     arg_builder,
     build,
     make_list,
-    proper_list,
     rename_term,
     resolve,
     unify,
@@ -645,10 +645,7 @@ def _call_goal(solver, store, g, *extra):
 
 
 def _apply_goal(solver, store, g, arglist):
-    items = proper_list(arglist, store)
-    if items is None:
-        raise type_error("list", resolve(arglist, store))
-    return _call_goal(solver, store, g, *items)
+    return _call_goal(solver, store, g, *list_items(arglist, store))
 
 
 # -- compiled goals -----------------------------------------------------------

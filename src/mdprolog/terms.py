@@ -317,19 +317,16 @@ def unify(t1, t2, store, occurs_check=False):
                 continue
             store.undo_to(mark)
             return False
-        if isinstance(a, Struct) and isinstance(b, Struct):
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                store.undo_to(mark)
-                return False
-            if a is not a0 or b is not b0:
-                seen = set() if seen is None else seen
-                if (id(a), id(b)) in seen:
-                    continue
-                seen.add((id(a), id(b)))
-            stack.extend(zip(a.args, b.args))
-            continue
-        store.undo_to(mark)
-        return False
+        # two compounds, the one case left
+        if a.functor != b.functor or len(a.args) != len(b.args):
+            store.undo_to(mark)
+            return False
+        if a is not a0 or b is not b0:
+            seen = set() if seen is None else seen
+            if (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+        stack.extend(zip(a.args, b.args))
     return True
 
 

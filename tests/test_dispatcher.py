@@ -1,4 +1,5 @@
 import io
+import re
 from importlib import resources
 
 import pytest
@@ -82,6 +83,48 @@ class TestUpdatedContext:
         ctx, named = updated(store, make_list([]), given, Atom("g"))
         assert proper_list(ctx)[0] == entry("mode", Atom("fast"))
         assert named.keys() == {"mode", "predicate"}
+
+
+INSTANTIATION = "error(instantiation_error, mdprolog)"
+
+
+class TestContextErrors:
+    """The errors of a call-site context, of the implicit context a
+    '$dispatch'/3 goal names and of the goal, item by item in list order,
+    and the order in which removals and upserts apply."""
+
+    @pytest.mark.parametrize("goal, expected", [
+        ("[X] ? p", INSTANTIATION),
+        ("[-X] ? p", INSTANTIATION),
+        ("[-1] ? p", "error(type_error(context_entry, -1), mdprolog)"),
+        ("[-f(x)] ? p", "error(type_error(atom, f(x)), mdprolog)"),
+        ("[X: 1] ? p", INSTANTIATION),
+        ("[1: a] ? p", "error(type_error(atom, 1), mdprolog)"),
+        ("[foo] ? p", "error(type_error(context_entry, foo), mdprolog)"),
+        ("G ? p", INSTANTIATION),
+        ("foo ? p", "error(type_error(list, foo), mdprolog)"),
+        ("[a: 1|T] ? p", "error(type_error(list, [a:1|_G]), mdprolog)"),
+        ("[a: 1, X|foo] ? p", "error(type_error(list, [a:1, _G|foo]), mdprolog)"),
+        ("[X, foo] ? p", INSTANTIATION),
+        ("[foo, X] ? p", "error(type_error(context_entry, foo), mdprolog)"),
+        ("[] ? X", INSTANTIATION),
+        ("[] ? 1", "error(type_error(callable, 1), mdprolog)"),
+        ("'$dispatch'(foo, [], p)", "error(type_error(list, foo), mdprolog)"),
+        ("'$dispatch'([a: 1|T], [], p)",
+         "error(type_error(list, [a:1|_G]), mdprolog)"),
+        ("'$dispatch'(C, [], p)", "error(type_error(list, _G), mdprolog)"),
+        ("'$dispatch'([a: 1, a: 2], [-a, X], p)", INSTANTIATION),
+        ("[a: 1, -a] ? r(X)", "1"),
+        ("[-a, a: 2] ? r(X)", "2"),
+        ("'$dispatch'([a: 1, a: 2], [a: 3, -a], r(X))", "3"),
+    ])
+    def test_errors_and_order(self, goal, expected):
+        # with no signature the existence error would come first
+        engine = Engine(prelude=False)
+        engine.consult_text("[] # p.\n[a: A] # r(A).")
+        [found] = engine.query("catch((%s), E, true)" % goal)
+        error = re.sub(r"_G\d+", "_G", found.render("E"))
+        assert (error if error != "E" else found.render("X")) == expected
 
 
 class TestImplicitLists:
@@ -322,6 +365,19 @@ class TestShapeCache:
         assert looked_up == [("f%d" % i, 1) for i in range(50)]
         assert engine.kb.dispatch == {}
 
+    def test_names_with_no_signature_share_one_record(self):
+        # their candidates are the anonymous ones alone, the same for
+        # every name of an arity, so ever new names keep one entry
+        engine = Engine()
+        engine.consult_text("[predicate: g(X)] :- X = anon.")
+        for i in range(50):
+            assert engine.query("catch([] ? f%d(1), _, true)" % i) == []
+        assert answers(engine, "[] ? g(X)") == ["anon"]
+        assert len(engine.kb.dispatch) == 1
+        record = dispatcher.candidates_for(engine.kb, "f0", 1)
+        assert record is dispatcher.candidates_for(engine.kb, "g", 1)
+        assert len(record) == 1 and len(record.shapes) == 1
+
     def test_names_that_no_candidate_requires_make_no_shape(self, monkeypatch):
         engine = Engine(prelude=False)
         engine.consult_text("[] # p(a).")
@@ -364,8 +420,8 @@ def scorings(kb, name, arity):
     """The dispatcher's caches for name/arity, made as a dispatch makes
     them: its checks by the set of required names that a context holds,
     the report entries they share, and the names the candidates require."""
-    dispatcher.candidates_for(kb, name, arity)
-    return kb.dispatch[name, arity][1:]
+    record = dispatcher.candidates_for(kb, name, arity)
+    return record.shapes, record.entries, record.required
 
 
 class TestScoring:

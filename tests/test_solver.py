@@ -743,6 +743,20 @@ class TestTermInspection:
         [(x, error)] = outcome(engine, goal)
         assert (error if error.startswith("error(") else x) == answer
 
+    @pytest.mark.parametrize("goal, answer", [
+        # ISO 8.5.3.3: a list that is not partial is a list or a type
+        # error; a partial one is an instantiation error
+        ("X =.. foo", "error(type_error(list, foo), mdprolog)"),
+        ("X =.. [foo|bar]", "error(type_error(list, [foo|bar]), mdprolog)"),
+        ("X =.. [foo|T]", "error(instantiation_error, mdprolog)"),
+        ("X =.. T", "error(instantiation_error, mdprolog)"),
+        ("X =.. [foo, a|T]", "error(instantiation_error, mdprolog)"),
+        ("X =.. [foo, a]", "foo(a)"),
+    ])
+    def test_univ_constructs_or_raises(self, engine, goal, answer):
+        [(x, error)] = outcome(engine, goal)
+        assert (error if error.startswith("error(") else x) == answer
+
     def test_copy_term(self, engine):
         assert engine.run("copy_term(f(X, X), f(Y, Z)), Y == Z")
 
@@ -789,6 +803,25 @@ class TestListBuiltins:
     def test_answers_and_errors(self, engine, goal, answer):
         [(x, error)] = outcome(engine, goal)
         assert (error if error.startswith("error(") else x) == answer
+
+    @pytest.mark.parametrize("goal, error", [
+        ("msort(a, X)", "type_error(list, a)"),
+        ("msort(X, Y)", "type_error(list, _G)"),
+        ("keysort(a, X)", "type_error(list, a)"),
+        ("keysort([a-1|T], Y)", "type_error(list, [a-1|_G])"),
+        ("max_list([a|T], X)", "type_error(list, [a|_G])"),
+        ("sum_list([1|foo], X)", "type_error(list, [1|foo])"),
+        ("intersection([a], b, X)", "type_error(list, b)"),
+        ("intersection(a, b, X)", "type_error(list, a)"),
+        ("apply(foo, a)", "type_error(list, a)"),
+        ("apply(foo, [a|T])", "type_error(list, [a|_G])"),
+        ("ctx_member(X, a, V)", "type_error(list, _G)"),
+    ])
+    def test_a_list_argument_is_a_proper_list(self, engine, goal, error):
+        # a partial list too is a type error, not an instantiation error
+        [found] = [s.render("Error") for s in
+                   engine.solutions("catch((%s), Error, true)" % goal)]
+        assert re.sub(r"_G\d+", "_G", found) == "error(%s, mdprolog)" % error
 
     @pytest.mark.parametrize("goal, answer", [
         ("intersection([X, b], [a], L)", "X = a, L = [a]"),
@@ -1316,7 +1349,7 @@ class TestValueBuiltins:
                                             Atom("g"))
         ctx_member = builtins.NONDETERMINISTIC["ctx_member", 3]
         v = Var("V")
-        monkeypatch.setattr(builtins, "proper_list", None)     # no walk
+        monkeypatch.setattr(dispatcher, "list_items", None)     # no walk
         assert ctx_member(engine.solver, store, ctx, Atom("a"), v) == (v, [1])
         assert ctx_member(engine.solver, store, ctx, Atom("b"), v) == (v, [])
 

@@ -16,11 +16,17 @@ What it cannot see is listed as unrun:
 A test that runs slower under the trace may fail; the tests' exit status
 is printed.  The script checks nothing and exits 0.
 
-    PYTHONPATH=src python tests/unrun_lines.py [pytest arguments]
+Given a git revision, it also prints, module by module, the unrun lines
+that the diff from that revision to the working tree added or changed
+(``git diff -U0``), so a review sees which new lines no test reaches.
+
+    PYTHONPATH=src python tests/unrun_lines.py [--base REF] [pytest arguments]
 """
 
 import importlib.util
 import os
+import re
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -97,7 +103,28 @@ def ranges(lines):
     return ", ".join(str(a) if a == b else "%d-%d" % (a, b) for a, b in spans)
 
 
+HUNK = re.compile(r"^@@ -\S+ \+(\d+)(?:,(\d+))? @@", re.MULTILINE)
+
+
+def changed_lines(package, ref):
+    """The lines of each module that the diff from ref added or changed,
+    by module file name, read from the new side of ``git diff -U0``."""
+    changed = {}
+    for path in sorted(package.glob("*.py")):
+        diff = subprocess.run(["git", "diff", "-U0", ref, "--", str(path)],
+                              cwd=package, capture_output=True, text=True,
+                              check=True).stdout
+        for start, count in HUNK.findall(diff):
+            start, count = int(start), int(count or 1)
+            changed.setdefault(path.name, set()).update(
+                range(start, start + count))
+    return changed
+
+
 def main(args):
+    base = None
+    if args[:1] == ["--base"]:
+        base, args = args[1], args[2:]
     # found, not imported: module-level lines run under the trace
     spec = importlib.util.find_spec("mdprolog")
     package = Path(os.path.realpath(spec.submodule_search_locations[0]))
@@ -113,13 +140,25 @@ def main(args):
     total = 0
     print("\nlines of %s that no test ran (tests exited %d):"
           % (package, status))
+    unrun_by_module = {}
     for path in sorted(package.glob("*.py")):
         resolved = os.path.realpath(path)
         unrun = {n for n in code_lines(path) if (resolved, n) not in tracer.ran}
         if unrun:
             total += len(unrun)
+            unrun_by_module[path.name] = unrun
             print("%-16s %4d  %s" % (path.name, len(unrun), ranges(unrun)))
     print("%-16s %4d" % ("total", total))
+    if base is not None:
+        changed = changed_lines(package, base)
+        total = 0
+        print("\nof them, lines added or changed since %s:" % base)
+        for name, unrun in unrun_by_module.items():
+            new = unrun & changed.get(name, set())
+            if new:
+                total += len(new)
+                print("%-16s %4d  %s" % (name, len(new), ranges(new)))
+        print("%-16s %4d" % ("total", total))
     return 0
 
 
