@@ -1551,12 +1551,18 @@ RUN_BODIES = st.lists(RUN_GOALS, min_size=1, max_size=4).map(", ".join)
 
 def run_outcome(engine, query):
     """The first answers of query for X, Y and Z, or its error, and the
-    inferences spent; unbound variables are named by first occurrence."""
+    inferences spent; unbound variables are named by first occurrence.
+
+    Each variable prints as ``_G<serial>`` before it is renamed, since a
+    copy keeps its original's name: which of two aliased variables
+    findall/3 copies depends on the direction of the binding, which
+    depends on the order the variables were made in."""
     texts = []
     try:
         for sol in itertools.islice(engine.solutions(query), 6):
             values = [sol.bindings.get(name, Var(name)) for name in "XYZ"]
-            text = engine.solver.render(terms.Struct("v", tuple(values)))
+            text = render(terms.Struct("v", tuple(values)), None,
+                          engine.kb.optable, names={})
             names = {}
             texts.append(re.sub(r"\b[_A-Z]\w*", lambda m: names.setdefault(
                 m.group(), "_V%d" % len(names)), text))
