@@ -11,8 +11,8 @@ ctx_member/3 is one of them, but the dispatcher's own
 (``dispatcher.ctx_member``), since it reads the contexts that dispatches
 keep.  A list argument that must be a proper list is read by
 ``errors.list_items``, whose error is ``type_error(list, Term)`` for a
-partial list too; ``=../2`` and ``length/2`` keep ISO's rules of their
-own, where a partial list is an instantiation error.
+partial list too; ``msort/2``, ``keysort/2``, ``=../2`` and ``length/2``
+keep ISO's rules, where a partial list is an instantiation error.
 
 The is/2 and comparisons of a clause body also compile, in runs, to
 generated Python code of the clause's frame (``ArithRun``), made by the
@@ -386,19 +386,20 @@ def _b_functor(solver, store, t, name, arity):
 def _b_univ(solver, store, t, lst):
     td = store.deref(t)
     if isinstance(td, Var):
-        items, tail = list_parts(lst, store)
-        if isinstance(tail, Var):
-            raise instantiation_error()
-        if tail is not NIL or not items:
-            raise type_error("list", resolve(lst, store))
+        items = list_items(lst, store, iso=True)
+        if not items:
+            raise domain_error("non_empty_list", NIL)
         head = store.deref(items[0])
+        if isinstance(head, Var):
+            raise instantiation_error()
         if len(items) == 1:
-            if isinstance(head, Var):
-                raise instantiation_error()
             return solver.unify(t, head, store)
         if not isinstance(head, Atom):
             raise type_error("atom", head)
         return solver.unify(t, Struct(head.name, tuple(items[1:])), store)
+    tail = list_parts(lst, store)[1]
+    if not (tail is NIL or isinstance(tail, Var)):
+        raise type_error("list", resolve(lst, store))
     if isinstance(td, Struct):
         out = make_list([Atom(td.functor), *td.args])
     else:
@@ -445,15 +446,17 @@ def _b_length(solver, store, lst, n):
 
 
 def _b_msort(solver, store, lst, out):
-    ordered = sorted(list_items(lst, store), key=functools.cmp_to_key(
+    ordered = sorted(list_items(lst, store, iso=True), key=functools.cmp_to_key(
         lambda a, b: compare_terms(a, b, store)))
     return solver.unify(out, make_list(ordered), store)
 
 
 def _b_keysort(solver, store, lst, out):
     pairs = []
-    for item in list_items(lst, store):
+    for item in list_items(lst, store, iso=True):
         d = store.deref(item)
+        if isinstance(d, Var):
+            raise instantiation_error()
         if not (isinstance(d, Struct) and d.functor == "-" and len(d.args) == 2):
             raise type_error("pair", resolve(item, store))
         pairs.append(d)

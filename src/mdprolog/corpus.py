@@ -113,6 +113,10 @@ def _solution_line(sol):
 
 
 def run_case(case, programs_dir=None):
+    """Run one case on a fresh engine.  A program that an earlier case
+    consulted after the same programs, under the same budget, is a copy
+    of that consult's result (``Engine.consult_text``), so a case run
+    again pays only for its setup goals and its query."""
     sink = io.StringIO()
     engine = Engine(budget=case.budget, out=sink)
     try:

@@ -1,4 +1,11 @@
-"""Public entry point: consult programs, run queries, inspect dispatch."""
+"""Public entry point: consult programs, run queries, inspect dispatch.
+
+Consulting is done once per process where it can be: every engine starts
+from a copy of the consulted bootstrap and prelude (``_BASES``), and an
+engine that has run no query and consults the texts that another engine
+consulted before, in the same order and configuration, starts from a
+copy of that engine's state after them (``_CONSULTED``).
+"""
 
 from __future__ import annotations
 
@@ -74,14 +81,36 @@ class Solution:
 _BASES = {}
 
 
+# (state before, filename, text, budget, occurs_check, trace_dispatch) ->
+# (knowledge base, oid_counter) after the consult of that text, for each
+# consult that raised nothing and wrote nothing.  The state before is the
+# stored knowledge base that the engine's state is a copy of: a base, or
+# one stored here.  It is compared by identity, so a key stays one level
+# deep however many consults made the state.  At most _CONSULTED_MAX
+# entries, the oldest going first.
+_CONSULTED = {}
+_CONSULTED_MAX = 128
+
+
+class _Watched:
+    """A sink that notes whether anything was written to it."""
+
+    def __init__(self, sink):
+        self.sink, self.wrote = sink, False
+
+    def write(self, text):
+        self.wrote = True
+        return self.sink.write(text)
+
+
 def _consult_base(prelude):
     """Consult the start-up text into a new knowledge base, with no budget."""
     engine = object.__new__(Engine)
     engine.kb = KnowledgeBase()
     engine.solver = Solver(engine.kb)
-    engine.consult_text(BOOTSTRAP, filename="<bootstrap>")
+    engine._consult(BOOTSTRAP, "<bootstrap>")
     if prelude:
-        engine.consult_text(read_source(_prelude_path()), filename="<prelude>")
+        engine._consult(read_source(_prelude_path()), "<prelude>")
     return engine.kb
 
 
@@ -96,6 +125,9 @@ class Engine:
         self.solver = Solver(self.kb, out=out, err=err,
                              occurs_check=occurs_check, budget=budget,
                              trace_dispatch=trace_dispatch)
+        # the stored knowledge base that the engine's state is a copy of,
+        # or None once the engine has left the table of consulted states
+        self._state = base
 
     # -- configuration -------------------------------------------------------
 
@@ -116,6 +148,42 @@ class Engine:
         self.consult_text(read_source(Path(path)), filename=str(path))
 
     def consult_text(self, text, filename="<text>"):
+        """Consult a program text in place of what was consulted under
+        its filename before.
+
+        While the engine has run no query and each of its consults was
+        stored, the state after this consult is looked up in
+        ``_CONSULTED``.  If it is there, the engine takes a copy of it and
+        nothing is read, expanded, solved or compiled; if not, the
+        consult runs and its result is stored, unless it raised or wrote
+        to ``out`` or ``err``.  A consult not stored takes the engine out
+        of the table, and every consult after it runs.
+        """
+        solver = self.solver
+        state, self._state = self._state, None
+        if state is None:
+            return self._consult(text, filename)
+        key = (state, filename, text, solver.budget, solver.occurs_check,
+               solver.trace_dispatch)
+        stored = _CONSULTED.get(key)
+        if stored is None:
+            sinks = solver.out, solver.err
+            solver.out, solver.err = watched = tuple(map(_Watched, sinks))
+            try:
+                self._consult(text, filename)
+            finally:
+                solver.out, solver.err = sinks
+            if watched[0].wrote or watched[1].wrote:
+                return
+            if len(_CONSULTED) >= _CONSULTED_MAX:
+                del _CONSULTED[next(iter(_CONSULTED))]
+            stored = _CONSULTED[key] = self.kb.copy(), solver.oid_counter
+        else:
+            self.kb = solver.kb = stored[0].copy()
+            solver.oid_counter = stored[1]
+        self._state = stored[0]
+
+    def _consult(self, text, filename):
         self.kb.forget_file(filename)
         try:
             for item in parse_program(text, self.kb.optable, filename):
@@ -169,6 +237,7 @@ class Engine:
     # -- queries -------------------------------------------------------------
 
     def _prepare(self, text):
+        self._state = None      # a query may change the state
         self.solver.reset_run()
         term, varmap = parse_term(text, self.kb.optable)
         goal = phase1_rewrite(self, term, NIL, 0, "<query>")
@@ -217,9 +286,8 @@ class Engine:
         """Readable listing of every signature and its implementation clauses."""
         lines = []
         for sig in self.kb.all_signatures():
-            dims = make_list_text(sig.required_dims)
-            lines.append("%% %s  (required dimensions: %s)"
-                         % (sig.label(), dims))
+            lines.append("%% %s  (required dimensions: [%s])"
+                         % (sig.label(), ", ".join(sig.required_dims)))
             sig_term = Struct("mdp_signature", (
                 Atom(sig.name), sig.arity, Atom(sig.impl_name), sig.ctx_var,
                 Struct("context_rules", sig.rules) if sig.rules else Atom("true"),
@@ -234,7 +302,3 @@ class Engine:
 
     def _render(self, term, quoted=False):
         return render(term, None, self.kb.optable, quoted=quoted)
-
-
-def make_list_text(names):
-    return "[%s]" % ", ".join(names) if names else "[]"

@@ -5,7 +5,7 @@ proper list."""
 from __future__ import annotations
 
 from .render import render
-from .terms import NIL, Atom, MdpError, Struct, list_parts, resolve
+from .terms import NIL, Atom, MdpError, Struct, Var, list_parts, resolve
 
 
 class TransformError(MdpError):
@@ -65,11 +65,14 @@ def evaluation_error(what):
     return PrologThrow(error_term("evaluation_error", Atom(what)))
 
 
-def list_items(term, store):
+def list_items(term, store, iso=False):
     """The elements of a proper list; any other term, a partial list
     too, is a ``type_error(list, Term)``, and a cyclic list an error
-    (``list_parts``)."""
+    (``list_parts``).  With iso a partial list is an
+    ``instantiation_error``, as ISO has it for the sorts and ``=../2``."""
     items, tail = list_parts(term, store)
     if tail is not NIL:
+        if iso and type(tail) is Var:
+            raise instantiation_error()
         raise type_error("list", resolve(term, store))
     return items

@@ -419,6 +419,7 @@ class KnowledgeBase:
         self.dispatch = {}         # (name, arity) -> the dispatcher's record,
                                    # emptied by a change to the signatures
         self.optable = default_table()
+        self.files = set()         # the filenames of the clauses and signatures
         self._next_order = 1       # order of the next clause or signature
         self._impl_counters = {}   # predicate name -> count
 
@@ -438,6 +439,7 @@ class KnowledgeBase:
                          for key, group in self.signatures.items()}
         kb.dispatch = {}
         kb.optable = self.optable.copy()
+        kb.files = set(self.files)
         kb._next_order = self._next_order
         kb._impl_counters = dict(self._impl_counters)
         return kb
@@ -459,6 +461,7 @@ class KnowledgeBase:
     def add_clause(self, head, body, filename=None, line=None):
         key = indicator(head)
         clause = Clause(head, body, filename, line, self._take_order())
+        self.files.add(filename)
         self._predicate(key).append(clause)
         return clause
 
@@ -489,6 +492,7 @@ class KnowledgeBase:
     def add_signature(self, sig, head, body):
         """Store a signature with its implementation clause (head, body)."""
         self.dispatch.clear()
+        self.files.add(sig.filename)
         sig.clause = Clause(head, body, sig.filename, sig.line, self._take_order())
         sig.order = self._take_order()
         self.signatures.setdefault((sig.name, sig.arity), []).append(sig)
@@ -520,8 +524,12 @@ class KnowledgeBase:
         Only a predicate that loses a signature loses its dispatcher's
         record.  One that loses a clause loses it as retractall/1 would,
         and keeps the groups of the rest; one left with no clause, and not
-        dynamic, loses its record.
+        dynamic, loses its record.  A file that nothing was stored from
+        costs one lookup.
         """
+        if filename not in self.files:
+            return
+        self.files.discard(filename)
         for key in list(self.signatures):
             group = self.signatures[key]
             kept = [sig for sig in group if sig.filename != filename]

@@ -3,6 +3,8 @@
 Each engine gets its own copy of a knowledge base consulted once per
 process, so what one engine does to its clauses, signatures, operators or
 counters must never reach another engine, nor the engines made later.
+A consult that an engine made before, from the same state, is a copy of
+its result too, and must answer as the consult itself would.
 """
 
 import io
@@ -10,11 +12,12 @@ from importlib import resources
 
 import pytest
 
-from mdprolog import Engine
+from mdprolog import Engine, corpus
 from mdprolog import engine as engine_module
 from mdprolog.corpus import run_all
+from mdprolog.kb import KnowledgeBase
 from mdprolog.solver import Solver
-from mdprolog.terms import indicator, proper_list
+from mdprolog.terms import BudgetExceeded, indicator, proper_list
 
 PRELUDE = resources.files("mdprolog").joinpath("prelude.mdp").read_text()
 PROGRAM = """
@@ -76,6 +79,15 @@ class TestSharedBase:
         assert seen(waiting)
         assert [s.render("X") for s in pending] == ["2", "3"]
 
+    def test_a_file_forgotten_by_one_engine_stays_in_another(self):
+        engines = [Engine(), Engine()]
+        for engine in engines:
+            engine.consult_text("p(1).", "p.pl")
+        engines[0].consult_text("", "p.pl")
+        engines[1].consult_text("p(2).", "p.pl")
+        assert [s.render("X") for s in engines[1].query("p(X)")] == ["2"]
+        assert not engines[0].query("catch(p(X), _, fail)")
+
     def test_engines_without_the_prelude_lack_its_operator(self):
         assert "!" in Engine().kb.optable.priority
         bare = Engine(prelude=False)
@@ -98,6 +110,129 @@ class TestSharedBase:
         assert start_state(Engine()) == first
 
 
+class TestConsultTable:
+    """A consult made before from the same state is a copy of its result."""
+
+    @pytest.fixture
+    def table(self, monkeypatch):
+        """The table of consulted states, emptied."""
+        table = {}
+        monkeypatch.setattr(engine_module, "_CONSULTED", table)
+        return table
+
+    @pytest.fixture
+    def ran(self, table, monkeypatch):
+        """The filenames of the consults that ran, from the emptied table."""
+        ran = []
+        consult = Engine._consult
+
+        def counting(self, text, filename):
+            ran.append(filename)
+            return consult(self, text, filename)
+
+        monkeypatch.setattr(Engine, "_consult", counting)
+        return ran
+
+    @staticmethod
+    def outcomes(monkeypatch):
+        """Each corpus case's result and what it wrote."""
+        sinks = []
+
+        def engine(**kwargs):
+            sinks.append(kwargs["out"])
+            return Engine(**kwargs)
+
+        monkeypatch.setattr(corpus, "Engine", engine)
+        _, results = run_all()
+        return [(r.case.name, r.passed, r.details, sink.getvalue())
+                for r, sink in zip(results, sinks)]
+
+    def test_every_corpus_case_answers_alike_cold_and_warm(
+            self, ran, monkeypatch):
+        cold = self.outcomes(monkeypatch)
+        assert ran
+        ran.clear()
+        assert self.outcomes(monkeypatch) == cold
+        assert all(passed for _, passed, _, _ in cold)
+        assert ran == []    # no corpus program writes as it is consulted
+
+    def test_a_directive_that_writes_writes_in_every_engine(self, table):
+        text = ":- writeln(hello).\np."
+        for _ in range(2):
+            sink = io.StringIO()
+            Engine(out=sink).consult_text(text, "hello.pl")
+            assert sink.getvalue() == "hello\n"
+        assert table == {}
+
+    def test_a_consult_that_raises_raises_in_every_engine(self, table):
+        text = ":- member(X, [a, b, c]), X == c.\np."
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                Engine(budget=1).consult_text(text, "budget.pl")
+        assert table == {}
+        Engine(budget=100).consult_text(text, "budget.pl")
+        assert len(table) == 1
+
+    @pytest.mark.parametrize("option", [
+        {"budget": 1000}, {"occurs_check": True}, {"trace_dispatch": True}])
+    def test_each_option_has_a_state_of_its_own(self, table, ran, option):
+        for config in ({}, option, {}, option):
+            Engine(**config).consult_text(PROGRAM, "greet.mdp")
+        assert len(table) == 2
+        assert len(ran) == 2
+
+    def test_a_query_between_consults_keeps_the_next_from_the_table(
+            self, ran):
+        first = Engine()
+        first.consult_text("a.", "a.pl")
+        first.consult_text("b.", "b.pl")
+        engine = Engine()
+        engine.consult_text("a.", "a.pl")
+        assert engine.run("assertz(extra)")
+        engine.consult_text("b.", "b.pl")
+        assert engine.run("a, b, extra")
+        assert ran == ["a.pl", "b.pl", "b.pl"]
+        assert not Engine().query("catch(extra, _, fail)")
+
+    def test_a_copy_numbers_objects_as_the_consult_did(self, ran):
+        text = (resources.files("mdprolog").joinpath("corpus/programs/gui.mdp")
+                .read_text())
+        answers = []
+        for _ in range(2):
+            engine = Engine()
+            engine.consult_text(text, "gui.mdp")
+            answers.append(engine.query("new_oid(O)")[0].text())
+        assert answers[0] == answers[1]
+        assert ran == ["gui.mdp"]
+
+    @pytest.mark.parametrize("change, seen", CHANGES.values(), ids=CHANGES)
+    def test_a_change_to_a_copy_reaches_no_other_engine(
+            self, ran, change, seen):
+        def consulted():
+            engine = Engine(out=io.StringIO())
+            engine.consult_text(":- dynamic data/3.\n"
+                                "data(obj(1), color, blue).", "base.pl")
+            return engine
+
+        first, engine = consulted(), consulted()
+        assert not seen(engine)
+        change(engine)
+        assert seen(engine)
+        assert not (seen(first) or seen(consulted()))
+        assert ran.count("base.pl") == 1
+
+    def test_the_table_keeps_at_most_its_bound(self, table):
+        engine = Engine(prelude=False)
+        for n in range(1000):
+            engine.consult_text("p(%d)." % n, "p.pl")
+            Engine(prelude=False).consult_text("q(%d)." % n, "q.pl")
+        assert len(table) == engine_module._CONSULTED_MAX
+        assert [s.text() for s in engine.query("p(X)")] == ["X = 999"]
+        # a state is the stored knowledge base, not the chain of consults
+        # that made it, whose hash would recurse once per consult
+        assert all(type(key[0]) is KnowledgeBase for key in table)
+
+
 class TestHookSolves:
     @pytest.fixture
     def solved(self, monkeypatch):
@@ -111,6 +246,7 @@ class TestHookSolves:
 
         monkeypatch.setattr(Solver, "solve", counting)
         monkeypatch.setattr(engine_module, "_BASES", {})
+        monkeypatch.setattr(engine_module, "_CONSULTED", {})
         return goals
 
     def test_start_up_solves_only_directives_and_the_one_matching_hook(
