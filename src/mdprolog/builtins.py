@@ -393,6 +393,8 @@ def _b_univ(solver, store, t, lst):
         if isinstance(head, Var):
             raise instantiation_error()
         if len(items) == 1:
+            if isinstance(head, Struct):
+                raise type_error("atomic", resolve(head, store))
             return solver.unify(t, head, store)
         if not isinstance(head, Atom):
             raise type_error("atom", head)
@@ -591,6 +593,7 @@ def _b_op(solver, store, priority, fixity, name):
     if f.name not in FIXITIES:
         raise domain_error("operator_specifier", f)
     solver.kb.optable.add(p, f.name, n.name)
+    solver.kb.origin = None
     return True
 
 

@@ -2,9 +2,10 @@
 
 Consulting is done once per process where it can be: every engine starts
 from a copy of the consulted bootstrap and prelude (``_BASES``), and an
-engine that has run no query and consults the texts that another engine
-consulted before, in the same order and configuration, starts from a
-copy of that engine's state after them (``_CONSULTED``).
+engine whose knowledge base is still an unchanged copy of a stored one
+(``KnowledgeBase.origin``) and consults a text that another engine
+consulted from that state, with the same configuration and object
+counter, takes a copy of that engine's state after it (``_CONSULTED``).
 """
 
 from __future__ import annotations
@@ -81,13 +82,14 @@ class Solution:
 _BASES = {}
 
 
-# (state before, filename, text, budget, occurs_check, trace_dispatch) ->
-# (knowledge base, oid_counter) after the consult of that text, for each
-# consult that raised nothing and wrote nothing.  The state before is the
-# stored knowledge base that the engine's state is a copy of: a base, or
-# one stored here.  It is compared by identity, so a key stays one level
-# deep however many consults made the state.  At most _CONSULTED_MAX
-# entries, the oldest going first.
+# (state before, filename, text, budget, occurs_check, trace_dispatch,
+# oid_counter) -> (knowledge base, oid_counter) after the consult of that
+# text, for each consult that raised nothing and wrote nothing.  The state
+# before is the stored knowledge base that the engine's knowledge base is
+# an unchanged copy of (its origin): a base, or one stored here.  It is
+# compared by identity, so a key stays one level deep however many
+# consults made the state.  At most _CONSULTED_MAX entries, the oldest
+# going first.
 _CONSULTED = {}
 _CONSULTED_MAX = 128
 
@@ -125,9 +127,6 @@ class Engine:
         self.solver = Solver(self.kb, out=out, err=err,
                              occurs_check=occurs_check, budget=budget,
                              trace_dispatch=trace_dispatch)
-        # the stored knowledge base that the engine's state is a copy of,
-        # or None once the engine has left the table of consulted states
-        self._state = base
 
     # -- configuration -------------------------------------------------------
 
@@ -151,37 +150,39 @@ class Engine:
         """Consult a program text in place of what was consulted under
         its filename before.
 
-        While the engine has run no query and each of its consults was
-        stored, the state after this consult is looked up in
+        While the knowledge base is an unchanged copy of a stored one,
+        its origin, the state after this consult is looked up in
         ``_CONSULTED``.  If it is there, the engine takes a copy of it and
         nothing is read, expanded, solved or compiled; if not, the
         consult runs and its result is stored, unless it raised or wrote
-        to ``out`` or ``err``.  A consult not stored takes the engine out
-        of the table, and every consult after it runs.
+        to ``out`` or ``err``.  Any write to the knowledge base, whether
+        by a consult, a query or a call of its methods, drops its origin,
+        and every consult after that runs.
         """
         solver = self.solver
-        state, self._state = self._state, None
-        if state is None:
+        kb = self.kb
+        if kb.origin is None:
             return self._consult(text, filename)
-        key = (state, filename, text, solver.budget, solver.occurs_check,
-               solver.trace_dispatch)
+        key = (kb.origin, filename, text, solver.budget, solver.occurs_check,
+               solver.trace_dispatch, solver.oid_counter)
         stored = _CONSULTED.get(key)
-        if stored is None:
-            sinks = solver.out, solver.err
-            solver.out, solver.err = watched = tuple(map(_Watched, sinks))
-            try:
-                self._consult(text, filename)
-            finally:
-                solver.out, solver.err = sinks
-            if watched[0].wrote or watched[1].wrote:
-                return
-            if len(_CONSULTED) >= _CONSULTED_MAX:
-                del _CONSULTED[next(iter(_CONSULTED))]
-            stored = _CONSULTED[key] = self.kb.copy(), solver.oid_counter
-        else:
+        if stored is not None:
             self.kb = solver.kb = stored[0].copy()
             solver.oid_counter = stored[1]
-        self._state = stored[0]
+            return
+        sinks = solver.out, solver.err
+        solver.out, solver.err = watched = tuple(map(_Watched, sinks))
+        try:
+            self._consult(text, filename)
+        finally:
+            solver.out, solver.err = sinks
+        if watched[0].wrote or watched[1].wrote:
+            return
+        if len(_CONSULTED) >= _CONSULTED_MAX:
+            del _CONSULTED[next(iter(_CONSULTED))]
+        stored = kb.copy()
+        kb.origin, stored.origin = stored, None
+        _CONSULTED[key] = stored, solver.oid_counter
 
     def _consult(self, text, filename):
         self.kb.forget_file(filename)
@@ -211,7 +212,7 @@ class Engine:
         if sig is None:
             self.kb.add_clause(head, body, item.filename, item.line)
         else:   # an mdp rule: its implementation clause goes with its signature
-            self.kb.add_signature(sig, head, body)
+            self.kb.add_signature(sig, head, body, item.filename, item.line)
 
     # -- transformer hooks -------------------------------------------------
 
@@ -237,7 +238,6 @@ class Engine:
     # -- queries -------------------------------------------------------------
 
     def _prepare(self, text):
-        self._state = None      # a query may change the state
         self.solver.reset_run()
         term, varmap = parse_term(text, self.kb.optable)
         goal = phase1_rewrite(self, term, NIL, 0, "<query>")

@@ -5,7 +5,13 @@ clauses, their argument groups and its dynamic flag.  The record is made
 by the first clause or declaration and replaced only when the predicate
 goes, when a consult removes its last clause and it is not dynamic.
 Every removal, by retractall/1 or by a consult, goes through
-``Predicate.remove``.
+``Predicate.remove``.  Each argument group notes whether it splits its
+clauses (``ArgGroups.split``), and a record reads that note.
+
+A signature holds what the transformer made of its specification, and
+its file and line are those of its implementation clause.  A knowledge
+base made by ``copy`` notes its origin, the one it is a copy of, until
+its first write; the engine's table of consulted states reads it.
 
 The dispatcher keeps each predicate's dispatch record in ``dispatch``
 (``dispatcher.candidates_for``), and one record per arity that the
@@ -56,26 +62,28 @@ class Clause:
 class Signature:
     """Compiled metadata for one mdp rule, and its implementation clause.
 
-    ``name`` is ANONYMOUS for anonymous rules.  ``ctx_var``, ``rules`` and
+    The transformer makes it empty and fills it as it translates the
+    rule's specification (``transformer.translate_entry``).  ``name`` is
+    ANONYMOUS for anonymous rules.  ``ctx_var``, ``rules`` and
     ``score_vars`` share variables; scoring runs the rules as a compiled
     body and builds the score variables from the same frame.  The
     implementation clause is called only through its signature, when it
-    wins a dispatch, so it is no predicate of the knowledge base.
+    wins a dispatch, so it is no predicate of the knowledge base; the
+    file and line of the rule are that clause's.
     """
 
     name: str            # predicate name, or ANONYMOUS
     arity: int           # source arity (0 for anonymous rules)
-    impl_name: str       # functor of the generated implementation clause
-    ctx_var: Var
-    required_dims: tuple
-    rules: tuple         # context-rule goals, in specification order
-    score_vars: tuple
+    impl_name: str = None    # functor of the generated implementation clause
+    ctx_var: Var = field(default_factory=lambda: Var("ImplicitContext"))
+    required_dims: tuple = ()   # dimension names, in order, each once
+    rules: tuple = ()    # context-rule goals, in specification order
+    score_vars: tuple = ()
     order: int = 0
-    filename: str = None
-    line: int = None
-    # every rule is ctx_member(ctx_var, name, V) with a V of its own: the
-    # context's key set alone decides eligibility and score
-    dimension_only: bool = False
+    # every rule is ctx_member(ctx_var, name, V) from a name: V entry with
+    # a V of its own: the context's key set alone decides eligibility and
+    # score
+    dimension_only: bool = True
     # (context-rule goal entries, score templates, slot count) once scored;
     # the context variable is slot 0
     compiled: tuple = field(default=None, repr=False, compare=False)
@@ -155,15 +163,20 @@ class ArgGroups:
     standing for a variable.
     A group that does not split so, such as the one ``[H|T]`` of a list
     predicate, is never deepened, so a call gets one bucket per key some
-    clause holds, not one per list element.
+    clause holds, not one per list element; a removal that leaves a
+    deepened group one inner key undoes its deepening.
 
     A bucket is the tuple a call gets: a group merged with the clauses
     that match any key, in definition order.  Buckets are cached only
     for keys that some clause holds; a write drops the buckets it would
     change.
+
+    ``split`` notes whether some key leaves out some of the clauses, so
+    that a bucket is worth taking; it is noted when the groups are made
+    and again when a write changes their keys (``_note_split``).
     """
 
-    __slots__ = ("pos", "keyed", "unkeyed", "deep", "buckets")
+    __slots__ = ("pos", "keyed", "unkeyed", "deep", "buckets", "split")
 
     def __init__(self, pos, clauses):
         self.pos = pos
@@ -188,6 +201,7 @@ class ArgGroups:
             group = keyed[key]
             if _compound(key) and len({self._inner(c) for c in group}) > 1:
                 self._deepen(key, group)
+        self._note_split()
 
     def _inner(self, clause):
         return arg_key(clause.head.args[self.pos].args[0])
@@ -198,10 +212,9 @@ class ArgGroups:
         for clause in group:
             keyed.setdefault(key + (self._inner(clause),), []).append(clause)
 
-    def splits(self):
-        """Whether some key leaves out some of the clauses."""
+    def _note_split(self):
         keyed = self.keyed
-        return len(keyed) > 1 or (keyed and self.unkeyed)
+        self.split = len(keyed) > 1 or bool(keyed and self.unkeyed)
 
     def bucket(self, arg, deref):
         """The clauses whose argument could match arg, which is bound."""
@@ -247,10 +260,12 @@ class ArgGroups:
         if key is None:     # it belongs to every bucket
             self.unkeyed += (clause,)
             self.buckets.clear()
+            self._note_split()
             return
         group = self.keyed.get(key)
         if group is None:
             self.keyed[key] = [clause]
+            self._note_split()
             return
         group.append(clause)
         self.buckets.pop(key, None)
@@ -263,6 +278,7 @@ class ArgGroups:
                 self.buckets.pop(key + (inner,), None)
         elif _compound(key) and self._inner(group[0]) != self._inner(clause):
             self._deepen(key, group)
+            self._note_split()
 
     def remove(self, removed, gone):
         """Drop the removed clauses; gone tests a clause for being one."""
@@ -290,6 +306,14 @@ class ArgGroups:
                 del keyed[key]
                 self.deep.discard(key)
             self.buckets.pop(key, None)
+        for key in keys & self.deep:
+            group = keyed[key]
+            sub = key + (self._inner(group[0]),)
+            if len(keyed[sub]) == len(group):   # one inner key left
+                self.deep.discard(key)
+                del keyed[sub]
+                self.buckets.pop(sub, None)
+        self._note_split()
 
 
 class Predicate:
@@ -303,19 +327,17 @@ class Predicate:
     (``ArgGroups``), or all the clauses.  A position is grouped the first
     time a call needs it, so a predicate that is only written or scanned
     never pays for grouping; a clause appended later joins the groups
-    made, and a removed one leaves them.  Whether each grouped position
-    splits the clauses is kept until a write.
+    made, and a removed one leaves them.  Each group notes whether it
+    splits the clauses.
     """
 
-    __slots__ = ("clauses", "dynamic", "snapshot", "groups", "splitting",
-                 "lead", "cached")
+    __slots__ = ("clauses", "dynamic", "snapshot", "groups", "lead", "cached")
 
-    def __init__(self, arity, clauses=(), dynamic=False):
+    def __init__(self, clauses=(), dynamic=False):
         self.clauses = list(clauses)
         self.dynamic = dynamic
         self.snapshot = ()     # tuple(clauses), remade after a write
         self.groups = {}       # position -> ArgGroups, once grouped
-        self.splitting = [None] * arity     # position -> groups[pos].splits()
         self.lead = None       # groups[0] while they split the clauses
         self.cached = {}       # the lead's buckets
 
@@ -357,18 +379,15 @@ class Predicate:
         return lead.bucket(arg, store.deref)
 
     def _select(self, args, deref):
-        splitting = self.splitting
+        groups = self.groups
         for pos, arg in enumerate(args):
             if type(arg) is Var:
                 arg = deref(arg)
                 if type(arg) is Var:
                     continue
-            split = splitting[pos]
-            if split is None:
-                self._group(pos)
-                split = splitting[pos]
-            if split:
-                return self.groups[pos].bucket(arg, deref)
+            group = groups.get(pos) or self._group(pos)
+            if group.split:
+                return group.bucket(arg, deref)
         return self.view()
 
     def at(self, pos, arg, deref):
@@ -381,13 +400,11 @@ class Predicate:
         return group
 
     def _find_lead(self):
-        """Note which grouped positions split, after a grouping or a write."""
-        splitting = self.splitting
-        for pos, group in self.groups.items():
-            splitting[pos] = bool(group.splits())
-        if splitting and splitting[0]:
-            self.lead = self.groups[0]
-            self.cached = self.lead.buckets
+        """Take position 0's groups as the lead while they split, after a
+        grouping or a write."""
+        lead = self.groups.get(0)
+        if lead is not None and lead.split:
+            self.lead, self.cached = lead, lead.buckets
         else:
             self.lead, self.cached = None, {}
 
@@ -422,9 +439,14 @@ class KnowledgeBase:
         self.files = set()         # the filenames of the clauses and signatures
         self._next_order = 1       # order of the next clause or signature
         self._impl_counters = {}   # predicate name -> count
+        # the knowledge base this one is an unchanged copy of; every write
+        # (add_clause, add_signature, set_dynamic, a forget_file that
+        # removes, op/3) drops it
+        self.origin = None
 
     def copy(self):
-        """A knowledge base with the same contents that shares nothing mutable.
+        """A knowledge base with the same contents that shares nothing
+        mutable, and whose origin is this one.
 
         The clause and signature objects themselves are shared: once stored
         nothing writes to them but their caches (``compiled``, a
@@ -433,7 +455,8 @@ class KnowledgeBase:
         entries start empty.
         """
         kb = object.__new__(KnowledgeBase)
-        kb.predicates = {key: Predicate(key[1], pred.clauses, pred.dynamic)
+        kb.origin = self
+        kb.predicates = {key: Predicate(pred.clauses, pred.dynamic)
                          for key, pred in self.predicates.items()}
         kb.signatures = {key: list(group)
                          for key, group in self.signatures.items()}
@@ -455,12 +478,13 @@ class KnowledgeBase:
         """The record of a predicate, made on first use."""
         pred = self.predicates.get(key)
         if pred is None:
-            pred = self.predicates[key] = Predicate(key[1])
+            pred = self.predicates[key] = Predicate()
         return pred
 
     def add_clause(self, head, body, filename=None, line=None):
         key = indicator(head)
         clause = Clause(head, body, filename, line, self._take_order())
+        self.origin = None
         self.files.add(filename)
         self._predicate(key).append(clause)
         return clause
@@ -480,6 +504,7 @@ class KnowledgeBase:
         """Declare a predicate dynamic; it exists from now on, clauses or not."""
         pred = self._predicate(key)
         pred.dynamic = True
+        self.origin = None
         return pred
 
     # -- signatures --------------------------------------------------------
@@ -489,11 +514,13 @@ class KnowledgeBase:
         self._impl_counters[name] = n
         return "$impl$%s/%d#%d" % (name, arity, n)
 
-    def add_signature(self, sig, head, body):
-        """Store a signature with its implementation clause (head, body)."""
+    def add_signature(self, sig, head, body, filename=None, line=None):
+        """Store a signature with its implementation clause (head, body),
+        consulted from filename at line."""
         self.dispatch.clear()
-        self.files.add(sig.filename)
-        sig.clause = Clause(head, body, sig.filename, sig.line, self._take_order())
+        self.origin = None
+        self.files.add(filename)
+        sig.clause = Clause(head, body, filename, line, self._take_order())
         sig.order = self._take_order()
         self.signatures.setdefault((sig.name, sig.arity), []).append(sig)
 
@@ -529,10 +556,11 @@ class KnowledgeBase:
         """
         if filename not in self.files:
             return
+        self.origin = None
         self.files.discard(filename)
         for key in list(self.signatures):
             group = self.signatures[key]
-            kept = [sig for sig in group if sig.filename != filename]
+            kept = [sig for sig in group if sig.clause.filename != filename]
             if len(kept) == len(group):
                 continue
             if key == (ANONYMOUS, 0):   # among the candidates of every name

@@ -3,8 +3,12 @@
 An mdp rule ``Spec # Head :- Body`` compiles into one implementation
 clause (context argument prepended, context-rule residue prefixed to the
 body) plus one signature record used by the dispatcher for scoring.
-A rule whose head is just a context specification list becomes an
-anonymous rule: applicable to any predicate, matched purely by context.
+The transformer makes the signature empty and fills it entry by entry as
+it translates the specification (``translate_entry``): its required
+dimensions, context rules, score variables and whether it is
+dimension-only.  A rule whose head is just a context specification list
+becomes an anonymous rule: applicable to any predicate, matched purely
+by context.
 
 Goal bodies are rewritten so that every ``Given ? Goal`` call site turns
 into an internal dispatch goal carrying the implicit-context variable of
@@ -39,84 +43,70 @@ from .terms import (
 MAX_REWRITE_DEPTH = 32
 
 
-class SpecParts:
-    """Accumulated translation of one context specification."""
+def translate_entry(engine, entry, sig, residue, depth, where):
+    """Translate one entry of a specification into the signature: its
+    dimension, rule and score variable, and the goal, if any, that the
+    implementation body runs first (residue).
 
-    def __init__(self):
-        self.ctx_var = Var("ImplicitContext")
-        self.dims = []      # required dimension names, in order, deduped
-        self.rules = []     # context-rule goals (scored residue)
-        self.score_vars = []
-        self.residue = []   # goals prefixed to the implementation body
-        self.coords = []    # coordinates of the name: coord entries
-
-    def add_dim(self, name):
-        if name not in self.dims:
-            self.dims.append(name)
-
-    def dimension_only(self):
-        """True when every rule is a name: V entry with a V of its own.
-
-        Then no guard or precondition was added, and no coordinate can
-        fail to unify, so the context's key set alone decides scoring.
-        """
-        coords = self.coords
-        return (len(self.rules) == len(coords)
-                and all(isinstance(c, Var) and c is not self.ctx_var
-                        for c in coords)
-                and len(set(coords)) == len(coords))
-
-
-def translate_entry(engine, entry, parts, depth, where):
+    The signature stays dimension-only while every rule comes from a
+    ``name: V`` entry whose V is a variable of its own, not the context
+    variable: then no guard or precondition was added, and no coordinate
+    can fail to unify, so the context's key set alone decides scoring.
+    """
     if depth > MAX_REWRITE_DEPTH:
         raise TransformError(
             "context specification hook recursion exceeded %d in %s"
             % (MAX_REWRITE_DEPTH, where))
+    ctx_var = sig.ctx_var
+    keeps = False   # whether the signature stays dimension-only
     if isinstance(entry, Var) or is_number(entry):
         # left for the runtime to reject or call; hooks must not see it,
         # a variable would unify with any hook pattern
-        parts.rules.append(entry)
-        parts.residue.append(entry)
-        return
-    if isinstance(entry, Struct) and entry.functor == ":" and len(entry.args) == 2:
+        goal = entry
+    elif isinstance(entry, Struct) and entry.functor == ":" and len(entry.args) == 2:
         name, coord = entry.args
         if not isinstance(name, Atom):
             raise TransformError(
                 "dimension name must be an atom in %s" % where)
-        parts.add_dim(name.name)
-        parts.coords.append(coord)
-        goal = Struct("ctx_member", (parts.ctx_var, name, coord))
-        parts.rules.append(goal)
-        parts.residue.append(goal)
-        return
-    if isinstance(entry, Struct) and entry.functor == "@" and len(entry.args) == 2:
+        if name.name not in sig.required_dims:
+            sig.required_dims += (name.name,)
+        # while it is dimension-only, each rule so far came from such an
+        # entry, and its third argument is that entry's coordinate
+        keeps = (sig.dimension_only and isinstance(coord, Var)
+                 and coord is not ctx_var
+                 and all(rule.args[2] is not coord for rule in sig.rules))
+        goal = Struct("ctx_member", (ctx_var, name, coord))
+    elif isinstance(entry, Struct) and entry.functor == "@" and len(entry.args) == 2:
         goal, weight = entry.args
-        rewritten = phase1_rewrite(engine, goal, parts.ctx_var, 0)
-        parts.rules.append(rewritten)
-        parts.score_vars.append(weight)
+        sig.rules += (phase1_rewrite(engine, goal, ctx_var, 0),)
+        sig.score_vars += (weight,)
+        sig.dimension_only = False
         return
-    if isinstance(entry, Struct) and entry.functor == "-" and len(entry.args) == 1:
+    elif isinstance(entry, Struct) and entry.functor == "-" and len(entry.args) == 1:
         raise TransformError(
             "context removal is only allowed at call sites, not in %s" % where)
-    # plain precondition: offer it to the context-rule hook first
-    replacement = engine.apply_spec_hook(parts.ctx_var, entry)
-    if replacement is not None:
-        for conjunct in flatten_conj(replacement):
-            translate_entry(engine, conjunct, parts, depth + 1, where)
-        return
-    rewritten = phase1_rewrite(engine, entry, parts.ctx_var, 0)
-    parts.rules.append(rewritten)
-    parts.residue.append(rewritten)
+    else:
+        # plain precondition: offer it to the context-rule hook first
+        replacement = engine.apply_spec_hook(ctx_var, entry)
+        if replacement is not None:
+            for conjunct in flatten_conj(replacement):
+                translate_entry(engine, conjunct, sig, residue, depth + 1, where)
+            return
+        goal = phase1_rewrite(engine, entry, ctx_var, 0)
+    sig.rules += (goal,)
+    sig.dimension_only = keeps
+    residue.append(goal)
 
 
-def translate_spec(engine, spec_term, where):
+def translate_spec(engine, spec_term, sig, where):
+    """Fill the signature from the specification; returns its residue."""
     entries = proper_list(spec_term)
     if entries is None:
         raise TransformError("context specification must be a list in %s" % where)
-    parts = SpecParts()
+    residue = []
     for entry in entries:
-        translate_entry(engine, entry, parts, 0, where)
-    return parts
+        translate_entry(engine, entry, sig, residue, 0, where)
+    return residue
 
 
 def _merge_given(inner, outer, where):
@@ -226,23 +216,10 @@ def expand_source_item(engine, term, filename=None, line=None):
             body = phase1_rewrite(engine, body, NIL, 0, where)
         return head, body, None
 
-    parts = translate_spec(engine, spec_term, where)
-    rewritten_body = phase1_rewrite(engine, body, parts.ctx_var, 0, where)
+    sig = Signature(name, len(head_args))
+    residue = translate_spec(engine, spec_term, sig, where)
+    rewritten_body = phase1_rewrite(engine, body, sig.ctx_var, 0, where)
 
-    impl_name = engine.kb.next_impl_name(name, len(head_args))
-    impl_head = Struct(impl_name, (parts.ctx_var,) + tuple(head_args))
-    impl_body = conj(parts.residue + [rewritten_body])
-
-    sig = Signature(
-        name=name,
-        arity=len(head_args),
-        impl_name=impl_name,
-        ctx_var=parts.ctx_var,
-        required_dims=tuple(parts.dims),
-        rules=tuple(parts.rules),
-        score_vars=tuple(parts.score_vars),
-        filename=filename,
-        line=line,
-        dimension_only=parts.dimension_only(),
-    )
-    return impl_head, impl_body, sig
+    sig.impl_name = engine.kb.next_impl_name(name, sig.arity)
+    impl_head = Struct(sig.impl_name, (sig.ctx_var,) + tuple(head_args))
+    return impl_head, conj(residue + [rewritten_body]), sig

@@ -711,21 +711,35 @@ class TestContextRules:
 class TestDimensionOnly:
     """Specifications the context's key set alone can score."""
 
-    @pytest.mark.parametrize("spec, dimension_only", [
-        ("[]", True),
-        ("[d: X]", True),
-        ("[predicate: P, d: X]", True),
-        ("[d: X, e: X]", False),
-        ("[d: foo]", False),
-        ("[d: f(X)]", False),
-        ("[g@1]", False),
-        ("[ready]", False),
+    # a hook that writes a ctx_member/3 goal writes a precondition, not
+    # a name: Coord entry, so the name is no required dimension
+    HAS = "hook_context_rule_mdp_term(C, has(N), ctx_member(C, N, _)).\n"
+
+    @pytest.mark.parametrize("spec, dimension_only, required", [
+        ("[]", True, ()),
+        ("[d: X]", True, ("d",)),
+        ("[predicate: P, d: X]", True, ("predicate", "d")),
+        ("[d: X, e: X]", False, ("d", "e")),
+        ("[d: foo]", False, ("d",)),
+        ("[d: f(X)]", False, ("d",)),
+        ("[g@1]", False, ()),
+        ("[ready]", False, ()),
+        ("[has(n)]", False, ()),
+        ("[n: X, has(n)]", False, ("n",)),
     ])
-    def test_classification(self, spec, dimension_only):
+    def test_classification(self, spec, dimension_only, required):
         engine = Engine(prelude=False)
-        engine.consult_text("%s # p." % spec)
+        engine.consult_text(self.HAS + "%s # p." % spec)
         [sig] = engine.kb.signatures_for("p", 0)
         assert sig.dimension_only is dimension_only
+        assert sig.required_dims == required
+
+    def test_a_hook_written_precondition_runs_as_a_goal(self):
+        engine = Engine(prelude=False)
+        engine.consult_text(self.HAS + "[has(n)] # q.")
+        _, [(sig, score, reason)] = engine.explain("[m: 1] ? q")
+        assert (score, reason) == (None, "context rules failed")
+        assert engine.explain("[n: 1] ? q")[1] == [(sig, 0, None)]
 
     @given(st.lists(st.tuples(
         st.sampled_from(["d0", "d1", "d2", "e", "-d0", "-d1"]),

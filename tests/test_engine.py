@@ -17,7 +17,8 @@ from mdprolog import engine as engine_module
 from mdprolog.corpus import run_all
 from mdprolog.kb import KnowledgeBase
 from mdprolog.solver import Solver
-from mdprolog.terms import BudgetExceeded, indicator, proper_list
+from mdprolog.terms import (Atom, BindingStore, BudgetExceeded, Struct,
+                            indicator, proper_list)
 
 PRELUDE = resources.files("mdprolog").joinpath("prelude.mdp").read_text()
 PROGRAM = """
@@ -122,7 +123,9 @@ class TestConsultTable:
 
     @pytest.fixture
     def ran(self, table, monkeypatch):
-        """The filenames of the consults that ran, from the emptied table."""
+        """The filenames of the consults that ran, from the emptied table,
+        the start-up text's not among them."""
+        Engine()
         ran = []
         consult = Engine._consult
 
@@ -194,6 +197,50 @@ class TestConsultTable:
         assert ran == ["a.pl", "b.pl", "b.pl"]
         assert not Engine().query("catch(extra, _, fail)")
 
+    @pytest.mark.parametrize("write, seen", [
+        (lambda e: e.kb.add_clause(Atom("extra"), Atom("true")),
+         lambda e: e.run("catch(extra, _, fail)")),
+        (lambda e: e.solver.solve(Struct("assertz", (Atom("extra"),)),
+                                  BindingStore()).step(),
+         lambda e: e.run("catch(extra, _, fail)")),
+        (lambda e: e.solver.solve(Struct("op", (700, Atom("xfx"), Atom("===>"))),
+                                  BindingStore()).step(),
+         lambda e: "===>" in e.kb.optable.priority),
+        (lambda e: e.solver.solve(Struct("retractall", (Atom("extra"),)),
+                                  BindingStore()).step(),
+         lambda e: ("extra", 0) in e.kb.predicates),
+    ], ids=["add_clause", "assertz", "op", "retractall"])
+    def test_a_write_outside_a_query_keeps_the_next_consult_from_the_table(
+            self, ran, write, seen):
+        Engine().consult_text("b.", "b.pl")
+        engine = Engine()
+        write(engine)
+        engine.consult_text("b.", "b.pl")
+        assert ran == ["b.pl", "b.pl"]
+        assert seen(engine) and engine.run("b")
+        assert not seen(Engine())
+
+    def test_a_consult_not_kept_that_removes_clauses_leaves_the_table(
+            self, ran):
+        first = Engine()
+        first.consult_text("a.", "a.pl")
+        first.consult_text("b.", "b.pl")
+        engine = Engine(out=io.StringIO())
+        engine.consult_text("a.", "a.pl")
+        engine.consult_text(":- writeln(gone).", "a.pl")   # not kept
+        engine.consult_text("b.", "b.pl")
+        assert ran == ["a.pl", "b.pl", "a.pl", "b.pl"]
+        assert engine.run("b") and not engine.run("catch(a, _, fail)")
+
+    def test_a_query_that_writes_nothing_keeps_the_engine_in_the_table(
+            self, ran):
+        Engine().consult_text("b.", "b.pl")
+        engine = Engine()
+        assert engine.run("member(X, [1, 2])")
+        engine.consult_text("b.", "b.pl")
+        assert ran == ["b.pl"]
+        assert engine.run("b")
+
     def test_a_copy_numbers_objects_as_the_consult_did(self, ran):
         text = (resources.files("mdprolog").joinpath("corpus/programs/gui.mdp")
                 .read_text())
@@ -204,6 +251,20 @@ class TestConsultTable:
             answers.append(engine.query("new_oid(O)")[0].text())
         assert answers[0] == answers[1]
         assert ran == ["gui.mdp"]
+
+    def test_the_object_counter_is_part_of_the_state(self, ran):
+        text = (resources.files("mdprolog").joinpath("corpus/programs/gui.mdp")
+                .read_text())
+        answers = []
+        for _ in range(2):
+            engine = Engine()
+            assert engine.run("new_oid(_)")     # writes no clause
+            engine.consult_text(text, "gui.mdp")
+            answers.append(engine.query("new_oid(O)")[0].text())
+        fresh = Engine()
+        fresh.consult_text(text, "gui.mdp")
+        assert answers[0] == answers[1] != fresh.query("new_oid(O)")[0].text()
+        assert ran == ["gui.mdp", "gui.mdp"]
 
     @pytest.mark.parametrize("change, seen", CHANGES.values(), ids=CHANGES)
     def test_a_change_to_a_copy_reaches_no_other_engine(

@@ -9,7 +9,7 @@ import time
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdprolog import (BudgetExceeded, Engine, PrologThrow, builtins, dispatcher,
                       kb, solver, terms)
@@ -476,6 +476,10 @@ class TestClauseSelection:
     @given(st.lists(st.tuples(st.sampled_from(["assertz", "retractall",
                                                "consult", "call"]),
                               st.tuples(*[CALL_ARGS] * 3)), max_size=16))
+    # a deepened key left with one inner key splits no more
+    @example([("assertz", ("_", "_", "_")), ("assertz", ("a(1)", "_", "_")),
+              ("assertz", ("a(b)", "0", "_")), ("retractall", ("0", "_", "_")),
+              ("retractall", ("_", "1", "_"))])
     def test_an_index_kept_through_writes_selects_as_a_fresh_one(self, ops):
         engine = Engine(prelude=False)
         engine.consult_text(":- dynamic p/3.")
@@ -499,6 +503,10 @@ class TestClauseSelection:
             else:
                 assert printed(engine, head) == [
                     n for h, n, _ in table if unifiable(engine, h, head)]
+            # each group kept through the writes splits as a fresh one
+            record = engine.kb.predicates[("p", 3)]
+            for pos, group in record.groups.items():
+                assert group.split == kb.ArgGroups(pos, record.clauses).split
 
     def test_a_compound_key_splits_one_level_deeper(self, engine):
         engine.consult_text(DATA)
@@ -554,16 +562,16 @@ class TestClauseSelection:
                                                              monkeypatch):
         engine.consult_text(":- dynamic(q/3).\nq(a, 1, x). q(a, 2, y).")
         assert answers(engine, "q(a, 2, V)", "V") == ["y"]
-        calls = []
-        splits = kb.ArgGroups.splits
-        monkeypatch.setattr(kb.ArgGroups, "splits",
-                            lambda group: calls.append(group.pos) or splits(group))
+        calls = []      # the positions whose groups note whether they split
+        note = kb.ArgGroups._note_split
+        monkeypatch.setattr(kb.ArgGroups, "_note_split",
+                            lambda group: calls.append(group.pos) or note(group))
         for _ in range(3):
             assert answers(engine, "q(a, 1, V)", "V") == ["x"]
         assert calls == []
         # the write makes position 0 split, and the next call keys on it
         assert engine.run("assertz(q(b, 1, z))")
-        assert calls
+        assert calls == [0]     # the new key, of position 0 alone
         assert answers(engine, "q(b, X, V)", "V") == ["z"]
         assert engine.solver.inferences == 3
 
@@ -754,6 +762,9 @@ class TestTermInspection:
         ("X =.. [foo, a]", "foo(a)"),
         ("X =.. [Y, a]", "error(instantiation_error, mdprolog)"),
         ("X =.. []", "error(domain_error(non_empty_list, []), mdprolog)"),
+        # a one-element list makes its element, which must be atomic
+        ("X =.. [foo(a)]", "error(type_error(atomic, foo(a)), mdprolog)"),
+        ("X =.. [2.5]", "2.5"),
         # the list of a term that is bound is a list or a partial list too
         ("X = f(a), X =.. foo", "error(type_error(list, foo), mdprolog)"),
         ("X = f(a), X =.. [f|bar]", "error(type_error(list, [f|bar]), mdprolog)"),

@@ -7,12 +7,16 @@ guard the cost of control constructs against that of a plain step.
 Reading is counted per token of the text read, after a warm-up read.
 
 Consulting is counted as the events of consulting the corpus programs
-into a fresh engine, cold and warm (``consult_cost``).
+into a fresh engine, cold and warm (``consult_cost``), and making an
+engine as the events of one ``Engine()`` after a warm-up
+(``engine_cost``): one ``KnowledgeBase.copy()``, the cost that every
+consult served from the table of consulted states pays too.
 
 Run as a script (``python tests/test_step_cost.py``), it prints the cost
 of each loop's step and its ratio to a plain step, the cost of reading
 each text per token and its ratio to the character-by-character
-reader's, and the cost of consulting, on the Python that runs it.
+reader's, and the costs of consulting and of making an engine, on the
+Python that runs it.
 """
 
 import sys
@@ -145,6 +149,12 @@ def consult_cost():
     return cold, consult_all()
 
 
+def engine_cost():
+    """The opcode events of one Engine(), after a warm-up."""
+    Engine()
+    return opcodes(Engine)
+
+
 def test_a_plain_step_is_a_run_of_arithmetic_and_a_call():
     engine = Engine(prelude=False)
     engine.consult_text(LOOPS)
@@ -207,6 +217,15 @@ def test_a_warm_consult_costs_at_most_6_percent_of_a_cold_one():
         assert cold <= 340_000 and warm <= 20_000
 
 
+def test_making_an_engine_costs_at_most_636_events_on_python_3_11():
+    # a copy of the consulted prelude: a record per predicate, with no
+    # groups, and the signatures, operators and counters (555 events on
+    # Python 3.11.7)
+    if sys.version_info[:2] != (3, 11):
+        pytest.skip("the bound was measured on Python 3.11")
+    assert engine_cost() <= 636
+
+
 if __name__ == "__main__":
     print("Python %s: bytecodes per loop step" % sys.version.split()[0])
     print("loop   step     x psum")
@@ -222,3 +241,5 @@ if __name__ == "__main__":
     print("Python %s: opcode events of consulting the corpus programs"
           % sys.version.split()[0])
     print("cold %d, warm %d" % consult_cost())
+    print("Python %s: opcode events of Engine()" % sys.version.split()[0])
+    print(engine_cost())
