@@ -592,6 +592,8 @@ def _b_op(solver, store, priority, fixity, name):
         raise domain_error("operator_priority", p)
     if f.name not in FIXITIES:
         raise domain_error("operator_specifier", f)
+    if n.name == ",":
+        raise permission_error("modify", "operator", n)
     solver.kb.optable.add(p, f.name, n.name)
     solver.kb.origin = None
     return True
@@ -609,7 +611,11 @@ def _b_halt0(solver, store):
 
 def _b_halt1(solver, store, code):
     c = store.deref(code)
-    raise Halt(c if isinstance(c, int) else 0)
+    if isinstance(c, Var):
+        raise instantiation_error()
+    if not isinstance(c, int):
+        raise type_error("integer", resolve(c, store))
+    raise Halt(c)
 
 
 def _b_throw(solver, store, ball):

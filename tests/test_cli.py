@@ -44,6 +44,16 @@ class TestGoalMode:
         assert proc.returncode == 2
         assert "existence_error" in proc.stderr
 
+    def test_halt_exits_with_its_code(self):
+        proc = run_cli("--no-prelude", "-g", "halt(3)")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "")
+
+    def test_halt_of_no_integer_exits_two(self):
+        proc = run_cli("--no-prelude", "-g", "halt(foo)")
+        assert proc.returncode == 2
+        assert proc.stderr == ("mdprolog: uncaught exception: "
+                               "error(type_error(integer, foo), mdprolog)\n")
+
     def test_missing_file_exits_two(self):
         proc = run_cli("/no/such/file.mdp", "-g", "true")
         assert proc.returncode == 2

@@ -1,10 +1,11 @@
 import io
 from collections import deque
+from importlib import resources
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from mdprolog import Engine, PrologThrow
+from mdprolog import BudgetExceeded, Engine, PrologThrow
 
 SHAPES_EDGES = [
     ("shape", "rectangle"),
@@ -76,6 +77,138 @@ class TestTypeDistance:
             for t in names]
         assert scores == sorted(scores)    # root scores lowest, leaf highest
         assert len(set(scores)) == depth   # strictly increasing
+
+
+# type_distance/3, max_type_distance/1 and type_affinity/3 as they were
+# when max_type_distance/1 walked every path between every (parent,
+# child) pair of subtype/2, under other names.
+PATH_WALK_SCORING = """
+old_type_affinity(T, S, N) :-
+  old_max_type_distance(D),
+  old_type_distance(T, S, DistanceTS),
+  N is D - DistanceTS + 1.
+
+old_type_distance(T, T, 1).
+
+old_type_distance(T, S, N) :-
+  T \\= S,
+  subtype(Parent, S),
+  old_type_distance(T, Parent, N1),
+  N is N1 + 1.
+
+old_max_type_distance(D) :-
+  findall(D, (
+      subtype(T, _),
+      subtype(_, S),
+      old_type_distance(T, S, D)), Distances),
+  max_list(Distances, D).
+"""
+
+TYPE_NAMES = ["t%d" % i for i in range(12)]
+
+
+@st.composite
+def hierarchies(draw):
+    """1-12 types in a random order, subtype/2 facts, in random order,
+    each from a type to a later one, so that they make no cycle, and two
+    of the types."""
+    names = draw(st.permutations(TYPE_NAMES))[:draw(st.integers(1, 12))]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    facts = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          max_size=20)) if pairs else []
+    return names, facts, draw(st.sampled_from(names)), draw(
+        st.sampled_from(names))
+
+
+def hierarchy_engine(names, facts, budget=None):
+    engine = Engine(out=io.StringIO(), budget=budget)
+    engine.consult_text("".join("subtype(%s, %s).\n" % f for f in facts)
+                        + "".join("type(%s).\n" % t for t in names)
+                        + PATH_WALK_SCORING)
+    return engine
+
+
+class TestAgainstThePathWalk:
+    """The chain walk gives every answer the path walk gave, in order."""
+
+    # type_distance/3 of every pair; type_affinity/3 of one pair, since
+    # the path walk's takes up to 70,000 inferences a call
+    QUERIES = [
+        "findall(D, %smax_type_distance(D), L)",
+        "findall(A-B-N, (type(A), type(B), %stype_distance(A, B, N)), L)",
+        "findall(N, %stype_affinity({t}, {s}, N), L)",
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(hierarchies())
+    def test_every_answer_is_the_same(self, hierarchy):
+        names, facts, t, s = hierarchy
+        engine = hierarchy_engine(names, facts, budget=5_000_000)
+        for query in self.QUERIES:
+            query = query.format(t=t, s=s)
+            [new] = engine.query(query % "")
+            [old] = engine.query(query % "old_")
+            assert new.render("L") == old.render("L"), query
+
+    def test_no_facts_no_distance(self):
+        engine = hierarchy_engine(["t0"], [])
+        assert engine.query("max_type_distance(D)") == []
+        assert engine.query("old_max_type_distance(D)") == []
+        assert engine.query("type_affinity(t0, t0, N)") == []
+
+
+class TestCyclicSubtypes:
+    """A cycle has no longest chain."""
+
+    def test_with_no_leaf_the_distance_fails(self):
+        engine = hierarchy_engine(["a", "b"], [("a", "b"), ("b", "a")],
+                                  budget=10_000)
+        assert engine.query("max_type_distance(D)") == []
+        assert engine.query("type_affinity(a, b, N)") == []
+
+    def test_a_cycle_with_no_leaf_below_it_is_not_measured(self):
+        engine = hierarchy_engine(
+            ["a", "b", "x", "y"], [("a", "b"), ("b", "a"), ("x", "y")],
+            budget=10_000)
+        assert [s.render("D") for s in engine.query(
+            "max_type_distance(D)")] == ["2"]
+
+    def test_a_leaf_below_a_cycle_runs_until_the_budget(self):
+        engine = hierarchy_engine(
+            ["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")],
+            budget=10_000)
+        with pytest.raises(BudgetExceeded):
+            engine.query("max_type_distance(D)")
+        # as type_distance/3 does, as before, from a type the cycle
+        # never reaches
+        with pytest.raises(BudgetExceeded):
+            engine.query("type_distance(c, a, N)")
+
+
+class TestScoringCost:
+    """The inferences of `<` scoring, so that a return to a walk over
+    every path (946 and 165,633 inferences) fails here and not only in
+    the benchmark."""
+
+    def test_a_representation_send(self):
+        engine = Engine(out=io.StringIO())
+        engine.consult_text(resources.files("mdprolog").joinpath(
+            "corpus", "programs", "shapes.mdp").read_text() +
+            "data(obj(0), type, rectangle).\n"
+            "data(obj(0), width, 3).\n"
+            "data(obj(0), height, 4).\n"
+            "data(obj(0), color, red).\n")
+        [sol] = engine.query("obj(0) ! representation(R)")
+        assert sol.render("R") == "rectangle(3, 4)"
+        # at most 450
+        assert engine.solver.inferences == 410
+
+    def test_max_distance_on_a_binary_tree_of_60_types(self):
+        engine = hierarchy_engine([], [
+            ("t%d" % ((i - 1) // 2), "t%d" % i) for i in range(1, 60)])
+        assert engine.query("max_type_distance(D)")[0].render("D") == "6"
+        # at most 5,000
+        assert engine.solver.inferences == 2326
 
 
 class TestObjectProtocol:

@@ -11,8 +11,8 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdprolog import (BudgetExceeded, Engine, PrologThrow, builtins, dispatcher,
-                      kb, solver, terms)
+from mdprolog import (BudgetExceeded, Engine, Halt, PrologThrow, builtins,
+                      dispatcher, kb, solver, terms)
 from mdprolog.reader import parse_term
 from mdprolog.render import render
 from mdprolog.terms import (NIL, Atom, BindingStore, MdpError, Var, compare_terms,
@@ -211,10 +211,28 @@ class TestExceptions:
         ("op(5000, xfx, foo)", "domain_error(operator_priority, 5000)"),
         ("op(0, xfx, foo)", "domain_error(operator_priority, 0)"),
         ("op(700, yfy, foo)", "domain_error(operator_specifier, yfy)"),
+        ("halt(foo)", "type_error(integer, foo)"),
+        ("halt(f(a))", "type_error(integer, f(a))"),
+        ("halt(1.0)", "type_error(integer, 1.0)"),
+        ("halt(X)", "instantiation_error"),
     ])
     def test_builtin_argument_errors_are_catchable(self, engine, goal, error):
         assert answers(engine, "catch(%s, error(E, _), true)" % goal, "E") \
             == [error]
+
+    def test_the_comma_operator_is_not_modified(self, engine):
+        assert engine.run("catch(op(700, xfx, ','), error(permission_error("
+                          "modify, operator, ','), _), true)")
+        assert answers(engine, "X = (a, b, c), X = ','(a, B)", "B") \
+            == ["b,c"]
+
+    @pytest.mark.parametrize("goal, code", [
+        ("halt", 0), ("halt(3)", 3), ("halt(-1)", -1),
+        ("catch(halt(4), _, true)", 4)])
+    def test_halt_is_not_an_error(self, engine, goal, code):
+        with pytest.raises(Halt) as e:
+            engine.run(goal)
+        assert e.value.code == code
 
     def test_budget_is_not_catchable(self):
         engine = Engine(prelude=False, budget=100)
