@@ -51,7 +51,7 @@ def run_goal(engine, text):
     except Halt as halt:
         if not first:
             sys.stdout.write(".\n")
-        return halt.code
+        return halt.code % 256
     except (PrologThrow, MdpError, MemoryError) as exc:
         _error(_describe(engine, exc))
         return 2
@@ -112,12 +112,9 @@ def repl(engine, stdin=None, stdout=None, stderr=None):
                 stdout.write(".\n")
                 break
             else:
-                if any_solution:
-                    stdout.write(".\n")
-                else:
-                    stdout.write("false.\n")
+                stdout.write(".\n" if any_solution else "false.\n")
         except Halt as halt:
-            return halt.code
+            return halt.code % 256
         except (PrologThrow, MdpError) as exc:
             stderr.write("error: %s\n" % _describe(engine, exc))
         except MemoryError as exc:     # the query's terms are gone: go on
@@ -151,6 +148,8 @@ def main(argv=None):
                         trace_dispatch=args.trace_dispatch)
         for path in args.files:
             engine.consult_file(path)
+    except Halt as halt:     # a directive of a consulted file halted
+        return halt.code % 256
     except (OSError, PrologThrow, MdpError) as exc:
         _error(str(exc))
         return 2

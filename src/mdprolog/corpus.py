@@ -1,9 +1,11 @@
 """Executable example corpus: programs plus expected-outcome case files.
 
-Each case is a YAML file naming program files, a query, and expectations
+Each case is a ``.case`` file of Prolog facts, one per field, read by the
+engine's own reader: the program files, a query, and expectations
 (ordered solutions, output-sink lines, an expected error, or a hazard
 marker for queries that may repeat solutions or blow an inference
-budget).  Cases run on a fresh engine and double as documentation.
+budget).  Queries and expected lines are quoted atoms.  Cases run on a
+fresh engine and double as documentation.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
 from .engine import Engine, read_source
-from .errors import PrologThrow
+from .errors import Halt, PrologThrow
+from .ops import default_table
+from .reader import parse_program
 from .render import render
-from .terms import BudgetExceeded, MdpError
+from .terms import NIL, Atom, BudgetExceeded, MdpError, Struct, list_parts
 
 
 @dataclass
@@ -46,52 +48,61 @@ def _packaged_root():
     return resources.files("mdprolog").joinpath("corpus")
 
 
-# the fields of a case file and of its expect, and their types, a list's
-# items being str; a case needs a name and a query, and a field given no
-# value is an error
-_FIELDS = {"name": str, "query": str, "topic": str, "programs": list,
-           "setup": list, "budget": int, "max_solutions": int, "expect": dict}
-_EXPECT = {"error": str, "solutions": list, "output": list, "hazard": bool}
+def _atom(term):
+    return term.name if type(term) is Atom else None
+
+
+def _atoms(term):
+    items, tail = list_parts(term)
+    names = [_atom(item) for item in items]
+    return names if tail is NIL and None not in names else None
+
+
+# each field of a case file, a fact of one argument: the kind of its value
+# and its reader, which gives None for a value of another kind; the fields
+# that are not CorpusCase's are what the case expects
+_FIELDS = {
+    **dict.fromkeys(("name", "topic", "query", "error"), ("an atom", _atom)),
+    **dict.fromkeys(("programs", "setup", "solutions", "output"),
+                    ("a list of atoms", _atoms)),
+    **dict.fromkeys(("budget", "max_solutions"),
+                    ("an integer", lambda t: t if type(t) is int else None)),
+    "hazard": ("true or false",
+               lambda t: {"true": True, "false": False}.get(_atom(t))),
+}
 
 
 def load_case(path):
-    """The case of a YAML file; an MdpError that names the file if it is none."""
-    try:
-        data = yaml.safe_load(read_source(Path(path)))
-    except yaml.YAMLError as exc:
-        raise MdpError("%s: not a case file: %s" % (path, exc)) from exc
-    if not isinstance(data, dict) or None in (data.get("name"), data.get("query")):
+    """The case of a case file; an MdpError that names the file if it is none."""
+    values = {}
+    for item in parse_program(read_source(Path(path)), default_table(), str(path)):
+        term = item.term
+        key = type(term) is Struct and len(term.args) == 1 and term.functor
+        if key not in _FIELDS or key in values:
+            raise MdpError("%s:%d: %s" % (path, item.line, (
+                "%s given twice" % key if key in values
+                else "not a field of a case: " + render(term, quoted=True))))
+        kind, read = _FIELDS[key]
+        values[key] = read(term.args[0])
+        if values[key] is None:
+            raise MdpError("%s: %s must be %s" % (path, key, kind))
+    if "name" not in values or "query" not in values:
         raise MdpError("%s: a case needs a name and a query" % path)
-    expect = data.get("expect") or {}
-    for fields, values, prefix in ((_FIELDS, data, ""),
-                                   (_EXPECT, expect, "expect.")):
-        for key, kind in fields.items():
-            value = values.get(key)
-            if key in values and not (isinstance(value, kind) and (
-                    kind is not list or all(isinstance(v, str) for v in value))):
-                raise MdpError("%s: %s%s must be a %s"
-                               % (path, prefix, key, kind.__name__))
-    return CorpusCase(
-        name=data["name"],
-        topic=data.get("topic", ""),
-        programs=data.get("programs", []),
-        query=data["query"],
-        setup=data.get("setup", []),
-        budget=data.get("budget"),
-        max_solutions=data.get("max_solutions"),
-        expect=expect,
-        source=str(path),
-    )
+    fields = CorpusCase.__dataclass_fields__
+    expect = {k: values.pop(k) for k in list(values) if k not in fields}
+    if not expect:
+        raise MdpError("%s: a case needs solutions, output, error or hazard"
+                       % path)
+    return CorpusCase(**{"topic": "", "programs": [], **values},
+                      expect=expect, source=str(path))
 
 
 def load_cases(directory=None):
     """Cases from a directory, or the packaged set, sorted by file name."""
-    if directory is None:
-        root = _packaged_root().joinpath("cases")
-        paths = sorted(root.iterdir(), key=lambda p: p.name)
-    else:
-        paths = sorted(Path(directory).glob("*.yaml"))
-    return [load_case(p) for p in paths if p.name.endswith(".yaml")]
+    root = (_packaged_root().joinpath("cases") if directory is None
+            else Path(directory))
+    paths = sorted(root.iterdir() if root.is_dir() else (), key=lambda p: p.name)
+    return [load_case(p) for p in paths if p.name.endswith(".case")]
 
 
 def _program_text(name, directory=None):
@@ -135,8 +146,7 @@ def run_case(case, programs_dir=None):
                 return CaseResult(case, True, "budget exhausted")
             lines = [_solution_line(s) for s in sols]
             if len(set(lines)) < len(lines):
-                return CaseResult(case, True,
-                                  "duplicate solutions: %s" % lines)
+                return CaseResult(case, True, "duplicate solutions: %s" % lines)
             return CaseResult(
                 case, False, "no duplicates and budget survived: %s" % lines)
 
@@ -151,20 +161,17 @@ def run_case(case, programs_dir=None):
             return CaseResult(case, False, "expected an error, got none")
 
         sols = engine.query(case.query, max_solutions=case.max_solutions)
-        lines = [_solution_line(s) for s in sols]
-        if "solutions" in expect and lines != expect["solutions"]:
-            return CaseResult(
-                case, False,
-                "solutions %r != expected %r" % (lines, expect["solutions"]))
-        if "output" in expect:
-            got = sink.getvalue().splitlines()
-            if got != expect["output"]:
-                return CaseResult(
-                    case, False,
-                    "output %r != expected %r" % (got, expect["output"]))
+        got = {"solutions": [_solution_line(s) for s in sols],
+               "output": sink.getvalue().splitlines()}
+        for key in ("solutions", "output"):
+            if key in expect and got[key] != expect[key]:
+                return CaseResult(case, False, "%s %r != expected %r"
+                                  % (key, got[key], expect[key]))
         return CaseResult(case, True)
     except BudgetExceeded as exc:
         return CaseResult(case, False, "budget exhausted: %s" % exc)
+    except Halt as halt:
+        return CaseResult(case, False, "halt %d" % halt.code)
     except MdpError as exc:     # a reader, consult or engine error
         return CaseResult(case, False, "error: %s" % exc)
     except PrologThrow as exc:
@@ -178,11 +185,9 @@ def run_all(directory=None, report=None):
     results = [run_case(c, programs_dir=directory) for c in cases]
     if report is not None:
         for r in results:
-            status = "ok" if r.passed else "FAIL"
-            line = "%-4s %s" % (status, r.case.name)
-            if not r.passed and r.details:
-                line += "  (%s)" % r.details
-            report.write(line + "\n")
+            report.write("%-4s %s%s\n" % (
+                "ok" if r.passed else "FAIL", r.case.name,
+                "  (%s)" % r.details if not r.passed and r.details else ""))
         report.write("%d/%d cases passed\n"
                      % (sum(r.passed for r in results), len(results)))
     return sum(r.passed for r in results), results

@@ -7,6 +7,7 @@ import pytest
 
 from mdprolog import BudgetExceeded, Engine
 from mdprolog.cli import repl
+from mdprolog.corpus import load_cases
 
 CLI = [sys.executable, "-m", "mdprolog.cli"]
 
@@ -47,6 +48,12 @@ class TestGoalMode:
     def test_halt_exits_with_its_code(self):
         proc = run_cli("--no-prelude", "-g", "halt(3)")
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "")
+
+    @pytest.mark.parametrize("code, status", [
+        ("256", 0), ("-1", 255), ("100000000000000000000", 0)])
+    def test_halt_exits_with_the_low_8_bits_of_its_code(self, code, status):
+        proc = run_cli("--no-prelude", "-g", "halt(%s)" % code)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (status, "", "")
 
     def test_halt_of_no_integer_exits_two(self):
         proc = run_cli("--no-prelude", "-g", "halt(foo)")
@@ -182,6 +189,22 @@ class TestTestSubcommand:
         assert proc.returncode == 0
         assert "cases passed" in proc.stdout
 
+    def test_the_corpus_needs_no_yaml(self, tmp_path):
+        # a case directory also holds the programs its cases name
+        (tmp_path / "p.pl").write_text("p(1).\n")
+        (tmp_path / "p.case").write_text(
+            "name(p).\nprograms(['p.pl']).\nquery('p(X)').\n"
+            "solutions(['X = 1']).\n")
+        code = ('import sys; sys.modules["yaml"] = None; '
+                'from mdprolog.cli import main; sys.exit(main(sys.argv[1:]))')
+        for args, count in ((["test"], len(load_cases())),
+                            (["test", str(tmp_path)], 1)):
+            proc = subprocess.run([sys.executable, "-c", code] + args,
+                                  capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout.endswith("\n%d/%d cases passed\n"
+                                        % (count, count))
+
     def test_missing_directory_fails(self):
         proc = run_cli("test", "/no/such/corpus")
         assert proc.returncode != 0
@@ -193,9 +216,9 @@ class TestTestSubcommand:
     def test_a_case_that_raises_an_engine_error_fails(self, tmp_path,
                                                       program, query):
         (tmp_path / "prog.mdp").write_text(program + "\n")
-        (tmp_path / "case.yaml").write_text(
-            "name: broken\nprograms: [prog.mdp]\nquery: %r\n"
-            "expect: {solutions: []}\n" % query)
+        (tmp_path / "broken.case").write_text(
+            "name(broken).\nprograms(['prog.mdp']).\nquery('%s').\n"
+            "solutions([]).\n" % query)
         proc = run_cli("test", str(tmp_path))
         assert proc.returncode == 1
         assert proc.stdout.startswith("FAIL broken  (error: ")
@@ -270,7 +293,7 @@ class TestDepth:
         assert "Traceback" not in proc.stderr
 
 
-CASE = 'name: %s\nprograms: [%s]\nquery: "true"\nexpect: {solutions: ["true"]}\n'
+CASE = "name(%s).\nprograms([%s]).\nquery(true).\nsolutions([true]).\n"
 
 # Inputs that are not what they claim: (files to write, arguments, exit
 # code, texts that stdout and stderr hold).  "{}" stands for the directory
@@ -291,30 +314,78 @@ HOSTILE = {
     "program not UTF-8": (
         {"f.mdp": b"p(a).\np(\xff).\n"}, ["{}/f.mdp", "-g", "true"], 2,
         ["mdprolog: {}/f.mdp:2: not UTF-8 text: invalid start byte"]),
-    "case not YAML": ({"c/a.yaml": b"name: [open\n"}, ["test", "{}/c"], 2,
-                      ["mdprolog: {}/c/a.yaml: not a case file: "]),
-    "case not UTF-8": ({"c/a.yaml": b"name: \xff\n"}, ["test", "{}/c"], 2,
-                       ["mdprolog: {}/c/a.yaml:1: not UTF-8 text"]),
+    "case not readable": (
+        {"c/a.case": b"name(a).\nquery('true).\n"}, ["test", "{}/c"], 2,
+        ["mdprolog: {}/c/a.case:2: unterminated quoted atom"]),
+    "case not UTF-8": ({"c/a.case": b"name(\xff).\n"}, ["test", "{}/c"], 2,
+                       ["mdprolog: {}/c/a.case:1: not UTF-8 text"]),
     "case without a query": (
-        {"c/a.yaml": b"name: x\nprograms: []\n"}, ["test", "{}/c"], 2,
-        ["mdprolog: {}/c/a.yaml: a case needs a name and a query"]),
-    "case not a mapping": ({"c/a.yaml": b"- a\n"}, ["test", "{}/c"], 2,
-                           ["mdprolog: {}/c/a.yaml: a case needs a name"]),
-    "case with a wrong field": (
-        {"c/a.yaml": b"name: x\nquery: 'true'\nprograms: [1]\n"},
-        ["test", "{}/c"], 2, ["mdprolog: {}/c/a.yaml: programs must be a list"]),
-    "case with a wrong expect field": (
-        {"c/a.yaml": b"name: a\nquery: 'throw(x)'\nexpect: {error: 5}\n"},
-        ["test", "{}/c"], 2, ["mdprolog: {}/c/a.yaml: expect.error must be a str"]),
-    "case with an empty expect field": (
-        {"c/a.yaml": b"name: a\nquery: 'true'\nexpect: {solutions: }\n"},
+        {"c/a.case": b"name(x).\nprograms([]).\nsolutions([]).\n"},
         ["test", "{}/c"], 2,
-        ["mdprolog: {}/c/a.yaml: expect.solutions must be a list"]),
+        ["mdprolog: {}/c/a.case: a case needs a name and a query"]),
+    "case not of fields": ({"c/a.case": b"[a].\n"}, ["test", "{}/c"], 2,
+                           ["mdprolog: {}/c/a.case:1: not a field of a case: "
+                            "[a]\n"]),
+    "case with a wrong field": (
+        {"c/a.case": b"name(x).\nquery(true).\nprograms([1]).\n"},
+        ["test", "{}/c"], 2,
+        ["mdprolog: {}/c/a.case: programs must be a list of atoms"]),
+    "case with a wrong expect field": (
+        {"c/a.case": b"name(a).\nquery('throw(x)').\nerror(5).\n"},
+        ["test", "{}/c"], 2, ["mdprolog: {}/c/a.case: error must be an atom"]),
+    "case with an empty expect field": (
+        {"c/a.case": b"name(a).\nquery(true).\nsolutions(_).\n"},
+        ["test", "{}/c"], 2,
+        ["mdprolog: {}/c/a.case: solutions must be a list of atoms"]),
+    "case with a misspelt field": (
+        {"c/a.case": b"name(typo).\nquery(fail).\nsoluions([true]).\n"},
+        ["test", "{}/c"], 2, ["mdprolog: {}/c/a.case:3: not a field of a "
+                              "case: soluions([true])\n"]),
+    "case with an unknown field": (
+        {"c/a.case": (CASE % ("a", "") + "author(me).\n").encode()},
+        ["test", "{}/c"], 2,
+        ["mdprolog: {}/c/a.case:5: not a field of a case: author(me)\n"]),
+    "case with a field given twice": (
+        {"c/a.case": (CASE % ("a", "") + "query(fail).\n").encode()},
+        ["test", "{}/c"], 2, ["mdprolog: {}/c/a.case:5: query given twice\n"]),
+    "case with a directive": (
+        {"c/a.case": (":- halt(3).\n" + CASE % ("a", "")).encode()},
+        ["test", "{}/c"], 2,
+        ["mdprolog: {}/c/a.case:1: not a field of a case: :-halt(3)\n"]),
+    "case with a rule": (
+        {"c/a.case": (CASE % ("a", "") + "topic(T) :- T = x.\n").encode()},
+        ["test", "{}/c"], 2,
+        ["mdprolog: {}/c/a.case:5: not a field of a case: topic(T):-T=x\n"]),
+    "case with a variable": (
+        {"c/a.case": (CASE % ("a", "") + "setup([G]).\n").encode()},
+        ["test", "{}/c"], 2,
+        ["mdprolog: {}/c/a.case: setup must be a list of atoms\n"]),
+    "case that checks nothing": (
+        {"c/a.case": b"name(a).\nquery(fail).\nprograms([]).\n"},
+        ["test", "{}/c"], 2, ["mdprolog: {}/c/a.case: a case needs "
+                              "solutions, output, error or hazard\n"]),
     "case with a missing program": (
-        {"c/a.yaml": (CASE % ("a", "nope.mdp")).encode(),
-         "c/b.yaml": (CASE % ("b", "")).encode()}, ["test", "{}/c"], 1,
+        {"c/a.case": (CASE % ("a", "'nope.mdp'")).encode(),
+         "c/b.case": (CASE % ("b", "")).encode()}, ["test", "{}/c"], 1,
         ["FAIL a  (error: ", "nope.mdp: No such file or directory)\n"
          "ok   b\n1/2 cases passed\n"]),
+    "case that halts": (
+        {"c/a.case": b"name(a).\nquery('halt(4)').\nsolutions([]).\n",
+         "c/b.case": (CASE % ("b", "'h.pl'")).encode(),
+         "c/h.pl": b":- halt(5).\n",
+         "c/c.case": (CASE % ("c", "")).encode()}, ["test", "{}/c"], 1,
+        ["FAIL a  (halt 4)\nFAIL b  (halt 5)\nok   c\n1/3 cases passed\n"]),
+    "halt/1 in a directive": (
+        {"f.mdp": b"p.\n:- halt(3).\n"}, ["{}/f.mdp", "-g", "p"], 3, []),
+    "halt/0 in a directive": (
+        {"f.mdp": b":- halt.\n"}, ["{}/f.mdp", "-g", "fail"], 0, []),
+    "halt of 256 in a directive": (
+        {"f.mdp": b":- halt(256).\n"}, ["{}/f.mdp", "-g", "fail"], 0, []),
+    "halt of -1 in a directive": (
+        {"f.mdp": b":- halt(-1).\n"}, ["{}/f.mdp", "-g", "fail"], 255, []),
+    "halt of 10^20 in a directive": (
+        {"f.mdp": b":- halt(100000000000000000000).\n"},
+        ["{}/f.mdp", "-g", "fail"], 0, []),
     "op priority out of range": (
         {"f.mdp": b":- op(1300, xfx, foo).\n"}, ["{}/f.mdp", "-g", "true"], 2,
         ["mdprolog: directive raised error(domain_error(operator_priority, "

@@ -1,6 +1,11 @@
 import io
+from pathlib import Path
+
+import pytest
 
 from mdprolog.corpus import CorpusCase, load_cases, run_all, run_case
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestCorpusSuite:
@@ -39,3 +44,16 @@ class TestCorpusSuite:
                           expect={"hazard": True})
         result = run_case(case)
         assert result.passed and "duplicate solutions" in result.details
+
+
+def test_package_data_covers_the_bundled_files():
+    # an installed package holds only the files its package-data globs name
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["mdprolog"]
+    package = ROOT / "src" / "mdprolog"
+    bundled = {p for p in (package / "corpus").rglob("*") if p.is_file()}
+    bundled.add(package / "prelude.mdp")
+    covered = {p for glob in globs for p in package.glob(glob)}
+    assert bundled - covered == set()
+    assert len(load_cases()) == len(list((package / "corpus" / "cases").iterdir()))
